@@ -76,6 +76,13 @@ class RunConfig:
             raise ConfigError(f"routes must be one of {ROUTES}")
         if self.rotation_pieces < 3:
             raise ConfigError("rotation_pieces must be >= 3")
+        for name, value in (
+            ("seeds.t_count", self.t_count),
+            ("seeds.keep_per_seed", self.keep_per_seed),
+            ("chunk", self.chunk),
+        ):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         for name in (
             "subdivision_delta", "newton_tol", "grad_tol", "verify_tol",
             "match_angular", "match_t", "dedup_angular", "dedup_t",

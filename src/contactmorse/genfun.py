@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowMap, IntegratorSettings
+from .flow import FlowMap, IntegratorSettings, integrate_flow
 from .linsymp import QuadraticForm, complex_structure_matrix, mul_i
 from .sampling import sphere_points
 
@@ -67,9 +67,12 @@ class GenFun:
         """Apply the underlying symplectomorphism to points z of shape (B, 2n)."""
         raise NotImplementedError
 
-    def chain_seed(self, z: np.ndarray):
+    def chain_seed(self, z: np.ndarray, midpoints: list | None = None):
         """Fiber variables of the canonical fiber-critical point over the
-        chain starting at z: returns (fiber (B, fiber_dim), z_out (B, 2n))."""
+        chain starting at z: returns (fiber (B, fiber_dim), z_out (B, 2n)).
+
+        When midpoints is a list, every leaf appends its chain point, which is
+        the midpoint solution at that leaf's base, in depth-first leaf order."""
         raise NotImplementedError
 
 
@@ -110,7 +113,7 @@ class QuadraticGF(GenFun):
             return out, jac
         return out
 
-    def chain_seed(self, z):
+    def chain_seed(self, z, midpoints=None):
         z = np.asarray(z, dtype=float)
         return np.zeros((z.shape[0], 0)), self.map_points(z)
 
@@ -178,8 +181,10 @@ class LeafGF(GenFun):
         out, jac = self.piece(z, with_jacobian=with_jacobian)
         return (out, jac) if with_jacobian else out
 
-    def chain_seed(self, z):
+    def chain_seed(self, z, midpoints=None):
         z = np.asarray(z, dtype=float)
+        if midpoints is not None:
+            midpoints.append(z)
         return np.zeros((z.shape[0], 0)), self.map_points(z)
 
 
@@ -189,14 +194,16 @@ def _unit_row(m: int) -> np.ndarray:
     return e
 
 
-def solve_midpoint(spec, t0, t1, settings, b, newton_tol=1e-11, max_iter=30):
+def solve_midpoint(spec, t0, t1, settings, b, newton_tol=1e-11, max_iter=30, z0=None):
     """Solve (z + Phi(z))/2 = b by Newton for the piece flow over [t0, t1].
 
-    Returns (z, Phi(z), DPhi(z), ok).  Rows whose Newton fails, or whose base
-    norm underflows (the cone tip is rejected), come back with ok = False.
+    z0 (B, 2n) is the starting guess; None starts cold at z = b.  Each
+    iteration integrates only the rows still above newton_tol, at most
+    max_iter + 1 integrations per row.  Returns (z, Phi(z), DPhi(z), ok),
+    with Phi and DPhi taken at the returned z on every ok row.  Rows whose
+    Newton fails, or whose base norm underflows (the cone tip is rejected),
+    come back with ok = False.
     """
-    from .flow import integrate_flow
-
     b = np.asarray(b, dtype=float)
     B, m = b.shape
     eye = np.eye(m)
@@ -206,35 +213,80 @@ def solve_midpoint(spec, t0, t1, settings, b, newton_tol=1e-11, max_iter=30):
     scale = np.linalg.norm(b, axis=1)
     alive = scale > 1e-150
     safe_b = np.where(alive[:, None], b, _unit_row(m))
-    z = safe_b.copy()
+    z = safe_b.copy() if z0 is None else np.where(alive[:, None], z0, _unit_row(m))
     ok = np.zeros(B, dtype=bool)
     Zv = z.copy()
     jac = np.broadcast_to(eye, (B, m, m)).copy()
-    for _ in range(max_iter):
-        dead = np.linalg.norm(z, axis=1) < 1e-120
-        if np.any(dead):
-            alive = alive & ~dead
-            z = np.where(alive[:, None], z, _unit_row(m))
-        Zv, jac = integrate_flow(spec, z, t0, t1, settings, with_jacobian=True)
-        resid = 0.5 * (z + Zv) - safe_b
-        rnorm = np.linalg.norm(resid, axis=1)
-        ok = alive & (rnorm <= newton_tol * np.maximum(scale, 1e-12))
-        if np.all(ok | ~alive):
+    for it in range(max_iter + 1):
+        alive &= np.linalg.norm(z, axis=1) >= 1e-120
+        rows = np.where(alive & ~ok)[0]
+        if rows.size == 0:
             break
+        # A lone row goes in twice: numpy rounds a one-row batch differently,
+        # and a row's bits must not depend on which other rows are pending.
+        batch = np.repeat(rows, 2) if rows.size == 1 else rows
+        Zb, jb = integrate_flow(spec, z[batch], t0, t1, settings, with_jacobian=True)
+        Zv[rows], jac[rows] = Zb[: rows.size], jb[: rows.size]
+        resid = 0.5 * (z[rows] + Zv[rows]) - safe_b[rows]
+        conv = np.linalg.norm(resid, axis=1) <= newton_tol * np.maximum(scale[rows], 1e-12)
+        ok[rows[conv]] = True
+        upd = ~conv
+        if it == max_iter or not np.any(upd):
+            break
+        A = 0.5 * (jac[rows[upd]] + eye)
+        r = resid[upd][:, :, None]
         try:
-            step = np.linalg.solve(0.5 * (jac + eye), resid[:, :, None])[:, :, 0]
+            step = np.linalg.solve(A, r)[:, :, 0]
         except np.linalg.LinAlgError:
             # a piece on the edge of C^1-smallness: let the residual test
             # decide, never crash the whole batch
-            step = (np.linalg.pinv(0.5 * (jac + eye)) @ resid[:, :, None])[:, :, 0]
-        upd = ~ok & alive
-        z = z - np.where(upd[:, None], step, 0.0)
-    else:
-        Zv, jac = integrate_flow(spec, z, t0, t1, settings, with_jacobian=True)
-        resid = 0.5 * (z + Zv) - safe_b
-        rnorm = np.linalg.norm(resid, axis=1)
-        ok = alive & (rnorm <= newton_tol * np.maximum(scale, 1e-12))
+            step = (np.linalg.pinv(A) @ r)[:, :, 0]
+        z[rows[upd]] -= step
     return z, Zv, jac, ok
+
+
+@dataclass(frozen=True)
+class LeafState:
+    """Last midpoint solve of every leaf, per row: b (B, L, 2n) the base,
+    z (B, L, 2n) the midpoint and jac (B, L, 2n, 2n) DPhi(z).  The leaf axis
+    follows the depth-first leaf order of the DAG."""
+
+    b: np.ndarray
+    z: np.ndarray
+    jac: np.ndarray
+
+    def take(self, rows) -> "LeafState":
+        return LeafState(self.b[rows], self.z[rows], self.jac[rows])
+
+    def put(self, rows, other: "LeafState") -> None:
+        self.b[rows] = other.b
+        self.z[rows] = other.z
+        self.jac[rows] = other.jac
+
+    def predict(self, b: np.ndarray) -> np.ndarray:
+        """One-step predictor of the midpoints at new bases b (B, L, 2n):
+        z + ((I + DPhi)/2)^{-1} (b - b_prev), the midpoint equation linearized
+        at the last solve."""
+        m = b.shape[-1]
+        A = 0.5 * (self.jac + np.eye(m))
+        return self.z + np.linalg.solve(A, (b - self.b)[..., None])[..., 0]
+
+
+def _stack_leaves(arrays: list[np.ndarray], B: int, shape: tuple) -> np.ndarray:
+    """Per-leaf arrays (B, *shape) stacked along a leaf axis 1."""
+    return np.stack(arrays, axis=1) if arrays else np.zeros((B, 0) + shape)
+
+
+def chain_state(gf: GenFun, x: np.ndarray, midpoints: list[np.ndarray]) -> LeafState:
+    """LeafState at x whose leaf midpoints are known, e.g. the chain points
+    that chain_seed collects.  DPhi is unknown and set to the identity; the
+    predictor then only moves z by the base change."""
+    requests: list[tuple[LeafGF, np.ndarray]] = []
+    _collect_leaf_bases(gf, np.asarray(x, dtype=float), requests)
+    B, m = x.shape[0], gf.base_dim
+    jac = np.broadcast_to(np.eye(m), (B, len(requests), m, m)).copy()
+    return LeafState(_stack_leaves([b for _, b in requests], B, (m,)),
+                     _stack_leaves(midpoints, B, (m,)), jac)
 
 
 class ComposeGF(GenFun):
@@ -321,9 +373,9 @@ class ComposeGF(GenFun):
         out, jac2 = self.second.map_points(mid, with_jacobian=True)
         return out, jac2 @ jac1
 
-    def chain_seed(self, z):
-        fibF, z_mid = self.first.chain_seed(z)
-        fibG, z_out = self.second.chain_seed(z_mid)
+    def chain_seed(self, z, midpoints=None):
+        fibF, z_mid = self.first.chain_seed(z, midpoints)
+        fibG, z_out = self.second.chain_seed(z_mid, midpoints)
         v = z_out
         w = 0.5 * (z_mid - z_out)
         return np.concatenate([v, w, fibF, fibG], axis=1), z_out
@@ -344,20 +396,29 @@ def _collect_leaf_bases(gf: GenFun, x: np.ndarray, out: list) -> None:
         _collect_leaf_bases(gf.second, np.concatenate([v + w, x[:, seta]], axis=1), out)
 
 
-def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1):
+def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1, warm: LeafState | None = None):
     """Evaluate like GenFun.evaluate but solve all leaf midpoints in one
     stacked Newton per compatible group.
 
     Leaves of an autonomous spec depend only on their span, so their batches
     concatenate into a single integration; this amortizes the per-step cost
-    across the whole DAG.  Results are bitwise the plain recursive ones.
+    across the whole DAG.  Without warm state every leaf starts cold and the
+    results are bitwise the plain recursive ones.
+
+    With warm state (a LeafState of the same rows, from an earlier call or
+    from chain_state) every leaf starts from the one-step predictor at its new
+    base, and the new LeafState is returned as a fifth element.  A warm start
+    converges to the same midpoints within the leaf tolerance, not bitwise.
     """
     x = np.asarray(x, dtype=float)
+    B, m = x.shape[0], gf.base_dim
     requests: list[tuple[LeafGF, np.ndarray]] = []
     _collect_leaf_bases(gf, x, requests)
+    bases = _stack_leaves([b for _, b in requests], B, (m,))
+    guess = None if warm is None else warm.predict(bases)
     cache: dict[int, tuple] = {}
-    groups: dict[tuple, list[tuple[LeafGF, np.ndarray]]] = {}
-    for leaf, base in requests:
+    groups: dict[tuple, list[int]] = {}
+    for i, (leaf, _) in enumerate(requests):
         piece = leaf.piece
         if piece.spec.is_autonomous():
             key = (piece.spec, round(piece.span, 15), piece.settings,
@@ -365,25 +426,30 @@ def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1):
         else:
             key = (piece.spec, piece.t0, piece.t1, piece.settings,
                    leaf.newton_tol, leaf.max_iter)
-        groups.setdefault(key, []).append((leaf, base))
-    for entries in groups.values():
-        leaf0 = entries[0][0]
+        groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        leaf0 = requests[members[0]][0]
         piece0 = leaf0.piece
-        bases = np.concatenate([b for _, b in entries], axis=0)
+        group_b = np.concatenate([requests[i][1] for i in members], axis=0)
+        z0 = None if guess is None else np.concatenate([guess[:, i] for i in members], axis=0)
         if piece0.spec.is_autonomous():
             t0, t1 = 0.0, piece0.span
         else:
             t0, t1 = piece0.t0, piece0.t1
         z, Zv, jac, ok = solve_midpoint(
-            piece0.spec, t0, t1, piece0.settings, bases, leaf0.newton_tol, leaf0.max_iter
+            piece0.spec, t0, t1, piece0.settings, group_b, leaf0.newton_tol, leaf0.max_iter,
+            z0=z0,
         )
-        offset = 0
-        for leaf, b in entries:
-            B = b.shape[0]
-            sl = slice(offset, offset + B)
-            cache[id(leaf)] = (z[sl], Zv[sl], jac[sl], ok[sl])
-            offset += B
-    return gf.evaluate(x, order, leaf_cache=cache)
+        for j, i in enumerate(members):
+            sl = slice(j * B, (j + 1) * B)
+            cache[id(requests[i][0])] = (z[sl], Zv[sl], jac[sl], ok[sl])
+    result = gf.evaluate(x, order, leaf_cache=cache)
+    if warm is None:
+        return result
+    solved = [cache[id(leaf)] for leaf, _ in requests]
+    state = LeafState(bases, _stack_leaves([c[0] for c in solved], B, (m,)),
+                      _stack_leaves([c[2] for c in solved], B, (m, m)))
+    return (*result, state)
 
 
 def gf_eval(gf: GenFun, x) -> float:

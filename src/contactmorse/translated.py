@@ -384,11 +384,18 @@ class ShiftedGenFunFamily:
         """Plain GenFun DAG for a fixed t (public composition route)."""
         return gfm.gf_compose(self.f_phi, build_rotation_family(t, self.n, self.k).genfun)
 
-    def seed(self, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Chain seeds on the fiber-critical set over starting points q."""
+    def seed(self, q: np.ndarray, t: np.ndarray):
+        """Chain seeds on the fiber-critical set over starting points q.
+
+        Returns (x, warm): x on the unit sphere of the total space, and the
+        LeafState of F_phi at x.  Each leaf's chain point is the exact
+        midpoint at its chain base; the lifted flow is R_+-equivariant, so
+        after the normalisation of x it is the chain point over |x|.
+        """
         q = np.asarray(q, dtype=float)
         t = np.asarray(t, dtype=float)
-        fib_phi, z_mid = self.f_phi.chain_seed(q)
+        midpoints: list[np.ndarray] = []
+        fib_phi, z_mid = self.f_phi.chain_seed(q, midpoints)
         # rotation chain through the k pieces of a_t
         pts = [z_mid]
         for j in range(self.k):
@@ -405,18 +412,32 @@ class ShiftedGenFunFamily:
         v = z_out
         w = 0.5 * (z_mid - z_out)
         x = np.concatenate([u, v, w, fib_phi, fib_a], axis=1)
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
+        norm = np.linalg.norm(x, axis=1, keepdims=True)
+        x = x / norm
+        warm = gfm.chain_state(self.f_phi, self._phi_point(x), [z / norm for z in midpoints])
+        return x, warm
+
+    def _phi_point(self, x: np.ndarray) -> np.ndarray:
+        """The point (u + w; mu) of F_phi's total space inside x."""
+        return np.concatenate([x[:, self.s_u] + x[:, self.s_w], x[:, self.s_mu]], axis=1)
 
     def evaluate(self, x: np.ndarray, t: np.ndarray, order: int = 2,
-                 with_dt: bool = False):
-        """(val, grad, hess, dgrad_dt, ok) of F_t at x, t per row."""
+                 with_dt: bool = False, warm: gfm.LeafState | None = None):
+        """(val, grad, hess, dgrad_dt, ok) of F_t at x, t per row.
+
+        With warm (the LeafState of F_phi's leaves for these rows) the leaf
+        solves start warm and the new LeafState is returned as a sixth
+        element; see evaluate_stacked.
+        """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         B = x.shape[0]
         m = self.m
         u, v, w = x[:, self.s_u], x[:, self.s_v], x[:, self.s_w]
-        xF = np.concatenate([u + w, x[:, self.s_mu]], axis=1)
-        vF, gF, HF, okF = evaluate_stacked(self.f_phi, xF, order)
+        if warm is None:
+            vF, gF, HF, okF = evaluate_stacked(self.f_phi, self._phi_point(x), order)
+        else:
+            vF, gF, HF, okF, warm = evaluate_stacked(self.f_phi, self._phi_point(x), order, warm)
         y = np.concatenate([v + w, x[:, self.s_eta]], axis=1)
         MA, dMA = rotation_family_matrices(t, self.n, self.k)
         My = np.einsum("bij,bj->bi", MA, y)
@@ -466,7 +487,9 @@ class ShiftedGenFunFamily:
             dgrad[:, self.s_v] = dgy[:, :m]
             dgrad[:, self.s_w] = dgy[:, :m]
             dgrad[:, self.s_eta] = dgy[:, m:]
-        return val, grad, hess, dgrad, okF
+        if warm is None:
+            return val, grad, hess, dgrad, okF
+        return val, grad, hess, dgrad, okF, warm
 
 
 def find_critical_rays(
@@ -501,8 +524,8 @@ def find_critical_rays(
     for lo in range(0, q_seeds.shape[0], chunk):
         q_c = q_seeds[lo : lo + chunk]
         t_c = t_seeds[lo : lo + chunk]
-        x0 = family.seed(q_c, t_c)
-        xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, grad_tol, max_iter)
+        x0, warm = family.seed(q_c, t_c)
+        xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, grad_tol, max_iter, warm)
         xs.append(xx)
         ts.append(tt)
         vals.append(vv)
@@ -536,7 +559,15 @@ def find_critical_rays(
     )
 
 
-def _genfun_newton(family, x0, t0, tol, max_iter, polish=2):
+def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
+    """Masked bordered Newton on grad F_t(x) = 0, |x| = 1 over (x, t).
+
+    warm is the LeafState of F_phi at x0 (from family.seed); it is carried
+    across iterations, sliced by the same work mask as x and t, so that every
+    leaf solve starts from its predictor instead of cold.  A row is dropped
+    when its leaves fail or its step leaves the rotation family's domain
+    |t| < k/2.
+    """
     x = np.asarray(x0, dtype=float).copy()
     t = np.asarray(t0, dtype=float).copy()
     B, D = x.shape
@@ -553,7 +584,10 @@ def _genfun_newton(family, x0, t0, tol, max_iter, polish=2):
         if not np.any(work):
             break
         xi, ti = x[work], t[work]
-        val, grad, hess, dgrad, ok_eval = family.evaluate(xi, ti, order=2, with_dt=True)
+        val, grad, hess, dgrad, ok_eval, warm_i = family.evaluate(
+            xi, ti, order=2, with_dt=True, warm=warm.take(work)
+        )
+        warm.put(work, warm_i)
         gnorm = np.linalg.norm(grad, axis=1)
         idx = np.where(work)[0]
         better = ok_eval & (gnorm < best_g[idx])
@@ -579,9 +613,11 @@ def _genfun_newton(family, x0, t0, tol, max_iter, polish=2):
         step = step * damp[:, None]
         xn = xi - step[:, :D]
         xnorm = np.linalg.norm(xn, axis=1)
-        bad = ~ok_eval | (xnorm < 1e-8) | ~np.isfinite(xnorm) | (np.abs(ti - step[:, D]) > 4.0)
-        xn = xn / np.maximum(xnorm, 1e-30)[:, None]
         tn = ti - step[:, D]
+        # rotation_family_matrices rejects the whole batch once any |t| >= k/2
+        bad = (~ok_eval | (xnorm < 1e-8) | ~np.isfinite(xnorm)
+               | ~(np.abs(tn) < 0.5 * family.k))
+        xn = xn / np.maximum(xnorm, 1e-30)[:, None]
         move = ~finish & ~bad
         x[idx[move]] = xn[move]
         t[idx[move]] = tn[move]

@@ -165,3 +165,20 @@ def test_records_csv_shape(tmp_path):
     # sorted by t
     assert lines[1].endswith("indeterminate,direct")
     assert lines[2].endswith("true,both")
+
+
+@pytest.mark.parametrize(
+    "field, over",
+    [
+        ("seeds.t_count", {"seeds": {"sphere_count": 48, "t_count": 0, "keep_per_seed": 3}}),
+        ("seeds.keep_per_seed",
+         {"seeds": {"sphere_count": 48, "t_count": 16, "keep_per_seed": 0}}),
+        ("chunk", {"chunk": 0}),
+    ],
+)
+def test_cli_rejects_zero_counts(tmp_path, capsys, field, over):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_corpus_config(**over)))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -80,6 +80,92 @@ def test_leaf_newton_failure_raises(settings):
         gfm.gf_leaf_eval(piece, np.array([1.0, 0.0]))
 
 
+# --- masked, warm-started midpoint solves -----------------------------------
+
+
+def _midpoint_problem(settings, rng, rows=6):
+    piece = FlowMap(_perturbed_spec(), 0.0, 0.08, settings)
+    b = rng.normal(size=(rows, 4))
+    return piece, b
+
+
+def _solve(piece, b, z0=None, newton_tol=1e-11):
+    return gfm.solve_midpoint(piece.spec, piece.t0, piece.t1, piece.settings, b,
+                              newton_tol, z0=z0)
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Records the start points of every leaf integration."""
+    calls = []
+    inner = gfm.integrate_flow
+
+    def counting(spec, z0, *args, **kwargs):
+        calls.append(np.array(z0))
+        return inner(spec, z0, *args, **kwargs)
+
+    monkeypatch.setattr(gfm, "integrate_flow", counting)
+    return calls
+
+
+def test_midpoint_exact_guess_takes_one_integration(settings, rng, integrations):
+    piece, b = _midpoint_problem(settings, rng)
+    z, Zv, jac, ok = _solve(piece, b)
+    assert ok.all()
+    integrations.clear()
+    z2, Zv2, jac2, ok2 = _solve(piece, b, z0=z)
+    assert ok2.all()
+    assert len(integrations) == 1 and integrations[0].shape[0] == b.shape[0]
+    assert np.array_equal(z2, z)
+    # Phi and DPhi belong to the returned z
+    Zr, jr = integrate_flow(piece.spec, z2, piece.t0, piece.t1, piece.settings)
+    assert np.array_equal(Zv2, Zr) and np.array_equal(jac2, jr)
+
+
+def test_midpoint_perturbed_guess_matches_cold(settings, rng):
+    # Newton stops anywhere inside newton_tol, so two solves of one root
+    # agree to about that tolerance; a tight one makes the comparison sharp.
+    piece, b = _midpoint_problem(settings, rng)
+    z, _, _, ok = _solve(piece, b, newton_tol=1e-13)
+    z0 = z + 1e-2 * rng.normal(size=z.shape)
+    z2, _, _, ok2 = _solve(piece, b, z0=z0, newton_tol=1e-13)
+    assert ok.all() and np.array_equal(ok2, ok)
+    scale = np.linalg.norm(b, axis=1)
+    assert np.all(np.linalg.norm(z2 - z, axis=1) <= 1e-12 * scale)
+
+
+def test_midpoint_converged_rows_not_integrated_again(settings, rng, integrations):
+    piece, b = _midpoint_problem(settings, rng)
+    z, _, _, _ = _solve(piece, b)
+    z0 = z.copy()
+    moved = np.array([False, True, False, True, True, False])
+    z0[moved] += 1e-2 * rng.normal(size=(int(moved.sum()), 4))
+    integrations.clear()
+    _, _, _, ok = _solve(piece, b, z0=z0)
+    assert ok.all()
+    assert len(integrations) >= 2 and integrations[0].shape[0] == b.shape[0]
+    for start in integrations[1:]:
+        assert start.shape[0] <= int(moved.sum())
+        for zc in z[~moved]:
+            assert not np.any(np.all(start == zc, axis=1))
+    # cold: every row integrates only until it converges
+    integrations.clear()
+    _solve(piece, b)
+    sizes = [c.shape[0] for c in integrations]
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_midpoint_zero_base_row_fails_alone(settings, rng):
+    piece, b = _midpoint_problem(settings, rng)
+    b[2] = 0.0
+    ref, _, _, ok_ref = _solve(piece, np.delete(b, 2, axis=0))
+    for z0 in (None, b + 1e-3):
+        z, _, _, ok = _solve(piece, b, z0=z0)
+        assert not ok[2]
+        assert ok_ref.all() and np.array_equal(np.delete(ok, 2), ok_ref)
+        assert np.max(np.abs(np.delete(z, 2, axis=0) - ref)) <= 1e-12
+
+
 # --- rotation quadratics ---------------------------------------------------
 
 

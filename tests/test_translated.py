@@ -6,6 +6,7 @@ from contactmorse import translated as tp
 from contactmorse.flow import integrate_flow
 from contactmorse.genfun import build_rotation_family
 from contactmorse.linsymp import inertia
+from contactmorse.sampling import sphere_points
 
 
 SMALL = dict(sphere_count=48, t_count=24, keep_per_seed=3)
@@ -146,3 +147,60 @@ def test_genfun_route_verifies_against_direct(settings, sphere_corpus_spec):
     for r in res.records:
         assert r.residual_fixed < 1e-8
         assert abs(r.gf_value) < 1e-8
+
+
+def _corpus_family(spec, settings, k):
+    f_phi, _ = tp.build_phi_genfun(spec, settings, 1.0)
+    return tp.ShiftedGenFunFamily(f_phi, spec.n, k)
+
+
+def test_genfun_newton_drops_row_leaving_rotation_domain(
+    fast_settings, sphere_corpus_spec, monkeypatch
+):
+    # With k = 3 the rotation family is defined for |t| < 3/2.  The third
+    # start's first Newton step lands beyond t = 3/2: the row must be dropped
+    # before rotation_family_matrices sees it, and the batch must go on.
+    family = _corpus_family(sphere_corpus_spec, fast_settings, 3)
+    seen = []
+    inner = tp.rotation_family_matrices
+
+    def recording(t, n, k):
+        seen.append(np.array(t))
+        return inner(t, n, k)
+
+    monkeypatch.setattr(tp, "rotation_family_matrices", recording)
+    q = sphere_points(8, 4)[:3]
+    t = np.array([0.25, 0.35, 1.49])
+    x0, warm = family.seed(q, t)
+    _, _, _, ok = tp._genfun_newton(family, x0, t, 1e-9, 40, warm)
+    assert ok.tolist() == [True, True, False]
+    assert all(np.all(np.abs(s) < 1.5) for s in seen)
+    assert seen[0].shape == (3,) and all(s.shape == (2,) for s in seen[1:])
+
+
+def test_warm_genfun_rays_are_cold_critical(fast_settings, sphere_corpus_spec, monkeypatch):
+    """Warm leaf solves must not bias the critical points: the gradient at
+    every returned (x, t) is re-evaluated with cold leaf solves."""
+    family = _corpus_family(sphere_corpus_spec, fast_settings, 4)
+    grad_tol = 1e-9
+    results = []
+    inner = tp._genfun_newton
+
+    def recording(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(tp, "_genfun_newton", recording)
+    res = tp.find_critical_rays(
+        family, sphere_corpus_spec, fast_settings, sphere_count=16, t_count=16,
+        keep_per_seed=3, grad_tol=grad_tol,
+    )
+    assert len(res.records) >= 2
+    x = np.concatenate([r[0] for r in results])
+    t = np.concatenate([r[1] for r in results])
+    ok = np.concatenate([r[3] for r in results])
+    assert ok.sum() >= 2
+    _, grad, _, _, ok_cold = family.evaluate(x[ok], t[ok], order=1)
+    assert ok_cold.all()
+    assert np.max(np.linalg.norm(grad, axis=1)) <= 100.0 * grad_tol
