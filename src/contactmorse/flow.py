@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import hamiltonian as ham
-from .linsymp import realify, to_complex, to_real
+from .linsymp import realify, to_real
 from .sampling import sphere_points, subdivision_probe_points
 
 # Calibration constant: with omega = sum dx ^ dy and iota_X omega = dH the
@@ -41,21 +42,218 @@ class IntegratorSettings:
         return steps
 
 
-def vector_field(spec: ham.ContactHamiltonianSpec, z: np.ndarray, t: float) -> np.ndarray:
-    """dz/dt at complex points z, shape (..., n)."""
-    return FIELD_SCALE * 1j * ham.lift_grad(spec, z, t)
+# Points per block of the monomial matrix product.  The product runs in
+# blocks of exactly this many points, the last one zero-padded, so BLAS always
+# sees one shape and a point's bits do not depend on the batch it came in (a
+# plain product of a one-row batch takes another BLAS path and rounds
+# differently).
+_GEMM_ROWS = 64
 
 
-def field_jacobian(spec: ham.ContactHamiltonianSpec, z: np.ndarray, t: float) -> np.ndarray:
-    """Real 2n x 2n Jacobian of the vector field at complex points z."""
-    P, Q = ham.lift_hess(spec, z, t)
-    return FIELD_SCALE * realify(1j * P, 1j * Q)
+def _realified(G: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Real field and row-major real Jacobian, concatenated along the last
+    axis, of X = FIELD_SCALE * i * G with Wirtinger blocks (P, Q) of G."""
+    jac = FIELD_SCALE * realify(1j * P, 1j * Q)
+    field = to_real(FIELD_SCALE * 1j * G)
+    return np.concatenate([field, jac.reshape(jac.shape[:-2] + (-1,))], axis=-1)
 
 
-def field_with_jacobian(spec: ham.ContactHamiltonianSpec, z: np.ndarray, t: float):
-    """(dz/dt, real Jacobian) sharing one table evaluation."""
-    _, G, P, Q = ham.eval_lift(spec, z, t)
-    return FIELD_SCALE * 1j * G, FIELD_SCALE * realify(1j * P, 1j * Q)
+def _real_expansion(p, q) -> dict[tuple, complex]:
+    """prod_j u_j^p_j conj(u_j)^q_j as {alpha: coefficient} over the real
+    monomials u^alpha of the coordinates (x_1..x_n, y_1..y_n) of u."""
+    n = len(p)
+    poly = {(0,) * (2 * n): 1 + 0j}
+    for j in range(n):
+        # (x + iy)^a (x - iy)^b = sum C(a,s) C(b,t) i^s (-i)^t x^(a+b-s-t) y^(s+t)
+        factor: dict[tuple, complex] = {}
+        for s in range(p[j] + 1):
+            for t in range(q[j] + 1):
+                e = (p[j] + q[j] - s - t, s + t)
+                c = math.comb(p[j], s) * math.comb(q[j], t) * 1j**s * (-1j) ** t
+                factor[e] = factor.get(e, 0) + c
+        grown: dict[tuple, complex] = {}
+        for alpha, c in poly.items():
+            for (ex, ey), d in factor.items():
+                beta = list(alpha)
+                beta[j] += ex
+                beta[n + j] += ey
+                grown[tuple(beta)] = grown.get(tuple(beta), 0) + c * d
+        poly = grown
+    return {alpha: c for alpha, c in poly.items() if c != 0}
+
+
+def _parent(alpha: tuple) -> tuple[tuple, int]:
+    """(alpha less one in its last nonzero coordinate c, c): the monomial
+    u^alpha is built as its parent times u_c."""
+    c = max(i for i, e in enumerate(alpha) if e)
+    return alpha[:c] + (alpha[c] - 1,) + alpha[c + 1:], c
+
+
+class _RealField:
+    """The lifted vector field and its real Jacobian, compiled to real tables.
+
+    The quadratic part is the exact linear field x -> L x.  Every other
+    primitive of _Tables but the H slot feeds G, homogeneous of degree 1, or
+    P and Q, homogeneous of degree 0; so the primitives are evaluated at
+    u = x/|x| with no rho powers, and only the field is scaled by |x|.  Each
+    primitive u^p conj(u)^q expands into real monomials of u, and
+    FIELD_SCALE, the factor i and realify fold into one real matrix from
+    those monomials to the field and the row-major Jacobian.
+
+    The tables are compiled once per spec; _FieldEval evaluates them.
+    """
+
+    def __init__(self, spec: ham.ContactHamiltonianSpec):
+        n = spec.n
+        two_n, n_slots = 2 * n, n + 2 * n * n
+        self.n = n
+        self.profile = None if spec.is_autonomous() else spec
+        self.lin = _realified(
+            np.zeros(n), np.diag(2.0 * np.asarray(spec.quadratic)), np.zeros((n, n))
+        )[two_n:].reshape(two_n, two_n)
+        self.lin_T = self.lin.T.copy()
+
+        tab = ham._tables(spec)
+        eye = np.eye(n_slots)
+        split = lambda E: (E[:, :n], E[:, n:n + n * n].reshape(-1, n, n),
+                           E[:, n + n * n:].reshape(-1, n, n))
+        # real outputs of each Wirtinger slot (G, P, Q) holding 1 and i
+        out_of_re, out_of_im = _realified(*split(eye)), _realified(*split(1j * eye))
+        rows: dict[tuple, np.ndarray] = {}
+        for k in range(tab.K):
+            slots = tab.S[k, 1:]
+            if not np.any(slots):
+                continue
+            p, q = tuple(map(int, tab.P_exp[k])), tuple(map(int, tab.Q_exp[k]))
+            if sum(p) + sum(q) + 2.0 * tab.pows[k] != (1.0 if np.any(slots[:n]) else 0.0):
+                raise AssertionError("G rows must have degree 1, P and Q rows degree 0")
+            out_re, out_im = slots @ out_of_re, slots @ out_of_im
+            for alpha, c in _real_expansion(p, q).items():
+                acc = rows.setdefault(alpha, np.zeros(two_n + two_n * two_n))
+                acc += c.real * out_re + c.imag * out_im
+        self.plans = {
+            True: self._plan(rows, slice(None)),
+            False: self._plan(rows, slice(0, two_n)),
+        }
+
+    def _plan(self, rows: dict, cols: slice):
+        """Monomial recipe and matrix for the output columns cols, or None
+        when no monomial feeds them.
+
+        The monomials are the needed ones and their ancestors, sorted by
+        degree, the constant first; a level is (start, stop, parents,
+        coordinates), monomial start + i being monomial parents[i] times
+        coordinate coordinates[i].
+        """
+        needed = {alpha for alpha, row in rows.items() if np.any(row[cols])}
+        if not needed:
+            return None
+        closure = {(0,) * 2 * self.n}
+        for alpha in needed:
+            while alpha not in closure:
+                closure.add(alpha)
+                alpha = _parent(alpha)[0]
+        order = sorted(closure, key=lambda alpha: (sum(alpha), alpha))
+        index = {alpha: i for i, alpha in enumerate(order)}
+        levels = []
+        start = 1
+        for d in range(1, sum(order[-1]) + 1):
+            stop = start + sum(1 for alpha in order if sum(alpha) == d)
+            links = [_parent(alpha) for alpha in order[start:stop]]
+            levels.append((start, stop, np.array([index[p] for p, _ in links]),
+                           np.array([c for _, c in links])))
+            start = stop
+        zero = np.zeros(next(iter(rows.values())).size)
+        mat = np.array([rows.get(alpha, zero)[cols] for alpha in order])
+        return levels, mat
+
+
+class _FieldEval:
+    """The compiled field of one spec at batches of B points, with scratch
+    arrays allocated once for all the evaluations of an integration.
+
+    The monomials are built degree by degree, each one its parent times one
+    coordinate, in arrays with the points along the last axis.  Every step
+    is a single float64 multiply, and the matrix product runs in fixed
+    blocks, so a point's bits do not depend on its batch.
+    """
+
+    def __init__(self, tables: _RealField, B: int, with_jacobian: bool):
+        self.tables = tables
+        self.plan = tables.plans[with_jacobian]
+        two_n = 2 * tables.n
+        padded = -(-B // _GEMM_ROWS) * _GEMM_ROWS
+        self.uT = np.zeros((two_n, padded))  # the padding points stay at zero
+        self.r = np.empty(B)
+        self.tmp = np.empty(B)
+        self.radial = np.empty((B, two_n))
+        if self.plan is not None:
+            levels, mat = self.plan
+            self.tab = np.empty((mat.shape[0], padded))
+            self.tab[0] = 1.0  # the constant monomial
+            widest = max(stop - start for start, stop, _, _ in levels)
+            self.parents = np.empty((widest, padded))
+            self.coords = np.empty((widest, padded))
+            self.out = np.empty((padded // _GEMM_ROWS, _GEMM_ROWS, mat.shape[1]))
+
+    def __call__(self, x: np.ndarray, t: float, field: np.ndarray, jac=None) -> None:
+        """Write the field at real points x (B, 2n) into field (B, 2n) and,
+        when the Jacobian was asked for, the Jacobian into jac (B, 2n, 2n)."""
+        tables = self.tables
+        B, two_n = x.shape
+        uT, r = self.uT[:, :B], self.r
+        np.copyto(uT, x.T)
+        np.multiply(uT[0], uT[0], out=r)
+        for j in range(1, two_n):
+            r += np.multiply(uT[j], uT[j], out=self.tmp)
+        if not (r.min(initial=np.inf) > 0.0 and r.max(initial=1.0) < np.inf):
+            raise ValueError("the lifted Hamiltonian is undefined at z = 0")
+        np.matmul(x, tables.lin_T, out=field)
+        if self.plan is not None:
+            np.sqrt(r, out=r)
+            np.divide(uT, r, out=uT)
+            out = self._monomials()[:B]
+            field += np.multiply(r[:, None], out[:, :two_n], out=self.radial)
+            if jac is not None:
+                np.add(out[:, two_n:].reshape(B, two_n, two_n), tables.lin, out=jac)
+        elif jac is not None:
+            jac[...] = tables.lin
+        if tables.profile is not None:
+            scale = ham.time_profile_value(tables.profile, t)
+            field *= scale
+            if jac is not None:
+                jac *= scale
+
+    def _monomials(self) -> np.ndarray:
+        """Matrix outputs (padded B, columns) of the monomials of uT."""
+        levels, mat = self.plan
+        tab, out = self.tab, self.out
+        for start, stop, parents, coords in levels:
+            w = stop - start
+            np.multiply(
+                tab.take(parents, axis=0, out=self.parents[:w], mode="wrap"),
+                self.uT.take(coords, axis=0, out=self.coords[:w], mode="wrap"),
+                out=tab[start:stop],
+            )
+        blocks = out.shape[0]
+        np.matmul(tab.reshape(len(tab), blocks, _GEMM_ROWS).transpose(1, 2, 0), mat, out=out)
+        return out.reshape(blocks * _GEMM_ROWS, mat.shape[1])
+
+
+@lru_cache(maxsize=64)
+def _real_field(spec: ham.ContactHamiltonianSpec) -> _RealField:
+    return _RealField(spec)
+
+
+def real_field(spec: ham.ContactHamiltonianSpec, x, t: float, with_jacobian: bool = True):
+    """The lifted field dx/dt (B, 2n) at real points x (B, 2n) and its real
+    Jacobian (B, 2n, 2n), or None: FIELD_SCALE * i * G and
+    FIELD_SCALE * realify(i P, i Q) of eval_lift, profile applied."""
+    x = np.asarray(x, dtype=float)
+    field = np.empty_like(x)
+    jac = np.empty(x.shape + x.shape[-1:]) if with_jacobian else None
+    _FieldEval(_real_field(spec), x.shape[0], with_jacobian)(x, t, field, jac)
+    return field, jac
 
 
 def integrate_flow(
@@ -70,7 +268,8 @@ def integrate_flow(
 
     z0: real coordinates, shape (2n,) or (B, 2n).  Returns (z1, jac) with jac
     None when with_jacobian is False.  The Jacobian solves the variational
-    equation dJ/dt = DX(z(t)) J, J(t0) = I.
+    equation dJ/dt = DX(z(t)) J, J(t0) = I.  A row's result does not depend
+    on the other rows of the batch.
     """
     if settings is None:
         settings = IntegratorSettings()
@@ -78,53 +277,65 @@ def integrate_flow(
         raise ValueError("t1 must be >= t0")
     z0 = np.asarray(z0, dtype=float)
     single = z0.ndim == 1
-    zr = z0[None, :] if single else z0
-    B, two_n = zr.shape
-    n = two_n // 2
-    z = to_complex(zr)
-    norms0 = np.linalg.norm(zr, axis=1)
+    z = (z0[None, :] if single else z0).copy()
+    B, two_n = z.shape
+    norms0 = np.linalg.norm(z, axis=1)
     if np.any(norms0 == 0.0):
         raise ValueError("flow is undefined at z = 0")
 
     jac = np.broadcast_to(np.eye(two_n), (B, two_n, two_n)).copy() if with_jacobian else None
     span = t1 - t0
-    if span == 0.0:
-        z_out = zr.copy()
-        return (z_out[0], jac[0] if with_jacobian else None) if single else (z_out, jac)
+    if span != 0.0:
+        steps = settings.steps_for(span)
+        field = _FieldEval(_real_field(spec), B, with_jacobian)
+        _rk4(field, z, jac, t0, span / steps, steps)
+        if np.any(np.linalg.norm(z, axis=1) < 1e-9 * norms0):
+            raise RuntimeError("trajectory norm collapsed toward the cone tip")
+    if single:
+        return z[0], (jac[0] if with_jacobian else None)
+    return z, jac
 
-    steps = settings.steps_for(span)
-    h = span / steps
-    t = t0
+
+def _rk4(field: _FieldEval, z: np.ndarray, jac, t: float, h: float, steps: int) -> None:
+    """Classic RK4 of the real state z (B, m) and, unless jac is None, of the
+    variational equation, in place.  The stage buffers are allocated once."""
+    B, m = z.shape
+    nodes = (0.0, 0.5 * h, 0.5 * h, h)
+    k = np.empty((4, B, m))
+    arg = np.empty((B, m))
+    if jac is not None:
+        D = np.empty((B, m, m))
+        a = np.empty((4, B, m, m))
+        jarg = np.empty((B, m, m))
     for _ in range(steps):
-        z, jac = _rk4_step(spec, z, jac, t, h)
+        for s in range(4):
+            x, J = z, jac
+            if s:
+                np.multiply(k[s - 1], nodes[s], out=arg)
+                x = np.add(z, arg, out=arg)
+                if jac is not None:
+                    np.multiply(a[s - 1], nodes[s], out=jarg)
+                    J = np.add(jac, jarg, out=jarg)
+            if jac is None:
+                field(x, t + nodes[s], k[s])
+            else:
+                field(x, t + nodes[s], k[s], D)
+                np.matmul(D, J, out=a[s])
+        _rk4_update(z, k, h)
+        if jac is not None:
+            _rk4_update(jac, a, h)
         t += h
 
-    if np.any(np.linalg.norm(to_real(z), axis=1) < 1e-9 * norms0):
-        raise RuntimeError("trajectory norm collapsed toward the cone tip")
-    z_out = to_real(z)
-    if single:
-        return z_out[0], (jac[0] if with_jacobian else None)
-    return z_out, jac
 
-
-def _rk4_step(spec, z, jac, t, h):
-    if jac is None:
-        k1 = vector_field(spec, z, t)
-        k2 = vector_field(spec, z + 0.5 * h * k1, t + 0.5 * h)
-        k3 = vector_field(spec, z + 0.5 * h * k2, t + 0.5 * h)
-        k4 = vector_field(spec, z + h * k3, t + h)
-        return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), None
-    k1, D1 = field_with_jacobian(spec, z, t)
-    a1 = D1 @ jac
-    k2, D2 = field_with_jacobian(spec, z + 0.5 * h * k1, t + 0.5 * h)
-    a2 = D2 @ (jac + 0.5 * h * a1)
-    k3, D3 = field_with_jacobian(spec, z + 0.5 * h * k2, t + 0.5 * h)
-    a3 = D3 @ (jac + 0.5 * h * a2)
-    k4, D4 = field_with_jacobian(spec, z + h * k3, t + h)
-    a4 = D4 @ (jac + h * a3)
-    z_new = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    jac_new = jac + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-    return z_new, jac_new
+def _rk4_update(y: np.ndarray, k: np.ndarray, h: float) -> None:
+    """y += (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right; k is spent."""
+    k[1] *= 2.0
+    k[2] *= 2.0
+    k[0] += k[1]
+    k[0] += k[2]
+    k[0] += k[3]
+    k[0] *= h / 6.0
+    y += k[0]
 
 
 @dataclass(frozen=True)

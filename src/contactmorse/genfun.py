@@ -222,11 +222,7 @@ def solve_midpoint(spec, t0, t1, settings, b, newton_tol=1e-11, max_iter=30, z0=
         rows = np.where(alive & ~ok)[0]
         if rows.size == 0:
             break
-        # A lone row goes in twice: numpy rounds a one-row batch differently,
-        # and a row's bits must not depend on which other rows are pending.
-        batch = np.repeat(rows, 2) if rows.size == 1 else rows
-        Zb, jb = integrate_flow(spec, z[batch], t0, t1, settings, with_jacobian=True)
-        Zv[rows], jac[rows] = Zb[: rows.size], jb[: rows.size]
+        Zv[rows], jac[rows] = integrate_flow(spec, z[rows], t0, t1, settings, with_jacobian=True)
         resid = 0.5 * (z[rows] + Zv[rows]) - safe_b[rows]
         conv = np.linalg.norm(resid, axis=1) <= newton_tol * np.maximum(scale[rows], 1e-12)
         ok[rows[conv]] = True

@@ -206,7 +206,7 @@ class _Tables:
             keys = list(merged.keys())
             self.P_exp = np.array([k[0] for k in keys], dtype=int)
             self.Q_exp = np.array([k[1] for k in keys], dtype=int)
-            pows = np.array([k[2] for k in keys])
+            self.pows = pows = np.array([k[2] for k in keys])
             # All powers are integer multiples of 1/2 >= some floor; index a
             # small table of powers of sqrt(rho).
             half_steps = np.round(2.0 * pows).astype(int)

@@ -173,3 +173,98 @@ def test_calibration_sweep_agrees(fast_settings):
         with_jacobian=False,
     )
     assert np.max(np.abs(a - b)) < 1e-9
+
+
+def _n3_bump_spec():
+    return ham.ContactHamiltonianSpec(
+        n=3,
+        quadratic=(0.3, 0.5, 0.7),
+        terms=(
+            ham.PerturbationTerm(0.05, (2, 0, 1), (1, 0, 0)),
+            ham.PerturbationTerm(0.03, (0, 1, 0), (0, 0, 2)),
+            ham.PerturbationTerm(-0.02, (1, 1, 0), (0, 0, 1)),
+        ),
+        time_profile="bump",
+    )
+
+
+def _kernel_reference(spec, x, t):
+    """FIELD_SCALE * i * G and FIELD_SCALE * realify(i P, i Q) of eval_lift."""
+    from contactmorse.linsymp import realify
+
+    _, G, P, Q = ham.eval_lift(spec, to_complex(x), t)
+    return to_real(flow.FIELD_SCALE * 1j * G), flow.FIELD_SCALE * realify(1j * P, 1j * Q)
+
+
+def _assert_rel_close(got, ref, rel=1e-13):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["n1", "corpus", "rp3", "no_terms", "n3_bump"])
+def test_real_field_matches_eval_lift(case, sphere_corpus_spec, rp3_corpus_spec, rng):
+    specs = {
+        "n1": ham.ContactHamiltonianSpec(
+            n=1, quadratic=(0.4,),
+            terms=(ham.PerturbationTerm(0.07, (3,), (1,)), ham.PerturbationTerm(0.02, (1,), (0,))),
+        ),
+        "corpus": sphere_corpus_spec,
+        "rp3": rp3_corpus_spec,
+        "no_terms": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, -0.7)),
+        "n3_bump": _n3_bump_spec(),
+    }
+    spec = specs[case]
+    x = rng.normal(size=(70, 2 * spec.n)) * rng.uniform(0.1, 10.0, size=(70, 1))
+    times = (0.0, 0.37, 1.0, 1.5) if spec.time_profile == "bump" else (0.0, 0.37)
+    for t in times:
+        f_ref, j_ref = _kernel_reference(spec, x, t)
+        field, jac = flow.real_field(spec, x, t)
+        field_only, none = flow.real_field(spec, x, t, with_jacobian=False)
+        assert none is None
+        if np.max(np.abs(j_ref)) == 0.0:  # the bump vanishes off (0, 1)
+            assert not np.any(field) and not np.any(jac) and not np.any(field_only)
+            continue
+        _assert_rel_close(field, f_ref)
+        _assert_rel_close(jac, j_ref)
+        _assert_rel_close(field_only, f_ref)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_real_field_rejects_origin_and_nonfinite(bad, sphere_corpus_spec, reeb_spec, settings):
+    x = np.array([[0.6, 0.0, 0.0, 0.8], [bad, 0.0, 0.0, 0.0]])
+    for spec in (sphere_corpus_spec, reeb_spec):
+        for with_jacobian in (True, False):
+            with pytest.raises(ValueError):
+                flow.real_field(spec, x, 0.0, with_jacobian)
+            with pytest.raises(ValueError):
+                flow.integrate_flow(spec, x, 0.0, 0.1, settings, with_jacobian)
+
+
+@pytest.mark.parametrize("with_jacobian", [True, False])
+@pytest.mark.parametrize("case", ["corpus", "rp3", "reeb", "n3_bump"])
+def test_flow_rows_bitwise_independent_of_batch(
+    case, with_jacobian, sphere_corpus_spec, rp3_corpus_spec, rng
+):
+    """Each row's bits are those it gets in the full batch, whether it is
+    integrated alone or in consecutive batches of 2, 7, 64 or 513 rows."""
+    spec = {
+        "corpus": sphere_corpus_spec,
+        "rp3": rp3_corpus_spec,
+        "reeb": ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, 0.5)),
+        "n3_bump": _n3_bump_spec(),
+    }[case]
+    short = flow.IntegratorSettings(steps_per_unit=512, min_steps=4)
+    z0 = rng.normal(size=(530, 2 * spec.n))
+    t0, t1 = 0.3, 0.3 + 4 / 512
+
+    def run(rows):
+        return flow.integrate_flow(spec, z0[rows], t0, t1, short, with_jacobian)
+
+    full_z, full_j = run(slice(None))
+    for size in (1, 2, 7, 64, 513):
+        for start in range(0, z0.shape[0], size):
+            rows = slice(start, start + size)
+            z, j = run(rows)
+            assert np.array_equal(z, full_z[rows]), (size, start)
+            if with_jacobian:
+                assert np.array_equal(j, full_j[rows]), (size, start)
