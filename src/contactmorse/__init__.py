@@ -26,7 +26,6 @@ from .genfun import (
     gf_compose,
     gf_eval,
     gf_grad,
-    gf_leaf_eval,
     quadratic_form_for_rotation,
 )
 from .hamiltonian import (
@@ -36,13 +35,11 @@ from .hamiltonian import (
 )
 from .linsymp import (
     ComplexVector2n,
-    CotangentPoint,
     Inertia,
     QuadraticForm,
     contact_form_eval,
     fr_index_quadratic,
     inertia,
-    tau_embed,
 )
 from .projective import (
     AntipodalPairingError,

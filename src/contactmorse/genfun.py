@@ -285,6 +285,77 @@ def chain_state(gf: GenFun, x: np.ndarray, midpoints: list[np.ndarray]) -> LeafS
                      _stack_leaves(midpoints, B, (m,)), jac)
 
 
+class SharpLayout:
+    """Coordinates x = (u, v, w, mu, eta) of a sharp product F # G.
+
+    F is evaluated at (u + w; mu) and G at (v + w; eta); m is the base
+    dimension and mu, eta are the fibers of F and G.  The assembly below is
+    shared by the composition DAG, the flattened rotation family and the
+    shifted family of the genfun route.  No entry of the assembled Hessian
+    receives more than two addends, so the order of assembly does not change
+    its bits.
+    """
+
+    def __init__(self, m: int, fiber_first: int, fiber_second: int):
+        self.m = m
+        self.dim = 3 * m + fiber_first + fiber_second
+        self.u = slice(0, m)
+        self.v = slice(m, 2 * m)
+        self.w = slice(2 * m, 3 * m)
+        self.mu = slice(3 * m, 3 * m + fiber_first)
+        self.eta = slice(3 * m + fiber_first, self.dim)
+
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points (u + w; mu) of F and (v + w; eta) of G inside x."""
+        w = x[:, self.w]
+        return (np.concatenate([x[:, self.u] + w, x[:, self.mu]], axis=1),
+                np.concatenate([x[:, self.v] + w, x[:, self.eta]], axis=1))
+
+    def value_grad(self, x, vF, gF, vG, gG):
+        """Value and gradient of F # G at x from the values and gradients of
+        F and G at the points of split(x); the gradient is None when either
+        child's is (an order-0 evaluation)."""
+        m = self.m
+        u, v, w = x[:, self.u], x[:, self.v], x[:, self.w]
+        iw = mul_i(w)
+        val = vF + vG + 2.0 * np.sum((u - v) * iw, axis=1)
+        if gF is None or gG is None:
+            return val, None
+        grad = np.zeros((x.shape[0], self.dim))
+        grad[:, self.u] = gF[:, :m] + 2.0 * iw
+        grad[:, self.v] = gG[:, :m] - 2.0 * iw
+        grad[:, self.w] = gF[:, :m] + gG[:, :m] - 2.0 * mul_i(u - v)
+        grad[:, self.mu] = gF[:, m:]
+        grad[:, self.eta] = gG[:, m:]
+        return val, grad
+
+    def hessian(self, HF: np.ndarray, HG: np.ndarray, pairing: float | None) -> np.ndarray:
+        """Batched (B, dim, dim) block matrix of F # G from those of F and G.
+
+        pairing scales the block of the pairing term 2<u - v, iw>: 2 for
+        Hessians, 1 for the matrices M of forms x^T M x, None for parameter
+        derivatives, where the pairing term is constant.
+        """
+        m = self.m
+        N = np.zeros((HF.shape[0], self.dim, self.dim))
+        for H, base, fiber in ((HF, self.u, self.mu), (HG, self.v, self.eta)):
+            bb, bf, ff = H[:, :m, :m], H[:, :m, m:], H[:, m:, m:]
+            bfT = np.swapaxes(bf, -1, -2)
+            for s1 in (base, self.w):
+                for s2 in (base, self.w):
+                    N[:, s1, s2] += bb
+                N[:, s1, fiber] += bf
+                N[:, fiber, s1] += bfT
+            N[:, fiber, fiber] += ff
+        if pairing is not None:
+            J = pairing * complex_structure_matrix(m // 2)
+            N[:, self.u, self.w] += J
+            N[:, self.w, self.u] -= J
+            N[:, self.v, self.w] -= J
+            N[:, self.w, self.v] += J
+        return N
+
+
 class ComposeGF(GenFun):
     """Sharp-product node; left child is the map applied first."""
 
@@ -295,72 +366,20 @@ class ComposeGF(GenFun):
         self.second = second
         self.base_dim = first.base_dim
         self.fiber_dim = 2 * self.base_dim + first.fiber_dim + second.fiber_dim
+        self.layout = SharpLayout(self.base_dim, first.fiber_dim, second.fiber_dim)
 
     @property
     def is_quadratic(self) -> bool:
         return self.first.is_quadratic and self.second.is_quadratic
 
-    def _slices(self):
-        m = self.base_dim
-        fF = self.first.fiber_dim
-        fG = self.second.fiber_dim
-        su = slice(0, m)
-        sv = slice(m, 2 * m)
-        sw = slice(2 * m, 3 * m)
-        smu = slice(3 * m, 3 * m + fF)
-        seta = slice(3 * m + fF, 3 * m + fF + fG)
-        return su, sv, sw, smu, seta
-
     def evaluate(self, x, order=1, leaf_cache=None):
         x = np.asarray(x, dtype=float)
-        B = x.shape[0]
-        m = self.base_dim
-        su, sv, sw, smu, seta = self._slices()
-        u, v, w = x[:, su], x[:, sv], x[:, sw]
-        xF = np.concatenate([u + w, x[:, smu]], axis=1)
-        xG = np.concatenate([v + w, x[:, seta]], axis=1)
+        xF, xG = self.layout.split(x)
         vF, gF, HF, okF = self.first.evaluate(xF, order, leaf_cache)
         vG, gG, HG, okG = self.second.evaluate(xG, order, leaf_cache)
-        iw = mul_i(w)
-        val = vF + vG + 2.0 * np.sum((u - v) * iw, axis=1)
-        ok = okF & okG
-        grad = None
-        hess = None
-        if order >= 1:
-            grad = np.zeros((B, self.total_dim))
-            grad[:, su] = gF[:, :m] + 2.0 * iw
-            grad[:, sv] = gG[:, :m] - 2.0 * iw
-            grad[:, sw] = gF[:, :m] + gG[:, :m] - 2.0 * mul_i(u - v)
-            grad[:, smu] = gF[:, m:]
-            grad[:, seta] = gG[:, m:]
-        if order >= 2:
-            hess = np.zeros((B, self.total_dim, self.total_dim))
-            bbF, bfF, ffF = HF[:, :m, :m], HF[:, :m, m:], HF[:, m:, m:]
-            bbG, bfG, ffG = HG[:, :m, :m], HG[:, :m, m:], HG[:, m:, m:]
-            for s1 in (su, sw):
-                for s2 in (su, sw):
-                    hess[:, s1, s2] += bbF
-            for s1 in (sv, sw):
-                for s2 in (sv, sw):
-                    hess[:, s1, s2] += bbG
-            bfFT = np.swapaxes(bfF, -1, -2)
-            bfGT = np.swapaxes(bfG, -1, -2)
-            hess[:, su, smu] += bfF
-            hess[:, sw, smu] += bfF
-            hess[:, smu, su] += bfFT
-            hess[:, smu, sw] += bfFT
-            hess[:, smu, smu] += ffF
-            hess[:, sv, seta] += bfG
-            hess[:, sw, seta] += bfG
-            hess[:, seta, sv] += bfGT
-            hess[:, seta, sw] += bfGT
-            hess[:, seta, seta] += ffG
-            J2 = 2.0 * complex_structure_matrix(m // 2)
-            hess[:, su, sw] += J2
-            hess[:, sw, su] += -J2
-            hess[:, sv, sw] += -J2
-            hess[:, sw, sv] += J2
-        return val, grad, hess, ok
+        val, grad = self.layout.value_grad(x, vF, gF, vG, gG)
+        hess = self.layout.hessian(HF, HG, 2.0) if order >= 2 else None
+        return val, grad, hess, okF & okG
 
     def map_points(self, z, with_jacobian=False):
         if not with_jacobian:
@@ -386,10 +405,9 @@ def _collect_leaf_bases(gf: GenFun, x: np.ndarray, out: list) -> None:
     if isinstance(gf, LeafGF):
         out.append((gf, x))
     elif isinstance(gf, ComposeGF):
-        su, sv, sw, smu, seta = gf._slices()
-        u, v, w = x[:, su], x[:, sv], x[:, sw]
-        _collect_leaf_bases(gf.first, np.concatenate([u + w, x[:, smu]], axis=1), out)
-        _collect_leaf_bases(gf.second, np.concatenate([v + w, x[:, seta]], axis=1), out)
+        xF, xG = gf.layout.split(x)
+        _collect_leaf_bases(gf.first, xF, out)
+        _collect_leaf_bases(gf.second, xG, out)
 
 
 def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1, warm: LeafState | None = None):
@@ -464,18 +482,6 @@ def gf_grad(gf: GenFun, x) -> np.ndarray:
     return grad[0] if single else grad
 
 
-def gf_leaf_eval(piece: FlowMap, b) -> tuple[float, np.ndarray]:
-    """Value and gradient of the generating function of one C^1-small piece."""
-    leaf = LeafGF(piece)
-    bb, single = _as_batch(b)
-    val, grad, _, ok = leaf.evaluate(bb, order=1)
-    if not np.all(ok):
-        raise LeafNewtonError("midpoint Newton did not converge; re-subdivide the piece")
-    if single:
-        return float(val[0]), grad[0]
-    return val, grad
-
-
 def quadratic_form_for_rotation(t: float, n: int) -> QuadraticForm:
     """Q_t(u) = -tan(pi t) |u|^2 on R^{2n}, generating the rotation e^{-2 pi i t}."""
     if abs(t) >= 0.5:
@@ -496,47 +502,6 @@ def flatten_quadratic(gf: GenFun) -> np.ndarray:
     return 0.5 * hess[0]
 
 
-def _compose_quadratic_matrices(MF, dMF, MG, dMG, n: int):
-    """Batched sharp-composition of quadratic form matrices.
-
-    MF: (B, dF, dF) on (base 2n, fiber fF); MG: (B, 2n, 2n) fiberless.
-    Returns the composed (B, dF+4n, dF+4n) matrix and its parameter
-    derivative (assembly is linear in the constituents; the pairing block is
-    constant so it drops from the derivative).
-    """
-    m = 2 * n
-    B, dF = MF.shape[0], MF.shape[1]
-    fF = dF - m
-    D = 3 * m + fF
-    su, sv, sw = slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)
-    smu = slice(3 * m, D)
-
-    def assemble(AF, AG, with_pairing: bool):
-        N = np.zeros((B, D, D))
-        bb, bf, ff = AF[:, :m, :m], AF[:, :m, m:], AF[:, m:, m:]
-        bfT = np.swapaxes(bf, -1, -2)
-        for s1 in (su, sw):
-            for s2 in (su, sw):
-                N[:, s1, s2] += bb
-        for s1 in (sv, sw):
-            for s2 in (sv, sw):
-                N[:, s1, s2] += AG
-        N[:, su, smu] += bf
-        N[:, sw, smu] += bf
-        N[:, smu, su] += bfT
-        N[:, smu, sw] += bfT
-        N[:, smu, smu] += ff
-        if with_pairing:
-            J = complex_structure_matrix(n)
-            N[:, su, sw] += J
-            N[:, sw, su] += -J
-            N[:, sv, sw] += -J
-            N[:, sw, sv] += J
-        return N
-
-    return assemble(MF, MG, True), assemble(dMF, dMG, False)
-
-
 def rotation_family_matrices(t, n: int, k: int):
     """Batched matrices (M_A(t), dM_A/dt) of the k-piece family for a_t.
 
@@ -549,7 +514,6 @@ def rotation_family_matrices(t, n: int, k: int):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t_arr) / k >= 0.5):
         raise ValueError("|t|/k must stay below 1/2")
-    B = t_arr.shape[0]
     m = 2 * n
     coeff = -np.tan(np.pi * t_arr / k)
     dcoeff = -(np.pi / k) / np.cos(np.pi * t_arr / k) ** 2
@@ -558,7 +522,8 @@ def rotation_family_matrices(t, n: int, k: int):
     dpiece = dcoeff[:, None, None] * eye
     M, dM = piece, dpiece
     for _ in range(k - 1):
-        M, dM = _compose_quadratic_matrices(M, dM, piece, dpiece, n)
+        layout = SharpLayout(m, M.shape[1] - m, 0)
+        M, dM = layout.hessian(M, piece, 1.0), layout.hessian(dM, dpiece, None)
     if np.ndim(t) == 0:
         return M[0], dM[0]
     return M, dM

@@ -119,22 +119,6 @@ class ComplexVector2n:
         return float(np.linalg.norm(self.coords))
 
 
-@dataclass(frozen=True)
-class CotangentPoint:
-    """A point (base, covector) of T*R^{2n}."""
-
-    base: np.ndarray
-    covector: np.ndarray
-
-    def __post_init__(self):
-        base = as_coords(self.base)
-        cov = as_coords(self.covector)
-        if base.shape != cov.shape:
-            raise ValueError("base and covector must have matching dimension")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "covector", cov)
-
-
 def contact_form_eval(q, v) -> float:
     """Value of alpha = x dy - y dx at q on the vector v.
 
@@ -152,23 +136,13 @@ def contact_form_eval(q, v) -> float:
     return float(val) if qa.ndim == 1 else val
 
 
-def tau_embed(z, Z) -> CotangentPoint:
-    """Identify a graph point (z, Z) with a point of T*R^{2n}.
-
-    (x, y, X, Y) -> ((x+X)/2, (y+Y)/2, Y-y, x-X); the diagonal z == Z goes
-    to the zero section.  In complex notation the covector is -i(Z - z).
-    """
-    za = as_coords(z)
-    Za = as_coords(Z)
-    if za.shape != Za.shape:
-        raise ValueError("z and Z must have the same dimension")
-    base = 0.5 * (za + Za)
-    covector = -mul_i(Za - za)
-    return CotangentPoint(base, covector)
-
-
 def tau_covector(z: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Batched covector part of tau_embed: -i(Z - z) as a real array."""
+    """Covector of the graph point (z, Z) under the identification tau.
+
+    tau maps (x, y, X, Y) to the point ((x+X)/2, (y+Y)/2) of R^{2n} with the
+    covector (Y-y, x-X), which is -i(Z - z) in complex notation; the diagonal
+    z == Z goes to the zero section.  Batched over leading axes.
+    """
     return -mul_i(Z - z)
 
 

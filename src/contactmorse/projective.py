@@ -18,7 +18,7 @@ from .genfun import GenFun, evaluate_stacked
 from .hamiltonian import ContactHamiltonianSpec, sphere_value
 from .linsymp import to_complex
 from .sampling import sphere_points
-from .translated import TranslatedPointRecord, _angular_distance, _t_distance
+from .translated import TranslatedPointRecord, pair_records
 
 
 class AntipodalPairingError(RuntimeError):
@@ -93,35 +93,16 @@ def antipodal_classes(
 
     Returns one representative per class, with the canonical phase (the
     first complex coordinate of significant modulus gets argument in
-    [0, pi)).  An unpaired record is a hard failure: equivariance was
-    violated somewhere upstream.
+    [0, pi)).  An unpaired record, or one with two partner candidates, is a
+    hard failure: equivariance was violated somewhere upstream.
     """
-    if not records:
-        return []
-    remaining = list(range(len(records)))
-    classes: list[TranslatedPointRecord] = []
-    qs = np.array([r.q for r in records])
-    ts = np.array([r.t for r in records])
-    used = np.zeros(len(records), dtype=bool)
-    for i in remaining:
-        if used[i]:
-            continue
-        partner = None
-        for j in remaining:
-            if j == i or used[j]:
-                continue
-            if (
-                _angular_distance(-qs[i], qs[j]) < ang_tol
-                and _t_distance(ts[i], ts[j]) < t_tol
-            ):
-                partner = j
-                break
-        if partner is None:
-            raise AntipodalPairingError(
-                f"record at t={records[i].t:.6f} has no antipodal partner"
-            )
-        used[i] = used[partner] = True
-        classes.append(canonical_phase(records[i]))
+    partner = pair_records(records, records, ang_tol, t_tol, antipodal=True)
+    if partner is None:
+        raise AntipodalPairingError("a record has two antipodal partner candidates")
+    for rec, j in zip(records, partner):
+        if j < 0:
+            raise AntipodalPairingError(f"record at t={rec.t:.6f} has no antipodal partner")
+    classes = [canonical_phase(rec) for i, rec in enumerate(records) if i < partner[i]]
     classes.sort(key=lambda r: (r.t, r.q))
     return classes
 

@@ -25,7 +25,6 @@ from .flow import IntegratorSettings, integrate_flow
 from .genfun import GenFun, build_rotation_family, evaluate_stacked, rotation_family_matrices
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import (
-    complex_structure_matrix,
     inertia,
     mul_i,
     rotation_matrix,
@@ -171,72 +170,105 @@ def direct_translated_points(
                            converged_raw=int(np.sum(ok)))
 
 
-def _direct_newton(spec, settings, q0, t0, tol, max_iter, polish=2):
-    """Masked batched Newton on the augmented fixed-point system.
+def _bordered_newton(x0, t0, system, tol, max_iter, polish=2):
+    """Masked, damped Newton on a bordered system F(x, t) = 0 per row.
 
-    A row finishes only after satisfying `tol` on `polish` iterations: the
-    extra full steps matter in flat valleys (weakly split continua), where a
-    residual below tol can still sit noticeably off the true point and the
-    final quadratic-convergence steps pin it down.  Rows that only ever
-    reached 100*tol (the integrator noise floor can exceed an aggressive
-    tol, e.g. on continua where steps bounce) are accepted at their best
-    iterate.
+    system is a pair (evaluate, retract).  evaluate(work, x, t) is called on
+    the rows of the boolean mask `work` that are still running, with their x
+    (R, D) and t (R,), and returns (F, M, err, ok, val): the residual F
+    (R, D + 1), its Jacobian M (R, D + 1, D + 1) in (x, t), the error err
+    (R,) compared with tol, ok (R,) false on rows whose evaluation failed, and
+    a value val (R,) returned with the point it belongs to.  retract(x, t)
+    maps the new iterates back to the system's domain and returns them with
+    a bool mask of rows to drop.
+
+    Steps are damped to norm 0.5; a singular batch is solved with the
+    pseudo-inverse.  A row finishes only after satisfying tol on `polish`
+    iterations: the extra full steps matter in flat valleys (weakly split
+    continua), where a residual below tol can still sit noticeably off the
+    true point and the final quadratic-convergence steps pin it down.  Rows
+    that are dropped, or whose evaluation fails, stop.  Rows that never
+    finish but whose best error reached 100*tol (the integrator noise floor
+    can exceed an aggressive tol, e.g. on continua where steps bounce) are
+    accepted at their best iterate.  Returns (x, t, val, done).
     """
-    q = np.asarray(q0, dtype=float).copy()
+    evaluate, retract = system
+    x = np.asarray(x0, dtype=float).copy()
     t = np.asarray(t0, dtype=float).copy()
-    B, n2 = q.shape
+    B, D = x.shape
     alive = np.ones(B, dtype=bool)
     done = np.zeros(B, dtype=bool)
     times_conv = np.zeros(B, dtype=int)
-    best_r = np.full(B, np.inf)
-    best_q = q.copy()
+    vals = np.zeros(B)
+    best_err = np.full(B, np.inf)
+    best_x = x.copy()
     best_t = t.copy()
-    eye = np.eye(n2)
+    best_v = np.zeros(B)
     for _ in range(max_iter):
         work = alive & ~done
         if not np.any(work):
             break
-        qi, ti = q[work], t[work]
-        phi, dphi = integrate_flow(spec, qi, 0.0, 1.0, settings, with_jacobian=True)
-        rot = rotation_matrix(-2.0 * np.pi * ti, spec.n)
-        psi = phase_shift(phi, ti)
-        res_map = psi - qi
-        res_norm = 0.5 * (np.sum(qi * qi, axis=1) - 1.0)
-        rnorm = np.sqrt(np.sum(res_map**2, axis=1) + res_norm**2)
+        xi, ti = x[work], t[work]
+        F, M, err, ok, val = evaluate(work, xi, ti)
         idx = np.where(work)[0]
-        better = rnorm < best_r[idx]
+        better = ok & (err < best_err[idx])
         bidx = idx[better]
-        best_r[bidx] = rnorm[better]
-        best_q[bidx] = qi[better]
+        best_err[bidx] = err[better]
+        best_x[bidx] = xi[better]
         best_t[bidx] = ti[better]
-        conv = rnorm <= tol
+        best_v[bidx] = val[better]
+        conv = ok & (err <= tol)
         times_conv[idx[conv]] += 1
         finish = conv & (times_conv[idx] >= polish)
-        M = np.zeros((qi.shape[0], n2 + 1, n2 + 1))
-        M[:, :n2, :n2] = rot @ dphi - eye
-        M[:, :n2, n2] = -2.0 * np.pi * mul_i(psi)
-        M[:, n2, :n2] = qi
-        rhs = np.concatenate([res_map, res_norm[:, None]], axis=1)
         try:
-            step = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+            step = np.linalg.solve(M, F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step = (np.linalg.pinv(M) @ rhs[:, :, None])[:, :, 0]
+            step = (np.linalg.pinv(M) @ F[:, :, None])[:, :, 0]
         norms = np.linalg.norm(step, axis=1)
         damp = np.minimum(1.0, 0.5 / np.maximum(norms, 1e-30))
         step = step * damp[:, None]
-        qn = qi - step[:, :n2]
-        tn = ti - step[:, n2]
-        qnorm = np.linalg.norm(qn, axis=1)
-        bad = (qnorm < 0.3) | (qnorm > 3.0) | ~np.isfinite(qnorm) | (np.abs(tn) > 4.0)
+        tn = ti - step[:, D]
+        xn, bad = retract(xi - step[:, :D], tn)
+        bad = bad | ~ok
         move = ~finish & ~bad
-        q[idx[move]] = qn[move]
+        x[idx[move]] = xn[move]
         t[idx[move]] = tn[move]
+        vals[idx[finish]] = val[finish]
         done[idx[finish]] = True
         alive[idx[bad & ~finish]] = False
-    rescued = ~done & (best_r <= 100.0 * tol)
+    rescued = ~done & (best_err <= 100.0 * tol)
     done = done | rescued
-    q[rescued] = best_q[rescued]
+    x[rescued] = best_x[rescued]
     t[rescued] = best_t[rescued]
+    vals[rescued] = best_v[rescued]
+    return x, t, vals, done
+
+
+def _direct_newton(spec, settings, q0, t0, tol, max_iter, polish=2):
+    """Bordered Newton (_bordered_newton) on e^{-2 pi i t} Phi(q) - q = 0,
+    (|q|^2 - 1)/2 = 0 over (q, t).  A row is dropped once a step takes |q|
+    out of [0.3, 3] or |t| above 4."""
+    n2 = 2 * spec.n
+    eye = np.eye(n2)
+
+    def evaluate(work, q, t):
+        phi, dphi = integrate_flow(spec, q, 0.0, 1.0, settings, with_jacobian=True)
+        psi = phase_shift(phi, t)
+        res_map = psi - q
+        res_norm = 0.5 * (np.sum(q * q, axis=1) - 1.0)
+        rnorm = np.sqrt(np.sum(res_map**2, axis=1) + res_norm**2)
+        M = np.zeros((q.shape[0], n2 + 1, n2 + 1))
+        M[:, :n2, :n2] = rotation_matrix(-2.0 * np.pi * t, spec.n) @ dphi - eye
+        M[:, :n2, n2] = -2.0 * np.pi * mul_i(psi)
+        M[:, n2, :n2] = q
+        F = np.concatenate([res_map, res_norm[:, None]], axis=1)
+        return F, M, rnorm, np.ones(q.shape[0], dtype=bool), rnorm
+
+    def retract(q, t):
+        qnorm = np.linalg.norm(q, axis=1)
+        return q, (qnorm < 0.3) | (qnorm > 3.0) | ~np.isfinite(qnorm) | (np.abs(t) > 4.0)
+
+    q, t, _, done = _bordered_newton(q0, t0, (evaluate, retract), tol, max_iter, polish)
     return q, t, done
 
 
@@ -368,21 +400,9 @@ class ShiftedGenFunFamily:
         self.f_phi = f_phi
         self.n = n
         self.k = k
-        m = 2 * n
-        self.m = m
-        self.fib_phi = f_phi.fiber_dim
-        self.dim_a = m + 4 * n * (k - 1)
-        self.dim = 3 * m + self.fib_phi + (self.dim_a - m)
-        # layout: u | v | w | mu (fib_phi) | eta (dim_a - m)
-        self.s_u = slice(0, m)
-        self.s_v = slice(m, 2 * m)
-        self.s_w = slice(2 * m, 3 * m)
-        self.s_mu = slice(3 * m, 3 * m + self.fib_phi)
-        self.s_eta = slice(3 * m + self.fib_phi, self.dim)
-
-    def genfun_at(self, t: float) -> GenFun:
-        """Plain GenFun DAG for a fixed t (public composition route)."""
-        return gfm.gf_compose(self.f_phi, build_rotation_family(t, self.n, self.k).genfun)
+        # A_t is one flattened form: base 2n, fiber eta of dimension 4n(k - 1)
+        self.layout = gfm.SharpLayout(2 * n, f_phi.fiber_dim, 4 * n * (k - 1))
+        self.dim = self.layout.dim
 
     def seed(self, q: np.ndarray, t: np.ndarray):
         """Chain seeds on the fiber-critical set over starting points q.
@@ -414,12 +434,9 @@ class ShiftedGenFunFamily:
         x = np.concatenate([u, v, w, fib_phi, fib_a], axis=1)
         norm = np.linalg.norm(x, axis=1, keepdims=True)
         x = x / norm
-        warm = gfm.chain_state(self.f_phi, self._phi_point(x), [z / norm for z in midpoints])
+        x_phi, _ = self.layout.split(x)
+        warm = gfm.chain_state(self.f_phi, x_phi, [z / norm for z in midpoints])
         return x, warm
-
-    def _phi_point(self, x: np.ndarray) -> np.ndarray:
-        """The point (u + w; mu) of F_phi's total space inside x."""
-        return np.concatenate([x[:, self.s_u] + x[:, self.s_w], x[:, self.s_mu]], axis=1)
 
     def evaluate(self, x: np.ndarray, t: np.ndarray, order: int = 2,
                  with_dt: bool = False, warm: gfm.LeafState | None = None):
@@ -431,62 +448,26 @@ class ShiftedGenFunFamily:
         """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        B = x.shape[0]
-        m = self.m
-        u, v, w = x[:, self.s_u], x[:, self.s_v], x[:, self.s_w]
+        layout = self.layout
+        x_phi, y = layout.split(x)
         if warm is None:
-            vF, gF, HF, okF = evaluate_stacked(self.f_phi, self._phi_point(x), order)
+            vF, gF, HF, okF = evaluate_stacked(self.f_phi, x_phi, order)
         else:
-            vF, gF, HF, okF, warm = evaluate_stacked(self.f_phi, self._phi_point(x), order, warm)
-        y = np.concatenate([v + w, x[:, self.s_eta]], axis=1)
+            vF, gF, HF, okF, warm = evaluate_stacked(self.f_phi, x_phi, order, warm)
         MA, dMA = rotation_family_matrices(t, self.n, self.k)
         My = np.einsum("bij,bj->bi", MA, y)
         vA = np.einsum("bi,bi->b", y, My)
-        iw = mul_i(w)
-        val = vF + vA + 2.0 * np.sum((u - v) * iw, axis=1)
-        gA = 2.0 * My
-        grad = np.zeros((B, self.dim))
-        grad[:, self.s_u] = gF[:, :m] + 2.0 * iw
-        grad[:, self.s_v] = gA[:, :m] - 2.0 * iw
-        grad[:, self.s_w] = gF[:, :m] + gA[:, :m] - 2.0 * mul_i(u - v)
-        grad[:, self.s_mu] = gF[:, m:]
-        grad[:, self.s_eta] = gA[:, m:]
-        hess = None
-        if order >= 2:
-            hess = np.zeros((B, self.dim, self.dim))
-            bbF, bfF, ffF = HF[:, :m, :m], HF[:, :m, m:], HF[:, m:, m:]
-            for s1 in (self.s_u, self.s_w):
-                for s2 in (self.s_u, self.s_w):
-                    hess[:, s1, s2] += bbF
-            bfFT = np.swapaxes(bfF, -1, -2)
-            hess[:, self.s_u, self.s_mu] += bfF
-            hess[:, self.s_w, self.s_mu] += bfF
-            hess[:, self.s_mu, self.s_u] += bfFT
-            hess[:, self.s_mu, self.s_w] += bfFT
-            hess[:, self.s_mu, self.s_mu] += ffF
-            HA = 2.0 * MA
-            bbA, bfA, ffA = HA[:, :m, :m], HA[:, :m, m:], HA[:, m:, m:]
-            for s1 in (self.s_v, self.s_w):
-                for s2 in (self.s_v, self.s_w):
-                    hess[:, s1, s2] += bbA
-            bfAT = np.swapaxes(bfA, -1, -2)
-            hess[:, self.s_v, self.s_eta] += bfA
-            hess[:, self.s_w, self.s_eta] += bfA
-            hess[:, self.s_eta, self.s_v] += bfAT
-            hess[:, self.s_eta, self.s_w] += bfAT
-            hess[:, self.s_eta, self.s_eta] += ffA
-            J2 = 2.0 * complex_structure_matrix(self.n)
-            hess[:, self.s_u, self.s_w] += J2
-            hess[:, self.s_w, self.s_u] += -J2
-            hess[:, self.s_v, self.s_w] += -J2
-            hess[:, self.s_w, self.s_v] += J2
+        val, grad = layout.value_grad(x, vF, gF, vA, 2.0 * My)
+        hess = layout.hessian(HF, 2.0 * MA, 2.0) if order >= 2 else None
         dgrad = None
         if with_dt:
+            # only the A_t block depends on t
+            m = layout.m
             dgy = 2.0 * np.einsum("bij,bj->bi", dMA, y)
-            dgrad = np.zeros((B, self.dim))
-            dgrad[:, self.s_v] = dgy[:, :m]
-            dgrad[:, self.s_w] = dgy[:, :m]
-            dgrad[:, self.s_eta] = dgy[:, m:]
+            dgrad = np.zeros(x.shape)
+            dgrad[:, layout.v] = dgy[:, :m]
+            dgrad[:, layout.w] = dgy[:, :m]
+            dgrad[:, layout.eta] = dgy[:, m:]
         if warm is None:
             return val, grad, hess, dgrad, okF
         return val, grad, hess, dgrad, okF, warm
@@ -535,7 +516,7 @@ def find_critical_rays(
     gf_vals = np.concatenate(vals, axis=0)
     ok = np.concatenate(oks, axis=0)
 
-    u = x[:, family.s_u]
+    u = x[:, family.layout.u]
     unorm = np.linalg.norm(u, axis=1)
     ok = ok & (unorm > u_floor)
     q_red = u[ok] / unorm[ok][:, None]
@@ -560,76 +541,36 @@ def find_critical_rays(
 
 
 def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
-    """Masked bordered Newton on grad F_t(x) = 0, |x| = 1 over (x, t).
+    """Bordered Newton (_bordered_newton) on grad F_t(x) = 0,
+    (|x|^2 - 1)/2 = 0 over (x, t), with x renormalised after every step.
 
     warm is the LeafState of F_phi at x0 (from family.seed); it is carried
     across iterations, sliced by the same work mask as x and t, so that every
     leaf solve starts from its predictor instead of cold.  A row is dropped
     when its leaves fail or its step leaves the rotation family's domain
-    |t| < k/2.
+    |t| < k/2.  Returns (x, t, F_t(x), done).
     """
-    x = np.asarray(x0, dtype=float).copy()
-    t = np.asarray(t0, dtype=float).copy()
-    B, D = x.shape
-    alive = np.ones(B, dtype=bool)
-    done = np.zeros(B, dtype=bool)
-    times_conv = np.zeros(B, dtype=int)
-    vals = np.zeros(B)
-    best_g = np.full(B, np.inf)
-    best_x = x.copy()
-    best_t = t.copy()
-    best_v = np.zeros(B)
-    for _ in range(max_iter):
-        work = alive & ~done
-        if not np.any(work):
-            break
-        xi, ti = x[work], t[work]
-        val, grad, hess, dgrad, ok_eval, warm_i = family.evaluate(
-            xi, ti, order=2, with_dt=True, warm=warm.take(work)
+    D = x0.shape[1]
+
+    def evaluate(work, x, t):
+        val, grad, hess, dgrad, ok, warm_w = family.evaluate(
+            x, t, order=2, with_dt=True, warm=warm.take(work)
         )
-        warm.put(work, warm_i)
-        gnorm = np.linalg.norm(grad, axis=1)
-        idx = np.where(work)[0]
-        better = ok_eval & (gnorm < best_g[idx])
-        bidx = idx[better]
-        best_g[bidx] = gnorm[better]
-        best_x[bidx] = xi[better]
-        best_t[bidx] = ti[better]
-        best_v[bidx] = val[better]
-        conv = ok_eval & (gnorm <= tol)
-        times_conv[idx[conv]] += 1
-        finish = conv & (times_conv[idx] >= polish)
-        M = np.zeros((xi.shape[0], D + 1, D + 1))
+        warm.put(work, warm_w)
+        M = np.zeros((x.shape[0], D + 1, D + 1))
         M[:, :D, :D] = hess
         M[:, :D, D] = dgrad
-        M[:, D, :D] = xi
-        rhs = np.concatenate([grad, 0.5 * (np.sum(xi * xi, axis=1) - 1.0)[:, None]], axis=1)
-        try:
-            step = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = (np.linalg.pinv(M) @ rhs[:, :, None])[:, :, 0]
-        norms = np.linalg.norm(step, axis=1)
-        damp = np.minimum(1.0, 0.5 / np.maximum(norms, 1e-30))
-        step = step * damp[:, None]
-        xn = xi - step[:, :D]
-        xnorm = np.linalg.norm(xn, axis=1)
-        tn = ti - step[:, D]
+        M[:, D, :D] = x
+        F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
+        return F, M, np.linalg.norm(grad, axis=1), ok, val
+
+    def retract(x, t):
+        xnorm = np.linalg.norm(x, axis=1)
         # rotation_family_matrices rejects the whole batch once any |t| >= k/2
-        bad = (~ok_eval | (xnorm < 1e-8) | ~np.isfinite(xnorm)
-               | ~(np.abs(tn) < 0.5 * family.k))
-        xn = xn / np.maximum(xnorm, 1e-30)[:, None]
-        move = ~finish & ~bad
-        x[idx[move]] = xn[move]
-        t[idx[move]] = tn[move]
-        vals[idx[finish]] = val[finish]
-        done[idx[finish]] = True
-        alive[idx[bad & ~finish]] = False
-    rescued = ~done & (best_g <= 100.0 * tol)
-    done = done | rescued
-    x[rescued] = best_x[rescued]
-    t[rescued] = best_t[rescued]
-    vals[rescued] = best_v[rescued]
-    return x, t, vals, done
+        bad = (xnorm < 1e-8) | ~np.isfinite(xnorm) | ~(np.abs(t) < 0.5 * family.k)
+        return x / np.maximum(xnorm, 1e-30)[:, None], bad
+
+    return _bordered_newton(x0, t0, (evaluate, retract), tol, max_iter, polish)
 
 
 # ---------------------------------------------------------------------------
@@ -708,27 +649,43 @@ def build_phi_genfun(
     return gf, schedule
 
 
+def pair_records(a, b, ang_tol: float, t_tol: float, antipodal: bool = False):
+    """Unique pairing of the records a with the records b.
+
+    Record j of b is a candidate for record i of a when q_j (-q_j if
+    antipodal) lies within ang_tol of q_i and t_j within t_tol of t_i
+    (mod 1).  Returns partner, where partner[i] is the index of the only
+    candidate of a[i], or -1 if it has none.  Returns None when a record of
+    either list has two or more candidates: no pairing is then unique.
+    """
+    if not a or not b:
+        return np.full(len(a), -1)
+    qa = np.array([r.q for r in a])
+    qb = np.array([r.q for r in b])
+    if antipodal:
+        qb = -qb
+    ta = np.array([r.t for r in a])
+    tb = np.array([r.t for r in b])
+    close = (_angular_distance(qa[:, None, :], qb[None, :, :]) < ang_tol) & (
+        _t_distance(ta[:, None], tb[None, :]) < t_tol
+    )
+    if np.any(close.sum(axis=0) > 1) or np.any(close.sum(axis=1) > 1):
+        return None
+    return np.where(close.any(axis=1), np.argmax(close, axis=1), -1)
+
+
 def _match_routes(direct, genf, params):
-    matched = []
-    used = np.zeros(len(genf), dtype=bool)
-    unmatched_direct = []
-    for rd in direct:
-        found = None
-        for j, rg in enumerate(genf):
-            if used[j]:
-                continue
-            if (
-                _angular_distance(rd.q_array(), rg.q_array()) < params.match_angular
-                and _t_distance(rd.t, rg.t) < params.match_t
-            ):
-                found = j
-                break
-        if found is None:
-            unmatched_direct.append(rd)
-        else:
-            used[found] = True
-            matched.append(replace(rd, route="both", gf_value=genf[found].gf_value))
-    unmatched_genfun = [rg for j, rg in enumerate(genf) if not used[j]]
+    partner = pair_records(direct, genf, params.match_angular, params.match_t)
+    if partner is None:
+        raise RouteDisagreementError(
+            "ambiguous route match: a record has two candidates within the match tolerances",
+            dump={"direct": direct, "genfun": genf},
+        )
+    matched = [replace(rd, route="both", gf_value=genf[j].gf_value)
+               for rd, j in zip(direct, partner) if j >= 0]
+    unmatched_direct = [rd for rd, j in zip(direct, partner) if j < 0]
+    used = set(partner.tolist())
+    unmatched_genfun = [rg for j, rg in enumerate(genf) if j not in used]
     return matched, unmatched_direct, unmatched_genfun
 
 

@@ -141,7 +141,7 @@ def test_criterion_4_homogeneity_and_critical_value():
         build_rotation_family(0.7, 2, 4).genfun,
         gf_compose(rotation_leaf(0.1, 2), LeafGF(FlowMap(SPHERE_CORPUS, 0.0, 0.1, SETTINGS))),
         f_phi,
-        family.genfun_at(0.3),
+        gf_compose(f_phi, build_rotation_family(0.3, 2, 4).genfun),
     ]
     for gf in gfs:
         x = sphere_points(8, gf.total_dim, seed=0.45)

@@ -77,6 +77,23 @@ def test_match_routes_reports_mismatch():
     assert matched[0].gf_value == 1e-12
 
 
+def test_match_routes_rejects_ambiguous_match():
+    # two records within the match tolerances of one record of the other
+    # route: no unique pairing exists, which is a disagreement, not a pick
+    params = tp.SweepParams()
+    q = (1.0, 0.0, 0.0, 0.0)
+    one = {route: tp.TranslatedPointRecord(q, 0.25, 1e-12, 0.0, True, route)
+           for route in ("direct", "genfun")}
+    twins = {route: [tp.TranslatedPointRecord(q, 0.25 + d, 1e-12, 0.0, True, route)
+                     for d in (1e-8, -1e-8)]
+             for route in ("direct", "genfun")}
+    for direct, genf in (([one["direct"]], twins["genfun"]),
+                         (twins["direct"], [one["genfun"]])):
+        with pytest.raises(tp.RouteDisagreementError, match="ambiguous") as exc:
+            tp._match_routes(direct, genf, params)
+        assert exc.value.dump == {"direct": direct, "genfun": genf}
+
+
 def test_cli_help_and_missing_file(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -42,9 +42,9 @@ def _tau_graph_check(gf, spec_or_map, z, settings, tol):
 
 def test_identity_leaf(settings, rng):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.0, 0.0))
-    piece = FlowMap(spec, 0.0, 1.0, settings)
+    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 1.0, settings))
     b = rng.normal(size=(5, 4))
-    val, grad = gfm.gf_leaf_eval(piece, b)
+    val, grad = gfm.gf_eval(leaf, b), gfm.gf_grad(leaf, b)
     assert np.allclose(val, 0.0, atol=1e-10)
     assert np.allclose(grad, 0.0, atol=1e-10)
 
@@ -52,9 +52,9 @@ def test_identity_leaf(settings, rng):
 def test_leaf_rotation_closed_form(settings, rng):
     # a_{1/8} (h == -1 over [0, 1/8]) has Q(b) = -tan(pi/8) |b|^2
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(-1.0,))
-    piece = FlowMap(spec, 0.0, 0.125, settings)
+    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.125, settings))
     b = rng.normal(size=(8, 2))
-    val, grad = gfm.gf_leaf_eval(piece, b)
+    val, grad = gfm.gf_eval(leaf, b), gfm.gf_grad(leaf, b)
     coeff = -np.tan(np.pi * 0.125)
     assert np.allclose(val, coeff * np.sum(b * b, axis=1), atol=1e-9)
     assert np.allclose(grad, 2.0 * coeff * b, atol=1e-9)
@@ -62,11 +62,10 @@ def test_leaf_rotation_closed_form(settings, rng):
 
 def test_leaf_gradient_matches_fd(settings, rng):
     spec = _perturbed_spec()
-    piece = FlowMap(spec, 0.0, 0.08, settings)
-    leaf = gfm.LeafGF(piece)
+    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.08, settings))
     for _ in range(3):
         b = rng.normal(size=4)
-        _, grad = gfm.gf_leaf_eval(piece, b)
+        grad = gfm.gf_grad(leaf, b)
         fd = fd_gradient(lambda v: gfm.gf_eval(leaf, v), b)
         assert np.allclose(grad, fd, atol=1e-6)
 
@@ -75,9 +74,10 @@ def test_leaf_newton_failure_raises(settings):
     # h == 1 over half a period maps z to -z; the midpoint equation is
     # singular and the piece is maximally far from C^1-small.
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
-    piece = FlowMap(spec, 0.0, 0.5, settings)
-    with pytest.raises(gfm.LeafNewtonError):
-        gfm.gf_leaf_eval(piece, np.array([1.0, 0.0]))
+    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.5, settings))
+    for evaluate in (gfm.gf_eval, gfm.gf_grad):
+        with pytest.raises(gfm.LeafNewtonError):
+            evaluate(leaf, np.array([1.0, 0.0]))
 
 
 # --- masked, warm-started midpoint solves -----------------------------------

@@ -9,7 +9,7 @@ from contactmorse.linsymp import (
     fr_index_quadratic,
     inertia,
     mul_i,
-    tau_embed,
+    tau_covector,
     to_complex,
     to_real,
 )
@@ -48,24 +48,24 @@ def test_contact_form_dimension_mismatch():
 
 def test_tau_diagonal_is_zero_section(rng):
     z = rng.normal(size=4)
-    pt = tau_embed(z, z)
-    assert np.allclose(pt.covector, 0.0)
-    assert np.allclose(pt.base, z)
+    assert np.allclose(tau_covector(z, z), 0.0)
+    zs = rng.normal(size=(5, 6))
+    assert np.allclose(tau_covector(zs, zs), 0.0)
 
 
 def test_tau_spec_example():
-    # n = 1: z = 1, Z = i
-    pt = tau_embed(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert np.allclose(pt.base, [0.5, 0.5])
-    assert np.allclose(pt.covector, [1.0, 1.0])
+    # n = 1: z = 1, Z = i; (x, y, X, Y) = (1, 0, 0, 1) -> covector (Y-y, x-X)
+    assert np.allclose(tau_covector(np.array([1.0, 0.0]), np.array([0.0, 1.0])), [1.0, 1.0])
 
 
 def test_tau_covector_is_minus_i_difference(rng):
     for _ in range(10):
         z = rng.normal(size=6)
         Z = rng.normal(size=6)
-        pt = tau_embed(z, Z)
-        assert np.allclose(pt.covector, -mul_i(Z - z), atol=1e-14)
+        cov = tau_covector(z, Z)
+        assert np.allclose(cov, -mul_i(Z - z), atol=1e-14)
+        # the same map in complex notation: -i(Z - z)
+        assert np.allclose(to_complex(cov), -1j * (to_complex(Z) - to_complex(z)), atol=1e-14)
 
 
 def test_complex_vector_invariants():

@@ -73,6 +73,18 @@ def test_antipodal_unpaired_raises():
         prj.antipodal_classes(recs)
 
 
+def test_antipodal_ambiguous_partner_raises():
+    # -q lies within ang_tol of two records at equal t
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    recs = [
+        tp.TranslatedPointRecord((1.0, 0.0, 0.0, 0.0), 0.3, 0.0, 0.0, True, "d"),
+        tp.TranslatedPointRecord((-1.0, 0.0, 0.0, 0.0), 0.3, 0.0, 0.0, True, "d"),
+        tp.TranslatedPointRecord((-c, s, 0.0, 0.0), 0.3, 0.0, 0.0, True, "d"),
+    ]
+    with pytest.raises(prj.AntipodalPairingError, match="two antipodal"):
+        prj.antipodal_classes(recs)
+
+
 def test_corpus_records_antipodally_closed(settings, rp3_corpus_spec):
     res = tp.direct_translated_points(
         rp3_corpus_spec, settings, sphere_count=96, t_count=32

@@ -4,7 +4,7 @@ import pytest
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
 from contactmorse.flow import integrate_flow
-from contactmorse.genfun import build_rotation_family
+from contactmorse.genfun import build_rotation_family, evaluate_stacked, gf_compose
 from contactmorse.linsymp import inertia
 from contactmorse.sampling import sphere_points
 
@@ -204,3 +204,106 @@ def test_warm_genfun_rays_are_cold_critical(fast_settings, sphere_corpus_spec, m
     _, grad, _, _, ok_cold = family.evaluate(x[ok], t[ok], order=1)
     assert ok_cold.all()
     assert np.max(np.linalg.norm(grad, axis=1)) <= 100.0 * grad_tol
+
+
+def test_family_matches_composed_dag(fast_settings, sphere_corpus_spec):
+    """ShiftedGenFunFamily assembles F_phi # A_t from the flattened A_t; at a
+    scalar t it must agree with the composition DAG of F_phi and the k
+    rotation leaves, and its d/dt with a central difference in t."""
+    n, k = 2, 4
+    family = _corpus_family(sphere_corpus_spec, fast_settings, k)
+    x = sphere_points(6, family.dim, seed=0.35)
+    for t in (0.3, 0.8):
+        tt = np.full(x.shape[0], t)
+        val, grad, hess, dgrad, ok = family.evaluate(x, tt, order=2, with_dt=True)
+        dag = gf_compose(family.f_phi, build_rotation_family(t, n, k).genfun)
+        ref = evaluate_stacked(dag, x, order=2)
+        assert ok.all() and ref[3].all()
+        for got, want in zip((val, grad, hess), ref):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        h = 1e-5
+        _, g_plus, _, _, _ = family.evaluate(x, tt + h, order=1)
+        _, g_minus, _, _, _ = family.evaluate(x, tt - h, order=1)
+        fd = (g_plus - g_minus) / (2.0 * h)
+        assert np.max(np.abs(dgrad - fd)) <= 1e-8 * np.max(np.abs(dgrad))
+
+
+def test_bordered_newton_policy():
+    """_bordered_newton's row policy on F(x, t) = (x - c, t - s), with no
+    integration: polish, rescue at the best iterate, and dropped rows."""
+    tol, max_iter = 1e-10, 12
+    c = np.array([[0.3, 0.1], [0.2, -0.1], [0.0, 0.4], [0.1, 0.1], [0.2, 0.2], [0.3, 0.0]])
+    s = np.array([0.2, 0.3, 0.1, 0.1, 5.0, 0.1])
+    x0 = c.copy()
+    x0[[1, 2, 3, 5]] += np.array([[0.1, 0.1], [0.2, 0.0], [0.1, 0.0], [0.1, 0.0]])
+    t0 = s.copy()
+    t0[4] = 0.0
+
+    def run(polish):
+        calls = np.zeros(len(s), dtype=int)
+        seen = {}
+
+        def evaluate(work, x, t):
+            rows = np.where(work)[0]
+            k = calls[rows].copy()
+            calls[rows] += 1
+            for r, kk, xr in zip(rows, k, x):
+                seen[r, kk] = xr.copy()
+            F = np.concatenate([x - c[rows], (t - s[rows])[:, None]], axis=1)
+            F[rows == 2, :2] *= 0.5  # row 2 halves its distance to c per step
+            M = np.broadcast_to(np.eye(3), (rows.size, 3, 3)).copy()
+            err = np.linalg.norm(F, axis=1)
+            # row 2 stalls inside (tol, 100 tol], best at its 4th evaluation;
+            # row 3 stalls above 100 tol
+            err[rows == 2] = tol * (20.0 + 10.0 * np.abs(k[rows == 2] - 3))
+            err[rows == 3] = 200.0 * tol
+            ok = ~((rows == 5) & (k == 1))  # row 5's second evaluation fails
+            return F, M, err, ok, k.astype(float)
+
+        def retract(x, t):
+            return x, np.abs(t) > 2.0
+
+        out = tp._bordered_newton(x0, t0, (evaluate, retract), tol, max_iter, polish)
+        return out, calls, seen
+
+    for polish in (1, 2, 3):
+        (x, t, val, done), calls, seen = run(polish)
+        assert done.tolist() == [True, True, True, False, False, False]
+        # a row finishes on its polish-th converged evaluation, not before;
+        # row 0 starts at its root, row 1 one full step from it
+        assert calls[0] == polish and calls[1] == 1 + polish
+        assert np.array_equal(x[0], c[0]) and val[0] == polish - 1
+        assert np.max(np.abs(x[1] - c[1])) <= tol and val[1] == polish
+        # the stalled row is rescued at its best iterate, the other is not
+        assert calls[2] == calls[3] == max_iter
+        assert np.array_equal(x[2], seen[2, 3]) and val[2] == 3.0 and t[2] == s[2]
+        # row 4's damped t steps of 0.5 leave |t| <= 2 on its 5th step; row 5
+        # stops at its failed evaluation, whose error does not count as best
+        assert calls[4] == 5 and t[4] == 2.0
+        assert calls[5] == 2
+
+
+def test_bordered_newton_singular_batch_uses_pinv(monkeypatch):
+    # row 1 has no t-dependence: its bordered matrix is singular, the batch
+    # is solved with the pseudo-inverse and both rows still converge
+    pinv_calls = []
+    inner = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(a.shape) or inner(a))
+    c = np.array([[0.3, 0.1], [0.2, -0.1]])
+    s = np.array([0.2, 0.3])
+
+    def evaluate(work, x, t):
+        rows = np.where(work)[0]
+        F = np.concatenate([x - c[rows], (t - s[rows])[:, None]], axis=1)
+        F[rows == 1, 2] = 0.0
+        M = np.broadcast_to(np.eye(3), (rows.size, 3, 3)).copy()
+        M[rows == 1, 2, 2] = 0.0
+        return F, M, np.linalg.norm(F, axis=1), np.ones(rows.size, dtype=bool), F[:, 0]
+
+    x, t, _, done = tp._bordered_newton(
+        c + 0.1, s + np.array([0.1, 0.0]),
+        (evaluate, lambda x, t: (x, np.zeros(len(t), dtype=bool))), 1e-10, 10,
+    )
+    assert done.all() and pinv_calls
+    assert np.max(np.abs(x - c)) <= 1e-10 and np.max(np.abs(t - s)) <= 1e-10
