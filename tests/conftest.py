@@ -9,12 +9,12 @@ from contactmorse import hamiltonian as ham
 
 @pytest.fixture(scope="session")
 def settings():
-    return flow.IntegratorSettings(steps_per_unit=512)
+    return flow.IntegratorSettings(steps_per_unit=16)
 
 
 @pytest.fixture(scope="session")
 def fast_settings():
-    return flow.IntegratorSettings(steps_per_unit=256)
+    return flow.IntegratorSettings(steps_per_unit=8)
 
 
 @pytest.fixture(scope="session")

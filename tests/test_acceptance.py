@@ -26,7 +26,7 @@ from contactmorse.genfun import (
 from contactmorse.linsymp import mul_i, tau_covector, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
-SETTINGS = IntegratorSettings(steps_per_unit=512)
+SETTINGS = IntegratorSettings(steps_per_unit=16)
 
 SPHERE_CORPUS = ham.ContactHamiltonianSpec(
     n=2,

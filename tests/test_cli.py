@@ -24,7 +24,7 @@ def _corpus_config(**over):
             ],
         },
         "seeds": {"sphere_count": 48, "t_count": 16, "keep_per_seed": 3},
-        "integrator": {"steps_per_unit": 512},
+        "integrator": {"steps_per_unit": 16},
     }
     cfg.update(over)
     return cfg
@@ -121,7 +121,7 @@ def test_run_constant_hamiltonian_exits_bounds_not_asserted(tmp_path):
         "routes": "direct",
         "hamiltonian": {"quadratic": [0.5, 0.5]},
         "seeds": {"sphere_count": 64, "t_count": 32},
-        "integrator": {"steps_per_unit": 512},
+        "integrator": {"steps_per_unit": 16},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

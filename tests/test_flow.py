@@ -162,7 +162,8 @@ def test_subdivision_cap():
 
 def test_calibration_sweep_agrees(fast_settings):
     spec = _perturbed_spec()
-    density = flow.calibrate_steps_per_unit(spec, tol=1e-9, start=128)
+    density = flow.calibrate_steps_per_unit(spec, tol=1e-9)
+    assert density <= 64
     probes = sphere_points(4, 4)
     a, _ = flow.integrate_flow(
         spec, probes, 0.0, 1.0, flow.IntegratorSettings(steps_per_unit=density),
@@ -173,6 +174,56 @@ def test_calibration_sweep_agrees(fast_settings):
         with_jacobian=False,
     )
     assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_dop853_tableau_matches_scipy():
+    """The literal tableau is scipy's DOP853 tableau, bit for bit."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    stages = ref.N_STAGES
+    A = np.zeros((stages, stages))
+    for s, row in enumerate(flow._A):
+        for j, a in row:
+            assert j < s
+            A[s, j] = a
+    b = np.zeros(stages)
+    for j, w in flow._B:
+        b[j] = w
+    assert len(flow._A) == len(flow._C) == stages
+    assert np.array_equal(A, ref.A[:stages, :stages])
+    assert np.array_equal(b, ref.B)
+    assert np.array_equal(np.array(flow._C), ref.C[:stages])
+    assert all(a != 0.0 for row in flow._A for _, a in row)
+    assert all(w != 0.0 for _, w in flow._B)
+
+
+@pytest.mark.parametrize("weights, tol16", [((1.0, 1.0), 1e-9), ((0.3, 0.7), 1e-10)])
+def test_dop853_order_on_exact_rotations(weights, tol16):
+    """Halving the step cuts the error over one unit by at least 2^7, state
+    and Jacobian alike, on the unitary diagonal flows z_j -> e^{2 pi i w_j t} z_j;
+    at 16 steps per unit both errors are below tol16."""
+    spec = ham.ContactHamiltonianSpec(n=2, quadratic=weights)
+    z0 = sphere_points(8, 4)
+    rot = to_real(to_complex(np.eye(4)) * np.exp(2j * np.pi * np.asarray(weights))).T
+    errors = []
+    for density in (4, 8, 16):
+        z, jac = flow.integrate_flow(
+            spec, z0, 0.0, 1.0, flow.IntegratorSettings(steps_per_unit=density)
+        )
+        errors.append((np.max(np.abs(z - z0 @ rot.T)), np.max(np.abs(jac - rot))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine[0] * 2**7 <= coarse[0]
+        assert fine[1] * 2**7 <= coarse[1]
+    assert max(errors[-1]) < tol16
+
+
+def test_corpus_schedule_takes_one_step_per_leaf(sphere_corpus_spec):
+    """At the default density, delta = 1.0 splits the corpus flow into 16
+    pieces, each integrated in one step."""
+    default = flow.IntegratorSettings()
+    pieces = flow.subdivide_c1_small(sphere_corpus_spec, 0.0, 1.0, 1.0, default)
+    assert pieces == [(i / 16, (i + 1) / 16) for i in range(16)]
+    assert {default.steps_for(b - a) for a, b in pieces} == {1}
 
 
 def _n3_bump_spec():
