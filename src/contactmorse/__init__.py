@@ -28,19 +28,8 @@ from .genfun import (
     gf_grad,
     quadratic_form_for_rotation,
 )
-from .hamiltonian import (
-    ContactHamiltonianSpec,
-    PerturbationTerm,
-    lift_hamiltonian,
-)
-from .linsymp import (
-    ComplexVector2n,
-    Inertia,
-    QuadraticForm,
-    contact_form_eval,
-    fr_index_quadratic,
-    inertia,
-)
+from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm
+from .linsymp import Inertia, QuadraticForm, contact_form_eval, inertia
 from .projective import (
     AntipodalPairingError,
     ProjectiveSpec,

@@ -12,6 +12,10 @@ explicit setting, optionally chosen by a halving sweep until successive
 refinements agree; nothing here is adaptive, so reruns are bit-stable.  At
 the default 16 steps per unit the error over one unit is ~1e-11 on the
 corpus specs.
+
+The field and its Jacobian are compiled once per spec, straight from the
+spec terms in real coordinates: the quadratic part is an exact linear map,
+and every other term is a polynomial in u = x/|x| times one real matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hamiltonian as ham
-from .linsymp import realify, to_real
+from .linsymp import complex_structure_matrix
 from .sampling import sphere_points, subdivision_probe_points
 
 # Calibration constant: with omega = sum dx ^ dy and iota_X omega = dH the
@@ -34,6 +38,15 @@ FIELD_SCALE = math.pi
 
 @dataclass(frozen=True)
 class IntegratorSettings:
+    """Fixed step density of the integrator.
+
+    The default 16 steps per unit is sized for constant-profile specs (error
+    ~1e-11 over one unit).  Time-profiled ("bump") specs have large time
+    derivatives and need at least 32 (error 1.4e-8 at 16, 1.1e-11 at 32 on
+    a one-mode bump); the config value `steps_per_unit: 0` picks a density
+    by the `calibrate_steps_per_unit` sweep, 64 or more for them.
+    """
+
     steps_per_unit: int = 16
     min_steps: int = 1
     max_steps: int = 1 << 22
@@ -51,14 +64,6 @@ class IntegratorSettings:
 # plain product of a one-row batch takes another BLAS path and rounds
 # differently).
 _GEMM_ROWS = 64
-
-
-def _realified(G: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Real field and row-major real Jacobian, concatenated along the last
-    axis, of X = FIELD_SCALE * i * G with Wirtinger blocks (P, Q) of G."""
-    jac = FIELD_SCALE * realify(1j * P, 1j * Q)
-    field = to_real(FIELD_SCALE * 1j * G)
-    return np.concatenate([field, jac.reshape(jac.shape[:-2] + (-1,))], axis=-1)
 
 
 def _real_expansion(p, q) -> dict[tuple, complex]:
@@ -92,48 +97,78 @@ def _parent(alpha: tuple) -> tuple[tuple, int]:
     return alpha[:c] + (alpha[c] - 1,) + alpha[c + 1:], c
 
 
+def _lift_derivatives(a, b) -> dict[tuple, np.ndarray]:
+    """Gradient and Hessian of the lift of m = Re(u^a conj(u)^b), per real
+    monomial u^alpha of u: {alpha: coefficients in (g, Hessian row-major)}.
+
+    m is a real polynomial, homogeneous of degree d.  Its lift
+    |x|^2 m(x/|x|) has gradient |x| g(u) and Hessian g u^T + Dg (I - u u^T)
+    at u = x/|x|, with g = (2 - d) u m + grad m; by Euler's identity the
+    Hessian is (2 - d) (m I + u grad m^T + grad m u^T - d m u u^T) + Hess m.
+    Every coefficient is an integer, so cancellations are exact.
+    """
+    two_n, d = 2 * len(a), sum(a) + sum(b)
+    out: dict[tuple, np.ndarray] = {}
+
+    def add(alpha, col, c):
+        if c:
+            out.setdefault(alpha, np.zeros(two_n + two_n * two_n))[col] += c
+
+    def step(alpha, k, by):
+        return alpha[:k] + (alpha[k] + by,) + alpha[k + 1:]
+
+    for alpha, c in _real_expansion(a, b).items():
+        c = c.real
+        for i in range(two_n):
+            row = two_n + i * two_n
+            add(step(alpha, i, 1), i, (2 - d) * c)
+            add(alpha, row + i, (2 - d) * c)
+            if alpha[i]:
+                add(step(alpha, i, -1), i, alpha[i] * c)
+            for k in range(two_n):
+                add(step(step(alpha, i, 1), k, 1), row + k, -(2 - d) * d * c)
+                if alpha[k]:
+                    beta = step(alpha, k, -1)
+                    # u_i d_k m at (i, k) and, as grad m u^T, at (k, i)
+                    add(step(beta, i, 1), row + k, (2 - d) * alpha[k] * c)
+                    add(step(beta, i, 1), two_n + k * two_n + i, (2 - d) * alpha[k] * c)
+                    if beta[i]:
+                        add(step(beta, i, -1), row + k, alpha[k] * beta[i] * c)
+    return out
+
+
 class _RealField:
     """The lifted vector field and its real Jacobian, compiled to real tables.
 
-    The quadratic part is the exact linear field x -> L x.  Every other
-    primitive of _Tables but the H slot feeds G, homogeneous of degree 1, or
-    P and Q, homogeneous of degree 0; so the primitives are evaluated at
-    u = x/|x| with no rho powers, and only the field is scaled by |x|.  Each
-    primitive u^p conj(u)^q expands into real monomials of u, and
-    FIELD_SCALE, the factor i and realify fold into one real matrix from
-    those monomials to the field and the row-major Jacobian.
+    The field is FIELD_SCALE * J * grad H, with J the complex structure.  The
+    quadratic part is the exact linear field x -> lin x.  Each term's gradient
+    is |x| times a polynomial of u = x/|x| and its Hessian a polynomial of u
+    (`_lift_derivatives`); the amplitudes and FIELD_SCALE * J fold into one
+    real matrix from the real monomials of u to the field and the row-major
+    Jacobian, so only the field is scaled by |x|.
 
     The tables are compiled once per spec; _FieldEval evaluates them.
     """
 
     def __init__(self, spec: ham.ContactHamiltonianSpec):
         n = spec.n
-        two_n, n_slots = 2 * n, n + 2 * n * n
+        two_n = 2 * n
         self.n = n
         self.profile = None if spec.is_autonomous() else spec
-        self.lin = _realified(
-            np.zeros(n), np.diag(2.0 * np.asarray(spec.quadratic)), np.zeros((n, n))
-        )[two_n:].reshape(two_n, two_n)
+        XJ = FIELD_SCALE * complex_structure_matrix(n)
+        # the Hessian of sum_j c_j |z_j|^2 is diag(2c, 2c)
+        self.lin = XJ @ np.diag(np.tile(2.0 * np.asarray(spec.quadratic), 2))
         self.lin_T = self.lin.T.copy()
 
-        tab = ham._tables(spec)
-        eye = np.eye(n_slots)
-        split = lambda E: (E[:, :n], E[:, n:n + n * n].reshape(-1, n, n),
-                           E[:, n + n * n:].reshape(-1, n, n))
-        # real outputs of each Wirtinger slot (G, P, Q) holding 1 and i
-        out_of_re, out_of_im = _realified(*split(eye)), _realified(*split(1j * eye))
-        rows: dict[tuple, np.ndarray] = {}
-        for k in range(tab.K):
-            slots = tab.S[k, 1:]
-            if not np.any(slots):
-                continue
-            p, q = tuple(map(int, tab.P_exp[k])), tuple(map(int, tab.Q_exp[k]))
-            if sum(p) + sum(q) + 2.0 * tab.pows[k] != (1.0 if np.any(slots[:n]) else 0.0):
-                raise AssertionError("G rows must have degree 1, P and Q rows degree 0")
-            out_re, out_im = slots @ out_of_re, slots @ out_of_im
-            for alpha, c in _real_expansion(p, q).items():
-                acc = rows.setdefault(alpha, np.zeros(two_n + two_n * two_n))
-                acc += c.real * out_re + c.imag * out_im
+        derivs: dict[tuple, np.ndarray] = {}
+        for term in spec.terms:
+            for alpha, coef in _lift_derivatives(term.z_powers, term.zbar_powers).items():
+                acc = derivs.setdefault(alpha, np.zeros(two_n + two_n * two_n))
+                acc += term.amplitude * coef
+        rows = {
+            alpha: np.concatenate([XJ @ v[:two_n], (XJ @ v[two_n:].reshape(two_n, two_n)).ravel()])
+            for alpha, v in derivs.items()
+        }
         self.plans = {
             True: self._plan(rows, slice(None)),
             False: self._plan(rows, slice(0, two_n)),
@@ -249,9 +284,8 @@ def _real_field(spec: ham.ContactHamiltonianSpec) -> _RealField:
 
 
 def real_field(spec: ham.ContactHamiltonianSpec, x, t: float, with_jacobian: bool = True):
-    """The lifted field dx/dt (B, 2n) at real points x (B, 2n) and its real
-    Jacobian (B, 2n, 2n), or None: FIELD_SCALE * i * G and
-    FIELD_SCALE * realify(i P, i Q) of eval_lift, profile applied."""
+    """The lifted field dx/dt = FIELD_SCALE * J * grad H_t (B, 2n) at real
+    points x (B, 2n) and its real Jacobian (B, 2n, 2n), or None."""
     x = np.asarray(x, dtype=float)
     field = np.empty_like(x)
     jac = np.empty(x.shape + x.shape[-1:]) if with_jacobian else None

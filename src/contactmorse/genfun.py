@@ -493,15 +493,6 @@ def rotation_leaf(t: float, n: int) -> QuadraticGF:
     return QuadraticGF(quadratic_form_for_rotation(t, n).matrix)
 
 
-def flatten_quadratic(gf: GenFun) -> np.ndarray:
-    """Assemble the symmetric matrix of an all-quadratic DAG."""
-    if not gf.is_quadratic:
-        raise TypeError("only all-quadratic DAGs flatten to a single matrix")
-    D = gf.total_dim
-    _, _, hess, _ = gf.evaluate(np.zeros((1, D)), order=2)
-    return 0.5 * hess[0]
-
-
 def rotation_family_matrices(t, n: int, k: int):
     """Batched matrices (M_A(t), dM_A/dt) of the k-piece family for a_t.
 
@@ -668,21 +659,3 @@ def monotonicity_probe_values(
         probes[i] = (hi - lo) / (2.0 * fd_step)
     return probes
 
-
-def monotonicity_probe(
-    spec,
-    settings: IntegratorSettings | None = None,
-    delta: float = 1.0,
-    sample_count: int = 64,
-    t_count: int = 16,
-    fd_step: float = 1e-4,
-) -> float:
-    """Minimum finite-difference time-derivative of the shared-schedule
-    family over the sample set; strictly positive for positive isotopies."""
-    return float(
-        np.min(
-            monotonicity_probe_values(
-                spec, settings, delta, sample_count, t_count, fd_step
-            )
-        )
-    )

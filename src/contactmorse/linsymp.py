@@ -9,17 +9,14 @@ and the inertia bookkeeping for symmetric matrices all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 def as_coords(v, n: int | None = None) -> np.ndarray:
-    """Coerce v (array-like or ComplexVector2n) to a float array of shape (..., 2n)."""
-    if isinstance(v, ComplexVector2n):
-        arr = v.coords
-    else:
-        arr = np.asarray(v, dtype=float)
+    """Coerce v to a float array of shape (..., 2n)."""
+    arr = np.asarray(v, dtype=float)
     if arr.shape[-1] % 2 != 0:
         raise ValueError(f"coordinate vector must have even length, got {arr.shape[-1]}")
     if n is not None and arr.shape[-1] != 2 * n:
@@ -85,38 +82,6 @@ def rotation_matrix(phase: float | np.ndarray, n: int) -> np.ndarray:
     top = np.concatenate([c, -s], axis=-1)
     bot = np.concatenate([s, c], axis=-1)
     return np.concatenate([top, bot], axis=-2)
-
-
-@dataclass(frozen=True)
-class ComplexVector2n:
-    """A point of R^{2n} = C^n in the (x_1..x_n, y_1..y_n) layout."""
-
-    coords: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
-            raise ValueError("coords must be a flat array of even positive length")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coords must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-        object.__setattr__(self, "n", arr.shape[0] // 2)
-
-    @classmethod
-    def from_complex(cls, z) -> "ComplexVector2n":
-        return cls(to_real(np.asarray(z, dtype=complex)))
-
-    def complex(self) -> np.ndarray:
-        return to_complex(self.coords)
-
-    def times_i(self) -> "ComplexVector2n":
-        return ComplexVector2n(mul_i(self.coords))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
 
 
 def contact_form_eval(q, v) -> float:
@@ -214,8 +179,3 @@ def inertia(Q: QuadraticForm | np.ndarray, tol: float | None = None) -> Inertia:
     nullity = eigvals.size - index - coindex
     return Inertia(index=index, nullity=nullity, coindex=coindex)
 
-
-def fr_index_quadratic(Q: QuadraticForm | np.ndarray, tol: float | None = None) -> int:
-    """index + nullity of the form: the cohomological index of its sublevel set."""
-    ine = inertia(Q, tol)
-    return ine.index + ine.nullity

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import genfun as gfm
 from .flow import IntegratorSettings, integrate_flow
-from .genfun import GenFun, build_rotation_family, evaluate_stacked, rotation_family_matrices
+from .genfun import GenFun, evaluate_stacked, rotation_family_matrices
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import (
     inertia,
@@ -593,8 +593,8 @@ def index_jump(n: int, k: int, nullity_tol: float | None = None) -> int:
 def index_data(n: int, k: int, nullity_tol: float | None = None) -> dict:
     if k < 3:
         raise ValueError("k must be >= 3")
-    in0 = inertia(build_rotation_family(0.0, n, k).matrix, nullity_tol)
-    in1 = inertia(build_rotation_family(1.0, n, k).matrix, nullity_tol)
+    in0 = inertia(rotation_family_matrices(0.0, n, k)[0], nullity_tol)
+    in1 = inertia(rotation_family_matrices(1.0, n, k)[0], nullity_tol)
     for label, ine in (("A_0", in0), ("A_1", in1)):
         if ine.nullity != 2 * n:
             raise ConfigurationError(

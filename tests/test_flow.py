@@ -6,7 +6,7 @@ from contactmorse import hamiltonian as ham
 from contactmorse.linsymp import mul_i, symplectic_form_matrix, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
-from oracles import expm
+from oracles import expm, wirtinger_lift
 
 
 def _perturbed_spec():
@@ -44,8 +44,10 @@ def test_linear_quadratic_flow_matches_matrix_exponential(settings):
         n=2, quadratic=(0.3, 0.7), terms=(ham.PerturbationTerm(0.05, (2, 0), (0, 0)),)
     )
     z = sphere_points(5, 4)
-    hess = ham.lift_hess_real(spec, to_complex(np.zeros((1, 4)) + [[1.0, 1.0, 1.0, 1.0]]))[0]
-    from contactmorse.linsymp import complex_structure_matrix
+    from contactmorse.linsymp import complex_structure_matrix, realify
+
+    _, _, P, Q = wirtinger_lift(spec, to_complex(np.ones(4)))
+    hess = realify(P, Q)
 
     gen = np.pi * complex_structure_matrix(2) @ hess
     for t in (0.5, 1.0):
@@ -240,10 +242,11 @@ def _n3_bump_spec():
 
 
 def _kernel_reference(spec, x, t):
-    """FIELD_SCALE * i * G and FIELD_SCALE * realify(i P, i Q) of eval_lift."""
+    """FIELD_SCALE * i * G and FIELD_SCALE * realify(i P, i Q) of the
+    Wirtinger reference."""
     from contactmorse.linsymp import realify
 
-    _, G, P, Q = ham.eval_lift(spec, to_complex(x), t)
+    _, G, P, Q = wirtinger_lift(spec, to_complex(x), t)
     return to_real(flow.FIELD_SCALE * 1j * G), flow.FIELD_SCALE * realify(1j * P, 1j * Q)
 
 
@@ -252,7 +255,9 @@ def _assert_rel_close(got, ref, rel=1e-13):
     assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("case", ["n1", "corpus", "rp3", "no_terms", "n3_bump"])
+@pytest.mark.parametrize(
+    "case", ["n1", "corpus", "rp3", "no_terms", "n3_bump", "degree0", "pure_zbar", "n3_degree5"]
+)
 def test_real_field_matches_eval_lift(case, sphere_corpus_spec, rp3_corpus_spec, rng):
     specs = {
         "n1": ham.ContactHamiltonianSpec(
@@ -263,6 +268,16 @@ def test_real_field_matches_eval_lift(case, sphere_corpus_spec, rp3_corpus_spec,
         "rp3": rp3_corpus_spec,
         "no_terms": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, -0.7)),
         "n3_bump": _n3_bump_spec(),
+        "degree0": ham.ContactHamiltonianSpec(
+            n=2, quadratic=(0.3, 0.7), terms=(ham.PerturbationTerm(0.05, (0, 0), (0, 0)),)
+        ),
+        "pure_zbar": ham.ContactHamiltonianSpec(
+            n=2, quadratic=(0.3, 0.7), terms=(ham.PerturbationTerm(0.04, (0, 0), (0, 3)),)
+        ),
+        "n3_degree5": ham.ContactHamiltonianSpec(
+            n=3, quadratic=(0.2, 0.5, -0.4),
+            terms=(ham.PerturbationTerm(0.03, (2, 0, 1), (0, 1, 1)),),
+        ),
     }
     spec = specs[case]
     x = rng.normal(size=(70, 2 * spec.n)) * rng.uniform(0.1, 10.0, size=(70, 1))

@@ -233,7 +233,8 @@ def test_quadratic_dag_matches_assembled_matrix(rng):
         gfm.gf_compose(gfm.rotation_leaf(0.1, 1), gfm.rotation_leaf(0.05, 1)),
         gfm.rotation_leaf(-0.2, 1),
     )
-    M = gfm.flatten_quadratic(dag)
+    _, _, hess, _ = dag.evaluate(np.zeros((1, dag.total_dim)), order=2)
+    M = 0.5 * hess[0]
     x = rng.normal(size=(10, dag.total_dim))
     direct = np.einsum("bi,ij,bj->b", x, M, x)
     vals, grads, _, _ = dag.evaluate(x, order=1)
@@ -285,7 +286,8 @@ def test_rotation_family_reduces_to_rotation_graph(rng):
 def test_rotation_family_matrix_matches_dag(rng):
     for t in (0.2, 0.9):
         fam = gfm.build_rotation_family(t, 1, 4)
-        M = gfm.flatten_quadratic(fam.genfun)
+        _, _, hess, _ = fam.genfun.evaluate(np.zeros((1, fam.genfun.total_dim)), order=2)
+        M = 0.5 * hess[0]
         assert np.max(np.abs(M - fam.matrix)) < 1e-12
 
 
@@ -335,7 +337,8 @@ def test_chain_seed_lies_on_fiber_critical_set(settings):
 
 def test_monotonicity_reeb_positive(fast_settings):
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
-    assert gfm.monotonicity_probe(spec, fast_settings, sample_count=16, t_count=8) > 0
+    vals = gfm.monotonicity_probe_values(spec, fast_settings, sample_count=16, t_count=8)
+    assert np.min(vals) > 0
 
 
 def test_monotonicity_mirror_negative(fast_settings):
@@ -350,10 +353,11 @@ def test_monotonicity_positive_perturbed(fast_settings):
     spec = ham.ContactHamiltonianSpec(
         n=2, quadratic=(1.0, 1.0), terms=(ham.PerturbationTerm(0.3, (1, 0), (0, 1)),)
     )
-    assert gfm.monotonicity_probe(spec, fast_settings, sample_count=16, t_count=8) > 0
+    vals = gfm.monotonicity_probe_values(spec, fast_settings, sample_count=16, t_count=8)
+    assert np.min(vals) > 0
 
 
 def test_monotonicity_rejects_sign_indefinite(fast_settings):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, -0.5))
     with pytest.raises(ValueError):
-        gfm.monotonicity_probe(spec, fast_settings, sample_count=8, t_count=4)
+        gfm.monotonicity_probe_values(spec, fast_settings, sample_count=8, t_count=4)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from contactmorse import flow
 from contactmorse import hamiltonian as ham
-from contactmorse.linsymp import realify, to_complex, to_real
+from contactmorse.linsymp import complex_structure_matrix, to_complex
 
 from oracles import fd_gradient, naive_lift_value
 
@@ -19,13 +20,25 @@ def _perturbed_spec():
     )
 
 
+def _value(spec, x):
+    return ham.eval_lift(spec, to_complex(x))
+
+
+def _gradient_hessian(spec, x):
+    """grad H = -J field / FIELD_SCALE and its Hessian -J jac / FIELD_SCALE,
+    read off the compiled field and Jacobian at real points x (B, 2n)."""
+    J = complex_structure_matrix(spec.n)
+    field, jac = flow.real_field(spec, x, 0.0)
+    return -field @ J.T / flow.FIELD_SCALE, -J @ jac / flow.FIELD_SCALE
+
+
 def test_lift_spec_examples():
     one = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
-    assert ham.lift_hamiltonian(one, np.array([2.0, 0.0])) == pytest.approx(4.0)
+    assert _value(one, np.array([2.0, 0.0])) == pytest.approx(4.0)
 
     z1sq = ham.ContactHamiltonianSpec(n=2, quadratic=(1.0, 0.0))
     q = np.array([0.6, 0.8, 0.0, 0.0])  # |z1|^2 = 0.36 on the unit sphere
-    assert ham.lift_hamiltonian(z1sq, q) == pytest.approx(0.36)
+    assert _value(z1sq, q) == pytest.approx(0.36)
 
 
 def test_lift_matches_naive_oracle(rng):
@@ -33,7 +46,7 @@ def test_lift_matches_naive_oracle(rng):
     for _ in range(25):
         x = rng.normal(size=4)
         zc = to_complex(x)
-        assert ham.lift_value(spec, zc) == pytest.approx(
+        assert ham.eval_lift(spec, zc) == pytest.approx(
             naive_lift_value(spec, zc), rel=1e-12, abs=1e-14
         )
 
@@ -41,49 +54,45 @@ def test_lift_matches_naive_oracle(rng):
 def test_lift_homogeneous_degree_two(rng):
     spec = _perturbed_spec()
     x = rng.normal(size=(20, 4))
-    base = ham.lift_value(spec, to_complex(x))
+    base = _value(spec, x)
     for lam in (0.5, 2.0, 3.7):
-        scaled = ham.lift_value(spec, to_complex(lam * x))
+        scaled = _value(spec, lam * x)
         assert np.allclose(scaled, lam**2 * base, rtol=1e-12)
 
 
 def test_gradient_matches_finite_differences(rng):
     spec = _perturbed_spec()
-    for _ in range(5):
-        x = rng.normal(size=4)
-        grad = to_real(ham.lift_grad(spec, to_complex(x)))
-        fd = fd_gradient(lambda v: float(ham.lift_value(spec, to_complex(v))), x)
-        assert np.allclose(grad, fd, atol=2e-9)
+    x = rng.normal(size=(5, 4))
+    grad, _ = _gradient_hessian(spec, x)
+    for row, g in zip(x, grad):
+        fd = fd_gradient(lambda v: float(_value(spec, v)), row)
+        assert np.allclose(g, fd, atol=2e-9)
 
 
 def test_hessian_matches_finite_differences(rng):
     spec = _perturbed_spec()
     x = rng.normal(size=(3, 4))
-    H = ham.lift_hess_real(spec, to_complex(x))
+    _, H = _gradient_hessian(spec, x)
     eps = 1e-6
     for k in range(4):
         e = np.zeros(4)
         e[k] = eps
-        gp = to_real(ham.lift_grad(spec, to_complex(x + e)))
-        gm = to_real(ham.lift_grad(spec, to_complex(x - e)))
+        gp, _ = _gradient_hessian(spec, x + e)
+        gm, _ = _gradient_hessian(spec, x - e)
         assert np.allclose(H[:, :, k], (gp - gm) / (2 * eps), atol=2e-9)
 
 
 def test_hessian_blocks_consistent(rng):
     spec = _perturbed_spec()
     x = rng.normal(size=(6, 4))
-    P, Q = ham.lift_hess(spec, to_complex(x))
-    # real Hessian symmetry <=> P Hermitian and Q symmetric
-    assert np.allclose(P, np.swapaxes(P, -1, -2).conj(), atol=1e-13)
-    assert np.allclose(Q, np.swapaxes(Q, -1, -2), atol=1e-13)
-    H = realify(P, Q)
+    _, H = _gradient_hessian(spec, x)
     assert np.allclose(H, np.swapaxes(H, -1, -2), atol=1e-13)
 
 
 def test_lift_rejects_origin():
     spec = _perturbed_spec()
     with pytest.raises(ValueError):
-        ham.lift_value(spec, np.zeros(2, dtype=complex))
+        ham.eval_lift(spec, np.zeros(2, dtype=complex))
 
 
 def test_sphere_value_requires_unit_vectors():
@@ -130,3 +139,10 @@ def test_bump_profile_time_one_map_matches_constant():
     zc, _ = integrate_flow(spec_c, z0, 0.0, 1.0, fine, with_jacobian=False)
     zb, _ = integrate_flow(spec_b, z0, 0.0, 1.0, fine, with_jacobian=False)
     assert np.allclose(zc, zb, atol=1e-8)
+
+
+def test_bump_profile_calibrates_to_at_least_32_steps():
+    from contactmorse.flow import calibrate_steps_per_unit
+
+    spec_b = ham.ContactHamiltonianSpec(n=1, quadratic=(0.4,), time_profile="bump")
+    assert calibrate_steps_per_unit(spec_b) >= 32
