@@ -21,8 +21,6 @@ from .genfun import (
     LeafGF,
     LeafNewtonError,
     QuadraticGF,
-    RotationFamily,
-    build_rotation_family,
     gf_compose,
     gf_eval,
     gf_grad,

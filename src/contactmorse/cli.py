@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .flow import IntegratorSettings, calibrate_steps_per_unit, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import mul_i
@@ -67,7 +67,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
 
     t0 = time.perf_counter()
     try:
-        sweep = sweep_and_count(config.hamiltonian, config.sweep_params(), settings)
+        sweep = sweep_and_count(config.hamiltonian, config.params, settings)
         exit_status = EXIT_OK
         if sweep.continuum_suspected or not sweep.bound_asserted:
             exit_status = EXIT_BOUNDS_NOT_ASSERTED
@@ -98,24 +98,23 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         timings=timings,
         exit_status=exit_status,
     )
-    t0 = time.perf_counter()
     write_outputs(report, out_dir)
-    timings["write"] = time.perf_counter() - t0
     return report
 
 
 def _empty_sweep(config: RunConfig):
     from .translated import SweepReport, index_data
 
+    params = config.params
     return SweepReport(
         records=[],
         event_ts=[],
         sphere_count=None,
         projective_count=None,
-        index_data=index_data(config.n, config.rotation_pieces, config.nullity_tol),
+        index_data=index_data(config.n, params.rotation_pieces, params.nullity_tol),
         continuum_suspected=False,
         bound_asserted=False,
-        bound_threshold=2 * config.n if config.mode == "projective" else 2,
+        bound_threshold=2 * config.n if params.mode == "projective" else 2,
         bound_met=None,
         route_stats={},
     )
@@ -161,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         if overrides:
             raw = dict(config.raw)
             raw.update(overrides)
-            from .config import parse_config
-
             config = parse_config(raw)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,20 @@
 """Run configuration: a documented, versioned JSON schema.
 
-Scalars get defaults; unknown keys are rejected so typos fail loudly.  The
-canonical serialization (sorted keys, compact separators) is what gets
-hashed into the report, making every number in a report traceable to the
-exact configuration that produced it.
+Every scalar of the schema sets one field, of `translated.SweepParams` or,
+for the integrator section, of `RunConfig`, and takes that field's default
+and value type.  Unknown keys are rejected so typos fail loudly, and every
+error names the JSON location that was written.  The canonical
+serialization (sorted keys, compact separators) is what gets hashed into the
+report, making every number in a report traceable to the exact
+configuration that produced it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm, TIME_PROFILES
@@ -32,105 +36,82 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
 
 
-def _get(obj: dict, key: str, default, kind, context: str):
-    val = obj.get(key, default)
-    if val is None and default is None and key not in obj:
-        return None
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
-        raise ConfigError(f"{context}.{key} must be {kind.__name__}, got {val!r}")
-    return val
-
-
 @dataclass(frozen=True)
 class RunConfig:
     n: int
-    mode: str
-    routes: str
     hamiltonian: ContactHamiltonianSpec
-    rotation_pieces: int = 4
-    subdivision_delta: float = 1.0
-    sphere_count: int = 0  # 0 means the n-dependent default 128 * n
-    t_count: int = 64
-    keep_per_seed: int = 4
-    newton_tol: float = 1e-10
-    grad_tol: float = 1e-9
-    verify_tol: float = 1e-6
-    match_angular: float = 1e-6
-    match_t: float = 1e-6
-    dedup_angular: float = 1e-4
-    dedup_t: float = 1e-5
-    nondeg_tol: float = 1e-7
-    nullity_tol: float | None = None
-    continuum_factor: float = 10.0
+    params: SweepParams
     steps_per_unit: int = 0  # 0 means choose by the halving sweep
     calibration_tol: float = 1e-10
-    chunk: int = 512
     raw: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
-        if self.routes not in ROUTES:
-            raise ConfigError(f"routes must be one of {ROUTES}")
-        if self.rotation_pieces < 3:
-            raise ConfigError("rotation_pieces must be >= 3")
-        for name, value in (
-            ("seeds.t_count", self.t_count),
-            ("seeds.keep_per_seed", self.keep_per_seed),
-            ("chunk", self.chunk),
-        ):
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        for name in (
-            "subdivision_delta", "newton_tol", "grad_tol", "verify_tol",
-            "match_angular", "match_t", "dedup_angular", "dedup_t",
-            "nondeg_tol", "continuum_factor", "calibration_tol",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.nullity_tol is not None and self.nullity_tol <= 0:
-            raise ConfigError("nullity_tol must be positive when given")
-        if self.mode == "projective":
-            from .projective import ProjectiveSpec
-
-            try:
-                ProjectiveSpec(self.hamiltonian)
-            except ValueError as exc:
-                raise ConfigError(f"projective mode: {exc}") from exc
-
-    @property
-    def effective_sphere_count(self) -> int:
-        return self.sphere_count if self.sphere_count > 0 else 128 * self.n
-
-    def sweep_params(self) -> SweepParams:
-        return SweepParams(
-            mode=self.mode,
-            routes=self.routes,
-            rotation_pieces=self.rotation_pieces,
-            subdivision_delta=self.subdivision_delta,
-            sphere_count=self.effective_sphere_count,
-            t_count=self.t_count,
-            keep_per_seed=self.keep_per_seed,
-            newton_tol=self.newton_tol,
-            grad_tol=self.grad_tol,
-            verify_tol=self.verify_tol,
-            match_angular=self.match_angular,
-            match_t=self.match_t,
-            dedup_angular=self.dedup_angular,
-            dedup_t=self.dedup_t,
-            nondeg_tol=self.nondeg_tol,
-            continuum_factor=self.continuum_factor,
-            nullity_tol=self.nullity_tol,
-            chunk=self.chunk,
-        )
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+# JSON location of every scalar -> the SweepParams or RunConfig field it sets.
+# The allowed keys of each section come from this table.
+_SCALARS = {
+    "mode": "mode",
+    "routes": "routes",
+    "rotation_pieces": "rotation_pieces",
+    "subdivision_delta": "subdivision_delta",
+    "continuum_factor": "continuum_factor",
+    "seeds.sphere_count": "sphere_count",
+    "seeds.t_count": "t_count",
+    "seeds.keep_per_seed": "keep_per_seed",
+    "tolerances.newton": "newton_tol",
+    "tolerances.grad": "grad_tol",
+    "tolerances.verify": "verify_tol",
+    "tolerances.match_angular": "match_angular",
+    "tolerances.match_t": "match_t",
+    "tolerances.dedup_angular": "dedup_angular",
+    "tolerances.dedup_t": "dedup_t",
+    "tolerances.nondegeneracy": "nondeg_tol",
+    "tolerances.nullity": "nullity_tol",
+    "integrator.steps_per_unit": "steps_per_unit",
+    "integrator.calibration_tol": "calibration_tol",
+}
+_SECTIONS = dict.fromkeys(loc.partition(".")[0] for loc in _SCALARS if "." in loc)
+# The choices of a str field and the minimum of an int one; floats must be
+# positive.  A sphere_count of 0 stands for the default 128 n.
+_LIMITS = {
+    "mode": MODES, "routes": ROUTES, "rotation_pieces": 3, "sphere_count": 0,
+    "t_count": 1, "keep_per_seed": 1, "steps_per_unit": 0,
+}
+_FIELDS = {f.name: f for cls in (SweepParams, RunConfig) for f in fields(cls)}
+_TYPES = {**typing.get_type_hints(SweepParams), **typing.get_type_hints(RunConfig)}
+
+
+def _scalar(data: dict, location: str, name: str):
+    """The value at location, or the default of field name when absent."""
+    section, _, key = location.rpartition(".")
+    obj = data.get(section, {}) if section else data
+    if key not in obj:
+        return _FIELDS[name].default
+    val = obj[key]
+    kind = _TYPES[name]
+    nullable = type(None) in typing.get_args(kind)
+    if nullable:
+        if val is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is float and isinstance(val, int) and not isinstance(val, bool):
+        val = float(val)
+    if not isinstance(val, kind) or isinstance(val, bool):
+        what = f"{kind.__name__} or null" if nullable else kind.__name__
+        raise ConfigError(f"{location} must be {what}, got {val!r}")
+    limit = _LIMITS.get(name)
+    if kind is str and val not in limit:
+        raise ConfigError(f"{location} must be one of {limit}, got {val!r}")
+    if kind is int and val < limit:
+        raise ConfigError(f"{location} must be >= {limit}, got {val}")
+    if kind is float and not val > 0:
+        raise ConfigError(f"{location} must be positive, got {val}")
+    return val
 
 
 def _parse_hamiltonian(obj: dict, n: int) -> ContactHamiltonianSpec:
@@ -172,23 +153,11 @@ def _parse_hamiltonian(obj: dict, n: int) -> ContactHamiltonianSpec:
         raise ConfigError(f"hamiltonian: {exc}") from exc
 
 
-_TOP_KEYS = {
-    "schema_version", "n", "mode", "routes", "hamiltonian", "rotation_pieces",
-    "subdivision_delta", "seeds", "tolerances", "integrator", "continuum_factor",
-    "chunk",
-}
-_SEED_KEYS = {"sphere_count", "t_count", "keep_per_seed"}
-_TOL_KEYS = {
-    "newton", "grad", "verify", "match_angular", "match_t", "dedup_angular",
-    "dedup_t", "nondegeneracy", "nullity",
-}
-_INT_KEYS = {"steps_per_unit", "calibration_tol"}
-
-
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
-    _require_keys(data, _TOP_KEYS, "config")
+    top = {"schema_version", "n", "hamiltonian"} | {loc.partition(".")[0] for loc in _SCALARS}
+    _require_keys(data, top, "config")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version {version} unsupported (expected {SCHEMA_VERSION})")
@@ -198,49 +167,30 @@ def parse_config(data: dict) -> RunConfig:
     if "hamiltonian" not in data:
         raise ConfigError("hamiltonian section is required")
     ham_spec = _parse_hamiltonian(data["hamiltonian"], n)
+    for section in _SECTIONS:
+        obj = data.get(section, {})
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{section} must be an object")
+        keys = {loc.rpartition(".")[2] for loc in _SCALARS if loc.startswith(section + ".")}
+        _require_keys(obj, keys, section)
 
-    seeds = data.get("seeds", {})
-    if not isinstance(seeds, dict):
-        raise ConfigError("seeds must be an object")
-    _require_keys(seeds, _SEED_KEYS, "seeds")
-    tols = data.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances must be an object")
-    _require_keys(tols, _TOL_KEYS, "tolerances")
-    integ = data.get("integrator", {})
-    if not isinstance(integ, dict):
-        raise ConfigError("integrator must be an object")
-    _require_keys(integ, _INT_KEYS, "integrator")
+    values = {name: _scalar(data, loc, name) for loc, name in _SCALARS.items()}
+    if not data.get("seeds", {}).get("sphere_count"):
+        values["sphere_count"] = 128 * n
+    params = SweepParams(**{f.name: values[f.name] for f in fields(SweepParams)})
+    if params.mode == "projective":
+        from .projective import ProjectiveSpec
 
-    nullity = tols.get("nullity", None)
-    if nullity is not None and (
-        not isinstance(nullity, (int, float)) or isinstance(nullity, bool)
-    ):
-        raise ConfigError("tolerances.nullity must be a number or null")
-
+        try:
+            ProjectiveSpec(ham_spec)
+        except ValueError as exc:
+            raise ConfigError(f"projective mode: {exc}") from exc
     return RunConfig(
         n=n,
-        mode=_get(data, "mode", "sphere", str, "config"),
-        routes=_get(data, "routes", "both", str, "config"),
         hamiltonian=ham_spec,
-        rotation_pieces=_get(data, "rotation_pieces", 4, int, "config"),
-        subdivision_delta=_get(data, "subdivision_delta", 1.0, float, "config"),
-        sphere_count=_get(seeds, "sphere_count", 0, int, "seeds"),
-        t_count=_get(seeds, "t_count", 64, int, "seeds"),
-        keep_per_seed=_get(seeds, "keep_per_seed", 4, int, "seeds"),
-        newton_tol=_get(tols, "newton", 1e-10, float, "tolerances"),
-        grad_tol=_get(tols, "grad", 1e-9, float, "tolerances"),
-        verify_tol=_get(tols, "verify", 1e-6, float, "tolerances"),
-        match_angular=_get(tols, "match_angular", 1e-6, float, "tolerances"),
-        match_t=_get(tols, "match_t", 1e-6, float, "tolerances"),
-        dedup_angular=_get(tols, "dedup_angular", 1e-4, float, "tolerances"),
-        dedup_t=_get(tols, "dedup_t", 1e-5, float, "tolerances"),
-        nondeg_tol=_get(tols, "nondegeneracy", 1e-7, float, "tolerances"),
-        nullity_tol=float(nullity) if nullity is not None else None,
-        continuum_factor=_get(data, "continuum_factor", 10.0, float, "config"),
-        steps_per_unit=_get(integ, "steps_per_unit", 0, int, "integrator"),
-        calibration_tol=_get(integ, "calibration_tol", 1e-10, float, "integrator"),
-        chunk=_get(data, "chunk", 512, int, "config"),
+        params=params,
+        steps_per_unit=values["steps_per_unit"],
+        calibration_tol=values["calibration_tol"],
         raw=data,
     )
 

@@ -49,10 +49,6 @@ class GenFun:
     def total_dim(self) -> int:
         return self.base_dim + self.fiber_dim
 
-    @property
-    def is_quadratic(self) -> bool:
-        raise NotImplementedError
-
     def evaluate(self, x: np.ndarray, order: int = 1, leaf_cache: dict | None = None):
         """Batched evaluation at x of shape (B, total_dim).
 
@@ -63,7 +59,7 @@ class GenFun:
         """
         raise NotImplementedError
 
-    def map_points(self, z: np.ndarray, with_jacobian: bool = False):
+    def map_points(self, z: np.ndarray):
         """Apply the underlying symplectomorphism to points z of shape (B, 2n)."""
         raise NotImplementedError
 
@@ -91,10 +87,6 @@ class QuadraticGF(GenFun):
         # Graph of dQ under the midpoint identification: Z = (M+J)^{-1}(J-M) z.
         self._map = np.linalg.solve(self.matrix + J, J - self.matrix)
 
-    @property
-    def is_quadratic(self) -> bool:
-        return True
-
     def evaluate(self, x, order=1, leaf_cache=None):
         x = np.asarray(x, dtype=float)
         B = x.shape[0]
@@ -105,13 +97,8 @@ class QuadraticGF(GenFun):
             hess = np.broadcast_to(2.0 * self.matrix, (B,) + self.matrix.shape).copy()
         return val, grad, hess, np.ones(B, dtype=bool)
 
-    def map_points(self, z, with_jacobian=False):
-        z = np.asarray(z, dtype=float)
-        out = z @ self._map.T
-        if with_jacobian:
-            jac = np.broadcast_to(self._map, (z.shape[0],) + self._map.shape).copy()
-            return out, jac
-        return out
+    def map_points(self, z):
+        return np.asarray(z, dtype=float) @ self._map.T
 
     def chain_seed(self, z, midpoints=None):
         z = np.asarray(z, dtype=float)
@@ -126,35 +113,19 @@ class LeafGF(GenFun):
     grad F(b) = i(z - Phi(z)), and the value off the Euler identity.
     """
 
-    def __init__(self, piece: FlowMap, newton_tol: float = 1e-11, max_iter: int = 30):
+    def __init__(self, piece: FlowMap):
         self.piece = piece
-        self.newton_tol = newton_tol
-        self.max_iter = max_iter
         self.base_dim = 2 * piece.spec.n
         self.fiber_dim = 0
         self._J = complex_structure_matrix(piece.spec.n)
-
-    @property
-    def is_quadratic(self) -> bool:
-        return False
-
-    def _solve_midpoint(self, b: np.ndarray):
-        return solve_midpoint(
-            self.piece.spec,
-            self.piece.t0,
-            self.piece.t1,
-            self.piece.settings,
-            b,
-            self.newton_tol,
-            self.max_iter,
-        )
 
     def evaluate(self, x, order=1, leaf_cache=None):
         b = np.asarray(x, dtype=float)
         if leaf_cache is not None and id(self) in leaf_cache:
             z, Zv, jac, ok = leaf_cache[id(self)]
         else:
-            z, Zv, jac, ok = self._solve_midpoint(b)
+            p = self.piece
+            z, Zv, jac, ok = solve_midpoint(p.spec, p.t0, p.t1, p.settings, b)
         grad = mul_i(z - Zv)
         val = 0.5 * np.sum(grad * b, axis=1)
         hess = None
@@ -171,15 +142,9 @@ class LeafGF(GenFun):
             hess = 0.5 * (H + np.swapaxes(H, -1, -2))
         return val, grad, hess, ok
 
-    def map_points(self, z, with_jacobian=False):
+    def map_points(self, z):
         z = np.asarray(z, dtype=float)
-        if self.piece.is_identity():
-            if with_jacobian:
-                m = z.shape[1]
-                return z.copy(), np.broadcast_to(np.eye(m), (z.shape[0], m, m)).copy()
-            return z.copy()
-        out, jac = self.piece(z, with_jacobian=with_jacobian)
-        return (out, jac) if with_jacobian else out
+        return z.copy() if self.piece.is_identity() else self.piece(z)[0]
 
     def chain_seed(self, z, midpoints=None):
         z = np.asarray(z, dtype=float)
@@ -194,7 +159,13 @@ def _unit_row(m: int) -> np.ndarray:
     return e
 
 
-def solve_midpoint(spec, t0, t1, settings, b, newton_tol=1e-11, max_iter=30, z0=None):
+# Tolerance and iteration cap of every leaf midpoint solve.
+_LEAF_TOL = 1e-11
+_LEAF_MAX_ITER = 30
+
+
+def solve_midpoint(spec, t0, t1, settings, b, newton_tol=_LEAF_TOL, max_iter=_LEAF_MAX_ITER,
+                   z0=None):
     """Solve (z + Phi(z))/2 = b by Newton for the piece flow over [t0, t1].
 
     z0 (B, 2n) is the starting guess; None starts cold at z = b.  Each
@@ -368,10 +339,6 @@ class ComposeGF(GenFun):
         self.fiber_dim = 2 * self.base_dim + first.fiber_dim + second.fiber_dim
         self.layout = SharpLayout(self.base_dim, first.fiber_dim, second.fiber_dim)
 
-    @property
-    def is_quadratic(self) -> bool:
-        return self.first.is_quadratic and self.second.is_quadratic
-
     def evaluate(self, x, order=1, leaf_cache=None):
         x = np.asarray(x, dtype=float)
         xF, xG = self.layout.split(x)
@@ -381,12 +348,8 @@ class ComposeGF(GenFun):
         hess = self.layout.hessian(HF, HG, 2.0) if order >= 2 else None
         return val, grad, hess, okF & okG
 
-    def map_points(self, z, with_jacobian=False):
-        if not with_jacobian:
-            return self.second.map_points(self.first.map_points(z))
-        mid, jac1 = self.first.map_points(z, with_jacobian=True)
-        out, jac2 = self.second.map_points(mid, with_jacobian=True)
-        return out, jac2 @ jac1
+    def map_points(self, z):
+        return self.second.map_points(self.first.map_points(z))
 
     def chain_seed(self, z, midpoints=None):
         fibF, z_mid = self.first.chain_seed(z, midpoints)
@@ -435,25 +398,19 @@ def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1, warm: LeafState 
     for i, (leaf, _) in enumerate(requests):
         piece = leaf.piece
         if piece.spec.is_autonomous():
-            key = (piece.spec, round(piece.span, 15), piece.settings,
-                   leaf.newton_tol, leaf.max_iter)
+            key = (piece.spec, round(piece.span, 15), piece.settings)
         else:
-            key = (piece.spec, piece.t0, piece.t1, piece.settings,
-                   leaf.newton_tol, leaf.max_iter)
+            key = (piece.spec, piece.t0, piece.t1, piece.settings)
         groups.setdefault(key, []).append(i)
     for members in groups.values():
-        leaf0 = requests[members[0]][0]
-        piece0 = leaf0.piece
+        piece0 = requests[members[0]][0].piece
         group_b = np.concatenate([requests[i][1] for i in members], axis=0)
         z0 = None if guess is None else np.concatenate([guess[:, i] for i in members], axis=0)
         if piece0.spec.is_autonomous():
             t0, t1 = 0.0, piece0.span
         else:
             t0, t1 = piece0.t0, piece0.t1
-        z, Zv, jac, ok = solve_midpoint(
-            piece0.spec, t0, t1, piece0.settings, group_b, leaf0.newton_tol, leaf0.max_iter,
-            z0=z0,
-        )
+        z, Zv, jac, ok = solve_midpoint(piece0.spec, t0, t1, piece0.settings, group_b, z0=z0)
         for j, i in enumerate(members):
             sl = slice(j * B, (j + 1) * B)
             cache[id(requests[i][0])] = (z[sl], Zv[sl], jac[sl], ok[sl])
@@ -518,34 +475,6 @@ def rotation_family_matrices(t, n: int, k: int):
     if np.ndim(t) == 0:
         return M[0], dM[0]
     return M, dM
-
-
-@dataclass(frozen=True)
-class RotationFamily:
-    """The k-piece generating family A_t of the negative Reeb flow a_t."""
-
-    t: float
-    n: int
-    k: int
-    genfun: GenFun
-    matrix: np.ndarray
-
-    @property
-    def form(self) -> QuadraticForm:
-        return QuadraticForm(self.matrix)
-
-
-def build_rotation_family(t: float, n: int, k: int) -> RotationFamily:
-    """Compose k copies of the rotation quadratic for a_{t/k} and flatten."""
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    gf: GenFun = rotation_leaf(t / k, n)
-    for _ in range(k - 1):
-        gf = gf_compose(gf, rotation_leaf(t / k, n))
-    matrix, _ = rotation_family_matrices(t, n, k)
-    return RotationFamily(t=t, n=n, k=k, genfun=gf, matrix=matrix)
 
 
 def fiber_critical_solve(

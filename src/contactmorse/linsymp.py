@@ -2,9 +2,8 @@
 
 Coordinates are laid out as (x_1..x_n, y_1..y_n) so that the complex
 coordinates are z_j = x_j + i*y_j and multiplication by i is the blockwise
-map (x, y) -> (-y, x).  The standard contact 1-form on the unit sphere,
-the midpoint identification of a graph with a cotangent-bundle section,
-and the inertia bookkeeping for symmetric matrices all live here.
+map (x, y) -> (-y, x).  The standard contact 1-form on the unit sphere and
+the inertia bookkeeping for symmetric matrices live here.
 """
 
 from __future__ import annotations
@@ -51,27 +50,6 @@ def complex_structure_matrix(n: int) -> np.ndarray:
     return J
 
 
-def symplectic_form_matrix(n: int) -> np.ndarray:
-    """Matrix Omega of omega(u, v) = <iu, v> = u^T Omega^T v ... stored so that
-    omega(u, v) = u @ Omega @ v."""
-    # <iu, v> = (J u)^T v = u^T J^T v, so Omega = J^T = -J.
-    return -complex_structure_matrix(n)
-
-
-def realify(P: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray:
-    """Real 2n x 2n matrix of the real-linear map v -> P v + Q conj(v) on C^n.
-
-    P, Q may be batched (..., n, n); the result is (..., 2n, 2n).
-    """
-    if Q is None:
-        Q = np.zeros_like(P)
-    A = P + Q
-    B = P - Q
-    top = np.concatenate([A.real, -B.imag], axis=-1)
-    bot = np.concatenate([A.imag, B.real], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
 def rotation_matrix(phase: float | np.ndarray, n: int) -> np.ndarray:
     """Realified multiplication by e^{i*phase} (batched over phase if an array)."""
     c = np.cos(phase)
@@ -99,16 +77,6 @@ def contact_form_eval(q, v) -> float:
     vx, vy = va[..., :n], va[..., n:]
     val = np.sum(x * vy - y * vx, axis=-1)
     return float(val) if qa.ndim == 1 else val
-
-
-def tau_covector(z: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Covector of the graph point (z, Z) under the identification tau.
-
-    tau maps (x, y, X, Y) to the point ((x+X)/2, (y+Y)/2) of R^{2n} with the
-    covector (Y-y, x-X), which is -i(Z - z) in complex notation; the diagonal
-    z == Z goes to the zero section.  Batched over leading axes.
-    """
-    return -mul_i(Z - z)
 
 
 @dataclass(frozen=True)

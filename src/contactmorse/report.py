@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,8 +78,8 @@ def report_text(report: RunReport) -> str:
         f"config_hash = {cfg.config_hash()}",
         f"config = {cfg.canonical_json()}",
         f"n = {cfg.n}",
-        f"mode = {cfg.mode}",
-        f"routes = {cfg.routes}",
+        f"mode = {cfg.params.mode}",
+        f"routes = {cfg.params.routes}",
         "",
         "[calibration]",
         f"reeb_quarter_turn_rel_err = {_fmt(report.calibration_rel_err)}",
@@ -91,7 +92,7 @@ def report_text(report: RunReport) -> str:
         f"event_ts = {','.join(_fmt(t) for t in sweep.event_ts)}",
         f"sphere_count = {sweep.sphere_count if sweep.sphere_count is not None else 'suppressed'}",
     ]
-    if cfg.mode == "projective":
+    if cfg.params.mode == "projective":
         pc = sweep.projective_count
         lines.append(f"projective_count = {pc if pc is not None else 'suppressed'}")
     for key in sorted(sweep.route_stats):
@@ -126,6 +127,9 @@ def timings_text(timings: dict[str, float]) -> str:
 
 
 def write_outputs(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
+    """Write records.csv and report.txt, then timings.txt, whose "write"
+    stage is the time the first two took."""
+    t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -135,5 +139,6 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     }
     paths["records"].write_text(records_csv(report.sweep.records, report.config.n))
     paths["report"].write_text(report_text(report))
+    report.timings["write"] = time.perf_counter() - t0
     paths["timings"].write_text(timings_text(report.timings))
     return paths

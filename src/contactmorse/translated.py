@@ -473,6 +473,12 @@ class ShiftedGenFunFamily:
         return val, grad, hess, dgrad, okF, warm
 
 
+# Starts per genfun Newton batch.  It bounds the batched (rows, D+1, D+1)
+# bordered system: 512 rows at total-space dimension D = 156 take about
+# 100 MB.
+_CHUNK = 512
+
+
 def find_critical_rays(
     family: ShiftedGenFunFamily,
     spec: ContactHamiltonianSpec,
@@ -488,7 +494,6 @@ def find_critical_rays(
     nondeg_tol: float = 1e-7,
     continuum_factor: float = 10.0,
     u_floor: float = 0.02,
-    chunk: int = 512,
 ) -> DetectionResult:
     """Critical rays of F_t on the unit sphere of the total space.
 
@@ -502,9 +507,9 @@ def find_critical_rays(
         settings = IntegratorSettings()
     q_seeds, t_seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
     xs, ts, vals, oks = [], [], [], []
-    for lo in range(0, q_seeds.shape[0], chunk):
-        q_c = q_seeds[lo : lo + chunk]
-        t_c = t_seeds[lo : lo + chunk]
+    for lo in range(0, q_seeds.shape[0], _CHUNK):
+        q_c = q_seeds[lo : lo + _CHUNK]
+        t_c = t_seeds[lo : lo + _CHUNK]
         x0, warm = family.seed(q_c, t_c)
         xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, grad_tol, max_iter, warm)
         xs.append(xx)
@@ -613,6 +618,9 @@ def index_data(n: int, k: int, nullity_tol: float | None = None) -> dict:
 
 @dataclass(frozen=True)
 class SweepParams:
+    """Run parameters of sweep_and_count.  The config schema takes its
+    defaults and value types from these fields."""
+
     mode: str = "sphere"  # sphere | projective
     routes: str = "both"  # direct | genfun | both
     rotation_pieces: int = 4
@@ -630,7 +638,6 @@ class SweepParams:
     nondeg_tol: float = 1e-7
     continuum_factor: float = 10.0
     nullity_tol: float | None = None
-    chunk: int = 512
 
 
 def build_phi_genfun(
@@ -733,7 +740,7 @@ def sweep_and_count(
             keep_per_seed=params.keep_per_seed, grad_tol=params.grad_tol,
             verify_tol=params.verify_tol, dedup_angular=params.dedup_angular,
             dedup_t=params.dedup_t, nondeg_tol=params.nondeg_tol,
-            continuum_factor=params.continuum_factor, chunk=params.chunk,
+            continuum_factor=params.continuum_factor,
         )
         route_stats["genfun_records"] = len(genfun_res.records)
         route_stats["genfun_converged"] = genfun_res.converged_raw

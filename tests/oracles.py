@@ -17,11 +17,20 @@ the lift expands into monomial primitives
 
 so each spec compiles once into exponent/coefficient tables and evaluation is
 a couple of gathers plus one matrix product, batched over points.
+
+The test-only helpers at the end are not called by the library: matrices of the linear symplectic structure, the covector of the
+graph-to-cotangent identification tau, and the k-piece rotation family as a
+composition DAG next to its flattened matrix.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from contactmorse.genfun import GenFun, gf_compose, rotation_family_matrices, rotation_leaf
+from contactmorse.linsymp import complex_structure_matrix, mul_i
 
 
 def jacobi_eigenvalues(M: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
@@ -255,3 +264,61 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(rng.normal(size=(m, m)))
     return Q * np.sign(np.diag(R))
+
+
+# Test-only helpers, no longer called by the library.
+
+
+def symplectic_form_matrix(n: int) -> np.ndarray:
+    """Matrix Omega of omega(u, v) = <iu, v> = u^T Omega^T v ... stored so that
+    omega(u, v) = u @ Omega @ v."""
+    # <iu, v> = (J u)^T v = u^T J^T v, so Omega = J^T = -J.
+    return -complex_structure_matrix(n)
+
+
+def realify(P: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray:
+    """Real 2n x 2n matrix of the real-linear map v -> P v + Q conj(v) on C^n.
+
+    P, Q may be batched (..., n, n); the result is (..., 2n, 2n).
+    """
+    if Q is None:
+        Q = np.zeros_like(P)
+    A = P + Q
+    B = P - Q
+    top = np.concatenate([A.real, -B.imag], axis=-1)
+    bot = np.concatenate([A.imag, B.real], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
+
+
+def tau_covector(z: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Covector of the graph point (z, Z) under the identification tau.
+
+    tau maps (x, y, X, Y) to the point ((x+X)/2, (y+Y)/2) of R^{2n} with the
+    covector (Y-y, x-X), which is -i(Z - z) in complex notation; the diagonal
+    z == Z goes to the zero section.  Batched over leading axes.
+    """
+    return -mul_i(Z - z)
+
+
+@dataclass(frozen=True)
+class RotationFamily:
+    """The k-piece generating family A_t of the negative Reeb flow a_t."""
+
+    t: float
+    n: int
+    k: int
+    genfun: GenFun
+    matrix: np.ndarray
+
+
+def build_rotation_family(t: float, n: int, k: int) -> RotationFamily:
+    """Compose k copies of the rotation quadratic for a_{t/k} and flatten."""
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    gf: GenFun = rotation_leaf(t / k, n)
+    for _ in range(k - 1):
+        gf = gf_compose(gf, rotation_leaf(t / k, n))
+    matrix, _ = rotation_family_matrices(t, n, k)
+    return RotationFamily(t=t, n=n, k=k, genfun=gf, matrix=matrix)

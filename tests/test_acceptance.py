@@ -15,7 +15,6 @@ from contactmorse import translated as tp
 from contactmorse.flow import FlowMap, IntegratorSettings, integrate_flow
 from contactmorse.genfun import (
     LeafGF,
-    build_rotation_family,
     evaluate_stacked,
     fiber_critical_solve,
     gf_compose,
@@ -23,8 +22,10 @@ from contactmorse.genfun import (
     reduced_covector,
     rotation_leaf,
 )
-from contactmorse.linsymp import mul_i, tau_covector, to_complex, to_real
+from contactmorse.linsymp import mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
+
+from oracles import build_rotation_family, tau_covector
 
 SETTINGS = IntegratorSettings(steps_per_unit=16)
 

@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from contactmorse import cli
+from contactmorse import config as cfgm
 from contactmorse.config import ConfigError, load_config, parse_config
+from contactmorse.translated import SweepParams
 
 
 MINIMAL = {"n": 2, "mode": "sphere", "hamiltonian": {"quadratic": [0.3, 0.7]}}
@@ -33,12 +36,31 @@ def _corpus_config(**over):
 def test_minimal_config_fills_defaults():
     cfg = parse_config(dict(MINIMAL))
     assert cfg.n == 2
-    assert cfg.routes == "both"
-    assert cfg.rotation_pieces == 4
-    assert cfg.effective_sphere_count == 256
-    assert cfg.t_count == 64
-    assert cfg.newton_tol == 1e-10
+    assert cfg.params.routes == "both"
+    assert cfg.params.rotation_pieces == 4
+    assert cfg.params.sphere_count == 256
+    assert cfg.params.t_count == 64
+    assert cfg.params.newton_tol == 1e-10
     assert cfg.hamiltonian.quadratic == (0.3, 0.7)
+
+
+def test_every_sweep_param_has_one_json_key():
+    base = parse_config(dict(MINIMAL)).params
+    assert base == replace(SweepParams(), sphere_count=128 * MINIMAL["n"])
+    targets = list(cfgm._SCALARS.values())
+    for f in fields(SweepParams):
+        if f.name not in ("mode", "routes"):
+            assert targets.count(f.name) == 1, f.name
+    # writing a new value at each location moves its field and no other
+    for location, name in cfgm._SCALARS.items():
+        if name in ("mode", "routes") or not hasattr(base, name):
+            continue  # str choices, or a RunConfig field
+        default = getattr(base, name)
+        value = 1e-9 if default is None else 2 * default if isinstance(default, float) else default + 3
+        data = json.loads(json.dumps(MINIMAL))
+        section, _, key = location.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[key] = value
+        assert parse_config(data).params == replace(base, **{name: value}), location
 
 
 def test_unknown_keys_rejected():
@@ -173,7 +195,10 @@ def test_records_csv_shape(tmp_path):
         ("seeds.t_count", {"seeds": {"sphere_count": 48, "t_count": 0, "keep_per_seed": 3}}),
         ("seeds.keep_per_seed",
          {"seeds": {"sphere_count": 48, "t_count": 16, "keep_per_seed": 0}}),
-        ("chunk", {"chunk": 0}),
+        ("chunk", {"chunk": 0}),  # no longer a config key
+        ("seeds.sphere_count",
+         {"seeds": {"sphere_count": -5, "t_count": 16, "keep_per_seed": 3}}),
+        ("integrator.steps_per_unit", {"integrator": {"steps_per_unit": -1}}),
     ],
 )
 def test_cli_rejects_zero_counts(tmp_path, capsys, field, over):
@@ -182,3 +207,12 @@ def test_cli_rejects_zero_counts(tmp_path, capsys, field, over):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_timings_list_every_stage(tmp_path):
+    path = tmp_path / "cfg.json"
+    seeds = {"sphere_count": 16, "t_count": 8, "keep_per_seed": 2}
+    path.write_text(json.dumps(_corpus_config(routes="direct", seeds=seeds)))
+    cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    lines = (tmp_path / "out" / "timings.txt").read_text().splitlines()[1:]
+    assert [line.split(" = ")[0] for line in lines] == ["calibration", "detection", "write"]

@@ -3,10 +3,10 @@ import pytest
 
 from contactmorse import flow
 from contactmorse import hamiltonian as ham
-from contactmorse.linsymp import mul_i, symplectic_form_matrix, to_complex, to_real
+from contactmorse.linsymp import complex_structure_matrix, mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
-from oracles import expm, wirtinger_lift
+from oracles import expm, realify, symplectic_form_matrix, wirtinger_lift
 
 
 def _perturbed_spec():
@@ -44,8 +44,6 @@ def test_linear_quadratic_flow_matches_matrix_exponential(settings):
         n=2, quadratic=(0.3, 0.7), terms=(ham.PerturbationTerm(0.05, (2, 0), (0, 0)),)
     )
     z = sphere_points(5, 4)
-    from contactmorse.linsymp import complex_structure_matrix, realify
-
     _, _, P, Q = wirtinger_lift(spec, to_complex(np.ones(4)))
     hess = realify(P, Q)
 
@@ -244,8 +242,6 @@ def _n3_bump_spec():
 def _kernel_reference(spec, x, t):
     """FIELD_SCALE * i * G and FIELD_SCALE * realify(i P, i Q) of the
     Wirtinger reference."""
-    from contactmorse.linsymp import realify
-
     _, G, P, Q = wirtinger_lift(spec, to_complex(x), t)
     return to_real(flow.FIELD_SCALE * 1j * G), flow.FIELD_SCALE * realify(1j * P, 1j * Q)
 

@@ -4,10 +4,10 @@ import pytest
 from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
 from contactmorse.flow import FlowMap, IntegratorSettings, integrate_flow, subdivide_c1_small
-from contactmorse.linsymp import tau_covector, to_complex, to_real
+from contactmorse.linsymp import to_complex, to_real
 from contactmorse.sampling import sphere_points
 
-from oracles import fd_gradient
+from oracles import build_rotation_family, fd_gradient, tau_covector
 
 
 def _perturbed_spec():
@@ -270,14 +270,14 @@ def test_stacked_evaluation_is_bitwise_plain(settings, rng):
 
 def test_build_rotation_family_validation():
     with pytest.raises(ValueError):
-        gfm.build_rotation_family(0.5, 1, 2)
+        build_rotation_family(0.5, 1, 2)
     with pytest.raises(ValueError):
-        gfm.build_rotation_family(1.2, 1, 4)
+        build_rotation_family(1.2, 1, 4)
 
 
 def test_rotation_family_reduces_to_rotation_graph(rng):
     for t in (0.0, 0.3, 0.7, 1.0):
-        fam = gfm.build_rotation_family(t, 2, 4)
+        fam = build_rotation_family(t, 2, 4)
         z = rng.normal(size=(6, 4))
         rot = lambda w: to_real(np.exp(-2j * np.pi * t) * to_complex(w))
         _tau_graph_check(fam.genfun, rot, z, None, 1e-8)
@@ -285,7 +285,7 @@ def test_rotation_family_reduces_to_rotation_graph(rng):
 
 def test_rotation_family_matrix_matches_dag(rng):
     for t in (0.2, 0.9):
-        fam = gfm.build_rotation_family(t, 1, 4)
+        fam = build_rotation_family(t, 1, 4)
         _, _, hess, _ = fam.genfun.evaluate(np.zeros((1, fam.genfun.total_dim)), order=2)
         M = 0.5 * hess[0]
         assert np.max(np.abs(M - fam.matrix)) < 1e-12

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from contactmorse.genfun import build_rotation_family
 from contactmorse.linsymp import (
     QuadraticForm,
     contact_form_eval,
     inertia,
     mul_i,
-    tau_covector,
     to_complex,
     to_real,
 )
 
-from oracles import inertia_via_jacobi, random_orthogonal
+from oracles import build_rotation_family, inertia_via_jacobi, random_orthogonal, tau_covector
 
 
 def test_contact_form_spec_values():

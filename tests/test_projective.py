@@ -4,9 +4,11 @@ import pytest
 from contactmorse import hamiltonian as ham
 from contactmorse import projective as prj
 from contactmorse import translated as tp
-from contactmorse.genfun import build_rotation_family, gf_compose, LeafGF, evaluate_stacked
+from contactmorse.genfun import gf_compose, LeafGF, evaluate_stacked
 from contactmorse.flow import FlowMap
 from contactmorse.sampling import sphere_points
+
+from oracles import build_rotation_family
 
 
 def test_projective_spec_accepts_even_rejects_odd(rp3_corpus_spec):

@@ -4,9 +4,11 @@ import pytest
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
 from contactmorse.flow import integrate_flow
-from contactmorse.genfun import build_rotation_family, evaluate_stacked, gf_compose
+from contactmorse.genfun import evaluate_stacked, gf_compose
 from contactmorse.linsymp import inertia
 from contactmorse.sampling import sphere_points
+
+from oracles import build_rotation_family
 
 
 SMALL = dict(sphere_count=48, t_count=24, keep_per_seed=3)
