@@ -20,11 +20,9 @@ from .genfun import (
     GenFun,
     LeafGF,
     LeafNewtonError,
-    QuadraticGF,
     gf_compose,
     gf_eval,
     gf_grad,
-    quadratic_form_for_rotation,
 )
 from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm
 from .linsymp import Inertia, QuadraticForm, contact_form_eval, inertia

@@ -1,14 +1,15 @@
 """Homogeneous generating functions as composition DAGs.
 
-Three node kinds: a Leaf solves the midpoint equation of a C^1-small flow
-piece by Newton, a Quadratic is an explicit symmetric matrix on the base, and
-Compose glues two nodes with the sharp-product
+Two node kinds: a Leaf solves the midpoint equation of a C^1-small flow
+piece by Newton, and Compose glues two nodes with the sharp-product
 
     (F # G)(u; v, w, mu, eta) = F(u+w; mu) + G(v+w; eta) + 2<u-v, iw>,
 
 which generates (map of G) o (map of F) and adds 4n fiber variables.  Every
 node evaluates values, gradients and Hessians in batch; evaluation is
-reentrant and nodes are immutable after construction.
+reentrant and nodes are immutable after construction.  The Hessian of a DAG
+is never built level by level: its sparsity is compiled once into a
+HessianPlan, which scatters the Hessians of the DAG's leaves into it.
 
 All constructed functions are homogeneous of degree 2, F(lambda x) =
 lambda^2 F(x); leaf values come from the Euler identity F(b) = <grad F, b>/2,
@@ -17,13 +18,13 @@ which enforces the F(0) = 0 normalization without quadrature.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flow import FlowMap, IntegratorSettings, integrate_flow
-from .linsymp import QuadraticForm, complex_structure_matrix, mul_i
+from .linsymp import complex_structure_matrix, mul_i, solve_rows
 from .sampling import sphere_points
 
 
@@ -59,6 +60,17 @@ class GenFun:
         """
         raise NotImplementedError
 
+    def evaluate_terms(self, x: np.ndarray, order: int = 1, leaf_cache: dict | None = None):
+        """Like evaluate, with hess replaced by the list of atom Hessians
+        that hessian_plan() assembles it from (empty below order 2)."""
+        val, grad, hess, ok = self.evaluate(x, order, leaf_cache)
+        return val, grad, [] if hess is None else [hess], ok
+
+    def hessian_plan(self) -> "HessianPlan":
+        """Scatter plan of the Hessian over the atoms of evaluate_terms; any
+        node other than a compose is one atom."""
+        return HessianPlan.atom(self.total_dim)
+
     def map_points(self, z: np.ndarray):
         """Apply the underlying symplectomorphism to points z of shape (B, 2n)."""
         raise NotImplementedError
@@ -70,39 +82,6 @@ class GenFun:
         When midpoints is a list, every leaf appends its chain point, which is
         the midpoint solution at that leaf's base, in depth-first leaf order."""
         raise NotImplementedError
-
-
-class QuadraticGF(GenFun):
-    """Generating quadratic form Q(b) = b^T M b on the base, no fiber."""
-
-    def __init__(self, matrix: np.ndarray):
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
-            raise ValueError("matrix must be square of even size")
-        self.matrix = 0.5 * (M + M.T)
-        self.base_dim = M.shape[0]
-        self.fiber_dim = 0
-        n = self.base_dim // 2
-        J = complex_structure_matrix(n)
-        # Graph of dQ under the midpoint identification: Z = (M+J)^{-1}(J-M) z.
-        self._map = np.linalg.solve(self.matrix + J, J - self.matrix)
-
-    def evaluate(self, x, order=1, leaf_cache=None):
-        x = np.asarray(x, dtype=float)
-        B = x.shape[0]
-        val = np.einsum("bi,ij,bj->b", x, self.matrix, x)
-        grad = 2.0 * x @ self.matrix if order >= 1 else None
-        hess = None
-        if order >= 2:
-            hess = np.broadcast_to(2.0 * self.matrix, (B,) + self.matrix.shape).copy()
-        return val, grad, hess, np.ones(B, dtype=bool)
-
-    def map_points(self, z):
-        return np.asarray(z, dtype=float) @ self._map.T
-
-    def chain_seed(self, z, midpoints=None):
-        z = np.asarray(z, dtype=float)
-        return np.zeros((z.shape[0], 0)), self.map_points(z)
 
 
 class LeafGF(GenFun):
@@ -200,15 +179,9 @@ def solve_midpoint(spec, t0, t1, settings, b, newton_tol=_LEAF_TOL, max_iter=_LE
         upd = ~conv
         if it == max_iter or not np.any(upd):
             break
-        A = 0.5 * (jac[rows[upd]] + eye)
-        r = resid[upd][:, :, None]
-        try:
-            step = np.linalg.solve(A, r)[:, :, 0]
-        except np.linalg.LinAlgError:
-            # a piece on the edge of C^1-smallness: let the residual test
-            # decide, never crash the whole batch
-            step = (np.linalg.pinv(A) @ r)[:, :, 0]
-        z[rows[upd]] -= step
+        # a piece on the edge of C^1-smallness takes a pseudo-inverse step
+        # and the residual test decides
+        z[rows[upd]] -= solve_rows(0.5 * (jac[rows[upd]] + eye), resid[upd])
     return z, Zv, jac, ok
 
 
@@ -256,15 +229,120 @@ def chain_state(gf: GenFun, x: np.ndarray, midpoints: list[np.ndarray]) -> LeafS
                      _stack_leaves(midpoints, B, (m,)), jac)
 
 
+# Rows per block of HessianPlan.apply's scatter.
+_SCATTER_ROWS = 64
+
+
+class HessianPlan:
+    """Compiled sparsity of a Hessian assembled from the Hessians of atoms.
+
+    An atom is a node other than a compose; the atoms of a DAG are its leaves
+    in depth-first order.  Per row, the atom vector is the constants `consts`
+    (consts[0] = 0.0) followed by every atom Hessian flattened row-major.  The
+    structurally nonzero entries, flat indices `index` of a dim x dim matrix,
+    are (vec[src[0]] + 0.0) + vec[src[1]]: their one or two addends, with
+    position 0 for an absent second one.  The "+ 0.0" is the first addition
+    of a zero-initialised sum, so the bits are those of a dense assembly that
+    adds each block into a zero matrix, level by level.  The n_two entries
+    with two addends come first.  Every other entry is a structural zero and
+    is never written.
+    """
+
+    def __init__(self, dim: int, consts: tuple[float, ...], atom_sizes: tuple[int, ...],
+                 index: np.ndarray, src: np.ndarray):
+        self.dim = dim
+        self.consts = consts
+        self.atom_sizes = atom_sizes
+        self.index = index
+        self.src = src
+        self.n_two = int(np.sum(src[1] > 0))
+        self._const_row = np.array(consts)
+        self._scatter: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def atom(cls, dim: int) -> "HessianPlan":
+        """The plan of one atom: every entry is that atom's own."""
+        size = dim * dim
+        src = np.zeros((2, size), dtype=np.intp)
+        src[0] = 1 + np.arange(size)
+        return cls(dim, (0.0,), (size,), np.arange(size), src)
+
+    @classmethod
+    def compile(cls, dim, consts, atom_sizes, dst, codes) -> "HessianPlan":
+        """Plan of the addends codes[k], atom-vector positions, of the flat
+        entries dst[k]; an entry with more than two addends raises."""
+        dst = np.concatenate(dst)
+        codes = np.concatenate(codes)
+        order = np.argsort(dst, kind="stable")
+        dst, codes = dst[order], codes[order]
+        index, first, count = np.unique(dst, return_index=True, return_counts=True)
+        if count.size and count.max() > 2:
+            raise ValueError(f"a Hessian entry has {count.max()} addends; the sharp "
+                             "product gives each at most 2")
+        two = count == 2
+        order = np.concatenate([np.flatnonzero(two), np.flatnonzero(~two)])
+        src = np.zeros((2, index.size), dtype=np.intp)
+        src[0] = codes[first]
+        src[1, two] = codes[first[two] + 1]
+        return cls(dim, tuple(consts), tuple(atom_sizes), index[order], src[:, order])
+
+    def recoded(self, const_code: dict[float, int], atom_offset: int) -> np.ndarray:
+        """(dim * dim, 2) addend positions of every entry (0: none) in a wider
+        atom vector, whose constants sit at const_code and whose copy of this
+        plan's atoms starts at atom_offset."""
+        lookup = np.concatenate([[const_code[c] for c in self.consts],
+                                 atom_offset + np.arange(sum(self.atom_sizes))]).astype(np.intp)
+        table = np.zeros((self.dim * self.dim, 2), dtype=np.intp)
+        table[self.index] = lookup[self.src].T
+        return table
+
+    def apply(self, atoms: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        """Assemble the (B, dim, dim) Hessian of every row from the atom
+        Hessians, in depth-first order.
+
+        out, a C-contiguous (B, D, D) array with D >= dim, receives the
+        Hessian in its leading dim x dim block and a view of that block is
+        returned.  Only the nonzero entries are written, so the structural
+        zeros of that block must already hold 0.0.
+        """
+        B = atoms[0].shape[0]
+        vec = np.concatenate([np.broadcast_to(self._const_row, (B, len(self.consts)))]
+                             + [a.reshape(B, a.shape[1] * a.shape[2]) for a in atoms], axis=1)
+        if vec.shape[1] != len(self.consts) + sum(self.atom_sizes):
+            raise ValueError("atom Hessians do not match the plan")
+        total = np.take(vec, self.src[0], axis=1)
+        total += 0.0
+        total[:, : self.n_two] += np.take(vec, self.src[1, : self.n_two], axis=1)
+        if out is None:
+            out = np.zeros((B, self.dim, self.dim))
+        elif not out.flags.c_contiguous or out.shape[1] != out.shape[2] or out.shape[1] < self.dim:
+            raise ValueError("out must be a C-contiguous (B, D, D) array with D >= dim")
+        # Scatter a block of rows at a time through one flat index, cached
+        # per D: several times faster than a (rows, entries) fancy assignment.
+        D, nnz = out.shape[-1], self.index.size
+        block = max(1, min(B, _SCATTER_ROWS))
+        scatter = self._scatter.get(D)
+        if scatter is None or scatter.size < block * nnz:
+            rows = np.arange(block)[:, None] * (D * D)
+            scatter = (rows + self.index // self.dim * D + self.index % self.dim).ravel()
+            self._scatter[D] = scatter
+        flat = out.reshape(-1)
+        for r0 in range(0, B, block):
+            r1 = min(B, r0 + block)
+            flat[r0 * D * D : r1 * D * D][scatter[: (r1 - r0) * nnz]] = total[r0:r1].ravel()
+        return out[:, : self.dim, : self.dim]
+
+
 class SharpLayout:
     """Coordinates x = (u, v, w, mu, eta) of a sharp product F # G.
 
     F is evaluated at (u + w; mu) and G at (v + w; eta); m is the base
-    dimension and mu, eta are the fibers of F and G.  The assembly below is
-    shared by the composition DAG, the flattened rotation family and the
+    dimension and mu, eta are the fibers of F and G.  plan() holds the block
+    rules of the Hessian, and every Hessian of a sharp product is assembled
+    through it: the composition DAG, the flattened rotation family and the
     shifted family of the genfun route.  No entry of the assembled Hessian
-    receives more than two addends, so the order of assembly does not change
-    its bits.
+    receives more than two addends (plan() checks it), so the order of
+    assembly does not change its bits.
     """
 
     def __init__(self, m: int, fiber_first: int, fiber_second: int):
@@ -300,31 +378,57 @@ class SharpLayout:
         grad[:, self.eta] = gG[:, m:]
         return val, grad
 
-    def hessian(self, HF: np.ndarray, HG: np.ndarray, pairing: float | None) -> np.ndarray:
-        """Batched (B, dim, dim) block matrix of F # G from those of F and G.
+    def plan(self, first: HessianPlan, second: HessianPlan, pairing: float | None) -> HessianPlan:
+        """Plan of the Hessian of F # G from the plans of F and G.
 
+        A base coordinate of F feeds u and w, a fiber coordinate mu (G: v, w
+        and eta), so each entry of F's Hessian lands on up to four entries.
         pairing scales the block of the pairing term 2<u - v, iw>: 2 for
         Hessians, 1 for the matrices M of forms x^T M x, None for parameter
         derivatives, where the pairing term is constant.
         """
-        m = self.m
-        N = np.zeros((HF.shape[0], self.dim, self.dim))
-        for H, base, fiber in ((HF, self.u, self.mu), (HG, self.v, self.eta)):
-            bb, bf, ff = H[:, :m, :m], H[:, :m, m:], H[:, m:, m:]
-            bfT = np.swapaxes(bf, -1, -2)
-            for s1 in (base, self.w):
-                for s2 in (base, self.w):
-                    N[:, s1, s2] += bb
-                N[:, s1, fiber] += bf
-                N[:, fiber, s1] += bfT
-            N[:, fiber, fiber] += ff
-        if pairing is not None:
-            J = pairing * complex_structure_matrix(m // 2)
-            N[:, self.u, self.w] += J
-            N[:, self.w, self.u] -= J
-            N[:, self.v, self.w] -= J
-            N[:, self.w, self.v] += J
-        return N
+        m, dim = self.m, self.dim
+        J = np.zeros((m, m)) if pairing is None else pairing * complex_structure_matrix(m // 2)
+        ji, jj = np.nonzero(J)
+        pairs = ((self.u, self.w, 1.0), (self.w, self.u, -1.0),
+                 (self.v, self.w, -1.0), (self.w, self.v, 1.0))
+        const_code: dict[float, int] = {}
+        for c in (*first.consts, *second.consts, *(() if pairing is None else (pairing, -pairing))):
+            const_code.setdefault(float(c), len(const_code))
+        offset = len(const_code)
+        dst, codes = [], []
+        for child, base, fiber in ((first, self.u, self.mu), (second, self.v, self.eta)):
+            table = child.recoded(const_code, offset)
+            offset += sum(child.atom_sizes)
+            c = np.concatenate([np.arange(m), np.arange(m), np.arange(m, child.dim)])
+            p = np.concatenate([np.arange(base.start, base.stop),
+                                np.arange(self.w.start, self.w.stop),
+                                np.arange(fiber.start, fiber.stop)])
+            at = table[(c[:, None] * child.dim + c).ravel()]
+            to = (p[:, None] * dim + p).ravel()
+            for slot in (0, 1):
+                keep = at[:, slot] > 0
+                dst.append(to[keep])
+                codes.append(at[keep, slot])
+        for rows, cols, sign in pairs:
+            dst.append((rows.start + ji) * dim + cols.start + jj)
+            codes.append(np.array([const_code[float(s)] for s in sign * J[ji, jj]], dtype=np.intp))
+        return HessianPlan.compile(dim, tuple(const_code), first.atom_sizes + second.atom_sizes,
+                                   dst, codes)
+
+    def hessian(self, HF: np.ndarray, HG: np.ndarray, pairing: float | None) -> np.ndarray:
+        """Batched (B, dim, dim) block matrix of F # G from those of F and G,
+        with pairing as in plan()."""
+        plan = _atom_pair_plan(self.m, self.mu.stop - self.mu.start,
+                               self.eta.stop - self.eta.start, pairing)
+        return plan.apply([HF, HG])
+
+
+@functools.lru_cache(maxsize=None)
+def _atom_pair_plan(m: int, fiber_first: int, fiber_second: int, pairing) -> HessianPlan:
+    """The one-level plan of SharpLayout.hessian: both children are atoms."""
+    return SharpLayout(m, fiber_first, fiber_second).plan(
+        HessianPlan.atom(m + fiber_first), HessianPlan.atom(m + fiber_second), pairing)
 
 
 class ComposeGF(GenFun):
@@ -339,14 +443,26 @@ class ComposeGF(GenFun):
         self.fiber_dim = 2 * self.base_dim + first.fiber_dim + second.fiber_dim
         self.layout = SharpLayout(self.base_dim, first.fiber_dim, second.fiber_dim)
 
+    @functools.cached_property
+    def _plan(self) -> HessianPlan:
+        # compiled on first use; a DAG evaluated only to order 1 never pays
+        return self.layout.plan(self.first.hessian_plan(), self.second.hessian_plan(), 2.0)
+
+    def hessian_plan(self) -> HessianPlan:
+        return self._plan
+
     def evaluate(self, x, order=1, leaf_cache=None):
+        val, grad, atoms, ok = self.evaluate_terms(x, order, leaf_cache)
+        hess = self._plan.apply(atoms) if order >= 2 else None
+        return val, grad, hess, ok
+
+    def evaluate_terms(self, x, order=1, leaf_cache=None):
         x = np.asarray(x, dtype=float)
         xF, xG = self.layout.split(x)
-        vF, gF, HF, okF = self.first.evaluate(xF, order, leaf_cache)
-        vG, gG, HG, okG = self.second.evaluate(xG, order, leaf_cache)
+        vF, gF, aF, okF = self.first.evaluate_terms(xF, order, leaf_cache)
+        vG, gG, aG, okG = self.second.evaluate_terms(xG, order, leaf_cache)
         val, grad = self.layout.value_grad(x, vF, gF, vG, gG)
-        hess = self.layout.hessian(HF, HG, 2.0) if order >= 2 else None
-        return val, grad, hess, okF & okG
+        return val, grad, aF + aG, okF & okG
 
     def map_points(self, z):
         return self.second.map_points(self.first.map_points(z))
@@ -373,9 +489,11 @@ def _collect_leaf_bases(gf: GenFun, x: np.ndarray, out: list) -> None:
         _collect_leaf_bases(gf.second, xG, out)
 
 
-def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1, warm: LeafState | None = None):
-    """Evaluate like GenFun.evaluate but solve all leaf midpoints in one
-    stacked Newton per compatible group.
+def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1, warm: LeafState | None = None,
+                     terms: bool = False):
+    """Evaluate like GenFun.evaluate (GenFun.evaluate_terms when terms is
+    true) but solve all leaf midpoints in one stacked Newton per compatible
+    group.
 
     Leaves of an autonomous spec depend only on their span, so their batches
     concatenate into a single integration; this amortizes the per-step cost
@@ -414,7 +532,7 @@ def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1, warm: LeafState 
         for j, i in enumerate(members):
             sl = slice(j * B, (j + 1) * B)
             cache[id(requests[i][0])] = (z[sl], Zv[sl], jac[sl], ok[sl])
-    result = gf.evaluate(x, order, leaf_cache=cache)
+    result = (gf.evaluate_terms if terms else gf.evaluate)(x, order, leaf_cache=cache)
     if warm is None:
         return result
     solved = [cache[id(leaf)] for leaf, _ in requests]
@@ -437,17 +555,6 @@ def gf_grad(gf: GenFun, x) -> np.ndarray:
     if not np.all(ok):
         raise LeafNewtonError("leaf midpoint solve failed at the requested point")
     return grad[0] if single else grad
-
-
-def quadratic_form_for_rotation(t: float, n: int) -> QuadraticForm:
-    """Q_t(u) = -tan(pi t) |u|^2 on R^{2n}, generating the rotation e^{-2 pi i t}."""
-    if abs(t) >= 0.5:
-        raise ValueError("|t| must be < 1/2; compose pieces for larger rotations")
-    return QuadraticForm(-math.tan(math.pi * t) * np.eye(2 * n))
-
-
-def rotation_leaf(t: float, n: int) -> QuadraticGF:
-    return QuadraticGF(quadratic_form_for_rotation(t, n).matrix)
 
 
 def rotation_family_matrices(t, n: int, k: int):
@@ -502,11 +609,7 @@ def fiber_critical_solve(
         ok = ok_eval & (np.linalg.norm(gfib, axis=1) <= tol * scale)
         if np.all(ok | ~ok_eval):
             break
-        Hff = hess[:, m:, m:]
-        try:
-            step = np.linalg.solve(Hff, gfib[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = (np.linalg.pinv(Hff) @ gfib[:, :, None])[:, :, 0]
+        step = solve_rows(hess[:, m:, m:], gfib)
         upd = ~ok & ok_eval
         fiber = fiber - np.where(upd[:, None], step, 0.0)
     return fiber, ok

@@ -2,8 +2,9 @@
 
 Coordinates are laid out as (x_1..x_n, y_1..y_n) so that the complex
 coordinates are z_j = x_j + i*y_j and multiplication by i is the blockwise
-map (x, y) -> (-y, x).  The standard contact 1-form on the unit sphere and
-the inertia bookkeeping for symmetric matrices live here.
+map (x, y) -> (-y, x).  The standard contact 1-form on the unit sphere, the
+inertia bookkeeping for symmetric matrices and the batched linear solve of
+every Newton loop live here.
 """
 
 from __future__ import annotations
@@ -60,6 +61,27 @@ def rotation_matrix(phase: float | np.ndarray, n: int) -> np.ndarray:
     top = np.concatenate([c, -s], axis=-1)
     bot = np.concatenate([s, c], axis=-1)
     return np.concatenate([top, bot], axis=-2)
+
+
+def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x (R, d) with A[r] x[r] = b[r] on every row of A (R, d, d), b (R, d).
+
+    One batched LU, which gives each row the bits of its own solve.  When
+    some A[r] is exactly singular, the rows are solved one by one and only
+    those whose LU fails take the pseudo-inverse, so a singular row never
+    moves the others.
+    """
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    x = np.empty(b.shape)
+    for r in range(A.shape[0]):
+        try:
+            x[r] = np.linalg.solve(A[r], b[r][:, None])[:, 0]
+        except np.linalg.LinAlgError:
+            x[r] = np.linalg.pinv(A[r]) @ b[r]
+    return x
 
 
 def contact_form_eval(q, v) -> float:

@@ -28,6 +28,7 @@ from .linsymp import (
     inertia,
     mul_i,
     rotation_matrix,
+    solve_rows,
     to_complex,
     to_real,
 )
@@ -182,11 +183,12 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2):
     maps the new iterates back to the system's domain and returns them with
     a bool mask of rows to drop.
 
-    Steps are damped to norm 0.5; a singular batch is solved with the
-    pseudo-inverse.  A row finishes only after satisfying tol on `polish`
-    iterations: the extra full steps matter in flat valleys (weakly split
-    continua), where a residual below tol can still sit noticeably off the
-    true point and the final quadratic-convergence steps pin it down.  Rows
+    Steps are damped to norm 0.5; a row whose matrix is singular takes a
+    pseudo-inverse step (solve_rows).  A row finishes only after satisfying
+    tol on `polish` iterations: the extra full steps matter in flat valleys
+    (weakly split continua), where a residual below tol can still sit
+    noticeably off the true point and the final quadratic-convergence steps
+    pin it down.  Rows
     that are dropped, or whose evaluation fails, stop.  Rows that never
     finish but whose best error reached 100*tol (the integrator noise floor
     can exceed an aggressive tol, e.g. on continua where steps bounce) are
@@ -220,10 +222,7 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2):
         conv = ok & (err <= tol)
         times_conv[idx[conv]] += 1
         finish = conv & (times_conv[idx] >= polish)
-        try:
-            step = np.linalg.solve(M, F[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = (np.linalg.pinv(M) @ F[:, :, None])[:, :, 0]
+        step = solve_rows(M, F)
         norms = np.linalg.norm(step, axis=1)
         damp = np.minimum(1.0, 0.5 / np.maximum(norms, 1e-30))
         step = step * damp[:, None]
@@ -403,6 +402,10 @@ class ShiftedGenFunFamily:
         # A_t is one flattened form: base 2n, fiber eta of dimension 4n(k - 1)
         self.layout = gfm.SharpLayout(2 * n, f_phi.fiber_dim, 4 * n * (k - 1))
         self.dim = self.layout.dim
+        # the leaves of F_phi and then 2 M_A(t) are the atoms of the Hessian
+        self.plan = self.layout.plan(
+            f_phi.hessian_plan(), gfm.HessianPlan.atom(2 * n + 4 * n * (k - 1)), 2.0
+        )
 
     def seed(self, q: np.ndarray, t: np.ndarray):
         """Chain seeds on the fiber-critical set over starting points q.
@@ -439,26 +442,30 @@ class ShiftedGenFunFamily:
         return x, warm
 
     def evaluate(self, x: np.ndarray, t: np.ndarray, order: int = 2,
-                 with_dt: bool = False, warm: gfm.LeafState | None = None):
+                 with_dt: bool = False, warm: gfm.LeafState | None = None,
+                 out: np.ndarray | None = None):
         """(val, grad, hess, dgrad_dt, ok) of F_t at x, t per row.
 
         With warm (the LeafState of F_phi's leaves for these rows) the leaf
         solves start warm and the new LeafState is returned as a sixth
-        element; see evaluate_stacked.
+        element; see evaluate_stacked.  With out, the Hessian is written in
+        place into its leading block and hess is a view of it; see
+        HessianPlan.apply.
         """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         layout = self.layout
         x_phi, y = layout.split(x)
         if warm is None:
-            vF, gF, HF, okF = evaluate_stacked(self.f_phi, x_phi, order)
+            vF, gF, atoms, okF = evaluate_stacked(self.f_phi, x_phi, order, terms=True)
         else:
-            vF, gF, HF, okF, warm = evaluate_stacked(self.f_phi, x_phi, order, warm)
+            vF, gF, atoms, okF, warm = evaluate_stacked(self.f_phi, x_phi, order, warm,
+                                                        terms=True)
         MA, dMA = rotation_family_matrices(t, self.n, self.k)
         My = np.einsum("bij,bj->bi", MA, y)
         vA = np.einsum("bi,bi->b", y, My)
         val, grad = layout.value_grad(x, vF, gF, vA, 2.0 * My)
-        hess = layout.hessian(HF, 2.0 * MA, 2.0) if order >= 2 else None
+        hess = self.plan.apply(atoms + [2.0 * MA], out) if order >= 2 else None
         dgrad = None
         if with_dt:
             # only the A_t block depends on t
@@ -473,9 +480,9 @@ class ShiftedGenFunFamily:
         return val, grad, hess, dgrad, okF, warm
 
 
-# Starts per genfun Newton batch.  It bounds the batched (rows, D+1, D+1)
-# bordered system: 512 rows at total-space dimension D = 156 take about
-# 100 MB.
+# Starts per genfun Newton batch.  Each batch allocates its (rows, D+1, D+1)
+# bordered matrix once and reuses it on every Newton iteration: 512 rows at
+# total-space dimension D = 156 take about 100 MB.
 _CHUNK = 512
 
 
@@ -556,14 +563,17 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
     |t| < k/2.  Returns (x, t, F_t(x), done).
     """
     D = x0.shape[1]
+    # The bordered matrices of the working rows sit in the leading rows of
+    # one buffer.  Its structural zeros, the Hessian's and the corner, are
+    # written here once; every iteration overwrites the rest.
+    bordered = np.zeros((x0.shape[0], D + 1, D + 1))
 
     def evaluate(work, x, t):
-        val, grad, hess, dgrad, ok, warm_w = family.evaluate(
-            x, t, order=2, with_dt=True, warm=warm.take(work)
+        M = bordered[: x.shape[0]]
+        val, grad, _, dgrad, ok, warm_w = family.evaluate(
+            x, t, order=2, with_dt=True, warm=warm.take(work), out=M
         )
         warm.put(work, warm_w)
-        M = np.zeros((x.shape[0], D + 1, D + 1))
-        M[:, :D, :D] = hess
         M[:, :D, D] = dgrad
         M[:, D, :D] = x
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)

@@ -19,18 +19,31 @@ so each spec compiles once into exponent/coefficient tables and evaluation is
 a couple of gathers plus one matrix product, batched over points.
 
 The test-only helpers at the end are not called by the library: matrices of the linear symplectic structure, the covector of the
-graph-to-cotangent identification tau, and the k-piece rotation family as a
-composition DAG next to its flattened matrix.
+graph-to-cotangent identification tau, quadratic generating functions, and
+the k-piece rotation family as a composition DAG next to its flattened matrix.
+
+Nested Hessian reference.  The library assembles the Hessian of a sharp
+product DAG from a compiled scatter plan (genfun.HessianPlan).  The reference
+here is the dense assembly it replaced: every compose level adds its
+children's Hessians into a fresh zero matrix, block by block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from contactmorse.genfun import GenFun, gf_compose, rotation_family_matrices, rotation_leaf
-from contactmorse.linsymp import complex_structure_matrix, mul_i
+from contactmorse.genfun import (
+    ComposeGF,
+    GenFun,
+    LeafGF,
+    SharpLayout,
+    gf_compose,
+    rotation_family_matrices,
+)
+from contactmorse.linsymp import QuadraticForm, complex_structure_matrix, mul_i
 
 
 def jacobi_eigenvalues(M: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
@@ -300,6 +313,50 @@ def tau_covector(z: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return -mul_i(Z - z)
 
 
+class QuadraticGF(GenFun):
+    """Generating quadratic form Q(b) = b^T M b on the base, no fiber."""
+
+    def __init__(self, matrix: np.ndarray):
+        M = np.asarray(matrix, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
+            raise ValueError("matrix must be square of even size")
+        self.matrix = 0.5 * (M + M.T)
+        self.base_dim = M.shape[0]
+        self.fiber_dim = 0
+        n = self.base_dim // 2
+        J = complex_structure_matrix(n)
+        # Graph of dQ under the midpoint identification: Z = (M+J)^{-1}(J-M) z.
+        self._map = np.linalg.solve(self.matrix + J, J - self.matrix)
+
+    def evaluate(self, x, order=1, leaf_cache=None):
+        x = np.asarray(x, dtype=float)
+        B = x.shape[0]
+        val = np.einsum("bi,ij,bj->b", x, self.matrix, x)
+        grad = 2.0 * x @ self.matrix if order >= 1 else None
+        hess = None
+        if order >= 2:
+            hess = np.broadcast_to(2.0 * self.matrix, (B,) + self.matrix.shape).copy()
+        return val, grad, hess, np.ones(B, dtype=bool)
+
+    def map_points(self, z):
+        return np.asarray(z, dtype=float) @ self._map.T
+
+    def chain_seed(self, z, midpoints=None):
+        z = np.asarray(z, dtype=float)
+        return np.zeros((z.shape[0], 0)), self.map_points(z)
+
+
+def quadratic_form_for_rotation(t: float, n: int) -> QuadraticForm:
+    """Q_t(u) = -tan(pi t) |u|^2 on R^{2n}, generating the rotation e^{-2 pi i t}."""
+    if abs(t) >= 0.5:
+        raise ValueError("|t| must be < 1/2; compose pieces for larger rotations")
+    return QuadraticForm(-math.tan(math.pi * t) * np.eye(2 * n))
+
+
+def rotation_leaf(t: float, n: int) -> QuadraticGF:
+    return QuadraticGF(quadratic_form_for_rotation(t, n).matrix)
+
+
 @dataclass(frozen=True)
 class RotationFamily:
     """The k-piece generating family A_t of the negative Reeb flow a_t."""
@@ -322,3 +379,95 @@ def build_rotation_family(t: float, n: int, k: int) -> RotationFamily:
         gf = gf_compose(gf, rotation_leaf(t / k, n))
     matrix, _ = rotation_family_matrices(t, n, k)
     return RotationFamily(t=t, n=n, k=k, genfun=gf, matrix=matrix)
+
+
+# Nested Hessian reference.
+
+
+def sharp_hessian(layout: SharpLayout, HF: np.ndarray, HG: np.ndarray,
+                  pairing: float | None) -> np.ndarray:
+    """Batched (B, dim, dim) block matrix of F # G from those of F and G.
+
+    pairing scales the block of the pairing term 2<u - v, iw>: 2 for
+    Hessians, 1 for the matrices M of forms x^T M x, None for parameter
+    derivatives, where the pairing term is constant.
+    """
+    self = layout
+    m = self.m
+    N = np.zeros((HF.shape[0], self.dim, self.dim))
+    for H, base, fiber in ((HF, self.u, self.mu), (HG, self.v, self.eta)):
+        bb, bf, ff = H[:, :m, :m], H[:, :m, m:], H[:, m:, m:]
+        bfT = np.swapaxes(bf, -1, -2)
+        for s1 in (base, self.w):
+            for s2 in (base, self.w):
+                N[:, s1, s2] += bb
+            N[:, s1, fiber] += bf
+            N[:, fiber, s1] += bfT
+        N[:, fiber, fiber] += ff
+    if pairing is not None:
+        J = pairing * complex_structure_matrix(m // 2)
+        N[:, self.u, self.w] += J
+        N[:, self.w, self.u] -= J
+        N[:, self.v, self.w] -= J
+        N[:, self.w, self.v] += J
+    return N
+
+
+def nested_hessian(gf: GenFun, x: np.ndarray, leaf_cache: dict | None = None) -> np.ndarray:
+    """Hessian of a DAG at x, assembled level by level with sharp_hessian;
+    nodes other than a compose evaluate their own."""
+    if isinstance(gf, ComposeGF):
+        xF, xG = gf.layout.split(x)
+        return sharp_hessian(gf.layout, nested_hessian(gf.first, xF, leaf_cache),
+                             nested_hessian(gf.second, xG, leaf_cache), 2.0)
+    return gf.evaluate(x, 2, leaf_cache)[2]
+
+
+def nested_rotation_matrices(t, n: int, k: int):
+    """rotation_family_matrices for t of shape (B,), assembled with sharp_hessian."""
+    m = 2 * n
+    t = np.asarray(t, dtype=float)
+    eye = np.eye(m)
+    piece = -np.tan(np.pi * t / k)[:, None, None] * eye
+    dpiece = (-(np.pi / k) / np.cos(np.pi * t / k) ** 2)[:, None, None] * eye
+    M, dM = piece, dpiece
+    for _ in range(k - 1):
+        layout = SharpLayout(m, M.shape[1] - m, 0)
+        M, dM = sharp_hessian(layout, M, piece, 1.0), sharp_hessian(layout, dM, dpiece, None)
+    return M, dM
+
+
+def dag_leaves(gf: GenFun) -> list[LeafGF]:
+    """The LeafGF nodes of a DAG in depth-first order."""
+    if isinstance(gf, ComposeGF):
+        return dag_leaves(gf.first) + dag_leaves(gf.second)
+    return [gf] if isinstance(gf, LeafGF) else []
+
+
+def jacobian_cache(gf: GenFun, jac: np.ndarray) -> dict:
+    """A leaf_cache that gives leaf i of gf the DPhi jac[:, i] (a LeafState's
+    jac); the Hessian of a leaf depends on nothing else."""
+    B, m = jac.shape[0], jac.shape[-1]
+    z = np.zeros((B, m))
+    ok = np.ones(B, dtype=bool)
+    return {id(leaf): (z, z, jac[:, i], ok) for i, leaf in enumerate(dag_leaves(gf))}
+
+
+def nested_family_hessian(family, x: np.ndarray, t: np.ndarray,
+                          leaf_cache: dict | None = None) -> np.ndarray:
+    """Hessian of F_t = F_phi # A_t, assembled level by level."""
+    x_phi, _ = family.layout.split(x)
+    MA, _ = nested_rotation_matrices(t, family.n, family.k)
+    return sharp_hessian(family.layout, nested_hessian(family.f_phi, x_phi, leaf_cache),
+                         2.0 * MA, 2.0)
+
+
+def nested_bordered(family, x: np.ndarray, t: np.ndarray, dgrad: np.ndarray,
+                    leaf_cache: dict | None = None) -> np.ndarray:
+    """The (B, D + 1, D + 1) bordered Newton matrix of the genfun route."""
+    D = x.shape[1]
+    M = np.zeros((x.shape[0], D + 1, D + 1))
+    M[:, :D, :D] = nested_family_hessian(family, x, t, leaf_cache)
+    M[:, :D, D] = dgrad
+    M[:, D, :D] = x
+    return M

@@ -20,12 +20,11 @@ from contactmorse.genfun import (
     gf_compose,
     monotonicity_probe_values,
     reduced_covector,
-    rotation_leaf,
 )
 from contactmorse.linsymp import mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
-from oracles import build_rotation_family, tau_covector
+from oracles import build_rotation_family, rotation_leaf, tau_covector
 
 SETTINGS = IntegratorSettings(steps_per_unit=16)
 

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contactmorse import cli
 from contactmorse import config as cfgm
+from contactmorse import translated
 from contactmorse.config import ConfigError, load_config, parse_config
 from contactmorse.translated import SweepParams
 
@@ -216,3 +221,42 @@ def test_timings_list_every_stage(tmp_path):
     cli.main(["run", str(path), "--out", str(tmp_path / "out")])
     lines = (tmp_path / "out" / "timings.txt").read_text().splitlines()[1:]
     assert [line.split(" = ")[0] for line in lines] == ["calibration", "detection", "write"]
+
+
+def test_genfun_output_bytes_independent_of_chunk(tmp_path, monkeypatch):
+    # each genfun batch reuses one bordered-matrix buffer across its Newton
+    # iterations; a stale row or column would show up as moved bytes
+    path = tmp_path / "cfg.json"
+    seeds = {"sphere_count": 24, "t_count": 16, "keep_per_seed": 4}
+    path.write_text(json.dumps(_corpus_config(routes="genfun", seeds=seeds)))
+    outputs = []
+    for chunk in (7, 64, 512):
+        monkeypatch.setattr(translated, "_CHUNK", chunk)
+        out = tmp_path / f"out{chunk}"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
+        outputs.append([(out / name).read_bytes() for name in ("records.csv", "report.txt")])
+    assert b",genfun" in outputs[0][0]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    path = tmp_path / "cfg.json"
+    cfg = {
+        "n": 2,
+        "mode": "sphere",
+        "routes": "direct",
+        "hamiltonian": {"quadratic": [0.5, 0.5]},
+        "seeds": {"sphere_count": 16, "t_count": 8},
+        "integrator": {"steps_per_unit": 16},
+    }
+    path.write_text(json.dumps(cfg))
+    status = cli.main(["run", str(path), "--out", str(tmp_path / "a")])
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "contactmorse", "run", str(path), "--out", str(tmp_path / "b")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert status == cli.EXIT_BOUNDS_NOT_ASSERTED  # a continuum
+    assert proc.returncode == status, proc.stderr
+    assert (tmp_path / "b" / "records.csv").read_bytes() == (tmp_path / "a" / "records.csv").read_bytes()

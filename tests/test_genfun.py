@@ -6,8 +6,18 @@ from contactmorse import hamiltonian as ham
 from contactmorse.flow import FlowMap, IntegratorSettings, integrate_flow, subdivide_c1_small
 from contactmorse.linsymp import to_complex, to_real
 from contactmorse.sampling import sphere_points
+from contactmorse.translated import ShiftedGenFunFamily, build_phi_genfun
 
-from oracles import build_rotation_family, fd_gradient, tau_covector
+from oracles import (
+    build_rotation_family,
+    fd_gradient,
+    nested_family_hessian,
+    nested_hessian,
+    nested_rotation_matrices,
+    quadratic_form_for_rotation,
+    rotation_leaf,
+    tau_covector,
+)
 
 
 def _perturbed_spec():
@@ -170,18 +180,18 @@ def test_midpoint_zero_base_row_fails_alone(settings, rng):
 
 
 def test_rotation_quadratic_values():
-    assert np.allclose(gfm.quadratic_form_for_rotation(0.0, 2).matrix, 0.0)
-    assert np.allclose(gfm.quadratic_form_for_rotation(0.25, 1).matrix, -np.eye(2))
-    c1 = abs(gfm.quadratic_form_for_rotation(0.49, 1).matrix[0, 0])
-    c2 = abs(gfm.quadratic_form_for_rotation(0.499, 1).matrix[0, 0])
+    assert np.allclose(quadratic_form_for_rotation(0.0, 2).matrix, 0.0)
+    assert np.allclose(quadratic_form_for_rotation(0.25, 1).matrix, -np.eye(2))
+    c1 = abs(quadratic_form_for_rotation(0.49, 1).matrix[0, 0])
+    c2 = abs(quadratic_form_for_rotation(0.499, 1).matrix[0, 0])
     assert c2 > c1
     with pytest.raises(ValueError):
-        gfm.quadratic_form_for_rotation(0.5, 1)
+        quadratic_form_for_rotation(0.5, 1)
 
 
 def test_rotation_quadratic_generates_rotation(rng):
     for t in (0.1, -0.3, 0.25):
-        leaf = gfm.rotation_leaf(t, 2)
+        leaf = rotation_leaf(t, 2)
         z = rng.normal(size=(6, 4))
         Z = leaf.map_points(z)
         expect = to_real(np.exp(-2j * np.pi * t) * to_complex(z))
@@ -205,7 +215,7 @@ def test_compose_identity_reduces_to_zero_section(settings, rng):
 
 
 def test_compose_two_rotations(rng):
-    comp = gfm.gf_compose(gfm.rotation_leaf(0.125, 1), gfm.rotation_leaf(0.125, 1))
+    comp = gfm.gf_compose(rotation_leaf(0.125, 1), rotation_leaf(0.125, 1))
     assert comp.fiber_dim == 4
     z = rng.normal(size=(8, 2))
     rot = lambda w: to_real(np.exp(-2j * np.pi * 0.25) * to_complex(w))
@@ -215,7 +225,7 @@ def test_compose_two_rotations(rng):
 def test_compose_homogeneity(settings, rng):
     spec = _perturbed_spec()
     leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.08, settings))
-    comp = gfm.gf_compose(gfm.rotation_leaf(0.1, 2), leaf)
+    comp = gfm.gf_compose(rotation_leaf(0.1, 2), leaf)
     x = rng.normal(size=(5, comp.total_dim))
     v1 = gfm.gf_eval(comp, x)
     for lam in (0.5, 2.0):
@@ -225,13 +235,13 @@ def test_compose_homogeneity(settings, rng):
 
 def test_compose_dimension_mismatch():
     with pytest.raises(ValueError):
-        gfm.gf_compose(gfm.rotation_leaf(0.1, 1), gfm.rotation_leaf(0.1, 2))
+        gfm.gf_compose(rotation_leaf(0.1, 1), rotation_leaf(0.1, 2))
 
 
 def test_quadratic_dag_matches_assembled_matrix(rng):
     dag = gfm.gf_compose(
-        gfm.gf_compose(gfm.rotation_leaf(0.1, 1), gfm.rotation_leaf(0.05, 1)),
-        gfm.rotation_leaf(-0.2, 1),
+        gfm.gf_compose(rotation_leaf(0.1, 1), rotation_leaf(0.05, 1)),
+        rotation_leaf(-0.2, 1),
     )
     _, _, hess, _ = dag.evaluate(np.zeros((1, dag.total_dim)), order=2)
     M = 0.5 * hess[0]
@@ -245,7 +255,7 @@ def test_quadratic_dag_matches_assembled_matrix(rng):
 def test_gf_grad_matches_fd(settings, rng):
     spec = _perturbed_spec()
     leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.08, settings))
-    comp = gfm.gf_compose(leaf, gfm.rotation_leaf(0.15, 2))
+    comp = gfm.gf_compose(leaf, rotation_leaf(0.15, 2))
     x = rng.normal(size=comp.total_dim)
     grad = gfm.gf_grad(comp, x)
     fd = fd_gradient(lambda v: gfm.gf_eval(comp, v), x)
@@ -361,3 +371,76 @@ def test_monotonicity_rejects_sign_indefinite(fast_settings):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, -0.5))
     with pytest.raises(ValueError):
         gfm.monotonicity_probe_values(spec, fast_settings, sample_count=8, t_count=4)
+
+
+# --- Hessian plans ----------------------------------------------------------
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_family_hessian_plan_matches_nested_reference(sphere_corpus_spec, settings, rng):
+    f_phi, schedule = build_phi_genfun(sphere_corpus_spec, settings, 1.0)
+    assert len(schedule) == 16
+    family = ShiftedGenFunFamily(f_phi, 2, 4)
+    x = rng.normal(size=(6, family.dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    t = np.array([0.0, 0.3, 0.7, 1.0, -0.4, 1.6])
+    _, _, hess, _, ok = family.evaluate(x, t, order=2)
+    assert ok.all()
+    assert _bitwise_equal(hess, nested_family_hessian(family, x, t))
+    # in place, in the leading block of a larger zeroed buffer
+    out = np.zeros((6, family.dim + 1, family.dim + 1))
+    _, _, view, _, _ = family.evaluate(x, t, order=2, out=out)
+    assert np.shares_memory(view, out) and _bitwise_equal(view, hess)
+    assert not out[:, -1].any() and not out[:, :, -1].any()
+    # the rotation family and F_phi alone
+    for got, ref in zip(gfm.rotation_family_matrices(t, 2, 4), nested_rotation_matrices(t, 2, 4)):
+        assert _bitwise_equal(got, ref)
+    x_phi, _ = family.layout.split(x)
+    _, _, H, _ = gfm.evaluate_stacked(f_phi, x_phi, order=2)
+    assert _bitwise_equal(H, nested_hessian(f_phi, x_phi))
+    # the compiled sparsity: at most two addends per entry, about a quarter dense
+    plan = family.plan
+    assert plan.index.size == 6352 and plan.n_two == 1472 and not plan.src[1, 1472:].any()
+
+
+def test_mixed_dag_hessian_plan_matches_nested_reference(sphere_corpus_spec, settings, rng):
+    def flow(a, b):
+        return gfm.LeafGF(FlowMap(sphere_corpus_spec, a, b, settings))
+
+    right = gfm.gf_compose(flow(0.1, 0.2), gfm.gf_compose(rotation_leaf(-0.1, 2), flow(0.3, 0.3)))
+    dag = gfm.gf_compose(
+        gfm.gf_compose(gfm.gf_compose(rotation_leaf(0.1, 2), flow(0.2, 0.2)), flow(0.0, 0.1)),
+        right,
+    )
+    x = rng.normal(size=(5, dag.total_dim))
+    for H in (dag.evaluate(x, order=2)[2], gfm.evaluate_stacked(dag, x, order=2)[2]):
+        assert _bitwise_equal(H, nested_hessian(dag, x))
+    _, _, atoms, _ = dag.evaluate_terms(x, order=2)
+    assert [a.shape[1:] for a in atoms] == [(4, 4)] * 6
+
+
+def test_family_hessian_rows_are_batch_independent(sphere_corpus_spec, settings, rng):
+    f_phi, _ = build_phi_genfun(sphere_corpus_spec, settings, 1.0)
+    family = ShiftedGenFunFamily(f_phi, 2, 4)
+    x = rng.normal(size=(128, family.dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    t = rng.uniform(-0.5, 1.5, size=128)
+    full = family.evaluate(x, t, order=2, with_dt=True)
+    for rows in ([0], [77], [127], [3, 4], [10, 50], list(range(20, 27)), [1, 9, 30, 31, 60, 99, 126]):
+        part = family.evaluate(x[rows], t[rows], order=2, with_dt=True)
+        for a, b in zip(part, full):
+            assert _bitwise_equal(a, b[rows]), rows
+
+
+def test_hessian_plan_rejects_a_third_addend():
+    # a plan whose base-base entry (0, 0) already has two addends: under a
+    # sharp product that entry also lands on w-w, next to G's own
+    two = gfm.HessianPlan(2, (0.0,), (4,), np.arange(4), np.array([[1, 2, 3, 4], [2, 0, 0, 0]]))
+    layout = gfm.SharpLayout(2, 0, 0)
+    with pytest.raises(ValueError, match="3 addends"):
+        layout.plan(two, gfm.HessianPlan.atom(2), 2.0)
+    plan = layout.plan(gfm.HessianPlan.atom(2), gfm.HessianPlan.atom(2), 2.0)
+    assert int(np.max(np.sum(plan.src > 0, axis=0))) == 2

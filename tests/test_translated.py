@@ -5,10 +5,10 @@ from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
 from contactmorse.flow import integrate_flow
 from contactmorse.genfun import evaluate_stacked, gf_compose
-from contactmorse.linsymp import inertia
+from contactmorse.linsymp import inertia, solve_rows
 from contactmorse.sampling import sphere_points
 
-from oracles import build_rotation_family
+from oracles import build_rotation_family, jacobian_cache, nested_bordered
 
 
 SMALL = dict(sphere_count=48, t_count=24, keep_per_seed=3)
@@ -309,3 +309,61 @@ def test_bordered_newton_singular_batch_uses_pinv(monkeypatch):
     )
     assert done.all() and pinv_calls
     assert np.max(np.abs(x - c)) <= 1e-10 and np.max(np.abs(t - s)) <= 1e-10
+
+
+def test_bordered_newton_singular_row_leaves_others_bitwise():
+    # F(x, t) = A_r (d + d^2 / 2), d = (x - c_r, t - s_r); row 2's A has no
+    # t-column, so its Jacobian is singular.  Only that row takes the
+    # pseudo-inverse: after two steps, still short of the roots, rows 0 and 1
+    # have the bits they have in a batch without it.
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(3, 4, 4)) + 3.0 * np.eye(4)
+    A[2, :, 3] = 0.0
+    c = rng.normal(size=(3, 3))
+    s = rng.uniform(0.1, 0.9, size=3)
+
+    def run(ids):
+        def evaluate(work, x, t):
+            rows = np.asarray(ids)[work]
+            d = np.concatenate([x - c[rows], (t - s[rows])[:, None]], axis=1)
+            F = np.einsum("rij,rj->ri", A[rows], d + 0.5 * d**2)
+            M = A[rows] * (1.0 + d)[:, None, :]
+            return F, M, np.linalg.norm(F, axis=1), np.ones(rows.size, dtype=bool), F[:, 0]
+
+        return tp._bordered_newton(
+            c[ids] + 0.3, s[ids] + 0.2,
+            (evaluate, lambda x, t: (x, np.zeros(len(t), dtype=bool))), 1e-10, 2,
+        )
+
+    alone, mixed = run([0, 1]), run([0, 1, 2])
+    assert not np.array_equal(alone[0], c[:2] + 0.3)
+    for a, b in zip(alone, mixed):
+        assert np.array_equal(a, b[:2])
+    b = rng.normal(size=(3, 4))
+    assert np.array_equal(solve_rows(A[:2], b[:2]), solve_rows(A, b)[:2])
+
+
+def test_genfun_bordered_matrix_matches_nested_reference(settings, sphere_corpus_spec,
+                                                         monkeypatch):
+    """Every bordered matrix that _genfun_newton solves, on every iteration
+    as the working rows shrink inside its reused buffer, is bitwise the
+    level-by-level assembly of tests/oracles.py."""
+    family = _corpus_family(sphere_corpus_spec, settings, 4)
+    q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 12, 8, 2)
+    x0, warm = family.seed(q, t)
+    calls, mats = [], []
+    inner_eval, inner_solve = family.evaluate, tp.solve_rows
+
+    def evaluate(x, t, **kwargs):
+        out = inner_eval(x, t, **kwargs)
+        calls.append((x.copy(), t.copy(), out[3].copy(), out[5].jac.copy()))
+        return out
+
+    monkeypatch.setattr(family, "evaluate", evaluate)
+    monkeypatch.setattr(tp, "solve_rows", lambda M, F: mats.append(M.copy()) or inner_solve(M, F))
+    tp._genfun_newton(family, x0, t, 1e-9, 40, warm)
+    rows = [x.shape[0] for x, *_ in calls]
+    assert len(mats) == len(calls) and rows[0] == 24 and min(rows) < 24
+    for (x, tt, dgrad, jac), M in zip(calls, mats):
+        ref = nested_bordered(family, x, tt, dgrad, jacobian_cache(family.f_phi, jac))
+        assert np.array_equal(M, ref) and np.array_equal(np.signbit(M), np.signbit(ref))
