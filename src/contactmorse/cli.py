@@ -66,15 +66,16 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         return report
 
     t0 = time.perf_counter()
+    route_seconds: dict[str, float] = {}
     try:
-        sweep = sweep_and_count(config.hamiltonian, config.params, settings)
+        sweep = sweep_and_count(config.hamiltonian, config.params, settings, route_seconds)
         exit_status = EXIT_OK
         if sweep.continuum_suspected or not sweep.bound_asserted:
             exit_status = EXIT_BOUNDS_NOT_ASSERTED
         elif sweep.bound_met is False:
             exit_status = EXIT_ERROR
     except RouteDisagreementError as exc:
-        timings["detection"] = time.perf_counter() - t0
+        _detection_timings(timings, t0, route_seconds)
         report = RunReport(
             config=config,
             sweep=_empty_sweep(config),
@@ -88,7 +89,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         print(f"route disagreement: {exc}", file=sys.stderr)
         print(f"diagnostic dump written next to {paths['report']}", file=sys.stderr)
         return report
-    timings["detection"] = time.perf_counter() - t0
+    _detection_timings(timings, t0, route_seconds)
 
     report = RunReport(
         config=config,
@@ -100,6 +101,14 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     )
     write_outputs(report, out_dir)
     return report
+
+
+def _detection_timings(timings: dict[str, float], t0: float,
+                       route_seconds: dict[str, float]) -> None:
+    """The detection stage's wall time, then the share of each route in it."""
+    timings["detection"] = time.perf_counter() - t0
+    for route, seconds in route_seconds.items():
+        timings[f"detection.{route}"] = seconds
 
 
 def _empty_sweep(config: RunConfig):

@@ -257,7 +257,7 @@ class HessianPlan:
         self.src = src
         self.n_two = int(np.sum(src[1] > 0))
         self._const_row = np.array(consts)
-        self._scatter: dict[int, np.ndarray] = {}
+        self._scatter = np.zeros(0, dtype=np.intp)
 
     @classmethod
     def atom(cls, dim: int) -> "HessianPlan":
@@ -296,15 +296,9 @@ class HessianPlan:
         table[self.index] = lookup[self.src].T
         return table
 
-    def apply(self, atoms: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, atoms: list[np.ndarray]) -> np.ndarray:
         """Assemble the (B, dim, dim) Hessian of every row from the atom
-        Hessians, in depth-first order.
-
-        out, a C-contiguous (B, D, D) array with D >= dim, receives the
-        Hessian in its leading dim x dim block and a view of that block is
-        returned.  Only the nonzero entries are written, so the structural
-        zeros of that block must already hold 0.0.
-        """
+        Hessians, in depth-first order."""
         B = atoms[0].shape[0]
         vec = np.concatenate([np.broadcast_to(self._const_row, (B, len(self.consts)))]
                              + [a.reshape(B, a.shape[1] * a.shape[2]) for a in atoms], axis=1)
@@ -313,24 +307,18 @@ class HessianPlan:
         total = np.take(vec, self.src[0], axis=1)
         total += 0.0
         total[:, : self.n_two] += np.take(vec, self.src[1, : self.n_two], axis=1)
-        if out is None:
-            out = np.zeros((B, self.dim, self.dim))
-        elif not out.flags.c_contiguous or out.shape[1] != out.shape[2] or out.shape[1] < self.dim:
-            raise ValueError("out must be a C-contiguous (B, D, D) array with D >= dim")
-        # Scatter a block of rows at a time through one flat index, cached
-        # per D: several times faster than a (rows, entries) fancy assignment.
-        D, nnz = out.shape[-1], self.index.size
+        out = np.zeros((B, self.dim, self.dim))
+        # Scatter a block of rows at a time through one flat index: several
+        # times faster than a (rows, entries) fancy assignment.
+        D, nnz = self.dim, self.index.size
         block = max(1, min(B, _SCATTER_ROWS))
-        scatter = self._scatter.get(D)
-        if scatter is None or scatter.size < block * nnz:
-            rows = np.arange(block)[:, None] * (D * D)
-            scatter = (rows + self.index // self.dim * D + self.index % self.dim).ravel()
-            self._scatter[D] = scatter
+        if self._scatter.size < block * nnz:
+            self._scatter = (np.arange(block)[:, None] * (D * D) + self.index).ravel()
         flat = out.reshape(-1)
         for r0 in range(0, B, block):
             r1 = min(B, r0 + block)
-            flat[r0 * D * D : r1 * D * D][scatter[: (r1 - r0) * nnz]] = total[r0:r1].ravel()
-        return out[:, : self.dim, : self.dim]
+            flat[r0 * D * D : r1 * D * D][self._scatter[: (r1 - r0) * nnz]] = total[r0:r1].ravel()
+        return out
 
 
 class SharpLayout:
@@ -478,6 +466,34 @@ class ComposeGF(GenFun):
 def gf_compose(first: GenFun, second: GenFun) -> GenFun:
     """Sharp-composition: result generates (map of second) o (map of first)."""
     return ComposeGF(first, second)
+
+
+def chain_links(gf: GenFun, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the v and w blocks of every sharp product of a chain.
+
+    gf must be a left-associated chain ((g_1 # g_2) # ...) # g_L of nodes
+    without fiber variables (ValueError otherwise), and its coordinate k >=
+    base_dim must sit at position offset + k of an enclosing vector.  The
+    product with g_j evaluates the chain of g_1..g_{j-1} at u + w and g_j at
+    v + w.  Returns (v, w), each of shape (L - 1, base_dim): row j - 2 holds
+    the positions of that product's v (resp. w), j = 2..L.
+    """
+    m = gf.base_dim
+    vs, ws = [], []
+    while isinstance(gf, ComposeGF):
+        if gf.second.fiber_dim:
+            raise ValueError("not a chain of fiber-free nodes")
+        lay = gf.layout
+        vs.append(offset + np.arange(lay.v.start, lay.v.stop))
+        ws.append(offset + np.arange(lay.w.start, lay.w.stop))
+        # the first child's coordinate k >= m sits at lay.mu.start + k - m
+        offset += lay.mu.start - m
+        gf = gf.first
+    if gf.fiber_dim:
+        raise ValueError("not a chain of fiber-free nodes")
+    shape = (len(vs), m)
+    return (np.array(vs[::-1], dtype=np.intp).reshape(shape),
+            np.array(ws[::-1], dtype=np.intp).reshape(shape))
 
 
 def _collect_leaf_bases(gf: GenFun, x: np.ndarray, out: list) -> None:

@@ -64,24 +64,24 @@ def rotation_matrix(phase: float | np.ndarray, n: int) -> np.ndarray:
 
 
 def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x (R, d) with A[r] x[r] = b[r] on every row of A (R, d, d), b (R, d).
+    """x with A[r] x[r] = b[r] on every row of A (R, d, d), b (R, d) or (R, d, k).
 
     One batched LU, which gives each row the bits of its own solve.  When
     some A[r] is exactly singular, the rows are solved one by one and only
     those whose LU fails take the pseudo-inverse, so a singular row never
     moves the others.
     """
+    cols = b if b.ndim == 3 else b[:, :, None]
     try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+        x = np.linalg.solve(A, cols)
     except np.linalg.LinAlgError:
-        pass
-    x = np.empty(b.shape)
-    for r in range(A.shape[0]):
-        try:
-            x[r] = np.linalg.solve(A[r], b[r][:, None])[:, 0]
-        except np.linalg.LinAlgError:
-            x[r] = np.linalg.pinv(A[r]) @ b[r]
-    return x
+        x = np.empty(cols.shape)
+        for r in range(A.shape[0]):
+            try:
+                x[r] = np.linalg.solve(A[r], cols[r])
+            except np.linalg.LinAlgError:
+                x[r] = (np.linalg.pinv(A[r]) @ b[r]).reshape(cols[r].shape)
+    return x if b.ndim == 3 else x[:, :, 0]
 
 
 def contact_form_eval(q, v) -> float:

@@ -16,6 +16,8 @@ something to average away.
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from .flow import IntegratorSettings, integrate_flow
 from .genfun import GenFun, evaluate_stacked, rotation_family_matrices
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import (
+    complex_structure_matrix,
     inertia,
     mul_i,
     rotation_matrix,
@@ -171,20 +174,21 @@ def direct_translated_points(
                            converged_raw=int(np.sum(ok)))
 
 
-def _bordered_newton(x0, t0, system, tol, max_iter, polish=2):
+def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
     """Masked, damped Newton on a bordered system F(x, t) = 0 per row.
 
     system is a pair (evaluate, retract).  evaluate(work, x, t) is called on
     the rows of the boolean mask `work` that are still running, with their x
     (R, D) and t (R,), and returns (F, M, err, ok, val): the residual F
-    (R, D + 1), its Jacobian M (R, D + 1, D + 1) in (x, t), the error err
-    (R,) compared with tol, ok (R,) false on rows whose evaluation failed, and
-    a value val (R,) returned with the point it belongs to.  retract(x, t)
-    maps the new iterates back to the system's domain and returns them with
-    a bool mask of rows to drop.
+    (R, D + 1), its Jacobian M in (x, t), the error err (R,) compared with
+    tol, ok (R,) false on rows whose evaluation failed, and a value val (R,)
+    returned with the point it belongs to.  solve(M, F) returns the Newton
+    step of every row, (R, D + 1); by default M is a dense (R, D + 1, D + 1)
+    array and solve_rows gives a row whose matrix is singular a
+    pseudo-inverse step.  retract(x, t) maps the new iterates back to the
+    system's domain and returns them with a bool mask of rows to drop.
 
-    Steps are damped to norm 0.5; a row whose matrix is singular takes a
-    pseudo-inverse step (solve_rows).  A row finishes only after satisfying
+    Steps are damped to norm 0.5.  A row finishes only after satisfying
     tol on `polish` iterations: the extra full steps matter in flat valleys
     (weakly split continua), where a residual below tol can still sit
     noticeably off the true point and the final quadratic-convergence steps
@@ -222,7 +226,7 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2):
         conv = ok & (err <= tol)
         times_conv[idx[conv]] += 1
         finish = conv & (times_conv[idx] >= polish)
-        step = solve_rows(M, F)
+        step = solve(M, F)
         norms = np.linalg.norm(step, axis=1)
         damp = np.minimum(1.0, 0.5 / np.maximum(norms, 1e-30))
         step = step * damp[:, None]
@@ -388,9 +392,10 @@ class ShiftedGenFunFamily:
     """The family F_t = F_phi # A_t generating the lift of a_t o phi.
 
     F_phi is the composed generating function of the subdivided isotopy of
-    phi; A_t is the k-piece quadratic family of the negative Reeb flow.  Only
-    the A_t block depends on t, so the t-derivative of the gradient is
-    available in closed form for the joint (x, t) Newton.
+    phi, a left-associated chain of L pieces; A_t is the k-piece quadratic
+    family of the negative Reeb flow.  Only the A_t block depends on t, so
+    the t-derivative of the gradient is available in closed form for the
+    joint (x, t) Newton, whose step bordered_step solves along the chain.
     """
 
     def __init__(self, f_phi: GenFun, n: int, k: int):
@@ -402,10 +407,19 @@ class ShiftedGenFunFamily:
         # A_t is one flattened form: base 2n, fiber eta of dimension 4n(k - 1)
         self.layout = gfm.SharpLayout(2 * n, f_phi.fiber_dim, 4 * n * (k - 1))
         self.dim = self.layout.dim
-        # the leaves of F_phi and then 2 M_A(t) are the atoms of the Hessian
-        self.plan = self.layout.plan(
-            f_phi.hessian_plan(), gfm.HessianPlan.atom(2 * n + 4 * n * (k - 1)), 2.0
-        )
+        # positions of (v_j, w_j) for the links j = 2..L+1 of the chain,
+        # the last being the product with A_t
+        m, lay = 2 * n, self.layout
+        v, w = gfm.chain_links(f_phi, lay.mu.start - m)
+        self._v = np.concatenate([v, np.arange(lay.v.start, lay.v.stop)[None]])
+        self._w = np.concatenate([w, np.arange(lay.w.start, lay.w.stop)[None]])
+
+    @functools.cached_property
+    def plan(self) -> gfm.HessianPlan:
+        # the leaves of F_phi and then 2 M_A(t) are the atoms of the Hessian;
+        # compiled on the first assembled evaluation
+        a_t = gfm.HessianPlan.atom(2 * self.n + 4 * self.n * (self.k - 1))
+        return self.layout.plan(self.f_phi.hessian_plan(), a_t, 2.0)
 
     def seed(self, q: np.ndarray, t: np.ndarray):
         """Chain seeds on the fiber-critical set over starting points q.
@@ -443,14 +457,14 @@ class ShiftedGenFunFamily:
 
     def evaluate(self, x: np.ndarray, t: np.ndarray, order: int = 2,
                  with_dt: bool = False, warm: gfm.LeafState | None = None,
-                 out: np.ndarray | None = None):
+                 terms: bool = False):
         """(val, grad, hess, dgrad_dt, ok) of F_t at x, t per row.
 
-        With warm (the LeafState of F_phi's leaves for these rows) the leaf
-        solves start warm and the new LeafState is returned as a sixth
-        element; see evaluate_stacked.  With out, the Hessian is written in
-        place into its leading block and hess is a view of it; see
-        HessianPlan.apply.
+        With terms, hess is the list of its atoms instead: the Hessians of
+        F_phi's leaves in chain order, then 2 M_A(t).  With warm (the
+        LeafState of F_phi's leaves for these rows) the leaf solves start
+        warm and the new LeafState is returned as a sixth element; see
+        evaluate_stacked.
         """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -465,7 +479,11 @@ class ShiftedGenFunFamily:
         My = np.einsum("bij,bj->bi", MA, y)
         vA = np.einsum("bi,bi->b", y, My)
         val, grad = layout.value_grad(x, vF, gF, vA, 2.0 * My)
-        hess = self.plan.apply(atoms + [2.0 * MA], out) if order >= 2 else None
+        hess = None
+        if order >= 2:
+            hess = atoms + [2.0 * MA]
+            if not terms:
+                hess = self.plan.apply(hess)
         dgrad = None
         if with_dt:
             # only the A_t block depends on t
@@ -479,10 +497,125 @@ class ShiftedGenFunFamily:
             return val, grad, hess, dgrad, okF
         return val, grad, hess, dgrad, okF, warm
 
+    def bordered_step(self, x: np.ndarray, atoms: list[np.ndarray], dgrad: np.ndarray,
+                      F: np.ndarray) -> np.ndarray:
+        """Solution s (R, D + 1) of [[H, dgrad], [x^T, 0]] s = F on every row,
+        with H the Hessian of F_t at x given by its atoms (evaluate's terms).
 
-# Starts per genfun Newton batch.  Each batch allocates its (rows, D+1, D+1)
-# bordered matrix once and reuses it on every Newton iteration: 512 rows at
-# total-space dimension D = 156 take about 100 MB.
+        Solved by elimination along the chain, in coordinates where H is
+        block tridiagonal: a_1 the base of leaf 1; for j = 2..L, b_j the base
+        of leaf j and a_j that of the chain of leaves 1..j; then b_{L+1} =
+        v + w and the fiber eta of A_t, and a_{L+1} = u.  Every coordinate of
+        x is a +-1 sum of these, x = T sigma, and
+
+            F_t = L_1(a_1) + sum_{j=2..L+1} L_j(b_j) + 2<a_j - b_j, i(a_{j-1} - a_j)>,
+
+        L_j the leaves and L_{L+1} = A_t.  In sigma each leaf Hessian is one
+        diagonal block, 2 M_A that of (b_{L+1}, eta), and link j pairs
+        a_{j-1}, b_j and a_j through constant multiples of 2i.  Every link's
+        unknowns are carried as affine functions of the step on a_1: the a_j
+        row gives b_{j+1} - a_{j+1} through 2i, and the b_{j+1} row then
+        pivots on H_{j+1} + 2i, which is 4i (I + DPhi)^{-1} up to the
+        symmetrisation of H and so well conditioned for a C^1-small leaf.
+        One dense (3 * 2n + dim eta + 1)-system per row closes the chain at A_t,
+        u and the border row.  T and T^T act by block sums and differences,
+        and every product is a per-row stacked call, so a row's step depends
+        neither on its batch nor on the BLAS thread count.
+        """
+        R, m, h = x.shape[0], self.layout.m, self.n
+        lay, V, W = self.layout, self._v, self._w
+        L = V.shape[0]
+        eye = np.eye(m)
+        K = 2.0 * complex_structure_matrix(h)
+
+        def i_rows(X):  # i applied to the m rows of X (R, ..., m, c)
+            return np.concatenate([-X[..., h:, :], X[..., :h, :]], axis=-2)
+
+        def to_chain(y):  # T^T y: the a-blocks (R, L+1, m), b-blocks (R, L, m)
+            d = y[:, W] - y[:, V]
+            ya = np.empty((R, L + 1, m))
+            ya[:, 0] = d[:, 0]
+            ya[:, 1:L] = d[:, 1:] - d[:, :-1]
+            ya[:, L] = y[:, lay.u] - d[:, L - 1]
+            return ya, y[:, V]
+
+        def const(v):  # the affine function with value v
+            return np.concatenate([np.zeros((R, m, m)), v[:, :, None]], axis=2)
+
+        ga, gb = to_chain(F[:, :-1])
+        ca, cb = to_chain(x)
+        # affine functions of the a_1 step, (R, m, m + 1): its coefficients,
+        # then the constant; (2i)^{-1} = -i/2
+        sa = np.empty((R, L, m, m + 1))  # a_1..a_L
+        sb = np.empty((R, L - 1, m, m + 1))  # b_2..b_L
+        sa[:, 0] = np.concatenate([np.broadcast_to(eye, (R, m, m)), np.zeros((R, m, 1))], axis=2)
+        # a_1 row: H_1 a_1 + 2i (b_2 - a_2) = g gives e = b_2 - a_2
+        e = -0.5 * i_rows(const(ga[:, 0]) - atoms[0] @ sa[:, 0])
+        if L > 1:
+            P = (np.stack(atoms[1:L], axis=1) + K).reshape(-1, m, m)
+            Pinv = solve_rows(P, np.broadcast_to(eye, P.shape).copy()).reshape(R, L - 1, m, m)
+        for j in range(1, L):
+            # b_{j+1} row: H b + 2i (a_{j+1} - a_j) = g, with a_{j+1} = b - e
+            sb[:, j - 1] = Pinv[:, j - 1] @ (const(gb[:, j - 1]) + 2.0 * i_rows(e + sa[:, j - 1]))
+            sa[:, j] = sb[:, j - 1] - e
+            # a_{j+1} row: 2i (a_j - b_{j+1}) + 2i (b_{j+2} - a_{j+2}) = g
+            e = -0.5 * i_rows(const(ga[:, j])) - (sa[:, j - 1] - sb[:, j - 1])
+        # the closing system: unknowns a_1 | b_{L+1} | eta | a_{L+1} | t
+        p = lay.eta.stop - lay.eta.start
+        q = 3 * m + p + 1
+        A1, B, ETA, U = (slice(0, m), slice(m, 2 * m), slice(2 * m, 2 * m + p),
+                         slice(2 * m + p, q - 1))
+        Y = slice(m, 2 * m + p)  # (b_{L+1}, eta), the point of A_t
+        M = np.zeros((R, q, q))
+        rhs = np.empty((R, q))
+        KaL = 2.0 * i_rows(sa[:, L - 1])  # 2i a_L
+        # e = b_{L+1} - a_{L+1}
+        M[:, A1, A1] = -e[:, :, :m]
+        M[:, A1, B] = eye
+        M[:, A1, U] = -eye
+        rhs[:, A1] = e[:, :, m]
+        # (b_{L+1}, eta) rows: 2 M_A (b, eta) + 2i (a_{L+1} - a_L) + dgrad t = g
+        M[:, B, A1] = -KaL[:, :, :m]
+        M[:, Y, Y] = atoms[L]
+        M[:, B, U] = K
+        M[:, B, q - 1] = dgrad[:, lay.v]
+        M[:, ETA, q - 1] = dgrad[:, lay.eta]
+        rhs[:, B] = gb[:, L - 1] + KaL[:, :, m]
+        rhs[:, ETA] = F[:, lay.eta]
+        # a_{L+1} row: 2i (a_L - b_{L+1}) = g
+        M[:, U, A1] = KaL[:, :, :m]
+        M[:, U, B] = -K
+        rhs[:, U] = ga[:, L] - KaL[:, :, m]
+        # border row: (T^T x) . sigma = r
+        links = np.concatenate([sa, sb], axis=1).reshape(R, -1, m + 1)
+        c = np.concatenate([ca[:, :L], cb[:, : L - 1]], axis=1).reshape(R, 1, -1)
+        border = (c @ links)[:, 0]
+        M[:, q - 1, A1] = border[:, :m]
+        M[:, q - 1, B] = cb[:, L - 1]
+        M[:, q - 1, ETA] = x[:, lay.eta]
+        M[:, q - 1, U] = ca[:, L]
+        rhs[:, q - 1] = F[:, -1] - border[:, m]
+        sol = solve_rows(M, rhs)
+        # back to x = T sigma
+        z1 = np.concatenate([sol[:, A1], np.ones((R, 1))], axis=1)[:, None, :, None]
+        s_a = np.concatenate([(sa @ z1)[..., 0], sol[:, None, U]], axis=1)
+        s_b = np.concatenate([(sb @ z1)[..., 0], sol[:, None, B]], axis=1)
+        step = np.empty((R, self.dim + 1))
+        dw = s_a[:, :-1] - s_a[:, 1:]
+        step[:, W] = dw
+        step[:, V] = s_b - dw
+        step[:, lay.u] = sol[:, U]
+        step[:, lay.eta] = sol[:, ETA]
+        step[:, -1] = sol[:, -1]
+        return step
+
+
+# Starts per genfun Newton batch.  A start's Newton state grows linearly
+# with the number of pieces L: leaf midpoints, one 2n x 2n Hessian block per
+# leaf, 2 M_A (28 x 28 at n = 2, k = 4) and the 37 x 37 closing system of the
+# chain solve, some 40 KB at L = 16.  The largest buffers of a batch are the
+# DOP853 stage buffers of its stacked leaf solve, L x 512 rows of state and
+# Jacobian per stage, about 20 MB at L = 16.
 _CHUNK = 512
 
 
@@ -556,28 +689,23 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
     """Bordered Newton (_bordered_newton) on grad F_t(x) = 0,
     (|x|^2 - 1)/2 = 0 over (x, t), with x renormalised after every step.
 
-    warm is the LeafState of F_phi at x0 (from family.seed); it is carried
-    across iterations, sliced by the same work mask as x and t, so that every
-    leaf solve starts from its predictor instead of cold.  A row is dropped
-    when its leaves fail or its step leaves the rotation family's domain
-    |t| < k/2.  Returns (x, t, F_t(x), done).
+    Each iteration evaluates F_t once, to its Hessian's atoms, and
+    family.bordered_step solves the bordered system along the chain of
+    F_phi; no (D + 1) x (D + 1) matrix is formed.  warm is the LeafState of
+    F_phi at x0 (from family.seed); it is carried across iterations, sliced
+    by the same work mask as x and t, so that every leaf solve starts from
+    its predictor instead of cold.  A row is dropped when its leaves fail or
+    its step leaves the rotation family's domain |t| < k/2.  Returns
+    (x, t, F_t(x), done).
     """
-    D = x0.shape[1]
-    # The bordered matrices of the working rows sit in the leading rows of
-    # one buffer.  Its structural zeros, the Hessian's and the corner, are
-    # written here once; every iteration overwrites the rest.
-    bordered = np.zeros((x0.shape[0], D + 1, D + 1))
 
     def evaluate(work, x, t):
-        M = bordered[: x.shape[0]]
-        val, grad, _, dgrad, ok, warm_w = family.evaluate(
-            x, t, order=2, with_dt=True, warm=warm.take(work), out=M
+        val, grad, atoms, dgrad, ok, warm_w = family.evaluate(
+            x, t, order=2, with_dt=True, warm=warm.take(work), terms=True
         )
         warm.put(work, warm_w)
-        M[:, :D, D] = dgrad
-        M[:, D, :D] = x
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
-        return F, M, np.linalg.norm(grad, axis=1), ok, val
+        return F, (x, atoms, dgrad), np.linalg.norm(grad, axis=1), ok, val
 
     def retract(x, t):
         xnorm = np.linalg.norm(x, axis=1)
@@ -585,7 +713,8 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
         bad = (xnorm < 1e-8) | ~np.isfinite(xnorm) | ~(np.abs(t) < 0.5 * family.k)
         return x / np.maximum(xnorm, 1e-30)[:, None], bad
 
-    return _bordered_newton(x0, t0, (evaluate, retract), tol, max_iter, polish)
+    return _bordered_newton(x0, t0, (evaluate, retract), tol, max_iter, polish,
+                            solve=lambda M, F: family.bordered_step(*M, F))
 
 
 # ---------------------------------------------------------------------------
@@ -710,13 +839,16 @@ def sweep_and_count(
     spec: ContactHamiltonianSpec,
     params: SweepParams | None = None,
     settings: IntegratorSettings | None = None,
+    route_seconds: dict[str, float] | None = None,
 ) -> SweepReport:
     """Run the configured routes, merge records, count, attach index data.
 
     The Morse-type lower bounds (2 on the sphere, 2n antipodal classes on
     the projective space) are asserted only when every record is certified
     non-degenerate and no continuum is suspected; otherwise the report says
-    so explicitly instead of passing silently.
+    so explicitly instead of passing silently.  route_seconds, when given,
+    receives the wall time of each route that ran ("direct", "genfun"), also
+    when the routes then disagree.
     """
     if params is None:
         params = SweepParams()
@@ -731,7 +863,10 @@ def sweep_and_count(
 
     route_stats: dict = {}
     direct_res = genfun_res = None
+    if route_seconds is None:
+        route_seconds = {}
     if params.routes in ("direct", "both"):
+        start = time.perf_counter()
         direct_res = direct_translated_points(
             spec, settings,
             sphere_count=params.sphere_count, t_count=params.t_count,
@@ -739,9 +874,11 @@ def sweep_and_count(
             dedup_angular=params.dedup_angular, dedup_t=params.dedup_t,
             nondeg_tol=params.nondeg_tol, continuum_factor=params.continuum_factor,
         )
+        route_seconds["direct"] = time.perf_counter() - start
         route_stats["direct_records"] = len(direct_res.records)
         route_stats["direct_converged"] = direct_res.converged_raw
     if params.routes in ("genfun", "both"):
+        start = time.perf_counter()
         f_phi, schedule = build_phi_genfun(spec, settings, params.subdivision_delta)
         family = ShiftedGenFunFamily(f_phi, n, params.rotation_pieces)
         genfun_res = find_critical_rays(
@@ -752,6 +889,7 @@ def sweep_and_count(
             dedup_t=params.dedup_t, nondeg_tol=params.nondeg_tol,
             continuum_factor=params.continuum_factor,
         )
+        route_seconds["genfun"] = time.perf_counter() - start
         route_stats["genfun_records"] = len(genfun_res.records)
         route_stats["genfun_converged"] = genfun_res.converged_raw
         route_stats["genfun_inconsistent"] = len(genfun_res.inconsistent)

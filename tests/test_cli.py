@@ -214,18 +214,40 @@ def test_cli_rejects_zero_counts(tmp_path, capsys, field, over):
     assert not (tmp_path / "out").exists()
 
 
-def test_timings_list_every_stage(tmp_path):
+def test_timings_list_every_stage(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     seeds = {"sphere_count": 16, "t_count": 8, "keep_per_seed": 2}
     path.write_text(json.dumps(_corpus_config(routes="direct", seeds=seeds)))
     cli.main(["run", str(path), "--out", str(tmp_path / "out")])
     lines = (tmp_path / "out" / "timings.txt").read_text().splitlines()[1:]
-    assert [line.split(" = ")[0] for line in lines] == ["calibration", "detection", "write"]
+    assert [line.split(" = ")[0] for line in lines] == [
+        "calibration", "detection", "detection.direct", "write"]
+    # with both routes, each route's share of detection gets its own line
+    path.write_text(json.dumps(_corpus_config(routes="both", seeds=seeds)))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "both")]) == cli.EXIT_OK
+    lines = (tmp_path / "both" / "timings.txt").read_text().splitlines()[1:]
+    stages = dict(line.split(" = ") for line in lines)
+    assert list(stages) == [
+        "calibration", "detection", "detection.direct", "detection.genfun", "write"]
+    assert float(stages["detection.direct"]) > 0.0 and float(stages["detection.genfun"]) > 0.0
+    # both run inside detection; each line is rounded to the millisecond
+    assert (float(stages["detection.direct"]) + float(stages["detection.genfun"])
+            <= float(stages["detection"]) + 0.002)
+    # a route disagreement still reports the routes that ran
+    def disagreeing_sweep(spec, params, settings, route_seconds):
+        route_seconds.update(direct=0.5, genfun=0.25)
+        raise translated.RouteDisagreementError("forced", dump={})
+
+    monkeypatch.setattr(cli, "sweep_and_count", disagreeing_sweep)
+    status = cli.main(["run", str(path), "--out", str(tmp_path / "exit3")])
+    assert status == cli.EXIT_ROUTE_DISAGREEMENT
+    lines = (tmp_path / "exit3" / "timings.txt").read_text().splitlines()[1:]
+    assert lines[2:4] == ["detection.direct = 0.500", "detection.genfun = 0.250"]
 
 
 def test_genfun_output_bytes_independent_of_chunk(tmp_path, monkeypatch):
-    # each genfun batch reuses one bordered-matrix buffer across its Newton
-    # iterations; a stale row or column would show up as moved bytes
+    # a start's Newton steps are per-row stacked solves, so the batch it
+    # shares with other starts must not move its bits
     path = tmp_path / "cfg.json"
     seeds = {"sphere_count": 24, "t_count": 16, "keep_per_seed": 4}
     path.write_text(json.dumps(_corpus_config(routes="genfun", seeds=seeds)))
@@ -237,6 +259,28 @@ def test_genfun_output_bytes_independent_of_chunk(tmp_path, monkeypatch):
         outputs.append([(out / name).read_bytes() for name in ("records.csv", "report.txt")])
     assert b",genfun" in outputs[0][0]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_genfun_output_bytes_independent_of_blas_threads(tmp_path):
+    # the genfun Newton step is a chain of small per-row solves, too small
+    # for OpenBLAS to thread, so one and two threads give the same bits
+    path = tmp_path / "cfg.json"
+    seeds = {"sphere_count": 24, "t_count": 16, "keep_per_seed": 4}
+    path.write_text(json.dumps(_corpus_config(routes="genfun", seeds=seeds)))
+    src = Path(cli.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "contactmorse", "run", str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("records.csv", "report.txt")])
+    assert b",genfun" in outputs[0][0]
+    assert outputs[0] == outputs[1]
 
 
 def test_python_m_runs_the_cli(tmp_path):

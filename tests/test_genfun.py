@@ -390,11 +390,6 @@ def test_family_hessian_plan_matches_nested_reference(sphere_corpus_spec, settin
     _, _, hess, _, ok = family.evaluate(x, t, order=2)
     assert ok.all()
     assert _bitwise_equal(hess, nested_family_hessian(family, x, t))
-    # in place, in the leading block of a larger zeroed buffer
-    out = np.zeros((6, family.dim + 1, family.dim + 1))
-    _, _, view, _, _ = family.evaluate(x, t, order=2, out=out)
-    assert np.shares_memory(view, out) and _bitwise_equal(view, hess)
-    assert not out[:, -1].any() and not out[:, :, -1].any()
     # the rotation family and F_phi alone
     for got, ref in zip(gfm.rotation_family_matrices(t, 2, 4), nested_rotation_matrices(t, 2, 4)):
         assert _bitwise_equal(got, ref)

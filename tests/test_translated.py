@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
-from contactmorse.flow import integrate_flow
+from contactmorse.flow import FlowMap, integrate_flow
 from contactmorse.genfun import evaluate_stacked, gf_compose
 from contactmorse.linsymp import inertia, solve_rows
 from contactmorse.sampling import sphere_points
@@ -343,27 +344,113 @@ def test_bordered_newton_singular_row_leaves_others_bitwise():
     assert np.array_equal(solve_rows(A[:2], b[:2]), solve_rows(A, b)[:2])
 
 
-def test_genfun_bordered_matrix_matches_nested_reference(settings, sphere_corpus_spec,
-                                                         monkeypatch):
-    """Every bordered matrix that _genfun_newton solves, on every iteration
-    as the working rows shrink inside its reused buffer, is bitwise the
-    level-by-level assembly of tests/oracles.py."""
-    family = _corpus_family(sphere_corpus_spec, settings, 4)
-    q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 12, 8, 2)
+def _steps_against_nested(family, spec, settings, monkeypatch, sphere_count, t_count, keep):
+    """Run _genfun_newton from prefiltered seeds and compare every step it
+    takes with a dense solve of the level-by-level bordered matrix M of
+    tests/oracles.py.  Returns, per row of every iteration, the relative
+    distance of the two steps, the condition number of M and the backward
+    error |M s - F| / (|M| |s| + |F|) of the chain step s, and the row
+    count of each iteration."""
+    q, t = tp._prefilter_seeds(spec, settings, sphere_count, t_count, keep)
     x0, warm = family.seed(q, t)
-    calls, mats = [], []
-    inner_eval, inner_solve = family.evaluate, tp.solve_rows
+    calls, steps = [], []
+    inner_eval, inner_step = family.evaluate, family.bordered_step
 
     def evaluate(x, t, **kwargs):
         out = inner_eval(x, t, **kwargs)
         calls.append((x.copy(), t.copy(), out[3].copy(), out[5].jac.copy()))
         return out
 
+    def bordered_step(x, atoms, dgrad, F):
+        s = inner_step(x, atoms, dgrad, F)
+        steps.append((F.copy(), s))
+        return s
+
     monkeypatch.setattr(family, "evaluate", evaluate)
-    monkeypatch.setattr(tp, "solve_rows", lambda M, F: mats.append(M.copy()) or inner_solve(M, F))
+    monkeypatch.setattr(family, "bordered_step", bordered_step)
     tp._genfun_newton(family, x0, t, 1e-9, 40, warm)
+    assert len(steps) == len(calls)
+    rel, cond, backward = [], [], []
+    for (x, tt, dgrad, jac), (F, s) in zip(calls, steps):
+        M = nested_bordered(family, x, tt, dgrad, jacobian_cache(family.f_phi, jac))
+        ref = np.linalg.solve(M, F[:, :, None])[:, :, 0]
+        rel.append(np.max(np.abs(s - ref), axis=1) / np.max(np.abs(ref), axis=1))
+        cond.append(np.linalg.cond(M))
+        resid = np.linalg.norm(np.einsum("rij,rj->ri", M, s) - F, axis=1)
+        scale = np.linalg.norm(M, ord=2, axis=(1, 2)) * np.linalg.norm(s, axis=1)
+        backward.append(resid / (scale + np.linalg.norm(F, axis=1)))
     rows = [x.shape[0] for x, *_ in calls]
-    assert len(mats) == len(calls) and rows[0] == 24 and min(rows) < 24
-    for (x, tt, dgrad, jac), M in zip(calls, mats):
-        ref = nested_bordered(family, x, tt, dgrad, jacobian_cache(family.f_phi, jac))
-        assert np.array_equal(M, ref) and np.array_equal(np.signbit(M), np.signbit(ref))
+    return np.concatenate(rel), np.concatenate(cond), np.concatenate(backward), rows
+
+
+def test_genfun_bordered_matrix_matches_nested_reference(settings, sphere_corpus_spec,
+                                                         monkeypatch):
+    """Every Newton step that _genfun_newton takes, on every iteration as the
+    working rows shrink, solves the level-by-level bordered matrix of
+    tests/oracles.py to 1e-10 relative."""
+    family = _corpus_family(sphere_corpus_spec, settings, 4)
+    rel, _, _, rows = _steps_against_nested(family, sphere_corpus_spec, settings, monkeypatch,
+                                            12, 8, 2)
+    assert rows[0] == 24 and min(rows) < 24
+    assert np.max(rel) <= 1e-10
+    # the Newton path never assembles the Hessian, so never compiles its plan
+    assert "plan" not in vars(family)
+
+
+@pytest.mark.parametrize("case", ["quadratic-1.0-0.35", "one-piece", "k3", "k5"])
+def test_genfun_chain_steps_match_nested_reference_on_stress_families(case, settings,
+                                                                       sphere_corpus_spec,
+                                                                       monkeypatch):
+    """The chain solve against the dense one where it is hardest: a
+    quadratic Hamiltonian whose last partial map closes a full turn, F_phi of
+    a single leaf, and 3 or 5 rotation pieces.
+
+    Seeds at t = 0 meet A_0, whose form has the structural kernel of the
+    identity, and Newton on the quadratic spec slides along its degenerate
+    critical circles: bordered matrices there reach condition numbers of
+    1e12 to 1e17, where any two backward-stable solves differ by about
+    cond * eps.  So the 1e-10 agreement is widened by 1e-16 * cond per row,
+    and every chain step must be backward stable."""
+    spec, k = sphere_corpus_spec, 4
+    if case == "quadratic-1.0-0.35":
+        spec = ham.ContactHamiltonianSpec(n=2, quadratic=(1.0, 0.35))
+    elif case != "one-piece":
+        k = int(case[1:])
+    if case == "one-piece":
+        f_phi = gfm.LeafGF(FlowMap(spec, 0.0, 1.0, settings))
+    else:
+        f_phi, _ = tp.build_phi_genfun(spec, settings, 1.0)
+    family = tp.ShiftedGenFunFamily(f_phi, 2, k)
+    rel, cond, backward, rows = _steps_against_nested(family, spec, settings, monkeypatch,
+                                                      8, 8, 2)
+    assert rows[0] == 16 and len(rows) > 2
+    assert np.sum(cond < 1e6) >= rows[0]
+    assert np.all(rel <= 1e-10 + 1e-16 * cond)
+    assert np.max(backward) <= 1e-15
+
+
+def test_genfun_chain_step_rows_are_batch_independent(settings, sphere_corpus_spec, rng):
+    """A row's chain step has the same bits alone and in batches of 2, 7 and
+    128."""
+    family = _corpus_family(sphere_corpus_spec, settings, 4)
+    q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 64, 8, 2)
+    x, warm = family.seed(q, t)
+    assert x.shape[0] == 128
+    _, grad, atoms, dgrad, ok, _ = family.evaluate(x, t, order=2, with_dt=True, warm=warm,
+                                                   terms=True)
+    assert ok.all()
+    F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
+    full = family.bordered_step(x, atoms, dgrad, F)
+    for rows in ([0], [77], [127], [3, 4], [10, 50], list(range(20, 27)),
+                 sorted(rng.choice(128, 7, replace=False).tolist())):
+        part = family.bordered_step(x[rows], [a[rows] for a in atoms], dgrad[rows], F[rows])
+        assert np.array_equal(part, full[rows]), rows
+
+
+def test_family_rejects_a_non_chain_f_phi(settings, sphere_corpus_spec):
+    def leaf(a, b):
+        return gfm.LeafGF(FlowMap(sphere_corpus_spec, a, b, settings))
+
+    right_nested = gfm.gf_compose(leaf(0.0, 0.3), gfm.gf_compose(leaf(0.3, 0.6), leaf(0.6, 1.0)))
+    with pytest.raises(ValueError, match="chain"):
+        tp.ShiftedGenFunFamily(right_nested, 2, 4)
