@@ -16,8 +16,7 @@ from .flow import (
     subdivide_c1_small,
 )
 from .genfun import (
-    ComposeGF,
-    GenFun,
+    ChainGF,
     LeafGF,
     LeafNewtonError,
     gf_compose,

@@ -1,15 +1,27 @@
-"""Homogeneous generating functions as composition DAGs.
+"""Homogeneous generating functions as chains of links.
 
-Two node kinds: a Leaf solves the midpoint equation of a C^1-small flow
-piece by Newton, and Compose glues two nodes with the sharp-product
+A generating function is a chain of N links g_1, ..., g_N on R^{2n}, none
+with fiber variables: LeafGF, the generating function of a C^1-small flow
+piece, and QuadraticLink, a form c |b|^2.  The chain generates the composite
+(map of g_N) o ... o (map of g_1).  With a_j the base of the chain g_1..g_j
+and b_j the base of link j (b_1 = a_1), it is Chaperon's broken-geodesic
+function
 
-    (F # G)(u; v, w, mu, eta) = F(u+w; mu) + G(v+w; eta) + 2<u-v, iw>,
+    F(sigma) = g_1(a_1) + sum_{j=2..N} [g_j(b_j) + 2<a_j - b_j, i(a_{j-1} - a_j)>]
 
-which generates (map of G) o (map of F) and adds 4n fiber variables.  Every
-node evaluates values, gradients and Hessians in batch; evaluation is
-reentrant and nodes are immutable after construction.  The Hessian of a DAG
-is never built level by level: its sparsity is compiled once into a
-HessianPlan, which scatters the Hessians of the DAG's leaves into it.
+of the chain coordinates sigma, with base a_N and the 2n(2N - 2) other
+variables as fiber.  It is the left-associated iterated sharp product
+
+    (F # G)(u; v, w, mu) = F(u + w; mu) + G(v + w) + 2<u - v, iw>
+
+after the unimodular change a_j = u, a_{j-1} = u + w, b_j = v + w at every
+level; a fiber-preserving change of coordinates does not change the
+generated map (Chaperon 1984, Theret 1999).
+
+sigma is stored flat, in blocks of 2n, in the order (a_N, b_N, a_{N-1},
+b_{N-1}, ..., a_2, b_2, a_1): the base comes first, and link j >= 2 couples
+the three consecutive blocks (a_j, b_j, a_{j-1}), so every Hessian is block
+tridiagonal in the pairs (a_j, b_j).
 
 All constructed functions are homogeneous of degree 2, F(lambda x) =
 lambda^2 F(x); leaf values come from the Euler identity F(b) = <grad F, b>/2,
@@ -40,96 +52,124 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-class GenFun:
-    """Base node: base_dim = 2n, fiber_dim per node kind."""
+class LeafGF:
+    """Link of one C^1-small flow piece.
 
-    base_dim: int
-    fiber_dim: int
-
-    @property
-    def total_dim(self) -> int:
-        return self.base_dim + self.fiber_dim
-
-    def evaluate(self, x: np.ndarray, order: int = 1, leaf_cache: dict | None = None):
-        """Batched evaluation at x of shape (B, total_dim).
-
-        Returns (val, grad, hess, ok): val (B,), grad (B, D) for order >= 1,
-        hess (B, D, D) for order >= 2 (else None), ok (B,) bool marking rows
-        whose leaf solves converged.  leaf_cache holds pre-solved midpoint
-        data keyed by leaf identity (see evaluate_stacked).
-        """
-        raise NotImplementedError
-
-    def evaluate_terms(self, x: np.ndarray, order: int = 1, leaf_cache: dict | None = None):
-        """Like evaluate, with hess replaced by the list of atom Hessians
-        that hessian_plan() assembles it from (empty below order 2)."""
-        val, grad, hess, ok = self.evaluate(x, order, leaf_cache)
-        return val, grad, [] if hess is None else [hess], ok
-
-    def hessian_plan(self) -> "HessianPlan":
-        """Scatter plan of the Hessian over the atoms of evaluate_terms; any
-        node other than a compose is one atom."""
-        return HessianPlan.atom(self.total_dim)
-
-    def map_points(self, z: np.ndarray):
-        """Apply the underlying symplectomorphism to points z of shape (B, 2n)."""
-        raise NotImplementedError
-
-    def chain_seed(self, z: np.ndarray, midpoints: list | None = None):
-        """Fiber variables of the canonical fiber-critical point over the
-        chain starting at z: returns (fiber (B, fiber_dim), z_out (B, 2n)).
-
-        When midpoints is a list, every leaf appends its chain point, which is
-        the midpoint solution at that leaf's base, in depth-first leaf order."""
-        raise NotImplementedError
-
-
-class LeafGF(GenFun):
-    """Generating function of one C^1-small flow piece.
-
-    Evaluation solves (z + Phi(z))/2 = b for z by Newton with the integrated
-    Jacobian, then reads the gradient off the graph identification,
-    grad F(b) = i(z - Phi(z)), and the value off the Euler identity.
+    At a base b it is read off the midpoint z with (z + Phi(z))/2 = b, which
+    evaluate_stacked solves for all leaves of a chain at once: the gradient
+    off the graph identification, grad F(b) = i(z - Phi(z)), the value off
+    the Euler identity and the Hessian off DPhi(z) (leaf_hessian).
     """
 
     def __init__(self, piece: FlowMap):
         self.piece = piece
         self.base_dim = 2 * piece.spec.n
-        self.fiber_dim = 0
-        self._J = complex_structure_matrix(piece.spec.n)
-
-    def evaluate(self, x, order=1, leaf_cache=None):
-        b = np.asarray(x, dtype=float)
-        if leaf_cache is not None and id(self) in leaf_cache:
-            z, Zv, jac, ok = leaf_cache[id(self)]
-        else:
-            p = self.piece
-            z, Zv, jac, ok = solve_midpoint(p.spec, p.t0, p.t1, p.settings, b)
-        grad = mul_i(z - Zv)
-        val = 0.5 * np.sum(grad * b, axis=1)
-        hess = None
-        if order >= 2:
-            m = b.shape[1]
-            eye = np.eye(m)
-            # Hessian = 2 J (I - DPhi)(I + DPhi)^{-1}; the Cayley transform of
-            # a symplectic matrix, hence symmetric up to integrator error.
-            C = np.linalg.solve(
-                np.swapaxes(eye + jac, -1, -2), np.swapaxes(eye - jac, -1, -2)
-            )
-            C = np.swapaxes(C, -1, -2)
-            H = 2.0 * self._J @ C
-            hess = 0.5 * (H + np.swapaxes(H, -1, -2))
-        return val, grad, hess, ok
 
     def map_points(self, z):
+        """Apply the piece's map to points z of shape (B, 2n)."""
         z = np.asarray(z, dtype=float)
         return z.copy() if self.piece.is_identity() else self.piece(z)[0]
 
-    def chain_seed(self, z, midpoints=None):
-        z = np.asarray(z, dtype=float)
-        if midpoints is not None:
-            midpoints.append(z)
-        return np.zeros((z.shape[0], 0)), self.map_points(z)
+
+class QuadraticLink:
+    """Link c |b|^2 on R^{2n}, with c a scalar or one coefficient per row.
+
+    c = -tan(pi s) generates the rotation z -> e^{-2 pi i s} z, |s| < 1/2.
+    """
+
+    def __init__(self, coeff, n: int):
+        self.coeff = np.asarray(coeff, dtype=float)
+        self.base_dim = 2 * n
+
+    def evaluate(self, b: np.ndarray, order: int = 1):
+        """(val, grad, hess, ok) at bases b (B, 2n); hess is None below order 2."""
+        B, m = b.shape
+        c = self.coeff[..., None]
+        hess = None
+        if order >= 2:
+            hess = np.broadcast_to(2.0 * c[..., None] * np.eye(m), (B, m, m))
+        return np.sum(b * b, axis=1) * self.coeff, 2.0 * c * b, hess, np.ones(B, dtype=bool)
+
+    def map_points(self, z):
+        # the graph of 2cb under the midpoint identification: (c + i) Z = (i - c) z
+        c = self.coeff[..., None]
+        return ((1.0 - c * c) * z + 2.0 * c * mul_i(z)) / (1.0 + c * c)
+
+
+class ChainGF:
+    """A generating function: the chain of its links, in the order their maps
+    apply.  base_dim = 2n, fiber_dim = 2n (2N - 2) for N links."""
+
+    def __init__(self, links):
+        self.links = tuple(links)
+        if not self.links:
+            raise ValueError("a chain needs at least one link")
+        self.base_dim = self.links[0].base_dim
+        if any(link.base_dim != self.base_dim for link in self.links):
+            raise ValueError("base dimensions must match")
+        self.fiber_dim = 2 * self.base_dim * (len(self.links) - 1)
+
+    @property
+    def total_dim(self) -> int:
+        return self.base_dim + self.fiber_dim
+
+    def map_points(self, z: np.ndarray):
+        """Apply the generated map to points z of shape (B, 2n)."""
+        for link in self.links:
+            z = link.map_points(z)
+        return z
+
+    def chain_seed(self, z: np.ndarray, midpoints: list | None = None):
+        """Fiber variables of the canonical fiber-critical point over the
+        chain starting at z: returns (fiber (B, fiber_dim), z_out (B, 2n)).
+
+        With z_0 = z and z_j the image of z_{j-1} under link j, that point
+        has a_j = (z_0 + z_j)/2 and b_j = (z_{j-1} + z_j)/2, so its base is
+        a_N = (z + z_out)/2.  When midpoints is a list, every leaf appends its
+        chain point z_{j-1}, which is the midpoint solution at its base."""
+        zs = [np.asarray(z, dtype=float)]
+        for link in self.links:
+            if midpoints is not None and isinstance(link, LeafGF):
+                midpoints.append(zs[-1])
+            zs.append(link.map_points(zs[-1]))
+        Z = np.stack(zs, axis=1)
+        sigma = join_chain(0.5 * (Z[:, :1] + Z[:, 1:]), 0.5 * (Z[:, 1:-1] + Z[:, 2:]))
+        return sigma[:, self.base_dim :], zs[-1]
+
+
+def gf_compose(*parts) -> ChainGF:
+    """Sharp composition of chains and links: the chain of all their links,
+    in order.  It generates (map of the last part) o ... o (map of the first)."""
+    return ChainGF(link for part in parts
+                   for link in (part.links if isinstance(part, ChainGF) else (part,)))
+
+
+def flow_chain(spec, schedule, settings: IntegratorSettings, until: float = np.inf) -> ChainGF:
+    """Chain of the flow pieces [a, b] of a subdivision schedule, each clamped
+    to [min(a, until), min(b, until)].
+
+    With until = t it generates the isotopy's time-t map: pieces ahead of t
+    degenerate to the identity but stay in the chain, so the total space does
+    not change with t, which is what makes dF_t/dt meaningful pointwise.
+    """
+    return ChainGF(LeafGF(FlowMap(spec, min(a, until), min(b, until), settings))
+                   for a, b in schedule)
+
+
+def split_chain(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks a_1..a_N (B, N, m) and b_2..b_N (B, N - 1, m) of flat
+    chain coordinates x (B, (2N - 1) m), in chain order."""
+    Y = x.reshape(x.shape[0], -1, m)
+    return Y[:, ::-2], Y[:, -2::-2]
+
+
+def join_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat chain coordinates from their blocks in chain order; undoes split_chain."""
+    B, N, m = a.shape
+    Y = np.empty((B, 2 * N - 1, m))
+    Y[:, ::-2] = a
+    Y[:, -2::-2] = b
+    return Y.reshape(B, -1)
 
 
 def _unit_row(m: int) -> np.ndarray:
@@ -189,7 +229,7 @@ def solve_midpoint(spec, t0, t1, settings, b, newton_tol=_LEAF_TOL, max_iter=_LE
 class LeafState:
     """Last midpoint solve of every leaf, per row: b (B, L, 2n) the base,
     z (B, L, 2n) the midpoint and jac (B, L, 2n, 2n) DPhi(z).  The leaf axis
-    follows the depth-first leaf order of the DAG."""
+    follows the order of the leaves in the chain."""
 
     b: np.ndarray
     z: np.ndarray
@@ -212,352 +252,131 @@ class LeafState:
         return self.z + np.linalg.solve(A, (b - self.b)[..., None])[..., 0]
 
 
-def _stack_leaves(arrays: list[np.ndarray], B: int, shape: tuple) -> np.ndarray:
-    """Per-leaf arrays (B, *shape) stacked along a leaf axis 1."""
-    return np.stack(arrays, axis=1) if arrays else np.zeros((B, 0) + shape)
+def leaf_hessian(jac: np.ndarray) -> np.ndarray:
+    """Hessian 2J (I - DPhi)(I + DPhi)^{-1} of a leaf from DPhi (..., 2n, 2n)
+    at its midpoint: the Cayley transform of a symplectic matrix, hence
+    symmetric up to integrator error, and symmetrised."""
+    m = jac.shape[-1]
+    eye = np.eye(m)
+    C = np.linalg.solve(np.swapaxes(eye + jac, -1, -2), np.swapaxes(eye - jac, -1, -2))
+    H = 2.0 * complex_structure_matrix(m // 2) @ np.swapaxes(C, -1, -2)
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def chain_state(gf: GenFun, x: np.ndarray, midpoints: list[np.ndarray]) -> LeafState:
-    """LeafState at x whose leaf midpoints are known, e.g. the chain points
-    that chain_seed collects.  DPhi is unknown and set to the identity; the
-    predictor then only moves z by the base change."""
-    requests: list[tuple[LeafGF, np.ndarray]] = []
-    _collect_leaf_bases(gf, np.asarray(x, dtype=float), requests)
-    B, m = x.shape[0], gf.base_dim
-    jac = np.broadcast_to(np.eye(m), (B, len(requests), m, m)).copy()
-    return LeafState(_stack_leaves([b for _, b in requests], B, (m,)),
-                     _stack_leaves(midpoints, B, (m,)), jac)
-
-
-# Rows per block of HessianPlan.apply's scatter.
-_SCATTER_ROWS = 64
-
-
-class HessianPlan:
-    """Compiled sparsity of a Hessian assembled from the Hessians of atoms.
-
-    An atom is a node other than a compose; the atoms of a DAG are its leaves
-    in depth-first order.  Per row, the atom vector is the constants `consts`
-    (consts[0] = 0.0) followed by every atom Hessian flattened row-major.  The
-    structurally nonzero entries, flat indices `index` of a dim x dim matrix,
-    are (vec[src[0]] + 0.0) + vec[src[1]]: their one or two addends, with
-    position 0 for an absent second one.  The "+ 0.0" is the first addition
-    of a zero-initialised sum, so the bits are those of a dense assembly that
-    adds each block into a zero matrix, level by level.  The n_two entries
-    with two addends come first.  Every other entry is a structural zero and
-    is never written.
-    """
-
-    def __init__(self, dim: int, consts: tuple[float, ...], atom_sizes: tuple[int, ...],
-                 index: np.ndarray, src: np.ndarray):
-        self.dim = dim
-        self.consts = consts
-        self.atom_sizes = atom_sizes
-        self.index = index
-        self.src = src
-        self.n_two = int(np.sum(src[1] > 0))
-        self._const_row = np.array(consts)
-        self._scatter = np.zeros(0, dtype=np.intp)
-
-    @classmethod
-    def atom(cls, dim: int) -> "HessianPlan":
-        """The plan of one atom: every entry is that atom's own."""
-        size = dim * dim
-        src = np.zeros((2, size), dtype=np.intp)
-        src[0] = 1 + np.arange(size)
-        return cls(dim, (0.0,), (size,), np.arange(size), src)
-
-    @classmethod
-    def compile(cls, dim, consts, atom_sizes, dst, codes) -> "HessianPlan":
-        """Plan of the addends codes[k], atom-vector positions, of the flat
-        entries dst[k]; an entry with more than two addends raises."""
-        dst = np.concatenate(dst)
-        codes = np.concatenate(codes)
-        order = np.argsort(dst, kind="stable")
-        dst, codes = dst[order], codes[order]
-        index, first, count = np.unique(dst, return_index=True, return_counts=True)
-        if count.size and count.max() > 2:
-            raise ValueError(f"a Hessian entry has {count.max()} addends; the sharp "
-                             "product gives each at most 2")
-        two = count == 2
-        order = np.concatenate([np.flatnonzero(two), np.flatnonzero(~two)])
-        src = np.zeros((2, index.size), dtype=np.intp)
-        src[0] = codes[first]
-        src[1, two] = codes[first[two] + 1]
-        return cls(dim, tuple(consts), tuple(atom_sizes), index[order], src[:, order])
-
-    def recoded(self, const_code: dict[float, int], atom_offset: int) -> np.ndarray:
-        """(dim * dim, 2) addend positions of every entry (0: none) in a wider
-        atom vector, whose constants sit at const_code and whose copy of this
-        plan's atoms starts at atom_offset."""
-        lookup = np.concatenate([[const_code[c] for c in self.consts],
-                                 atom_offset + np.arange(sum(self.atom_sizes))]).astype(np.intp)
-        table = np.zeros((self.dim * self.dim, 2), dtype=np.intp)
-        table[self.index] = lookup[self.src].T
-        return table
-
-    def apply(self, atoms: list[np.ndarray]) -> np.ndarray:
-        """Assemble the (B, dim, dim) Hessian of every row from the atom
-        Hessians, in depth-first order."""
-        B = atoms[0].shape[0]
-        vec = np.concatenate([np.broadcast_to(self._const_row, (B, len(self.consts)))]
-                             + [a.reshape(B, a.shape[1] * a.shape[2]) for a in atoms], axis=1)
-        if vec.shape[1] != len(self.consts) + sum(self.atom_sizes):
-            raise ValueError("atom Hessians do not match the plan")
-        total = np.take(vec, self.src[0], axis=1)
-        total += 0.0
-        total[:, : self.n_two] += np.take(vec, self.src[1, : self.n_two], axis=1)
-        out = np.zeros((B, self.dim, self.dim))
-        # Scatter a block of rows at a time through one flat index: several
-        # times faster than a (rows, entries) fancy assignment.
-        D, nnz = self.dim, self.index.size
-        block = max(1, min(B, _SCATTER_ROWS))
-        if self._scatter.size < block * nnz:
-            self._scatter = (np.arange(block)[:, None] * (D * D) + self.index).ravel()
-        flat = out.reshape(-1)
-        for r0 in range(0, B, block):
-            r1 = min(B, r0 + block)
-            flat[r0 * D * D : r1 * D * D][self._scatter[: (r1 - r0) * nnz]] = total[r0:r1].ravel()
-        return out
-
-
-class SharpLayout:
-    """Coordinates x = (u, v, w, mu, eta) of a sharp product F # G.
-
-    F is evaluated at (u + w; mu) and G at (v + w; eta); m is the base
-    dimension and mu, eta are the fibers of F and G.  plan() holds the block
-    rules of the Hessian, and every Hessian of a sharp product is assembled
-    through it: the composition DAG, the flattened rotation family and the
-    shifted family of the genfun route.  No entry of the assembled Hessian
-    receives more than two addends (plan() checks it), so the order of
-    assembly does not change its bits.
-    """
-
-    def __init__(self, m: int, fiber_first: int, fiber_second: int):
-        self.m = m
-        self.dim = 3 * m + fiber_first + fiber_second
-        self.u = slice(0, m)
-        self.v = slice(m, 2 * m)
-        self.w = slice(2 * m, 3 * m)
-        self.mu = slice(3 * m, 3 * m + fiber_first)
-        self.eta = slice(3 * m + fiber_first, self.dim)
-
-    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The points (u + w; mu) of F and (v + w; eta) of G inside x."""
-        w = x[:, self.w]
-        return (np.concatenate([x[:, self.u] + w, x[:, self.mu]], axis=1),
-                np.concatenate([x[:, self.v] + w, x[:, self.eta]], axis=1))
-
-    def value_grad(self, x, vF, gF, vG, gG):
-        """Value and gradient of F # G at x from the values and gradients of
-        F and G at the points of split(x); the gradient is None when either
-        child's is (an order-0 evaluation)."""
-        m = self.m
-        u, v, w = x[:, self.u], x[:, self.v], x[:, self.w]
-        iw = mul_i(w)
-        val = vF + vG + 2.0 * np.sum((u - v) * iw, axis=1)
-        if gF is None or gG is None:
-            return val, None
-        grad = np.zeros((x.shape[0], self.dim))
-        grad[:, self.u] = gF[:, :m] + 2.0 * iw
-        grad[:, self.v] = gG[:, :m] - 2.0 * iw
-        grad[:, self.w] = gF[:, :m] + gG[:, :m] - 2.0 * mul_i(u - v)
-        grad[:, self.mu] = gF[:, m:]
-        grad[:, self.eta] = gG[:, m:]
-        return val, grad
-
-    def plan(self, first: HessianPlan, second: HessianPlan, pairing: float | None) -> HessianPlan:
-        """Plan of the Hessian of F # G from the plans of F and G.
-
-        A base coordinate of F feeds u and w, a fiber coordinate mu (G: v, w
-        and eta), so each entry of F's Hessian lands on up to four entries.
-        pairing scales the block of the pairing term 2<u - v, iw>: 2 for
-        Hessians, 1 for the matrices M of forms x^T M x, None for parameter
-        derivatives, where the pairing term is constant.
-        """
-        m, dim = self.m, self.dim
-        J = np.zeros((m, m)) if pairing is None else pairing * complex_structure_matrix(m // 2)
-        ji, jj = np.nonzero(J)
-        pairs = ((self.u, self.w, 1.0), (self.w, self.u, -1.0),
-                 (self.v, self.w, -1.0), (self.w, self.v, 1.0))
-        const_code: dict[float, int] = {}
-        for c in (*first.consts, *second.consts, *(() if pairing is None else (pairing, -pairing))):
-            const_code.setdefault(float(c), len(const_code))
-        offset = len(const_code)
-        dst, codes = [], []
-        for child, base, fiber in ((first, self.u, self.mu), (second, self.v, self.eta)):
-            table = child.recoded(const_code, offset)
-            offset += sum(child.atom_sizes)
-            c = np.concatenate([np.arange(m), np.arange(m), np.arange(m, child.dim)])
-            p = np.concatenate([np.arange(base.start, base.stop),
-                                np.arange(self.w.start, self.w.stop),
-                                np.arange(fiber.start, fiber.stop)])
-            at = table[(c[:, None] * child.dim + c).ravel()]
-            to = (p[:, None] * dim + p).ravel()
-            for slot in (0, 1):
-                keep = at[:, slot] > 0
-                dst.append(to[keep])
-                codes.append(at[keep, slot])
-        for rows, cols, sign in pairs:
-            dst.append((rows.start + ji) * dim + cols.start + jj)
-            codes.append(np.array([const_code[float(s)] for s in sign * J[ji, jj]], dtype=np.intp))
-        return HessianPlan.compile(dim, tuple(const_code), first.atom_sizes + second.atom_sizes,
-                                   dst, codes)
-
-    def hessian(self, HF: np.ndarray, HG: np.ndarray, pairing: float | None) -> np.ndarray:
-        """Batched (B, dim, dim) block matrix of F # G from those of F and G,
-        with pairing as in plan()."""
-        plan = _atom_pair_plan(self.m, self.mu.stop - self.mu.start,
-                               self.eta.stop - self.eta.start, pairing)
-        return plan.apply([HF, HG])
-
-
-@functools.lru_cache(maxsize=None)
-def _atom_pair_plan(m: int, fiber_first: int, fiber_second: int, pairing) -> HessianPlan:
-    """The one-level plan of SharpLayout.hessian: both children are atoms."""
-    return SharpLayout(m, fiber_first, fiber_second).plan(
-        HessianPlan.atom(m + fiber_first), HessianPlan.atom(m + fiber_second), pairing)
-
-
-class ComposeGF(GenFun):
-    """Sharp-product node; left child is the map applied first."""
-
-    def __init__(self, first: GenFun, second: GenFun):
-        if first.base_dim != second.base_dim:
-            raise ValueError("base dimensions must match")
-        self.first = first
-        self.second = second
-        self.base_dim = first.base_dim
-        self.fiber_dim = 2 * self.base_dim + first.fiber_dim + second.fiber_dim
-        self.layout = SharpLayout(self.base_dim, first.fiber_dim, second.fiber_dim)
-
-    @functools.cached_property
-    def _plan(self) -> HessianPlan:
-        # compiled on first use; a DAG evaluated only to order 1 never pays
-        return self.layout.plan(self.first.hessian_plan(), self.second.hessian_plan(), 2.0)
-
-    def hessian_plan(self) -> HessianPlan:
-        return self._plan
-
-    def evaluate(self, x, order=1, leaf_cache=None):
-        val, grad, atoms, ok = self.evaluate_terms(x, order, leaf_cache)
-        hess = self._plan.apply(atoms) if order >= 2 else None
-        return val, grad, hess, ok
-
-    def evaluate_terms(self, x, order=1, leaf_cache=None):
-        x = np.asarray(x, dtype=float)
-        xF, xG = self.layout.split(x)
-        vF, gF, aF, okF = self.first.evaluate_terms(xF, order, leaf_cache)
-        vG, gG, aG, okG = self.second.evaluate_terms(xG, order, leaf_cache)
-        val, grad = self.layout.value_grad(x, vF, gF, vG, gG)
-        return val, grad, aF + aG, okF & okG
-
-    def map_points(self, z):
-        return self.second.map_points(self.first.map_points(z))
-
-    def chain_seed(self, z, midpoints=None):
-        fibF, z_mid = self.first.chain_seed(z, midpoints)
-        fibG, z_out = self.second.chain_seed(z_mid, midpoints)
-        v = z_out
-        w = 0.5 * (z_mid - z_out)
-        return np.concatenate([v, w, fibF, fibG], axis=1), z_out
-
-
-def gf_compose(first: GenFun, second: GenFun) -> GenFun:
-    """Sharp-composition: result generates (map of second) o (map of first)."""
-    return ComposeGF(first, second)
-
-
-def chain_links(gf: GenFun, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the v and w blocks of every sharp product of a chain.
-
-    gf must be a left-associated chain ((g_1 # g_2) # ...) # g_L of nodes
-    without fiber variables (ValueError otherwise), and its coordinate k >=
-    base_dim must sit at position offset + k of an enclosing vector.  The
-    product with g_j evaluates the chain of g_1..g_{j-1} at u + w and g_j at
-    v + w.  Returns (v, w), each of shape (L - 1, base_dim): row j - 2 holds
-    the positions of that product's v (resp. w), j = 2..L.
-    """
-    m = gf.base_dim
-    vs, ws = [], []
-    while isinstance(gf, ComposeGF):
-        if gf.second.fiber_dim:
-            raise ValueError("not a chain of fiber-free nodes")
-        lay = gf.layout
-        vs.append(offset + np.arange(lay.v.start, lay.v.stop))
-        ws.append(offset + np.arange(lay.w.start, lay.w.stop))
-        # the first child's coordinate k >= m sits at lay.mu.start + k - m
-        offset += lay.mu.start - m
-        gf = gf.first
-    if gf.fiber_dim:
-        raise ValueError("not a chain of fiber-free nodes")
-    shape = (len(vs), m)
-    return (np.array(vs[::-1], dtype=np.intp).reshape(shape),
-            np.array(ws[::-1], dtype=np.intp).reshape(shape))
-
-
-def _collect_leaf_bases(gf: GenFun, x: np.ndarray, out: list) -> None:
-    if isinstance(gf, LeafGF):
-        out.append((gf, x))
-    elif isinstance(gf, ComposeGF):
-        xF, xG = gf.layout.split(x)
-        _collect_leaf_bases(gf.first, xF, out)
-        _collect_leaf_bases(gf.second, xG, out)
-
-
-def evaluate_stacked(gf: GenFun, x: np.ndarray, order: int = 1, warm: LeafState | None = None,
-                     terms: bool = False):
-    """Evaluate like GenFun.evaluate (GenFun.evaluate_terms when terms is
-    true) but solve all leaf midpoints in one stacked Newton per compatible
-    group.
-
-    Leaves of an autonomous spec depend only on their span, so their batches
-    concatenate into a single integration; this amortizes the per-step cost
-    across the whole DAG.  Without warm state every leaf starts cold and the
-    results are bitwise the plain recursive ones.
-
-    With warm state (a LeafState of the same rows, from an earlier call or
-    from chain_state) every leaf starts from the one-step predictor at its new
-    base, and the new LeafState is returned as a fifth element.  A warm start
-    converges to the same midpoints within the leaf tolerance, not bitwise.
-    """
-    x = np.asarray(x, dtype=float)
-    B, m = x.shape[0], gf.base_dim
-    requests: list[tuple[LeafGF, np.ndarray]] = []
-    _collect_leaf_bases(gf, x, requests)
-    bases = _stack_leaves([b for _, b in requests], B, (m,))
-    guess = None if warm is None else warm.predict(bases)
-    cache: dict[int, tuple] = {}
+def _solve_leaves(pieces: list[FlowMap], b: np.ndarray, guess: np.ndarray | None):
+    """Midpoint solves of the leaves with pieces at their bases b (B, L, 2n),
+    one stacked solve_midpoint per compatible group.  Returns z, Phi(z) (B,
+    L, 2n), DPhi(z) (B, L, 2n, 2n) and ok (B, L)."""
+    B, L, m = b.shape
     groups: dict[tuple, list[int]] = {}
-    for i, (leaf, _) in enumerate(requests):
-        piece = leaf.piece
+    for i, piece in enumerate(pieces):
         if piece.spec.is_autonomous():
             key = (piece.spec, round(piece.span, 15), piece.settings)
         else:
             key = (piece.spec, piece.t0, piece.t1, piece.settings)
         groups.setdefault(key, []).append(i)
+    out = (np.empty((B, L, m)), np.empty((B, L, m)), np.empty((B, L, m, m)),
+           np.empty((B, L), dtype=bool))
     for members in groups.values():
-        piece0 = requests[members[0]][0].piece
-        group_b = np.concatenate([requests[i][1] for i in members], axis=0)
-        z0 = None if guess is None else np.concatenate([guess[:, i] for i in members], axis=0)
-        if piece0.spec.is_autonomous():
-            t0, t1 = 0.0, piece0.span
-        else:
-            t0, t1 = piece0.t0, piece0.t1
-        z, Zv, jac, ok = solve_midpoint(piece0.spec, t0, t1, piece0.settings, group_b, z0=z0)
-        for j, i in enumerate(members):
-            sl = slice(j * B, (j + 1) * B)
-            cache[id(requests[i][0])] = (z[sl], Zv[sl], jac[sl], ok[sl])
-    result = (gf.evaluate_terms if terms else gf.evaluate)(x, order, leaf_cache=cache)
+        piece = pieces[members[0]]
+        t0, t1 = (0.0, piece.span) if piece.spec.is_autonomous() else (piece.t0, piece.t1)
+
+        def stack(arr):  # leaf-major rows of the group
+            return np.concatenate([arr[:, i] for i in members], axis=0)
+
+        solved = solve_midpoint(piece.spec, t0, t1, piece.settings, stack(b),
+                                z0=None if guess is None else stack(guess))
+        for dst, src in zip(out, solved):
+            dst[:, members] = np.swapaxes(src.reshape((len(members), B) + src.shape[1:]), 0, 1)
+    return out
+
+
+def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState | None = None):
+    """Value, gradient and link Hessians of the chain gf at x (B, total_dim).
+
+    Returns (val (B,), grad (B, D), hess, ok (B,)): hess is None below order
+    2 and otherwise the (B, N, 2n, 2n) Hessians of the links at their bases,
+    which chain_hessian assembles; ok marks the rows whose leaf solves
+    converged.  All leaf midpoints are solved in one stacked Newton per
+    compatible group: leaves of an autonomous spec depend only on their span,
+    so their batches concatenate into a single integration, which amortizes
+    the per-step cost across the whole chain.
+
+    With warm state (a LeafState of the same rows, from an earlier call or
+    from a chain seed) every leaf starts from the one-step predictor at its
+    new base, and the new LeafState is returned as a fifth element.  A warm
+    start converges to the same midpoints within the leaf tolerance, not
+    bitwise.
+    """
+    x = np.asarray(x, dtype=float)
+    links, m = gf.links, gf.base_dim
+    B, N = x.shape[0], len(links)
+    a, b = split_chain(x, m)
+    bases = np.concatenate([a[:, :1], b], axis=1)
+    vals, grads = np.empty((B, N)), np.empty((B, N, m))
+    hess = np.empty((B, N, m, m)) if order >= 2 else None
+    ok = np.ones(B, dtype=bool)
+    leaves = [j for j, link in enumerate(links) if isinstance(link, LeafGF)]
+    for j, link in enumerate(links):
+        if j not in leaves:
+            vals[:, j], grads[:, j], h, ok_j = link.evaluate(bases[:, j], order)
+            ok &= ok_j
+            if hess is not None:
+                hess[:, j] = h
+    leaf_b = bases[:, leaves]
+    guess = None if warm is None else warm.predict(leaf_b)
+    z, Zv, jac, ok_leaf = _solve_leaves([links[j].piece for j in leaves], leaf_b, guess)
+    g = mul_i(z - Zv)
+    vals[:, leaves] = 0.5 * np.sum(g * leaf_b, axis=2)
+    grads[:, leaves] = g
+    if hess is not None:
+        hess[:, leaves] = leaf_hessian(jac)
+    ok &= ok_leaf.all(axis=1)
+    # the pairing terms 2<e_j, i d_j>, d_j = a_{j-1} - a_j, e_j = a_j - b_j
+    d = a[:, :-1] - a[:, 1:]
+    e = a[:, 1:] - b
+    val = np.sum(vals, axis=1) + 2.0 * np.sum(e * mul_i(d), axis=(1, 2))
+    ga = np.zeros((B, N, m))
+    ga[:, 0] = grads[:, 0]
+    ga[:, 1:] += 2.0 * mul_i(d + e)
+    ga[:, :-1] -= 2.0 * mul_i(e)
+    grad = join_chain(ga, grads[:, 1:] - 2.0 * mul_i(d))
     if warm is None:
-        return result
-    solved = [cache[id(leaf)] for leaf, _ in requests]
-    state = LeafState(bases, _stack_leaves([c[0] for c in solved], B, (m,)),
-                      _stack_leaves([c[2] for c in solved], B, (m, m)))
-    return (*result, state)
+        return val, grad, hess, ok
+    return val, grad, hess, ok, LeafState(leaf_b, z, jac)
 
 
-def gf_eval(gf: GenFun, x) -> float:
+@functools.lru_cache(maxsize=None)
+def _pairing_matrix(m: int, N: int, scale: float) -> np.ndarray:
+    """The pairing terms' part of the matrix of a chain of N links, scaled:
+    link j couples (a_j, b_j, a_{j-1}) through scale * i."""
+    P = np.kron(np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]),
+                scale * complex_structure_matrix(m // 2))
+    K = np.zeros(((2 * N - 1) * m, (2 * N - 1) * m))
+    for r in range(0, 2 * N - 2, 2):
+        K[r * m : (r + 3) * m, r * m : (r + 3) * m] += P
+    K.flags.writeable = False
+    return K
+
+
+def chain_hessian(blocks: np.ndarray, pairing: float = 2.0) -> np.ndarray:
+    """Batched (B, D, D) matrix of a chain in flat chain coordinates from the
+    (B, N, 2n, 2n) matrices of its links at their bases, in chain order.
+
+    pairing scales the pairing terms: 2 for Hessians, 1 for the matrices M
+    of forms x^T M x, 0 for parameter derivatives, where they are constant.
+    The result is block tridiagonal in the pairs (a_j, b_j).
+    """
+    B, N, m, _ = blocks.shape
+    D = (2 * N - 1) * m
+    H = np.broadcast_to(_pairing_matrix(m, N, float(pairing)), (B, D, D)).copy()
+    # link 1 sits on a_1, the last block; link j >= 2 on b_j, block 2(N - j) + 1
+    pos = [2 * N - 2] + list(range(2 * N - 3, 0, -2))
+    H.reshape(B, 2 * N - 1, m, 2 * N - 1, m)[:, pos, :, pos, :] = np.swapaxes(blocks, 0, 1)
+    return H
+
+
+def gf_eval(gf: ChainGF, x) -> float:
     xb, single = _as_batch(x)
     val, _, _, ok = evaluate_stacked(gf, xb, order=0)
     if not np.all(ok):
@@ -565,7 +384,7 @@ def gf_eval(gf: GenFun, x) -> float:
     return float(val[0]) if single else val
 
 
-def gf_grad(gf: GenFun, x) -> np.ndarray:
+def gf_grad(gf: ChainGF, x) -> np.ndarray:
     xb, single = _as_batch(x)
     _, grad, _, ok = evaluate_stacked(gf, xb, order=1)
     if not np.all(ok):
@@ -573,35 +392,39 @@ def gf_grad(gf: GenFun, x) -> np.ndarray:
     return grad[0] if single else grad
 
 
-def rotation_family_matrices(t, n: int, k: int):
-    """Batched matrices (M_A(t), dM_A/dt) of the k-piece family for a_t.
+def rotation_coefficients(t, k: int):
+    """Coefficient -tan(pi t / k) of each of the k rotation links of a_t, and
+    its d/dt, for t a scalar or of shape (B,); returned with shape (B,).
 
-    t may be a scalar or shape (B,).  Each piece is the quadratic form
-    -tan(pi t / k) |u|^2 (a rotation by -2 pi t / k); left-associated
-    composition of k pieces gives a form on R^{2n + 4n(k-1)}.
+    Each link rotates by e^{-2 pi i t / k}, so the k of them give a_t.
     """
     if k < 3:
         raise ValueError("k must be >= 3 so each piece rotates by less than half a turn")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t_arr) / k >= 0.5):
         raise ValueError("|t|/k must stay below 1/2")
-    m = 2 * n
-    coeff = -np.tan(np.pi * t_arr / k)
-    dcoeff = -(np.pi / k) / np.cos(np.pi * t_arr / k) ** 2
-    eye = np.eye(m)
-    piece = coeff[:, None, None] * eye
-    dpiece = dcoeff[:, None, None] * eye
-    M, dM = piece, dpiece
-    for _ in range(k - 1):
-        layout = SharpLayout(m, M.shape[1] - m, 0)
-        M, dM = layout.hessian(M, piece, 1.0), layout.hessian(dM, dpiece, None)
+    return -np.tan(np.pi * t_arr / k), -(np.pi / k) / np.cos(np.pi * t_arr / k) ** 2
+
+
+def rotation_family_matrices(t, n: int, k: int):
+    """Batched matrices (M_A(t), dM_A/dt) of the k-piece family for a_t.
+
+    t may be a scalar or shape (B,).  A_t is the chain of the k rotation
+    links; M_A is the matrix of the form A_t(sigma) = sigma^T M_A sigma on
+    R^{2n (2k - 1)}.
+    """
+    coeff, dcoeff = rotation_coefficients(t, k)
+    eye = np.eye(2 * n)
+    M, dM = (chain_hessian(np.broadcast_to(c[:, None, None, None] * eye,
+                                           (c.shape[0], k, 2 * n, 2 * n)), pairing)
+             for c, pairing in ((coeff, 1.0), (dcoeff, 0.0)))
     if np.ndim(t) == 0:
         return M[0], dM[0]
     return M, dM
 
 
 def fiber_critical_solve(
-    gf: GenFun,
+    gf: ChainGF,
     base: np.ndarray,
     fiber0: np.ndarray,
     tol: float = 1e-10,
@@ -625,13 +448,13 @@ def fiber_critical_solve(
         ok = ok_eval & (np.linalg.norm(gfib, axis=1) <= tol * scale)
         if np.all(ok | ~ok_eval):
             break
-        step = solve_rows(hess[:, m:, m:], gfib)
+        step = solve_rows(chain_hessian(hess)[:, m:, m:], gfib)
         upd = ~ok & ok_eval
         fiber = fiber - np.where(upd[:, None], step, 0.0)
     return fiber, ok
 
 
-def reduced_covector(gf: GenFun, base: np.ndarray, fiber: np.ndarray):
+def reduced_covector(gf: ChainGF, base: np.ndarray, fiber: np.ndarray):
     """Base gradient at a fiber-critical point: the covector of i_F."""
     x = np.concatenate([base, fiber], axis=1)
     _, grad, _, ok = evaluate_stacked(gf, x, order=1)
@@ -639,27 +462,8 @@ def reduced_covector(gf: GenFun, base: np.ndarray, fiber: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Shared-schedule families and monotonicity
+# Monotonicity
 # ---------------------------------------------------------------------------
-
-
-def shared_schedule_family(spec, schedule, settings: IntegratorSettings):
-    """t -> GenFun for the isotopy time-t map, on one fixed total space.
-
-    Every piece of the fixed subdivision schedule is present for every t,
-    clamped to [min(a, t), min(b, t)]; pieces ahead of t degenerate to the
-    identity leaf.  The total space therefore never changes with t, which is
-    what makes d F_t / d t meaningful pointwise.
-    """
-
-    def family_at(t: float) -> GenFun:
-        gf: GenFun | None = None
-        for a, b in schedule:
-            leaf = LeafGF(FlowMap(spec, min(a, t), min(b, t), settings))
-            gf = leaf if gf is None else gf_compose(gf, leaf)
-        return gf
-
-    return family_at
 
 
 def monotonicity_probe_values(
@@ -682,8 +486,7 @@ def monotonicity_probe_values(
     if settings is None:
         settings = IntegratorSettings()
     schedule = subdivide_c1_small(spec, 0.0, 1.0, delta, settings)
-    family_at = shared_schedule_family(spec, schedule, settings)
-    dim = family_at(0.5).total_dim
+    dim = flow_chain(spec, schedule, settings).total_dim
     samples = sphere_points(sample_count, dim, seed=0.3)
 
     knots = np.array([a for a, _ in schedule] + [1.0])
@@ -700,8 +503,10 @@ def monotonicity_probe_values(
 
     probes = np.zeros((t_count, sample_count))
     for i, t in enumerate(t_grid):
-        hi, _, _, ok_hi = evaluate_stacked(family_at(t + fd_step), samples, order=0)
-        lo, _, _, ok_lo = evaluate_stacked(family_at(t - fd_step), samples, order=0)
+        hi, _, _, ok_hi = evaluate_stacked(flow_chain(spec, schedule, settings, t + fd_step),
+                                           samples, order=0)
+        lo, _, _, ok_lo = evaluate_stacked(flow_chain(spec, schedule, settings, t - fd_step),
+                                           samples, order=0)
         if not np.all(ok_hi & ok_lo):
             raise LeafNewtonError("leaf solve failed during the monotonicity probe")
         probes[i] = (hi - lo) / (2.0 * fd_step)

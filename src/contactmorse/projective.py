@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import IntegratorSettings, integrate_flow
-from .genfun import GenFun, evaluate_stacked
+from .genfun import ChainGF, evaluate_stacked
 from .hamiltonian import ContactHamiltonianSpec, sphere_value
 from .linsymp import to_complex
 from .sampling import sphere_points
@@ -68,7 +68,7 @@ def z2_equivariance_check(
     return float(np.max(np.linalg.norm(plus + minus, axis=1)))
 
 
-def gf_invariance_check(gf: GenFun, samples: np.ndarray | None = None) -> float:
+def gf_invariance_check(gf: ChainGF, samples: np.ndarray | None = None) -> float:
     """max |F(-x) - F(x)| / |x|^2 over total-space samples.
 
     Even generating functions are exactly the conical ones once degree-2

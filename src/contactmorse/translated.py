@@ -24,7 +24,13 @@ import numpy as np
 
 from . import genfun as gfm
 from .flow import IntegratorSettings, integrate_flow
-from .genfun import GenFun, evaluate_stacked, rotation_family_matrices
+from .genfun import (
+    ChainGF,
+    chain_hessian,
+    evaluate_stacked,
+    rotation_coefficients,
+    rotation_family_matrices,
+)
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import (
     complex_structure_matrix,
@@ -174,7 +180,8 @@ def direct_translated_points(
                            converged_raw=int(np.sum(ok)))
 
 
-def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
+def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows,
+                     norm=functools.partial(np.linalg.norm, axis=1)):
     """Masked, damped Newton on a bordered system F(x, t) = 0 per row.
 
     system is a pair (evaluate, retract).  evaluate(work, x, t) is called on
@@ -182,20 +189,22 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
     (R, D) and t (R,), and returns (F, M, err, ok, val): the residual F
     (R, D + 1), its Jacobian M in (x, t), the error err (R,) compared with
     tol, ok (R,) false on rows whose evaluation failed, and a value val (R,)
-    returned with the point it belongs to.  solve(M, F) returns the Newton
-    step of every row, (R, D + 1); by default M is a dense (R, D + 1, D + 1)
-    array and solve_rows gives a row whose matrix is singular a
-    pseudo-inverse step.  retract(x, t) maps the new iterates back to the
-    system's domain and returns them with a bool mask of rows to drop.
+    returned with the point it belongs to.  M is a per-row array or a tuple
+    of them.  solve(M, F) returns the Newton step of every row of M, (R,
+    D + 1); it is called only on the rows that go on, neither finished nor
+    failed.  By default M is a dense (R, D + 1, D + 1) array and solve_rows
+    gives a row whose matrix is singular a pseudo-inverse step.
+    retract(x, t) maps the new iterates back to the system's domain and
+    returns them with a bool mask of rows to drop.
 
-    Steps are damped to norm 0.5.  A row finishes only after satisfying
-    tol on `polish` iterations: the extra full steps matter in flat valleys
-    (weakly split continua), where a residual below tol can still sit
-    noticeably off the true point and the final quadratic-convergence steps
-    pin it down.  Rows
-    that are dropped, or whose evaluation fails, stop.  Rows that never
-    finish but whose best error reached 100*tol (the integrator noise floor
-    can exceed an aggressive tol, e.g. on continua where steps bounce) are
+    Steps are damped to norm 0.5, measured by norm (R, D + 1) -> (R,).  A
+    row finishes only after satisfying tol on `polish` iterations: the extra
+    full steps matter in flat valleys (weakly split continua), where a
+    residual below tol can still sit noticeably off the true point and the
+    final quadratic-convergence steps pin it down.  Rows that are dropped,
+    or whose evaluation fails, stop.  Rows that never finish but whose best
+    error reached 100*tol (the integrator noise floor can exceed an
+    aggressive tol, e.g. on continua where steps bounce) are
     accepted at their best iterate.  Returns (x, t, val, done).
     """
     evaluate, retract = system
@@ -226,8 +235,11 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
         conv = ok & (err <= tol)
         times_conv[idx[conv]] += 1
         finish = conv & (times_conv[idx] >= polish)
-        step = solve(M, F)
-        norms = np.linalg.norm(step, axis=1)
+        go = ok & ~finish
+        step = np.zeros(F.shape)
+        if np.any(go):
+            step[go] = solve(tuple(a[go] for a in M) if isinstance(M, tuple) else M[go], F[go])
+        norms = norm(step)
         damp = np.minimum(1.0, 0.5 / np.maximum(norms, 1e-30))
         step = step * damp[:, None]
         tn = ti - step[:, D]
@@ -388,232 +400,177 @@ def _dedup_and_flag(records, n, dedup_angular, dedup_t, continuum_factor):
 # ---------------------------------------------------------------------------
 
 
+def nested_norm(x: np.ndarray, m: int):
+    """Squared norm |S^{-1} x|^2 of chain coordinates x (R, D), and its
+    gradient / 2, S^{-T} S^{-1} x.
+
+    S^{-1} x are the coordinates of the nested sharp product of the same
+    chain (see genfun): u = a_N, and w_j = a_{j-1} - a_j, v_j = b_j - w_j for
+    j = 2..N.  The genfun route measures its points and steps in this norm.
+    """
+    a, b = gfm.split_chain(x, m)
+    w = a[:, :-1] - a[:, 1:]
+    v = b - w
+    ga = np.zeros(a.shape)
+    ga[:, -1] = a[:, -1]
+    ga[:, 1:] += v - w
+    ga[:, :-1] += w - v
+    sq = np.sum(a[:, -1] ** 2, axis=1) + np.sum(w * w + v * v, axis=(1, 2))
+    return sq, gfm.join_chain(ga, v)
+
+
 class ShiftedGenFunFamily:
     """The family F_t = F_phi # A_t generating the lift of a_t o phi.
 
-    F_phi is the composed generating function of the subdivided isotopy of
-    phi, a left-associated chain of L pieces; A_t is the k-piece quadratic
-    family of the negative Reeb flow.  Only the A_t block depends on t, so
-    the t-derivative of the gradient is available in closed form for the
-    joint (x, t) Newton, whose step bordered_step solves along the chain.
+    F_t is one chain (see genfun): the L links of F_phi, the composed
+    generating function of the subdivided isotopy of phi, followed by the k
+    rotation links -tan(pi t / k)|b|^2 of A_t, the generating family of the
+    negative Reeb flow.  Points x are flat chain coordinates, base first.
+    Only the rotation links depend on t, through their coefficient, so the
+    t-derivative of the gradient is available in closed form for the joint
+    (x, t) Newton, whose step bordered_step solves along the chain.
     """
 
-    def __init__(self, f_phi: GenFun, n: int, k: int):
+    def __init__(self, f_phi: ChainGF, n: int, k: int):
         if k < 3:
             raise ValueError("rotation family needs k >= 3")
         self.f_phi = f_phi
         self.n = n
         self.k = k
-        # A_t is one flattened form: base 2n, fiber eta of dimension 4n(k - 1)
-        self.layout = gfm.SharpLayout(2 * n, f_phi.fiber_dim, 4 * n * (k - 1))
-        self.dim = self.layout.dim
-        # positions of (v_j, w_j) for the links j = 2..L+1 of the chain,
-        # the last being the product with A_t
-        m, lay = 2 * n, self.layout
-        v, w = gfm.chain_links(f_phi, lay.mu.start - m)
-        self._v = np.concatenate([v, np.arange(lay.v.start, lay.v.stop)[None]])
-        self._w = np.concatenate([w, np.arange(lay.w.start, lay.w.stop)[None]])
+        self.dim = 2 * n * (2 * (len(f_phi.links) + k) - 1)
 
-    @functools.cached_property
-    def plan(self) -> gfm.HessianPlan:
-        # the leaves of F_phi and then 2 M_A(t) are the atoms of the Hessian;
-        # compiled on the first assembled evaluation
-        a_t = gfm.HessianPlan.atom(2 * self.n + 4 * self.n * (self.k - 1))
-        return self.layout.plan(self.f_phi.hessian_plan(), a_t, 2.0)
+    def _chain(self, t):
+        """F_t as a chain for t per row, and d/dt of its rotation coefficient."""
+        coeff, dcoeff = rotation_coefficients(t, self.k)
+        return gfm.gf_compose(self.f_phi, *(gfm.QuadraticLink(coeff, self.n),) * self.k), dcoeff
 
     def seed(self, q: np.ndarray, t: np.ndarray):
         """Chain seeds on the fiber-critical set over starting points q.
 
-        Returns (x, warm): x on the unit sphere of the total space, and the
-        LeafState of F_phi at x.  Each leaf's chain point is the exact
-        midpoint at its chain base; the lifted flow is R_+-equivariant, so
-        after the normalisation of x it is the chain point over |x|.
+        Returns (x, warm): x on the unit sphere of the total space (in the
+        norm of nested_norm), and the LeafState of F_phi at x.  Each leaf's
+        chain point is the exact midpoint at its chain base; the lifted flow
+        is R_+-equivariant, so after the normalisation of x it is the chain
+        point over |x|.
         """
         q = np.asarray(q, dtype=float)
-        t = np.asarray(t, dtype=float)
+        chain, _ = self._chain(t)
         midpoints: list[np.ndarray] = []
-        fib_phi, z_mid = self.f_phi.chain_seed(q, midpoints)
-        # rotation chain through the k pieces of a_t
-        pts = [z_mid]
-        for j in range(self.k):
-            pts.append(phase_shift(pts[-1], t / self.k))
-        fib_a = []
-        for j in range(self.k, 1, -1):
-            fib_a.append(pts[j])
-            fib_a.append(0.5 * (pts[j - 1] - pts[j]))
-        fib_a = (
-            np.concatenate(fib_a, axis=1) if fib_a else np.zeros((q.shape[0], 0))
-        )
-        z_out = pts[-1]
-        u = 0.5 * (q + z_out)
-        v = z_out
-        w = 0.5 * (z_mid - z_out)
-        x = np.concatenate([u, v, w, fib_phi, fib_a], axis=1)
-        norm = np.linalg.norm(x, axis=1, keepdims=True)
+        fiber, z_out = chain.chain_seed(q, midpoints)
+        x = np.concatenate([0.5 * (q + z_out), fiber], axis=1)
+        norm = np.sqrt(nested_norm(x, 2 * self.n)[0])[:, None]
         x = x / norm
-        x_phi, _ = self.layout.split(x)
-        warm = gfm.chain_state(self.f_phi, x_phi, [z / norm for z in midpoints])
-        return x, warm
+        a, b = gfm.split_chain(x, 2 * self.n)
+        L = len(self.f_phi.links)
+        bases = np.concatenate([a[:, :1], b[:, : L - 1]], axis=1)
+        z = np.stack(midpoints, axis=1) / norm[:, :, None]
+        jac = np.broadcast_to(np.eye(2 * self.n), z.shape + (2 * self.n,)).copy()
+        return x, gfm.LeafState(bases, z, jac)
 
     def evaluate(self, x: np.ndarray, t: np.ndarray, order: int = 2,
                  with_dt: bool = False, warm: gfm.LeafState | None = None,
                  terms: bool = False):
         """(val, grad, hess, dgrad_dt, ok) of F_t at x, t per row.
 
-        With terms, hess is the list of its atoms instead: the Hessians of
-        F_phi's leaves in chain order, then 2 M_A(t).  With warm (the
-        LeafState of F_phi's leaves for these rows) the leaf solves start
-        warm and the new LeafState is returned as a sixth element; see
-        evaluate_stacked.
+        With terms, hess is the (R, L + k, 2n, 2n) stack of the links'
+        Hessians instead (see evaluate_stacked).  With warm (the LeafState of
+        F_phi's leaves for these rows) the leaf solves start warm and the new
+        LeafState is returned as a sixth element.
         """
         x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        layout = self.layout
-        x_phi, y = layout.split(x)
-        if warm is None:
-            vF, gF, atoms, okF = evaluate_stacked(self.f_phi, x_phi, order, terms=True)
-        else:
-            vF, gF, atoms, okF, warm = evaluate_stacked(self.f_phi, x_phi, order, warm,
-                                                        terms=True)
-        MA, dMA = rotation_family_matrices(t, self.n, self.k)
-        My = np.einsum("bij,bj->bi", MA, y)
-        vA = np.einsum("bi,bi->b", y, My)
-        val, grad = layout.value_grad(x, vF, gF, vA, 2.0 * My)
-        hess = None
-        if order >= 2:
-            hess = atoms + [2.0 * MA]
-            if not terms:
-                hess = self.plan.apply(hess)
+        chain, dcoeff = self._chain(t)
+        val, grad, hess, ok, *state = evaluate_stacked(chain, x, order, warm)
+        if order >= 2 and not terms:
+            hess = chain_hessian(hess)
         dgrad = None
         if with_dt:
-            # only the A_t block depends on t
-            m = layout.m
-            dgy = 2.0 * np.einsum("bij,bj->bi", dMA, y)
-            dgrad = np.zeros(x.shape)
-            dgrad[:, layout.v] = dgy[:, :m]
-            dgrad[:, layout.w] = dgy[:, :m]
-            dgrad[:, layout.eta] = dgy[:, m:]
-        if warm is None:
-            return val, grad, hess, dgrad, okF
-        return val, grad, hess, dgrad, okF, warm
+            # the rotation links' bases b_N, ..., b_{L+1} are the blocks 1, 3, .., 2k - 1
+            Y = x.reshape(x.shape[0], -1, 2 * self.n)
+            dY = np.zeros(Y.shape)
+            dY[:, 1 : 2 * self.k : 2] = 2.0 * dcoeff[:, None, None] * Y[:, 1 : 2 * self.k : 2]
+            dgrad = dY.reshape(x.shape)
+        return (val, grad, hess, dgrad, ok, *state)
 
-    def bordered_step(self, x: np.ndarray, atoms: list[np.ndarray], dgrad: np.ndarray,
+    def bordered_step(self, border: np.ndarray, hess: np.ndarray, dgrad: np.ndarray,
                       F: np.ndarray) -> np.ndarray:
-        """Solution s (R, D + 1) of [[H, dgrad], [x^T, 0]] s = F on every row,
-        with H the Hessian of F_t at x given by its atoms (evaluate's terms).
+        """Solution s (R, D + 1) of [[H, dgrad], [border^T, 0]] s = F on
+        every row, with H the Hessian of F_t given by its links' Hessians
+        hess (evaluate's terms).
 
-        Solved by elimination along the chain, in coordinates where H is
-        block tridiagonal: a_1 the base of leaf 1; for j = 2..L, b_j the base
-        of leaf j and a_j that of the chain of leaves 1..j; then b_{L+1} =
-        v + w and the fiber eta of A_t, and a_{L+1} = u.  Every coordinate of
-        x is a +-1 sum of these, x = T sigma, and
-
-            F_t = L_1(a_1) + sum_{j=2..L+1} L_j(b_j) + 2<a_j - b_j, i(a_{j-1} - a_j)>,
-
-        L_j the leaves and L_{L+1} = A_t.  In sigma each leaf Hessian is one
-        diagonal block, 2 M_A that of (b_{L+1}, eta), and link j pairs
-        a_{j-1}, b_j and a_j through constant multiples of 2i.  Every link's
-        unknowns are carried as affine functions of the step on a_1: the a_j
-        row gives b_{j+1} - a_{j+1} through 2i, and the b_{j+1} row then
-        pivots on H_{j+1} + 2i, which is 4i (I + DPhi)^{-1} up to the
-        symmetrisation of H and so well conditioned for a C^1-small leaf.
-        One dense (3 * 2n + dim eta + 1)-system per row closes the chain at A_t,
-        u and the border row.  T and T^T act by block sums and differences,
-        and every product is a per-row stacked call, so a row's step depends
-        neither on its batch nor on the BLAS thread count.
+        Solved by elimination along the chain, uniformly over its N = L + k
+        links.  H is block tridiagonal: link j's Hessian H_j is the diagonal
+        block of its base (a_1 for j = 1, b_j after), and link j >= 2 pairs
+        a_{j-1}, b_j and a_j through constant multiples of 2i.  Every unknown
+        is carried as an affine function of the step on a_1 and the t-step:
+        the a_j row gives e = b_{j+1} - a_{j+1} through 2i, and the b_{j+1}
+        row then pivots on H_{j+1} + 2i for the increment b_{j+1} - a_j.  For
+        a C^1-small leaf that pivot is 4i (I + DPhi)^{-1} up to the
+        symmetrisation of H, and for a rotation link it is
+        -2 tan(pi t / k) I + 2i; both are well conditioned, and the
+        increments of C^1-small leaves are small, so no unknown is the
+        difference of two large ones.  The a_N row and the border row close
+        the chain in one (2n + 1)-system per row, whatever k.  Every product
+        is a per-row stacked call, so a row's step depends neither on its
+        batch nor on the BLAS thread count.
         """
-        R, m, h = x.shape[0], self.layout.m, self.n
-        lay, V, W = self.layout, self._v, self._w
-        L = V.shape[0]
+        R, N, m = hess.shape[:3]
+        h = m // 2
         eye = np.eye(m)
         K = 2.0 * complex_structure_matrix(h)
 
         def i_rows(X):  # i applied to the m rows of X (R, ..., m, c)
             return np.concatenate([-X[..., h:, :], X[..., :h, :]], axis=-2)
 
-        def to_chain(y):  # T^T y: the a-blocks (R, L+1, m), b-blocks (R, L, m)
-            d = y[:, W] - y[:, V]
-            ya = np.empty((R, L + 1, m))
-            ya[:, 0] = d[:, 0]
-            ya[:, 1:L] = d[:, 1:] - d[:, :-1]
-            ya[:, L] = y[:, lay.u] - d[:, L - 1]
-            return ya, y[:, V]
+        def rhs(g, d):  # the affine function g - d tau
+            out = np.zeros((R, m, m + 2))
+            out[:, :, m] = -d
+            out[:, :, m + 1] = g
+            return out
 
-        def const(v):  # the affine function with value v
-            return np.concatenate([np.zeros((R, m, m)), v[:, :, None]], axis=2)
-
-        ga, gb = to_chain(F[:, :-1])
-        ca, cb = to_chain(x)
-        # affine functions of the a_1 step, (R, m, m + 1): its coefficients,
-        # then the constant; (2i)^{-1} = -i/2
-        sa = np.empty((R, L, m, m + 1))  # a_1..a_L
-        sb = np.empty((R, L - 1, m, m + 1))  # b_2..b_L
-        sa[:, 0] = np.concatenate([np.broadcast_to(eye, (R, m, m)), np.zeros((R, m, 1))], axis=2)
-        # a_1 row: H_1 a_1 + 2i (b_2 - a_2) = g gives e = b_2 - a_2
-        e = -0.5 * i_rows(const(ga[:, 0]) - atoms[0] @ sa[:, 0])
-        if L > 1:
-            P = (np.stack(atoms[1:L], axis=1) + K).reshape(-1, m, m)
-            Pinv = solve_rows(P, np.broadcast_to(eye, P.shape).copy()).reshape(R, L - 1, m, m)
-        for j in range(1, L):
-            # b_{j+1} row: H b + 2i (a_{j+1} - a_j) = g, with a_{j+1} = b - e
-            sb[:, j - 1] = Pinv[:, j - 1] @ (const(gb[:, j - 1]) + 2.0 * i_rows(e + sa[:, j - 1]))
+        ga, gb = gfm.split_chain(F[:, :-1], m)
+        da, db = gfm.split_chain(dgrad, m)
+        # affine functions of (a_1 step, t-step), (R, m, m + 2): their
+        # coefficients, then the constant; (2i)^{-1} = -i/2
+        sa = np.empty((R, N, m, m + 2))  # a_1..a_N
+        sb = np.empty((R, N - 1, m, m + 2))  # b_2..b_N
+        sa[:, 0] = 0.0
+        sa[:, 0, :, :m] = eye
+        # a_1 row: H_1 a_1 + 2i (b_2 - a_2) + d tau = g gives e = b_2 - a_2
+        e = -0.5 * i_rows(rhs(ga[:, 0], da[:, 0]) - hess[:, 0] @ sa[:, 0])
+        P = (hess[:, 1:] + K).reshape(-1, m, m)
+        Pinv = solve_rows(P, np.broadcast_to(eye, P.shape).copy()).reshape(R, N - 1, m, m)
+        for j in range(1, N):
+            # b_{j+1} row: H b + 2i (a_{j+1} - a_j) + d tau = g with b = a_j + f
+            # and a_{j+1} = b - e, solved for the increment f
+            f = Pinv[:, j - 1] @ (rhs(gb[:, j - 1], db[:, j - 1]) + 2.0 * i_rows(e)
+                                  - hess[:, j] @ sa[:, j - 1])
+            sb[:, j - 1] = sa[:, j - 1] + f
             sa[:, j] = sb[:, j - 1] - e
-            # a_{j+1} row: 2i (a_j - b_{j+1}) + 2i (b_{j+2} - a_{j+2}) = g
-            e = -0.5 * i_rows(const(ga[:, j])) - (sa[:, j - 1] - sb[:, j - 1])
-        # the closing system: unknowns a_1 | b_{L+1} | eta | a_{L+1} | t
-        p = lay.eta.stop - lay.eta.start
-        q = 3 * m + p + 1
-        A1, B, ETA, U = (slice(0, m), slice(m, 2 * m), slice(2 * m, 2 * m + p),
-                         slice(2 * m + p, q - 1))
-        Y = slice(m, 2 * m + p)  # (b_{L+1}, eta), the point of A_t
-        M = np.zeros((R, q, q))
-        rhs = np.empty((R, q))
-        KaL = 2.0 * i_rows(sa[:, L - 1])  # 2i a_L
-        # e = b_{L+1} - a_{L+1}
-        M[:, A1, A1] = -e[:, :, :m]
-        M[:, A1, B] = eye
-        M[:, A1, U] = -eye
-        rhs[:, A1] = e[:, :, m]
-        # (b_{L+1}, eta) rows: 2 M_A (b, eta) + 2i (a_{L+1} - a_L) + dgrad t = g
-        M[:, B, A1] = -KaL[:, :, :m]
-        M[:, Y, Y] = atoms[L]
-        M[:, B, U] = K
-        M[:, B, q - 1] = dgrad[:, lay.v]
-        M[:, ETA, q - 1] = dgrad[:, lay.eta]
-        rhs[:, B] = gb[:, L - 1] + KaL[:, :, m]
-        rhs[:, ETA] = F[:, lay.eta]
-        # a_{L+1} row: 2i (a_L - b_{L+1}) = g
-        M[:, U, A1] = KaL[:, :, :m]
-        M[:, U, B] = -K
-        rhs[:, U] = ga[:, L] - KaL[:, :, m]
-        # border row: (T^T x) . sigma = r
-        links = np.concatenate([sa, sb], axis=1).reshape(R, -1, m + 1)
-        c = np.concatenate([ca[:, :L], cb[:, : L - 1]], axis=1).reshape(R, 1, -1)
-        border = (c @ links)[:, 0]
-        M[:, q - 1, A1] = border[:, :m]
-        M[:, q - 1, B] = cb[:, L - 1]
-        M[:, q - 1, ETA] = x[:, lay.eta]
-        M[:, q - 1, U] = ca[:, L]
-        rhs[:, q - 1] = F[:, -1] - border[:, m]
-        sol = solve_rows(M, rhs)
-        # back to x = T sigma
-        z1 = np.concatenate([sol[:, A1], np.ones((R, 1))], axis=1)[:, None, :, None]
-        s_a = np.concatenate([(sa @ z1)[..., 0], sol[:, None, U]], axis=1)
-        s_b = np.concatenate([(sb @ z1)[..., 0], sol[:, None, B]], axis=1)
-        step = np.empty((R, self.dim + 1))
-        dw = s_a[:, :-1] - s_a[:, 1:]
-        step[:, W] = dw
-        step[:, V] = s_b - dw
-        step[:, lay.u] = sol[:, U]
-        step[:, lay.eta] = sol[:, ETA]
-        step[:, -1] = sol[:, -1]
+            # a_{j+1} row: 2i (a_j - b_{j+1}) + 2i (b_{j+2} - a_{j+2}) + d tau = g
+            e = -0.5 * i_rows(rhs(ga[:, j], da[:, j])) + f
+        # the closing system in (a_1 step, t-step): the a_N row, 2i times the
+        # last e = 0, and the border row border . s = r
+        M = np.empty((R, m + 1, m + 1))
+        close = np.empty((R, m + 1))
+        M[:, :m] = e[:, :, : m + 1]
+        close[:, :m] = -e[:, :, m + 1]
+        links = np.concatenate([sa, sb], axis=1).reshape(R, -1, m + 2)
+        ca, cb = gfm.split_chain(border, m)
+        c = np.concatenate([ca, cb], axis=1).reshape(R, 1, -1)
+        row = (c @ links)[:, 0]
+        M[:, m] = row[:, : m + 1]
+        close[:, m] = F[:, -1] - row[:, m + 1]
+        sol = np.concatenate([solve_rows(M, close), np.ones((R, 1))], axis=1)[:, None, :, None]
+        step = np.empty((R, border.shape[1] + 1))
+        step[:, :-1] = gfm.join_chain((sa @ sol)[..., 0], (sb @ sol)[..., 0])
+        step[:, -1] = sol[:, 0, m, 0]
         return step
 
 
 # Starts per genfun Newton batch.  A start's Newton state grows linearly
-# with the number of pieces L: leaf midpoints, one 2n x 2n Hessian block per
-# leaf, 2 M_A (28 x 28 at n = 2, k = 4) and the 37 x 37 closing system of the
-# chain solve, some 40 KB at L = 16.  The largest buffers of a batch are the
+# with the number of links L + k: leaf midpoints, one 2n x 2n Hessian block
+# and one 2n x (2n + 2) affine function of the chain solve per link, some
+# 20 KB at L = 16, k = 4.  The largest buffers of a batch are the
 # DOP853 stage buffers of its stacked leaf solve, L x 512 rows of state and
 # Jacobian per stage, about 20 MB at L = 16.
 _CHUNK = 512
@@ -661,7 +618,7 @@ def find_critical_rays(
     gf_vals = np.concatenate(vals, axis=0)
     ok = np.concatenate(oks, axis=0)
 
-    u = x[:, family.layout.u]
+    u = x[:, : 2 * spec.n]
     unorm = np.linalg.norm(u, axis=1)
     ok = ok & (unorm > u_floor)
     q_red = u[ok] / unorm[ok][:, None]
@@ -687,34 +644,45 @@ def find_critical_rays(
 
 def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
     """Bordered Newton (_bordered_newton) on grad F_t(x) = 0,
-    (|x|^2 - 1)/2 = 0 over (x, t), with x renormalised after every step.
+    (|S^{-1} x|^2 - 1)/2 = 0 over (x, t), with x renormalised after every
+    step.
 
-    Each iteration evaluates F_t once, to its Hessian's atoms, and
-    family.bordered_step solves the bordered system along the chain of
-    F_phi; no (D + 1) x (D + 1) matrix is formed.  warm is the LeafState of
-    F_phi at x0 (from family.seed); it is carried across iterations, sliced
-    by the same work mask as x and t, so that every leaf solve starts from
-    its predictor instead of cold.  A row is dropped when its leaves fail or
-    its step leaves the rotation family's domain |t| < k/2.  Returns
-    (x, t, F_t(x), done).
+    x is in chain coordinates, measured by nested_norm: the damping, the
+    unit sphere and find_critical_rays' u_floor on the base a_N read
+    |S^{-1} x|, the norm of the nested sharp product's coordinates, while
+    the residual tol reads the gradient in chain coordinates.  Each
+    iteration evaluates F_t once, to its links' Hessians, and
+    family.bordered_step solves the bordered system along the chain; no
+    (D + 1) x (D + 1) matrix is formed.  warm is the LeafState of F_phi at
+    x0 (from family.seed); it is carried across iterations, sliced by the
+    same work mask as x and t, so that every leaf solve starts from its
+    predictor instead of cold.  A row is dropped when its leaves fail or its
+    step leaves the rotation family's domain |t| < k/2.  Returns (x, t,
+    F_t(x), done).
     """
 
+    m = 2 * family.n
+
     def evaluate(work, x, t):
-        val, grad, atoms, dgrad, ok, warm_w = family.evaluate(
+        val, grad, hess, dgrad, ok, warm_w = family.evaluate(
             x, t, order=2, with_dt=True, warm=warm.take(work), terms=True
         )
         warm.put(work, warm_w)
-        F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
-        return F, (x, atoms, dgrad), np.linalg.norm(grad, axis=1), ok, val
+        sq, border = nested_norm(x, m)
+        F = np.concatenate([grad, 0.5 * (sq - 1.0)[:, None]], axis=1)
+        return F, (border, hess, dgrad), np.linalg.norm(grad, axis=1), ok, val
+
+    def step_norm(step):
+        return np.sqrt(nested_norm(step[:, :-1], m)[0] + step[:, -1] ** 2)
 
     def retract(x, t):
-        xnorm = np.linalg.norm(x, axis=1)
-        # rotation_family_matrices rejects the whole batch once any |t| >= k/2
+        xnorm = np.sqrt(nested_norm(x, m)[0])
+        # rotation_coefficients rejects the whole batch once any |t| >= k/2
         bad = (xnorm < 1e-8) | ~np.isfinite(xnorm) | ~(np.abs(t) < 0.5 * family.k)
         return x / np.maximum(xnorm, 1e-30)[:, None], bad
 
     return _bordered_newton(x0, t0, (evaluate, retract), tol, max_iter, polish,
-                            solve=lambda M, F: family.bordered_step(*M, F))
+                            solve=lambda M, F: family.bordered_step(*M, F), norm=step_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -783,16 +751,12 @@ def build_phi_genfun(
     spec: ContactHamiltonianSpec,
     settings: IntegratorSettings,
     delta: float,
-) -> tuple[GenFun, list[tuple[float, float]]]:
-    """Composed generating function of the subdivided isotopy of phi."""
-    from .flow import FlowMap, subdivide_c1_small
+) -> tuple[ChainGF, list[tuple[float, float]]]:
+    """Generating function of phi: the chain of the subdivided isotopy's pieces."""
+    from .flow import subdivide_c1_small
 
     schedule = subdivide_c1_small(spec, 0.0, 1.0, delta, settings)
-    gf: GenFun | None = None
-    for a, b in schedule:
-        leaf = gfm.LeafGF(FlowMap(spec, a, b, settings))
-        gf = leaf if gf is None else gfm.gf_compose(gf, leaf)
-    return gf, schedule
+    return gfm.flow_chain(spec, schedule, settings), schedule
 
 
 def pair_records(a, b, ang_tol: float, t_tol: float, antipodal: bool = False):

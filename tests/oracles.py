@@ -18,29 +18,33 @@ the lift expands into monomial primitives
 so each spec compiles once into exponent/coefficient tables and evaluation is
 a couple of gathers plus one matrix product, batched over points.
 
-The test-only helpers at the end are not called by the library: matrices of the linear symplectic structure, the covector of the
-graph-to-cotangent identification tau, quadratic generating functions, and
-the k-piece rotation family as a composition DAG next to its flattened matrix.
+The test-only helpers at the end are not called by the library: matrices of
+the linear symplectic structure, the covector of the graph-to-cotangent
+identification tau, quadratic generating functions, and the k-piece rotation
+family as a chain next to its matrix.
 
-Nested Hessian reference.  The library assembles the Hessian of a sharp
-product DAG from a compiled scatter plan (genfun.HessianPlan).  The reference
-here is the dense assembly it replaced: every compose level adds its
-children's Hessians into a fresh zero matrix, block by block.
+Nested reference.  The library stores every generating function as one chain
+of links in chain coordinates sigma (genfun).  The reference here is the
+nested sharp-product DAG of the same links: ComposeGF nodes in the
+coordinates x = (u, v, w, mu, eta) of every level, whose Hessian adds each
+level's blocks into a fresh zero matrix.  chain_change gives the unimodular S
+with sigma = S x for a left-associated chain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from contactmorse.genfun import (
-    ComposeGF,
-    GenFun,
+    ChainGF,
     LeafGF,
-    SharpLayout,
+    evaluate_stacked,
     gf_compose,
+    leaf_hessian,
     rotation_family_matrices,
 )
 from contactmorse.linsymp import QuadraticForm, complex_structure_matrix, mul_i
@@ -313,8 +317,8 @@ def tau_covector(z: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return -mul_i(Z - z)
 
 
-class QuadraticGF(GenFun):
-    """Generating quadratic form Q(b) = b^T M b on the base, no fiber."""
+class QuadraticGF:
+    """Chain link Q(b) = b^T M b on the base."""
 
     def __init__(self, matrix: np.ndarray):
         M = np.asarray(matrix, dtype=float)
@@ -322,17 +326,16 @@ class QuadraticGF(GenFun):
             raise ValueError("matrix must be square of even size")
         self.matrix = 0.5 * (M + M.T)
         self.base_dim = M.shape[0]
-        self.fiber_dim = 0
         n = self.base_dim // 2
         J = complex_structure_matrix(n)
         # Graph of dQ under the midpoint identification: Z = (M+J)^{-1}(J-M) z.
         self._map = np.linalg.solve(self.matrix + J, J - self.matrix)
 
-    def evaluate(self, x, order=1, leaf_cache=None):
+    def evaluate(self, x, order=1):
         x = np.asarray(x, dtype=float)
         B = x.shape[0]
         val = np.einsum("bi,ij,bj->b", x, self.matrix, x)
-        grad = 2.0 * x @ self.matrix if order >= 1 else None
+        grad = 2.0 * x @ self.matrix
         hess = None
         if order >= 2:
             hess = np.broadcast_to(2.0 * self.matrix, (B,) + self.matrix.shape).copy()
@@ -340,10 +343,6 @@ class QuadraticGF(GenFun):
 
     def map_points(self, z):
         return np.asarray(z, dtype=float) @ self._map.T
-
-    def chain_seed(self, z, midpoints=None):
-        z = np.asarray(z, dtype=float)
-        return np.zeros((z.shape[0], 0)), self.map_points(z)
 
 
 def quadratic_form_for_rotation(t: float, n: int) -> QuadraticForm:
@@ -353,8 +352,9 @@ def quadratic_form_for_rotation(t: float, n: int) -> QuadraticForm:
     return QuadraticForm(-math.tan(math.pi * t) * np.eye(2 * n))
 
 
-def rotation_leaf(t: float, n: int) -> QuadraticGF:
-    return QuadraticGF(quadratic_form_for_rotation(t, n).matrix)
+def rotation_leaf(t: float, n: int) -> ChainGF:
+    """The one-link chain of quadratic_form_for_rotation(t, n)."""
+    return ChainGF((QuadraticGF(quadratic_form_for_rotation(t, n).matrix),))
 
 
 @dataclass(frozen=True)
@@ -364,24 +364,61 @@ class RotationFamily:
     t: float
     n: int
     k: int
-    genfun: GenFun
+    genfun: ChainGF
     matrix: np.ndarray
 
 
 def build_rotation_family(t: float, n: int, k: int) -> RotationFamily:
-    """Compose k copies of the rotation quadratic for a_{t/k} and flatten."""
+    """Compose k copies of the rotation quadratic for a_{t/k}, next to the
+    library's matrix of the chain."""
     if k < 3:
         raise ValueError("k must be >= 3")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    gf: GenFun = rotation_leaf(t / k, n)
-    for _ in range(k - 1):
-        gf = gf_compose(gf, rotation_leaf(t / k, n))
+    gf = gf_compose(*[rotation_leaf(t / k, n)] * k)
     matrix, _ = rotation_family_matrices(t, n, k)
     return RotationFamily(t=t, n=n, k=k, genfun=gf, matrix=matrix)
 
 
-# Nested Hessian reference.
+# Nested reference.
+
+
+class SharpLayout:
+    """Coordinates x = (u, v, w, mu, eta) of a sharp product F # G.
+
+    F is evaluated at (u + w; mu) and G at (v + w; eta); m is the base
+    dimension and mu, eta are the fibers of F and G.
+    """
+
+    def __init__(self, m: int, fiber_first: int, fiber_second: int):
+        self.m = m
+        self.dim = 3 * m + fiber_first + fiber_second
+        self.u = slice(0, m)
+        self.v = slice(m, 2 * m)
+        self.w = slice(2 * m, 3 * m)
+        self.mu = slice(3 * m, 3 * m + fiber_first)
+        self.eta = slice(3 * m + fiber_first, self.dim)
+
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points (u + w; mu) of F and (v + w; eta) of G inside x."""
+        w = x[:, self.w]
+        return (np.concatenate([x[:, self.u] + w, x[:, self.mu]], axis=1),
+                np.concatenate([x[:, self.v] + w, x[:, self.eta]], axis=1))
+
+    def value_grad(self, x, vF, gF, vG, gG):
+        """Value and gradient of F # G at x from the values and gradients of
+        F and G at the points of split(x)."""
+        m = self.m
+        u, v, w = x[:, self.u], x[:, self.v], x[:, self.w]
+        iw = mul_i(w)
+        val = vF + vG + 2.0 * np.sum((u - v) * iw, axis=1)
+        grad = np.zeros((x.shape[0], self.dim))
+        grad[:, self.u] = gF[:, :m] + 2.0 * iw
+        grad[:, self.v] = gG[:, :m] - 2.0 * iw
+        grad[:, self.w] = gF[:, :m] + gG[:, :m] - 2.0 * mul_i(u - v)
+        grad[:, self.mu] = gF[:, m:]
+        grad[:, self.eta] = gG[:, m:]
+        return val, grad
 
 
 def sharp_hessian(layout: SharpLayout, HF: np.ndarray, HG: np.ndarray,
@@ -413,61 +450,94 @@ def sharp_hessian(layout: SharpLayout, HF: np.ndarray, HG: np.ndarray,
     return N
 
 
-def nested_hessian(gf: GenFun, x: np.ndarray, leaf_cache: dict | None = None) -> np.ndarray:
-    """Hessian of a DAG at x, assembled level by level with sharp_hessian;
-    nodes other than a compose evaluate their own."""
-    if isinstance(gf, ComposeGF):
-        xF, xG = gf.layout.split(x)
-        return sharp_hessian(gf.layout, nested_hessian(gf.first, xF, leaf_cache),
-                             nested_hessian(gf.second, xG, leaf_cache), 2.0)
-    return gf.evaluate(x, 2, leaf_cache)[2]
+def _evaluate_node(node, x, order):
+    if isinstance(node, ComposeGF):
+        return node.evaluate(x, order)
+    if isinstance(node, LeafGF):
+        val, grad, hess, ok = evaluate_stacked(ChainGF((node,)), x, order)
+        return val, grad, None if hess is None else hess[:, 0], ok
+    return node.evaluate(x, order)
+
+
+class ComposeGF:
+    """Sharp-product node F # G of the nested reference, F = first the map
+    applied first.  Children are nodes or chain links."""
+
+    def __init__(self, first, second):
+        if first.base_dim != second.base_dim:
+            raise ValueError("base dimensions must match")
+        self.first = first
+        self.second = second
+        self.base_dim = m = first.base_dim
+        fibers = [c.total_dim - m if isinstance(c, ComposeGF) else 0 for c in (first, second)]
+        self.layout = SharpLayout(m, *fibers)
+        self.total_dim = self.layout.dim
+
+    def evaluate(self, x, order=1):
+        """(val, grad, hess, ok) at x (B, total_dim); hess (None below order
+        2) is assembled level by level with sharp_hessian.  Every link
+        evaluates alone, a leaf as a one-link chain."""
+        xF, xG = self.layout.split(np.asarray(x, dtype=float))
+        vF, gF, HF, okF = _evaluate_node(self.first, xF, order)
+        vG, gG, HG, okG = _evaluate_node(self.second, xG, order)
+        val, grad = self.layout.value_grad(x, vF, gF, vG, gG)
+        hess = sharp_hessian(self.layout, HF, HG, 2.0) if order >= 2 else None
+        return val, grad, hess, okF & okG
+
+
+def nested_chain(gf: ChainGF) -> ComposeGF:
+    """The left-associated DAG ((g_1 # g_2) # ...) # g_N of a chain's links."""
+    return functools.reduce(ComposeGF, gf.links)
+
+
+def chain_change(N: int, m: int) -> np.ndarray:
+    """The unimodular matrix S with sigma = S x, from the coordinates x of the
+    left-associated nested chain of N links on R^m to flat chain coordinates:
+    at every level a_j = u, b_j = v + w, and the first child sits at
+    (a_{j-1}; mu) = (u + w; mu)."""
+    x = np.eye((2 * N - 1) * m)
+    blocks = []
+    for _ in range(N - 1):
+        lay = SharpLayout(m, x.shape[1] - 3 * m, 0)
+        u, v, w = x[:, lay.u], x[:, lay.v], x[:, lay.w]
+        blocks += [u, v + w]
+        x = np.concatenate([u + w, x[:, lay.mu]], axis=1)
+    return np.concatenate(blocks + [x], axis=1).T
+
+
+def nested_chain_hessian(link_matrices, pairing: float | None = 2.0) -> np.ndarray:
+    """(B, D, D) matrix of the left-associated nested chain from the (B, m,
+    m) matrices of its links, in chain order, with pairing as in
+    sharp_hessian."""
+    M = link_matrices[0]
+    m = M.shape[-1]
+    for piece in link_matrices[1:]:
+        M = sharp_hessian(SharpLayout(m, M.shape[-1] - m, 0), M, piece, pairing)
+    return M
 
 
 def nested_rotation_matrices(t, n: int, k: int):
-    """rotation_family_matrices for t of shape (B,), assembled with sharp_hessian."""
-    m = 2 * n
+    """rotation_family_matrices in nested coordinates for t of shape (B,)."""
     t = np.asarray(t, dtype=float)
-    eye = np.eye(m)
+    eye = np.eye(2 * n)
     piece = -np.tan(np.pi * t / k)[:, None, None] * eye
     dpiece = (-(np.pi / k) / np.cos(np.pi * t / k) ** 2)[:, None, None] * eye
-    M, dM = piece, dpiece
-    for _ in range(k - 1):
-        layout = SharpLayout(m, M.shape[1] - m, 0)
-        M, dM = sharp_hessian(layout, M, piece, 1.0), sharp_hessian(layout, dM, dpiece, None)
-    return M, dM
+    return nested_chain_hessian([piece] * k, 1.0), nested_chain_hessian([dpiece] * k, None)
 
 
-def dag_leaves(gf: GenFun) -> list[LeafGF]:
-    """The LeafGF nodes of a DAG in depth-first order."""
-    if isinstance(gf, ComposeGF):
-        return dag_leaves(gf.first) + dag_leaves(gf.second)
-    return [gf] if isinstance(gf, LeafGF) else []
-
-
-def jacobian_cache(gf: GenFun, jac: np.ndarray) -> dict:
-    """A leaf_cache that gives leaf i of gf the DPhi jac[:, i] (a LeafState's
-    jac); the Hessian of a leaf depends on nothing else."""
-    B, m = jac.shape[0], jac.shape[-1]
-    z = np.zeros((B, m))
-    ok = np.ones(B, dtype=bool)
-    return {id(leaf): (z, z, jac[:, i], ok) for i, leaf in enumerate(dag_leaves(gf))}
-
-
-def nested_family_hessian(family, x: np.ndarray, t: np.ndarray,
-                          leaf_cache: dict | None = None) -> np.ndarray:
-    """Hessian of F_t = F_phi # A_t, assembled level by level."""
-    x_phi, _ = family.layout.split(x)
-    MA, _ = nested_rotation_matrices(t, family.n, family.k)
-    return sharp_hessian(family.layout, nested_hessian(family.f_phi, x_phi, leaf_cache),
-                         2.0 * MA, 2.0)
-
-
-def nested_bordered(family, x: np.ndarray, t: np.ndarray, dgrad: np.ndarray,
-                    leaf_cache: dict | None = None) -> np.ndarray:
-    """The (B, D + 1, D + 1) bordered Newton matrix of the genfun route."""
-    D = x.shape[1]
-    M = np.zeros((x.shape[0], D + 1, D + 1))
-    M[:, :D, :D] = nested_family_hessian(family, x, t, leaf_cache)
+def nested_bordered(family, sigma: np.ndarray, t: np.ndarray, dgrad: np.ndarray,
+                    border: np.ndarray, leaf_jac: np.ndarray) -> np.ndarray:
+    """The (B, D + 1, D + 1) bordered Newton matrix of the genfun route at
+    chain coordinates sigma: the nested Hessian of F_t, built from the leaf
+    Jacobians leaf_jac (B, L, 2n, 2n) and the rotation pieces at t and
+    mapped by S, bordered by the column dgrad and the row border."""
+    B, D = sigma.shape
+    m, k = 2 * family.n, family.k
+    rot = -2.0 * np.tan(np.pi * t / k)[:, None, None] * np.eye(m)
+    links = [leaf_hessian(leaf_jac[:, i]) for i in range(leaf_jac.shape[1])] + [rot] * k
+    T = np.rint(np.linalg.inv(chain_change(len(links), m)))
+    M = np.zeros((B, D + 1, D + 1))
+    M[:, :D, :D] = T.T @ nested_chain_hessian(links) @ T
     M[:, :D, D] = dgrad
-    M[:, D, :D] = x
+    M[:, D, :D] = border
     return M

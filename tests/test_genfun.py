@@ -3,16 +3,17 @@ import pytest
 
 from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
-from contactmorse.flow import FlowMap, IntegratorSettings, integrate_flow, subdivide_c1_small
-from contactmorse.linsymp import to_complex, to_real
+from contactmorse import translated as tp
+from contactmorse.flow import FlowMap, IntegratorSettings, integrate_flow
+from contactmorse.linsymp import inertia, to_complex, to_real
 from contactmorse.sampling import sphere_points
 from contactmorse.translated import ShiftedGenFunFamily, build_phi_genfun
 
 from oracles import (
     build_rotation_family,
+    chain_change,
     fd_gradient,
-    nested_family_hessian,
-    nested_hessian,
+    nested_chain,
     nested_rotation_matrices,
     quadratic_form_for_rotation,
     rotation_leaf,
@@ -20,7 +21,7 @@ from oracles import (
 )
 
 
-def _perturbed_spec():
+def _perturbed_spec(time_profile="constant"):
     return ham.ContactHamiltonianSpec(
         n=2,
         quadratic=(0.3, 0.7),
@@ -28,7 +29,13 @@ def _perturbed_spec():
             ham.PerturbationTerm(0.05, (2, 0), (1, 0)),
             ham.PerturbationTerm(0.05, (0, 2), (0, 1)),
         ),
+        time_profile=time_profile,
     )
+
+
+def _leaf(spec, t0, t1, settings):
+    """The one-link chain of the flow piece over [t0, t1]."""
+    return gfm.ChainGF((gfm.LeafGF(FlowMap(spec, t0, t1, settings)),))
 
 
 def _tau_graph_check(gf, spec_or_map, z, settings, tol):
@@ -52,7 +59,7 @@ def _tau_graph_check(gf, spec_or_map, z, settings, tol):
 
 def test_identity_leaf(settings, rng):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.0, 0.0))
-    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 1.0, settings))
+    leaf = _leaf(spec, 0.0, 1.0, settings)
     b = rng.normal(size=(5, 4))
     val, grad = gfm.gf_eval(leaf, b), gfm.gf_grad(leaf, b)
     assert np.allclose(val, 0.0, atol=1e-10)
@@ -62,7 +69,7 @@ def test_identity_leaf(settings, rng):
 def test_leaf_rotation_closed_form(settings, rng):
     # a_{1/8} (h == -1 over [0, 1/8]) has Q(b) = -tan(pi/8) |b|^2
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(-1.0,))
-    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.125, settings))
+    leaf = _leaf(spec, 0.0, 0.125, settings)
     b = rng.normal(size=(8, 2))
     val, grad = gfm.gf_eval(leaf, b), gfm.gf_grad(leaf, b)
     coeff = -np.tan(np.pi * 0.125)
@@ -71,8 +78,7 @@ def test_leaf_rotation_closed_form(settings, rng):
 
 
 def test_leaf_gradient_matches_fd(settings, rng):
-    spec = _perturbed_spec()
-    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.08, settings))
+    leaf = _leaf(_perturbed_spec(), 0.0, 0.08, settings)
     for _ in range(3):
         b = rng.normal(size=4)
         grad = gfm.gf_grad(leaf, b)
@@ -84,7 +90,7 @@ def test_leaf_newton_failure_raises(settings):
     # h == 1 over half a period maps z to -z; the midpoint equation is
     # singular and the piece is maximally far from C^1-small.
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
-    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.5, settings))
+    leaf = _leaf(spec, 0.0, 0.5, settings)
     for evaluate in (gfm.gf_eval, gfm.gf_grad):
         with pytest.raises(gfm.LeafNewtonError):
             evaluate(leaf, np.array([1.0, 0.0]))
@@ -198,7 +204,7 @@ def test_rotation_quadratic_generates_rotation(rng):
         assert np.max(np.abs(Z - expect)) < 1e-12
         # graph of dQ under tau
         base = 0.5 * (z + Z)
-        _, grad, _, _ = leaf.evaluate(base, order=1)
+        _, grad, _, _ = gfm.evaluate_stacked(leaf, base, order=1)
         assert np.max(np.abs(grad - tau_covector(z, Z))) < 1e-12
 
 
@@ -243,11 +249,11 @@ def test_quadratic_dag_matches_assembled_matrix(rng):
         gfm.gf_compose(rotation_leaf(0.1, 1), rotation_leaf(0.05, 1)),
         rotation_leaf(-0.2, 1),
     )
-    _, _, hess, _ = dag.evaluate(np.zeros((1, dag.total_dim)), order=2)
-    M = 0.5 * hess[0]
+    _, _, hess, _ = gfm.evaluate_stacked(dag, np.zeros((1, dag.total_dim)), order=2)
+    M = 0.5 * gfm.chain_hessian(hess)[0]
     x = rng.normal(size=(10, dag.total_dim))
     direct = np.einsum("bi,ij,bj->b", x, M, x)
-    vals, grads, _, _ = dag.evaluate(x, order=1)
+    vals, grads, _, _ = gfm.evaluate_stacked(dag, x, order=1)
     assert np.max(np.abs(vals - direct)) < 1e-10
     assert np.max(np.abs(grads - 2.0 * x @ M)) < 1e-10
 
@@ -260,19 +266,6 @@ def test_gf_grad_matches_fd(settings, rng):
     grad = gfm.gf_grad(comp, x)
     fd = fd_gradient(lambda v: gfm.gf_eval(comp, v), x)
     assert np.allclose(grad, fd, atol=1e-6)
-
-
-def test_stacked_evaluation_is_bitwise_plain(settings, rng):
-    spec = _perturbed_spec()
-    schedule = subdivide_c1_small(spec, 0.0, 0.5, 1.0, settings)
-    gf = None
-    for a, b in schedule:
-        leaf = gfm.LeafGF(FlowMap(spec, a, b, settings))
-        gf = leaf if gf is None else gfm.gf_compose(gf, leaf)
-    x = rng.normal(size=(4, gf.total_dim))
-    v1, g1, H1, ok1 = gf.evaluate(x, order=2)
-    v2, g2, H2, ok2 = gfm.evaluate_stacked(gf, x, order=2)
-    assert np.array_equal(v1, v2) and np.array_equal(g1, g2) and np.array_equal(H1, H2)
 
 
 # --- rotation family --------------------------------------------------------
@@ -296,8 +289,9 @@ def test_rotation_family_reduces_to_rotation_graph(rng):
 def test_rotation_family_matrix_matches_dag(rng):
     for t in (0.2, 0.9):
         fam = build_rotation_family(t, 1, 4)
-        _, _, hess, _ = fam.genfun.evaluate(np.zeros((1, fam.genfun.total_dim)), order=2)
-        M = 0.5 * hess[0]
+        x = np.zeros((1, fam.genfun.total_dim))
+        _, _, hess, _ = gfm.evaluate_stacked(fam.genfun, x, order=2)
+        M = 0.5 * gfm.chain_hessian(hess)[0]
         assert np.max(np.abs(M - fam.matrix)) < 1e-12
 
 
@@ -314,24 +308,19 @@ def test_rotation_family_matrices_continuous_in_t():
 
 
 def test_generating_property_full_isotopy(settings):
-    """Reduction of the composed F_phi coincides with tau(graph Phi)."""
-    spec = _perturbed_spec()
-    schedule = subdivide_c1_small(spec, 0.0, 1.0, 1.0, settings)
-    gf = None
-    for a, b in schedule:
-        leaf = gfm.LeafGF(FlowMap(spec, a, b, settings))
-        gf = leaf if gf is None else gfm.gf_compose(gf, leaf)
+    """Reduction of the composed F_phi coincides with tau(graph Phi), also
+    for a bump-profiled spec, whose leaves are solved one (t0, t1) group
+    each (a time-profiled spec needs 32 steps per unit)."""
     z = sphere_points(32, 4)
-    _tau_graph_check(gf, spec, z, settings, 1e-7)
+    for spec, steps in ((_perturbed_spec(), settings),
+                        (_perturbed_spec("bump"), IntegratorSettings(steps_per_unit=32))):
+        gf, _ = build_phi_genfun(spec, steps, 1.0)
+        _tau_graph_check(gf, spec, z, steps, 1e-7)
 
 
 def test_chain_seed_lies_on_fiber_critical_set(settings):
     spec = _perturbed_spec()
-    schedule = subdivide_c1_small(spec, 0.0, 1.0, 1.0, settings)
-    gf = None
-    for a, b in schedule:
-        leaf = gfm.LeafGF(FlowMap(spec, a, b, settings))
-        gf = leaf if gf is None else gfm.gf_compose(gf, leaf)
+    gf, _ = build_phi_genfun(spec, settings, 1.0)
     z = sphere_points(8, 4)
     Z, _ = integrate_flow(spec, z, 0.0, 1.0, settings, with_jacobian=False)
     fib, z_out = gf.chain_seed(z)
@@ -373,48 +362,61 @@ def test_monotonicity_rejects_sign_indefinite(fast_settings):
         gfm.monotonicity_probe_values(spec, fast_settings, sample_count=8, t_count=4)
 
 
-# --- Hessian plans ----------------------------------------------------------
+# --- chain coordinates against the nested reference -------------------------
 
 
 def _bitwise_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def test_family_hessian_plan_matches_nested_reference(sphere_corpus_spec, settings, rng):
+def _assert_chain_matches_nested(gf, x):
+    """At sigma = S x the chain has the nested DAG's value; its gradient and
+    Hessian map by S^T and S^T H S."""
+    S = chain_change(len(gf.links), gf.base_dim)
+    val, grad, hess, ok = gfm.evaluate_stacked(gf, x @ S.T, order=2)
+    ref_val, ref_grad, ref_hess, ref_ok = nested_chain(gf).evaluate(x, order=2)
+    assert ok.all() and ref_ok.all()
+    assert np.max(np.abs(val - ref_val)) <= 1e-14 * np.max(np.abs(ref_val))
+    assert np.max(np.abs(grad @ S - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+    H = S.T @ gfm.chain_hessian(hess) @ S
+    assert np.max(np.abs(H - ref_hess)) <= 1e-13 * np.max(np.abs(ref_hess))
+
+
+@pytest.mark.parametrize("case", ["corpus", "bump", "rotations"])
+def test_chain_matches_nested_reference(case, sphere_corpus_spec, settings, rng):
+    """F_phi of the sphere spec (16 leaves), of a bump-profiled spec (whose
+    leaves are solved one (t0, t1) group each) and chains of rotation pieces
+    at n = 1 against the nested DAG of their links."""
+    if case == "rotations":
+        for t in (0.2, 0.9):
+            gf = build_rotation_family(t, 1, 4).genfun
+            _assert_chain_matches_nested(gf, rng.normal(size=(4, gf.total_dim)))
+        return
+    if case == "bump":
+        sphere_corpus_spec = _perturbed_spec("bump")
+        settings = IntegratorSettings(steps_per_unit=32)
     f_phi, schedule = build_phi_genfun(sphere_corpus_spec, settings, 1.0)
-    assert len(schedule) == 16
-    family = ShiftedGenFunFamily(f_phi, 2, 4)
-    x = rng.normal(size=(6, family.dim))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    t = np.array([0.0, 0.3, 0.7, 1.0, -0.4, 1.6])
-    _, _, hess, _, ok = family.evaluate(x, t, order=2)
-    assert ok.all()
-    assert _bitwise_equal(hess, nested_family_hessian(family, x, t))
-    # the rotation family and F_phi alone
-    for got, ref in zip(gfm.rotation_family_matrices(t, 2, 4), nested_rotation_matrices(t, 2, 4)):
-        assert _bitwise_equal(got, ref)
-    x_phi, _ = family.layout.split(x)
-    _, _, H, _ = gfm.evaluate_stacked(f_phi, x_phi, order=2)
-    assert _bitwise_equal(H, nested_hessian(f_phi, x_phi))
-    # the compiled sparsity: at most two addends per entry, about a quarter dense
-    plan = family.plan
-    assert plan.index.size == 6352 and plan.n_two == 1472 and not plan.src[1, 1472:].any()
+    assert len(schedule) == {"corpus": 16, "bump": 14}[case]
+    x = rng.normal(size=(6, f_phi.total_dim))
+    _assert_chain_matches_nested(f_phi, x / np.linalg.norm(x, axis=1, keepdims=True))
 
 
-def test_mixed_dag_hessian_plan_matches_nested_reference(sphere_corpus_spec, settings, rng):
-    def flow(a, b):
-        return gfm.LeafGF(FlowMap(sphere_corpus_spec, a, b, settings))
-
-    right = gfm.gf_compose(flow(0.1, 0.2), gfm.gf_compose(rotation_leaf(-0.1, 2), flow(0.3, 0.3)))
-    dag = gfm.gf_compose(
-        gfm.gf_compose(gfm.gf_compose(rotation_leaf(0.1, 2), flow(0.2, 0.2)), flow(0.0, 0.1)),
-        right,
-    )
-    x = rng.normal(size=(5, dag.total_dim))
-    for H in (dag.evaluate(x, order=2)[2], gfm.evaluate_stacked(dag, x, order=2)[2]):
-        assert _bitwise_equal(H, nested_hessian(dag, x))
-    _, _, atoms, _ = dag.evaluate_terms(x, order=2)
-    assert [a.shape[1:] for a in atoms] == [(4, 4)] * 6
+def test_rotation_family_inertia_matches_nested_reference():
+    """S is unimodular, so by Sylvester's law index_data from the chain
+    matrices has the inertia of the nested ones."""
+    for n in (1, 2, 3):
+        for k in (3, 4, 5, 8):
+            S = chain_change(k, 2 * n)
+            t = np.array([0.0, 0.35, 1.0])
+            M, dM = gfm.rotation_family_matrices(t, n, k)
+            ref_M, ref_dM = nested_rotation_matrices(t, n, k)
+            assert np.max(np.abs(S.T @ M @ S - ref_M)) <= 1e-13
+            assert np.max(np.abs(S.T @ dM @ S - ref_dM)) <= 1e-13
+            data = tp.index_data(n, k)
+            for label, i in (("a0", 0), ("a1", 2)):
+                ref = inertia(ref_M[i])
+                assert (data[f"index_{label}"], data[f"nullity_{label}"],
+                        data[f"coindex_{label}"]) == (ref.index, ref.nullity, ref.coindex)
 
 
 def test_family_hessian_rows_are_batch_independent(sphere_corpus_spec, settings, rng):
@@ -428,14 +430,3 @@ def test_family_hessian_rows_are_batch_independent(sphere_corpus_spec, settings,
         part = family.evaluate(x[rows], t[rows], order=2, with_dt=True)
         for a, b in zip(part, full):
             assert _bitwise_equal(a, b[rows]), rows
-
-
-def test_hessian_plan_rejects_a_third_addend():
-    # a plan whose base-base entry (0, 0) already has two addends: under a
-    # sharp product that entry also lands on w-w, next to G's own
-    two = gfm.HessianPlan(2, (0.0,), (4,), np.arange(4), np.array([[1, 2, 3, 4], [2, 0, 0, 0]]))
-    layout = gfm.SharpLayout(2, 0, 0)
-    with pytest.raises(ValueError, match="3 addends"):
-        layout.plan(two, gfm.HessianPlan.atom(2), 2.0)
-    plan = layout.plan(gfm.HessianPlan.atom(2), gfm.HessianPlan.atom(2), 2.0)
-    assert int(np.max(np.sum(plan.src > 0, axis=0))) == 2

@@ -4,12 +4,12 @@ import pytest
 from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
-from contactmorse.flow import FlowMap, integrate_flow
-from contactmorse.genfun import evaluate_stacked, gf_compose
+from contactmorse.flow import integrate_flow
+from contactmorse.genfun import gf_compose
 from contactmorse.linsymp import inertia, solve_rows
 from contactmorse.sampling import sphere_points
 
-from oracles import build_rotation_family, jacobian_cache, nested_bordered
+from oracles import build_rotation_family, chain_change, nested_bordered, nested_chain
 
 
 SMALL = dict(sphere_count=48, t_count=24, keep_per_seed=3)
@@ -162,19 +162,19 @@ def test_genfun_newton_drops_row_leaving_rotation_domain(
 ):
     # With k = 3 the rotation family is defined for |t| < 3/2.  The third
     # start's first Newton step lands beyond t = 3/2: the row must be dropped
-    # before rotation_family_matrices sees it, and the batch must go on.
+    # before rotation_coefficients sees it, and the batch must go on.
     family = _corpus_family(sphere_corpus_spec, fast_settings, 3)
     seen = []
-    inner = tp.rotation_family_matrices
+    inner = tp.rotation_coefficients
 
-    def recording(t, n, k):
+    def recording(t, k):
         seen.append(np.array(t))
-        return inner(t, n, k)
+        return inner(t, k)
 
-    monkeypatch.setattr(tp, "rotation_family_matrices", recording)
     q = sphere_points(8, 4)[:3]
     t = np.array([0.25, 0.35, 1.49])
     x0, warm = family.seed(q, t)
+    monkeypatch.setattr(tp, "rotation_coefficients", recording)
     _, _, _, ok = tp._genfun_newton(family, x0, t, 1e-9, 40, warm)
     assert ok.tolist() == [True, True, False]
     assert all(np.all(np.abs(s) < 1.5) for s in seen)
@@ -210,18 +210,22 @@ def test_warm_genfun_rays_are_cold_critical(fast_settings, sphere_corpus_spec, m
 
 
 def test_family_matches_composed_dag(fast_settings, sphere_corpus_spec):
-    """ShiftedGenFunFamily assembles F_phi # A_t from the flattened A_t; at a
-    scalar t it must agree with the composition DAG of F_phi and the k
-    rotation leaves, and its d/dt with a central difference in t."""
+    """ShiftedGenFunFamily chains F_phi and the k rotation links of A_t; at
+    a scalar t it must agree with the nested composition DAG of F_phi and
+    the k rotation leaves, mapped by S, and its d/dt with a central
+    difference in t."""
     n, k = 2, 4
     family = _corpus_family(sphere_corpus_spec, fast_settings, k)
     x = sphere_points(6, family.dim, seed=0.35)
+    S = chain_change(len(family.f_phi.links) + k, 2 * n)
+    T = np.rint(np.linalg.inv(S))
     for t in (0.3, 0.8):
         tt = np.full(x.shape[0], t)
         val, grad, hess, dgrad, ok = family.evaluate(x, tt, order=2, with_dt=True)
-        dag = gf_compose(family.f_phi, build_rotation_family(t, n, k).genfun)
-        ref = evaluate_stacked(dag, x, order=2)
-        assert ok.all() and ref[3].all()
+        dag = nested_chain(gf_compose(family.f_phi, build_rotation_family(t, n, k).genfun))
+        ref_val, ref_grad, ref_hess, ref_ok = dag.evaluate(x @ T.T, order=2)
+        ref = (ref_val, ref_grad @ T, T.T @ ref_hess @ T)
+        assert ok.all() and ref_ok.all()
         for got, want in zip((val, grad, hess), ref):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -344,13 +348,25 @@ def test_bordered_newton_singular_row_leaves_others_bitwise():
     assert np.array_equal(solve_rows(A[:2], b[:2]), solve_rows(A, b)[:2])
 
 
+def test_nested_norm_is_the_norm_of_nested_coordinates(rng):
+    """The genfun route measures chain coordinates sigma by |S^{-1} sigma|,
+    the norm in the coordinates of the nested sharp product."""
+    S = chain_change(20, 4)
+    T = np.linalg.inv(S)
+    sigma = rng.normal(size=(5, S.shape[0]))
+    sq, grad = tp.nested_norm(sigma, 4)
+    x = sigma @ T.T
+    assert np.max(np.abs(sq - np.sum(x * x, axis=1))) <= 1e-12 * np.max(sq)
+    assert np.max(np.abs(grad - x @ T)) <= 1e-12 * np.max(np.abs(grad))
+
+
 def _steps_against_nested(family, spec, settings, monkeypatch, sphere_count, t_count, keep):
     """Run _genfun_newton from prefiltered seeds and compare every step it
-    takes with a dense solve of the level-by-level bordered matrix M of
-    tests/oracles.py.  Returns, per row of every iteration, the relative
-    distance of the two steps, the condition number of M and the backward
-    error |M s - F| / (|M| |s| + |F|) of the chain step s, and the row
-    count of each iteration."""
+    solves with a dense solve of the level-by-level bordered matrix M of
+    tests/oracles.py, mapped to chain coordinates by S.  Returns, per row of
+    every iteration, the relative distance of the two steps, the condition
+    number of M and the backward error |M s - F| / (|M| |s| + |F|) of the
+    chain step s, and the row count of each iteration."""
     q, t = tp._prefilter_seeds(spec, settings, sphere_count, t_count, keep)
     x0, warm = family.seed(q, t)
     calls, steps = [], []
@@ -358,21 +374,25 @@ def _steps_against_nested(family, spec, settings, monkeypatch, sphere_count, t_c
 
     def evaluate(x, t, **kwargs):
         out = inner_eval(x, t, **kwargs)
-        calls.append((x.copy(), t.copy(), out[3].copy(), out[5].jac.copy()))
+        calls.append((x.copy(), t.copy(), out[1].copy(), out[5].jac.copy()))
         return out
 
-    def bordered_step(x, atoms, dgrad, F):
-        s = inner_step(x, atoms, dgrad, F)
-        steps.append((F.copy(), s))
+    def bordered_step(border, hess, dgrad, F):
+        # a step is solved only for the rows that go on: find them by their
+        # gradients among those of the last evaluation
+        x, tt, grad, jac = calls[-1]
+        rows = np.argmax(np.all(grad[None, :, :] == F[:, None, :-1], axis=2), axis=1)
+        s = inner_step(border, hess, dgrad, F)
+        steps.append((x[rows], tt[rows], dgrad.copy(), jac[rows], border.copy(), F.copy(), s))
         return s
 
     monkeypatch.setattr(family, "evaluate", evaluate)
     monkeypatch.setattr(family, "bordered_step", bordered_step)
     tp._genfun_newton(family, x0, t, 1e-9, 40, warm)
-    assert len(steps) == len(calls)
+    assert steps
     rel, cond, backward = [], [], []
-    for (x, tt, dgrad, jac), (F, s) in zip(calls, steps):
-        M = nested_bordered(family, x, tt, dgrad, jacobian_cache(family.f_phi, jac))
+    for x, tt, dgrad, jac, border, F, s in steps:
+        M = nested_bordered(family, x, tt, dgrad, border, jac)
         ref = np.linalg.solve(M, F[:, :, None])[:, :, 0]
         rel.append(np.max(np.abs(s - ref), axis=1) / np.max(np.abs(ref), axis=1))
         cond.append(np.linalg.cond(M))
@@ -389,12 +409,14 @@ def test_genfun_bordered_matrix_matches_nested_reference(settings, sphere_corpus
     working rows shrink, solves the level-by-level bordered matrix of
     tests/oracles.py to 1e-10 relative."""
     family = _corpus_family(sphere_corpus_spec, settings, 4)
+    assembled = []
+    monkeypatch.setattr(tp, "chain_hessian", lambda *a: assembled.append(a))
     rel, _, _, rows = _steps_against_nested(family, sphere_corpus_spec, settings, monkeypatch,
                                             12, 8, 2)
     assert rows[0] == 24 and min(rows) < 24
     assert np.max(rel) <= 1e-10
-    # the Newton path never assembles the Hessian, so never compiles its plan
-    assert "plan" not in vars(family)
+    # the Newton path never assembles the Hessian
+    assert not assembled
 
 
 @pytest.mark.parametrize("case", ["quadratic-1.0-0.35", "one-piece", "k3", "k5"])
@@ -417,7 +439,7 @@ def test_genfun_chain_steps_match_nested_reference_on_stress_families(case, sett
     elif case != "one-piece":
         k = int(case[1:])
     if case == "one-piece":
-        f_phi = gfm.LeafGF(FlowMap(spec, 0.0, 1.0, settings))
+        f_phi = gfm.flow_chain(spec, [(0.0, 1.0)], settings)
     else:
         f_phi, _ = tp.build_phi_genfun(spec, settings, 1.0)
     family = tp.ShiftedGenFunFamily(f_phi, 2, k)
@@ -436,21 +458,12 @@ def test_genfun_chain_step_rows_are_batch_independent(settings, sphere_corpus_sp
     q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 64, 8, 2)
     x, warm = family.seed(q, t)
     assert x.shape[0] == 128
-    _, grad, atoms, dgrad, ok, _ = family.evaluate(x, t, order=2, with_dt=True, warm=warm,
-                                                   terms=True)
+    _, grad, hess, dgrad, ok, _ = family.evaluate(x, t, order=2, with_dt=True, warm=warm,
+                                                  terms=True)
     assert ok.all()
     F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
-    full = family.bordered_step(x, atoms, dgrad, F)
+    full = family.bordered_step(x, hess, dgrad, F)
     for rows in ([0], [77], [127], [3, 4], [10, 50], list(range(20, 27)),
                  sorted(rng.choice(128, 7, replace=False).tolist())):
-        part = family.bordered_step(x[rows], [a[rows] for a in atoms], dgrad[rows], F[rows])
+        part = family.bordered_step(x[rows], hess[rows], dgrad[rows], F[rows])
         assert np.array_equal(part, full[rows]), rows
-
-
-def test_family_rejects_a_non_chain_f_phi(settings, sphere_corpus_spec):
-    def leaf(a, b):
-        return gfm.LeafGF(FlowMap(sphere_corpus_spec, a, b, settings))
-
-    right_nested = gfm.gf_compose(leaf(0.0, 0.3), gfm.gf_compose(leaf(0.3, 0.6), leaf(0.6, 1.0)))
-    with pytest.raises(ValueError, match="chain"):
-        tp.ShiftedGenFunFamily(right_nested, 2, 4)
