@@ -529,6 +529,11 @@ def subdivide_c1_small(
     max_q (|Phi(q) - q| + ||DPhi(q) - I||) < delta over a fixed deterministic
     set of unit points.  Raises if the cap is exceeded (delta too small or
     the flow too fast).
+
+    An autonomous field ignores t, so there c1_distance(a, b) is a function
+    of the two half-spans it integrates, (mid - a, b - mid), and is probed
+    once per distinct pair: once per dyadic level on [0, 1].  The schedule
+    is the same, bit for bit, as with a probe per interval.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -544,11 +549,20 @@ def subdivide_c1_small(
     if t1 == t0:
         return [(t0, t1)]
 
+    probed: dict[tuple[float, float], float] = {}
+
+    def distance(a: float, b: float) -> float:
+        mid = 0.5 * (a + b)
+        key = (mid - a, b - mid) if spec.is_autonomous() else (a, b)
+        if key not in probed:
+            probed[key] = c1_distance(spec, a, b, probe_settings, samples)
+        return probed[key]
+
     pieces: list[tuple[float, float]] = []
     stack = [(t0, t1)]
     while stack:
         a, b = stack.pop()
-        if c1_distance(spec, a, b, probe_settings, samples) < delta:
+        if distance(a, b) < delta:
             pieces.append((a, b))
         else:
             # Splitting below this width would allow more than max_pieces pieces.

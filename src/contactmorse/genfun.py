@@ -191,8 +191,10 @@ def solve_midpoint(spec, t0, t1, settings, b, newton_tol=_LEAF_TOL, max_iter=_LE
     iteration integrates only the rows still above newton_tol, at most
     max_iter + 1 integrations per row.  Returns (z, Phi(z), DPhi(z), ok),
     with Phi and DPhi taken at the returned z on every ok row.  Rows whose
-    Newton fails, or whose base norm underflows (the cone tip is rejected),
-    come back with ok = False.
+    Newton fails, or whose base or guess norm underflows (the cone tip is
+    rejected), come back with ok = False.  max_iter = 0 with newton_tol =
+    inf integrates every row once at its guess and leaves the residual
+    (z + Phi(z))/2 - b to the caller; ok then marks the rows integrated.
     """
     b = np.asarray(b, dtype=float)
     B, m = b.shape
@@ -227,9 +229,11 @@ def solve_midpoint(spec, t0, t1, settings, b, newton_tol=_LEAF_TOL, max_iter=_LE
 
 @dataclass(frozen=True)
 class LeafState:
-    """Last midpoint solve of every leaf, per row: b (B, L, 2n) the base,
-    z (B, L, 2n) the midpoint and jac (B, L, 2n, 2n) DPhi(z).  The leaf axis
-    follows the order of the leaves in the chain."""
+    """Newton state of the leaf midpoints, per row: z (B, L, 2n) the
+    midpoints, jac (B, L, 2n, 2n) DPhi(z) and b (B, L, 2n) the bases they
+    solve, (z + Phi(z))/2, which differ from the leaves' current bases by
+    the midpoint residual.  The leaf axis follows the order of the leaves in
+    the chain."""
 
     b: np.ndarray
     z: np.ndarray
@@ -244,12 +248,18 @@ class LeafState:
         self.jac[rows] = other.jac
 
     def predict(self, b: np.ndarray) -> np.ndarray:
-        """One-step predictor of the midpoints at new bases b (B, L, 2n):
-        z + ((I + DPhi)/2)^{-1} (b - b_prev), the midpoint equation linearized
-        at the last solve."""
+        """The leaf Newton step toward bases b (B, L, 2n): z + ((I +
+        DPhi)/2)^{-1} (b - self.b), the midpoint equation linearized at z.
+        It takes up both the residual and the move of the bases since z."""
         m = b.shape[-1]
         A = 0.5 * (self.jac + np.eye(m))
         return self.z + np.linalg.solve(A, (b - self.b)[..., None])[..., 0]
+
+    def solves(self, b: np.ndarray) -> np.ndarray:
+        """Rows (B,) on which every midpoint solves its base in b (B, L, 2n)
+        to the leaf tolerance, the test of solve_midpoint."""
+        r = np.linalg.norm(self.b - b, axis=-1)
+        return np.all(r <= _LEAF_TOL * np.maximum(np.linalg.norm(b, axis=-1), 1e-12), axis=1)
 
 
 def leaf_hessian(jac: np.ndarray) -> np.ndarray:
@@ -263,10 +273,11 @@ def leaf_hessian(jac: np.ndarray) -> np.ndarray:
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def _solve_leaves(pieces: list[FlowMap], b: np.ndarray, guess: np.ndarray | None):
+def _solve_leaves(pieces: list[FlowMap], b: np.ndarray, guess: np.ndarray | None, **newton):
     """Midpoint solves of the leaves with pieces at their bases b (B, L, 2n),
-    one stacked solve_midpoint per compatible group.  Returns z, Phi(z) (B,
-    L, 2n), DPhi(z) (B, L, 2n, 2n) and ok (B, L)."""
+    one stacked solve_midpoint per compatible group, which takes the Newton
+    keywords.  Returns z, Phi(z) (B, L, 2n), DPhi(z) (B, L, 2n, 2n) and ok
+    (B, L)."""
     B, L, m = b.shape
     groups: dict[tuple, list[int]] = {}
     for i, piece in enumerate(pieces):
@@ -285,7 +296,7 @@ def _solve_leaves(pieces: list[FlowMap], b: np.ndarray, guess: np.ndarray | None
             return np.concatenate([arr[:, i] for i in members], axis=0)
 
         solved = solve_midpoint(piece.spec, t0, t1, piece.settings, stack(b),
-                                z0=None if guess is None else stack(guess))
+                                z0=None if guess is None else stack(guess), **newton)
         for dst, src in zip(out, solved):
             dst[:, members] = np.swapaxes(src.reshape((len(members), B) + src.shape[1:]), 0, 1)
     return out
@@ -297,16 +308,22 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     Returns (val (B,), grad (B, D), hess, ok (B,)): hess is None below order
     2 and otherwise the (B, N, 2n, 2n) Hessians of the links at their bases,
     which chain_hessian assembles; ok marks the rows whose leaf solves
-    converged.  All leaf midpoints are solved in one stacked Newton per
-    compatible group: leaves of an autonomous spec depend only on their span,
-    so their batches concatenate into a single integration, which amortizes
-    the per-step cost across the whole chain.
+    converged (with warm: whose leaves were integrated).  The leaves are
+    solved in one stacked solve_midpoint per compatible group: leaves of an
+    autonomous spec depend only on their span, so their batches concatenate
+    into a single integration, which amortizes the per-step cost across the
+    whole chain.
 
     With warm state (a LeafState of the same rows, from an earlier call or
-    from a chain seed) every leaf starts from the one-step predictor at its
-    new base, and the new LeafState is returned as a fifth element.  A warm
-    start converges to the same midpoints within the leaf tolerance, not
-    bitwise.
+    from a chain seed) the midpoints are Newton unknowns of the caller: each
+    leaf is integrated once, from the Newton step of warm toward its new
+    base b (LeafState.predict), and the new LeafState is returned as a fifth
+    element.  The midpoint z then solves (z + Phi(z))/2 = b + r with a
+    residual r, and the leaf's gradient is the linearization at z,
+    i(z - Phi(z)) - H r with H its Hessian: eliminating the midpoint step
+    from the joint Newton system leaves exactly this gradient with the
+    unchanged Hessian.  Where LeafState.solves(b) holds it equals the solved
+    leaf's gradient to the leaf tolerance.
     """
     x = np.asarray(x, dtype=float)
     links, m = gf.links, gf.base_dim
@@ -324,13 +341,21 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
             if hess is not None:
                 hess[:, j] = h
     leaf_b = bases[:, leaves]
-    guess = None if warm is None else warm.predict(leaf_b)
-    z, Zv, jac, ok_leaf = _solve_leaves([links[j].piece for j in leaves], leaf_b, guess)
-    g = mul_i(z - Zv)
+    pieces = [links[j].piece for j in leaves]
+    if warm is None:
+        z, Zv, jac, ok_leaf = _solve_leaves(pieces, leaf_b, None)
+        g = mul_i(z - Zv)
+        H = leaf_hessian(jac) if hess is not None else None
+    else:
+        z, Zv, jac, ok_leaf = _solve_leaves(pieces, leaf_b, warm.predict(leaf_b),
+                                            newton_tol=np.inf, max_iter=0)
+        solved = 0.5 * (z + Zv)
+        H = leaf_hessian(jac)
+        g = mul_i(z - Zv) - (H @ (solved - leaf_b)[..., None])[..., 0]
     vals[:, leaves] = 0.5 * np.sum(g * leaf_b, axis=2)
     grads[:, leaves] = g
     if hess is not None:
-        hess[:, leaves] = leaf_hessian(jac)
+        hess[:, leaves] = H
     ok &= ok_leaf.all(axis=1)
     # the pairing terms 2<e_j, i d_j>, d_j = a_{j-1} - a_j, e_j = a_j - b_j
     d = a[:, :-1] - a[:, 1:]
@@ -343,7 +368,7 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     grad = join_chain(ga, grads[:, 1:] - 2.0 * mul_i(d))
     if warm is None:
         return val, grad, hess, ok
-    return val, grad, hess, ok, LeafState(leaf_b, z, jac)
+    return val, grad, hess, ok, LeafState(solved, z, jac)
 
 
 @functools.lru_cache(maxsize=None)

@@ -158,18 +158,22 @@ def direct_translated_points(
     dedup_t: float = 1e-5,
     nondeg_tol: float = 1e-7,
     continuum_factor: float = 10.0,
+    seeds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DetectionResult:
     """Ground-truth route: multistart Newton on e^{-2 pi i t} Phi(q) - q = 0.
 
     g(q) = 0 is automatic at solutions because |Phi(q)| = |q| there; the
     conformal residual is still recorded.  Non-convergent starts are dropped
-    (coverage is the seed grid's job).
+    (coverage is the seed grid's job).  seeds, when given, are the (q, t)
+    starts that _prefilter_seeds returns for the same grid arguments.
     """
     if settings is None:
         settings = IntegratorSettings()
     if sphere_count < 8:
         raise ValueError("resolution too small: need at least 8 sphere seeds")
-    q, t = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
+    if seeds is None:
+        seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
+    q, t = seeds
     q, t, ok = _direct_newton(spec, settings, q, t, newton_tol, max_iter)
     q, t = q[ok], t[ok] % 1.0
     records = _build_records(spec, settings, q, t, route="direct", nondeg_tol=nondeg_tol)
@@ -460,12 +464,15 @@ class ShiftedGenFunFamily:
         x = np.concatenate([0.5 * (q + z_out), fiber], axis=1)
         norm = np.sqrt(nested_norm(x, 2 * self.n)[0])[:, None]
         x = x / norm
-        a, b = gfm.split_chain(x, 2 * self.n)
-        L = len(self.f_phi.links)
-        bases = np.concatenate([a[:, :1], b[:, : L - 1]], axis=1)
         z = np.stack(midpoints, axis=1) / norm[:, :, None]
         jac = np.broadcast_to(np.eye(2 * self.n), z.shape + (2 * self.n,)).copy()
-        return x, gfm.LeafState(bases, z, jac)
+        return x, gfm.LeafState(self.leaf_bases(x), z, jac)
+
+    def leaf_bases(self, x: np.ndarray) -> np.ndarray:
+        """Bases (R, L, 2n) of F_phi's leaves, a_1, b_2, ..., b_L, at chain
+        coordinates x."""
+        a, b = gfm.split_chain(x, 2 * self.n)
+        return np.concatenate([a[:, :1], b[:, : len(self.f_phi.links) - 1]], axis=1)
 
     def evaluate(self, x: np.ndarray, t: np.ndarray, order: int = 2,
                  with_dt: bool = False, warm: gfm.LeafState | None = None,
@@ -474,8 +481,9 @@ class ShiftedGenFunFamily:
 
         With terms, hess is the (R, L + k, 2n, 2n) stack of the links'
         Hessians instead (see evaluate_stacked).  With warm (the LeafState of
-        F_phi's leaves for these rows) the leaf solves start warm and the new
-        LeafState is returned as a sixth element.
+        F_phi's leaves for these rows) every leaf is integrated once, from
+        the Newton step of warm, its gradient is linearized at that midpoint
+        and the new LeafState is returned as a sixth element.
         """
         x = np.asarray(x, dtype=float)
         chain, dcoeff = self._chain(t)
@@ -591,6 +599,7 @@ def find_critical_rays(
     nondeg_tol: float = 1e-7,
     continuum_factor: float = 10.0,
     u_floor: float = 0.02,
+    seeds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DetectionResult:
     """Critical rays of F_t on the unit sphere of the total space.
 
@@ -598,11 +607,14 @@ def find_critical_rays(
     Newton then solves grad F_t(x) = 0, |x| = 1 jointly in (x, t).  Every
     converged ray is reduced to its base point and re-verified against the
     direct fixed-point residual; failures are reported as inconsistent, never
-    silently kept.
+    silently kept.  seeds, when given, are the (q, t) starts that
+    _prefilter_seeds returns for the same grid arguments.
     """
     if settings is None:
         settings = IntegratorSettings()
-    q_seeds, t_seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
+    if seeds is None:
+        seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
+    q_seeds, t_seeds = seeds
     xs, ts, vals, oks = [], [], [], []
     for lo in range(0, q_seeds.shape[0], _CHUNK):
         q_c = q_seeds[lo : lo + _CHUNK]
@@ -653,24 +665,34 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
     the residual tol reads the gradient in chain coordinates.  Each
     iteration evaluates F_t once, to its links' Hessians, and
     family.bordered_step solves the bordered system along the chain; no
-    (D + 1) x (D + 1) matrix is formed.  warm is the LeafState of F_phi at
-    x0 (from family.seed); it is carried across iterations, sliced by the
-    same work mask as x and t, so that every leaf solve starts from its
-    predictor instead of cold.  A row is dropped when its leaves fail or its
-    step leaves the rotation family's domain |t| < k/2.  Returns (x, t,
-    F_t(x), done).
+    (D + 1) x (D + 1) matrix is formed.
+
+    The leaf midpoints z_j are unknowns of the same Newton: warm, the
+    LeafState of F_phi at x0 (from family.seed), is carried across
+    iterations, sliced by the same work mask as x and t.  Each iteration
+    integrates every leaf once, from the Newton step of the last state
+    toward the leaf's new base (LeafState.predict, which takes up the
+    damped, retracted x step and the midpoint residual), and the gradient
+    is linearized at the midpoint (evaluate_stacked); eliminating the
+    midpoint steps link by link leaves bordered_step's pivots unchanged.  A
+    row finishes, or is rescued at its best iterate, only where every leaf
+    residual is within the leaf tolerance (LeafState.solves), so accepted
+    points carry solved leaves.  A row is dropped when a leaf cannot be
+    integrated (its base or midpoint at the cone tip) or its step leaves
+    the rotation family's domain |t| < k/2.  Returns (x, t, F_t(x), done).
     """
 
     m = 2 * family.n
 
     def evaluate(work, x, t):
-        val, grad, hess, dgrad, ok, warm_w = family.evaluate(
+        val, grad, hess, dgrad, ok, state = family.evaluate(
             x, t, order=2, with_dt=True, warm=warm.take(work), terms=True
         )
-        warm.put(work, warm_w)
+        warm.put(work, state)
         sq, border = nested_norm(x, m)
         F = np.concatenate([grad, 0.5 * (sq - 1.0)[:, None]], axis=1)
-        return F, (border, hess, dgrad), np.linalg.norm(grad, axis=1), ok, val
+        err = np.where(state.solves(family.leaf_bases(x)), np.linalg.norm(grad, axis=1), np.inf)
+        return F, (border, hess, dgrad), err, ok, val
 
     def step_norm(step):
         return np.sqrt(nested_norm(step[:, :-1], m)[0] + step[:, -1] ** 2)
@@ -812,7 +834,8 @@ def sweep_and_count(
     non-degenerate and no continuum is suspected; otherwise the report says
     so explicitly instead of passing silently.  route_seconds, when given,
     receives the wall time of each route that ran ("direct", "genfun"), also
-    when the routes then disagree.
+    when the routes then disagree; the seed prefilter they share counts
+    toward the direct route.
     """
     if params is None:
         params = SweepParams()
@@ -829,29 +852,31 @@ def sweep_and_count(
     direct_res = genfun_res = None
     if route_seconds is None:
         route_seconds = {}
+    # with both routes, they start from one prefiltered grid, whose time
+    # counts toward the direct route; a lone route filters its own
+    grid = dict(sphere_count=params.sphere_count, t_count=params.t_count,
+                keep_per_seed=params.keep_per_seed)
+    start = time.perf_counter()
+    seeds = _prefilter_seeds(spec, settings, **grid) if params.routes == "both" else None
     if params.routes in ("direct", "both"):
-        start = time.perf_counter()
         direct_res = direct_translated_points(
-            spec, settings,
-            sphere_count=params.sphere_count, t_count=params.t_count,
-            keep_per_seed=params.keep_per_seed, newton_tol=params.newton_tol,
+            spec, settings, **grid, newton_tol=params.newton_tol,
             dedup_angular=params.dedup_angular, dedup_t=params.dedup_t,
             nondeg_tol=params.nondeg_tol, continuum_factor=params.continuum_factor,
+            seeds=seeds,
         )
         route_seconds["direct"] = time.perf_counter() - start
         route_stats["direct_records"] = len(direct_res.records)
         route_stats["direct_converged"] = direct_res.converged_raw
-    if params.routes in ("genfun", "both"):
         start = time.perf_counter()
+    if params.routes in ("genfun", "both"):
         f_phi, schedule = build_phi_genfun(spec, settings, params.subdivision_delta)
         family = ShiftedGenFunFamily(f_phi, n, params.rotation_pieces)
         genfun_res = find_critical_rays(
-            family, spec, settings,
-            sphere_count=params.sphere_count, t_count=params.t_count,
-            keep_per_seed=params.keep_per_seed, grad_tol=params.grad_tol,
+            family, spec, settings, **grid, grad_tol=params.grad_tol,
             verify_tol=params.verify_tol, dedup_angular=params.dedup_angular,
             dedup_t=params.dedup_t, nondeg_tol=params.nondeg_tol,
-            continuum_factor=params.continuum_factor,
+            continuum_factor=params.continuum_factor, seeds=seeds,
         )
         route_seconds["genfun"] = time.perf_counter() - start
         route_stats["genfun_records"] = len(genfun_res.records)

@@ -18,6 +18,9 @@ the lift expands into monomial primitives
 so each spec compiles once into exponent/coefficient tables and evaluation is
 a couple of gathers plus one matrix product, batched over points.
 
+bisect_c1_small is the C^1 subdivision with one probe per interval, the
+reference for the library's memoised probes of autonomous specs.
+
 The test-only helpers at the end are not called by the library: matrices of
 the linear symplectic structure, the covector of the graph-to-cotangent
 identification tau, quadratic generating functions, and the k-piece rotation
@@ -281,6 +284,34 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(rng.normal(size=(m, m)))
     return Q * np.sign(np.diag(R))
+
+
+def bisect_c1_small(spec, t0: float, t1: float, delta: float, settings,
+                    samples: np.ndarray | None = None, max_pieces: int = 4096):
+    """Reference subdivision: the bisection of flow.subdivide_c1_small with
+    one c1_distance probe per interval it visits, whatever the spec."""
+    from contactmorse import flow
+    from contactmorse.sampling import subdivision_probe_points
+
+    probe_settings = flow.IntegratorSettings(steps_per_unit=min(settings.steps_per_unit, 16))
+    if samples is None:
+        samples = subdivision_probe_points(spec.n)
+    if t1 == t0:
+        return [(t0, t1)]
+    pieces = []
+    stack = [(t0, t1)]
+    while stack:
+        a, b = stack.pop()
+        if flow.c1_distance(spec, a, b, probe_settings, samples) < delta:
+            pieces.append((a, b))
+        else:
+            if (b - a) * max_pieces < (t1 - t0):
+                raise RuntimeError("C1-small subdivision exceeded the piece cap")
+            mid = 0.5 * (a + b)
+            stack.append((mid, b))
+            stack.append((a, mid))
+    pieces.sort()
+    return pieces
 
 
 # Test-only helpers, no longer called by the library.

@@ -9,6 +9,8 @@ checks read the tracer's own target list and resolve it against the package.
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,10 +29,15 @@ COUNTED_ARGUMENTS = {
 
 
 @pytest.fixture(scope="module")
-def targets():
+def spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def targets(spans):
     return spans.TARGETS
 
 
@@ -58,3 +65,35 @@ def test_eval_lift_takes_z_second(targets):
     # the eval_lift counter reads its points positionally, as args[1]
     params = list(inspect.signature(_resolve("hamiltonian", "eval_lift")).parameters)
     assert params[:3] == ["spec", "z", "t"]
+
+
+def test_traced_genfun_route_integrates_leaves_once_per_outer_iteration(
+    spans, sphere_corpus_spec, settings, tmp_path, monkeypatch
+):
+    """The tracer counts a leaf integration as an integrate_flow span under
+    solve_midpoint; on a small genfun run there is one per family
+    evaluation."""
+    from contactmorse import translated as tp
+
+    # install rebinds module attributes and methods; monkeypatch puts them back
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "contactmorse" and mod is not None:
+            for key, value in list(vars(mod).items()):
+                if callable(value):
+                    monkeypatch.setattr(mod, key, value)
+    for mod_name, attr in spans.TARGETS:
+        *cls_path, fn_name = attr.split(".")
+        if cls_path:
+            owner = _resolve(mod_name, ".".join(cls_path))
+            monkeypatch.setattr(owner, fn_name, vars(owner)[fn_name])
+    tracer = spans.Tracer()
+    spans.install(tracer)
+
+    f_phi, _ = tp.build_phi_genfun(sphere_corpus_spec, settings, 1.0)
+    family = tp.ShiftedGenFunFamily(f_phi, 2, 4)
+    tp.find_critical_rays(family, sphere_corpus_spec, settings, sphere_count=8, t_count=8,
+                          keep_per_seed=1)
+    tracer.dump(tmp_path / "spans.json")
+    metrics = spans.layer_metrics(json.loads((tmp_path / "spans.json").read_text()))
+    assert metrics["translated.ShiftedGenFunFamily.evaluate.calls"] > 2
+    assert metrics["genfun.leaf_integrations_per_outer_iter"] == 1.0

@@ -6,7 +6,7 @@ from contactmorse import hamiltonian as ham
 from contactmorse.linsymp import complex_structure_matrix, mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
-from oracles import expm, realify, symplectic_form_matrix, wirtinger_lift
+from oracles import bisect_c1_small, expm, realify, symplectic_form_matrix, wirtinger_lift
 
 
 def _perturbed_spec():
@@ -158,6 +158,51 @@ def test_subdivision_cap():
     reeb = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
     with pytest.raises(RuntimeError):
         flow.subdivide_c1_small(reeb, 0.0, 1.0, 1e-4, max_pieces=64)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Records the (t0, t1) of every c1_distance call."""
+    calls = []
+    inner = flow.c1_distance
+
+    def counting(spec, t0, t1, *args):
+        calls.append((t0, t1))
+        return inner(spec, t0, t1, *args)
+
+    monkeypatch.setattr(flow, "c1_distance", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["corpus", "offset", "bump"])
+def test_subdivision_matches_bisection_reference(case, sphere_corpus_spec, probes):
+    """The probes of an autonomous spec are shared by equal half-spans, and
+    the schedule keeps the bits of the reference's probe per interval; a
+    time-profiled spec still probes every interval."""
+    spec, (t0, t1), settings = sphere_corpus_spec, (0.0, 1.0), flow.IntegratorSettings()
+    if case == "offset":
+        t0, t1 = 0.3, 1.45
+    elif case == "bump":
+        spec, settings = _n3_bump_spec(), flow.IntegratorSettings(steps_per_unit=32)
+    pieces = flow.subdivide_c1_small(spec, t0, t1, 1.0, settings)
+    shared = len(probes)
+    probes.clear()
+    ref = bisect_c1_small(spec, t0, t1, 1.0, settings)
+    assert pieces == ref and len(pieces) > 1
+    assert all(x.hex() == y.hex() for p, r in zip(pieces, ref) for x, y in zip(p, r))
+    assert len(probes) == 2 * len(ref) - 1
+    if case == "bump":
+        assert shared == len(probes)
+    else:
+        assert shared < len(probes)
+
+
+def test_subdivision_probes_once_per_dyadic_level(sphere_corpus_spec, probes):
+    """The corpus schedule on [0, 1] is 16 pieces of 1/16: bisection visits
+    31 intervals on 5 levels, and an autonomous spec probes each level once."""
+    pieces = flow.subdivide_c1_small(sphere_corpus_spec, 0.0, 1.0, 1.0, flow.IntegratorSettings())
+    assert len(pieces) == 16
+    assert [b - a for a, b in probes] == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
 def test_calibration_sweep_agrees(fast_settings):

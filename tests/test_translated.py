@@ -209,6 +209,110 @@ def test_warm_genfun_rays_are_cold_critical(fast_settings, sphere_corpus_spec, m
     assert np.max(np.linalg.norm(grad, axis=1)) <= 100.0 * grad_tol
 
 
+def test_genfun_route_integrates_each_leaf_once_per_evaluation(settings, sphere_corpus_spec,
+                                                                monkeypatch):
+    """The leaf midpoints are Newton unknowns: every family evaluation of the
+    route integrates its leaves once (the corpus leaves are one group)."""
+    family = _corpus_family(sphere_corpus_spec, settings, 4)
+    integrations, evaluations = [], []
+    inner_flow, inner_eval = gfm.integrate_flow, family.evaluate
+
+    def integrating(spec, z0, *args, **kwargs):
+        integrations.append(z0.shape[0])
+        return inner_flow(spec, z0, *args, **kwargs)
+
+    def evaluating(x, t, **kwargs):
+        evaluations.append(x.shape[0])
+        return inner_eval(x, t, **kwargs)
+
+    monkeypatch.setattr(gfm, "integrate_flow", integrating)
+    monkeypatch.setattr(family, "evaluate", evaluating)
+    res = tp.find_critical_rays(family, sphere_corpus_spec, settings, sphere_count=16,
+                                t_count=8, keep_per_seed=2)
+    assert len(res.records) >= 2 and len(evaluations) > 2
+    L = len(family.f_phi.links)
+    assert integrations == [L * rows for rows in evaluations]
+
+
+def _newton_with_states(family, x0, t0, warm, monkeypatch):
+    """_genfun_newton from (x0, t0, warm), with the x and the LeafState of
+    every family evaluation it makes."""
+    seen = []
+    inner = family.evaluate
+
+    def evaluate(x, t, **kwargs):
+        out = inner(x, t, **kwargs)
+        seen.append((x.copy(), out[5]))
+        return out
+
+    monkeypatch.setattr(family, "evaluate", evaluate)
+    out = tp._genfun_newton(family, x0, t0, 1e-9, 40, warm)
+    monkeypatch.undo()
+    return out, seen
+
+
+def test_genfun_rays_carry_solved_leaves(settings, sphere_corpus_spec, monkeypatch):
+    """At every accepted ray the warm midpoints solve their bases to the leaf
+    tolerance, and a cold solve finds the same midpoints.  Since the leaf
+    gradient is linearized at the midpoints, it stays critical when they are
+    moved off their bases; a row must then neither finish nor be rescued
+    until the midpoints are solved again."""
+    family = _corpus_family(sphere_corpus_spec, settings, 4)
+    q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 16, 8, 2)
+    x0, warm = family.seed(q, t)
+    (x, t, _, done), seen = _newton_with_states(family, x0, t, warm, monkeypatch)
+    assert done.sum() >= 16
+    tol = gfm._LEAF_TOL
+    states = []
+    for xr in x[done]:
+        # the evaluation at exactly this iterate
+        xs, state = next((xs, st) for xs, st in seen if np.any(np.all(xs == xr, axis=1)))
+        states.append(state.take([np.argmax(np.all(xs == xr, axis=1))]))
+        bases = family.leaf_bases(xr[None])[0]
+        assert states[-1].solves(bases[None])[0]
+        for piece, b, z in zip((link.piece for link in family.f_phi.links), bases,
+                               states[-1].z[0]):
+            args = (piece.spec, piece.t0, piece.t1, piece.settings, b[None])
+            assert gfm.solve_midpoint(*args, z0=z[None], max_iter=0)[3][0]
+            z_cold, _, _, ok = gfm.solve_midpoint(*args)
+            assert ok[0]
+            assert np.linalg.norm(z_cold[0] - z) <= 4.0 * tol * np.linalg.norm(b)
+
+    def off_bases():
+        """The accepted rows' states with every midpoint moved off its base."""
+        off = gfm.LeafState(*(np.concatenate([getattr(st, f) for st in states])
+                              for f in ("b", "z", "jac")))
+        off.z[...] *= 1.0 + 1e-6
+        return off
+
+    _, _, _, once = tp._genfun_newton(family, x[done], t[done], 1e-9, 1, off_bases())
+    assert not once.any()
+    _, _, _, twice = tp._genfun_newton(family, x[done], t[done], 1e-9, 2, off_bases(), polish=1)
+    assert twice.all()
+
+
+def test_genfun_zero_base_row_dropped_alone(settings, sphere_corpus_spec, monkeypatch):
+    """A row with a leaf base at the cone tip fails its first evaluation and
+    is dropped; the other rows keep their bits."""
+    family = _corpus_family(sphere_corpus_spec, settings, 4)
+    q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 8, 8, 2)
+    x0, warm = family.seed(q, t)
+    bad = 5
+    blk = 2 * family.k + 1  # b_L, the base of the last leaf, after the k rotation links
+    x0[bad, 4 * blk : 4 * blk + 4] = 0.0
+    assert np.all(family.leaf_bases(x0[bad : bad + 1])[0, -1] == 0.0)
+    every = np.arange(x0.shape[0])
+    rest = np.delete(every, bad)
+    # take copies the state, which _genfun_newton updates in place
+    (x, tt, v, done), seen = _newton_with_states(family, x0, t, warm.take(every), monkeypatch)
+    alone = tp._genfun_newton(family, x0[rest], t[rest], 1e-9, 40, warm.take(rest))
+    assert not done[bad] and done[rest].all()
+    # the bad row is evaluated once, then no more
+    assert all(xs.shape[0] < x0.shape[0] for xs, _ in seen[1:])
+    for got, want in zip((x, tt, v, done), alone):
+        assert np.array_equal(got[rest], want)
+
+
 def test_family_matches_composed_dag(fast_settings, sphere_corpus_spec):
     """ShiftedGenFunFamily chains F_phi and the k rotation links of A_t; at
     a scalar t it must agree with the nested composition DAG of F_phi and
