@@ -11,7 +11,6 @@ from .flow import (
     FlowMap,
     IntegratorSettings,
     calibrate_steps_per_unit,
-    conformal_factor,
     integrate_flow,
     subdivide_c1_small,
 )
@@ -20,11 +19,9 @@ from .genfun import (
     LeafGF,
     LeafNewtonError,
     gf_compose,
-    gf_eval,
-    gf_grad,
 )
 from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm
-from .linsymp import Inertia, QuadraticForm, contact_form_eval, inertia
+from .linsymp import Inertia, inertia
 from .projective import (
     AntipodalPairingError,
     ProjectiveSpec,

@@ -21,7 +21,13 @@ from .flow import IntegratorSettings, calibrate_steps_per_unit, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import mul_i
 from .report import RunReport, write_outputs
-from .translated import RouteDisagreementError, sweep_and_count
+from .translated import (
+    RouteDisagreementError,
+    SweepReport,
+    bound_threshold,
+    index_data,
+    sweep_and_count,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -39,7 +45,11 @@ def _calibration_check(n: int, settings: IntegratorSettings) -> float:
 
 
 def run(config: RunConfig, out_dir: str | Path) -> RunReport:
-    """Execute calibration, detection, counting; write report artifacts."""
+    """Execute calibration, detection, counting; write report artifacts.
+
+    timings gets the detection stage's wall time, then the share of each
+    route in it.  A failed calibration or a route disagreement reports an
+    empty sweep."""
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -53,67 +63,45 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     cal_err = _calibration_check(config.n, settings)
     timings["calibration"] = time.perf_counter() - t0
 
+    sweep = disagreement = None
     if cal_err > 1e-8:
-        report = RunReport(
-            config=config,
-            sweep=_empty_sweep(config),
-            calibration_rel_err=cal_err,
-            steps_per_unit=steps,
-            timings=timings,
-            exit_status=EXIT_ERROR,
-        )
-        write_outputs(report, out_dir)
-        return report
-
-    t0 = time.perf_counter()
-    route_seconds: dict[str, float] = {}
-    try:
-        sweep = sweep_and_count(config.hamiltonian, config.params, settings, route_seconds)
-        exit_status = EXIT_OK
-        if sweep.continuum_suspected or not sweep.bound_asserted:
+        exit_status = EXIT_ERROR
+    else:
+        t0 = time.perf_counter()
+        route_seconds: dict[str, float] = {}
+        try:
+            sweep = sweep_and_count(config.hamiltonian, config.params, settings, route_seconds)
+        except RouteDisagreementError as exc:
+            disagreement = exc
+        timings["detection"] = time.perf_counter() - t0
+        for route, seconds in route_seconds.items():
+            timings[f"detection.{route}"] = seconds
+        if disagreement is not None:
+            exit_status = EXIT_ROUTE_DISAGREEMENT
+        elif sweep.continuum_suspected or not sweep.bound_asserted:
             exit_status = EXIT_BOUNDS_NOT_ASSERTED
         elif sweep.bound_met is False:
             exit_status = EXIT_ERROR
-    except RouteDisagreementError as exc:
-        _detection_timings(timings, t0, route_seconds)
-        report = RunReport(
-            config=config,
-            sweep=_empty_sweep(config),
-            calibration_rel_err=cal_err,
-            steps_per_unit=steps,
-            timings=timings,
-            exit_status=EXIT_ROUTE_DISAGREEMENT,
-        )
-        paths = write_outputs(report, out_dir)
-        _dump_disagreement(exc, Path(out_dir))
-        print(f"route disagreement: {exc}", file=sys.stderr)
-        print(f"diagnostic dump written next to {paths['report']}", file=sys.stderr)
-        return report
-    _detection_timings(timings, t0, route_seconds)
+        else:
+            exit_status = EXIT_OK
 
     report = RunReport(
         config=config,
-        sweep=sweep,
+        sweep=_empty_sweep(config) if sweep is None else sweep,
         calibration_rel_err=cal_err,
         steps_per_unit=steps,
         timings=timings,
         exit_status=exit_status,
     )
-    write_outputs(report, out_dir)
+    paths = write_outputs(report, out_dir)
+    if disagreement is not None:
+        _dump_disagreement(disagreement, Path(out_dir))
+        print(f"route disagreement: {disagreement}", file=sys.stderr)
+        print(f"diagnostic dump written next to {paths['report']}", file=sys.stderr)
     return report
 
 
-def _detection_timings(timings: dict[str, float], t0: float,
-                       route_seconds: dict[str, float]) -> None:
-    """The detection stage's wall time, then the share of each route in it."""
-    timings["detection"] = time.perf_counter() - t0
-    for route, seconds in route_seconds.items():
-        timings[f"detection.{route}"] = seconds
-
-
-def _empty_sweep(config: RunConfig):
-    from .translated import SweepReport, index_data
-
+def _empty_sweep(config: RunConfig) -> SweepReport:
     params = config.params
     return SweepReport(
         records=[],
@@ -123,7 +111,7 @@ def _empty_sweep(config: RunConfig):
         index_data=index_data(config.n, params.rotation_pieces, params.nullity_tol),
         continuum_suspected=False,
         bound_asserted=False,
-        bound_threshold=2 * config.n if params.mode == "projective" else 2,
+        bound_threshold=bound_threshold(params.mode, config.n),
         bound_met=None,
         route_stats={},
     )

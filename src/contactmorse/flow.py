@@ -35,6 +35,9 @@ from .sampling import sphere_points, subdivision_probe_points
 # the Hopf rotation e^{2 pi i t} the time convention is built on.
 FIELD_SCALE = math.pi
 
+# Cap on the steps of one integration.
+_MAX_STEPS = 1 << 22
+
 
 @dataclass(frozen=True)
 class IntegratorSettings:
@@ -48,12 +51,10 @@ class IntegratorSettings:
     """
 
     steps_per_unit: int = 16
-    min_steps: int = 1
-    max_steps: int = 1 << 22
 
     def steps_for(self, span: float) -> int:
-        steps = max(self.min_steps, math.ceil(abs(span) * self.steps_per_unit))
-        if steps > self.max_steps:
+        steps = max(1, math.ceil(abs(span) * self.steps_per_unit))
+        if steps > _MAX_STEPS:
             raise RuntimeError("step count exceeds cap; span too long or settings too fine")
         return steps
 
@@ -463,26 +464,6 @@ def calibrate_steps_per_unit(
             return density
         prev = cur
     return density
-
-
-def conformal_factor(
-    spec: ham.ContactHamiltonianSpec,
-    q,
-    t1: float,
-    settings: IntegratorSettings | None = None,
-) -> float:
-    """g(q) = -2 log |Phi_{t1}(q)| at a unit-sphere point q.
-
-    The lift satisfies |Phi(q)| = e^{-g(q)/2} on the sphere, so the conformal
-    factor is read off the norm defect of the integrated point.
-    """
-    from .linsymp import as_coords
-
-    qa = as_coords(q, spec.n)
-    if abs(np.linalg.norm(qa) - 1.0) > 1e-9:
-        raise ValueError("conformal_factor expects a unit vector")
-    z1, _ = integrate_flow(spec, qa, 0.0, t1, settings, with_jacobian=False)
-    return -2.0 * float(np.log(np.linalg.norm(z1)))
 
 
 def _c1_metric(samples: np.ndarray, z1: np.ndarray, jac: np.ndarray) -> float:

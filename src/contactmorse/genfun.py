@@ -35,21 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowMap, IntegratorSettings, integrate_flow
-from .linsymp import complex_structure_matrix, mul_i, solve_rows
+from .flow import FlowMap, IntegratorSettings, integrate_flow, subdivide_c1_small
+from .hamiltonian import sphere_value
+from .linsymp import complex_structure_matrix, mul_i, solve_rows, to_complex
 from .sampling import sphere_points
 
 
 class LeafNewtonError(RuntimeError):
     """The midpoint solve of a leaf did not converge: the piece is not
     C^1-small enough and the caller must re-subdivide."""
-
-
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
 
 
 class LeafGF:
@@ -401,22 +395,6 @@ def chain_hessian(blocks: np.ndarray, pairing: float = 2.0) -> np.ndarray:
     return H
 
 
-def gf_eval(gf: ChainGF, x) -> float:
-    xb, single = _as_batch(x)
-    val, _, _, ok = evaluate_stacked(gf, xb, order=0)
-    if not np.all(ok):
-        raise LeafNewtonError("leaf midpoint solve failed at the requested point")
-    return float(val[0]) if single else val
-
-
-def gf_grad(gf: ChainGF, x) -> np.ndarray:
-    xb, single = _as_batch(x)
-    _, grad, _, ok = evaluate_stacked(gf, xb, order=1)
-    if not np.all(ok):
-        raise LeafNewtonError("leaf midpoint solve failed at the requested point")
-    return grad[0] if single else grad
-
-
 def rotation_coefficients(t, k: int):
     """Coefficient -tan(pi t / k) of each of the k rotation links of a_t, and
     its d/dt, for t a scalar or of shape (B,); returned with shape (B,).
@@ -504,10 +482,6 @@ def monotonicity_probe_values(
     Requires a sign-definite Hamiltonian (checked by sampling the sphere);
     raises otherwise.  Returns an array of shape (t_count, sample_count).
     """
-    from .flow import subdivide_c1_small
-    from .hamiltonian import sphere_value
-    from .linsymp import to_complex
-
     if settings is None:
         settings = IntegratorSettings()
     schedule = subdivide_c1_small(spec, 0.0, 1.0, delta, settings)

@@ -2,9 +2,9 @@
 
 Coordinates are laid out as (x_1..x_n, y_1..y_n) so that the complex
 coordinates are z_j = x_j + i*y_j and multiplication by i is the blockwise
-map (x, y) -> (-y, x).  The standard contact 1-form on the unit sphere, the
-inertia bookkeeping for symmetric matrices and the batched linear solve of
-every Newton loop live here.
+map (x, y) -> (-y, x).  The complex structure and the rotations e^{i phase}
+as real matrices, the inertia of symmetric matrices and the batched linear
+solve of every Newton loop live here.
 """
 
 from __future__ import annotations
@@ -84,58 +84,6 @@ def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x if b.ndim == 3 else x[:, :, 0]
 
 
-def contact_form_eval(q, v) -> float:
-    """Value of alpha = x dy - y dx at q on the vector v.
-
-    Works on the whole of R^{2n}; on the unit sphere this is the standard
-    contact form, and alpha_q(i q) = |q|^2.
-    """
-    qa = as_coords(q)
-    va = as_coords(v)
-    if qa.shape != va.shape:
-        raise ValueError("q and v must have the same dimension")
-    n = qa.shape[-1] // 2
-    x, y = qa[..., :n], qa[..., n:]
-    vx, vy = va[..., :n], va[..., n:]
-    val = np.sum(x * vy - y * vx, axis=-1)
-    return float(val) if qa.ndim == 1 else val
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """A real quadratic form u -> u^T M u stored as a symmetric matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("matrix entries must be finite")
-        M = 0.5 * (M + M.T)
-        M.flags.writeable = False
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __call__(self, u) -> float | np.ndarray:
-        ua = np.asarray(u, dtype=float)
-        return np.einsum("...i,ij,...j->...", ua, self.matrix, ua)
-
-    def gradient(self, u) -> np.ndarray:
-        return 2.0 * np.asarray(u, dtype=float) @ self.matrix
-
-    def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
-        m, k = self.dim, other.dim
-        M = np.zeros((m + k, m + k))
-        M[:m, :m] = self.matrix
-        M[m:, m:] = other.matrix
-        return QuadraticForm(M)
-
-
 @dataclass(frozen=True)
 class Inertia:
     """Eigenvalue sign counts of a symmetric matrix: index + nullity + coindex = m."""
@@ -144,18 +92,15 @@ class Inertia:
     nullity: int
     coindex: int
 
-    @property
-    def dim(self) -> int:
-        return self.index + self.nullity + self.coindex
 
-
-def inertia(Q: QuadraticForm | np.ndarray, tol: float | None = None) -> Inertia:
-    """Count eigenvalues below -tol, inside (-tol, tol), and above tol.
+def inertia(M: np.ndarray, tol: float | None = None) -> Inertia:
+    """Count the eigenvalues of the symmetric part of the square matrix M
+    below -tol, inside (-tol, tol), and above tol.
 
     tol defaults to 1e-9 relative to the largest |eigenvalue|; it is never a
     hidden constant when passed explicitly.
     """
-    M = Q.matrix if isinstance(Q, QuadraticForm) else np.asarray(Q, dtype=float)
+    M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
     eigvals = np.linalg.eigvalsh(0.5 * (M + M.T))

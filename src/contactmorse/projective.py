@@ -25,6 +25,10 @@ class AntipodalPairingError(RuntimeError):
     """A record set from a projective spec is not antipodally closed."""
 
 
+# Largest |h(z) - h(-z)| over the sample set that a projective spec allows.
+_SYMMETRY_TOL = 1e-12
+
+
 def _symmetry_samples(n: int, count: int = 128) -> np.ndarray:
     return sphere_points(count, 2 * n, seed=0.25)
 
@@ -34,21 +38,16 @@ class ProjectiveSpec:
     """A contact Hamiltonian with the antipodal symmetry h(-z) = h(z)."""
 
     base: ContactHamiltonianSpec
-    symmetry_tol: float = 1e-12
 
     def __post_init__(self):
         samples = _symmetry_samples(self.base.n)
         zc = to_complex(samples)
         defect = np.max(np.abs(sphere_value(self.base, zc) - sphere_value(self.base, -zc)))
-        if defect > self.symmetry_tol:
+        if defect > _SYMMETRY_TOL:
             raise ValueError(
                 f"Hamiltonian is not Z2-symmetric: max |h(z) - h(-z)| = {defect:.3e} "
-                f"over the sample set (needs <= {self.symmetry_tol:.0e})"
+                f"over the sample set (needs <= {_SYMMETRY_TOL:.0e})"
             )
-
-    @property
-    def n(self) -> int:
-        return self.base.n
 
 
 def z2_equivariance_check(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import genfun as gfm
-from .flow import IntegratorSettings, integrate_flow
+from .flow import IntegratorSettings, integrate_flow, subdivide_c1_small
 from .genfun import (
     ChainGF,
     chain_hessian,
@@ -33,6 +33,7 @@ from .genfun import (
 )
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import (
+    as_coords,
     complex_structure_matrix,
     inertia,
     mul_i,
@@ -94,6 +95,37 @@ class SweepReport:
     route_stats: dict
 
 
+@dataclass(frozen=True)
+class SweepParams:
+    """Run parameters of sweep_and_count.  The config schema takes its
+    defaults and value types from these fields, and the routes their
+    defaults."""
+
+    mode: str = "sphere"  # sphere | projective
+    routes: str = "both"  # direct | genfun | both
+    rotation_pieces: int = 4
+    subdivision_delta: float = 1.0
+    sphere_count: int = 256
+    t_count: int = 64
+    keep_per_seed: int = 4
+    newton_tol: float = 1e-10
+    grad_tol: float = 1e-9
+    verify_tol: float = 1e-6
+    match_angular: float = 1e-6
+    match_t: float = 1e-6
+    dedup_angular: float = 1e-4
+    dedup_t: float = 1e-5
+    nondeg_tol: float = 1e-7
+    continuum_factor: float = 10.0
+    nullity_tol: float | None = None
+
+
+def bound_threshold(mode: str, n: int) -> int:
+    """The Morse-type lower bound: 2 points on S^{2n-1}, 2n antipodal
+    classes on RP^{2n-1}."""
+    return 2 * n if mode == "projective" else 2
+
+
 def phase_shift(z: np.ndarray, t) -> np.ndarray:
     """e^{-2 pi i t} z for real-coordinate points z, t scalar or per-row."""
     zc = to_complex(np.asarray(z, dtype=float))
@@ -101,6 +133,13 @@ def phase_shift(z: np.ndarray, t) -> np.ndarray:
     if zc.ndim > 1:
         phase = np.asarray(phase)[..., None]
     return to_real(phase * zc)
+
+
+def _shifted_flow(spec, settings, q, t):
+    """Phi(q), e^{-2 pi i t} Phi(q) and e^{-2 pi i t} DPhi(q) of the time-1
+    map at rows q (R, 2n), t (R,)."""
+    phi, dphi = integrate_flow(spec, q, 0.0, 1.0, settings, with_jacobian=True)
+    return phi, phase_shift(phi, t), rotation_matrix(-2.0 * np.pi * t, spec.n) @ dphi
 
 
 def _angular_distance(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -146,18 +185,21 @@ def _prefilter_seeds(
     return q_seeds, t_seeds
 
 
+# Newton iterations per start, on either route.
+_MAX_ITER = 40
+
+
 def direct_translated_points(
     spec: ContactHamiltonianSpec,
     settings: IntegratorSettings | None = None,
-    sphere_count: int = 256,
-    t_count: int = 64,
-    keep_per_seed: int = 4,
-    newton_tol: float = 1e-10,
-    max_iter: int = 40,
-    dedup_angular: float = 1e-4,
-    dedup_t: float = 1e-5,
-    nondeg_tol: float = 1e-7,
-    continuum_factor: float = 10.0,
+    sphere_count: int = SweepParams.sphere_count,
+    t_count: int = SweepParams.t_count,
+    keep_per_seed: int = SweepParams.keep_per_seed,
+    newton_tol: float = SweepParams.newton_tol,
+    dedup_angular: float = SweepParams.dedup_angular,
+    dedup_t: float = SweepParams.dedup_t,
+    nondeg_tol: float = SweepParams.nondeg_tol,
+    continuum_factor: float = SweepParams.continuum_factor,
     seeds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DetectionResult:
     """Ground-truth route: multistart Newton on e^{-2 pi i t} Phi(q) - q = 0.
@@ -174,7 +216,7 @@ def direct_translated_points(
     if seeds is None:
         seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
     q, t = seeds
-    q, t, ok = _direct_newton(spec, settings, q, t, newton_tol, max_iter)
+    q, t, ok = _direct_newton(spec, settings, q, t, newton_tol, _MAX_ITER)
     q, t = q[ok], t[ok] % 1.0
     records = _build_records(spec, settings, q, t, route="direct", nondeg_tol=nondeg_tol)
     records, continuum = _dedup_and_flag(
@@ -271,13 +313,12 @@ def _direct_newton(spec, settings, q0, t0, tol, max_iter, polish=2):
     eye = np.eye(n2)
 
     def evaluate(work, q, t):
-        phi, dphi = integrate_flow(spec, q, 0.0, 1.0, settings, with_jacobian=True)
-        psi = phase_shift(phi, t)
+        _, psi, dpsi = _shifted_flow(spec, settings, q, t)
         res_map = psi - q
         res_norm = 0.5 * (np.sum(q * q, axis=1) - 1.0)
         rnorm = np.sqrt(np.sum(res_map**2, axis=1) + res_norm**2)
         M = np.zeros((q.shape[0], n2 + 1, n2 + 1))
-        M[:, :n2, :n2] = rotation_matrix(-2.0 * np.pi * t, spec.n) @ dphi - eye
+        M[:, :n2, :n2] = dpsi - eye
         M[:, :n2, n2] = -2.0 * np.pi * mul_i(psi)
         M[:, n2, :n2] = q
         F = np.concatenate([res_map, res_norm[:, None]], axis=1)
@@ -294,12 +335,11 @@ def _direct_newton(spec, settings, q0, t0, tol, max_iter, polish=2):
 def _build_records(spec, settings, q, t, route, nondeg_tol, gf_values=None):
     if q.shape[0] == 0:
         return []
-    phi, dphi = integrate_flow(spec, q, 0.0, 1.0, settings, with_jacobian=True)
-    psi = phase_shift(phi, t)
+    phi, psi, dpsi = _shifted_flow(spec, settings, q, t)
     residual_fixed = np.linalg.norm(psi - q, axis=1)
+    # the conformal factor g(q) = -2 log |Phi(q)|, which vanishes at
+    # translated points
     residual_g = np.abs(-2.0 * np.log(np.linalg.norm(phi, axis=1)))
-    rot = rotation_matrix(-2.0 * np.pi * t, spec.n)
-    dpsi = rot @ dphi
     records = []
     for i in range(q.shape[0]):
         nondeg = _classify_kernel(dpsi[i], q[i], nondeg_tol)
@@ -348,14 +388,11 @@ def nondegeneracy_check(
 ):
     """Classify a (q, t) record: non-degenerate iff the horizontal kernel is
     exactly the radial line.  Returns True/False or None (indeterminate)."""
-    from .linsymp import as_coords
-
     if settings is None:
         settings = IntegratorSettings()
     qa = as_coords(q, spec.n)
-    _, dphi = integrate_flow(spec, qa, 0.0, 1.0, settings, with_jacobian=True)
-    rot = rotation_matrix(-2.0 * np.pi * float(t), spec.n)
-    return _classify_kernel(rot @ dphi, qa, tol)
+    _, _, dpsi = _shifted_flow(spec, settings, qa[None], np.array([float(t)]))
+    return _classify_kernel(dpsi[0], qa, tol)
 
 
 def _dedup_and_flag(records, n, dedup_angular, dedup_t, continuum_factor):
@@ -583,22 +620,24 @@ class ShiftedGenFunFamily:
 # Jacobian per stage, about 20 MB at L = 16.
 _CHUNK = 512
 
+# Smallest base |a_N| of an accepted critical ray x, |S^{-1} x| = 1 (see
+# nested_norm); a ray with a smaller base is not reduced to a_N / |a_N|.
+_U_FLOOR = 0.02
+
 
 def find_critical_rays(
     family: ShiftedGenFunFamily,
     spec: ContactHamiltonianSpec,
     settings: IntegratorSettings | None = None,
-    sphere_count: int = 256,
-    t_count: int = 64,
-    keep_per_seed: int = 4,
-    grad_tol: float = 1e-9,
-    max_iter: int = 40,
-    verify_tol: float = 1e-6,
-    dedup_angular: float = 1e-4,
-    dedup_t: float = 1e-5,
-    nondeg_tol: float = 1e-7,
-    continuum_factor: float = 10.0,
-    u_floor: float = 0.02,
+    sphere_count: int = SweepParams.sphere_count,
+    t_count: int = SweepParams.t_count,
+    keep_per_seed: int = SweepParams.keep_per_seed,
+    grad_tol: float = SweepParams.grad_tol,
+    verify_tol: float = SweepParams.verify_tol,
+    dedup_angular: float = SweepParams.dedup_angular,
+    dedup_t: float = SweepParams.dedup_t,
+    nondeg_tol: float = SweepParams.nondeg_tol,
+    continuum_factor: float = SweepParams.continuum_factor,
     seeds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DetectionResult:
     """Critical rays of F_t on the unit sphere of the total space.
@@ -620,7 +659,7 @@ def find_critical_rays(
         q_c = q_seeds[lo : lo + _CHUNK]
         t_c = t_seeds[lo : lo + _CHUNK]
         x0, warm = family.seed(q_c, t_c)
-        xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, grad_tol, max_iter, warm)
+        xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, grad_tol, _MAX_ITER, warm)
         xs.append(xx)
         ts.append(tt)
         vals.append(vv)
@@ -632,7 +671,7 @@ def find_critical_rays(
 
     u = x[:, : 2 * spec.n]
     unorm = np.linalg.norm(u, axis=1)
-    ok = ok & (unorm > u_floor)
+    ok = ok & (unorm > _U_FLOOR)
     q_red = u[ok] / unorm[ok][:, None]
     t_red = t[ok] % 1.0
     v_red = gf_vals[ok]
@@ -660,7 +699,7 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
     step.
 
     x is in chain coordinates, measured by nested_norm: the damping, the
-    unit sphere and find_critical_rays' u_floor on the base a_N read
+    unit sphere and find_critical_rays' _U_FLOOR on the base a_N read
     |S^{-1} x|, the norm of the nested sharp product's coordinates, while
     the residual tol reads the gradient in chain coordinates.  Each
     iteration evaluates F_t once, to its links' Hessians, and
@@ -720,8 +759,7 @@ def index_jump(n: int, k: int, nullity_tol: float | None = None) -> int:
     kernel of dimension exactly 2n; any other nullity is a configuration
     error.  The index difference is insensitive to that kernel.
     """
-    data = index_data(n, k, nullity_tol)
-    return data["jump"]
+    return index_data(n, k, nullity_tol)["jump"]
 
 
 def index_data(n: int, k: int, nullity_tol: float | None = None) -> dict:
@@ -745,38 +783,12 @@ def index_data(n: int, k: int, nullity_tol: float | None = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SweepParams:
-    """Run parameters of sweep_and_count.  The config schema takes its
-    defaults and value types from these fields."""
-
-    mode: str = "sphere"  # sphere | projective
-    routes: str = "both"  # direct | genfun | both
-    rotation_pieces: int = 4
-    subdivision_delta: float = 1.0
-    sphere_count: int = 256
-    t_count: int = 64
-    keep_per_seed: int = 4
-    newton_tol: float = 1e-10
-    grad_tol: float = 1e-9
-    verify_tol: float = 1e-6
-    match_angular: float = 1e-6
-    match_t: float = 1e-6
-    dedup_angular: float = 1e-4
-    dedup_t: float = 1e-5
-    nondeg_tol: float = 1e-7
-    continuum_factor: float = 10.0
-    nullity_tol: float | None = None
-
-
 def build_phi_genfun(
     spec: ContactHamiltonianSpec,
     settings: IntegratorSettings,
     delta: float,
 ) -> tuple[ChainGF, list[tuple[float, float]]]:
     """Generating function of phi: the chain of the subdivided isotopy's pieces."""
-    from .flow import subdivide_c1_small
-
     schedule = subdivide_c1_small(spec, 0.0, 1.0, delta, settings)
     return gfm.flow_chain(spec, schedule, settings), schedule
 
@@ -907,11 +919,10 @@ def sweep_and_count(
             )
         records = matched
         route_stats["matched"] = len(matched)
-    elif params.routes == "both":
-        # Continua are sampled differently by each route; report the ground
-        # truth set without asserting a bijection.
-        records = direct_res.records
-    elif params.routes == "direct":
+    elif direct_res is not None:
+        # the direct route alone, or both on a continuum: the routes sample
+        # a continuum differently, so report the ground truth set without
+        # asserting a bijection
         records = direct_res.records
     else:
         records = genfun_res.records
@@ -922,10 +933,7 @@ def sweep_and_count(
 
     sphere_count = projective_count = None
     bound_met = None
-    if params.mode == "projective":
-        threshold = 2 * n
-    else:
-        threshold = 2
+    threshold = bound_threshold(params.mode, n)
     all_nondeg = bool(records) and all(r.nondegenerate is True for r in records)
     bound_asserted = all_nondeg and not continuum
     if not continuum:

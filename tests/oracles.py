@@ -22,7 +22,8 @@ bisect_c1_small is the C^1 subdivision with one probe per interval, the
 reference for the library's memoised probes of autonomous specs.
 
 The test-only helpers at the end are not called by the library: matrices of
-the linear symplectic structure, the covector of the graph-to-cotangent
+the linear symplectic structure, the contact form alpha (the pullback
+oracle of the conformal factor), the covector of the graph-to-cotangent
 identification tau, quadratic generating functions, and the k-piece rotation
 family as a chain next to its matrix.
 
@@ -50,7 +51,7 @@ from contactmorse.genfun import (
     leaf_hessian,
     rotation_family_matrices,
 )
-from contactmorse.linsymp import QuadraticForm, complex_structure_matrix, mul_i
+from contactmorse.linsymp import as_coords, complex_structure_matrix, mul_i
 
 
 def jacobi_eigenvalues(M: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
@@ -338,6 +339,23 @@ def realify(P: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
+def contact_form_eval(q, v) -> float:
+    """Value of alpha = x dy - y dx at q on the vector v.
+
+    Works on the whole of R^{2n}; on the unit sphere this is the standard
+    contact form, and alpha_q(i q) = |q|^2.
+    """
+    qa = as_coords(q)
+    va = as_coords(v)
+    if qa.shape != va.shape:
+        raise ValueError("q and v must have the same dimension")
+    n = qa.shape[-1] // 2
+    x, y = qa[..., :n], qa[..., n:]
+    vx, vy = va[..., :n], va[..., n:]
+    val = np.sum(x * vy - y * vx, axis=-1)
+    return float(val) if qa.ndim == 1 else val
+
+
 def tau_covector(z: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Covector of the graph point (z, Z) under the identification tau.
 
@@ -376,16 +394,17 @@ class QuadraticGF:
         return np.asarray(z, dtype=float) @ self._map.T
 
 
-def quadratic_form_for_rotation(t: float, n: int) -> QuadraticForm:
-    """Q_t(u) = -tan(pi t) |u|^2 on R^{2n}, generating the rotation e^{-2 pi i t}."""
+def quadratic_form_for_rotation(t: float, n: int) -> np.ndarray:
+    """The matrix of Q_t(u) = -tan(pi t) |u|^2 on R^{2n}, generating the
+    rotation e^{-2 pi i t}."""
     if abs(t) >= 0.5:
         raise ValueError("|t| must be < 1/2; compose pieces for larger rotations")
-    return QuadraticForm(-math.tan(math.pi * t) * np.eye(2 * n))
+    return -math.tan(math.pi * t) * np.eye(2 * n)
 
 
 def rotation_leaf(t: float, n: int) -> ChainGF:
     """The one-link chain of quadratic_form_for_rotation(t, n)."""
-    return ChainGF((QuadraticGF(quadratic_form_for_rotation(t, n).matrix),))
+    return ChainGF((QuadraticGF(quadratic_form_for_rotation(t, n)),))
 
 
 @dataclass(frozen=True)

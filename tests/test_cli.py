@@ -245,6 +245,22 @@ def test_timings_list_every_stage(tmp_path, monkeypatch):
     assert lines[2:4] == ["detection.direct = 0.500", "detection.genfun = 0.250"]
 
 
+def test_calibration_failure_writes_empty_report(tmp_path, monkeypatch):
+    # a failed Reeb calibration skips detection but still writes the report,
+    # with the index data and the bound the run would have checked
+    config = Path(__file__).resolve().parents[1] / "configs" / "rp3-sym-eps0.05.json"
+    monkeypatch.setattr(cli, "_calibration_check", lambda n, settings: 1.0)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out)]) == cli.EXIT_ERROR
+    report = (out / "report.txt").read_text()
+    for line in ("calibration_ok = false", "bound_outcome = not_asserted",
+                 "bound_threshold = 4", "[index]", "exit_status = 1"):
+        assert line in report.splitlines(), line
+    assert (out / "records.csv").read_text().count("\n") == 1
+    lines = (out / "timings.txt").read_text().splitlines()[1:]
+    assert [line.split(" = ")[0] for line in lines] == ["calibration", "write"]
+
+
 def test_genfun_output_bytes_independent_of_chunk(tmp_path, monkeypatch):
     # a start's Newton steps are per-row stacked solves, so the batch it
     # shares with other starts must not move its bits

@@ -6,7 +6,14 @@ from contactmorse import hamiltonian as ham
 from contactmorse.linsymp import complex_structure_matrix, mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
-from oracles import bisect_c1_small, expm, realify, symplectic_form_matrix, wirtinger_lift
+from oracles import (
+    bisect_c1_small,
+    contact_form_eval,
+    expm,
+    realify,
+    symplectic_form_matrix,
+    wirtinger_lift,
+)
 
 
 def _perturbed_spec():
@@ -103,22 +110,41 @@ def test_flow_rejects_origin(settings):
         flow.integrate_flow(spec, np.zeros(4), 0.0, 1.0, settings)
 
 
+def test_step_count_floor_and_cap():
+    # at least one step, however short the span or coarse the density
+    assert flow.IntegratorSettings(steps_per_unit=0).steps_for(0.5) == 1
+    assert flow.IntegratorSettings().steps_for(1e-9) == 1
+    cap = flow._MAX_STEPS
+    assert flow.IntegratorSettings(steps_per_unit=cap).steps_for(1.0) == cap
+    with pytest.raises(RuntimeError, match="cap"):
+        flow.IntegratorSettings(steps_per_unit=cap).steps_for(2.0)
+    with pytest.raises(RuntimeError, match="cap"):
+        flow.integrate_flow(ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,)),
+                            np.array([1.0, 0.0]), 0.0, 2.0,
+                            flow.IntegratorSettings(steps_per_unit=cap))
+
+
+def _conformal_factor(spec, q, t1, settings):
+    """g(q) = -2 log |Phi_{t1}(q)| at a unit-sphere point q: the lift has
+    |Phi(q)| = e^{-g(q)/2} on the sphere."""
+    z1, _ = flow.integrate_flow(spec, q, 0.0, t1, settings, with_jacobian=False)
+    return -2.0 * float(np.log(np.linalg.norm(z1)))
+
+
 def test_conformal_factor_vanishes_for_unitary_flows(settings):
     q = np.array([0.6, 0.0, 0.0, 0.8])
     unitary = ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7))
-    assert abs(flow.conformal_factor(unitary, q, 1.0, settings)) < 1e-9
+    assert abs(_conformal_factor(unitary, q, 1.0, settings)) < 1e-9
     reeb = ham.ContactHamiltonianSpec(n=2, quadratic=(1.0, 1.0))
     for t in (0.25, 1.0):
-        assert abs(flow.conformal_factor(reeb, q, t, settings)) < 1e-9
+        assert abs(_conformal_factor(reeb, q, t, settings)) < 1e-9
 
 
 def test_conformal_factor_matches_pullback_oracle(settings):
     """g(q) = log alpha_{phi(q)}(Dphi(q) i q) with phi the renormalized flow."""
     spec = _perturbed_spec()
-    from contactmorse.linsymp import contact_form_eval
-
     for q in sphere_points(6, 4):
-        g_norm = flow.conformal_factor(spec, q, 1.0, settings)
+        g_norm = _conformal_factor(spec, q, 1.0, settings)
         z1, jac = flow.integrate_flow(spec, q, 0.0, 1.0, settings)
         r = np.linalg.norm(z1)
         # Dphi restricted to the sphere: normalize the image along the flow
@@ -360,7 +386,7 @@ def test_flow_rows_bitwise_independent_of_batch(
         "reeb": ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, 0.5)),
         "n3_bump": _n3_bump_spec(),
     }[case]
-    short = flow.IntegratorSettings(steps_per_unit=512, min_steps=4)
+    short = flow.IntegratorSettings(steps_per_unit=512)
     z0 = rng.normal(size=(530, 2 * spec.n))
     t0, t1 = 0.3, 0.3 + 4 / 512
 

@@ -61,7 +61,8 @@ def test_identity_leaf(settings, rng):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.0, 0.0))
     leaf = _leaf(spec, 0.0, 1.0, settings)
     b = rng.normal(size=(5, 4))
-    val, grad = gfm.gf_eval(leaf, b), gfm.gf_grad(leaf, b)
+    val, grad, _, ok = gfm.evaluate_stacked(leaf, b)
+    assert ok.all()
     assert np.allclose(val, 0.0, atol=1e-10)
     assert np.allclose(grad, 0.0, atol=1e-10)
 
@@ -71,7 +72,8 @@ def test_leaf_rotation_closed_form(settings, rng):
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(-1.0,))
     leaf = _leaf(spec, 0.0, 0.125, settings)
     b = rng.normal(size=(8, 2))
-    val, grad = gfm.gf_eval(leaf, b), gfm.gf_grad(leaf, b)
+    val, grad, _, ok = gfm.evaluate_stacked(leaf, b)
+    assert ok.all()
     coeff = -np.tan(np.pi * 0.125)
     assert np.allclose(val, coeff * np.sum(b * b, axis=1), atol=1e-9)
     assert np.allclose(grad, 2.0 * coeff * b, atol=1e-9)
@@ -81,19 +83,21 @@ def test_leaf_gradient_matches_fd(settings, rng):
     leaf = _leaf(_perturbed_spec(), 0.0, 0.08, settings)
     for _ in range(3):
         b = rng.normal(size=4)
-        grad = gfm.gf_grad(leaf, b)
-        fd = fd_gradient(lambda v: gfm.gf_eval(leaf, v), b)
-        assert np.allclose(grad, fd, atol=1e-6)
+        _, grad, _, ok = gfm.evaluate_stacked(leaf, b[None])
+        assert ok.all()
+        fd = fd_gradient(lambda v: gfm.evaluate_stacked(leaf, v[None], order=0)[0][0], b)
+        assert np.allclose(grad[0], fd, atol=1e-6)
 
 
 def test_leaf_newton_failure_raises(settings):
     # h == 1 over half a period maps z to -z; the midpoint equation is
-    # singular and the piece is maximally far from C^1-small.
+    # singular and the piece is maximally far from C^1-small, so the leaf
+    # solve fails and the row is flagged, whatever the order.
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
     leaf = _leaf(spec, 0.0, 0.5, settings)
-    for evaluate in (gfm.gf_eval, gfm.gf_grad):
-        with pytest.raises(gfm.LeafNewtonError):
-            evaluate(leaf, np.array([1.0, 0.0]))
+    for order in (0, 1, 2):
+        ok = gfm.evaluate_stacked(leaf, np.array([[1.0, 0.0]]), order=order)[3]
+        assert not ok.any()
 
 
 # --- masked, warm-started midpoint solves -----------------------------------
@@ -186,10 +190,10 @@ def test_midpoint_zero_base_row_fails_alone(settings, rng):
 
 
 def test_rotation_quadratic_values():
-    assert np.allclose(quadratic_form_for_rotation(0.0, 2).matrix, 0.0)
-    assert np.allclose(quadratic_form_for_rotation(0.25, 1).matrix, -np.eye(2))
-    c1 = abs(quadratic_form_for_rotation(0.49, 1).matrix[0, 0])
-    c2 = abs(quadratic_form_for_rotation(0.499, 1).matrix[0, 0])
+    assert np.allclose(quadratic_form_for_rotation(0.0, 2), 0.0)
+    assert np.allclose(quadratic_form_for_rotation(0.25, 1), -np.eye(2))
+    c1 = abs(quadratic_form_for_rotation(0.49, 1)[0, 0])
+    c2 = abs(quadratic_form_for_rotation(0.499, 1)[0, 0])
     assert c2 > c1
     with pytest.raises(ValueError):
         quadratic_form_for_rotation(0.5, 1)
@@ -233,9 +237,11 @@ def test_compose_homogeneity(settings, rng):
     leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.08, settings))
     comp = gfm.gf_compose(rotation_leaf(0.1, 2), leaf)
     x = rng.normal(size=(5, comp.total_dim))
-    v1 = gfm.gf_eval(comp, x)
+    v1, _, _, ok = gfm.evaluate_stacked(comp, x, order=0)
+    assert ok.all()
     for lam in (0.5, 2.0):
-        v2 = gfm.gf_eval(comp, lam * x)
+        v2, _, _, ok = gfm.evaluate_stacked(comp, lam * x, order=0)
+        assert ok.all()
         assert np.max(np.abs(v2 - lam**2 * v1) / np.abs(v1)) < 1e-9
 
 
@@ -263,9 +269,10 @@ def test_gf_grad_matches_fd(settings, rng):
     leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.08, settings))
     comp = gfm.gf_compose(leaf, rotation_leaf(0.15, 2))
     x = rng.normal(size=comp.total_dim)
-    grad = gfm.gf_grad(comp, x)
-    fd = fd_gradient(lambda v: gfm.gf_eval(comp, v), x)
-    assert np.allclose(grad, fd, atol=1e-6)
+    _, grad, _, ok = gfm.evaluate_stacked(comp, x[None])
+    assert ok.all()
+    fd = fd_gradient(lambda v: gfm.evaluate_stacked(comp, v[None], order=0)[0][0], x)
+    assert np.allclose(grad[0], fd, atol=1e-6)
 
 
 # --- rotation family --------------------------------------------------------

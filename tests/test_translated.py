@@ -6,10 +6,16 @@ from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
 from contactmorse.flow import integrate_flow
 from contactmorse.genfun import gf_compose
-from contactmorse.linsymp import inertia, solve_rows
+from contactmorse.linsymp import inertia, mul_i, solve_rows
 from contactmorse.sampling import sphere_points
 
-from oracles import build_rotation_family, chain_change, nested_bordered, nested_chain
+from oracles import (
+    build_rotation_family,
+    chain_change,
+    contact_form_eval,
+    nested_bordered,
+    nested_chain,
+)
 
 
 SMALL = dict(sphere_count=48, t_count=24, keep_per_seed=3)
@@ -54,8 +60,6 @@ def test_perturbed_corpus_finitely_many_nondegenerate(settings, sphere_corpus_sp
     assert all(r.residual_fixed < 1e-8 for r in res.records)
     assert all(r.residual_g < 1e-8 for r in res.records)
     # g vanishes also via the alpha-pullback oracle, not just via the norm
-    from contactmorse.linsymp import contact_form_eval, mul_i
-
     for r in res.records:
         q = r.q_array()
         z1, jac = integrate_flow(sphere_corpus_spec, q, 0.0, 1.0, settings)
