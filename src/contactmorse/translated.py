@@ -188,6 +188,18 @@ def _prefilter_seeds(
 # Newton iterations per start, on either route.
 _MAX_ITER = 40
 
+# A row retires after this many finite evaluations in a row that do not
+# lower its best error (see _bordered_newton).  Retiring changes a row's
+# result only if its best iterate would have come after such a plateau.  The
+# longest plateau before a best iterate measured 8 evaluations (the diag
+# config, direct route, 384 starts), 7 on the sphere-generic bench seeds
+# 0-3 and 0 on the Reeb continuum.  A window of 8 loses one diag start;
+# 10 and 12 keep every output byte, and 12 leaves a 50% margin over the
+# longest plateau.
+# On the Reeb continuum every row reaches its best error by its 5th
+# evaluation, so rows stop after at most 17 evaluations, not _MAX_ITER.
+_STALL = 12
+
 
 def direct_translated_points(
     spec: ContactHamiltonianSpec,
@@ -248,10 +260,14 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows,
     full steps matter in flat valleys (weakly split continua), where a
     residual below tol can still sit noticeably off the true point and the
     final quadratic-convergence steps pin it down.  Rows that are dropped,
-    or whose evaluation fails, stop.  Rows that never finish but whose best
-    error reached 100*tol (the integrator noise floor can exceed an
-    aggressive tol, e.g. on continua where steps bounce) are
-    accepted at their best iterate.  Returns (x, t, val, done).
+    or whose evaluation fails, stop.  A row also stops once _STALL
+    evaluations in a row with a finite error have not lowered its best
+    error (failed evaluations and err = inf, an iterate the system cannot
+    yet measure, do not count): on a continuum no iterate converges and
+    later steps only bounce.  A row that stops or runs out of max_iter
+    without finishing is accepted at its best iterate if its best error
+    reached 100*tol (the integrator noise floor can exceed an aggressive
+    tol), and dropped otherwise.  Returns (x, t, val, done).
     """
     evaluate, retract = system
     x = np.asarray(x0, dtype=float).copy()
@@ -260,6 +276,7 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows,
     alive = np.ones(B, dtype=bool)
     done = np.zeros(B, dtype=bool)
     times_conv = np.zeros(B, dtype=int)
+    stall = np.zeros(B, dtype=int)  # finite evaluations since best_err fell
     vals = np.zeros(B)
     best_err = np.full(B, np.inf)
     best_x = x.copy()
@@ -278,6 +295,8 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows,
         best_x[bidx] = xi[better]
         best_t[bidx] = ti[better]
         best_v[bidx] = val[better]
+        stall[bidx] = 0
+        stall[idx[ok & np.isfinite(err) & ~better]] += 1
         conv = ok & (err <= tol)
         times_conv[idx[conv]] += 1
         finish = conv & (times_conv[idx] >= polish)
@@ -290,7 +309,7 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows,
         step = step * damp[:, None]
         tn = ti - step[:, D]
         xn, bad = retract(xi - step[:, :D], tn)
-        bad = bad | ~ok
+        bad = bad | ~ok | (stall[idx] >= _STALL)
         move = ~finish & ~bad
         x[idx[move]] = xn[move]
         t[idx[move]] = tn[move]
@@ -340,9 +359,10 @@ def _build_records(spec, settings, q, t, route, nondeg_tol, gf_values=None):
     # the conformal factor g(q) = -2 log |Phi(q)|, which vanishes at
     # translated points
     residual_g = np.abs(-2.0 * np.log(np.linalg.norm(phi, axis=1)))
+    svals, vt = _kernel_svd(dpsi)
     records = []
     for i in range(q.shape[0]):
-        nondeg = _classify_kernel(dpsi[i], q[i], nondeg_tol)
+        nondeg = _classify_kernel(svals[i], vt[i], q[i], nondeg_tol)
         records.append(
             TranslatedPointRecord(
                 q=tuple(float(v) for v in q[i]),
@@ -357,15 +377,21 @@ def _build_records(spec, settings, q, t, route, nondeg_tol, gf_values=None):
     return records
 
 
-def _classify_kernel(dpsi: np.ndarray, q: np.ndarray, tol: float):
-    """True iff ker(DPsi - I) is exactly the radial line span(q).
+def _kernel_svd(dpsi: np.ndarray):
+    """Singular values (R, 2n) and right singular vectors Vt (R, 2n, 2n) of
+    DPsi - I for a stack of DPsi (R, 2n, 2n), in one stacked call."""
+    _, svals, vt = np.linalg.svd(dpsi - np.eye(dpsi.shape[-1]))
+    return svals, vt
+
+
+def _classify_kernel(svals: np.ndarray, vt: np.ndarray, q: np.ndarray, tol: float):
+    """True iff ker(DPsi - I) is exactly the radial line span(q), given the
+    singular values svals and right singular vectors vt of DPsi - I
+    (_kernel_svd).
 
     Returns None when a singular value sits within a factor 10 of tol: the
     spectrum is tolerance-ambiguous and the verdict is never guessed.
     """
-    n2 = q.shape[0]
-    A = dpsi - np.eye(n2)
-    U, svals, Vt = np.linalg.svd(A)
     if np.any((svals > tol / 10.0) & (svals < tol * 10.0)):
         return None
     small = svals < tol
@@ -374,7 +400,7 @@ def _classify_kernel(dpsi: np.ndarray, q: np.ndarray, tol: float):
         raise ValueError("no kernel direction: the point fails the residual contract")
     if count >= 2:
         return False
-    v = Vt[-1]
+    v = vt[-1]
     qhat = q / np.linalg.norm(q)
     return bool(abs(float(np.dot(v, qhat))) > 1.0 - 1e-6)
 
@@ -392,7 +418,8 @@ def nondegeneracy_check(
         settings = IntegratorSettings()
     qa = as_coords(q, spec.n)
     _, _, dpsi = _shifted_flow(spec, settings, qa[None], np.array([float(t)]))
-    return _classify_kernel(dpsi[0], qa, tol)
+    svals, vt = _kernel_svd(dpsi)
+    return _classify_kernel(svals[0], vt[0], qa, tol)
 
 
 def _dedup_and_flag(records, n, dedup_angular, dedup_t, continuum_factor):

@@ -1,10 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
-from contactmorse.flow import integrate_flow
+from contactmorse.config import load_config
+from contactmorse.flow import IntegratorSettings, integrate_flow
 from contactmorse.genfun import gf_compose
 from contactmorse.linsymp import inertia, mul_i, solve_rows
 from contactmorse.sampling import sphere_points
@@ -19,6 +23,7 @@ from oracles import (
 
 
 SMALL = dict(sphere_count=48, t_count=24, keep_per_seed=3)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_identity_reports_continuum(fast_settings):
@@ -89,6 +94,35 @@ def test_nondegeneracy_classifier_cases(settings, diag_spec, sphere_corpus_spec)
             )
             is True
         )
+
+
+def test_stacked_kernel_verdicts_equal_per_record(settings, sphere_corpus_spec):
+    """_build_records classifies its records from one stacked SVD; each
+    verdict is the one of an SVD of that record's DPsi - I alone.  The Reeb
+    continuum's DPsi - I has four equal singular values per record, between
+    3e-14 and 4e-11: all False at the default tolerance, a False/None mix at
+    1e-11; the sphere corpus's records are True."""
+    reeb = load_config(CONFIGS / "reeb-continuum.json")
+    cases = [
+        (reeb.hamiltonian, tp.sweep_and_count(reeb.hamiltonian, reeb.params, settings).records),
+        (sphere_corpus_spec, tp.direct_translated_points(sphere_corpus_spec, settings,
+                                                         **SMALL).records),
+    ]
+    seen = set()
+    for (spec, records), tols in zip(cases, ((1e-7, 1e-11), (1e-7,))):
+        q = np.array([r.q for r in records])
+        t = np.array([r.t for r in records])
+        _, _, dpsi = tp._shifted_flow(spec, settings, q, t)
+        for tol in tols:
+            stacked = [r.nondegenerate for r in tp._build_records(spec, settings, q, t,
+                                                                  "direct", tol)]
+            per_record = []
+            for i in range(len(q)):
+                _, svals, vt = np.linalg.svd(dpsi[i] - np.eye(q.shape[1]))
+                per_record.append(tp._classify_kernel(svals, vt, q[i], tol))
+            assert stacked == per_record
+            seen.update(stacked)
+    assert seen == {True, False, None}
 
 
 def test_index_jump_values():
@@ -397,6 +431,85 @@ def test_bordered_newton_policy():
         # stops at its failed evaluation, whose error does not count as best
         assert calls[4] == 5 and t[4] == 2.0
         assert calls[5] == 2
+
+
+def test_bordered_newton_retires_stalled_rows():
+    """With max_iter past the stall window, a row stops once _STALL finite
+    evaluations in a row have not lowered its best error, and then takes
+    the end-of-loop rescue test; err = inf evaluations do not count."""
+    S = tp._STALL
+    tol, max_iter = 1e-10, S + 8
+    c = np.array([[0.3, 0.1], [0.2, -0.1], [0.0, 0.4], [0.1, 0.1]])
+    s = np.array([0.2, 0.3, 0.1, 0.4])
+    x0 = c + 0.1
+
+    calls = np.zeros(len(s), dtype=int)
+    seen = {}
+
+    def evaluate(work, x, t):
+        rows = np.where(work)[0]
+        k = calls[rows].copy()
+        calls[rows] += 1
+        for r, kk, xr in zip(rows, k, x):
+            seen[r, kk] = xr.copy()
+        F = np.concatenate([x - c[rows], (t - s[rows])[:, None]], axis=1)
+        M = np.broadcast_to(np.eye(3), (rows.size, 3, 3)).copy()
+        err = np.linalg.norm(F, axis=1)
+        # row 0 falls to a constant error inside (tol, 100 tol] at its 4th
+        # evaluation; row 1 sits above 100 tol from the start
+        on = rows == 0
+        err[on] = tol * (50.0 + 10.0 * np.maximum(3 - k[on], 0))
+        err[rows == 1] = 200.0 * tol
+        # row 2 cannot measure its error for S + 3 evaluations, then converges
+        err[(rows == 2) & (k < S + 3)] = np.inf
+        # row 3 holds its first error for S - 1 more evaluations, then converges
+        err[(rows == 3) & (k < S)] = 50.0 * tol
+        return F, M, err, np.ones(rows.size, dtype=bool), k.astype(float)
+
+    def retract(x, t):
+        return x, np.zeros(len(t), dtype=bool)
+
+    x, t, val, done = tp._bordered_newton(x0, s.copy(), (evaluate, retract), tol, max_iter)
+    assert done.tolist() == [True, False, True, True]
+    # row 0 is rescued at its best iterate, S evaluations after it
+    assert calls[0] == 3 + 1 + S
+    assert np.array_equal(x[0], seen[0, 3]) and val[0] == 3.0
+    assert calls[1] == 1 + S
+    # rows 2 and 3 finish on their second converged evaluation
+    assert calls[2] == S + 5 and calls[3] == S + 2
+    assert np.max(np.abs(x[2:] - c[2:])) <= tol
+    assert calls.max() < max_iter
+
+
+@pytest.mark.parametrize("name, routes, retires", [
+    ("reeb-continuum", "direct", True),
+    ("diag-0.3-0.7-eps0.05", "direct", False),
+])
+def test_stall_retirement_keeps_records_bitwise(name, routes, retires, monkeypatch):
+    """Retiring stalled rows (_STALL = _MAX_ITER turns it off) changes no
+    record and no route count.  On the Reeb continuum every row reaches its
+    best error by its 5th evaluation, so the direct Newton stops after at
+    most 5 + _STALL evaluations instead of _MAX_ITER; on diag every row ends
+    before the window, after a plateau of at most 8 evaluations."""
+    cfg = load_config(CONFIGS / f"{name}.json")
+    params = replace(cfg.params, routes=routes)
+    settings = IntegratorSettings(steps_per_unit=cfg.steps_per_unit)
+    calls = []
+    inner = tp._shifted_flow
+    monkeypatch.setattr(tp, "_shifted_flow", lambda *a: calls.append(1) or inner(*a))
+    runs = []
+    for stall in (tp._MAX_ITER, tp._STALL):
+        monkeypatch.setattr(tp, "_STALL", stall)
+        calls.clear()
+        report = tp.sweep_and_count(cfg.hamiltonian, params, settings)
+        # one _shifted_flow call per Newton evaluation, one for the records
+        runs.append((report.records, report.route_stats, len(calls) - 1))
+    (records_off, stats_off, evals_off), (records_on, stats_on, evals_on) = runs
+    assert records_on == records_off and stats_on == stats_off
+    if retires:
+        assert evals_off == tp._MAX_ITER and evals_on <= 18
+    else:
+        assert evals_on == evals_off < tp._MAX_ITER
 
 
 def test_bordered_newton_singular_batch_uses_pinv(monkeypatch):
