@@ -16,6 +16,12 @@ corpus specs.
 The field and its Jacobian are compiled once per spec, straight from the
 spec terms in real coordinates: the quadratic part is an exact linear map,
 and every other term is a polynomial in u = x/|x| times one real matrix.
+
+When h is a quadratic form (every term of degree 2 or 0) the lifted flow is
+linear and its Jacobian is one matrix at every point.  Such a spec
+integrates the state alone and copies in that matrix, integrated once per
+interval on one unit row and memoised with the compiled tables; every row
+gets the bits the variational equation would give it.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ FIELD_SCALE = math.pi
 
 # Cap on the steps of one integration.
 _MAX_STEPS = 1 << 22
+
+# Intervals whose shared Jacobian a linear field keeps.
+_JACOBIAN_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -149,6 +158,10 @@ class _RealField:
     Jacobian, so only the field is scaled by |x|.
 
     The tables are compiled once per spec; _FieldEval evaluates them.
+
+    The field is linear when no monomial but the constant one feeds the
+    Jacobian: then the Jacobian is the same matrix at every point, and so
+    is the solution of its variational equation (`jacobian`).
     """
 
     def __init__(self, spec: ham.ContactHamiltonianSpec):
@@ -174,6 +187,28 @@ class _RealField:
             True: self._plan(rows, slice(None)),
             False: self._plan(rows, slice(0, two_n)),
         }
+        self.linear = self.plans[True] is None or not np.any(self.plans[True][1][1:, two_n:])
+        self._jacobians: dict[tuple, np.ndarray] = {}
+
+    def jacobian(self, t0: float, span: float, steps: int) -> np.ndarray:
+        """The Jacobian (2n, 2n) of a linear field's flow over [t0, t0 + span]
+        in steps steps, memoised and read-only.
+
+        It is integrated by the variational equation on one unit row.  D is
+        the constant monomial's, the same at every point, and J starts at I;
+        every later operation is elementwise or a per-row product, so it has
+        the bits of every row of a batch integrated with its Jacobian.
+        """
+        key = (span, steps) if self.profile is None else (t0, span, steps)
+        if key not in self._jacobians:
+            m = 2 * self.n
+            z, jac = np.eye(1, m), np.eye(m)[None]
+            _dop853(_FieldEval(self, 1, True), z, jac, t0, span / steps, steps)
+            jac.flags.writeable = False
+            if len(self._jacobians) >= _JACOBIAN_MEMO:
+                del self._jacobians[next(iter(self._jacobians))]
+            self._jacobians[key] = jac[0]
+        return self._jacobians[key]
 
     def _plan(self, rows: dict, cols: slice):
         """Monomial recipe and matrix for the output columns cols, or None
@@ -306,8 +341,9 @@ def integrate_flow(
 
     z0: real coordinates, shape (2n,) or (B, 2n).  Returns (z1, jac) with jac
     None when with_jacobian is False.  The Jacobian solves the variational
-    equation dJ/dt = DX(z(t)) J, J(t0) = I.  A row's result does not depend
-    on the other rows of the batch.
+    equation dJ/dt = DX(z(t)) J, J(t0) = I; a linear field integrates the
+    state alone and copies in its one shared Jacobian.  A row's result does
+    not depend on the other rows of the batch.
     """
     if settings is None:
         settings = IntegratorSettings()
@@ -325,10 +361,16 @@ def integrate_flow(
     span = t1 - t0
     if span != 0.0:
         steps = settings.steps_for(span)
-        field = _FieldEval(_real_field(spec), B, with_jacobian)
-        _dop853(field, z, jac, t0, span / steps, steps)
+        tables = _real_field(spec)
+        shared = with_jacobian and tables.linear
+        # a shared-Jacobian state still runs the Jacobian plan, so its field
+        # has the bits of the integration that carries J
+        field = _FieldEval(tables, B, with_jacobian)
+        _dop853(field, z, None if shared else jac, t0, span / steps, steps)
         if np.any(np.linalg.norm(z, axis=1) < 1e-9 * norms0):
             raise RuntimeError("trajectory norm collapsed toward the cone tip")
+        if shared:
+            jac[...] = tables.jacobian(t0, span, steps)
     if single:
         return z[0], (jac[0] if with_jacobian else None)
     return z, jac

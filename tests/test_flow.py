@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from contactmorse import flow
+from contactmorse import cli, flow
 from contactmorse import hamiltonian as ham
 from contactmorse.linsymp import complex_structure_matrix, mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
@@ -310,6 +312,119 @@ def _n3_bump_spec():
     )
 
 
+def _quadratic_bump_spec():
+    """A quadratic form under the bump profile: linear, not autonomous."""
+    return ham.ContactHamiltonianSpec(
+        n=2,
+        quadratic=(0.3, 0.7),
+        terms=(
+            ham.PerturbationTerm(0.05, (2, 0), (0, 0)),
+            ham.PerturbationTerm(0.08, (1, 0), (0, 1)),
+        ),
+        time_profile="bump",
+    )
+
+
+def _linear_specs(rp3_corpus_spec):
+    T = ham.PerturbationTerm
+    return {
+        "quadratic": ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, 0.5)),
+        "rp3": rp3_corpus_spec,
+        "mixing": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7),
+                                             terms=(T(0.1, (1, 0), (0, 1)),)),
+        "constant": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7),
+                                               terms=(T(0.05, (0, 0), (0, 0)),)),
+        "bump": _quadratic_bump_spec(),
+    }
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["quadratic", "rp3", "mixing", "bump"])
+def test_linear_flow_shares_jacobian_bitwise(case, rp3_corpus_spec, rng):
+    """A linear field integrates the state alone and copies in one shared
+    Jacobian; states and Jacobians keep, bit for bit (signed zeros
+    included), those of a one-row integration that carries the Jacobian."""
+    spec = _linear_specs(rp3_corpus_spec)[case]
+    tables = flow._real_field(spec)
+    assert tables.linear
+    settings = flow.IntegratorSettings(steps_per_unit=32)
+    z0 = rng.normal(size=(8, 4))
+    for t0 in (0.0, 0.3, 0.55):
+        for t1 in (t0 + 1.0, t0 + 1 / 16, t0 + 0.37):
+            z, jac = flow.integrate_flow(spec, z0, t0, t1, settings)
+            span = t1 - t0
+            steps = settings.steps_for(span)
+            shared = np.broadcast_to(tables.jacobian(t0, span, steps), jac.shape)
+            assert np.array_equal(_bits(jac), _bits(shared))
+            for i in range(z0.shape[0]):
+                zr, jr = z0[i:i + 1].copy(), np.eye(4)[None].copy()
+                flow._dop853(flow._FieldEval(tables, 1, True), zr, jr, t0, span / steps, steps)
+                assert np.array_equal(_bits(zr), _bits(z[i:i + 1])), (t0, t1, i)
+                assert np.array_equal(_bits(jr), _bits(jac[i:i + 1])), (t0, t1, i)
+
+
+def test_linearity_flag(sphere_corpus_spec, rp3_corpus_spec, monkeypatch, rng):
+    """Quadratic forms (terms of degree 2 or 0) are linear; odd cubic, time-
+    profiled cubic and even quartic terms are not, and never reach the memo."""
+    for case, spec in _linear_specs(rp3_corpus_spec).items():
+        assert flow._real_field(spec).linear, case
+    quartic = ham.ContactHamiltonianSpec(
+        n=2, quadratic=(0.3, 0.7), terms=(ham.PerturbationTerm(0.05, (2, 0), (0, 2)),)
+    )
+
+    def reached(*args):
+        raise AssertionError("a nonlinear spec reached the shared Jacobian")
+
+    monkeypatch.setattr(flow._RealField, "jacobian", reached)
+    for spec in (sphere_corpus_spec, _n3_bump_spec(), quartic):
+        assert not flow._real_field(spec).linear
+        z0 = rng.normal(size=(5, 2 * spec.n))
+        _, jac = flow.integrate_flow(spec, z0, 0.2, 0.7, flow.IntegratorSettings(32))
+        assert len({_bits(j).tobytes() for j in jac}) == 5
+
+
+def test_shared_jacobian_is_copied_out(rp3_corpus_spec, settings):
+    """Writing into a returned Jacobian leaves the memo, and so the next
+    call's result, as it was."""
+    z0 = sphere_points(6, 4)
+    _, expect = flow.integrate_flow(rp3_corpus_spec, z0, 0.0, 1.0, settings)
+    for z in (z0, z0[0]):
+        _, jac = flow.integrate_flow(rp3_corpus_spec, z, 0.0, 1.0, settings)
+        jac[...] = np.nan
+        _, again = flow.integrate_flow(rp3_corpus_spec, z, 0.0, 1.0, settings)
+        assert np.array_equal(_bits(again), _bits(expect[0] if z.ndim == 1 else expect))
+
+
+def test_rp3_config_computes_one_jacobian_per_interval(tmp_path, monkeypatch):
+    """On the committed rp3 config the memo integrates one Jacobian per
+    distinct (span, steps): the stacked integrations of the 16 genfun leaves
+    in every outer Newton iteration share one, and so do the direct route's
+    time-one integrations."""
+    flow._real_field.cache_clear()
+    asked, computed = [], []
+    lookup, integrate = flow._RealField.jacobian, flow._dop853
+
+    def jacobian(self, t0, span, steps):
+        asked.append((span, steps))
+        return lookup(self, t0, span, steps)
+
+    def dop853(field, z, jac, *args):
+        if jac is not None:
+            computed.append(z.shape[0])
+        return integrate(field, z, jac, *args)
+
+    monkeypatch.setattr(flow._RealField, "jacobian", jacobian)
+    monkeypatch.setattr(flow, "_dop853", dop853)
+    config = Path(__file__).resolve().parents[1] / "configs" / "rp3-sym-eps0.05.json"
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert computed == [1] * len(set(asked))
+    leaf = (1 / 16, 1)
+    assert asked.count(leaf) > 1 and asked.count((1.0, 16)) > 1
+
+
 def _kernel_reference(spec, x, t):
     """FIELD_SCALE * i * G and FIELD_SCALE * realify(i P, i Q) of the
     Wirtinger reference."""
@@ -374,7 +489,7 @@ def test_real_field_rejects_origin_and_nonfinite(bad, sphere_corpus_spec, reeb_s
 
 
 @pytest.mark.parametrize("with_jacobian", [True, False])
-@pytest.mark.parametrize("case", ["corpus", "rp3", "reeb", "n3_bump"])
+@pytest.mark.parametrize("case", ["corpus", "rp3", "reeb", "n3_bump", "quadratic_bump"])
 def test_flow_rows_bitwise_independent_of_batch(
     case, with_jacobian, sphere_corpus_spec, rp3_corpus_spec, rng
 ):
@@ -385,6 +500,7 @@ def test_flow_rows_bitwise_independent_of_batch(
         "rp3": rp3_corpus_spec,
         "reeb": ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, 0.5)),
         "n3_bump": _n3_bump_spec(),
+        "quadratic_bump": _quadratic_bump_spec(),
     }[case]
     short = flow.IntegratorSettings(steps_per_unit=512)
     z0 = rng.normal(size=(530, 2 * spec.n))
