@@ -13,6 +13,15 @@ refinements agree; nothing here is adaptive, so reruns are bit-stable.  At
 the default 16 steps per unit the error over one unit is ~1e-11 on the
 corpus specs.
 
+The integrator keeps few numpy calls per stage, since at the batch sizes
+of a Newton evaluation their fixed cost dominates.  The state and the
+Jacobian share one flat stage buffer, so one weighted sum per stage serves
+both.  The field builds its monomials in one table stacked over the
+coordinates, one gather and one multiply per degree.  A batch of more than
+_ROW_CHUNK rows runs in consecutive chunks of that many rows, which keeps
+the stage buffers in cache.  None of this changes a bit: every row is
+rounded on its own, by the same operations in the same order.
+
 The field and its Jacobian are compiled once per spec, straight from the
 spec terms in real coordinates: the quadratic part is an exact linear map,
 and every other term is a polynomial in u = x/|x| times one real matrix.
@@ -46,6 +55,11 @@ _MAX_STEPS = 1 << 22
 
 # Intervals whose shared Jacobian a linear field keeps.
 _JACOBIAN_MEMO = 64
+
+# Rows of one integration pass: a larger batch runs as consecutive chunks of
+# this many rows, so the stage buffers stay in cache.  Rows are independent,
+# so a row's bits do not depend on it.
+_ROW_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -215,9 +229,10 @@ class _RealField:
         when no monomial feeds them.
 
         The monomials are the needed ones and their ancestors, sorted by
-        degree, the constant first; a level is (start, stop, parents,
-        coordinates), monomial start + i being monomial parents[i] times
-        coordinate coordinates[i].
+        degree, the constant first.  They are rows [0, K) of a table whose
+        rows K.. hold the coordinates of u; a level is (start, stop, gather),
+        monomial start + i being table row gather[i] times table row
+        gather[w + i], w = stop - start.
         """
         needed = {alpha for alpha, row in rows.items() if np.any(row[cols])}
         if not needed:
@@ -234,8 +249,8 @@ class _RealField:
         for d in range(1, sum(order[-1]) + 1):
             stop = start + sum(1 for alpha in order if sum(alpha) == d)
             links = [_parent(alpha) for alpha in order[start:stop]]
-            levels.append((start, stop, np.array([index[p] for p, _ in links]),
-                           np.array([c for _, c in links])))
+            gather = [index[p] for p, _ in links] + [len(order) + c for _, c in links]
+            levels.append((start, stop, np.array(gather)))
             start = stop
         zero = np.zeros(next(iter(rows.values())).size)
         mat = np.array([rows.get(alpha, zero)[cols] for alpha in order])
@@ -247,49 +262,68 @@ class _FieldEval:
     arrays allocated once for all the evaluations of an integration.
 
     The monomials are built degree by degree, each one its parent times one
-    coordinate, in arrays with the points along the last axis.  Every step
-    is a single float64 multiply, and the matrix product runs in fixed
-    blocks, so a point's bits do not depend on its batch.
+    coordinate, in one table with the points along the last axis: the
+    monomials first (the matrix product's input), then the coordinates of
+    u, so that a level is one gather and one multiply.  Every step is a
+    single float64 multiply, and the matrix product runs in fixed blocks,
+    so a point's bits do not depend on its batch.  |x|^2 is summed over the
+    padded width, coordinate after coordinate.
     """
 
     def __init__(self, tables: _RealField, B: int, with_jacobian: bool):
         self.tables = tables
-        self.plan = tables.plans[with_jacobian]
+        plan = tables.plans[with_jacobian]
         two_n = 2 * tables.n
         padded = -(-B // _GEMM_ROWS) * _GEMM_ROWS
-        self.uT = np.zeros((two_n, padded))  # the padding points stay at zero
-        self.r = np.empty(B)
-        self.tmp = np.empty(B)
+        monomials = 0 if plan is None else len(plan[1])
+        # the padding points stay at zero
+        table = np.zeros((monomials + two_n, padded))
+        self.uT = table[monomials:]
+        self.uT_rows = self.uT[:, :B]
+        self.squares = np.empty((two_n, padded))
+        self.norm2 = np.empty(padded)
         self.radial = np.empty((B, two_n))
-        if self.plan is not None:
-            levels, mat = self.plan
-            self.tab = np.empty((mat.shape[0], padded))
-            self.tab[0] = 1.0  # the constant monomial
-            widest = max(stop - start for start, stop, _, _ in levels)
-            self.parents = np.empty((widest, padded))
-            self.coords = np.empty((widest, padded))
-            self.out = np.empty((padded // _GEMM_ROWS, _GEMM_ROWS, mat.shape[1]))
+        self.mat = None
+        if plan is not None:
+            levels, self.mat = plan
+            table[0] = 1.0  # the constant monomial
+            gathered = np.empty((max(len(g) for _, _, g in levels), padded))
+            # per level: the gather and its output, the multiply's operands
+            # (parents, coordinates) and its output
+            self.levels = []
+            for start, stop, gather in levels:
+                pairs, w = gathered[:len(gather)], stop - start
+                self.levels.append((gather, pairs, pairs[:w], pairs[w:], table[start:stop]))
+            self.table = table
+            blocks = padded // _GEMM_ROWS
+            by_block = table[:monomials].reshape(monomials, blocks, _GEMM_ROWS)
+            self.blocks = by_block.transpose(1, 2, 0)  # (blocks, _GEMM_ROWS, monomials)
+            self.out = np.empty((blocks, _GEMM_ROWS, self.mat.shape[1]))
+            products = self.out.reshape(padded, -1)[:B]
+            self.field_part = products[:, :two_n]
+            if with_jacobian:
+                self.jac_part = products[:, two_n:].reshape(B, two_n, two_n)
 
     def __call__(self, x: np.ndarray, t: float, field: np.ndarray, jac=None) -> None:
         """Write the field at real points x (B, 2n) into field (B, 2n) and,
         when the Jacobian was asked for, the Jacobian into jac (B, 2n, 2n)."""
         tables = self.tables
-        B, two_n = x.shape
-        uT, r = self.uT[:, :B], self.r
+        uT = self.uT_rows
         np.copyto(uT, x.T)
-        np.multiply(uT[0], uT[0], out=r)
-        for j in range(1, two_n):
-            r += np.multiply(uT[j], uT[j], out=self.tmp)
+        # over all the padded points: a reduction across one point would sum
+        # pairwise, not coordinate after coordinate
+        np.multiply(self.uT, self.uT, out=self.squares)
+        r = np.add.reduce(self.squares, axis=0, out=self.norm2)[:len(x)]
         if not (r.min(initial=np.inf) > 0.0 and r.max(initial=1.0) < np.inf):
             raise ValueError("the lifted Hamiltonian is undefined at z = 0")
         np.matmul(x, tables.lin_T, out=field)
-        if self.plan is not None:
+        if self.mat is not None:
             np.sqrt(r, out=r)
             np.divide(uT, r, out=uT)
-            out = self._monomials()[:B]
-            field += np.multiply(r[:, None], out[:, :two_n], out=self.radial)
+            self._monomials()
+            field += np.multiply(r[:, None], self.field_part, out=self.radial)
             if jac is not None:
-                np.add(out[:, two_n:].reshape(B, two_n, two_n), tables.lin, out=jac)
+                np.add(self.jac_part, tables.lin, out=jac)
         elif jac is not None:
             jac[...] = tables.lin
         if tables.profile is not None:
@@ -298,20 +332,13 @@ class _FieldEval:
             if jac is not None:
                 jac *= scale
 
-    def _monomials(self) -> np.ndarray:
-        """Matrix outputs (padded B, columns) of the monomials of uT."""
-        levels, mat = self.plan
-        tab, out = self.tab, self.out
-        for start, stop, parents, coords in levels:
-            w = stop - start
-            np.multiply(
-                tab.take(parents, axis=0, out=self.parents[:w], mode="wrap"),
-                self.uT.take(coords, axis=0, out=self.coords[:w], mode="wrap"),
-                out=tab[start:stop],
-            )
-        blocks = out.shape[0]
-        np.matmul(tab.reshape(len(tab), blocks, _GEMM_ROWS).transpose(1, 2, 0), mat, out=out)
-        return out.reshape(blocks * _GEMM_ROWS, mat.shape[1])
+    def _monomials(self) -> None:
+        """Build the monomials of uT and their matrix outputs, into out."""
+        table = self.table
+        for gather, pairs, parents, coords, level in self.levels:
+            table.take(gather, axis=0, out=pairs, mode="wrap")
+            np.multiply(parents, coords, out=level)
+        np.matmul(self.blocks, self.mat, out=self.out)
 
 
 @lru_cache(maxsize=64)
@@ -342,8 +369,9 @@ def integrate_flow(
     z0: real coordinates, shape (2n,) or (B, 2n).  Returns (z1, jac) with jac
     None when with_jacobian is False.  The Jacobian solves the variational
     equation dJ/dt = DX(z(t)) J, J(t0) = I; a linear field integrates the
-    state alone and copies in its one shared Jacobian.  A row's result does
-    not depend on the other rows of the batch.
+    state alone and copies in its one shared Jacobian.  A batch of more
+    than _ROW_CHUNK rows runs as consecutive chunks of that many rows; a
+    row's result does not depend on the other rows of the batch.
     """
     if settings is None:
         settings = IntegratorSettings()
@@ -363,10 +391,14 @@ def integrate_flow(
         steps = settings.steps_for(span)
         tables = _real_field(spec)
         shared = with_jacobian and tables.linear
-        # a shared-Jacobian state still runs the Jacobian plan, so its field
-        # has the bits of the integration that carries J
-        field = _FieldEval(tables, B, with_jacobian)
-        _dop853(field, z, None if shared else jac, t0, span / steps, steps)
+        carried = None if shared else jac
+        for start in range(0, B, _ROW_CHUNK):
+            rows = slice(start, start + _ROW_CHUNK)
+            # a shared-Jacobian state still runs the Jacobian plan, so its
+            # field has the bits of the integration that carries J
+            field = _FieldEval(tables, len(z[rows]), with_jacobian)
+            _dop853(field, z[rows], None if carried is None else carried[rows],
+                    t0, span / steps, steps)
         if np.any(np.linalg.norm(z, axis=1) < 1e-9 * norms0):
             raise RuntimeError("trajectory norm collapsed toward the cone tip")
         if shared:
@@ -418,38 +450,49 @@ _B = (
 
 def _dop853(field: _FieldEval, z: np.ndarray, jac, t: float, h: float, steps: int) -> None:
     """Fixed-step DOP853 of the real state z (B, m) and, unless jac is None,
-    of the variational equation, in place.  The stage buffers are allocated
+    of the variational equation, in place.
+
+    The state and the Jacobian are integrated as one flat array
+    [B m | B m m], with contiguous (B, m) and (B, m, m) views, so that one
+    weighted sum per stage serves both.  The stage buffers are allocated
     once."""
     B, m = z.shape
+    carry = jac is not None
     hA = [[(j, h * w) for j, w in row] for row in _A]
     hB = [(j, h * w) for j, w in _B]
-    k = np.empty((len(_C), B, m))
-    arg, tmp = np.empty((B, m)), np.empty((B, m))
-    if jac is not None:
-        D = np.empty((B, m, m))
-        a = np.empty((len(_C), B, m, m))
-        jarg, jtmp = np.empty((B, m, m)), np.empty((B, m, m))
+    y = np.concatenate([z.ravel(), jac.ravel()] if carry else [z.ravel()])
+    k = np.empty((len(_C), y.size))
+    arg, tmp = np.empty_like(y), np.empty_like(y)
+    D = np.empty((B, m, m)) if carry else None
+    # the (state, Jacobian) views of y, of arg and of each stage's k
+    views = [_split(flat, B, m, carry) for flat in (y, arg, *k)]
     for _ in range(steps):
         for s, c in enumerate(_C):
-            x, J = z, jac
             if s:
-                x = np.add(z, _weighted_sum(k, hA[s], arg, tmp), out=arg)
-                if jac is not None:
-                    J = np.add(jac, _weighted_sum(a, hA[s], jarg, jtmp), out=jarg)
-            if jac is None:
-                field(x, t + c * h, k[s])
-            else:
-                field(x, t + c * h, k[s], D)
-                np.matmul(D, J, out=a[s])
-        z += _weighted_sum(k, hB, arg, tmp)
-        if jac is not None:
-            jac += _weighted_sum(a, hB, jarg, jtmp)
+                np.add(y, _weighted_sum(k, hA[s], arg, tmp), out=arg)
+            x, J = views[1 if s else 0]
+            fx, fJ = views[2 + s]
+            field(x, t + c * h, fx, D)
+            if carry:
+                np.matmul(D, J, out=fJ)
+        y += _weighted_sum(k, hB, arg, tmp)
         t += h
+    x, J = views[0]
+    z[...] = x
+    if carry:
+        jac[...] = J
+
+
+def _split(flat: np.ndarray, B: int, m: int, with_jacobian: bool):
+    """The state (B, m) and Jacobian (B, m, m) views of a flat [B m | B m m]
+    array; the Jacobian view is None without the Jacobian."""
+    x = flat[:B * m].reshape(B, m)
+    return x, (flat[B * m:].reshape(B, m, m) if with_jacobian else None)
 
 
 def _weighted_sum(k: np.ndarray, terms, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """sum_j w_j k[j] over the (j, w_j) of terms, into out: one multiply and
-    one add per term, in order, so each row is rounded on its own."""
+    one add per term, in order, so each entry is rounded on its own."""
     (j, w), rest = terms[0], terms[1:]
     np.multiply(k[j], w, out=out)
     for j, w in rest:

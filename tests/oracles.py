@@ -21,6 +21,12 @@ a couple of gathers plus one matrix product, batched over points.
 bisect_c1_small is the C^1 subdivision with one probe per interval, the
 reference for the library's memoised probes of autonomous specs.
 
+Reference integrator.  reference_flow runs the DOP853 scheme of
+flow.integrate_flow on the library's compiled tables, one numpy call per
+tableau term, per coordinate and per gathered operand, with separate stage
+buffers for the state and the Jacobian and the whole batch in one pass.  The
+library must give every row the same bits.
+
 The test-only helpers at the end are not called by the library: matrices of
 the linear symplectic structure, the contact form alpha (the pullback
 oracle of the conformal factor), the covector of the graph-to-cotangent
@@ -43,6 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from contactmorse import flow
+from contactmorse import hamiltonian as ham
 from contactmorse.genfun import (
     ChainGF,
     LeafGF,
@@ -291,7 +299,6 @@ def bisect_c1_small(spec, t0: float, t1: float, delta: float, settings,
                     samples: np.ndarray | None = None, max_pieces: int = 4096):
     """Reference subdivision: the bisection of flow.subdivide_c1_small with
     one c1_distance probe per interval it visits, whatever the spec."""
-    from contactmorse import flow
     from contactmorse.sampling import subdivision_probe_points
 
     probe_settings = flow.IntegratorSettings(steps_per_unit=min(settings.steps_per_unit, 16))
@@ -313,6 +320,121 @@ def bisect_c1_small(spec, t0: float, t1: float, delta: float, settings,
             stack.append((a, mid))
     pieces.sort()
     return pieces
+
+
+# Reference integrator.
+
+
+class ReferenceFieldEval:
+    """The compiled field of flow._RealField's tables at B points, evaluated
+    one numpy call per coordinate and per gathered operand: |x|^2 as 2n
+    multiplies and 2n - 1 in-place adds, and each monomial level as two
+    gathers, from the monomials and from u, and a multiply.  The matrix
+    product runs in the library's fixed blocks."""
+
+    def __init__(self, tables, B: int, with_jacobian: bool):
+        self.tables = tables
+        self.plan = tables.plans[with_jacobian]
+        two_n = 2 * tables.n
+        padded = -(-B // flow._GEMM_ROWS) * flow._GEMM_ROWS
+        self.uT = np.zeros((two_n, padded))
+        self.r = np.empty(B)
+        self.tmp = np.empty(B)
+        if self.plan is not None:
+            levels, mat = self.plan
+            self.tab = np.empty((len(mat), padded))
+            self.tab[0] = 1.0
+            self.out = np.empty((padded // flow._GEMM_ROWS, flow._GEMM_ROWS, mat.shape[1]))
+
+    def __call__(self, x, t, field, jac=None):
+        tables = self.tables
+        B, two_n = x.shape
+        uT, r = self.uT[:, :B], self.r
+        np.copyto(uT, x.T)
+        np.multiply(uT[0], uT[0], out=r)
+        for j in range(1, two_n):
+            r += np.multiply(uT[j], uT[j], out=self.tmp)
+        if not (r.min(initial=np.inf) > 0.0 and r.max(initial=1.0) < np.inf):
+            raise ValueError("the lifted Hamiltonian is undefined at z = 0")
+        np.matmul(x, tables.lin_T, out=field)
+        if self.plan is not None:
+            np.sqrt(r, out=r)
+            np.divide(uT, r, out=uT)
+            levels, mat = self.plan
+            tab, out = self.tab, self.out
+            K = len(mat)
+            for start, stop, gather in levels:
+                w = stop - start
+                np.multiply(tab.take(gather[:w], axis=0), self.uT.take(gather[w:] - K, axis=0),
+                            out=tab[start:stop])
+            blocks = out.shape[0]
+            np.matmul(tab.reshape(K, blocks, flow._GEMM_ROWS).transpose(1, 2, 0), mat, out=out)
+            out = out.reshape(blocks * flow._GEMM_ROWS, mat.shape[1])[:B]
+            field += r[:, None] * out[:, :two_n]
+            if jac is not None:
+                np.add(out[:, two_n:].reshape(B, two_n, two_n), tables.lin, out=jac)
+        elif jac is not None:
+            jac[...] = tables.lin
+        if tables.profile is not None:
+            scale = ham.time_profile_value(tables.profile, t)
+            field *= scale
+            if jac is not None:
+                jac *= scale
+
+
+def reference_dop853(field, z, jac, t: float, h: float, steps: int) -> None:
+    """Fixed-step DOP853 of z (B, m) and, unless jac is None, of the
+    variational equation, in place: state and Jacobian in separate stage
+    buffers, each stage's argument one multiply and one add per tableau
+    term, in tableau order."""
+
+    def weighted(k, terms):
+        (j, w), rest = terms[0], terms[1:]
+        acc = k[j] * (h * w)
+        for j, w in rest:
+            acc += k[j] * (h * w)
+        return acc
+
+    B, m = z.shape
+    k = np.empty((len(flow._C), B, m))
+    if jac is not None:
+        D = np.empty((B, m, m))
+        a = np.empty((len(flow._C), B, m, m))
+    for _ in range(steps):
+        for s, c in enumerate(flow._C):
+            x = z + weighted(k, flow._A[s]) if s else z
+            if jac is None:
+                field(x, t + c * h, k[s])
+            else:
+                field(x, t + c * h, k[s], D)
+                np.matmul(D, jac + weighted(a, flow._A[s]) if s else jac, out=a[s])
+        z += weighted(k, flow._B)
+        if jac is not None:
+            jac += weighted(a, flow._B)
+        t += h
+
+
+def reference_flow(spec, z0, t0: float, t1: float, settings, with_jacobian: bool = True):
+    """flow.integrate_flow on the reference pair, the whole batch at once.
+
+    A linear field integrates the state alone with its Jacobian plan and
+    takes its Jacobian from one unit row integrated with it."""
+    z = np.array(z0, dtype=float, ndmin=2)
+    B, m = z.shape
+    jac = np.broadcast_to(np.eye(m), (B, m, m)).copy() if with_jacobian else None
+    span = t1 - t0
+    if span != 0.0:
+        steps = settings.steps_for(span)
+        tables = flow._real_field(spec)
+        shared = with_jacobian and tables.linear
+        field = ReferenceFieldEval(tables, B, with_jacobian)
+        reference_dop853(field, z, None if shared else jac, t0, span / steps, steps)
+        if shared:
+            one, unit = np.eye(1, m), np.eye(m)[None].copy()
+            reference_dop853(ReferenceFieldEval(tables, 1, True), one, unit, t0, span / steps,
+                             steps)
+            jac[...] = unit[0]
+    return z, jac
 
 
 # Test-only helpers, no longer called by the library.

@@ -13,6 +13,7 @@ from oracles import (
     contact_form_eval,
     expm,
     realify,
+    reference_flow,
     symplectic_form_matrix,
     wirtinger_lift,
 )
@@ -517,3 +518,89 @@ def test_flow_rows_bitwise_independent_of_batch(
             assert np.array_equal(z, full_z[rows]), (size, start)
             if with_jacobian:
                 assert np.array_equal(j, full_j[rows]), (size, start)
+
+
+def _reference_specs(sphere_corpus_spec, rp3_corpus_spec):
+    """The three configs' specs, a time-profiled cubic, a mixing term
+    Re(z1 conj(z2)), Re(z1^3) (its Jacobian plan builds no degree-1 monomial
+    of y_2) and the n = 3 sphere spec with Re(z_j^2 conj(z_j))."""
+    T = ham.PerturbationTerm
+    return {
+        "corpus": sphere_corpus_spec,
+        "rp3": rp3_corpus_spec,
+        "reeb": ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, 0.5)),
+        "bump": ham.ContactHamiltonianSpec(
+            n=2, quadratic=(0.3, 0.7), terms=sphere_corpus_spec.terms, time_profile="bump"
+        ),
+        "mixing": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7),
+                                             terms=(T(0.1, (1, 0), (0, 1)),)),
+        "cube": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7),
+                                           terms=(T(0.05, (3, 0), (0, 0)),)),
+        "n3": ham.ContactHamiltonianSpec(
+            n=3, quadratic=(0.2, 0.45, 0.7),
+            terms=(T(0.05, (2, 0, 0), (1, 0, 0)), T(0.05, (0, 2, 0), (0, 1, 0)),
+                   T(0.05, (0, 0, 2), (0, 0, 1))),
+        ),
+    }
+
+
+def _rows_with_zeros(rng, B, m):
+    """B random rows, the first ones with exact zero coordinates."""
+    z0 = rng.normal(size=(B, m))
+    for i in range(min(B, m)):
+        z0[i, :i] = z0[i, i + 1:] = 0.0
+    return z0
+
+
+@pytest.mark.parametrize("with_jacobian", [True, False])
+@pytest.mark.parametrize("case", ["corpus", "rp3", "reeb", "bump", "mixing", "cube", "n3"])
+def test_integrate_flow_matches_reference_bitwise(
+    case, with_jacobian, sphere_corpus_spec, rp3_corpus_spec, settings, rng
+):
+    """integrate_flow gives every row, signed zeros included, the bits of
+    the reference integrator, which runs the whole batch in one pass with
+    separate stage buffers and one numpy call per tableau term, per
+    coordinate of |x|^2 and per gathered operand."""
+    spec = _reference_specs(sphere_corpus_spec, rp3_corpus_spec)[case]
+    if case == "cube":
+        levels, _ = flow._real_field(spec).plans[True]
+        start, stop, _ = levels[0]
+        assert stop - start < 2 * spec.n
+    for B in (1, 5, 128, 700, 2048):
+        z0 = _rows_with_zeros(rng, B, 2 * spec.n)
+        for span in (1 / 16, 0.37, 1.0):
+            z, jac = flow.integrate_flow(spec, z0, 0.3, 0.3 + span, settings, with_jacobian)
+            z_ref, jac_ref = reference_flow(spec, z0, 0.3, 0.3 + span, settings, with_jacobian)
+            assert np.array_equal(_bits(z), _bits(z_ref)), (B, span)
+            if with_jacobian:
+                assert np.array_equal(_bits(jac), _bits(jac_ref)), (B, span)
+            else:
+                assert jac is None
+
+
+@pytest.mark.parametrize("with_jacobian", [True, False])
+@pytest.mark.parametrize("case", ["corpus", "rp3", "bump"])
+def test_row_chunk_and_row_order_keep_bits(
+    case, with_jacobian, sphere_corpus_spec, rp3_corpus_spec, settings, monkeypatch, rng
+):
+    """The row chunk is a performance knob: chunks of 64, 512 or 4096 rows
+    give a batch of 1100 rows (a ragged last chunk) the same bits, and
+    reversing the rows of the batch reverses the rows of the result."""
+    spec = _reference_specs(sphere_corpus_spec, rp3_corpus_spec)[case]
+    z0 = _rows_with_zeros(rng, 1100, 4)
+
+    def run(rows):
+        return flow.integrate_flow(spec, rows, 0.1, 0.1 + 1 / 16, settings, with_jacobian)
+
+    results = []
+    for chunk in (64, 512, 4096):
+        monkeypatch.setattr(flow, "_ROW_CHUNK", chunk)
+        results.append(run(z0))
+        z_rev, jac_rev = run(z0[::-1])
+        assert np.array_equal(_bits(z_rev[::-1]), _bits(results[-1][0])), chunk
+        if with_jacobian:
+            assert np.array_equal(_bits(jac_rev[::-1]), _bits(results[-1][1])), chunk
+    for z, jac in results[1:]:
+        assert np.array_equal(_bits(z), _bits(results[0][0]))
+        if with_jacobian:
+            assert np.array_equal(_bits(jac), _bits(results[0][1]))
