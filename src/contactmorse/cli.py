@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .flow import IntegratorSettings, calibrate_steps_per_unit, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import mul_i
-from .report import RunReport, write_outputs
+from .report import CALIBRATION_GATE, RunReport, write_outputs
 from .translated import (
     RouteDisagreementError,
     SweepReport,
@@ -56,15 +56,13 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     if config.steps_per_unit > 0:
         steps = config.steps_per_unit
     else:
-        steps = calibrate_steps_per_unit(
-            config.hamiltonian, horizon=1.0, tol=config.calibration_tol
-        )
+        steps = calibrate_steps_per_unit(config.hamiltonian, horizon=1.0)
     settings = IntegratorSettings(steps_per_unit=steps)
     cal_err = _calibration_check(config.n, settings)
     timings["calibration"] = time.perf_counter() - t0
 
     sweep = disagreement = None
-    if cal_err > 1e-8:
+    if cal_err > CALIBRATION_GATE:
         exit_status = EXIT_ERROR
     else:
         t0 = time.perf_counter()
@@ -108,7 +106,7 @@ def _empty_sweep(config: RunConfig) -> SweepReport:
         event_ts=[],
         sphere_count=None,
         projective_count=None,
-        index_data=index_data(config.n, params.rotation_pieces, params.nullity_tol),
+        index_data=index_data(config.n, params.rotation_pieces),
         continuum_suspected=False,
         bound_asserted=False,
         bound_threshold=bound_threshold(params.mode, config.n),

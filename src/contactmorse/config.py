@@ -42,7 +42,6 @@ class RunConfig:
     hamiltonian: ContactHamiltonianSpec
     params: SweepParams
     steps_per_unit: int = 0  # 0 means choose by the halving sweep
-    calibration_tol: float = 1e-10
     raw: dict = field(default_factory=dict, compare=False, repr=False)
 
     def canonical_json(self) -> str:
@@ -59,21 +58,10 @@ _SCALARS = {
     "routes": "routes",
     "rotation_pieces": "rotation_pieces",
     "subdivision_delta": "subdivision_delta",
-    "continuum_factor": "continuum_factor",
     "seeds.sphere_count": "sphere_count",
     "seeds.t_count": "t_count",
     "seeds.keep_per_seed": "keep_per_seed",
-    "tolerances.newton": "newton_tol",
-    "tolerances.grad": "grad_tol",
-    "tolerances.verify": "verify_tol",
-    "tolerances.match_angular": "match_angular",
-    "tolerances.match_t": "match_t",
-    "tolerances.dedup_angular": "dedup_angular",
-    "tolerances.dedup_t": "dedup_t",
-    "tolerances.nondegeneracy": "nondeg_tol",
-    "tolerances.nullity": "nullity_tol",
     "integrator.steps_per_unit": "steps_per_unit",
-    "integrator.calibration_tol": "calibration_tol",
 }
 _SECTIONS = dict.fromkeys(loc.partition(".")[0] for loc in _SCALARS if "." in loc)
 # The choices of a str field and the minimum of an int one; floats must be
@@ -94,16 +82,10 @@ def _scalar(data: dict, location: str, name: str):
         return _FIELDS[name].default
     val = obj[key]
     kind = _TYPES[name]
-    nullable = type(None) in typing.get_args(kind)
-    if nullable:
-        if val is None:
-            return None
-        kind = typing.get_args(kind)[0]
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if not isinstance(val, kind) or isinstance(val, bool):
-        what = f"{kind.__name__} or null" if nullable else kind.__name__
-        raise ConfigError(f"{location} must be {what}, got {val!r}")
+        raise ConfigError(f"{location} must be {kind.__name__}, got {val!r}")
     limit = _LIMITS.get(name)
     if kind is str and val not in limit:
         raise ConfigError(f"{location} must be one of {limit}, got {val!r}")
@@ -190,7 +172,6 @@ def parse_config(data: dict) -> RunConfig:
         hamiltonian=ham_spec,
         params=params,
         steps_per_unit=values["steps_per_unit"],
-        calibration_tol=values["calibration_tol"],
         raw=data,
     )
 

@@ -346,16 +346,6 @@ def _real_field(spec: ham.ContactHamiltonianSpec) -> _RealField:
     return _RealField(spec)
 
 
-def real_field(spec: ham.ContactHamiltonianSpec, x, t: float, with_jacobian: bool = True):
-    """The lifted field dx/dt = FIELD_SCALE * J * grad H_t (B, 2n) at real
-    points x (B, 2n) and its real Jacobian (B, 2n, 2n), or None."""
-    x = np.asarray(x, dtype=float)
-    field = np.empty_like(x)
-    jac = np.empty(x.shape + x.shape[-1:]) if with_jacobian else None
-    _FieldEval(_real_field(spec), x.shape[0], with_jacobian)(x, t, field, jac)
-    return field, jac
-
-
 def integrate_flow(
     spec: ham.ContactHamiltonianSpec,
     z0: np.ndarray,

@@ -18,7 +18,7 @@ from .genfun import ChainGF, evaluate_stacked
 from .hamiltonian import ContactHamiltonianSpec, sphere_value
 from .linsymp import to_complex
 from .sampling import sphere_points
-from .translated import TranslatedPointRecord, pair_records
+from .translated import _DEDUP_ANGULAR, _DEDUP_T, TranslatedPointRecord, pair_records
 
 
 class AntipodalPairingError(RuntimeError):
@@ -83,19 +83,16 @@ def gf_invariance_check(gf: ChainGF, samples: np.ndarray | None = None) -> float
     return float(np.max(np.abs(vp - vm) / scale))
 
 
-def antipodal_classes(
-    records: list[TranslatedPointRecord],
-    ang_tol: float = 1e-4,
-    t_tol: float = 1e-5,
-) -> list[TranslatedPointRecord]:
-    """Pair each record q with its antipode -q at equal t.
+def antipodal_classes(records: list[TranslatedPointRecord]) -> list[TranslatedPointRecord]:
+    """Pair each record q with its antipode -q at equal t, within the
+    tolerances that deduplicate records.
 
     Returns one representative per class, with the canonical phase (the
     first complex coordinate of significant modulus gets argument in
     [0, pi)).  An unpaired record, or one with two partner candidates, is a
     hard failure: equivariance was violated somewhere upstream.
     """
-    partner = pair_records(records, records, ang_tol, t_tol, antipodal=True)
+    partner = pair_records(records, records, _DEDUP_ANGULAR, _DEDUP_T, antipodal=True)
     if partner is None:
         raise AntipodalPairingError("a record has two antipodal partner candidates")
     for rec, j in zip(records, partner):

@@ -17,6 +17,10 @@ from pathlib import Path
 from .config import RunConfig
 from .translated import SweepReport, TranslatedPointRecord
 
+# Largest error of the Reeb quarter-turn check (cli._calibration_check) of a
+# run that goes on to detection.
+CALIBRATION_GATE = 1e-8
+
 
 @dataclass
 class RunReport:
@@ -84,7 +88,7 @@ def report_text(report: RunReport) -> str:
         "[calibration]",
         f"reeb_quarter_turn_rel_err = {_fmt(report.calibration_rel_err)}",
         f"steps_per_unit = {report.steps_per_unit}",
-        f"calibration_ok = {'true' if report.calibration_rel_err <= 1e-8 else 'false'}",
+        f"calibration_ok = {'true' if report.calibration_rel_err <= CALIBRATION_GATE else 'false'}",
         "",
         "[detection]",
         f"records = {len(sweep.records)}",

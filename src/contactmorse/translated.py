@@ -99,7 +99,8 @@ class SweepReport:
 class SweepParams:
     """Run parameters of sweep_and_count.  The config schema takes its
     defaults and value types from these fields, and the routes their
-    defaults."""
+    defaults.  The tolerances that decide what counts as a record are fixed
+    module constants, not parameters."""
 
     mode: str = "sphere"  # sphere | projective
     routes: str = "both"  # direct | genfun | both
@@ -108,16 +109,6 @@ class SweepParams:
     sphere_count: int = 256
     t_count: int = 64
     keep_per_seed: int = 4
-    newton_tol: float = 1e-10
-    grad_tol: float = 1e-9
-    verify_tol: float = 1e-6
-    match_angular: float = 1e-6
-    match_t: float = 1e-6
-    dedup_angular: float = 1e-4
-    dedup_t: float = 1e-5
-    nondeg_tol: float = 1e-7
-    continuum_factor: float = 10.0
-    nullity_tol: float | None = None
 
 
 def bound_threshold(mode: str, n: int) -> int:
@@ -188,6 +179,10 @@ def _prefilter_seeds(
 # Newton iterations per start, on either route.
 _MAX_ITER = 40
 
+# Newton tolerance of the direct route on its residual
+# |(e^{-2 pi i t} Phi(q) - q, (|q|^2 - 1)/2)|.
+_NEWTON_TOL = 1e-10
+
 # A row retires after this many finite evaluations in a row that do not
 # lower its best error (see _bordered_newton).  Retiring changes a row's
 # result only if its best iterate would have come after such a plateau.  The
@@ -207,11 +202,6 @@ def direct_translated_points(
     sphere_count: int = SweepParams.sphere_count,
     t_count: int = SweepParams.t_count,
     keep_per_seed: int = SweepParams.keep_per_seed,
-    newton_tol: float = SweepParams.newton_tol,
-    dedup_angular: float = SweepParams.dedup_angular,
-    dedup_t: float = SweepParams.dedup_t,
-    nondeg_tol: float = SweepParams.nondeg_tol,
-    continuum_factor: float = SweepParams.continuum_factor,
     seeds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DetectionResult:
     """Ground-truth route: multistart Newton on e^{-2 pi i t} Phi(q) - q = 0.
@@ -228,12 +218,10 @@ def direct_translated_points(
     if seeds is None:
         seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
     q, t = seeds
-    q, t, ok = _direct_newton(spec, settings, q, t, newton_tol, _MAX_ITER)
+    q, t, ok = _direct_newton(spec, settings, q, t, _NEWTON_TOL, _MAX_ITER)
     q, t = q[ok], t[ok] % 1.0
-    records = _build_records(spec, settings, q, t, route="direct", nondeg_tol=nondeg_tol)
-    records, continuum = _dedup_and_flag(
-        records, spec.n, dedup_angular, dedup_t, continuum_factor
-    )
+    records = _build_records(spec, settings, q, t, route="direct")
+    records, continuum = _dedup_and_flag(records, spec.n)
     return DetectionResult(records=records, continuum_suspected=continuum,
                            converged_raw=int(np.sum(ok)))
 
@@ -351,7 +339,12 @@ def _direct_newton(spec, settings, q0, t0, tol, max_iter, polish=2):
     return q, t, done
 
 
-def _build_records(spec, settings, q, t, route, nondeg_tol, gf_values=None):
+# A singular value of DPsi - I below this is a kernel direction (see
+# _classify_kernel).
+_NONDEG_TOL = 1e-7
+
+
+def _build_records(spec, settings, q, t, route, nondeg_tol=_NONDEG_TOL, gf_values=None):
     if q.shape[0] == 0:
         return []
     phi, psi, dpsi = _shifted_flow(spec, settings, q, t)
@@ -409,7 +402,7 @@ def nondegeneracy_check(
     spec: ContactHamiltonianSpec,
     q,
     t: float,
-    tol: float = 1e-7,
+    tol: float = _NONDEG_TOL,
     settings: IntegratorSettings | None = None,
 ):
     """Classify a (q, t) record: non-degenerate iff the horizontal kernel is
@@ -422,10 +415,21 @@ def nondegeneracy_check(
     return _classify_kernel(svals[0], vt[0], qa, tol)
 
 
-def _dedup_and_flag(records, n, dedup_angular, dedup_t, continuum_factor):
+# Two records of one route are one point when their q lie within
+# _DEDUP_ANGULAR (radians) and their t within _DEDUP_T (mod 1); the
+# antipodal pairing of projective records uses the same pair.
+_DEDUP_ANGULAR = 1e-4
+_DEDUP_T = 1e-5
+
+# A t-slice with more degenerate records than _CONTINUUM_FACTOR * max(2, 2n)
+# is a suspected continuum.
+_CONTINUUM_FACTOR = 10.0
+
+
+def _dedup_and_flag(records, n):
     """Greedy clustering by (angular, t) distance; representative = smallest
     fixed-point residual.  A t-slice accumulating more mutually-distinct
-    degenerate records than continuum_factor * max(2, 2n) is declared a
+    degenerate records than _CONTINUUM_FACTOR * max(2, 2n) is declared a
     suspected continuum."""
     if not records:
         return [], False
@@ -437,8 +441,8 @@ def _dedup_and_flag(records, n, dedup_angular, dedup_t, continuum_factor):
         if chosen:
             qsel = qs[chosen]
             tsel = ts[chosen]
-            close = (_angular_distance(qsel, qs[i]) < dedup_angular) & (
-                _t_distance(tsel, ts[i]) < dedup_t
+            close = (_angular_distance(qsel, qs[i]) < _DEDUP_ANGULAR) & (
+                _t_distance(tsel, ts[i]) < _DEDUP_T
             )
             if np.any(close):
                 continue
@@ -446,14 +450,14 @@ def _dedup_and_flag(records, n, dedup_angular, dedup_t, continuum_factor):
     kept = [records[order[i]] for i in chosen]
     kept.sort(key=lambda r: (r.t, r.q))
 
-    threshold = continuum_factor * max(2, 2 * n)
+    threshold = _CONTINUUM_FACTOR * max(2, 2 * n)
     continuum = False
     kept_ts = np.array([r.t for r in kept])
     used = np.zeros(len(kept), dtype=bool)
     for i in range(len(kept)):
         if used[i]:
             continue
-        slice_mask = _t_distance(kept_ts, kept_ts[i]) < max(dedup_t * 10, 1e-4)
+        slice_mask = _t_distance(kept_ts, kept_ts[i]) < max(_DEDUP_T * 10, 1e-4)
         used |= slice_mask
         degenerate = sum(
             1 for j in np.where(slice_mask)[0] if kept[j].nondegenerate is not True
@@ -505,7 +509,7 @@ class ShiftedGenFunFamily:
         self.f_phi = f_phi
         self.n = n
         self.k = k
-        self.dim = 2 * n * (2 * (len(f_phi.links) + k) - 1)
+        self.dim = gfm.gf_compose(f_phi, *(gfm.QuadraticLink(0.0, n),) * k).total_dim
 
     def _chain(self, t):
         """F_t as a chain for t per row, and d/dt of its rotation coefficient."""
@@ -556,11 +560,11 @@ class ShiftedGenFunFamily:
             hess = chain_hessian(hess)
         dgrad = None
         if with_dt:
-            # the rotation links' bases b_N, ..., b_{L+1} are the blocks 1, 3, .., 2k - 1
-            Y = x.reshape(x.shape[0], -1, 2 * self.n)
-            dY = np.zeros(Y.shape)
-            dY[:, 1 : 2 * self.k : 2] = 2.0 * dcoeff[:, None, None] * Y[:, 1 : 2 * self.k : 2]
-            dgrad = dY.reshape(x.shape)
+            # only the rotation links' terms coeff |b|^2, on the last k bases
+            a, b = gfm.split_chain(x, 2 * self.n)
+            db = np.zeros(b.shape)
+            db[:, -self.k:] = 2.0 * dcoeff[:, None, None] * b[:, -self.k:]
+            dgrad = gfm.join_chain(np.zeros(a.shape), db)
         return (val, grad, hess, dgrad, ok, *state)
 
     def bordered_step(self, border: np.ndarray, hess: np.ndarray, dgrad: np.ndarray,
@@ -651,6 +655,13 @@ _CHUNK = 512
 # nested_norm); a ray with a smaller base is not reduced to a_N / |a_N|.
 _U_FLOOR = 0.02
 
+# Newton tolerance of the genfun route on |grad F_t| in chain coordinates.
+_GRAD_TOL = 1e-9
+
+# Largest direct residual |e^{-2 pi i t} Phi(q) - q| of a verified genfun
+# record; a reduced ray above it is reported as inconsistent.
+_VERIFY_TOL = 1e-6
+
 
 def find_critical_rays(
     family: ShiftedGenFunFamily,
@@ -659,12 +670,6 @@ def find_critical_rays(
     sphere_count: int = SweepParams.sphere_count,
     t_count: int = SweepParams.t_count,
     keep_per_seed: int = SweepParams.keep_per_seed,
-    grad_tol: float = SweepParams.grad_tol,
-    verify_tol: float = SweepParams.verify_tol,
-    dedup_angular: float = SweepParams.dedup_angular,
-    dedup_t: float = SweepParams.dedup_t,
-    nondeg_tol: float = SweepParams.nondeg_tol,
-    continuum_factor: float = SweepParams.continuum_factor,
     seeds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DetectionResult:
     """Critical rays of F_t on the unit sphere of the total space.
@@ -686,7 +691,7 @@ def find_critical_rays(
         q_c = q_seeds[lo : lo + _CHUNK]
         t_c = t_seeds[lo : lo + _CHUNK]
         x0, warm = family.seed(q_c, t_c)
-        xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, grad_tol, _MAX_ITER, warm)
+        xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, _GRAD_TOL, _MAX_ITER, warm)
         xs.append(xx)
         ts.append(tt)
         vals.append(vv)
@@ -703,15 +708,10 @@ def find_critical_rays(
     t_red = t[ok] % 1.0
     v_red = gf_vals[ok]
 
-    records = _build_records(
-        spec, settings, q_red, t_red, route="genfun", nondeg_tol=nondeg_tol,
-        gf_values=v_red,
-    )
-    verified = [r for r in records if r.residual_fixed <= verify_tol]
-    inconsistent = [r for r in records if r.residual_fixed > verify_tol]
-    verified, continuum = _dedup_and_flag(
-        verified, spec.n, dedup_angular, dedup_t, continuum_factor
-    )
+    records = _build_records(spec, settings, q_red, t_red, route="genfun", gf_values=v_red)
+    verified = [r for r in records if r.residual_fixed <= _VERIFY_TOL]
+    inconsistent = [r for r in records if r.residual_fixed > _VERIFY_TOL]
+    verified, continuum = _dedup_and_flag(verified, spec.n)
     return DetectionResult(
         records=verified,
         continuum_suspected=continuum,
@@ -778,7 +778,7 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
 # ---------------------------------------------------------------------------
 
 
-def index_jump(n: int, k: int, nullity_tol: float | None = None) -> int:
+def index_jump(n: int, k: int) -> int:
     """i(A_1) - i(A_0) for the k-piece rotation family; equals 2n.
 
     Both endpoint forms generate the identity, whose critical set is the full
@@ -786,14 +786,14 @@ def index_jump(n: int, k: int, nullity_tol: float | None = None) -> int:
     kernel of dimension exactly 2n; any other nullity is a configuration
     error.  The index difference is insensitive to that kernel.
     """
-    return index_data(n, k, nullity_tol)["jump"]
+    return index_data(n, k)["jump"]
 
 
-def index_data(n: int, k: int, nullity_tol: float | None = None) -> dict:
+def index_data(n: int, k: int) -> dict:
     if k < 3:
         raise ValueError("k must be >= 3")
-    in0 = inertia(rotation_family_matrices(0.0, n, k)[0], nullity_tol)
-    in1 = inertia(rotation_family_matrices(1.0, n, k)[0], nullity_tol)
+    in0 = inertia(rotation_family_matrices(0.0, n, k)[0])
+    in1 = inertia(rotation_family_matrices(1.0, n, k)[0])
     for label, ine in (("A_0", in0), ("A_1", in1)):
         if ine.nullity != 2 * n:
             raise ConfigurationError(
@@ -845,8 +845,14 @@ def pair_records(a, b, ang_tol: float, t_tol: float, antipodal: bool = False):
     return np.where(close.any(axis=1), np.argmax(close, axis=1), -1)
 
 
-def _match_routes(direct, genf, params):
-    partner = pair_records(direct, genf, params.match_angular, params.match_t)
+# A direct and a genfun record are one point when their q lie within
+# _MATCH_ANGULAR (radians) and their t within _MATCH_T (mod 1).
+_MATCH_ANGULAR = 1e-6
+_MATCH_T = 1e-6
+
+
+def _match_routes(direct, genf):
+    partner = pair_records(direct, genf, _MATCH_ANGULAR, _MATCH_T)
     if partner is None:
         raise RouteDisagreementError(
             "ambiguous route match: a record has two candidates within the match tolerances",
@@ -898,12 +904,7 @@ def sweep_and_count(
     start = time.perf_counter()
     seeds = _prefilter_seeds(spec, settings, **grid) if params.routes == "both" else None
     if params.routes in ("direct", "both"):
-        direct_res = direct_translated_points(
-            spec, settings, **grid, newton_tol=params.newton_tol,
-            dedup_angular=params.dedup_angular, dedup_t=params.dedup_t,
-            nondeg_tol=params.nondeg_tol, continuum_factor=params.continuum_factor,
-            seeds=seeds,
-        )
+        direct_res = direct_translated_points(spec, settings, **grid, seeds=seeds)
         route_seconds["direct"] = time.perf_counter() - start
         route_stats["direct_records"] = len(direct_res.records)
         route_stats["direct_converged"] = direct_res.converged_raw
@@ -911,12 +912,7 @@ def sweep_and_count(
     if params.routes in ("genfun", "both"):
         f_phi, schedule = build_phi_genfun(spec, settings, params.subdivision_delta)
         family = ShiftedGenFunFamily(f_phi, n, params.rotation_pieces)
-        genfun_res = find_critical_rays(
-            family, spec, settings, **grid, grad_tol=params.grad_tol,
-            verify_tol=params.verify_tol, dedup_angular=params.dedup_angular,
-            dedup_t=params.dedup_t, nondeg_tol=params.nondeg_tol,
-            continuum_factor=params.continuum_factor, seeds=seeds,
-        )
+        genfun_res = find_critical_rays(family, spec, settings, **grid, seeds=seeds)
         route_seconds["genfun"] = time.perf_counter() - start
         route_stats["genfun_records"] = len(genfun_res.records)
         route_stats["genfun_converged"] = genfun_res.converged_raw
@@ -935,9 +931,7 @@ def sweep_and_count(
                 "genfun records failed the direct residual verification",
                 dump={"inconsistent": genfun_res.inconsistent},
             )
-        matched, only_d, only_g = _match_routes(
-            direct_res.records, genfun_res.records, params
-        )
+        matched, only_d, only_g = _match_routes(direct_res.records, genfun_res.records)
         if only_d or only_g:
             raise RouteDisagreementError(
                 f"route mismatch: {len(only_d)} direct-only, {len(only_g)} genfun-only",
@@ -956,7 +950,7 @@ def sweep_and_count(
 
     events = sorted({round(r.t, 10) for r in records})
 
-    idx = index_data(n, params.rotation_pieces, params.nullity_tol)
+    idx = index_data(n, params.rotation_pieces)
 
     sphere_count = projective_count = None
     bound_met = None
@@ -968,8 +962,7 @@ def sweep_and_count(
         if params.mode == "projective":
             from .projective import antipodal_classes
 
-            classes = antipodal_classes(records, ang_tol=params.dedup_angular,
-                                        t_tol=params.dedup_t)
+            classes = antipodal_classes(records)
             projective_count = len(classes)
     if bound_asserted:
         count = projective_count if params.mode == "projective" else sphere_count

@@ -27,8 +27,9 @@ tableau term, per coordinate and per gathered operand, with separate stage
 buffers for the state and the Jacobian and the whole batch in one pass.  The
 library must give every row the same bits.
 
-The test-only helpers at the end are not called by the library: matrices of
-the linear symplectic structure, the contact form alpha (the pullback
+The test-only helpers at the end are not called by the library: the
+library's compiled field at a batch of points, matrices of the linear
+symplectic structure, the contact form alpha (the pullback
 oracle of the conformal factor), the covector of the graph-to-cotangent
 identification tau, quadratic generating functions, and the k-piece rotation
 family as a chain next to its matrix.
@@ -438,6 +439,17 @@ def reference_flow(spec, z0, t0: float, t1: float, settings, with_jacobian: bool
 
 
 # Test-only helpers, no longer called by the library.
+
+
+def compiled_field(spec, x, t: float, with_jacobian: bool = True):
+    """The library's lifted field dx/dt = FIELD_SCALE * J * grad H_t (B, 2n)
+    at real points x (B, 2n), through one flow._FieldEval, and its real
+    Jacobian (B, 2n, 2n), or None."""
+    x = np.asarray(x, dtype=float)
+    field = np.empty_like(x)
+    jac = np.empty(x.shape + x.shape[-1:]) if with_jacobian else None
+    flow._FieldEval(flow._real_field(spec), x.shape[0], with_jacobian)(x, t, field, jac)
+    return field, jac
 
 
 def symplectic_form_matrix(n: int) -> np.ndarray:

@@ -184,10 +184,8 @@ def _random_generic_spec(seed: int) -> ham.ContactHamiltonianSpec:
 def test_criterion_5_route_equivalence():
     ok = True
     details = []
-    params = tp.SweepParams(
-        routes="both", sphere_count=64, t_count=24, keep_per_seed=3,
-        match_angular=1e-6, match_t=1e-6,
-    )
+    assert tp._MATCH_ANGULAR == 1e-6 and tp._MATCH_T == 1e-6
+    params = tp.SweepParams(routes="both", sphere_count=64, t_count=24, keep_per_seed=3)
     for seed in range(1001, 1006):
         spec = _random_generic_spec(seed)
         t0 = time.perf_counter()

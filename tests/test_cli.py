@@ -45,7 +45,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.params.rotation_pieces == 4
     assert cfg.params.sphere_count == 256
     assert cfg.params.t_count == 64
-    assert cfg.params.newton_tol == 1e-10
+    assert translated._NEWTON_TOL == 1e-10
     assert cfg.hamiltonian.quadratic == (0.3, 0.7)
 
 
@@ -61,7 +61,7 @@ def test_every_sweep_param_has_one_json_key():
         if name in ("mode", "routes") or not hasattr(base, name):
             continue  # str choices, or a RunConfig field
         default = getattr(base, name)
-        value = 1e-9 if default is None else 2 * default if isinstance(default, float) else default + 3
+        value = 2 * default if isinstance(default, float) else default + 3
         data = json.loads(json.dumps(MINIMAL))
         section, _, key = location.rpartition(".")
         (data.setdefault(section, {}) if section else data)[key] = value
@@ -204,6 +204,10 @@ def test_records_csv_shape(tmp_path):
         ("seeds.sphere_count",
          {"seeds": {"sphere_count": -5, "t_count": 16, "keep_per_seed": 3}}),
         ("integrator.steps_per_unit", {"integrator": {"steps_per_unit": -1}}),
+        # fixed tolerances, no longer config keys, each at a valid value
+        ("tolerances", {"tolerances": {"newton": 1e-9}}),
+        ("continuum_factor", {"continuum_factor": 20.0}),
+        ("calibration_tol", {"integrator": {"steps_per_unit": 16, "calibration_tol": 1e-9}}),
     ],
 )
 def test_cli_rejects_zero_counts(tmp_path, capsys, field, over):

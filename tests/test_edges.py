@@ -64,14 +64,14 @@ def test_single_piece_subdivision_roundtrip(settings):
 def test_match_routes_reports_mismatch():
     rec_d = tp.TranslatedPointRecord((1.0, 0.0, 0.0, 0.0), 0.25, 1e-12, 0.0, True, "direct")
     rec_g_far = tp.TranslatedPointRecord((0.0, 1.0, 0.0, 0.0), 0.75, 1e-12, 0.0, True, "genfun")
-    params = tp.SweepParams()
-    matched, only_d, only_g = tp._match_routes([rec_d], [rec_g_far], params)
+    assert tp._MATCH_ANGULAR == 1e-6 and tp._MATCH_T == 1e-6
+    matched, only_d, only_g = tp._match_routes([rec_d], [rec_g_far])
     assert not matched and only_d == [rec_d] and only_g == [rec_g_far]
     # matching pair merges with route 'both'
     rec_g = tp.TranslatedPointRecord(
         (1.0, 0.0, 0.0, 0.0), 0.25 + 1e-8, 1e-10, 0.0, True, "genfun", gf_value=1e-12
     )
-    matched, only_d, only_g = tp._match_routes([rec_d], [rec_g], params)
+    matched, only_d, only_g = tp._match_routes([rec_d], [rec_g])
     assert len(matched) == 1 and not only_d and not only_g
     assert matched[0].route == "both"
     assert matched[0].gf_value == 1e-12
@@ -80,7 +80,7 @@ def test_match_routes_reports_mismatch():
 def test_match_routes_rejects_ambiguous_match():
     # two records within the match tolerances of one record of the other
     # route: no unique pairing exists, which is a disagreement, not a pick
-    params = tp.SweepParams()
+    assert tp._MATCH_ANGULAR == 1e-6 and tp._MATCH_T == 1e-6
     q = (1.0, 0.0, 0.0, 0.0)
     one = {route: tp.TranslatedPointRecord(q, 0.25, 1e-12, 0.0, True, route)
            for route in ("direct", "genfun")}
@@ -90,7 +90,7 @@ def test_match_routes_rejects_ambiguous_match():
     for direct, genf in (([one["direct"]], twins["genfun"]),
                          (twins["direct"], [one["genfun"]])):
         with pytest.raises(tp.RouteDisagreementError, match="ambiguous") as exc:
-            tp._match_routes(direct, genf, params)
+            tp._match_routes(direct, genf)
         assert exc.value.dump == {"direct": direct, "genfun": genf}
 
 

@@ -10,6 +10,7 @@ from contactmorse.sampling import sphere_points
 
 from oracles import (
     bisect_c1_small,
+    compiled_field,
     contact_form_eval,
     expm,
     realify,
@@ -467,8 +468,8 @@ def test_real_field_matches_eval_lift(case, sphere_corpus_spec, rp3_corpus_spec,
     times = (0.0, 0.37, 1.0, 1.5) if spec.time_profile == "bump" else (0.0, 0.37)
     for t in times:
         f_ref, j_ref = _kernel_reference(spec, x, t)
-        field, jac = flow.real_field(spec, x, t)
-        field_only, none = flow.real_field(spec, x, t, with_jacobian=False)
+        field, jac = compiled_field(spec, x, t)
+        field_only, none = compiled_field(spec, x, t, with_jacobian=False)
         assert none is None
         if np.max(np.abs(j_ref)) == 0.0:  # the bump vanishes off (0, 1)
             assert not np.any(field) and not np.any(jac) and not np.any(field_only)
@@ -484,7 +485,7 @@ def test_real_field_rejects_origin_and_nonfinite(bad, sphere_corpus_spec, reeb_s
     for spec in (sphere_corpus_spec, reeb_spec):
         for with_jacobian in (True, False):
             with pytest.raises(ValueError):
-                flow.real_field(spec, x, 0.0, with_jacobian)
+                compiled_field(spec, x, 0.0, with_jacobian)
             with pytest.raises(ValueError):
                 flow.integrate_flow(spec, x, 0.0, 0.1, settings, with_jacobian)
 

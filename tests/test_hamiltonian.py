@@ -5,7 +5,7 @@ from contactmorse import flow
 from contactmorse import hamiltonian as ham
 from contactmorse.linsymp import complex_structure_matrix, to_complex
 
-from oracles import fd_gradient, naive_lift_value
+from oracles import compiled_field, fd_gradient, naive_lift_value
 
 
 def _perturbed_spec():
@@ -28,7 +28,7 @@ def _gradient_hessian(spec, x):
     """grad H = -J field / FIELD_SCALE and its Hessian -J jac / FIELD_SCALE,
     read off the compiled field and Jacobian at real points x (B, 2n)."""
     J = complex_structure_matrix(spec.n)
-    field, jac = flow.real_field(spec, x, 0.0)
+    field, jac = compiled_field(spec, x, 0.0)
     return -field @ J.T / flow.FIELD_SCALE, -J @ jac / flow.FIELD_SCALE
 
 

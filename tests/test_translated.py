@@ -224,6 +224,7 @@ def test_warm_genfun_rays_are_cold_critical(fast_settings, sphere_corpus_spec, m
     every returned (x, t) is re-evaluated with cold leaf solves."""
     family = _corpus_family(sphere_corpus_spec, fast_settings, 4)
     grad_tol = 1e-9
+    assert tp._GRAD_TOL == grad_tol
     results = []
     inner = tp._genfun_newton
 
@@ -235,7 +236,7 @@ def test_warm_genfun_rays_are_cold_critical(fast_settings, sphere_corpus_spec, m
     monkeypatch.setattr(tp, "_genfun_newton", recording)
     res = tp.find_critical_rays(
         family, sphere_corpus_spec, fast_settings, sphere_count=16, t_count=16,
-        keep_per_seed=3, grad_tol=grad_tol,
+        keep_per_seed=3,
     )
     assert len(res.records) >= 2
     x = np.concatenate([r[0] for r in results])
