@@ -428,12 +428,15 @@ _CONTINUUM_FACTOR = 10.0
 
 def _dedup_and_flag(records, n):
     """Greedy clustering by (angular, t) distance; representative = smallest
-    fixed-point residual.  A t-slice accumulating more mutually-distinct
-    degenerate records than _CONTINUUM_FACTOR * max(2, 2n) is declared a
-    suspected continuum."""
+    fixed-point residual, ties broken by (t, q), so that the result does not
+    depend on the order of the records (residuals tie at the rounding
+    level).  A t-slice accumulating more mutually-distinct degenerate
+    records than _CONTINUUM_FACTOR * max(2, 2n) is declared a suspected
+    continuum."""
     if not records:
         return [], False
-    order = sorted(range(len(records)), key=lambda i: records[i].residual_fixed)
+    order = sorted(range(len(records)),
+                   key=lambda i: (records[i].residual_fixed, records[i].t, records[i].q))
     qs = np.array([records[i].q for i in order])
     ts = np.array([records[i].t for i in order])
     chosen: list[int] = []
