@@ -8,7 +8,6 @@ other.
 """
 
 from .flow import (
-    FlowMap,
     IntegratorSettings,
     calibrate_steps_per_unit,
     integrate_flow,

@@ -490,28 +490,6 @@ def _weighted_sum(k: np.ndarray, terms, out: np.ndarray, tmp: np.ndarray) -> np.
     return out
 
 
-@dataclass(frozen=True)
-class FlowMap:
-    """The lifted flow over a fixed time interval, evaluated on demand."""
-
-    spec: ham.ContactHamiltonianSpec
-    t0: float
-    t1: float
-    settings: IntegratorSettings
-
-    def __call__(self, z, with_jacobian: bool = False):
-        return integrate_flow(
-            self.spec, z, self.t0, self.t1, self.settings, with_jacobian=with_jacobian
-        )
-
-    @property
-    def span(self) -> float:
-        return self.t1 - self.t0
-
-    def is_identity(self) -> bool:
-        return self.t1 == self.t0
-
-
 def calibrate_steps_per_unit(
     spec: ham.ContactHamiltonianSpec,
     horizon: float = 1.0,

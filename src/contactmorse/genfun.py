@@ -23,6 +23,13 @@ b_{N-1}, ..., a_2, b_2, a_1): the base comes first, and link j >= 2 couples
 the three consecutive blocks (a_j, b_j, a_{j-1}), so every Hessian is block
 tridiagonal in the pairs (a_j, b_j).
 
+A leaf is its flow piece, (spec, t0, t1, settings); at a base b it is read
+off the midpoint z with (z + Phi(z))/2 = b.  The leaf Newton has one step,
+z + ((I + DPhi)/2)^{-1} (b - (z + Phi(z))/2), and one test, the residual
+within the leaf tolerance of |b|: solve_midpoint iterates them to solve the
+leaves cold, and an outer Newton that carries the midpoints as unknowns
+(LeafState) takes one step per iteration.
+
 All constructed functions are homogeneous of degree 2, F(lambda x) =
 lambda^2 F(x); leaf values come from the Euler identity F(b) = <grad F, b>/2,
 which enforces the F(0) = 0 normalization without quadrature.
@@ -35,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowMap, IntegratorSettings, integrate_flow, subdivide_c1_small
-from .hamiltonian import sphere_value
+from .flow import IntegratorSettings, integrate_flow, subdivide_c1_small
+from .hamiltonian import ContactHamiltonianSpec, sphere_value
 from .linsymp import complex_structure_matrix, mul_i, solve_rows, to_complex
 from .sampling import sphere_points
 
@@ -46,8 +53,9 @@ class LeafNewtonError(RuntimeError):
     C^1-small enough and the caller must re-subdivide."""
 
 
+@dataclass(frozen=True)
 class LeafGF:
-    """Link of one C^1-small flow piece.
+    """Link of one C^1-small flow piece: the lifted flow of spec over [t0, t1].
 
     At a base b it is read off the midpoint z with (z + Phi(z))/2 = b, which
     evaluate_stacked solves for all leaves of a chain at once: the gradient
@@ -55,14 +63,22 @@ class LeafGF:
     the Euler identity and the Hessian off DPhi(z) (leaf_hessian).
     """
 
-    def __init__(self, piece: FlowMap):
-        self.piece = piece
-        self.base_dim = 2 * piece.spec.n
+    spec: ContactHamiltonianSpec
+    t0: float
+    t1: float
+    settings: IntegratorSettings
+
+    @property
+    def base_dim(self) -> int:
+        return 2 * self.spec.n
 
     def map_points(self, z):
-        """Apply the piece's map to points z of shape (B, 2n)."""
+        """Apply the piece's flow to points z of shape (B, 2n)."""
         z = np.asarray(z, dtype=float)
-        return z.copy() if self.piece.is_identity() else self.piece(z)[0]
+        if self.t1 == self.t0:
+            return z.copy()
+        return integrate_flow(self.spec, z, self.t0, self.t1, self.settings,
+                              with_jacobian=False)[0]
 
 
 class QuadraticLink:
@@ -146,8 +162,7 @@ def flow_chain(spec, schedule, settings: IntegratorSettings, until: float = np.i
     degenerate to the identity but stay in the chain, so the total space does
     not change with t, which is what makes dF_t/dt meaningful pointwise.
     """
-    return ChainGF(LeafGF(FlowMap(spec, min(a, until), min(b, until), settings))
-                   for a, b in schedule)
+    return ChainGF(LeafGF(spec, min(a, until), min(b, until), settings) for a, b in schedule)
 
 
 def split_chain(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,58 +181,60 @@ def join_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return Y.reshape(B, -1)
 
 
-def _unit_row(m: int) -> np.ndarray:
-    e = np.zeros(m)
-    e[0] = 1.0
-    return e
-
-
 # Tolerance and iteration cap of every leaf midpoint solve.
 _LEAF_TOL = 1e-11
 _LEAF_MAX_ITER = 30
 
 
-def solve_midpoint(spec, t0, t1, settings, b, newton_tol=_LEAF_TOL, max_iter=_LEAF_MAX_ITER,
-                   z0=None):
+def _leaf_solved(solved: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The leaf test, per midpoint: its solved = (z + Phi(z))/2 (..., 2n)
+    is within the leaf tolerance of its base b, |solved - b| <= _LEAF_TOL |b|."""
+    r = np.linalg.norm(solved - b, axis=-1)
+    return r <= _LEAF_TOL * np.maximum(np.linalg.norm(b, axis=-1), 1e-12)
+
+
+def _leaf_step(z: np.ndarray, jac: np.ndarray, solved: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The leaf Newton step from midpoints z (..., 2n), with DPhi(z) jac and
+    solved = (z + Phi(z))/2, toward bases b: z + ((I + DPhi)/2)^{-1} (b -
+    solved), the midpoint equation linearized at z.  It takes up both the
+    residual and the move of the bases since z."""
+    A = 0.5 * (jac + np.eye(b.shape[-1]))
+    return z + np.linalg.solve(A, (b - solved)[..., None])[..., 0]
+
+
+def solve_midpoint(spec, t0, t1, settings, b, z0=None, max_iter=_LEAF_MAX_ITER):
     """Solve (z + Phi(z))/2 = b by Newton for the piece flow over [t0, t1].
 
     z0 (B, 2n) is the starting guess; None starts cold at z = b.  Each
-    iteration integrates only the rows still above newton_tol, at most
-    max_iter + 1 integrations per row.  Returns (z, Phi(z), DPhi(z), ok),
-    with Phi and DPhi taken at the returned z on every ok row.  Rows whose
-    Newton fails, or whose base or guess norm underflows (the cone tip is
-    rejected), come back with ok = False.  max_iter = 0 with newton_tol =
-    inf integrates every row once at its guess and leaves the residual
-    (z + Phi(z))/2 - b to the caller; ok then marks the rows integrated.
+    iteration integrates the rows still running; a row then stops if it
+    passes the leaf test (_leaf_solved) and otherwise takes the leaf step
+    (_leaf_step), at most max_iter steps per row.  max_iter = 0 integrates
+    every row once at its guess.  Returns (z, Phi(z), DPhi(z), ok): ok marks
+    the rows integrated at the returned z, and the caller applies the leaf
+    test to them.  Rows whose base or midpoint norm underflows (the cone tip
+    is rejected) come back with ok = False.
     """
     b = np.asarray(b, dtype=float)
     B, m = b.shape
-    eye = np.eye(m)
+    jac = np.broadcast_to(np.eye(m), (B, m, m)).copy()
     if t1 == t0:
-        jac = np.broadcast_to(eye, (B, m, m)).copy()
         return b.copy(), b.copy(), jac, np.ones(B, dtype=bool)
-    scale = np.linalg.norm(b, axis=1)
-    alive = scale > 1e-150
-    safe_b = np.where(alive[:, None], b, _unit_row(m))
-    z = safe_b.copy() if z0 is None else np.where(alive[:, None], z0, _unit_row(m))
-    ok = np.zeros(B, dtype=bool)
+    ok = np.linalg.norm(b, axis=1) > 1e-150
+    z = np.where(ok[:, None], b if z0 is None else z0, np.eye(m)[0])
     Zv = z.copy()
-    jac = np.broadcast_to(eye, (B, m, m)).copy()
+    rows = np.arange(B)
     for it in range(max_iter + 1):
-        alive &= np.linalg.norm(z, axis=1) >= 1e-120
-        rows = np.where(alive & ~ok)[0]
+        ok &= np.linalg.norm(z, axis=1) >= 1e-120
+        rows = rows[ok[rows]]
         if rows.size == 0:
             break
         Zv[rows], jac[rows] = integrate_flow(spec, z[rows], t0, t1, settings, with_jacobian=True)
-        resid = 0.5 * (z[rows] + Zv[rows]) - safe_b[rows]
-        conv = np.linalg.norm(resid, axis=1) <= newton_tol * np.maximum(scale[rows], 1e-12)
-        ok[rows[conv]] = True
-        upd = ~conv
-        if it == max_iter or not np.any(upd):
+        if it == max_iter:
             break
-        # a piece on the edge of C^1-smallness takes a pseudo-inverse step
-        # and the residual test decides
-        z[rows[upd]] -= solve_rows(0.5 * (jac[rows[upd]] + eye), resid[upd])
+        solved = 0.5 * (z[rows] + Zv[rows])
+        go = ~_leaf_solved(solved, b[rows])
+        rows = rows[go]
+        z[rows] = _leaf_step(z[rows], jac[rows], solved[go], b[rows])
     return z, Zv, jac, ok
 
 
@@ -242,18 +259,13 @@ class LeafState:
         self.jac[rows] = other.jac
 
     def predict(self, b: np.ndarray) -> np.ndarray:
-        """The leaf Newton step toward bases b (B, L, 2n): z + ((I +
-        DPhi)/2)^{-1} (b - self.b), the midpoint equation linearized at z.
-        It takes up both the residual and the move of the bases since z."""
-        m = b.shape[-1]
-        A = 0.5 * (self.jac + np.eye(m))
-        return self.z + np.linalg.solve(A, (b - self.b)[..., None])[..., 0]
+        """The leaf Newton step (_leaf_step) toward bases b (B, L, 2n)."""
+        return _leaf_step(self.z, self.jac, self.b, b)
 
     def solves(self, b: np.ndarray) -> np.ndarray:
-        """Rows (B,) on which every midpoint solves its base in b (B, L, 2n)
-        to the leaf tolerance, the test of solve_midpoint."""
-        r = np.linalg.norm(self.b - b, axis=-1)
-        return np.all(r <= _LEAF_TOL * np.maximum(np.linalg.norm(b, axis=-1), 1e-12), axis=1)
+        """Rows (B,) on which every midpoint passes the leaf test at its base
+        in b (B, L, 2n)."""
+        return np.all(_leaf_solved(self.b, b), axis=1)
 
 
 def leaf_hessian(jac: np.ndarray) -> np.ndarray:
@@ -267,30 +279,29 @@ def leaf_hessian(jac: np.ndarray) -> np.ndarray:
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def _solve_leaves(pieces: list[FlowMap], b: np.ndarray, guess: np.ndarray | None, **newton):
-    """Midpoint solves of the leaves with pieces at their bases b (B, L, 2n),
-    one stacked solve_midpoint per compatible group, which takes the Newton
-    keywords.  Returns z, Phi(z) (B, L, 2n), DPhi(z) (B, L, 2n, 2n) and ok
-    (B, L)."""
+def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, guess: np.ndarray | None,
+                  max_iter: int):
+    """Midpoint solves of the leaves at their bases b (B, L, 2n), from guess
+    (B, L, 2n) or cold, with at most max_iter leaf steps, one stacked
+    solve_midpoint per compatible group.
+    Returns z, Phi(z) (B, L, 2n), DPhi(z) (B, L, 2n, 2n) and ok (B, L)."""
     B, L, m = b.shape
-    groups: dict[tuple, list[int]] = {}
-    for i, piece in enumerate(pieces):
-        if piece.spec.is_autonomous():
-            key = (piece.spec, round(piece.span, 15), piece.settings)
-        else:
-            key = (piece.spec, piece.t0, piece.t1, piece.settings)
+    groups: dict = {}
+    for i, leaf in enumerate(leaves):
+        key = ((leaf.spec, round(leaf.t1 - leaf.t0, 15), leaf.settings)
+               if leaf.spec.is_autonomous() else leaf)
         groups.setdefault(key, []).append(i)
     out = (np.empty((B, L, m)), np.empty((B, L, m)), np.empty((B, L, m, m)),
            np.empty((B, L), dtype=bool))
     for members in groups.values():
-        piece = pieces[members[0]]
-        t0, t1 = (0.0, piece.span) if piece.spec.is_autonomous() else (piece.t0, piece.t1)
+        leaf = leaves[members[0]]
+        t0, t1 = (0.0, leaf.t1 - leaf.t0) if leaf.spec.is_autonomous() else (leaf.t0, leaf.t1)
 
         def stack(arr):  # leaf-major rows of the group
             return np.concatenate([arr[:, i] for i in members], axis=0)
 
-        solved = solve_midpoint(piece.spec, t0, t1, piece.settings, stack(b),
-                                z0=None if guess is None else stack(guess), **newton)
+        solved = solve_midpoint(leaf.spec, t0, t1, leaf.settings, stack(b),
+                                None if guess is None else stack(guess), max_iter)
         for dst, src in zip(out, solved):
             dst[:, members] = np.swapaxes(src.reshape((len(members), B) + src.shape[1:]), 0, 1)
     return out
@@ -301,21 +312,21 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
 
     Returns (val (B,), grad (B, D), hess, ok (B,)): hess is None below order
     2 and otherwise the (B, N, 2n, 2n) Hessians of the links at their bases,
-    which chain_hessian assembles; ok marks the rows whose leaf solves
-    converged (with warm: whose leaves were integrated).  The leaves are
-    solved in one stacked solve_midpoint per compatible group: leaves of an
-    autonomous spec depend only on their span, so their batches concatenate
-    into a single integration, which amortizes the per-step cost across the
-    whole chain.
+    which chain_hessian assembles.  The leaves are solved in one stacked
+    solve_midpoint per compatible group: leaves of an autonomous spec depend
+    only on their span, so their batches concatenate into a single
+    integration, which amortizes the per-step cost across the whole chain.
 
-    With warm state (a LeafState of the same rows, from an earlier call or
-    from a chain seed) the midpoints are Newton unknowns of the caller: each
-    leaf is integrated once, from the Newton step of warm toward its new
-    base b (LeafState.predict), and the new LeafState is returned as a fifth
-    element.  The midpoint z then solves (z + Phi(z))/2 = b + r with a
-    residual r, and the leaf's gradient is the linearization at z,
-    i(z - Phi(z)) - H r with H its Hessian: eliminating the midpoint step
-    from the joint Newton system leaves exactly this gradient with the
+    Without warm state the leaf Newton runs to the leaf test, and ok marks
+    the rows whose every leaf passed it.  With warm state (a LeafState of
+    the same rows, from an earlier call or from a chain seed) the midpoints
+    are Newton unknowns of the caller: each leaf is integrated once, from
+    the leaf step of warm toward its new base b (LeafState.predict), ok
+    marks the rows whose leaves were integrated, and the new LeafState is
+    returned as a fifth element.  The midpoint z then solves (z + Phi(z))/2
+    = b + r with a residual r, and the leaf's gradient is the linearization
+    at z, i(z - Phi(z)) - H r with H its Hessian: eliminating the midpoint
+    step from the joint Newton system leaves exactly this gradient with the
     unchanged Hessian.  Where LeafState.solves(b) holds it equals the solved
     leaf's gradient to the leaf tolerance.
     """
@@ -335,17 +346,16 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
             if hess is not None:
                 hess[:, j] = h
     leaf_b = bases[:, leaves]
-    pieces = [links[j].piece for j in leaves]
+    guess, max_iter = (None, _LEAF_MAX_ITER) if warm is None else (warm.predict(leaf_b), 0)
+    z, Zv, jac, ok_leaf = _solve_leaves([links[j] for j in leaves], leaf_b, guess, max_iter)
+    solved = 0.5 * (z + Zv)
+    g = mul_i(z - Zv)
     if warm is None:
-        z, Zv, jac, ok_leaf = _solve_leaves(pieces, leaf_b, None)
-        g = mul_i(z - Zv)
+        ok_leaf &= _leaf_solved(solved, leaf_b)
         H = leaf_hessian(jac) if hess is not None else None
     else:
-        z, Zv, jac, ok_leaf = _solve_leaves(pieces, leaf_b, warm.predict(leaf_b),
-                                            newton_tol=np.inf, max_iter=0)
-        solved = 0.5 * (z + Zv)
         H = leaf_hessian(jac)
-        g = mul_i(z - Zv) - (H @ (solved - leaf_b)[..., None])[..., 0]
+        g = g - (H @ (solved - leaf_b)[..., None])[..., 0]
     vals[:, leaves] = 0.5 * np.sum(g * leaf_b, axis=2)
     grads[:, leaves] = g
     if hess is not None:

@@ -26,7 +26,6 @@ from . import genfun as gfm
 from .flow import IntegratorSettings, integrate_flow, subdivide_c1_small
 from .genfun import (
     ChainGF,
-    chain_hessian,
     evaluate_stacked,
     rotation_coefficients,
     rotation_family_matrices,
@@ -546,35 +545,31 @@ class ShiftedGenFunFamily:
         return np.concatenate([a[:, :1], b[:, : len(self.f_phi.links) - 1]], axis=1)
 
     def evaluate(self, x: np.ndarray, t: np.ndarray, order: int = 2,
-                 with_dt: bool = False, warm: gfm.LeafState | None = None,
-                 terms: bool = False):
+                 warm: gfm.LeafState | None = None):
         """(val, grad, hess, dgrad_dt, ok) of F_t at x, t per row.
 
-        With terms, hess is the (R, L + k, 2n, 2n) stack of the links'
-        Hessians instead (see evaluate_stacked).  With warm (the LeafState of
-        F_phi's leaves for these rows) every leaf is integrated once, from
-        the Newton step of warm, its gradient is linearized at that midpoint
-        and the new LeafState is returned as a sixth element.
+        hess is None below order 2 and otherwise the (R, L + k, 2n, 2n)
+        stack of the links' Hessians (see evaluate_stacked), which
+        gfm.chain_hessian assembles into the Hessian of F_t.  With warm (the
+        LeafState of F_phi's leaves for these rows) every leaf is integrated
+        once, from the leaf step of warm, its gradient is linearized at that
+        midpoint and the new LeafState is returned as a sixth element.
         """
         x = np.asarray(x, dtype=float)
         chain, dcoeff = self._chain(t)
         val, grad, hess, ok, *state = evaluate_stacked(chain, x, order, warm)
-        if order >= 2 and not terms:
-            hess = chain_hessian(hess)
-        dgrad = None
-        if with_dt:
-            # only the rotation links' terms coeff |b|^2, on the last k bases
-            a, b = gfm.split_chain(x, 2 * self.n)
-            db = np.zeros(b.shape)
-            db[:, -self.k:] = 2.0 * dcoeff[:, None, None] * b[:, -self.k:]
-            dgrad = gfm.join_chain(np.zeros(a.shape), db)
+        # only the rotation links' terms coeff |b|^2, on the last k bases
+        a, b = gfm.split_chain(x, 2 * self.n)
+        db = np.zeros(b.shape)
+        db[:, -self.k:] = 2.0 * dcoeff[:, None, None] * b[:, -self.k:]
+        dgrad = gfm.join_chain(np.zeros(a.shape), db)
         return (val, grad, hess, dgrad, ok, *state)
 
     def bordered_step(self, border: np.ndarray, hess: np.ndarray, dgrad: np.ndarray,
                       F: np.ndarray) -> np.ndarray:
         """Solution s (R, D + 1) of [[H, dgrad], [border^T, 0]] s = F on
-        every row, with H the Hessian of F_t given by its links' Hessians
-        hess (evaluate's terms).
+        every row, with H the Hessian of F_t given by the links' Hessians
+        hess that evaluate returns at order 2.
 
         Solved by elimination along the chain, uniformly over its N = L + k
         links.  H is block tridiagonal: link j's Hessian H_j is the diagonal
@@ -754,9 +749,8 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
     m = 2 * family.n
 
     def evaluate(work, x, t):
-        val, grad, hess, dgrad, ok, state = family.evaluate(
-            x, t, order=2, with_dt=True, warm=warm.take(work), terms=True
-        )
+        val, grad, hess, dgrad, ok, state = family.evaluate(x, t, order=2,
+                                                             warm=warm.take(work))
         warm.put(work, state)
         sq, border = nested_norm(x, m)
         F = np.concatenate([grad, 0.5 * (sq - 1.0)[:, None]], axis=1)
@@ -883,7 +877,7 @@ def sweep_and_count(
     so explicitly instead of passing silently.  route_seconds, when given,
     receives the wall time of each route that ran ("direct", "genfun"), also
     when the routes then disagree; the seed prefilter they share counts
-    toward the direct route.
+    toward the first route that runs.
     """
     if params is None:
         params = SweepParams()
@@ -900,12 +894,12 @@ def sweep_and_count(
     direct_res = genfun_res = None
     if route_seconds is None:
         route_seconds = {}
-    # with both routes, they start from one prefiltered grid, whose time
-    # counts toward the direct route; a lone route filters its own
+    # the routes start from one prefiltered grid, whose time counts toward
+    # the first route that runs
     grid = dict(sphere_count=params.sphere_count, t_count=params.t_count,
                 keep_per_seed=params.keep_per_seed)
     start = time.perf_counter()
-    seeds = _prefilter_seeds(spec, settings, **grid) if params.routes == "both" else None
+    seeds = _prefilter_seeds(spec, settings, **grid)
     if params.routes in ("direct", "both"):
         direct_res = direct_translated_points(spec, settings, **grid, seeds=seeds)
         route_seconds["direct"] = time.perf_counter() - start

@@ -12,7 +12,7 @@ import pytest
 from contactmorse import hamiltonian as ham
 from contactmorse import projective as prj
 from contactmorse import translated as tp
-from contactmorse.flow import FlowMap, IntegratorSettings, integrate_flow
+from contactmorse.flow import IntegratorSettings, integrate_flow
 from contactmorse.genfun import (
     LeafGF,
     evaluate_stacked,
@@ -96,9 +96,8 @@ def _composition_check(first, second, oracle_map, points, tol=1e-7):
 def test_criterion_3_composition_formula():
     rng = np.random.default_rng(7)
     pts = sphere_points(32, 4)
-    pert_piece = FlowMap(SPHERE_CORPUS, 0.0, 0.1, SETTINGS)
-    pert_leaf = LeafGF(pert_piece)
-    second_piece = FlowMap(SPHERE_CORPUS, 0.1, 0.2, SETTINGS)
+    pert_leaf = LeafGF(SPHERE_CORPUS, 0.0, 0.1, SETTINGS)
+    second_leaf = LeafGF(SPHERE_CORPUS, 0.1, 0.2, SETTINGS)
 
     def rot_map(tval):
         return lambda z: to_real(np.exp(-2j * np.pi * tval) * to_complex(z))
@@ -119,7 +118,7 @@ def test_criterion_3_composition_formula():
             lambda z: flow_map(0.0, 0.1)(rot_map(0.12)(z)), pts,
         ),
         "pert.pert": _composition_check(
-            pert_leaf, LeafGF(second_piece),
+            pert_leaf, second_leaf,
             lambda z: flow_map(0.1, 0.2)(flow_map(0.0, 0.1)(z)), pts,
         ),
     }
@@ -139,7 +138,7 @@ def test_criterion_4_homogeneity_and_critical_value():
     gfs = [
         rotation_leaf(0.2, 2),
         build_rotation_family(0.7, 2, 4).genfun,
-        gf_compose(rotation_leaf(0.1, 2), LeafGF(FlowMap(SPHERE_CORPUS, 0.0, 0.1, SETTINGS))),
+        gf_compose(rotation_leaf(0.1, 2), LeafGF(SPHERE_CORPUS, 0.0, 0.1, SETTINGS)),
         f_phi,
         gf_compose(f_phi, build_rotation_family(0.3, 2, 4).genfun),
     ]

@@ -4,7 +4,7 @@ import pytest
 from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
-from contactmorse.flow import FlowMap, IntegratorSettings, integrate_flow
+from contactmorse.flow import IntegratorSettings, integrate_flow
 from contactmorse.linsymp import inertia, to_complex, to_real
 from contactmorse.sampling import sphere_points
 from contactmorse.translated import ShiftedGenFunFamily, build_phi_genfun
@@ -35,7 +35,7 @@ def _perturbed_spec(time_profile="constant"):
 
 def _leaf(spec, t0, t1, settings):
     """The one-link chain of the flow piece over [t0, t1]."""
-    return gfm.ChainGF((gfm.LeafGF(FlowMap(spec, t0, t1, settings)),))
+    return gfm.ChainGF((gfm.LeafGF(spec, t0, t1, settings),))
 
 
 def _tau_graph_check(gf, spec_or_map, z, settings, tol):
@@ -104,14 +104,16 @@ def test_leaf_newton_failure_raises(settings):
 
 
 def _midpoint_problem(settings, rng, rows=6):
-    piece = FlowMap(_perturbed_spec(), 0.0, 0.08, settings)
+    piece = gfm.LeafGF(_perturbed_spec(), 0.0, 0.08, settings)
     b = rng.normal(size=(rows, 4))
     return piece, b
 
 
-def _solve(piece, b, z0=None, newton_tol=1e-11):
-    return gfm.solve_midpoint(piece.spec, piece.t0, piece.t1, piece.settings, b,
-                              newton_tol, z0=z0)
+def _solve(piece, b, **kwargs):
+    """solve_midpoint, with ok narrowed to the rows that pass the leaf test."""
+    z, Zv, jac, ok = gfm.solve_midpoint(piece.spec, piece.t0, piece.t1, piece.settings, b,
+                                        **kwargs)
+    return z, Zv, jac, ok & gfm._leaf_solved(0.5 * (z + Zv), b)
 
 
 @pytest.fixture
@@ -142,16 +144,33 @@ def test_midpoint_exact_guess_takes_one_integration(settings, rng, integrations)
     assert np.array_equal(Zv2, Zr) and np.array_equal(jac2, jr)
 
 
-def test_midpoint_perturbed_guess_matches_cold(settings, rng):
-    # Newton stops anywhere inside newton_tol, so two solves of one root
-    # agree to about that tolerance; a tight one makes the comparison sharp.
+def test_midpoint_perturbed_guess_matches_cold(settings, rng, monkeypatch):
+    # Newton stops anywhere inside the leaf tolerance, so two solves of one
+    # root agree to about that tolerance; a tight one makes the comparison
+    # sharp.
+    monkeypatch.setattr(gfm, "_LEAF_TOL", 1e-13)
     piece, b = _midpoint_problem(settings, rng)
-    z, _, _, ok = _solve(piece, b, newton_tol=1e-13)
+    z, _, _, ok = _solve(piece, b)
     z0 = z + 1e-2 * rng.normal(size=z.shape)
-    z2, _, _, ok2 = _solve(piece, b, z0=z0, newton_tol=1e-13)
+    z2, _, _, ok2 = _solve(piece, b, z0=z0)
     assert ok.all() and np.array_equal(ok2, ok)
     scale = np.linalg.norm(b, axis=1)
     assert np.all(np.linalg.norm(z2 - z, axis=1) <= 1e-12 * scale)
+
+
+def test_midpoint_without_steps_leaves_the_leaf_test_to_the_caller(settings, rng,
+                                                                   integrations):
+    """max_iter = 0 integrates every row once at its guess: ok marks the rows
+    integrated there, also where the guess fails the leaf test."""
+    piece, b = _midpoint_problem(settings, rng)
+    z, _, _, _ = _solve(piece, b)
+    z0 = z + 1e-2 * rng.normal(size=z.shape)
+    integrations.clear()
+    z1, Zv1, _, ok = gfm.solve_midpoint(piece.spec, piece.t0, piece.t1, piece.settings, b,
+                                        z0=z0, max_iter=0)
+    assert len(integrations) == 1 and np.array_equal(z1, z0)
+    assert ok.all()
+    assert not gfm._leaf_solved(0.5 * (z1 + Zv1), b).any()
 
 
 def test_midpoint_converged_rows_not_integrated_again(settings, rng, integrations):
@@ -217,8 +236,8 @@ def test_rotation_quadratic_generates_rotation(rng):
 
 def test_compose_identity_reduces_to_zero_section(settings, rng):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.0, 0.0))
-    leaf1 = gfm.LeafGF(FlowMap(spec, 0.0, 0.5, settings))
-    leaf2 = gfm.LeafGF(FlowMap(spec, 0.5, 1.0, settings))
+    leaf1 = gfm.LeafGF(spec, 0.0, 0.5, settings)
+    leaf2 = gfm.LeafGF(spec, 0.5, 1.0, settings)
     comp = gfm.gf_compose(leaf1, leaf2)
     z = rng.normal(size=(6, 4))
     _tau_graph_check(comp, lambda w: w, z, settings, 1e-9)
@@ -234,7 +253,7 @@ def test_compose_two_rotations(rng):
 
 def test_compose_homogeneity(settings, rng):
     spec = _perturbed_spec()
-    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.08, settings))
+    leaf = gfm.LeafGF(spec, 0.0, 0.08, settings)
     comp = gfm.gf_compose(rotation_leaf(0.1, 2), leaf)
     x = rng.normal(size=(5, comp.total_dim))
     v1, _, _, ok = gfm.evaluate_stacked(comp, x, order=0)
@@ -266,7 +285,7 @@ def test_quadratic_dag_matches_assembled_matrix(rng):
 
 def test_gf_grad_matches_fd(settings, rng):
     spec = _perturbed_spec()
-    leaf = gfm.LeafGF(FlowMap(spec, 0.0, 0.08, settings))
+    leaf = gfm.LeafGF(spec, 0.0, 0.08, settings)
     comp = gfm.gf_compose(leaf, rotation_leaf(0.15, 2))
     x = rng.normal(size=comp.total_dim)
     _, grad, _, ok = gfm.evaluate_stacked(comp, x[None])
@@ -432,8 +451,8 @@ def test_family_hessian_rows_are_batch_independent(sphere_corpus_spec, settings,
     x = rng.normal(size=(128, family.dim))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     t = rng.uniform(-0.5, 1.5, size=128)
-    full = family.evaluate(x, t, order=2, with_dt=True)
+    full = family.evaluate(x, t, order=2)
     for rows in ([0], [77], [127], [3, 4], [10, 50], list(range(20, 27)), [1, 9, 30, 31, 60, 99, 126]):
-        part = family.evaluate(x[rows], t[rows], order=2, with_dt=True)
+        part = family.evaluate(x[rows], t[rows], order=2)
         for a, b in zip(part, full):
             assert _bitwise_equal(a, b[rows]), rows

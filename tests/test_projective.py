@@ -5,7 +5,6 @@ from contactmorse import hamiltonian as ham
 from contactmorse import projective as prj
 from contactmorse import translated as tp
 from contactmorse.genfun import gf_compose, LeafGF, evaluate_stacked
-from contactmorse.flow import FlowMap
 from contactmorse.sampling import sphere_points
 
 from oracles import build_rotation_family

@@ -284,9 +284,10 @@ def test_genfun_route_integrates_each_leaf_once_per_evaluation(settings, sphere_
     integrations, evaluations = [], []
     inner_flow, inner_eval = gfm.integrate_flow, family.evaluate
 
-    def integrating(spec, z0, *args, **kwargs):
-        integrations.append(z0.shape[0])
-        return inner_flow(spec, z0, *args, **kwargs)
+    def integrating(spec, z0, *args, with_jacobian=True, **kwargs):
+        if with_jacobian:  # a leaf solve; seeding integrates the state alone
+            integrations.append(z0.shape[0])
+        return inner_flow(spec, z0, *args, with_jacobian=with_jacobian, **kwargs)
 
     def evaluating(x, t, **kwargs):
         evaluations.append(x.shape[0])
@@ -337,13 +338,12 @@ def test_genfun_rays_carry_solved_leaves(settings, sphere_corpus_spec, monkeypat
         states.append(state.take([np.argmax(np.all(xs == xr, axis=1))]))
         bases = family.leaf_bases(xr[None])[0]
         assert states[-1].solves(bases[None])[0]
-        for piece, b, z in zip((link.piece for link in family.f_phi.links), bases,
-                               states[-1].z[0]):
-            args = (piece.spec, piece.t0, piece.t1, piece.settings, b[None])
-            assert gfm.solve_midpoint(*args, z0=z[None], max_iter=0)[3][0]
-            z_cold, _, _, ok = gfm.solve_midpoint(*args)
-            assert ok[0]
-            assert np.linalg.norm(z_cold[0] - z) <= 4.0 * tol * np.linalg.norm(b)
+        for leaf, b, z in zip(family.f_phi.links, bases, states[-1].z[0]):
+            args = (leaf.spec, leaf.t0, leaf.t1, leaf.settings, b[None])
+            cold = gfm.solve_midpoint(*args)
+            for z_out, Z_out, _, ok in (gfm.solve_midpoint(*args, z0=z[None], max_iter=0), cold):
+                assert ok[0] and gfm._leaf_solved(0.5 * (z_out + Z_out), b[None])[0]
+            assert np.linalg.norm(cold[0][0] - z) <= 4.0 * tol * np.linalg.norm(b)
 
     def off_bases():
         """The accepted rows' states with every midpoint moved off its base."""
@@ -392,7 +392,8 @@ def test_family_matches_composed_dag(fast_settings, sphere_corpus_spec):
     T = np.rint(np.linalg.inv(S))
     for t in (0.3, 0.8):
         tt = np.full(x.shape[0], t)
-        val, grad, hess, dgrad, ok = family.evaluate(x, tt, order=2, with_dt=True)
+        val, grad, hess, dgrad, ok = family.evaluate(x, tt, order=2)
+        hess = gfm.chain_hessian(hess)
         dag = nested_chain(gf_compose(family.f_phi, build_rotation_family(t, n, k).genfun))
         ref_val, ref_grad, ref_hess, ref_ok = dag.evaluate(x @ T.T, order=2)
         ref = (ref_val, ref_grad @ T, T.T @ ref_hess @ T)
@@ -660,7 +661,7 @@ def test_genfun_bordered_matrix_matches_nested_reference(settings, sphere_corpus
     tests/oracles.py to 1e-10 relative."""
     family = _corpus_family(sphere_corpus_spec, settings, 4)
     assembled = []
-    monkeypatch.setattr(tp, "chain_hessian", lambda *a: assembled.append(a))
+    monkeypatch.setattr(gfm, "chain_hessian", lambda *a: assembled.append(a))
     rel, _, _, rows = _steps_against_nested(family, sphere_corpus_spec, settings, monkeypatch,
                                             12, 8, 2)
     assert rows[0] == 24 and min(rows) < 24
@@ -708,8 +709,7 @@ def test_genfun_chain_step_rows_are_batch_independent(settings, sphere_corpus_sp
     q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 64, 8, 2)
     x, warm = family.seed(q, t)
     assert x.shape[0] == 128
-    _, grad, hess, dgrad, ok, _ = family.evaluate(x, t, order=2, with_dt=True, warm=warm,
-                                                  terms=True)
+    _, grad, hess, dgrad, ok, _ = family.evaluate(x, t, order=2, warm=warm)
     assert ok.all()
     F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
     full = family.bordered_step(x, hess, dgrad, F)
