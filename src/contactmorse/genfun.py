@@ -185,12 +185,19 @@ def join_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _LEAF_TOL = 1e-11
 _LEAF_MAX_ITER = 30
 
+# Bound on |z| / |b| of a solved midpoint.  A C^1-small leaf (delta < 2) has
+# |z| <= |b| / (1 - delta/2); a midpoint far beyond that solves a nearly
+# singular midpoint equation (an eigenvalue of DPhi near -1) only on paper.
+_LEAF_GROWTH = 1e6
 
-def _leaf_solved(solved: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The leaf test, per midpoint: its solved = (z + Phi(z))/2 (..., 2n)
-    is within the leaf tolerance of its base b, |solved - b| <= _LEAF_TOL |b|."""
+
+def _leaf_solved(z: np.ndarray, solved: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The leaf test, per midpoint z (..., 2n): its solved = (z + Phi(z))/2
+    is within the leaf tolerance of its base b, |solved - b| <= _LEAF_TOL |b|,
+    and |z| <= _LEAF_GROWTH |b|."""
+    scale = np.maximum(np.linalg.norm(b, axis=-1), 1e-12)
     r = np.linalg.norm(solved - b, axis=-1)
-    return r <= _LEAF_TOL * np.maximum(np.linalg.norm(b, axis=-1), 1e-12)
+    return (r <= _LEAF_TOL * scale) & (np.linalg.norm(z, axis=-1) <= _LEAF_GROWTH * scale)
 
 
 def _leaf_step(z: np.ndarray, jac: np.ndarray, solved: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,7 +239,7 @@ def solve_midpoint(spec, t0, t1, settings, b, z0=None, max_iter=_LEAF_MAX_ITER):
         if it == max_iter:
             break
         solved = 0.5 * (z[rows] + Zv[rows])
-        go = ~_leaf_solved(solved, b[rows])
+        go = ~_leaf_solved(z[rows], solved, b[rows])
         rows = rows[go]
         z[rows] = _leaf_step(z[rows], jac[rows], solved[go], b[rows])
     return z, Zv, jac, ok
@@ -265,7 +272,7 @@ class LeafState:
     def solves(self, b: np.ndarray) -> np.ndarray:
         """Rows (B,) on which every midpoint passes the leaf test at its base
         in b (B, L, 2n)."""
-        return np.all(_leaf_solved(self.b, b), axis=1)
+        return np.all(_leaf_solved(self.z, self.b, b), axis=1)
 
 
 def leaf_hessian(jac: np.ndarray) -> np.ndarray:
@@ -351,7 +358,7 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     solved = 0.5 * (z + Zv)
     g = mul_i(z - Zv)
     if warm is None:
-        ok_leaf &= _leaf_solved(solved, leaf_b)
+        ok_leaf &= _leaf_solved(z, solved, leaf_b)
         H = leaf_hessian(jac) if hess is not None else None
     else:
         H = leaf_hessian(jac)

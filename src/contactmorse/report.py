@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import RunConfig
-from .translated import SweepReport, TranslatedPointRecord
+from .translated import SweepReport, TranslatedPointRecord, record_sort_key
 
 # Largest error of the Reeb quarter-turn check (cli._calibration_check) of a
 # run that goes on to detection.
@@ -44,7 +44,7 @@ def _nondeg_str(flag: bool | None) -> str:
 
 def records_csv(records: list[TranslatedPointRecord], n: int) -> str:
     """CSV text: q components, t, residuals, nondegeneracy, route; one row
-    per record sorted by (t, q)."""
+    per record in record_sort_key order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = (
@@ -53,7 +53,7 @@ def records_csv(records: list[TranslatedPointRecord], n: int) -> str:
         + ["t", "residual_fixed", "residual_g", "nondegenerate", "route"]
     )
     writer.writerow(header)
-    for rec in sorted(records, key=lambda r: (r.t, r.q)):
+    for rec in sorted(records, key=record_sort_key):
         row = [_fmt(v) for v in rec.q]
         row += [
             _fmt(rec.t),

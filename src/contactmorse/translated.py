@@ -425,48 +425,80 @@ _DEDUP_T = 1e-5
 _CONTINUUM_FACTOR = 10.0
 
 
+# Records per block of _dedup_and_flag: a block's records are compared with
+# the ones kept before it and with each other, one table per block, so the
+# tables grow with the kept records, not with N^2.  Small blocks compare
+# fewer pairs; the result does not depend on the block size.
+_DEDUP_BLOCK = 32
+
+
 def _dedup_and_flag(records, n):
     """Greedy clustering by (angular, t) distance; representative = smallest
     fixed-point residual, ties broken by (t, q), so that the result does not
     depend on the order of the records (residuals tie at the rounding
-    level).  A t-slice accumulating more mutually-distinct degenerate
-    records than _CONTINUUM_FACTOR * max(2, 2n) is declared a suspected
-    continuum."""
+    level).  The kept records are in record_sort_key order.  A t-slice
+    accumulating more mutually-distinct degenerate records than
+    _CONTINUUM_FACTOR * max(2, 2n) is declared a suspected continuum."""
     if not records:
         return [], False
     order = sorted(range(len(records)),
                    key=lambda i: (records[i].residual_fixed, records[i].t, records[i].q))
     qs = np.array([records[i].q for i in order])
     ts = np.array([records[i].t for i in order])
-    chosen: list[int] = []
-    for i in range(len(order)):
-        if chosen:
-            qsel = qs[chosen]
-            tsel = ts[chosen]
-            close = (_angular_distance(qsel, qs[i]) < _DEDUP_ANGULAR) & (
-                _t_distance(tsel, ts[i]) < _DEDUP_T
-            )
-            if np.any(close):
-                continue
-        chosen.append(i)
-    kept = [records[order[i]] for i in chosen]
-    kept.sort(key=lambda r: (r.t, r.q))
+    chosen = np.zeros(len(order), dtype=bool)
+    for start in range(0, len(order), _DEDUP_BLOCK):
+        block = slice(start, start + _DEDUP_BLOCK)
+        earlier = np.flatnonzero(chosen[:start])
+        free = ~_close(qs[earlier], ts[earlier], qs[block], ts[block]).any(axis=1)
+        chosen[block] = _greedy_pick(free, _close(qs[block], ts[block], qs[block], ts[block]))
+    kept = [records[order[i]] for i in np.flatnonzero(chosen)]
+    kept.sort(key=record_sort_key)
 
     threshold = _CONTINUUM_FACTOR * max(2, 2 * n)
     continuum = False
     kept_ts = np.array([r.t for r in kept])
+    degenerate = np.array([r.nondegenerate is not True for r in kept])
     used = np.zeros(len(kept), dtype=bool)
     for i in range(len(kept)):
         if used[i]:
             continue
         slice_mask = _t_distance(kept_ts, kept_ts[i]) < max(_DEDUP_T * 10, 1e-4)
         used |= slice_mask
-        degenerate = sum(
-            1 for j in np.where(slice_mask)[0] if kept[j].nondegenerate is not True
-        )
-        if degenerate > threshold:
+        if np.count_nonzero(slice_mask & degenerate) > threshold:
             continuum = True
     return kept, continuum
+
+
+def record_sort_key(record) -> tuple:
+    """Row order of records: t, then q, each rounded to 10 digits as in
+    event_ts, so that rounding-level moves keep the rows in place.  The two
+    members of an antipodal pair share t to rounding, and on the symmetric
+    specs some of their coordinates are rounding noise of either sign."""
+    return round(record.t, 10), tuple(round(x, 10) for x in record.q)
+
+
+def _close(q1, t1, q2, t2) -> np.ndarray:
+    """(len(q2), len(q1)) table: record i of (q2, t2) and record j of (q1,
+    t1) lie within _DEDUP_ANGULAR and _DEDUP_T, by the same elementwise
+    operations as a comparison of the one pair; t only where q is close."""
+    close = _angular_distance(q1, q2[:, None]) < _DEDUP_ANGULAR
+    i, j = np.nonzero(close)
+    close[i, j] = _t_distance(t1[j], t2[i]) < _DEDUP_T
+    return close
+
+
+def _greedy_pick(free: np.ndarray, close: np.ndarray) -> np.ndarray:
+    """The greedy choice over B candidates in order: candidate i is picked
+    when it is free and close (B, B) to no picked j < i.  Each round settles
+    every candidate whose earlier close candidates are all settled."""
+    earlier = np.tril(close, -1)
+    picked = np.zeros_like(free)
+    open_ = free.copy()
+    while open_.any():
+        dropped = open_ & (earlier & picked).any(axis=1)
+        picked |= open_ & ~(earlier & (picked | open_)).any(axis=1)
+        open_ &= ~(dropped | picked)
+    return picked
 
 
 # ---------------------------------------------------------------------------

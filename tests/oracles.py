@@ -52,6 +52,7 @@ import numpy as np
 
 from contactmorse import flow
 from contactmorse import hamiltonian as ham
+from contactmorse import translated as tp
 from contactmorse.genfun import (
     ChainGF,
     LeafGF,
@@ -418,8 +419,8 @@ def reference_dop853(field, z, jac, t: float, h: float, steps: int) -> None:
 def reference_flow(spec, z0, t0: float, t1: float, settings, with_jacobian: bool = True):
     """flow.integrate_flow on the reference pair, the whole batch at once.
 
-    A linear field integrates the state alone with its Jacobian plan and
-    takes its Jacobian from one unit row integrated with it."""
+    A linear field takes its flow from one unit row integrated with its
+    Jacobian, and applies it to every row, one column at a time."""
     z = np.array(z0, dtype=float, ndmin=2)
     B, m = z.shape
     jac = np.broadcast_to(np.eye(m), (B, m, m)).copy() if with_jacobian else None
@@ -427,14 +428,18 @@ def reference_flow(spec, z0, t0: float, t1: float, settings, with_jacobian: bool
     if span != 0.0:
         steps = settings.steps_for(span)
         tables = flow._real_field(spec)
-        shared = with_jacobian and tables.linear
-        field = ReferenceFieldEval(tables, B, with_jacobian)
-        reference_dop853(field, z, None if shared else jac, t0, span / steps, steps)
-        if shared:
+        if tables.linear:
             one, unit = np.eye(1, m), np.eye(m)[None].copy()
             reference_dop853(ReferenceFieldEval(tables, 1, True), one, unit, t0, span / steps,
                              steps)
-            jac[...] = unit[0]
+            z0, z = z, np.zeros((B, m))
+            for k in range(m):
+                z += z0[:, k:k + 1] * unit[0][:, k]
+            if with_jacobian:
+                jac[...] = unit[0]
+        else:
+            reference_dop853(ReferenceFieldEval(tables, B, with_jacobian), z, jac, t0,
+                             span / steps, steps)
     return z, jac
 
 
@@ -725,3 +730,40 @@ def nested_bordered(family, sigma: np.ndarray, t: np.ndarray, dgrad: np.ndarray,
     M[:, :D, D] = dgrad
     M[:, D, :D] = border
     return M
+
+
+def loop_dedup_and_flag(records, n):
+    """translated._dedup_and_flag one record at a time: each record is
+    compared with the kept ones by one numpy call, and each t-slice by
+    another."""
+    if not records:
+        return [], False
+    order = sorted(range(len(records)),
+                   key=lambda i: (records[i].residual_fixed, records[i].t, records[i].q))
+    qs = np.array([records[i].q for i in order])
+    ts = np.array([records[i].t for i in order])
+    chosen: list[int] = []
+    for i in range(len(order)):
+        if chosen:
+            close = (tp._angular_distance(qs[chosen], qs[i]) < tp._DEDUP_ANGULAR) & (
+                tp._t_distance(ts[chosen], ts[i]) < tp._DEDUP_T
+            )
+            if np.any(close):
+                continue
+        chosen.append(i)
+    kept = [records[order[i]] for i in chosen]
+    kept.sort(key=tp.record_sort_key)
+
+    threshold = tp._CONTINUUM_FACTOR * max(2, 2 * n)
+    continuum = False
+    kept_ts = np.array([r.t for r in kept])
+    used = np.zeros(len(kept), dtype=bool)
+    for i in range(len(kept)):
+        if used[i]:
+            continue
+        slice_mask = tp._t_distance(kept_ts, kept_ts[i]) < max(tp._DEDUP_T * 10, 1e-4)
+        used |= slice_mask
+        degenerate = sum(1 for j in np.where(slice_mask)[0] if kept[j].nondegenerate is not True)
+        if degenerate > threshold:
+            continuum = True
+    return kept, continuum

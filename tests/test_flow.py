@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from contactmorse import cli, flow
 from contactmorse import hamiltonian as ham
+from contactmorse.config import load_config
 from contactmorse.linsymp import complex_structure_matrix, mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
@@ -346,9 +348,10 @@ def _bits(a):
 
 @pytest.mark.parametrize("case", ["quadratic", "rp3", "mixing", "bump"])
 def test_linear_flow_shares_jacobian_bitwise(case, rp3_corpus_spec, rng):
-    """A linear field integrates the state alone and copies in one shared
-    Jacobian; states and Jacobians keep, bit for bit (signed zeros
-    included), those of a one-row integration that carries the Jacobian."""
+    """A linear field's flow is its one shared Jacobian P: every state is
+    P z0, summed one column at a time, bit for bit, and within 1e-13
+    relative of a one-row integration that carries the Jacobian, whose
+    Jacobian every row gets bit for bit (signed zeros included)."""
     spec = _linear_specs(rp3_corpus_spec)[case]
     tables = flow._real_field(spec)
     assert tables.linear
@@ -359,12 +362,16 @@ def test_linear_flow_shares_jacobian_bitwise(case, rp3_corpus_spec, rng):
             z, jac = flow.integrate_flow(spec, z0, t0, t1, settings)
             span = t1 - t0
             steps = settings.steps_for(span)
-            shared = np.broadcast_to(tables.jacobian(t0, span, steps), jac.shape)
-            assert np.array_equal(_bits(jac), _bits(shared))
+            P = tables.jacobian(t0, span, steps)
+            assert np.array_equal(_bits(jac), _bits(np.broadcast_to(P, jac.shape)))
+            expect = np.zeros_like(z0)
+            for k in range(4):
+                expect += z0[:, k:k + 1] * P[:, k]
+            assert np.array_equal(_bits(z), _bits(expect)), (t0, t1)
             for i in range(z0.shape[0]):
                 zr, jr = z0[i:i + 1].copy(), np.eye(4)[None].copy()
                 flow._dop853(flow._FieldEval(tables, 1, True), zr, jr, t0, span / steps, steps)
-                assert np.array_equal(_bits(zr), _bits(z[i:i + 1])), (t0, t1, i)
+                assert np.max(np.abs(zr - z[i:i + 1])) <= 1e-13 * np.max(np.abs(zr))
                 assert np.array_equal(_bits(jr), _bits(jac[i:i + 1])), (t0, t1, i)
 
 
@@ -401,16 +408,17 @@ def test_shared_jacobian_is_copied_out(rp3_corpus_spec, settings):
 
 
 def test_rp3_config_computes_one_jacobian_per_interval(tmp_path, monkeypatch):
-    """On the committed rp3 config the memo integrates one Jacobian per
-    distinct (span, steps): the stacked integrations of the 16 genfun leaves
-    in every outer Newton iteration share one, and so do the direct route's
-    time-one integrations."""
+    """On the committed rp3 config each compiled spec's memo integrates one
+    Jacobian per distinct (span, steps): the stacked integrations of the 16
+    genfun leaves in every outer Newton iteration share one, and so do the
+    direct route's time-one integrations.  The Reeb calibration check asks
+    its own spec's memo."""
     flow._real_field.cache_clear()
     asked, computed = [], []
     lookup, integrate = flow._RealField.jacobian, flow._dop853
 
     def jacobian(self, t0, span, steps):
-        asked.append((span, steps))
+        asked.append((self, span, steps))
         return lookup(self, t0, span, steps)
 
     def dop853(field, z, jac, *args):
@@ -423,8 +431,47 @@ def test_rp3_config_computes_one_jacobian_per_interval(tmp_path, monkeypatch):
     config = Path(__file__).resolve().parents[1] / "configs" / "rp3-sym-eps0.05.json"
     assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert computed == [1] * len(set(asked))
-    leaf = (1 / 16, 1)
-    assert asked.count(leaf) > 1 and asked.count((1.0, 16)) > 1
+    rp3 = flow._real_field(load_config(config).hamiltonian)
+    leaf = (rp3, 1 / 16, 1)
+    assert asked.count(leaf) > 1 and asked.count((rp3, 1.0, 16)) > 1
+
+
+@pytest.mark.parametrize("routes", ["both", "genfun"])
+def test_rp3_config_stage_loop_matches_linear_map(routes, tmp_path, monkeypatch):
+    """The committed rp3 config run with the stage loop in place of the
+    linear flow's one matrix gives the same report (the calibration error
+    aside), the same exit status and the same records, row by row: the same
+    flags, and q, t and residuals within 1e-12.  On the genfun route the two
+    members of an antipodal pair, whose t agree to rounding, keep their rows."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "rp3-sym-eps0.05.json"
+
+    def run(name):
+        out = tmp_path / name
+        status = cli.main(["run", str(config), "--out", str(out), "--routes", routes])
+        report = [line for line in (out / "report.txt").read_text().splitlines()
+                  if not line.startswith("reeb_quarter_turn_rel_err")]
+        lines = (out / "records.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        numeric = [i for i, key in enumerate(header) if key not in ("nondegenerate", "route")]
+        values = np.array([[float(row[i]) for i in numeric] for row in rows])
+        flags = [[v for i, v in enumerate(row) if i not in numeric] for row in rows]
+        return status, report, values, flags
+
+    linear = run("linear")
+
+    @functools.lru_cache(maxsize=None)
+    def stage_loop(spec):
+        tables = flow._RealField(spec)
+        tables.linear = False
+        return tables
+
+    monkeypatch.setattr(flow, "_real_field", stage_loop)
+    staged = run("stage_loop")
+    assert linear[0] == staged[0] == cli.EXIT_OK
+    assert linear[1] == staged[1]
+    assert linear[2].shape == staged[2].shape == (8, 7)
+    assert np.max(np.abs(linear[2] - staged[2])) <= 1e-12
+    assert linear[3] == staged[3]
 
 
 def _kernel_reference(spec, x, t):

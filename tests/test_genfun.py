@@ -113,7 +113,7 @@ def _solve(piece, b, **kwargs):
     """solve_midpoint, with ok narrowed to the rows that pass the leaf test."""
     z, Zv, jac, ok = gfm.solve_midpoint(piece.spec, piece.t0, piece.t1, piece.settings, b,
                                         **kwargs)
-    return z, Zv, jac, ok & gfm._leaf_solved(0.5 * (z + Zv), b)
+    return z, Zv, jac, ok & gfm._leaf_solved(z, 0.5 * (z + Zv), b)
 
 
 @pytest.fixture
@@ -170,7 +170,7 @@ def test_midpoint_without_steps_leaves_the_leaf_test_to_the_caller(settings, rng
                                         z0=z0, max_iter=0)
     assert len(integrations) == 1 and np.array_equal(z1, z0)
     assert ok.all()
-    assert not gfm._leaf_solved(0.5 * (z1 + Zv1), b).any()
+    assert not gfm._leaf_solved(z1, 0.5 * (z1 + Zv1), b).any()
 
 
 def test_midpoint_converged_rows_not_integrated_again(settings, rng, integrations):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contactmorse import cli
 from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
@@ -17,6 +18,7 @@ from oracles import (
     build_rotation_family,
     chain_change,
     contact_form_eval,
+    loop_dedup_and_flag,
     nested_bordered,
     nested_chain,
 )
@@ -198,6 +200,48 @@ def test_records_independent_of_seed_order(route, settings, rp3_corpus_spec):
         assert records(order) == expected
 
 
+def _dedup_inputs(config, tmp_path, monkeypatch):
+    """The records that every _dedup_and_flag call of a run of config gets."""
+    calls, dedup = [], tp._dedup_and_flag
+
+    def spy(records, n):
+        calls.append((list(records), n))
+        return dedup(records, n)
+
+    monkeypatch.setattr(tp, "_dedup_and_flag", spy)
+    cli.main(["run", str(CONFIGS / config), "--out", str(tmp_path / config)])
+    monkeypatch.setattr(tp, "_dedup_and_flag", dedup)
+    return calls
+
+
+def _chain_records(count):
+    """Records along one great circle at t = 0.5, neighbours 0.6e-4 radians
+    apart, so each is close to the next: a chain that the greedy pick
+    resolves one link at a time."""
+    angles = 0.6e-4 * np.arange(count)
+    qs = np.stack([np.cos(angles), np.sin(angles), 0 * angles, 0 * angles], axis=1)
+    return [tp.TranslatedPointRecord(tuple(q), 0.5, 1e-12 * (1 + i % 3), 0.0, None, "direct")
+            for i, q in enumerate(qs)]
+
+
+def test_dedup_matches_record_loop(tmp_path, monkeypatch):
+    """The blocked dedup keeps the records and flags the continuum of the
+    one-record-at-a-time loop, whatever the block size, on the Reeb
+    continuum, on both routes of rp3 and on a chain of close records."""
+    calls = (_dedup_inputs("reeb-continuum.json", tmp_path, monkeypatch)
+             + _dedup_inputs("rp3-sym-eps0.05.json", tmp_path, monkeypatch)
+             + [(_chain_records(700), 2)])
+    assert len(calls) == 4
+    flagged = []
+    for block in (7, 256, 5000):
+        monkeypatch.setattr(tp, "_DEDUP_BLOCK", block)
+        for records, n in calls:
+            kept, continuum = tp._dedup_and_flag(records, n)
+            assert (kept, continuum) == loop_dedup_and_flag(records, n), block
+            flagged.append(continuum)
+    assert any(flagged) and not all(flagged)
+
+
 def test_t_distance_wraparound():
     assert tp._t_distance(0.01, 0.99) == pytest.approx(0.02)
     assert tp._t_distance(0.5, 0.5) == 0.0
@@ -342,7 +386,7 @@ def test_genfun_rays_carry_solved_leaves(settings, sphere_corpus_spec, monkeypat
             args = (leaf.spec, leaf.t0, leaf.t1, leaf.settings, b[None])
             cold = gfm.solve_midpoint(*args)
             for z_out, Z_out, _, ok in (gfm.solve_midpoint(*args, z0=z[None], max_iter=0), cold):
-                assert ok[0] and gfm._leaf_solved(0.5 * (z_out + Z_out), b[None])[0]
+                assert ok[0] and gfm._leaf_solved(z_out, 0.5 * (z_out + Z_out), b[None])[0]
             assert np.linalg.norm(cold[0][0] - z) <= 4.0 * tol * np.linalg.norm(b)
 
     def off_bases():
@@ -682,7 +726,8 @@ def test_genfun_chain_steps_match_nested_reference_on_stress_families(case, sett
     identity, and Newton on the quadratic spec slides along its degenerate
     critical circles: bordered matrices there reach condition numbers of
     1e12 to 1e17, where any two backward-stable solves differ by about
-    cond * eps.  So the 1e-10 agreement is widened by 1e-16 * cond per row,
+    cond * eps.  So the 1e-10 agreement is widened by 1e-16 * cond per row
+    whose matrix is not singular to working precision (cond * eps < 1),
     and every chain step must be backward stable."""
     spec, k = sphere_corpus_spec, 4
     if case == "quadratic-1.0-0.35":
@@ -698,7 +743,8 @@ def test_genfun_chain_steps_match_nested_reference_on_stress_families(case, sett
                                                       8, 8, 2)
     assert rows[0] == 16 and len(rows) > 2
     assert np.sum(cond < 1e6) >= rows[0]
-    assert np.all(rel <= 1e-10 + 1e-16 * cond)
+    regular = cond * np.finfo(float).eps < 1.0
+    assert np.all(rel[regular] <= 1e-10 + 1e-16 * cond[regular])
     assert np.max(backward) <= 1e-15
 
 
