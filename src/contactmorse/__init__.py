@@ -16,7 +16,6 @@ from .flow import (
 from .genfun import (
     ChainGF,
     LeafGF,
-    LeafNewtonError,
     gf_compose,
 )
 from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm
@@ -25,8 +24,6 @@ from .projective import (
     AntipodalPairingError,
     ProjectiveSpec,
     antipodal_classes,
-    gf_invariance_check,
-    z2_equivariance_check,
 )
 from .translated import (
     ConfigurationError,
@@ -38,8 +35,6 @@ from .translated import (
     TranslatedPointRecord,
     direct_translated_points,
     find_critical_rays,
-    index_jump,
-    nondegeneracy_check,
     sweep_and_count,
 )
 

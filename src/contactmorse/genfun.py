@@ -42,15 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import IntegratorSettings, integrate_flow, subdivide_c1_small
-from .hamiltonian import ContactHamiltonianSpec, sphere_value
-from .linsymp import complex_structure_matrix, mul_i, solve_rows, to_complex
-from .sampling import sphere_points
-
-
-class LeafNewtonError(RuntimeError):
-    """The midpoint solve of a leaf did not converge: the piece is not
-    C^1-small enough and the caller must re-subdivide."""
+from .flow import IntegratorSettings, integrate_flow
+from .hamiltonian import ContactHamiltonianSpec
+from .linsymp import complex_structure_matrix, mul_i
 
 
 @dataclass(frozen=True)
@@ -441,90 +435,3 @@ def rotation_family_matrices(t, n: int, k: int):
     if np.ndim(t) == 0:
         return M[0], dM[0]
     return M, dM
-
-
-def fiber_critical_solve(
-    gf: ChainGF,
-    base: np.ndarray,
-    fiber0: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 40,
-):
-    """Newton on the fiber block: find fiber with d_fiber F(base; fiber) = 0.
-
-    Returns (fiber, ok).  The base stays fixed; the Jacobian is the
-    fiber-fiber block of the Hessian.
-    """
-    base = np.asarray(base, dtype=float)
-    fiber = np.asarray(fiber0, dtype=float).copy()
-    B = base.shape[0]
-    m = gf.base_dim
-    ok = np.zeros(B, dtype=bool)
-    scale = np.maximum(np.linalg.norm(base, axis=1), 1e-12)
-    for _ in range(max_iter):
-        x = np.concatenate([base, fiber], axis=1)
-        _, grad, hess, ok_eval = evaluate_stacked(gf, x, order=2)
-        gfib = grad[:, m:]
-        ok = ok_eval & (np.linalg.norm(gfib, axis=1) <= tol * scale)
-        if np.all(ok | ~ok_eval):
-            break
-        step = solve_rows(chain_hessian(hess)[:, m:, m:], gfib)
-        upd = ~ok & ok_eval
-        fiber = fiber - np.where(upd[:, None], step, 0.0)
-    return fiber, ok
-
-
-def reduced_covector(gf: ChainGF, base: np.ndarray, fiber: np.ndarray):
-    """Base gradient at a fiber-critical point: the covector of i_F."""
-    x = np.concatenate([base, fiber], axis=1)
-    _, grad, _, ok = evaluate_stacked(gf, x, order=1)
-    return grad[:, : gf.base_dim], ok
-
-
-# ---------------------------------------------------------------------------
-# Monotonicity
-# ---------------------------------------------------------------------------
-
-
-def monotonicity_probe_values(
-    spec,
-    settings: IntegratorSettings | None = None,
-    delta: float = 1.0,
-    sample_count: int = 64,
-    t_count: int = 16,
-    fd_step: float = 1e-4,
-):
-    """Finite-difference values of dF_t/dt on fixed total-space samples.
-
-    Requires a sign-definite Hamiltonian (checked by sampling the sphere);
-    raises otherwise.  Returns an array of shape (t_count, sample_count).
-    """
-    if settings is None:
-        settings = IntegratorSettings()
-    schedule = subdivide_c1_small(spec, 0.0, 1.0, delta, settings)
-    dim = flow_chain(spec, schedule, settings).total_dim
-    samples = sphere_points(sample_count, dim, seed=0.3)
-
-    knots = np.array([a for a, _ in schedule] + [1.0])
-    t_grid = (np.arange(t_count) + 0.5) / t_count
-    for i, t in enumerate(t_grid):
-        # keep the centered stencil inside one piece
-        while np.min(np.abs(knots - t_grid[i])) < 2 * fd_step:
-            t_grid[i] += 4 * fd_step
-
-    sphere_q = to_complex(sphere_points(64 * spec.n, 2 * spec.n))
-    h_vals = np.concatenate([np.atleast_1d(sphere_value(spec, sphere_q, t)) for t in t_grid])
-    if np.any(h_vals > 0) and np.any(h_vals < 0) or np.any(h_vals == 0):
-        raise ValueError("Hamiltonian is not sign-definite on the sphere sample set")
-
-    probes = np.zeros((t_count, sample_count))
-    for i, t in enumerate(t_grid):
-        hi, _, _, ok_hi = evaluate_stacked(flow_chain(spec, schedule, settings, t + fd_step),
-                                           samples, order=0)
-        lo, _, _, ok_lo = evaluate_stacked(flow_chain(spec, schedule, settings, t - fd_step),
-                                           samples, order=0)
-        if not np.all(ok_hi & ok_lo):
-            raise LeafNewtonError("leaf solve failed during the monotonicity probe")
-        probes[i] = (hi - lo) / (2.0 * fd_step)
-    return probes
-

@@ -6,7 +6,7 @@ a, b.  Restricted to the sphere and lifted by |z|^2 h(z/|z|), each term becomes
 amplitude * rho^{(2-d)/2} * Re(z^a conj(z)^b) with rho = |z|^2 and d = sum(a+b).
 
 This module holds the specs, the time profile and the value of the lift
-(`eval_lift`, `sphere_value`).  The lifted field and its Jacobian are
+(`eval_lift`).  The lifted field and its Jacobian are
 compiled from the spec terms in `flow`.
 """
 
@@ -121,12 +121,3 @@ def eval_lift(spec: ContactHamiltonianSpec, z: np.ndarray, t=0.0):
         mono = np.prod(z**term.z_powers * z.conj() ** term.zbar_powers, axis=-1)
         H = H + term.amplitude * rho ** (0.5 * (2 - term.degree)) * mono.real
     return H * time_profile_value(spec, t)
-
-
-def sphere_value(spec: ContactHamiltonianSpec, q: np.ndarray, t=0.0) -> np.ndarray:
-    """h_t evaluated at unit-sphere points (complex shape (..., n))."""
-    q = np.asarray(q, dtype=complex)
-    rho = np.sum((q * q.conj()).real, axis=-1)
-    if np.any(np.abs(rho - 1.0) > 1e-8):
-        raise ValueError("sphere_value expects unit vectors")
-    return eval_lift(spec, q, t)

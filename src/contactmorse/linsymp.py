@@ -14,18 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def as_coords(v, n: int | None = None) -> np.ndarray:
-    """Coerce v to a float array of shape (..., 2n)."""
-    arr = np.asarray(v, dtype=float)
-    if arr.shape[-1] % 2 != 0:
-        raise ValueError(f"coordinate vector must have even length, got {arr.shape[-1]}")
-    if n is not None and arr.shape[-1] != 2 * n:
-        raise ValueError(f"expected {2 * n} coordinates, got {arr.shape[-1]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinates must be finite")
-    return arr
-
-
 def to_complex(x: np.ndarray) -> np.ndarray:
     """(..., 2n) real -> (..., n) complex under the (x, y) block layout."""
     n = x.shape[-1] // 2

@@ -9,15 +9,13 @@ odd map and every generating function built from it is even, hence conical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import IntegratorSettings, integrate_flow
-from .genfun import ChainGF, evaluate_stacked
-from .hamiltonian import ContactHamiltonianSpec, sphere_value
+from .flow import _real_expansion
+from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import to_complex
-from .sampling import sphere_points
 from .translated import _DEDUP_ANGULAR, _DEDUP_T, TranslatedPointRecord, pair_records
 
 
@@ -25,62 +23,63 @@ class AntipodalPairingError(RuntimeError):
     """A record set from a projective spec is not antipodally closed."""
 
 
-# Largest |h(z) - h(-z)| over the sample set that a projective spec allows.
-_SYMMETRY_TOL = 1e-12
+# Every finite double times 2^1074 is an integer, so coefficients scaled by
+# _EXACT add up exactly as Python ints.
+_EXACT = 2**1074
 
 
-def _symmetry_samples(n: int, count: int = 128) -> np.ndarray:
-    return sphere_points(count, 2 * n, seed=0.25)
+def _times_norm_squared(poly: dict[tuple, int]) -> dict[tuple, int]:
+    """poly times |u|^2 = sum_i u_i^2, over the real monomials u^alpha."""
+    out: dict[tuple, int] = {}
+    for alpha, c in poly.items():
+        for i in range(len(alpha)):
+            beta = alpha[:i] + (alpha[i] + 2,) + alpha[i + 1:]
+            out[beta] = out.get(beta, 0) + c
+    return out
+
+
+def _monomial_name(alpha: tuple) -> str:
+    """u^alpha in the coordinates (x_1..x_n, y_1..y_n), z_j = x_j + i y_j."""
+    n = len(alpha) // 2
+    return " ".join(f"{'xy'[i // n]}{i % n + 1}" + (f"^{e}" if e > 1 else "")
+                    for i, e in enumerate(alpha) if e)
 
 
 @dataclass(frozen=True)
 class ProjectiveSpec:
-    """A contact Hamiltonian with the antipodal symmetry h(-z) = h(z)."""
+    """A contact Hamiltonian with the antipodal symmetry h(-z) = h(z).
+
+    The quadratic part and the even-degree terms are even, and an odd-degree
+    term is odd, so h is Z2-symmetric iff its odd-degree terms sum to zero on
+    the sphere.  Each is a real polynomial of its degree d (flow's
+    _real_expansion); multiplied by |u|^(D - d) = 1, with D the largest odd
+    degree, they become homogeneous of degree D, and such a polynomial
+    vanishes on the sphere iff each of its coefficients is zero.  The
+    coefficients are integers times the amplitudes, summed exactly.
+    """
 
     base: ContactHamiltonianSpec
 
     def __post_init__(self):
-        samples = _symmetry_samples(self.base.n)
-        zc = to_complex(samples)
-        defect = np.max(np.abs(sphere_value(self.base, zc) - sphere_value(self.base, -zc)))
-        if defect > _SYMMETRY_TOL:
+        odd = [term for term in self.base.terms if term.degree % 2]
+        top = max((term.degree for term in odd), default=0)
+        coeffs: dict[tuple, int] = {}
+        for term in odd:
+            num, den = float(term.amplitude).as_integer_ratio()
+            amplitude = num * (_EXACT // den)
+            poly = {alpha: int(c.real) * amplitude
+                    for alpha, c in _real_expansion(term.z_powers, term.zbar_powers).items()}
+            for _ in range((top - term.degree) // 2):
+                poly = _times_norm_squared(poly)
+            for alpha, c in poly.items():
+                coeffs[alpha] = coeffs.get(alpha, 0) + c
+        left = {alpha: c for alpha, c in coeffs.items() if c}
+        if left:
+            alpha = max(left, key=lambda a: abs(left[a]))
             raise ValueError(
-                f"Hamiltonian is not Z2-symmetric: max |h(z) - h(-z)| = {defect:.3e} "
-                f"over the sample set (needs <= {_SYMMETRY_TOL:.0e})"
+                f"Hamiltonian is not Z2-symmetric: its odd part has coefficient "
+                f"{left[alpha] / _EXACT:.3e} on {_monomial_name(alpha)}"
             )
-
-
-def z2_equivariance_check(
-    spec: ContactHamiltonianSpec | ProjectiveSpec,
-    samples: np.ndarray | None = None,
-    t1: float = 1.0,
-    settings: IntegratorSettings | None = None,
-) -> float:
-    """max |Phi(-z) + Phi(z)| over samples; vanishes for equivariant lifts."""
-    base = spec.base if isinstance(spec, ProjectiveSpec) else spec
-    if settings is None:
-        settings = IntegratorSettings()
-    if samples is None:
-        samples = _symmetry_samples(base.n)
-    plus, _ = integrate_flow(base, samples, 0.0, t1, settings, with_jacobian=False)
-    minus, _ = integrate_flow(base, -samples, 0.0, t1, settings, with_jacobian=False)
-    return float(np.max(np.linalg.norm(plus + minus, axis=1)))
-
-
-def gf_invariance_check(gf: ChainGF, samples: np.ndarray | None = None) -> float:
-    """max |F(-x) - F(x)| / |x|^2 over total-space samples.
-
-    Even generating functions are exactly the conical ones once degree-2
-    homogeneity holds, so this is the Z2-invariance defect.
-    """
-    if samples is None:
-        samples = sphere_points(64, gf.total_dim, seed=0.75)
-    vp, _, _, okp = evaluate_stacked(gf, samples, order=0)
-    vm, _, _, okm = evaluate_stacked(gf, -samples, order=0)
-    if not np.all(okp & okm):
-        raise RuntimeError("leaf solves failed on the invariance sample set")
-    scale = np.sum(samples * samples, axis=1)
-    return float(np.max(np.abs(vp - vm) / scale))
 
 
 def antipodal_classes(records: list[TranslatedPointRecord]) -> list[TranslatedPointRecord]:
@@ -89,8 +88,10 @@ def antipodal_classes(records: list[TranslatedPointRecord]) -> list[TranslatedPo
 
     Returns one representative per class, with the canonical phase (the
     first complex coordinate of significant modulus gets argument in
-    [0, pi)).  An unpaired record, or one with two partner candidates, is a
-    hard failure: equivariance was violated somewhere upstream.
+    [0, pi)).  Classes keep the input order: each stands where its first
+    member stands in records.  An unpaired record, or one with two partner
+    candidates, is a hard failure: equivariance was violated somewhere
+    upstream.
     """
     partner = pair_records(records, records, _DEDUP_ANGULAR, _DEDUP_T, antipodal=True)
     if partner is None:
@@ -98,9 +99,7 @@ def antipodal_classes(records: list[TranslatedPointRecord]) -> list[TranslatedPo
     for rec, j in zip(records, partner):
         if j < 0:
             raise AntipodalPairingError(f"record at t={rec.t:.6f} has no antipodal partner")
-    classes = [canonical_phase(rec) for i, rec in enumerate(records) if i < partner[i]]
-    classes.sort(key=lambda r: (r.t, r.q))
-    return classes
+    return [canonical_phase(rec) for i, rec in enumerate(records) if i < partner[i]]
 
 
 def canonical_phase(record: TranslatedPointRecord) -> TranslatedPointRecord:
@@ -111,7 +110,5 @@ def canonical_phase(record: TranslatedPointRecord) -> TranslatedPointRecord:
     lead = int(np.argmax(mags > 0.25 * mags.max())) if mags.max() > 0 else 0
     arg = float(np.angle(zc[lead]))
     if not (0.0 <= arg < np.pi):
-        from dataclasses import replace
-
         return replace(record, q=tuple(float(-v) for v in q))
     return record

@@ -32,7 +32,6 @@ from .genfun import (
 )
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import (
-    as_coords,
     complex_structure_matrix,
     inertia,
     mul_i,
@@ -159,7 +158,11 @@ def _prefilter_seeds(
     One state-only integration gives Phi on the sphere grid; the t factor is
     explicit, so the residual over the whole product grid costs nothing and
     Newton only starts from the most promising (q, t) pairs per sphere seed.
+    Both routes take their starts from here, so both reject a grid of fewer
+    than 8 sphere seeds.
     """
+    if sphere_count < 8:
+        raise ValueError("resolution too small: need at least 8 sphere seeds")
     n2 = 2 * spec.n
     qs = sphere_points(sphere_count, n2)
     phi_q, _ = integrate_flow(spec, qs, 0.0, 1.0, settings, with_jacobian=False)
@@ -212,8 +215,6 @@ def direct_translated_points(
     """
     if settings is None:
         settings = IntegratorSettings()
-    if sphere_count < 8:
-        raise ValueError("resolution too small: need at least 8 sphere seeds")
     if seeds is None:
         seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
     q, t = seeds
@@ -395,23 +396,6 @@ def _classify_kernel(svals: np.ndarray, vt: np.ndarray, q: np.ndarray, tol: floa
     v = vt[-1]
     qhat = q / np.linalg.norm(q)
     return bool(abs(float(np.dot(v, qhat))) > 1.0 - 1e-6)
-
-
-def nondegeneracy_check(
-    spec: ContactHamiltonianSpec,
-    q,
-    t: float,
-    tol: float = _NONDEG_TOL,
-    settings: IntegratorSettings | None = None,
-):
-    """Classify a (q, t) record: non-degenerate iff the horizontal kernel is
-    exactly the radial line.  Returns True/False or None (indeterminate)."""
-    if settings is None:
-        settings = IntegratorSettings()
-    qa = as_coords(q, spec.n)
-    _, _, dpsi = _shifted_flow(spec, settings, qa[None], np.array([float(t)]))
-    svals, vt = _kernel_svd(dpsi)
-    return _classify_kernel(svals[0], vt[0], qa, tol)
 
 
 # Two records of one route are one point when their q lie within
@@ -807,18 +791,15 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
 # ---------------------------------------------------------------------------
 
 
-def index_jump(n: int, k: int) -> int:
-    """i(A_1) - i(A_0) for the k-piece rotation family; equals 2n.
+def index_data(n: int, k: int) -> dict:
+    """Inertia of the endpoint forms A_0 and A_1 of the k-piece rotation
+    family, and the jump i(A_1) - i(A_0), which equals 2n.
 
     Both endpoint forms generate the identity, whose critical set is the full
     2n-dimensional diagonal family, so the raw matrices carry a structural
     kernel of dimension exactly 2n; any other nullity is a configuration
     error.  The index difference is insensitive to that kernel.
     """
-    return index_data(n, k)["jump"]
-
-
-def index_data(n: int, k: int) -> dict:
     if k < 3:
         raise ValueError("k must be >= 3")
     in0 = inertia(rotation_family_matrices(0.0, n, k)[0])

@@ -31,7 +31,7 @@ The test-only helpers at the end are not called by the library: the
 library's compiled field at a batch of points, matrices of the linear
 symplectic structure, the contact form alpha (the pullback
 oracle of the conformal factor), the covector of the graph-to-cotangent
-identification tau, quadratic generating functions, and the k-piece rotation
+identification tau, the finite-difference monotonicity probe of dF_t/dt, quadratic generating functions, and the k-piece rotation
 family as a chain next to its matrix.
 
 Nested reference.  The library stores every generating function as one chain
@@ -57,11 +57,13 @@ from contactmorse.genfun import (
     ChainGF,
     LeafGF,
     evaluate_stacked,
+    flow_chain,
     gf_compose,
     leaf_hessian,
     rotation_family_matrices,
 )
-from contactmorse.linsymp import as_coords, complex_structure_matrix, mul_i
+from contactmorse.linsymp import complex_structure_matrix, mul_i, to_complex
+from contactmorse.sampling import sphere_points
 
 
 def jacobi_eigenvalues(M: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
@@ -484,8 +486,8 @@ def contact_form_eval(q, v) -> float:
     Works on the whole of R^{2n}; on the unit sphere this is the standard
     contact form, and alpha_q(i q) = |q|^2.
     """
-    qa = as_coords(q)
-    va = as_coords(v)
+    qa = np.asarray(q, dtype=float)
+    va = np.asarray(v, dtype=float)
     if qa.shape != va.shape:
         raise ValueError("q and v must have the same dimension")
     n = qa.shape[-1] // 2
@@ -503,6 +505,43 @@ def tau_covector(z: np.ndarray, Z: np.ndarray) -> np.ndarray:
     z == Z goes to the zero section.  Batched over leading axes.
     """
     return -mul_i(Z - z)
+
+
+def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: int = 64,
+                              t_count: int = 16, fd_step: float = 1e-4) -> np.ndarray:
+    """Centered finite differences of dF_t/dt on fixed total-space samples,
+    shape (t_count, sample_count), for F_t the chain of the isotopy's pieces
+    up to time t.
+
+    Requires a sign-definite Hamiltonian: h_t at unit points of the sphere
+    (the lift eval_lift there) must be all positive or all negative at every
+    probed t; raises ValueError otherwise.
+    """
+    schedule = flow.subdivide_c1_small(spec, 0.0, 1.0, delta, settings)
+    samples = sphere_points(sample_count, flow_chain(spec, schedule, settings).total_dim,
+                            seed=0.3)
+    knots = np.array([a for a, _ in schedule] + [1.0])
+    t_grid = (np.arange(t_count) + 0.5) / t_count
+    for i in range(t_count):
+        # keep the centered stencil inside one piece
+        while np.min(np.abs(knots - t_grid[i])) < 2 * fd_step:
+            t_grid[i] += 4 * fd_step
+
+    unit = to_complex(sphere_points(64 * spec.n, 2 * spec.n))
+    h_vals = np.concatenate([np.atleast_1d(ham.eval_lift(spec, unit, t)) for t in t_grid])
+    if not (np.all(h_vals > 0) or np.all(h_vals < 0)):
+        raise ValueError("Hamiltonian is not sign-definite on the sphere sample set")
+
+    probes = np.zeros((t_count, sample_count))
+    for i, t in enumerate(t_grid):
+        hi, _, _, ok_hi = evaluate_stacked(flow_chain(spec, schedule, settings, t + fd_step),
+                                           samples, order=0)
+        lo, _, _, ok_lo = evaluate_stacked(flow_chain(spec, schedule, settings, t - fd_step),
+                                           samples, order=0)
+        if not np.all(ok_hi & ok_lo):
+            raise RuntimeError("leaf solve failed during the monotonicity probe")
+        probes[i] = (hi - lo) / (2.0 * fd_step)
+    return probes
 
 
 class QuadraticGF:

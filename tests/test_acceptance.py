@@ -13,18 +13,16 @@ from contactmorse import hamiltonian as ham
 from contactmorse import projective as prj
 from contactmorse import translated as tp
 from contactmorse.flow import IntegratorSettings, integrate_flow
-from contactmorse.genfun import (
-    LeafGF,
-    evaluate_stacked,
-    fiber_critical_solve,
-    gf_compose,
-    monotonicity_probe_values,
-    reduced_covector,
-)
+from contactmorse.genfun import LeafGF, evaluate_stacked, gf_compose
 from contactmorse.linsymp import mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
-from oracles import build_rotation_family, rotation_leaf, tau_covector
+from oracles import (
+    build_rotation_family,
+    monotonicity_probe_values,
+    rotation_leaf,
+    tau_covector,
+)
 
 SETTINGS = IntegratorSettings(steps_per_unit=16)
 
@@ -60,7 +58,7 @@ def test_criterion_1_index_jump():
     for n in (1, 2, 3):
         for k in (3, 4, 5, 8):
             t0 = time.perf_counter()
-            jump = tp.index_jump(n, k)
+            jump = tp.index_data(n, k)["jump"]
             dt = time.perf_counter() - t0
             if jump != 2 * n or dt >= 1.0:
                 ok = False
@@ -86,11 +84,13 @@ def _composition_check(first, second, oracle_map, points, tol=1e-7):
     Z = oracle_map(points)
     base = 0.5 * (points + Z)
     fib, _ = comp.chain_seed(points)
-    fib, ok = fiber_critical_solve(comp, base, fib)
-    cov, ok2 = reduced_covector(comp, base, fib)
-    if not (ok.all() and ok2.all()):
+    _, grad, _, ok = evaluate_stacked(comp, np.concatenate([base, fib], axis=1), order=1)
+    m = comp.base_dim
+    # the chain seed is fiber-critical: fiber gradient within 1e-10 |base|
+    ok &= np.linalg.norm(grad[:, m:], axis=1) <= 1e-10 * np.linalg.norm(base, axis=1)
+    if not ok.all():
         return np.inf
-    return float(np.max(np.abs(cov - tau_covector(points, Z))))
+    return float(np.max(np.abs(grad[:, :m] - tau_covector(points, Z))))
 
 
 def test_criterion_3_composition_formula():
@@ -250,6 +250,12 @@ def test_criterion_8_monotonicity():
              ok, f"min_pos={np.min(vals_pos):.2e}, max_neg={np.max(vals_neg):.2e}")
 
 
+def _nondegenerate(spec, q, t, tol):
+    """The non-degeneracy verdict of the record detection builds at (q, t)."""
+    return tp._build_records(spec, SETTINGS, np.asarray(q, dtype=float)[None],
+                             np.array([t]), "direct", tol)[0].nondegenerate
+
+
 def test_criterion_9_nondegeneracy_classifier():
     diag = ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -259,13 +265,10 @@ def test_criterion_9_nondegeneracy_classifier():
     )
     ok = bool(res.records)
     for tol in (1e-8, 1e-7, 1e-6):
-        ok = ok and tp.nondegeneracy_check(diag, e1, 0.3, tol, SETTINGS) is False
-        ok = ok and tp.nondegeneracy_check(diag, e2, 0.7, tol, SETTINGS) is False
+        ok = ok and _nondegenerate(diag, e1, 0.3, tol) is False
+        ok = ok and _nondegenerate(diag, e2, 0.7, tol) is False
         for rec in res.records:
-            ok = ok and (
-                tp.nondegeneracy_check(SPHERE_CORPUS, rec.q_array(), rec.t, tol, SETTINGS)
-                is True
-            )
+            ok = ok and _nondegenerate(SPHERE_CORPUS, rec.q, rec.t, tol) is True
     _verdict(9, "classifier: diagonal unitary degenerate, perturbed non-degenerate, "
                 "stable over tol in [1e-8, 1e-6]", ok)
 
@@ -281,11 +284,20 @@ def test_criterion_10_z2_layer():
     }
     worst_eq = 0.0
     worst_inv = 0.0
+    z = sphere_points(128, 4, seed=0.25)
     for spec in specs.values():
         prj.ProjectiveSpec(spec)
-        worst_eq = max(worst_eq, prj.z2_equivariance_check(spec, settings=SETTINGS))
+        # the lifted flow is odd: |Phi(-z) + Phi(z)|
+        plus, _ = integrate_flow(spec, z, 0.0, 1.0, SETTINGS, with_jacobian=False)
+        minus, _ = integrate_flow(spec, -z, 0.0, 1.0, SETTINGS, with_jacobian=False)
+        worst_eq = max(worst_eq, float(np.max(np.linalg.norm(plus + minus, axis=1))))
+        # the generating function is even: |F(-x) - F(x)| / |x|^2
         gf, _ = tp.build_phi_genfun(spec, SETTINGS, 1.0)
-        worst_inv = max(worst_inv, prj.gf_invariance_check(gf))
+        x = sphere_points(64, gf.total_dim, seed=0.75)
+        vp, _, _, okp = evaluate_stacked(gf, x, order=0)
+        vm, _, _, okm = evaluate_stacked(gf, -x, order=0)
+        assert np.all(okp & okm)
+        worst_inv = max(worst_inv, float(np.max(np.abs(vp - vm) / np.sum(x * x, axis=1))))
     res = tp.direct_translated_points(RP3_CORPUS, SETTINGS, sphere_count=96, t_count=32)
     classes = prj.antipodal_classes(res.records)
     closure_exact = 2 * len(classes) == len(res.records)

@@ -4,8 +4,11 @@
 reads some of their arguments by parameter name.  A rename in the program
 would break traced benchmark runs without failing any other test, so these
 checks read the tracer's own target list and resolve it against the package.
+The same list bounds the package's public surface: every public top-level
+function or class is either used by the program itself or traced.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -15,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+SRC = ROOT / "src" / "contactmorse"
 
 # Parameters that the tracer's work counters read, per traced function.
 COUNTED_ARGUMENTS = {
@@ -65,6 +70,33 @@ def test_eval_lift_takes_z_second(targets):
     # the eval_lift counter reads its points positionally, as args[1]
     params = list(inspect.signature(_resolve("hamiltonian", "eval_lift")).parameters)
     assert params[:3] == ["spec", "z", "t"]
+
+
+def test_every_public_definition_is_used_or_traced(targets):
+    """A public top-level function or class of a module (outside __init__)
+    is referenced by name in src/ outside its own definition, or is named in
+    the tracer's targets.  A helper that only tests call belongs in
+    tests/oracles.py."""
+    traced = {(mod_name, attr.split(".")[0]) for mod_name, attr in targets}
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")
+             if path.stem != "__init__"}
+
+    def names(node):
+        return {sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+    used: dict[str, set] = {}  # name -> ids of the top-level nodes that use it
+    for tree in trees.values():
+        for node in tree.body:
+            for name in names(node):
+                used.setdefault(name, set()).add(id(node))
+    unused = [f"{mod_name}.{node.name}" for mod_name, tree in sorted(trees.items())
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not used.get(node.name, set()) - {id(node)}
+              and (mod_name, node.name) not in traced]
+    assert unused == []
 
 
 def test_traced_genfun_route_integrates_leaves_once_per_outer_iteration(

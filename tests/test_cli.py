@@ -172,6 +172,18 @@ def test_cli_route_override(tmp_path):
     assert "genfun_records" not in report
 
 
+@pytest.mark.parametrize("routes", ["direct", "genfun", "both"])
+def test_every_route_rejects_too_few_sphere_seeds(tmp_path, capsys, routes):
+    config = Path(__file__).resolve().parents[1] / "configs" / "rp3-sym-eps0.05.json"
+    raw = json.loads(config.read_text())
+    raw["seeds"]["sphere_count"] = 4
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    status = cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--routes", routes])
+    assert status == cli.EXIT_ERROR
+    assert "resolution too small" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 0, "hamiltonian": {"quadratic": []}}))

@@ -95,12 +95,6 @@ def test_lift_rejects_origin():
         ham.eval_lift(spec, np.zeros(2, dtype=complex))
 
 
-def test_sphere_value_requires_unit_vectors():
-    spec = _perturbed_spec()
-    with pytest.raises(ValueError):
-        ham.sphere_value(spec, np.array([2.0 + 0j, 0.0 + 0j]))
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         ham.ContactHamiltonianSpec(n=0)

@@ -4,46 +4,77 @@ import pytest
 from contactmorse import hamiltonian as ham
 from contactmorse import projective as prj
 from contactmorse import translated as tp
+from contactmorse.flow import integrate_flow
 from contactmorse.genfun import gf_compose, LeafGF, evaluate_stacked
 from contactmorse.sampling import sphere_points
 
 from oracles import build_rotation_family
 
 
+def _spec(*terms):
+    return ham.ContactHamiltonianSpec(
+        n=2, quadratic=(0.3, 0.7), terms=tuple(ham.PerturbationTerm(*t) for t in terms)
+    )
+
+
 def test_projective_spec_accepts_even_rejects_odd(rp3_corpus_spec):
     prj.ProjectiveSpec(rp3_corpus_spec)
-    odd = ham.ContactHamiltonianSpec(
-        n=2, quadratic=(0.3, 0.7), terms=(ham.PerturbationTerm(0.1, (1, 0), (0, 0)),)
-    )
     with pytest.raises(ValueError, match="Z2-symmetric"):
-        prj.ProjectiveSpec(odd)
+        prj.ProjectiveSpec(_spec((0.1, (1, 0), (0, 0))))
+    # exact: a coefficient of 1e-13 on Re(z_1) = x1 is an odd part
+    with pytest.raises(ValueError, match=r"not Z2-symmetric: .* 1\.000e-13 on x1$"):
+        prj.ProjectiveSpec(_spec((1e-13, (1, 0), (0, 0))))
+    # Re(z_1^2 conj z_2) = Re(z_2 conj z_1^2): the pair cancels term by term
+    prj.ProjectiveSpec(_spec((0.05, (2, 0), (0, 1)), (-0.05, (0, 1), (2, 0))))
+    # an unequal pair leaves 0.01 Re(z_1^2 conj z_2), whose largest
+    # coefficient, 2 x 0.01, is on x1 y1 y2
+    with pytest.raises(ValueError, match=r"2\.000e-02 on x1 y1 y2$"):
+        prj.ProjectiveSpec(_spec((0.05, (2, 0), (0, 1)), (-0.04, (0, 1), (2, 0))))
+    # Re(z_1) (1 - |z|^2) is odd but vanishes on the sphere, so h(-z) = h(z)
+    prj.ProjectiveSpec(_spec((0.1, (1, 0), (0, 0)), (-0.1, (2, 0), (1, 0)),
+                             (-0.1, (1, 1), (0, 1))))
+
+
+def _equivariance_defect(spec, settings):
+    """max |Phi(-z) + Phi(z)| over sphere samples: the lifted flow is odd."""
+    z = sphere_points(128, 2 * spec.n, seed=0.25)
+    plus, _ = integrate_flow(spec, z, 0.0, 1.0, settings, with_jacobian=False)
+    minus, _ = integrate_flow(spec, -z, 0.0, 1.0, settings, with_jacobian=False)
+    return np.max(np.linalg.norm(plus + minus, axis=1))
+
+
+def _invariance_defect(gf):
+    """max |F(-x) - F(x)| / |x|^2 over total-space samples: F is even."""
+    x = sphere_points(64, gf.total_dim, seed=0.75)
+    vp, _, _, okp = evaluate_stacked(gf, x, order=0)
+    vm, _, _, okm = evaluate_stacked(gf, -x, order=0)
+    assert np.all(okp & okm)
+    return np.max(np.abs(vp - vm) / np.sum(x * x, axis=1))
 
 
 def test_equivariance_unperturbed_quadratic(settings, diag_spec):
-    assert prj.z2_equivariance_check(diag_spec, settings=settings) < 1e-10
+    assert _equivariance_defect(diag_spec, settings) < 1e-10
 
 
 def test_equivariance_even_monomial(settings):
-    spec = ham.ContactHamiltonianSpec(
-        n=2, quadratic=(0.3, 0.7), terms=(ham.PerturbationTerm(0.05, (1, 0), (0, 1)),)
-    )
-    assert prj.z2_equivariance_check(spec, settings=settings) < 1e-8
+    spec = _spec((0.05, (1, 0), (0, 1)))
+    assert _equivariance_defect(spec, settings) < 1e-8
 
 
 def test_equivariance_corpus(settings, rp3_corpus_spec):
-    assert prj.z2_equivariance_check(rp3_corpus_spec, settings=settings) < 1e-8
+    assert _equivariance_defect(rp3_corpus_spec, settings) < 1e-8
 
 
 def test_invariance_quadratic_dag(rng):
     dag = gf_compose(
         build_rotation_family(0.4, 1, 3).genfun, build_rotation_family(0.2, 1, 3).genfun
     )
-    assert prj.gf_invariance_check(dag) < 1e-12
+    assert _invariance_defect(dag) < 1e-12
 
 
 def test_invariance_equivariant_leaf_family(settings, rp3_corpus_spec):
     gf, _ = tp.build_phi_genfun(rp3_corpus_spec, settings, 1.0)
-    assert prj.gf_invariance_check(gf) < 1e-8
+    assert _invariance_defect(gf) < 1e-8
 
 
 def test_conicality_negative_lambda(settings, rp3_corpus_spec):

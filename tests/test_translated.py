@@ -77,25 +77,26 @@ def test_perturbed_corpus_finitely_many_nondegenerate(settings, sphere_corpus_sp
         assert abs(g_oracle) < 1e-6
 
 
+def _nondegenerate(spec, q, t, settings, tol=tp._NONDEG_TOL):
+    """The non-degeneracy verdict of the record detection builds at (q, t)."""
+    return tp._build_records(spec, settings, np.asarray(q, dtype=float)[None],
+                             np.array([t]), "direct", tol)[0].nondegenerate
+
+
 def test_nondegeneracy_classifier_cases(settings, diag_spec, sphere_corpus_spec):
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     # diagonal unitary at q = e1, t = c1: kernel is the full complex line
-    assert tp.nondegeneracy_check(diag_spec, e1, 0.3, settings=settings) is False
+    assert _nondegenerate(diag_spec, e1, 0.3, settings) is False
     # identity at any q, t = 0: kernel is everything
     ident = ham.ContactHamiltonianSpec(n=2, quadratic=(0.0, 0.0))
-    assert tp.nondegeneracy_check(ident, e1, 0.0, settings=settings) is False
+    assert _nondegenerate(ident, e1, 0.0, settings) is False
     # perturbed record: kernel is exactly the radial line, stable over the band
     res = tp.direct_translated_points(
         sphere_corpus_spec, settings, sphere_count=64, t_count=24
     )
     rec = res.records[0]
     for tol in (1e-8, 1e-7, 1e-6):
-        assert (
-            tp.nondegeneracy_check(
-                sphere_corpus_spec, rec.q_array(), rec.t, tol=tol, settings=settings
-            )
-            is True
-        )
+        assert _nondegenerate(sphere_corpus_spec, rec.q, rec.t, settings, tol) is True
 
 
 def test_stacked_kernel_verdicts_equal_per_record(settings, sphere_corpus_spec):
@@ -129,7 +130,7 @@ def test_stacked_kernel_verdicts_equal_per_record(settings, sphere_corpus_spec):
 
 def test_index_jump_values():
     for n, k in [(1, 3), (1, 4), (2, 4), (3, 5), (2, 8)]:
-        assert tp.index_jump(n, k) == 2 * n
+        assert tp.index_data(n, k)["jump"] == 2 * n
 
 
 def test_index_jump_structural_nullity():
@@ -140,7 +141,7 @@ def test_index_jump_structural_nullity():
 
 def test_index_jump_rejects_small_k():
     with pytest.raises(ValueError):
-        tp.index_jump(1, 2)
+        tp.index_data(1, 2)
 
 
 def test_route_equivalence_small(settings, sphere_corpus_spec):
