@@ -55,20 +55,20 @@ def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A[r] x[r] = b[r] on every row of A (R, d, d), b (R, d) or (R, d, k).
 
     One batched LU, which gives each row the bits of its own solve.  When
-    some A[r] is exactly singular, the rows are solved one by one and only
-    those whose LU fails take the pseudo-inverse, so a singular row never
-    moves the others.
+    some A[r] is exactly singular, the rows are solved one by one and those
+    whose LU fails get NaN, so a singular row never moves the others and
+    its caller sees that it has no solution.
     """
     cols = b if b.ndim == 3 else b[:, :, None]
     try:
         x = np.linalg.solve(A, cols)
     except np.linalg.LinAlgError:
-        x = np.empty(cols.shape)
+        x = np.full(cols.shape, np.nan)
         for r in range(A.shape[0]):
             try:
                 x[r] = np.linalg.solve(A[r], cols[r])
             except np.linalg.LinAlgError:
-                x[r] = (np.linalg.pinv(A[r]) @ b[r]).reshape(cols[r].shape)
+                pass
     return x if b.ndim == 3 else x[:, :, 0]
 
 

@@ -16,7 +16,6 @@ something to average away.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -226,8 +225,7 @@ def direct_translated_points(
                            converged_raw=int(np.sum(ok)))
 
 
-def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows,
-                     norm=functools.partial(np.linalg.norm, axis=1)):
+def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
     """Masked, damped Newton on a bordered system F(x, t) = 0 per row.
 
     system is a pair (evaluate, retract).  evaluate(work, x, t) is called on
@@ -239,23 +237,24 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows,
     of them.  solve(M, F) returns the Newton step of every row of M, (R,
     D + 1); it is called only on the rows that go on, neither finished nor
     failed.  By default M is a dense (R, D + 1, D + 1) array and solve_rows
-    gives a row whose matrix is singular a pseudo-inverse step.
-    retract(x, t) maps the new iterates back to the system's domain and
-    returns them with a bool mask of rows to drop.
+    gives a row whose matrix is singular a NaN step.  retract(x, t) maps the
+    new iterates back to the system's domain and returns them with a bool
+    mask of rows to drop.
 
-    Steps are damped to norm 0.5, measured by norm (R, D + 1) -> (R,).  A
-    row finishes only after satisfying tol on `polish` iterations: the extra
-    full steps matter in flat valleys (weakly split continua), where a
-    residual below tol can still sit noticeably off the true point and the
-    final quadratic-convergence steps pin it down.  Rows that are dropped,
-    or whose evaluation fails, stop.  A row also stops once _STALL
-    evaluations in a row with a finite error have not lowered its best
-    error (failed evaluations and err = inf, an iterate the system cannot
-    yet measure, do not count): on a continuum no iterate converges and
-    later steps only bounce.  A row that stops or runs out of max_iter
-    without finishing is accepted at its best iterate if its best error
-    reached 100*tol (the integrator noise floor can exceed an aggressive
-    tol), and dropped otherwise.  Returns (x, t, val, done).
+    Steps are damped to Euclidean norm 0.5 in (x, t).  A row finishes only
+    after satisfying tol on `polish` iterations: the extra full steps matter
+    in flat valleys (weakly split continua), where a residual below tol can
+    still sit noticeably off the true point and the final
+    quadratic-convergence steps pin it down.  Rows that are dropped, whose
+    evaluation fails or whose step is not finite (a singular matrix) stop.
+    A row also stops once _STALL evaluations in a row with a finite error
+    have not lowered its best error (failed evaluations and err = inf, an
+    iterate the system cannot yet measure, do not count): on a continuum no
+    iterate converges and later steps only bounce.  A row that stops or
+    runs out of max_iter without finishing is accepted at its best iterate
+    if its best error reached 100*tol (the integrator noise floor can
+    exceed an aggressive tol), and dropped otherwise.  Returns (x, t, val,
+    done).
     """
     evaluate, retract = system
     x = np.asarray(x0, dtype=float).copy()
@@ -292,12 +291,13 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows,
         step = np.zeros(F.shape)
         if np.any(go):
             step[go] = solve(tuple(a[go] for a in M) if isinstance(M, tuple) else M[go], F[go])
-        norms = norm(step)
+        finite = np.isfinite(step).all(axis=1)
+        norms = np.linalg.norm(step, axis=1)
         damp = np.minimum(1.0, 0.5 / np.maximum(norms, 1e-30))
         step = step * damp[:, None]
         tn = ti - step[:, D]
         xn, bad = retract(xi - step[:, :D], tn)
-        bad = bad | ~ok | (stall[idx] >= _STALL)
+        bad = bad | ~ok | ~finite | (stall[idx] >= _STALL)
         move = ~finish & ~bad
         x[idx[move]] = xn[move]
         t[idx[move]] = tn[move]
@@ -333,7 +333,7 @@ def _direct_newton(spec, settings, q0, t0, tol, max_iter, polish=2):
 
     def retract(q, t):
         qnorm = np.linalg.norm(q, axis=1)
-        return q, (qnorm < 0.3) | (qnorm > 3.0) | ~np.isfinite(qnorm) | (np.abs(t) > 4.0)
+        return q, (qnorm < 0.3) | (qnorm > 3.0) | (np.abs(t) > 4.0)
 
     q, t, _, done = _bordered_newton(q0, t0, (evaluate, retract), tol, max_iter, polish)
     return q, t, done
@@ -433,8 +433,9 @@ def _dedup_and_flag(records, n):
     for start in range(0, len(order), _DEDUP_BLOCK):
         block = slice(start, start + _DEDUP_BLOCK)
         earlier = np.flatnonzero(chosen[:start])
-        free = ~_close(qs[earlier], ts[earlier], qs[block], ts[block]).any(axis=1)
-        chosen[block] = _greedy_pick(free, _close(qs[block], ts[block], qs[block], ts[block]))
+        q, t = qs[block], ts[block]
+        free = ~_close(qs[earlier], ts[earlier], q, t, _DEDUP_ANGULAR, _DEDUP_T).any(axis=1)
+        chosen[block] = _greedy_pick(free, _close(q, t, q, t, _DEDUP_ANGULAR, _DEDUP_T))
     kept = [records[order[i]] for i in np.flatnonzero(chosen)]
     kept.sort(key=record_sort_key)
 
@@ -461,13 +462,14 @@ def record_sort_key(record) -> tuple:
     return round(record.t, 10), tuple(round(x, 10) for x in record.q)
 
 
-def _close(q1, t1, q2, t2) -> np.ndarray:
+def _close(q1, t1, q2, t2, ang_tol: float, t_tol: float) -> np.ndarray:
     """(len(q2), len(q1)) table: record i of (q2, t2) and record j of (q1,
-    t1) lie within _DEDUP_ANGULAR and _DEDUP_T, by the same elementwise
-    operations as a comparison of the one pair; t only where q is close."""
-    close = _angular_distance(q1, q2[:, None]) < _DEDUP_ANGULAR
+    t1) lie within ang_tol (radians) and t_tol (mod 1), by the same
+    elementwise operations as a comparison of the one pair; t only where q
+    is close."""
+    close = _angular_distance(q1, q2[:, None]) < ang_tol
     i, j = np.nonzero(close)
-    close[i, j] = _t_distance(t1[j], t2[i]) < _DEDUP_T
+    close[i, j] = _t_distance(t1[j], t2[i]) < t_tol
     return close
 
 
@@ -488,25 +490,6 @@ def _greedy_pick(free: np.ndarray, close: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generating-function route
 # ---------------------------------------------------------------------------
-
-
-def nested_norm(x: np.ndarray, m: int):
-    """Squared norm |S^{-1} x|^2 of chain coordinates x (R, D), and its
-    gradient / 2, S^{-T} S^{-1} x.
-
-    S^{-1} x are the coordinates of the nested sharp product of the same
-    chain (see genfun): u = a_N, and w_j = a_{j-1} - a_j, v_j = b_j - w_j for
-    j = 2..N.  The genfun route measures its points and steps in this norm.
-    """
-    a, b = gfm.split_chain(x, m)
-    w = a[:, :-1] - a[:, 1:]
-    v = b - w
-    ga = np.zeros(a.shape)
-    ga[:, -1] = a[:, -1]
-    ga[:, 1:] += v - w
-    ga[:, :-1] += w - v
-    sq = np.sum(a[:, -1] ** 2, axis=1) + np.sum(w * w + v * v, axis=(1, 2))
-    return sq, gfm.join_chain(ga, v)
 
 
 class ShiftedGenFunFamily:
@@ -537,8 +520,8 @@ class ShiftedGenFunFamily:
     def seed(self, q: np.ndarray, t: np.ndarray):
         """Chain seeds on the fiber-critical set over starting points q.
 
-        Returns (x, warm): x on the unit sphere of the total space (in the
-        norm of nested_norm), and the LeafState of F_phi at x.  Each leaf's
+        Returns (x, warm): x on the Euclidean unit sphere of the chain
+        coordinates, and the LeafState of F_phi at x.  Each leaf's
         chain point is the exact midpoint at its chain base; the lifted flow
         is R_+-equivariant, so after the normalisation of x it is the chain
         point over |x|.
@@ -548,7 +531,7 @@ class ShiftedGenFunFamily:
         midpoints: list[np.ndarray] = []
         fiber, z_out = chain.chain_seed(q, midpoints)
         x = np.concatenate([0.5 * (q + z_out), fiber], axis=1)
-        norm = np.sqrt(nested_norm(x, 2 * self.n)[0])[:, None]
+        norm = np.linalg.norm(x, axis=1)[:, None]
         x = x / norm
         z = np.stack(midpoints, axis=1) / norm[:, :, None]
         jac = np.broadcast_to(np.eye(2 * self.n), z.shape + (2 * self.n,)).copy()
@@ -665,8 +648,10 @@ class ShiftedGenFunFamily:
 # Jacobian per stage, about 20 MB at L = 16.
 _CHUNK = 512
 
-# Smallest base |a_N| of an accepted critical ray x, |S^{-1} x| = 1 (see
-# nested_norm); a ray with a smaller base is not reduced to a_N / |a_N|.
+# Smallest base |a_N| of an accepted critical ray x, |x| = 1 in chain
+# coordinates; a ray with a smaller base is not reduced to a_N / |a_N|.  On
+# the committed configs and the bench seeds 0-3 the smallest |a_N| of a
+# converged ray is about 0.16.
 _U_FLOOR = 0.02
 
 # Newton tolerance of the genfun route on |grad F_t| in chain coordinates.
@@ -736,16 +721,14 @@ def find_critical_rays(
 
 def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
     """Bordered Newton (_bordered_newton) on grad F_t(x) = 0,
-    (|S^{-1} x|^2 - 1)/2 = 0 over (x, t), with x renormalised after every
-    step.
+    (|x|^2 - 1)/2 = 0 over (x, t), with x renormalised after every step.
 
-    x is in chain coordinates, measured by nested_norm: the damping, the
-    unit sphere and find_critical_rays' _U_FLOOR on the base a_N read
-    |S^{-1} x|, the norm of the nested sharp product's coordinates, while
-    the residual tol reads the gradient in chain coordinates.  Each
-    iteration evaluates F_t once, to its links' Hessians, and
-    family.bordered_step solves the bordered system along the chain; no
-    (D + 1) x (D + 1) matrix is formed.
+    x is in chain coordinates, with their Euclidean norm, as q is on the
+    direct route: F_t is homogeneous of degree 2, so its critical rays do
+    not depend on the sphere that normalises them.  Each iteration
+    evaluates F_t once, to its links' Hessians, and family.bordered_step
+    solves the bordered system along the chain; no (D + 1) x (D + 1)
+    matrix is formed.
 
     The leaf midpoints z_j are unknowns of the same Newton: warm, the
     LeafState of F_phi at x0 (from family.seed), is carried across
@@ -762,28 +745,22 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
     the rotation family's domain |t| < k/2.  Returns (x, t, F_t(x), done).
     """
 
-    m = 2 * family.n
-
     def evaluate(work, x, t):
         val, grad, hess, dgrad, ok, state = family.evaluate(x, t, order=2,
                                                              warm=warm.take(work))
         warm.put(work, state)
-        sq, border = nested_norm(x, m)
-        F = np.concatenate([grad, 0.5 * (sq - 1.0)[:, None]], axis=1)
+        F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
         err = np.where(state.solves(family.leaf_bases(x)), np.linalg.norm(grad, axis=1), np.inf)
-        return F, (border, hess, dgrad), err, ok, val
-
-    def step_norm(step):
-        return np.sqrt(nested_norm(step[:, :-1], m)[0] + step[:, -1] ** 2)
+        return F, (x, hess, dgrad), err, ok, val
 
     def retract(x, t):
-        xnorm = np.sqrt(nested_norm(x, m)[0])
+        xnorm = np.linalg.norm(x, axis=1)
         # rotation_coefficients rejects the whole batch once any |t| >= k/2
-        bad = (xnorm < 1e-8) | ~np.isfinite(xnorm) | ~(np.abs(t) < 0.5 * family.k)
+        bad = (xnorm < 1e-8) | ~(np.abs(t) < 0.5 * family.k)
         return x / np.maximum(xnorm, 1e-30)[:, None], bad
 
     return _bordered_newton(x0, t0, (evaluate, retract), tol, max_iter, polish,
-                            solve=lambda M, F: family.bordered_step(*M, F), norm=step_norm)
+                            solve=lambda M, F: family.bordered_step(*M, F))
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +824,7 @@ def pair_records(a, b, ang_tol: float, t_tol: float, antipodal: bool = False):
         qb = -qb
     ta = np.array([r.t for r in a])
     tb = np.array([r.t for r in b])
-    close = (_angular_distance(qa[:, None, :], qb[None, :, :]) < ang_tol) & (
-        _t_distance(ta[:, None], tb[None, :]) < t_tol
-    )
+    close = _close(qb, tb, qa, ta, ang_tol, t_tol)
     if np.any(close.sum(axis=0) > 1) or np.any(close.sum(axis=1) > 1):
         return None
     return np.where(close.any(axis=1), np.argmax(close, axis=1), -1)
@@ -890,18 +865,14 @@ def sweep_and_count(
     so explicitly instead of passing silently.  route_seconds, when given,
     receives the wall time of each route that ran ("direct", "genfun"), also
     when the routes then disagree; the seed prefilter they share counts
-    toward the first route that runs.
+    toward the first route that runs.  The Z2 symmetry of a projective spec
+    is checked once, where the config is parsed (config.parse_config).
     """
     if params is None:
         params = SweepParams()
     if settings is None:
         settings = IntegratorSettings()
     n = spec.n
-
-    if params.mode == "projective":
-        from .projective import ProjectiveSpec
-
-        ProjectiveSpec(spec)  # validates the Z2 symmetry
 
     route_stats: dict = {}
     direct_res = genfun_res = None

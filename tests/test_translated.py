@@ -268,6 +268,34 @@ def _corpus_family(spec, settings, k):
     return tp.ShiftedGenFunFamily(f_phi, spec.n, k)
 
 
+def test_genfun_rays_on_unit_sphere_and_base_floor(settings, sphere_corpus_spec, monkeypatch):
+    """Every row _genfun_newton returns lies on the Euclidean unit sphere of
+    the chain coordinates.  _U_FLOOR drops no converged ray at its default,
+    and raised above the smallest base |a_N| it drops exactly the rays
+    below it."""
+    family = _corpus_family(sphere_corpus_spec, settings, 4)
+    results = []
+    inner = tp._genfun_newton
+
+    def recording(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tp, "_genfun_newton", recording)
+    grid = dict(sphere_count=16, t_count=8, keep_per_seed=2)
+    res = tp.find_critical_rays(family, sphere_corpus_spec, settings, **grid)
+    x = np.concatenate([r[0] for r in results])
+    done = np.concatenate([r[3] for r in results])
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
+    u = np.linalg.norm(x[done, :4], axis=1)
+    assert u.min() > tp._U_FLOOR and res.converged_raw == done.sum()
+    floor = 0.5 * (u.min() + np.median(u))
+    monkeypatch.setattr(tp, "_U_FLOOR", floor)
+    raised = tp.find_critical_rays(family, sphere_corpus_spec, settings, **grid)
+    assert 0 < np.sum(u <= floor) < u.size
+    assert raised.converged_raw == np.sum(u > floor)
+
+
 def test_genfun_newton_drops_row_leaving_rotation_domain(
     fast_settings, sphere_corpus_spec, monkeypatch
 ):
@@ -587,36 +615,43 @@ def test_stall_retirement_keeps_records_bitwise(name, routes, retires, monkeypat
         assert evals_on == evals_off < tp._MAX_ITER
 
 
-def test_bordered_newton_singular_batch_uses_pinv(monkeypatch):
-    # row 1 has no t-dependence: its bordered matrix is singular, the batch
-    # is solved with the pseudo-inverse and both rows still converge
-    pinv_calls = []
-    inner = np.linalg.pinv
-    monkeypatch.setattr(np.linalg, "pinv", lambda a: pinv_calls.append(a.shape) or inner(a))
+def test_bordered_newton_drops_singular_row():
+    # row 1 has no t-dependence: its bordered matrix is singular, so
+    # solve_rows gives it a NaN step and the row is dropped, while row 0
+    # converges with the bits it has alone
     c = np.array([[0.3, 0.1], [0.2, -0.1]])
     s = np.array([0.2, 0.3])
 
-    def evaluate(work, x, t):
-        rows = np.where(work)[0]
-        F = np.concatenate([x - c[rows], (t - s[rows])[:, None]], axis=1)
-        F[rows == 1, 2] = 0.0
-        M = np.broadcast_to(np.eye(3), (rows.size, 3, 3)).copy()
-        M[rows == 1, 2, 2] = 0.0
-        return F, M, np.linalg.norm(F, axis=1), np.ones(rows.size, dtype=bool), F[:, 0]
+    def system(ids):
+        def evaluate(work, x, t):
+            rows = np.asarray(ids)[work]
+            F = np.concatenate([x - c[rows], (t - s[rows])[:, None]], axis=1)
+            F[rows == 1, 2] = 0.0
+            M = np.broadcast_to(np.eye(3), (rows.size, 3, 3)).copy()
+            M[rows == 1, 2, 2] = 0.0
+            return F, M, np.linalg.norm(F, axis=1), np.ones(rows.size, dtype=bool), F[:, 0]
 
-    x, t, _, done = tp._bordered_newton(
-        c + 0.1, s + np.array([0.1, 0.0]),
-        (evaluate, lambda x, t: (x, np.zeros(len(t), dtype=bool))), 1e-10, 10,
-    )
-    assert done.all() and pinv_calls
-    assert np.max(np.abs(x - c)) <= 1e-10 and np.max(np.abs(t - s)) <= 1e-10
+        return evaluate, lambda x, t: (x, np.zeros(len(t), dtype=bool))
+
+    def run(ids):
+        return tp._bordered_newton(c[ids] + 0.1, s[ids] + np.array([0.1, 0.0])[ids],
+                                   system(ids), 1e-10, 10)
+
+    F, M, *_ = system([0, 1])[0](np.ones(2, dtype=bool), c + 0.1, s + 0.1)
+    step = solve_rows(M, F)
+    assert np.isnan(step[1]).all() and np.array_equal(step[0], np.linalg.solve(M[0], F[0]))
+    alone, both = run([0]), run([0, 1])
+    assert both[3].tolist() == [True, False]
+    assert np.max(np.abs(alone[0] - c[0])) <= 1e-10 and abs(alone[1][0] - s[0]) <= 1e-10
+    for a, b in zip(alone, both):
+        assert np.array_equal(a, b[:1])
 
 
 def test_bordered_newton_singular_row_leaves_others_bitwise():
     # F(x, t) = A_r (d + d^2 / 2), d = (x - c_r, t - s_r); row 2's A has no
-    # t-column, so its Jacobian is singular.  Only that row takes the
-    # pseudo-inverse: after two steps, still short of the roots, rows 0 and 1
-    # have the bits they have in a batch without it.
+    # t-column, so its Jacobian is singular.  Only that row's solve fails:
+    # after two steps, still short of the roots, rows 0 and 1 have the bits
+    # they have in a batch without it.
     rng = np.random.default_rng(3)
     A = rng.normal(size=(3, 4, 4)) + 3.0 * np.eye(4)
     A[2, :, 3] = 0.0
@@ -642,18 +677,6 @@ def test_bordered_newton_singular_row_leaves_others_bitwise():
         assert np.array_equal(a, b[:2])
     b = rng.normal(size=(3, 4))
     assert np.array_equal(solve_rows(A[:2], b[:2]), solve_rows(A, b)[:2])
-
-
-def test_nested_norm_is_the_norm_of_nested_coordinates(rng):
-    """The genfun route measures chain coordinates sigma by |S^{-1} sigma|,
-    the norm in the coordinates of the nested sharp product."""
-    S = chain_change(20, 4)
-    T = np.linalg.inv(S)
-    sigma = rng.normal(size=(5, S.shape[0]))
-    sq, grad = tp.nested_norm(sigma, 4)
-    x = sigma @ T.T
-    assert np.max(np.abs(sq - np.sum(x * x, axis=1))) <= 1e-12 * np.max(sq)
-    assert np.max(np.abs(grad - x @ T)) <= 1e-12 * np.max(np.abs(grad))
 
 
 def _steps_against_nested(family, spec, settings, monkeypatch, sphere_count, t_count, keep):
