@@ -2,7 +2,7 @@
 
 Exit status taxonomy (part of the public contract, scripts depend on it):
   0  success: detection ran, bounds asserted and met
-  1  error: bad config, calibration failure, or a numerical failure
+  1  error: bad config, a failed calibration or bound, a numerical failure
   2  bounds not asserted: degenerate records or a suspected continuum
   3  route disagreement: the genfun and direct record sets differ
 """
@@ -20,19 +20,20 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .flow import IntegratorSettings, calibrate_steps_per_unit, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import mul_i
-from .report import CALIBRATION_GATE, RunReport, write_outputs
-from .translated import (
-    RouteDisagreementError,
-    SweepReport,
-    bound_threshold,
-    index_data,
-    sweep_and_count,
-)
+from .report import RunReport, write_outputs
+from .translated import RouteDisagreementError, SweepReport, index_data, sweep_and_count
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUNDS_NOT_ASSERTED = 2
 EXIT_ROUTE_DISAGREEMENT = 3
+
+# Exit status of a run whose routes agree, by its sweep's bound_outcome.
+_OUTCOME_EXIT = {"met": EXIT_OK, "failed": EXIT_ERROR, "not_asserted": EXIT_BOUNDS_NOT_ASSERTED}
+
+# Largest error of the Reeb quarter-turn check of a run that goes on to
+# detection.
+CALIBRATION_GATE = 1e-8
 
 
 def _calibration_check(n: int, settings: IntegratorSettings) -> float:
@@ -47,9 +48,11 @@ def _calibration_check(n: int, settings: IntegratorSettings) -> float:
 def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     """Execute calibration, detection, counting; write report artifacts.
 
-    timings gets the detection stage's wall time, then the share of each
-    route in it.  A failed calibration or a route disagreement reports an
-    empty sweep."""
+    Each verdict of the run is decided here, once.  A failed calibration
+    gate (also a NaN error) skips detection and exits 1; otherwise the
+    sweep's bound_outcome maps to the exit status, or 3 when the routes
+    disagree.  A run without a sweep reports SweepReport().  timings gets
+    the detection stage's wall time, then the share of each route in it."""
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -59,34 +62,31 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         steps = calibrate_steps_per_unit(config.hamiltonian, horizon=1.0)
     settings = IntegratorSettings(steps_per_unit=steps)
     cal_err = _calibration_check(config.n, settings)
+    calibration_ok = cal_err <= CALIBRATION_GATE
     timings["calibration"] = time.perf_counter() - t0
 
-    sweep = disagreement = None
-    if cal_err > CALIBRATION_GATE:
-        exit_status = EXIT_ERROR
-    else:
+    sweep = SweepReport()
+    disagreement = None
+    exit_status = EXIT_ERROR
+    if calibration_ok:
         t0 = time.perf_counter()
         route_seconds: dict[str, float] = {}
         try:
             sweep = sweep_and_count(config.hamiltonian, config.params, settings, route_seconds)
+            exit_status = _OUTCOME_EXIT[sweep.bound_outcome]
         except RouteDisagreementError as exc:
             disagreement = exc
+            exit_status = EXIT_ROUTE_DISAGREEMENT
         timings["detection"] = time.perf_counter() - t0
         for route, seconds in route_seconds.items():
             timings[f"detection.{route}"] = seconds
-        if disagreement is not None:
-            exit_status = EXIT_ROUTE_DISAGREEMENT
-        elif sweep.continuum_suspected or not sweep.bound_asserted:
-            exit_status = EXIT_BOUNDS_NOT_ASSERTED
-        elif sweep.bound_met is False:
-            exit_status = EXIT_ERROR
-        else:
-            exit_status = EXIT_OK
 
     report = RunReport(
         config=config,
-        sweep=_empty_sweep(config) if sweep is None else sweep,
+        sweep=sweep,
+        index_data=index_data(config.n, config.params.rotation_pieces),
         calibration_rel_err=cal_err,
+        calibration_ok=calibration_ok,
         steps_per_unit=steps,
         timings=timings,
         exit_status=exit_status,
@@ -97,22 +97,6 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         print(f"route disagreement: {disagreement}", file=sys.stderr)
         print(f"diagnostic dump written next to {paths['report']}", file=sys.stderr)
     return report
-
-
-def _empty_sweep(config: RunConfig) -> SweepReport:
-    params = config.params
-    return SweepReport(
-        records=[],
-        event_ts=[],
-        sphere_count=None,
-        projective_count=None,
-        index_data=index_data(config.n, params.rotation_pieces),
-        continuum_suspected=False,
-        bound_asserted=False,
-        bound_threshold=bound_threshold(params.mode, config.n),
-        bound_met=None,
-        route_stats={},
-    )
 
 
 def _dump_disagreement(exc: RouteDisagreementError, out_dir: Path) -> None:

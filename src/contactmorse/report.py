@@ -15,18 +15,21 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import RunConfig
-from .translated import SweepReport, TranslatedPointRecord, record_sort_key
-
-# Largest error of the Reeb quarter-turn check (cli._calibration_check) of a
-# run that goes on to detection.
-CALIBRATION_GATE = 1e-8
+from .translated import SweepReport, TranslatedPointRecord, bound_threshold, record_sort_key
 
 
 @dataclass
 class RunReport:
+    """Everything one run reports, each verdict decided once by cli.run:
+    calibration_ok (the calibration gate), sweep.bound_outcome and the
+    exit_status they map to.  index_data is the rotation family's inertia
+    (translated.index_data); sweep is empty when detection did not run."""
+
     config: RunConfig
     sweep: SweepReport
+    index_data: dict
     calibration_rel_err: float
+    calibration_ok: bool
     steps_per_unit: int
     timings: dict[str, float]
     exit_status: int
@@ -66,14 +69,9 @@ def records_csv(records: list[TranslatedPointRecord], n: int) -> str:
     return buf.getvalue()
 
 
-def _bound_outcome(sweep: SweepReport) -> str:
-    if not sweep.bound_asserted:
-        return "not_asserted"
-    return "met" if sweep.bound_met else "failed"
-
-
 def report_text(report: RunReport) -> str:
-    """Structured-text run report; every assertion outcome is explicit."""
+    """Structured-text run report; it prints every verdict of the run as
+    cli.run decided it."""
     cfg = report.config
     sweep = report.sweep
     lines = [
@@ -88,7 +86,7 @@ def report_text(report: RunReport) -> str:
         "[calibration]",
         f"reeb_quarter_turn_rel_err = {_fmt(report.calibration_rel_err)}",
         f"steps_per_unit = {report.steps_per_unit}",
-        f"calibration_ok = {'true' if report.calibration_rel_err <= CALIBRATION_GATE else 'false'}",
+        f"calibration_ok = {'true' if report.calibration_ok else 'false'}",
         "",
         "[detection]",
         f"records = {len(sweep.records)}",
@@ -101,7 +99,7 @@ def report_text(report: RunReport) -> str:
         lines.append(f"projective_count = {pc if pc is not None else 'suppressed'}")
     for key in sorted(sweep.route_stats):
         lines.append(f"{key} = {sweep.route_stats[key]}")
-    idx = sweep.index_data
+    idx = report.index_data
     lines += [
         "",
         "[index]",
@@ -113,8 +111,8 @@ def report_text(report: RunReport) -> str:
         f"index_jump_expected = {2 * cfg.n}",
         "",
         "[bounds]",
-        f"bound_threshold = {sweep.bound_threshold}",
-        f"bound_outcome = {_bound_outcome(sweep)}",
+        f"bound_threshold = {bound_threshold(cfg.params.mode, cfg.n)}",
+        f"bound_outcome = {sweep.bound_outcome}",
         "",
         f"exit_status = {report.exit_status}",
         "",

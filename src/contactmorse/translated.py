@@ -80,16 +80,18 @@ class DetectionResult:
 
 @dataclass
 class SweepReport:
-    records: list[TranslatedPointRecord]
-    event_ts: list[float]
-    sphere_count: int | None
-    projective_count: int | None
-    index_data: dict
-    continuum_suspected: bool
-    bound_asserted: bool
-    bound_threshold: int
-    bound_met: bool | None
-    route_stats: dict
+    """What sweep_and_count found; the defaults are a sweep that did not run.
+    bound_outcome is "met" or "failed" when the lower bound bound_threshold
+    was asserted, and "not_asserted" when it was not: no records, a record
+    not certified non-degenerate, a suspected continuum, or no sweep."""
+
+    records: list[TranslatedPointRecord] = field(default_factory=list)
+    event_ts: list[float] = field(default_factory=list)
+    sphere_count: int | None = None
+    projective_count: int | None = None
+    continuum_suspected: bool = False
+    bound_outcome: str = "not_asserted"  # met | failed | not_asserted
+    route_stats: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -510,7 +512,8 @@ class ShiftedGenFunFamily:
         self.f_phi = f_phi
         self.n = n
         self.k = k
-        self.dim = gfm.gf_compose(f_phi, *(gfm.QuadraticLink(0.0, n),) * k).total_dim
+        # a chain of m links has 2m - 1 base and fiber blocks of size 2n
+        self.dim = (2 * (len(f_phi.links) + k) - 1) * 2 * n
 
     def _chain(self, t):
         """F_t as a chain for t per row, and d/dt of its rotation coefficient."""
@@ -640,12 +643,13 @@ class ShiftedGenFunFamily:
         return step
 
 
-# Starts per genfun Newton batch.  A start's Newton state grows linearly
-# with the number of links L + k: leaf midpoints, one 2n x 2n Hessian block
-# and one 2n x (2n + 2) affine function of the chain solve per link, some
-# 20 KB at L = 16, k = 4.  The largest buffers of a batch are the
-# DOP853 stage buffers of its stacked leaf solve, L x 512 rows of state and
-# Jacobian per stage, about 20 MB at L = 16.
+# Starts per genfun Newton batch, which bounds a batch's Newton state.  A
+# start's state grows linearly with the number of links L + k: leaf
+# midpoints, one 2n x 2n Hessian block and one 2n x (2n + 2) affine function
+# of the chain solve per link, some 20 KB at L = 16, k = 4, so some 10 MB a
+# batch.  The batch's stacked leaf solve of L x _CHUNK rows integrates in
+# passes of flow._ROW_CHUNK rows, whose stage buffers take about 1 MB at
+# n = 2 whatever L is.
 _CHUNK = 512
 
 # Smallest base |a_N| of an accepted critical ray x, |x| = 1 in chain
@@ -857,15 +861,16 @@ def sweep_and_count(
     settings: IntegratorSettings | None = None,
     route_seconds: dict[str, float] | None = None,
 ) -> SweepReport:
-    """Run the configured routes, merge records, count, attach index data.
+    """Run the configured routes, merge records, count, and decide the bound.
 
-    The Morse-type lower bounds (2 on the sphere, 2n antipodal classes on
-    the projective space) are asserted only when every record is certified
-    non-degenerate and no continuum is suspected; otherwise the report says
-    so explicitly instead of passing silently.  route_seconds, when given,
-    receives the wall time of each route that ran ("direct", "genfun"), also
-    when the routes then disagree; the seed prefilter they share counts
-    toward the first route that runs.  The Z2 symmetry of a projective spec
+    The Morse-type lower bound (bound_threshold: 2 on the sphere, 2n
+    antipodal classes on the projective space) is asserted only when every
+    record is certified non-degenerate and no continuum is suspected; the
+    report's bound_outcome says which of met, failed or not_asserted holds,
+    instead of passing silently.  route_seconds, when given, receives the
+    wall time of each route that ran ("direct", "genfun"), also when the
+    routes then disagree; the seed prefilter they share counts toward the
+    first route that runs.  The Z2 symmetry of a projective spec
     is checked once, where the config is parsed (config.parse_config).
     """
     if params is None:
@@ -930,34 +935,17 @@ def sweep_and_count(
         records = genfun_res.records
 
     events = sorted({round(r.t, 10) for r in records})
+    if continuum:
+        return SweepReport(records, events, continuum_suspected=True, route_stats=route_stats)
 
-    idx = index_data(n, params.rotation_pieces)
+    sphere_count = count = len(records)
+    projective_count = None
+    if params.mode == "projective":
+        from .projective import antipodal_classes
 
-    sphere_count = projective_count = None
-    bound_met = None
-    threshold = bound_threshold(params.mode, n)
-    all_nondeg = bool(records) and all(r.nondegenerate is True for r in records)
-    bound_asserted = all_nondeg and not continuum
-    if not continuum:
-        sphere_count = len(records)
-        if params.mode == "projective":
-            from .projective import antipodal_classes
-
-            classes = antipodal_classes(records)
-            projective_count = len(classes)
-    if bound_asserted:
-        count = projective_count if params.mode == "projective" else sphere_count
-        bound_met = bool(count >= threshold)
-
-    return SweepReport(
-        records=records,
-        event_ts=events,
-        sphere_count=sphere_count,
-        projective_count=projective_count,
-        index_data=idx,
-        continuum_suspected=continuum,
-        bound_asserted=bound_asserted,
-        bound_threshold=threshold,
-        bound_met=bound_met,
-        route_stats=route_stats,
-    )
+        projective_count = count = len(antipodal_classes(records))
+    outcome = "not_asserted"
+    if records and all(r.nondegenerate is True for r in records):
+        outcome = "met" if count >= bound_threshold(params.mode, n) else "failed"
+    return SweepReport(records, events, sphere_count, projective_count,
+                       bound_outcome=outcome, route_stats=route_stats)

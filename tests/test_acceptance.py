@@ -231,8 +231,7 @@ def test_criterion_7_projective_lower_bound():
         not rep.continuum_suspected
         and rep.projective_count is not None
         and rep.projective_count >= 4
-        and rep.bound_asserted
-        and rep.bound_met
+        and rep.bound_outcome == "met"
     )
     _verdict(7, "projective corpus: >= 2n = 4 antipodal classes",
              ok, f"classes={rep.projective_count}, sphere records={rep.sphere_count}")

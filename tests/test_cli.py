@@ -277,6 +277,42 @@ def test_calibration_failure_writes_empty_report(tmp_path, monkeypatch):
     assert [line.split(" = ")[0] for line in lines] == ["calibration", "write"]
 
 
+def test_nan_calibration_error_fails_the_gate(tmp_path, monkeypatch):
+    # NaN compares false with everything, so the gate must still reject it
+    config = Path(__file__).resolve().parents[1] / "configs" / "rp3-sym-eps0.05.json"
+    monkeypatch.setattr(cli, "_calibration_check", lambda n, settings: float("nan"))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out)]) == cli.EXIT_ERROR
+    report = (out / "report.txt").read_text().splitlines()
+    for line in ("calibration_ok = false", "bound_outcome = not_asserted", "exit_status = 1"):
+        assert line in report, line
+    assert (out / "records.csv").read_text().count("\n") == 1
+    lines = (out / "timings.txt").read_text().splitlines()[1:]
+    assert "detection" not in [line.split(" = ")[0] for line in lines]
+
+
+def test_too_few_records_fail_the_bound(tmp_path, monkeypatch):
+    # one non-degenerate translated point on S^3 is below the bound of 2
+    record = translated.TranslatedPointRecord(
+        q=(1.0, 0.0, 0.0, 0.0), t=0.25, residual_fixed=0.0, residual_g=0.0,
+        nondegenerate=True, route="direct",
+    )
+    monkeypatch.setattr(
+        translated, "direct_translated_points",
+        lambda *args, **kwargs: translated.DetectionResult([record], False, 1),
+    )
+    path = tmp_path / "cfg.json"
+    seeds = {"sphere_count": 16, "t_count": 8, "keep_per_seed": 2}
+    path.write_text(json.dumps(_corpus_config(seeds=seeds)))
+    out = tmp_path / "out"
+    status = cli.main(["run", str(path), "--out", str(out), "--routes", "direct"])
+    assert status == cli.EXIT_ERROR
+    report = (out / "report.txt").read_text().splitlines()
+    for line in ("sphere_count = 1", "bound_threshold = 2", "bound_outcome = failed",
+                 "exit_status = 1"):
+        assert line in report, line
+
+
 def test_genfun_output_bytes_independent_of_chunk(tmp_path, monkeypatch):
     # a start's Newton steps are per-row stacked solves, so the batch it
     # shares with other starts must not move its bits

@@ -18,7 +18,7 @@ def test_route_equivalence_n1(settings):
     assert not rep.continuum_suspected
     assert rep.sphere_count >= 2
     assert all(r.route == "both" for r in rep.records)
-    assert rep.index_data["jump"] == 2
+    assert tp.index_data(1, params.rotation_pieces)["jump"] == 2
 
 
 def test_direct_route_n3(settings):

@@ -151,8 +151,8 @@ def test_route_equivalence_small(settings, sphere_corpus_spec):
     assert report.sphere_count == len(report.records) >= 2
     assert all(r.route == "both" for r in report.records)
     assert report.route_stats["matched"] == len(report.records)
-    assert report.bound_asserted and report.bound_met
-    assert report.index_data["jump"] == 4
+    assert report.bound_outcome == "met"
+    assert tp.index_data(2, params.rotation_pieces)["jump"] == 4
     # genfun critical values vanish on the detected rays
     assert all(abs(r.gf_value) < 1e-8 for r in report.records)
 
@@ -163,8 +163,7 @@ def test_sweep_constant_hamiltonian_suppresses_counts(fast_settings):
     report = tp.sweep_and_count(spec, params, fast_settings)
     assert report.continuum_suspected
     assert report.sphere_count is None
-    assert not report.bound_asserted
-    assert report.bound_met is None
+    assert report.bound_outcome == "not_asserted"
 
 
 def test_direct_route_deterministic(fast_settings, sphere_corpus_spec):
