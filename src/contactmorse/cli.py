@@ -59,7 +59,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     if config.steps_per_unit > 0:
         steps = config.steps_per_unit
     else:
-        steps = calibrate_steps_per_unit(config.hamiltonian, horizon=1.0)
+        steps = calibrate_steps_per_unit(config.hamiltonian)
     settings = IntegratorSettings(steps_per_unit=steps)
     cal_err = _calibration_check(config.n, settings)
     calibration_ok = cal_err <= CALIBRATION_GATE

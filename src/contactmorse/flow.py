@@ -356,7 +356,7 @@ def integrate_flow(
     z0: np.ndarray,
     t0: float,
     t1: float,
-    settings: IntegratorSettings | None = None,
+    settings: IntegratorSettings = IntegratorSettings(),
     with_jacobian: bool = True,
 ):
     """Integrate the lifted flow from t0 to t1.
@@ -367,10 +367,9 @@ def integrate_flow(
     one memoised Jacobian P (_RealField.jacobian): every row z_i becomes
     P z_i, and P is the Jacobian.  A nonlinear batch of more than
     _ROW_CHUNK rows runs as consecutive chunks of that many rows.  Either
-    way a row's result does not depend on the other rows of the batch.
+    way a row's result does not depend on the other rows of the batch.  A
+    zero span returns the rows and the identity Jacobian.
     """
-    if settings is None:
-        settings = IntegratorSettings()
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     z0 = np.asarray(z0, dtype=float)
@@ -505,30 +504,30 @@ def _weighted_sum(k: np.ndarray, terms, out: np.ndarray, tmp: np.ndarray) -> np.
     return out
 
 
-def calibrate_steps_per_unit(
-    spec: ham.ContactHamiltonianSpec,
-    horizon: float = 1.0,
-    tol: float = 1e-10,
-    start: int = 8,
-    cap: int = 1 << 15,
-) -> int:
-    """Halving sweep: double the step density until successive results agree.
+# Agreement tolerance of the calibration sweep.
+_CALIBRATION_TOL = 1e-10
 
-    Returns the finer density of the first agreeing pair.  Agreement is the
-    max state difference over a fixed probe set of unit points.
+
+def calibrate_steps_per_unit(spec: ham.ContactHamiltonianSpec) -> int:
+    """Halving sweep: double the step density from 8 steps per unit until
+    successive results agree.
+
+    Returns the finer density of the first agreeing pair, or 2^15 when none
+    agrees by then.  Agreement is the max state difference of the time-1 map
+    over a fixed probe set of unit points, within _CALIBRATION_TOL.
     """
     probes = sphere_points(8, 2 * spec.n)
-    density = start
+    density = 8
     prev, _ = integrate_flow(
-        spec, probes, 0.0, horizon, IntegratorSettings(steps_per_unit=density), with_jacobian=False
+        spec, probes, 0.0, 1.0, IntegratorSettings(steps_per_unit=density), with_jacobian=False
     )
-    while density < cap:
+    while density < 1 << 15:
         density *= 2
         cur, _ = integrate_flow(
-            spec, probes, 0.0, horizon, IntegratorSettings(steps_per_unit=density),
+            spec, probes, 0.0, 1.0, IntegratorSettings(steps_per_unit=density),
             with_jacobian=False,
         )
-        if float(np.max(np.abs(cur - prev))) <= tol:
+        if float(np.max(np.abs(cur - prev))) <= _CALIBRATION_TOL:
             return density
         prev = cur
     return density
@@ -553,8 +552,6 @@ def c1_distance(
     Evaluated at the piece midpoint as well as the endpoint: a loop closed up
     inside the piece would otherwise alias to the identity and pass.
     """
-    if t1 == t0:
-        return 0.0
     mid = 0.5 * (t0 + t1)
     z_m, jac_m = integrate_flow(spec, samples, t0, mid, settings, with_jacobian=True)
     crit = _c1_metric(samples, z_m, jac_m)
@@ -563,21 +560,25 @@ def c1_distance(
     return crit
 
 
+# Most pieces of one subdivision: no piece is narrower than the interval
+# over _MAX_PIECES.
+_MAX_PIECES = 4096
+
+
 def subdivide_c1_small(
     spec: ham.ContactHamiltonianSpec,
     t0: float,
     t1: float,
     delta: float,
-    settings: IntegratorSettings | None = None,
-    samples: np.ndarray | None = None,
-    max_pieces: int = 4096,
+    settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[tuple[float, float]]:
     """Bisection-refined partition of [t0, t1] into C^1-small flow pieces.
 
     Each returned piece satisfies the sampled criterion
-    max_q (|Phi(q) - q| + ||DPhi(q) - I||) < delta over a fixed deterministic
-    set of unit points.  Raises if the cap is exceeded (delta too small or
-    the flow too fast).
+    max_q (|Phi(q) - q| + ||DPhi(q) - I||) < delta over the fixed
+    deterministic unit points of subdivision_probe_points.  Raises if a
+    piece would have to be narrower than (t1 - t0) / _MAX_PIECES (delta too
+    small or the flow too fast).
 
     An autonomous field ignores t, so there c1_distance(a, b) is a function
     of the two half-spans it integrates, (mid - a, b - mid), and is probed
@@ -588,15 +589,10 @@ def subdivide_c1_small(
         raise ValueError("delta must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    if settings is None:
-        settings = IntegratorSettings()
     # The criterion is compared against delta ~ O(1); 16 steps per unit
     # (error ~1e-11 over a unit) are plenty and keep the bisection cheap.
     probe_settings = IntegratorSettings(steps_per_unit=min(settings.steps_per_unit, 16))
-    if samples is None:
-        samples = subdivision_probe_points(spec.n)
-    if t1 == t0:
-        return [(t0, t1)]
+    samples = subdivision_probe_points(spec.n)
 
     probed: dict[tuple[float, float], float] = {}
 
@@ -614,8 +610,7 @@ def subdivide_c1_small(
         if distance(a, b) < delta:
             pieces.append((a, b))
         else:
-            # Splitting below this width would allow more than max_pieces pieces.
-            if (b - a) * max_pieces < (t1 - t0):
+            if (b - a) * _MAX_PIECES < (t1 - t0):
                 raise RuntimeError(
                     "C1-small subdivision exceeded the piece cap; "
                     "increase delta or the cap"

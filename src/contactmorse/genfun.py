@@ -68,9 +68,6 @@ class LeafGF:
 
     def map_points(self, z):
         """Apply the piece's flow to points z of shape (B, 2n)."""
-        z = np.asarray(z, dtype=float)
-        if self.t1 == self.t0:
-            return z.copy()
         return integrate_flow(self.spec, z, self.t0, self.t1, self.settings,
                               with_jacobian=False)[0]
 
@@ -148,15 +145,10 @@ def gf_compose(*parts) -> ChainGF:
                    for link in (part.links if isinstance(part, ChainGF) else (part,)))
 
 
-def flow_chain(spec, schedule, settings: IntegratorSettings, until: float = np.inf) -> ChainGF:
-    """Chain of the flow pieces [a, b] of a subdivision schedule, each clamped
-    to [min(a, until), min(b, until)].
-
-    With until = t it generates the isotopy's time-t map: pieces ahead of t
-    degenerate to the identity but stay in the chain, so the total space does
-    not change with t, which is what makes dF_t/dt meaningful pointwise.
-    """
-    return ChainGF(LeafGF(spec, min(a, until), min(b, until), settings) for a, b in schedule)
+def flow_chain(spec, schedule, settings: IntegratorSettings) -> ChainGF:
+    """Chain of the flow pieces [a, b] of a subdivision schedule: it
+    generates the isotopy's map over the schedule's whole interval."""
+    return ChainGF(LeafGF(spec, a, b, settings) for a, b in schedule)
 
 
 def split_chain(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +210,6 @@ def solve_midpoint(spec, t0, t1, settings, b, z0=None, max_iter=_LEAF_MAX_ITER):
     b = np.asarray(b, dtype=float)
     B, m = b.shape
     jac = np.broadcast_to(np.eye(m), (B, m, m)).copy()
-    if t1 == t0:
-        return b.copy(), b.copy(), jac, np.ones(B, dtype=bool)
     ok = np.linalg.norm(b, axis=1) > 1e-150
     z = np.where(ok[:, None], b if z0 is None else z0, np.eye(m)[0])
     Zv = z.copy()

@@ -9,13 +9,10 @@ odd map and every generating function built from it is even, hence conical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .flow import _real_expansion
 from .hamiltonian import ContactHamiltonianSpec
-from .linsymp import to_complex
 from .translated import _DEDUP_ANGULAR, _DEDUP_T, TranslatedPointRecord, pair_records
 
 
@@ -86,12 +83,10 @@ def antipodal_classes(records: list[TranslatedPointRecord]) -> list[TranslatedPo
     """Pair each record q with its antipode -q at equal t, within the
     tolerances that deduplicate records.
 
-    Returns one representative per class, with the canonical phase (the
-    first complex coordinate of significant modulus gets argument in
-    [0, pi)).  Classes keep the input order: each stands where its first
-    member stands in records.  An unpaired record, or one with two partner
-    candidates, is a hard failure: equivariance was violated somewhere
-    upstream.
+    Returns one class per antipodal pair, represented by its first member
+    in records, in the input order.  An unpaired record, or one with two
+    partner candidates, is a hard failure: equivariance was violated
+    somewhere upstream.
     """
     partner = pair_records(records, records, _DEDUP_ANGULAR, _DEDUP_T, antipodal=True)
     if partner is None:
@@ -99,16 +94,4 @@ def antipodal_classes(records: list[TranslatedPointRecord]) -> list[TranslatedPo
     for rec, j in zip(records, partner):
         if j < 0:
             raise AntipodalPairingError(f"record at t={rec.t:.6f} has no antipodal partner")
-    return [canonical_phase(rec) for i, rec in enumerate(records) if i < partner[i]]
-
-
-def canonical_phase(record: TranslatedPointRecord) -> TranslatedPointRecord:
-    """Flip the sign so the leading complex coordinate has argument in [0, pi)."""
-    q = record.q_array()
-    zc = to_complex(q)
-    mags = np.abs(zc)
-    lead = int(np.argmax(mags > 0.25 * mags.max())) if mags.max() > 0 else 0
-    arg = float(np.angle(zc[lead]))
-    if not (0.0 <= arg < np.pi):
-        return replace(record, q=tuple(float(-v) for v in q))
-    return record
+    return [rec for i, rec in enumerate(records) if i < partner[i]]

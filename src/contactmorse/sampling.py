@@ -48,6 +48,6 @@ def sphere_points(count: int, dim: int, seed: float = 0.5) -> np.ndarray:
     return g / norms
 
 
-def subdivision_probe_points(n: int, per_complex_dim: int = 64) -> np.ndarray:
-    """Fixed sample of unit points used by the C^1-smallness criterion."""
-    return sphere_points(per_complex_dim * n, 2 * n, seed=0.5)
+def subdivision_probe_points(n: int) -> np.ndarray:
+    """Fixed sample of 64 n unit points used by the C^1-smallness criterion."""
+    return sphere_points(64 * n, 2 * n, seed=0.5)

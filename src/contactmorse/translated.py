@@ -66,9 +66,6 @@ class TranslatedPointRecord:
     route: str  # direct | genfun | both
     gf_value: float | None = None  # critical value residual, genfun route only
 
-    def q_array(self) -> np.ndarray:
-        return np.asarray(self.q)
-
 
 @dataclass
 class DetectionResult:
@@ -201,7 +198,7 @@ _STALL = 12
 
 def direct_translated_points(
     spec: ContactHamiltonianSpec,
-    settings: IntegratorSettings | None = None,
+    settings: IntegratorSettings = IntegratorSettings(),
     sphere_count: int = SweepParams.sphere_count,
     t_count: int = SweepParams.t_count,
     keep_per_seed: int = SweepParams.keep_per_seed,
@@ -214,12 +211,10 @@ def direct_translated_points(
     (coverage is the seed grid's job).  seeds, when given, are the (q, t)
     starts that _prefilter_seeds returns for the same grid arguments.
     """
-    if settings is None:
-        settings = IntegratorSettings()
     if seeds is None:
         seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
     q, t = seeds
-    q, t, ok = _direct_newton(spec, settings, q, t, _NEWTON_TOL, _MAX_ITER)
+    q, t, ok = _direct_newton(spec, settings, q, t)
     q, t = q[ok], t[ok] % 1.0
     records = _build_records(spec, settings, q, t, route="direct")
     records, continuum = _dedup_and_flag(records, spec.n)
@@ -314,10 +309,11 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
     return x, t, vals, done
 
 
-def _direct_newton(spec, settings, q0, t0, tol, max_iter, polish=2):
+def _direct_newton(spec, settings, q0, t0):
     """Bordered Newton (_bordered_newton) on e^{-2 pi i t} Phi(q) - q = 0,
-    (|q|^2 - 1)/2 = 0 over (q, t).  A row is dropped once a step takes |q|
-    out of [0.3, 3] or |t| above 4."""
+    (|q|^2 - 1)/2 = 0 over (q, t), to _NEWTON_TOL in at most _MAX_ITER
+    iterations.  A row is dropped once a step takes |q| out of [0.3, 3] or
+    |t| above 4."""
     n2 = 2 * spec.n
     eye = np.eye(n2)
 
@@ -337,13 +333,19 @@ def _direct_newton(spec, settings, q0, t0, tol, max_iter, polish=2):
         qnorm = np.linalg.norm(q, axis=1)
         return q, (qnorm < 0.3) | (qnorm > 3.0) | (np.abs(t) > 4.0)
 
-    q, t, _, done = _bordered_newton(q0, t0, (evaluate, retract), tol, max_iter, polish)
+    q, t, _, done = _bordered_newton(q0, t0, (evaluate, retract), _NEWTON_TOL, _MAX_ITER)
     return q, t, done
 
 
 # A singular value of DPsi - I below this is a kernel direction (see
 # _classify_kernel).
 _NONDEG_TOL = 1e-7
+
+# Largest direct residual |e^{-2 pi i t} Phi(q) - q| of a verified genfun
+# record; a reduced ray above it is reported as inconsistent.  Only records
+# within it are classified: off a translated point DPsi - I need have no
+# kernel.
+_VERIFY_TOL = 1e-6
 
 
 def _build_records(spec, settings, q, t, route, nondeg_tol=_NONDEG_TOL, gf_values=None):
@@ -357,7 +359,8 @@ def _build_records(spec, settings, q, t, route, nondeg_tol=_NONDEG_TOL, gf_value
     svals, vt = _kernel_svd(dpsi)
     records = []
     for i in range(q.shape[0]):
-        nondeg = _classify_kernel(svals[i], vt[i], q[i], nondeg_tol)
+        nondeg = (_classify_kernel(svals[i], vt[i], q[i], nondeg_tol)
+                  if residual_fixed[i] <= _VERIFY_TOL else None)
         records.append(
             TranslatedPointRecord(
                 q=tuple(float(v) for v in q[i]),
@@ -661,15 +664,11 @@ _U_FLOOR = 0.02
 # Newton tolerance of the genfun route on |grad F_t| in chain coordinates.
 _GRAD_TOL = 1e-9
 
-# Largest direct residual |e^{-2 pi i t} Phi(q) - q| of a verified genfun
-# record; a reduced ray above it is reported as inconsistent.
-_VERIFY_TOL = 1e-6
-
 
 def find_critical_rays(
     family: ShiftedGenFunFamily,
     spec: ContactHamiltonianSpec,
-    settings: IntegratorSettings | None = None,
+    settings: IntegratorSettings = IntegratorSettings(),
     sphere_count: int = SweepParams.sphere_count,
     t_count: int = SweepParams.t_count,
     keep_per_seed: int = SweepParams.keep_per_seed,
@@ -680,12 +679,11 @@ def find_critical_rays(
     Seeds chain each (q, t) start onto the fiber-critical set; projected
     Newton then solves grad F_t(x) = 0, |x| = 1 jointly in (x, t).  Every
     converged ray is reduced to its base point and re-verified against the
-    direct fixed-point residual; failures are reported as inconsistent, never
-    silently kept.  seeds, when given, are the (q, t) starts that
+    direct fixed-point residual.  A ray whose residual exceeds _VERIFY_TOL is
+    reported as inconsistent, never silently kept, and left unclassified
+    (nondegenerate None).  seeds, when given, are the (q, t) starts that
     _prefilter_seeds returns for the same grid arguments.
     """
-    if settings is None:
-        settings = IntegratorSettings()
     if seeds is None:
         seeds = _prefilter_seeds(spec, settings, sphere_count, t_count, keep_per_seed)
     q_seeds, t_seeds = seeds
@@ -694,7 +692,7 @@ def find_critical_rays(
         q_c = q_seeds[lo : lo + _CHUNK]
         t_c = t_seeds[lo : lo + _CHUNK]
         x0, warm = family.seed(q_c, t_c)
-        xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, _GRAD_TOL, _MAX_ITER, warm)
+        xx, tt, vv, ok_c = _genfun_newton(family, x0, t_c, warm)
         xs.append(xx)
         ts.append(tt)
         vals.append(vv)
@@ -723,9 +721,10 @@ def find_critical_rays(
     )
 
 
-def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
+def _genfun_newton(family, x0, t0, warm):
     """Bordered Newton (_bordered_newton) on grad F_t(x) = 0,
-    (|x|^2 - 1)/2 = 0 over (x, t), with x renormalised after every step.
+    (|x|^2 - 1)/2 = 0 over (x, t), to _GRAD_TOL in at most _MAX_ITER
+    iterations, with x renormalised after every step.
 
     x is in chain coordinates, with their Euclidean norm, as q is on the
     direct route: F_t is homogeneous of degree 2, so its critical rays do
@@ -763,7 +762,7 @@ def _genfun_newton(family, x0, t0, tol, max_iter, warm, polish=2):
         bad = (xnorm < 1e-8) | ~(np.abs(t) < 0.5 * family.k)
         return x / np.maximum(xnorm, 1e-30)[:, None], bad
 
-    return _bordered_newton(x0, t0, (evaluate, retract), tol, max_iter, polish,
+    return _bordered_newton(x0, t0, (evaluate, retract), _GRAD_TOL, _MAX_ITER,
                             solve=lambda M, F: family.bordered_step(*M, F))
 
 
@@ -857,8 +856,8 @@ def _match_routes(direct, genf):
 
 def sweep_and_count(
     spec: ContactHamiltonianSpec,
-    params: SweepParams | None = None,
-    settings: IntegratorSettings | None = None,
+    params: SweepParams = SweepParams(),
+    settings: IntegratorSettings = IntegratorSettings(),
     route_seconds: dict[str, float] | None = None,
 ) -> SweepReport:
     """Run the configured routes, merge records, count, and decide the bound.
@@ -873,10 +872,6 @@ def sweep_and_count(
     first route that runs.  The Z2 symmetry of a projective spec
     is checked once, where the config is parsed (config.parse_config).
     """
-    if params is None:
-        params = SweepParams()
-    if settings is None:
-        settings = IntegratorSettings()
     n = spec.n
 
     route_stats: dict = {}

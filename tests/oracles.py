@@ -513,6 +513,12 @@ def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: 
     shape (t_count, sample_count), for F_t the chain of the isotopy's pieces
     up to time t.
 
+    F_t clamps each piece [a, b] of the schedule to [min(a, t), min(b, t)]:
+    it generates the isotopy's time-t map, and the pieces ahead of t
+    degenerate to the identity but stay in the chain, so the total space
+    does not change with t, which is what makes dF_t/dt meaningful
+    pointwise.
+
     Requires a sign-definite Hamiltonian: h_t at unit points of the sphere
     (the lift eval_lift there) must be all positive or all negative at every
     probed t; raises ValueError otherwise.
@@ -532,12 +538,13 @@ def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: 
     if not (np.all(h_vals > 0) or np.all(h_vals < 0)):
         raise ValueError("Hamiltonian is not sign-definite on the sphere sample set")
 
+    def clamped_chain(t):
+        return ChainGF(LeafGF(spec, min(a, t), min(b, t), settings) for a, b in schedule)
+
     probes = np.zeros((t_count, sample_count))
     for i, t in enumerate(t_grid):
-        hi, _, _, ok_hi = evaluate_stacked(flow_chain(spec, schedule, settings, t + fd_step),
-                                           samples, order=0)
-        lo, _, _, ok_lo = evaluate_stacked(flow_chain(spec, schedule, settings, t - fd_step),
-                                           samples, order=0)
+        hi, _, _, ok_hi = evaluate_stacked(clamped_chain(t + fd_step), samples, order=0)
+        lo, _, _, ok_lo = evaluate_stacked(clamped_chain(t - fd_step), samples, order=0)
         if not np.all(ok_hi & ok_lo):
             raise RuntimeError("leaf solve failed during the monotonicity probe")
         probes[i] = (hi - lo) / (2.0 * fd_step)

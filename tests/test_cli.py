@@ -313,6 +313,38 @@ def test_too_few_records_fail_the_bound(tmp_path, monkeypatch):
         assert line in report, line
 
 
+def test_unverified_genfun_ray_is_reported_not_classified(tmp_path, monkeypatch):
+    # a ray moved off every translated point fails the direct residual, and
+    # DPsi - I has no kernel there: the ray must reach the report as
+    # inconsistent instead of failing the non-degeneracy classifier
+    inner = translated._genfun_newton
+    moved = []
+
+    def moving(*args):
+        x, t, vals, done = inner(*args)
+        if not moved:
+            i = np.flatnonzero(done)[0]
+            x[i] = 0.0
+            x[i, :4] = (0.6, 0.0, 0.8, 0.0)
+            t[i] = 0.1
+            moved.append(i)
+        return x, t, vals, done
+
+    monkeypatch.setattr(translated, "_genfun_newton", moving)
+    path = tmp_path / "cfg.json"
+    seeds = {"sphere_count": 24, "t_count": 16, "keep_per_seed": 4}
+    path.write_text(json.dumps(_corpus_config(seeds=seeds)))
+    out = tmp_path / "both"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_ROUTE_DISAGREEMENT
+    dump = (out / "route_disagreement.txt").read_text().splitlines()
+    assert dump[1:2] == ["[inconsistent]"] and len(dump) == 3
+    assert dump[2].startswith("t=0.1 q=[0.6") and dump[2].endswith("route=genfun")
+    moved.clear()
+    out = tmp_path / "genfun"
+    assert cli.main(["run", str(path), "--out", str(out), "--routes", "genfun"]) == cli.EXIT_OK
+    assert "genfun_inconsistent = 1" in (out / "report.txt").read_text().splitlines()
+
+
 def test_genfun_output_bytes_independent_of_chunk(tmp_path, monkeypatch):
     # a start's Newton steps are per-row stacked solves, so the batch it
     # shares with other starts must not move its bits

@@ -180,16 +180,17 @@ def test_subdivision_pieces_meet_criterion(settings):
     from contactmorse.sampling import subdivision_probe_points
 
     samples = subdivision_probe_points(2)
-    pieces = flow.subdivide_c1_small(spec, 0.0, 1.0, 1.0, settings, samples=samples)
+    pieces = flow.subdivide_c1_small(spec, 0.0, 1.0, 1.0, settings)
     probe = flow.IntegratorSettings(steps_per_unit=64)
     for a, b in pieces:
         assert flow.c1_distance(spec, a, b, probe, samples) < 1.0
 
 
-def test_subdivision_cap():
+def test_subdivision_cap(monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_PIECES", 64)
     reeb = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
     with pytest.raises(RuntimeError):
-        flow.subdivide_c1_small(reeb, 0.0, 1.0, 1e-4, max_pieces=64)
+        flow.subdivide_c1_small(reeb, 0.0, 1.0, 1e-4)
 
 
 @pytest.fixture
@@ -237,9 +238,10 @@ def test_subdivision_probes_once_per_dyadic_level(sphere_corpus_spec, probes):
     assert [b - a for a, b in probes] == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
-def test_calibration_sweep_agrees(fast_settings):
+def test_calibration_sweep_agrees(fast_settings, monkeypatch):
+    monkeypatch.setattr(flow, "_CALIBRATION_TOL", 1e-9)
     spec = _perturbed_spec()
-    density = flow.calibrate_steps_per_unit(spec, tol=1e-9)
+    density = flow.calibrate_steps_per_unit(spec)
     assert density <= 64
     probes = sphere_points(4, 4)
     a, _ = flow.integrate_flow(

@@ -208,6 +208,18 @@ def test_midpoint_zero_base_row_fails_alone(settings, rng):
         assert np.max(np.abs(np.delete(z, 2, axis=0) - ref)) <= 1e-12
 
 
+def test_zero_span_is_the_identity(settings, sphere_corpus_spec, rng):
+    """integrate_flow alone handles t1 == t0: it returns the rows bit for bit
+    with the identity Jacobian, so a zero-span leaf solves z = Phi(z) = b."""
+    b = rng.normal(size=(5, 4))
+    for t in (0.0, 0.375):
+        z1, jac = integrate_flow(sphere_corpus_spec, b, t, t, settings)
+        assert np.array_equal(z1, b) and np.array_equal(jac, np.broadcast_to(np.eye(4), jac.shape))
+        z, Z, jac, ok = gfm.solve_midpoint(sphere_corpus_spec, t, t, settings, b)
+        assert ok.all() and np.array_equal(z, b) and np.array_equal(Z, b)
+        assert np.array_equal(jac, np.broadcast_to(np.eye(4), jac.shape))
+
+
 # --- rotation quadratics ---------------------------------------------------
 
 

@@ -44,7 +44,7 @@ def test_diagonal_unitary_two_circles(fast_settings, diag_spec):
     assert all(r.nondegenerate is False for r in res.records)
     # the circles live in the coordinate complex lines
     for r in res.records:
-        q = r.q_array()
+        q = np.asarray(r.q)
         z1sq = q[0] ** 2 + q[2] ** 2
         assert min(abs(z1sq - 1.0), abs(z1sq)) < 1e-6
 
@@ -68,7 +68,7 @@ def test_perturbed_corpus_finitely_many_nondegenerate(settings, sphere_corpus_sp
     assert all(r.residual_g < 1e-8 for r in res.records)
     # g vanishes also via the alpha-pullback oracle, not just via the norm
     for r in res.records:
-        q = r.q_array()
+        q = np.asarray(r.q)
         z1, jac = integrate_flow(sphere_corpus_spec, q, 0.0, 1.0, settings)
         nrm = np.linalg.norm(z1)
         dz = jac @ mul_i(q)
@@ -313,7 +313,7 @@ def test_genfun_newton_drops_row_leaving_rotation_domain(
     t = np.array([0.25, 0.35, 1.49])
     x0, warm = family.seed(q, t)
     monkeypatch.setattr(tp, "rotation_coefficients", recording)
-    _, _, _, ok = tp._genfun_newton(family, x0, t, 1e-9, 40, warm)
+    _, _, _, ok = tp._genfun_newton(family, x0, t, warm)
     assert ok.tolist() == [True, True, False]
     assert all(np.all(np.abs(s) < 1.5) for s in seen)
     assert seen[0].shape == (3,) and all(s.shape == (2,) for s in seen[1:])
@@ -386,7 +386,7 @@ def _newton_with_states(family, x0, t0, warm, monkeypatch):
         return out
 
     monkeypatch.setattr(family, "evaluate", evaluate)
-    out = tp._genfun_newton(family, x0, t0, 1e-9, 40, warm)
+    out = tp._genfun_newton(family, x0, t0, warm)
     monkeypatch.undo()
     return out, seen
 
@@ -424,9 +424,11 @@ def test_genfun_rays_carry_solved_leaves(settings, sphere_corpus_spec, monkeypat
         off.z[...] *= 1.0 + 1e-6
         return off
 
-    _, _, _, once = tp._genfun_newton(family, x[done], t[done], 1e-9, 1, off_bases())
+    monkeypatch.setattr(tp, "_MAX_ITER", 1)
+    _, _, _, once = tp._genfun_newton(family, x[done], t[done], off_bases())
     assert not once.any()
-    _, _, _, twice = tp._genfun_newton(family, x[done], t[done], 1e-9, 2, off_bases(), polish=1)
+    monkeypatch.setattr(tp, "_MAX_ITER", 2)
+    _, _, _, twice = tp._genfun_newton(family, x[done], t[done], off_bases())
     assert twice.all()
 
 
@@ -444,7 +446,7 @@ def test_genfun_zero_base_row_dropped_alone(settings, sphere_corpus_spec, monkey
     rest = np.delete(every, bad)
     # take copies the state, which _genfun_newton updates in place
     (x, tt, v, done), seen = _newton_with_states(family, x0, t, warm.take(every), monkeypatch)
-    alone = tp._genfun_newton(family, x0[rest], t[rest], 1e-9, 40, warm.take(rest))
+    alone = tp._genfun_newton(family, x0[rest], t[rest], warm.take(rest))
     assert not done[bad] and done[rest].all()
     # the bad row is evaluated once, then no more
     assert all(xs.shape[0] < x0.shape[0] for xs, _ in seen[1:])
@@ -706,7 +708,7 @@ def _steps_against_nested(family, spec, settings, monkeypatch, sphere_count, t_c
 
     monkeypatch.setattr(family, "evaluate", evaluate)
     monkeypatch.setattr(family, "bordered_step", bordered_step)
-    tp._genfun_newton(family, x0, t, 1e-9, 40, warm)
+    tp._genfun_newton(family, x0, t, warm)
     assert steps
     rel, cond, backward = [], [], []
     for x, tt, dgrad, jac, border, F, s in steps:
