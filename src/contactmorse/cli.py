@@ -52,7 +52,8 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     gate (also a NaN error) skips detection and exits 1; otherwise the
     sweep's bound_outcome maps to the exit status, or 3 when the routes
     disagree.  A run without a sweep reports SweepReport().  timings gets
-    the detection stage's wall time, then the share of each route in it."""
+    the detection stage's wall time, then each route's own wall time in it
+    (the two routes run at the same time, see sweep_and_count)."""
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()

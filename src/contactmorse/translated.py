@@ -12,10 +12,17 @@ contact isotopy of S^{2n-1}:
 
 The two record sets must agree; disagreement is a hard failure, not
 something to average away.
+
+When both routes run, they run at the same time: the direct route in a
+worker made with os.fork (so the package needs a POSIX system), the genfun
+route in the calling process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field, replace
 
@@ -854,6 +861,64 @@ def _match_routes(direct, genf):
     return matched, unmatched_direct, unmatched_genfun
 
 
+class _DirectWorker:
+    """The direct route on seeds in a forked worker, while this process runs
+    the genfun route.  The worker sends back (DetectionResult, seconds since
+    start), or the exception the route raised, pickled over a pipe, and
+    always ends with os._exit.  join or kill reaps it."""
+
+    def __init__(self, spec, settings, grid, seeds, start: float):
+        rfd, wfd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(rfd)
+            os.close(wfd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(rfd)
+                try:
+                    result = direct_translated_points(spec, settings, **grid, seeds=seeds)
+                    reply = (True, (result, time.perf_counter() - start))
+                except Exception as exc:
+                    reply = (False, exc)
+                data = pickle.dumps(reply)  # an unpicklable exception sends nothing
+                with os.fdopen(wfd, "wb") as fh:
+                    fh.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(wfd)
+        self.reader = os.fdopen(rfd, "rb")
+
+    def join(self):
+        """(DetectionResult, seconds) of the worker, or its exception raised."""
+        try:
+            with self.reader:
+                data = self.reader.read()
+            _, status = os.waitpid(self.pid, 0)
+        except BaseException:
+            self.kill()
+            raise
+        try:
+            ok, payload = pickle.loads(data)
+        except Exception:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise RuntimeError(
+                f"the direct route worker sent no readable result ({how})") from None
+        if not ok:
+            raise payload
+        return payload
+
+    def kill(self):
+        self.reader.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
 def sweep_and_count(
     spec: ContactHamiltonianSpec,
     params: SweepParams = SweepParams(),
@@ -868,33 +933,53 @@ def sweep_and_count(
     report's bound_outcome says which of met, failed or not_asserted holds,
     instead of passing silently.  route_seconds, when given, receives the
     wall time of each route that ran ("direct", "genfun"), also when the
-    routes then disagree; the seed prefilter they share counts toward the
-    first route that runs.  The Z2 symmetry of a projective spec
-    is checked once, where the config is parsed (config.parse_config).
+    routes then disagree.  Both routes start from one prefiltered seed grid,
+    whose time counts toward the direct route, or toward the genfun route
+    when it runs alone.  With both routes, the direct route runs in a forked
+    worker (_DirectWorker) while the genfun route runs here, so each time is
+    that route's own wall time, and the two overlap.  An error of the
+    direct route wins over one of the genfun route, as when the direct route
+    ran first.  The Z2 symmetry of a projective spec is checked once, where
+    the config is parsed (config.parse_config).
     """
     n = spec.n
 
     route_stats: dict = {}
-    direct_res = genfun_res = None
+    direct_res = genfun_res = worker = None
     if route_seconds is None:
         route_seconds = {}
-    # the routes start from one prefiltered grid, whose time counts toward
-    # the first route that runs
     grid = dict(sphere_count=params.sphere_count, t_count=params.t_count,
                 keep_per_seed=params.keep_per_seed)
     start = time.perf_counter()
     seeds = _prefilter_seeds(spec, settings, **grid)
-    if params.routes in ("direct", "both"):
+    if params.routes == "direct":
         direct_res = direct_translated_points(spec, settings, **grid, seeds=seeds)
-        route_seconds["direct"] = time.perf_counter() - start
+        direct_s = time.perf_counter() - start
+    elif params.routes == "both":
+        worker = _DirectWorker(spec, settings, grid, seeds, start)
+    if params.routes in ("genfun", "both"):
+        genfun_start = time.perf_counter() if worker is not None else start
+        try:
+            f_phi, schedule = build_phi_genfun(spec, settings, params.subdivision_delta)
+            family = ShiftedGenFunFamily(f_phi, n, params.rotation_pieces)
+            genfun_res = find_critical_rays(family, spec, settings, **grid, seeds=seeds)
+        except Exception:
+            if worker is not None:
+                worker.join()  # raises the direct route's error, if any
+            raise
+        except BaseException:
+            if worker is not None:
+                worker.kill()
+            raise
+        genfun_s = time.perf_counter() - genfun_start
+    if worker is not None:
+        direct_res, direct_s = worker.join()
+    if direct_res is not None:
+        route_seconds["direct"] = direct_s
         route_stats["direct_records"] = len(direct_res.records)
         route_stats["direct_converged"] = direct_res.converged_raw
-        start = time.perf_counter()
-    if params.routes in ("genfun", "both"):
-        f_phi, schedule = build_phi_genfun(spec, settings, params.subdivision_delta)
-        family = ShiftedGenFunFamily(f_phi, n, params.rotation_pieces)
-        genfun_res = find_critical_rays(family, spec, settings, **grid, seeds=seeds)
-        route_seconds["genfun"] = time.perf_counter() - start
+    if genfun_res is not None:
+        route_seconds["genfun"] = genfun_s
         route_stats["genfun_records"] = len(genfun_res.records)
         route_stats["genfun_converged"] = genfun_res.converged_raw
         route_stats["genfun_inconsistent"] = len(genfun_res.inconsistent)

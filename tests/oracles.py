@@ -299,17 +299,14 @@ def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def bisect_c1_small(spec, t0: float, t1: float, delta: float, settings,
-                    samples: np.ndarray | None = None, max_pieces: int = 4096):
-    """Reference subdivision: the bisection of flow.subdivide_c1_small with
-    one c1_distance probe per interval it visits, whatever the spec."""
+def bisect_c1_small(spec, t0: float, t1: float, delta: float, settings):
+    """Reference subdivision: the bisection of flow.subdivide_c1_small, with
+    its arguments and piece cap, and one c1_distance probe per interval it
+    visits, whatever the spec."""
     from contactmorse.sampling import subdivision_probe_points
 
     probe_settings = flow.IntegratorSettings(steps_per_unit=min(settings.steps_per_unit, 16))
-    if samples is None:
-        samples = subdivision_probe_points(spec.n)
-    if t1 == t0:
-        return [(t0, t1)]
+    samples = subdivision_probe_points(spec.n)
     pieces = []
     stack = [(t0, t1)]
     while stack:
@@ -317,7 +314,7 @@ def bisect_c1_small(spec, t0: float, t1: float, delta: float, settings,
         if flow.c1_distance(spec, a, b, probe_settings, samples) < delta:
             pieces.append((a, b))
         else:
-            if (b - a) * max_pieces < (t1 - t0):
+            if (b - a) * flow._MAX_PIECES < (t1 - t0):
                 raise RuntimeError("C1-small subdivision exceeded the piece cap")
             mid = 0.5 * (a + b)
             stack.append((mid, b))

@@ -238,7 +238,7 @@ def test_timings_list_every_stage(tmp_path, monkeypatch):
     lines = (tmp_path / "out" / "timings.txt").read_text().splitlines()[1:]
     assert [line.split(" = ")[0] for line in lines] == [
         "calibration", "detection", "detection.direct", "write"]
-    # with both routes, each route's share of detection gets its own line
+    # with both routes, each route's own wall time gets its own line
     path.write_text(json.dumps(_corpus_config(routes="both", seeds=seeds)))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "both")]) == cli.EXIT_OK
     lines = (tmp_path / "both" / "timings.txt").read_text().splitlines()[1:]
@@ -246,9 +246,10 @@ def test_timings_list_every_stage(tmp_path, monkeypatch):
     assert list(stages) == [
         "calibration", "detection", "detection.direct", "detection.genfun", "write"]
     assert float(stages["detection.direct"]) > 0.0 and float(stages["detection.genfun"]) > 0.0
-    # both run inside detection; each line is rounded to the millisecond
-    assert (float(stages["detection.direct"]) + float(stages["detection.genfun"])
-            <= float(stages["detection"]) + 0.002)
+    # the routes run at the same time, each inside detection; each line is
+    # rounded to the millisecond
+    for route in ("direct", "genfun"):
+        assert float(stages[f"detection.{route}"]) <= float(stages["detection"]) + 0.002
     # a route disagreement still reports the routes that ran
     def disagreeing_sweep(spec, params, settings, route_seconds):
         route_seconds.update(direct=0.5, genfun=0.25)
@@ -259,6 +260,22 @@ def test_timings_list_every_stage(tmp_path, monkeypatch):
     assert status == cli.EXIT_ROUTE_DISAGREEMENT
     lines = (tmp_path / "exit3" / "timings.txt").read_text().splitlines()[1:]
     assert lines[2:4] == ["detection.direct = 0.500", "detection.genfun = 0.250"]
+
+
+def test_direct_route_error_in_worker_exits_1(tmp_path, monkeypatch, capsys):
+    # with both routes the direct route runs in a forked worker; its error
+    # reaches the error status with its message, and the worker is reaped
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(translated, "_direct_newton", boom)
+    path = tmp_path / "cfg.json"
+    seeds = {"sphere_count": 16, "t_count": 8, "keep_per_seed": 2}
+    path.write_text(json.dumps(_corpus_config(routes="both", seeds=seeds)))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+    assert "error: boom" in capsys.readouterr().err.splitlines()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_calibration_failure_writes_empty_report(tmp_path, monkeypatch):

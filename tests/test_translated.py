@@ -1,3 +1,5 @@
+import os
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,6 +159,71 @@ def test_route_equivalence_small(settings, sphere_corpus_spec):
     assert all(abs(r.gf_value) < 1e-8 for r in report.records)
 
 
+TINY = dict(sphere_count=16, t_count=8, keep_per_seed=2)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_concurrent_routes_equal_routes_in_turn(settings, sphere_corpus_spec):
+    """Both routes, the direct one in a forked worker, give the records of
+    both routes run here one after the other, float for float."""
+    params = tp.SweepParams(routes="both", **TINY)
+    route_seconds = {}
+    report = tp.sweep_and_count(sphere_corpus_spec, params, settings, route_seconds)
+    _assert_no_child()
+    assert list(route_seconds) == ["direct", "genfun"]
+    seeds = tp._prefilter_seeds(sphere_corpus_spec, settings, **TINY)
+    direct = tp.direct_translated_points(sphere_corpus_spec, settings, seeds=seeds)
+    family = _corpus_family(sphere_corpus_spec, settings, params.rotation_pieces)
+    genf = tp.find_critical_rays(family, sphere_corpus_spec, settings, seeds=seeds)
+    matched, only_d, only_g = tp._match_routes(direct.records, genf.records)
+    assert matched and not only_d and not only_g
+    assert report.records == matched
+    assert report.route_stats["direct_converged"] == direct.converged_raw
+
+
+def test_route_errors_reap_the_worker(settings, sphere_corpus_spec, monkeypatch):
+    """An error of the genfun route is raised once the worker is reaped, and
+    an error of the direct route wins over it.  A worker that sends nothing
+    back becomes a RuntimeError naming its status, and an interrupt kills
+    the worker.  No run leaves a child behind."""
+    params = tp.SweepParams(routes="both", **TINY)
+
+    def raising(exc):
+        def route(*args, **kwargs):
+            raise exc
+        return route
+
+    class Unpicklable(Exception):
+        pass
+
+    monkeypatch.setattr(tp, "find_critical_rays", raising(ValueError("genfun failed")))
+    with pytest.raises(ValueError, match="genfun failed"):
+        tp.sweep_and_count(sphere_corpus_spec, params, settings)
+    _assert_no_child()
+    cases = [
+        (raising(np.linalg.LinAlgError("direct failed")), np.linalg.LinAlgError,
+         "direct failed"),
+        (raising(Unpicklable("lost")), RuntimeError,
+         r"sent no readable result \(exit status 1\)"),
+        (lambda *args: os.kill(os.getpid(), signal.SIGKILL), RuntimeError,
+         r"sent no readable result \(signal 9\)"),
+    ]
+    for direct_newton, exc_type, message in cases:
+        monkeypatch.setattr(tp, "_direct_newton", direct_newton)
+        with pytest.raises(exc_type, match=message):
+            tp.sweep_and_count(sphere_corpus_spec, params, settings)
+        _assert_no_child()
+    monkeypatch.undo()
+    monkeypatch.setattr(tp, "find_critical_rays", raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        tp.sweep_and_count(sphere_corpus_spec, params, settings)
+    _assert_no_child()
+
+
 def test_sweep_constant_hamiltonian_suppresses_counts(fast_settings):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, 0.5))
     params = tp.SweepParams(routes="direct", sphere_count=64, t_count=32, keep_per_seed=3)
@@ -200,8 +267,10 @@ def test_records_independent_of_seed_order(route, settings, rp3_corpus_spec):
         assert records(order) == expected
 
 
-def _dedup_inputs(config, tmp_path, monkeypatch):
-    """The records that every _dedup_and_flag call of a run of config gets."""
+def _dedup_inputs(config, tmp_path, monkeypatch, routes):
+    """The records that every _dedup_and_flag call of a run of config with
+    one route gets.  A run of both routes makes the direct route's call in a
+    forked worker, which a spy here would not see."""
     calls, dedup = [], tp._dedup_and_flag
 
     def spy(records, n):
@@ -209,7 +278,8 @@ def _dedup_inputs(config, tmp_path, monkeypatch):
         return dedup(records, n)
 
     monkeypatch.setattr(tp, "_dedup_and_flag", spy)
-    cli.main(["run", str(CONFIGS / config), "--out", str(tmp_path / config)])
+    cli.main(["run", str(CONFIGS / config), "--out", str(tmp_path / f"{config}-{routes}"),
+              "--routes", routes])
     monkeypatch.setattr(tp, "_dedup_and_flag", dedup)
     return calls
 
@@ -228,8 +298,9 @@ def test_dedup_matches_record_loop(tmp_path, monkeypatch):
     """The blocked dedup keeps the records and flags the continuum of the
     one-record-at-a-time loop, whatever the block size, on the Reeb
     continuum, on both routes of rp3 and on a chain of close records."""
-    calls = (_dedup_inputs("reeb-continuum.json", tmp_path, monkeypatch)
-             + _dedup_inputs("rp3-sym-eps0.05.json", tmp_path, monkeypatch)
+    calls = (_dedup_inputs("reeb-continuum.json", tmp_path, monkeypatch, "direct")
+             + _dedup_inputs("rp3-sym-eps0.05.json", tmp_path, monkeypatch, "direct")
+             + _dedup_inputs("rp3-sym-eps0.05.json", tmp_path, monkeypatch, "genfun")
              + [(_chain_records(700), 2)])
     assert len(calls) == 4
     flagged = []
