@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm, TIME_PROFILES
-from .translated import SweepParams
+from .translated import MIN_SPHERE_SEEDS, SweepParams
 
 SCHEMA_VERSION = 1
 
@@ -157,7 +157,11 @@ def parse_config(data: dict) -> RunConfig:
         _require_keys(obj, keys, section)
 
     values = {name: _scalar(data, loc, name) for loc, name in _SCALARS.items()}
-    if not data.get("seeds", {}).get("sphere_count"):
+    if 0 < values["sphere_count"] < MIN_SPHERE_SEEDS:
+        raise ConfigError(f"seeds.sphere_count: resolution too small: need at least "
+                          f"{MIN_SPHERE_SEEDS} sphere seeds, or 0 for the default 128 n, "
+                          f"got {values['sphere_count']}")
+    if not values["sphere_count"]:
         values["sphere_count"] = 128 * n
     params = SweepParams(**{f.name: values[f.name] for f in fields(SweepParams)})
     if params.mode == "projective":

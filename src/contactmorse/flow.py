@@ -29,12 +29,17 @@ and every other term is a polynomial in u = x/|x| times one real matrix.
 When h is a quadratic form (every term of degree 2 or 0) the lifted flow is
 linear, and so is the scheme: a step multiplies the state by one matrix
 (the stability polynomial of the step), and the flow over an interval is
-one matrix P, the Jacobian at every point.  P is integrated once per
-interval by the variational equation on one unit row and memoised with the
-compiled tables; a batch is then P z_i row by row, with no stage loop.  It
-differs from the stage loop's state by rounding only: at most 1.4e-14
-relative on 2,048 random rows over 3 units of the committed Reeb and rp3
-specs, at 16 and 512 steps per unit.
+one matrix P, the Jacobian at every point.  P is integrated by the
+variational equation on one unit row and memoised with the compiled
+tables; a batch is then P z_i row by row, with no stage loop.  It differs
+from the stage loop's state by rounding only: at most 1.4e-14 relative on
+2,048 random rows over 3 units of the committed Reeb and rp3 specs, at 16
+and 512 steps per unit.  An autonomous linear field's P over k steps of h
+is the k-th step of one integration whatever the span, so one integration
+per step size h serves every span: at 16 steps per unit, the spans 1, 1/2,
+..., 1/16 of a subdivision.  Every matrix derived from P alone is shared
+by the rows as well: the C^1 probe's (c1_distance) here, and the leaf
+Hessians and chain pivots of the generating-function route.
 """
 
 from __future__ import annotations
@@ -57,8 +62,10 @@ FIELD_SCALE = math.pi
 # Cap on the steps of one integration.
 _MAX_STEPS = 1 << 22
 
-# Intervals whose shared Jacobian a linear field keeps.
-_JACOBIAN_MEMO = 64
+# Jacobians a linear field's memo keeps: a step size's Jacobian after each
+# of its steps, and a time-profiled field's one per interval.  The oldest
+# entries go first; the one just integrated stays, however long.
+_JACOBIAN_MEMO = 4096
 
 # Rows of one integration pass: a larger batch runs as consecutive chunks of
 # this many rows, so the stage buffers stay in cache.  Rows are independent,
@@ -206,7 +213,8 @@ class _RealField:
             False: self._plan(rows, slice(0, two_n)),
         }
         self.linear = self.plans[True] is None or not np.any(self.plans[True][1][1:, two_n:])
-        self._jacobians: dict[tuple, np.ndarray] = {}
+        # key -> (read-only Jacobians (k, 2n, 2n), unit-row state or None)
+        self._jacobians: dict = {}
 
     def jacobian(self, t0: float, span: float, steps: int) -> np.ndarray:
         """The Jacobian (2n, 2n) of a linear field's flow over [t0, t0 + span]
@@ -217,17 +225,41 @@ class _RealField:
         the constant monomial's, the same at every point, and J starts at I;
         every later operation is elementwise or a per-row product, so it has
         the bits of every row of a batch integrated with its Jacobian.
+
+        An autonomous field ignores t, so its flow over k steps of h is the
+        same integration whatever the span: one integration per step size h
+        keeps its Jacobian after each step, and is extended when a longer
+        span asks; each integration evaluates D once, at the unit row
+        (_ConstantField).  A time-profiled field's D varies with t; its flow
+        is integrated per (t0, span, steps).
         """
-        key = (span, steps) if self.profile is None else (t0, span, steps)
-        if key not in self._jacobians:
-            m = 2 * self.n
-            z, jac = np.eye(1, m), np.eye(m)[None]
-            _dop853(_FieldEval(self, 1, True), z, jac, t0, span / steps, steps)
-            jac.flags.writeable = False
-            if len(self._jacobians) >= _JACOBIAN_MEMO:
-                del self._jacobians[next(iter(self._jacobians))]
-            self._jacobians[key] = jac[0]
-        return self._jacobians[key]
+        m = 2 * self.n
+        if self.profile is not None:
+            key = (t0, span, steps)
+            if key not in self._jacobians:
+                z, jac = np.eye(1, m), np.eye(m)[None]
+                _dop853(_FieldEval(self, 1, True), z, jac, t0, span / steps, steps)
+                self._remember(key, jac, None)
+            return self._jacobians[key][0][0]
+        h = span / steps
+        done, z = self._jacobians.get(h) or (np.eye(m)[None], np.eye(1, m))
+        if len(done) <= steps:
+            more = np.empty((steps + 1 - len(done), 1, m, m))
+            _dop853(_ConstantField(self), z, done[-1:].copy(), (len(done) - 1) * h, h,
+                    len(more), trace=more)
+            self._jacobians.pop(h, None)
+            done = self._remember(h, np.concatenate([done, more[:, 0]]), z)
+        return done[steps]
+
+    def _remember(self, key, jacobians: np.ndarray, z) -> np.ndarray:
+        """Memoise jacobians read-only under key, the newest entry, and drop
+        the oldest ones while the memo holds more than _JACOBIAN_MEMO."""
+        jacobians.flags.writeable = False
+        self._jacobians[key] = (jacobians, z)
+        held = sum(len(j) for j, _ in self._jacobians.values())
+        while held > _JACOBIAN_MEMO and len(self._jacobians) > 1:
+            held -= len(self._jacobians.pop(next(iter(self._jacobians)))[0])
+        return jacobians
 
     def _plan(self, rows: dict, cols: slice):
         """Monomial recipe and matrix for the output columns cols, or None
@@ -346,9 +378,32 @@ class _FieldEval:
         np.matmul(self.blocks, self.mat, out=self.out)
 
 
+class _ConstantField:
+    """An autonomous linear field x -> D x for _dop853, called as a
+    _FieldEval of one row is: D, the same at every point, is evaluated once,
+    by the compiled field at the unit row."""
+
+    def __init__(self, tables: _RealField):
+        m = 2 * tables.n
+        self.D = np.empty((1, m, m))
+        _FieldEval(tables, 1, True)(np.eye(1, m), 0.0, np.empty((1, m)), self.D)
+        self.D_T = self.D[0].T.copy()
+
+    def __call__(self, x: np.ndarray, t: float, field: np.ndarray, jac=None) -> None:
+        np.matmul(x, self.D_T, out=field)
+        if jac is not None:
+            jac[...] = self.D
+
+
 @lru_cache(maxsize=64)
 def _real_field(spec: ham.ContactHamiltonianSpec) -> _RealField:
     return _RealField(spec)
+
+
+def linear_flow(spec: ham.ContactHamiltonianSpec) -> bool:
+    """Whether spec's lifted flow is linear (_RealField.linear): then the
+    flow over an interval is one matrix, the Jacobian at every point."""
+    return _real_field(spec).linear
 
 
 def integrate_flow(
@@ -452,9 +507,11 @@ _B = (
 )
 
 
-def _dop853(field: _FieldEval, z: np.ndarray, jac, t: float, h: float, steps: int) -> None:
+def _dop853(field: _FieldEval, z: np.ndarray, jac, t: float, h: float, steps: int,
+            trace=None) -> None:
     """Fixed-step DOP853 of the real state z (B, m) and, unless jac is None,
-    of the variational equation, in place.
+    of the variational equation, in place; trace, when given, (steps, B, m,
+    m) receives the Jacobian after each step.
 
     The state and the Jacobian are integrated as one flat array
     [B m | B m m], with contiguous (B, m) and (B, m, m) views, so that one
@@ -470,7 +527,7 @@ def _dop853(field: _FieldEval, z: np.ndarray, jac, t: float, h: float, steps: in
     D = np.empty((B, m, m)) if carry else None
     # the (state, Jacobian) views of y, of arg and of each stage's k
     views = [_split(flat, B, m, carry) for flat in (y, arg, *k)]
-    for _ in range(steps):
+    for i in range(steps):
         for s, c in enumerate(_C):
             if s:
                 np.add(y, _weighted_sum(k, hA[s], arg, tmp), out=arg)
@@ -481,6 +538,8 @@ def _dop853(field: _FieldEval, z: np.ndarray, jac, t: float, h: float, steps: in
                 np.matmul(D, J, out=fJ)
         y += _weighted_sum(k, hB, arg, tmp)
         t += h
+        if trace is not None:
+            trace[i] = views[0][1]
     x, J = views[0]
     z[...] = x
     if carry:
@@ -550,14 +609,16 @@ def c1_distance(
     """max over samples of |Phi(q) - q| + ||DPhi(q) - I||_2 for the piece flow.
 
     Evaluated at the piece midpoint as well as the endpoint: a loop closed up
-    inside the piece would otherwise alias to the identity and pass.
+    inside the piece would otherwise alias to the identity and pass.  A
+    linear flow gives every sample one Jacobian per leg, so its norm and the
+    product of the two legs are computed once, with the bits of each row's.
     """
     mid = 0.5 * (t0 + t1)
     z_m, jac_m = integrate_flow(spec, samples, t0, mid, settings, with_jacobian=True)
-    crit = _c1_metric(samples, z_m, jac_m)
     z_e, jac_2 = integrate_flow(spec, z_m, mid, t1, settings, with_jacobian=True)
-    crit = max(crit, _c1_metric(samples, z_e, jac_2 @ jac_m))
-    return crit
+    if linear_flow(spec):
+        jac_m, jac_2 = jac_m[0], jac_2[0]
+    return max(_c1_metric(samples, z_m, jac_m), _c1_metric(samples, z_e, jac_2 @ jac_m))
 
 
 # Most pieces of one subdivision: no piece is narrower than the interval

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import IntegratorSettings, integrate_flow
+from .flow import IntegratorSettings, integrate_flow, linear_flow
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import complex_structure_matrix, mul_i
 
@@ -262,12 +262,28 @@ class LeafState:
 def leaf_hessian(jac: np.ndarray) -> np.ndarray:
     """Hessian 2J (I - DPhi)(I + DPhi)^{-1} of a leaf from DPhi (..., 2n, 2n)
     at its midpoint: the Cayley transform of a symplectic matrix, hence
-    symmetric up to integrator error, and symmetrised."""
+    symmetric up to integrator error, and symmetrised.  Every matrix is
+    solved and multiplied on its own, so its Hessian has the same bits in
+    any stack, or alone."""
     m = jac.shape[-1]
     eye = np.eye(m)
     C = np.linalg.solve(np.swapaxes(eye + jac, -1, -2), np.swapaxes(eye - jac, -1, -2))
     H = 2.0 * complex_structure_matrix(m // 2) @ np.swapaxes(C, -1, -2)
     return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+
+def _leaf_hessians(leaves: list[LeafGF], jac: np.ndarray, integrated: np.ndarray) -> np.ndarray:
+    """leaf_hessian of DPhi (B, L, 2n, 2n) at the leaves' midpoints.
+
+    When every leaf is linear, a leaf gives every row it integrated
+    (integrated (B, L)) one DPhi, so its Hessian is computed on one such
+    row and given to every row; a row it did not integrate is not ok,
+    whatever its Hessian.
+    """
+    if not all(linear_flow(leaf.spec) for leaf in leaves):
+        return leaf_hessian(jac)
+    one_row = jac[np.argmax(integrated, axis=0), np.arange(len(leaves))]
+    return np.broadcast_to(leaf_hessian(one_row), jac.shape).copy()
 
 
 def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, guess: np.ndarray | None,
@@ -337,15 +353,16 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
             if hess is not None:
                 hess[:, j] = h
     leaf_b = bases[:, leaves]
+    leaf_links = [links[j] for j in leaves]
     guess, max_iter = (None, _LEAF_MAX_ITER) if warm is None else (warm.predict(leaf_b), 0)
-    z, Zv, jac, ok_leaf = _solve_leaves([links[j] for j in leaves], leaf_b, guess, max_iter)
+    z, Zv, jac, ok_leaf = _solve_leaves(leaf_links, leaf_b, guess, max_iter)
     solved = 0.5 * (z + Zv)
     g = mul_i(z - Zv)
+    H = (_leaf_hessians(leaf_links, jac, ok_leaf)
+         if hess is not None or warm is not None else None)
     if warm is None:
         ok_leaf &= _leaf_solved(z, solved, leaf_b)
-        H = leaf_hessian(jac) if hess is not None else None
     else:
-        H = leaf_hessian(jac)
         g = g - (H @ (solved - leaf_b)[..., None])[..., 0]
     vals[:, leaves] = 0.5 * np.sum(g * leaf_b, axis=2)
     grads[:, leaves] = g

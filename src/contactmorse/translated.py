@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import genfun as gfm
-from .flow import IntegratorSettings, integrate_flow, subdivide_c1_small
+from .flow import IntegratorSettings, integrate_flow, linear_flow, subdivide_c1_small
 from .genfun import (
     ChainGF,
     evaluate_stacked,
@@ -151,6 +151,10 @@ def _t_distance(t1, t2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Fewest sphere seeds of a seed grid.
+MIN_SPHERE_SEEDS = 8
+
+
 def _prefilter_seeds(
     spec: ContactHamiltonianSpec,
     settings: IntegratorSettings,
@@ -164,10 +168,10 @@ def _prefilter_seeds(
     explicit, so the residual over the whole product grid costs nothing and
     Newton only starts from the most promising (q, t) pairs per sphere seed.
     Both routes take their starts from here, so both reject a grid of fewer
-    than 8 sphere seeds.
+    than MIN_SPHERE_SEEDS sphere seeds.
     """
-    if sphere_count < 8:
-        raise ValueError("resolution too small: need at least 8 sphere seeds")
+    if sphere_count < MIN_SPHERE_SEEDS:
+        raise ValueError(f"resolution too small: need at least {MIN_SPHERE_SEEDS} sphere seeds")
     n2 = 2 * spec.n
     qs = sphere_points(sphere_count, n2)
     phi_q, _ = integrate_flow(spec, qs, 0.0, 1.0, settings, with_jacobian=False)
@@ -522,6 +526,12 @@ class ShiftedGenFunFamily:
         self.f_phi = f_phi
         self.n = n
         self.k = k
+        # links 2..L whose pivot (see bordered_step) is one matrix on every
+        # row: all of them when every leaf is linear, since evaluate then
+        # gives every row a leaf's one Hessian
+        linear = all(isinstance(link, gfm.LeafGF) and linear_flow(link.spec)
+                     for link in f_phi.links)
+        self._shared_pivots = len(f_phi.links) - 1 if linear else 0
         # a chain of m links has 2m - 1 base and fiber blocks of size 2n
         self.dim = (2 * (len(f_phi.links) + k) - 1) * 2 * n
 
@@ -581,7 +591,10 @@ class ShiftedGenFunFamily:
                       F: np.ndarray) -> np.ndarray:
         """Solution s (R, D + 1) of [[H, dgrad], [border^T, 0]] s = F on
         every row, with H the Hessian of F_t given by the links' Hessians
-        hess that evaluate returns at order 2.
+        hess, which must come from evaluate at order 2, on rows it marked
+        ok: when every leaf is linear, a leaf's Hessian there is one matrix
+        on every row, so its pivot is inverted on the first row and given to
+        every row, with the bits of each row's own inverse.
 
         Solved by elimination along the chain, uniformly over its N = L + k
         links.  H is block tridiagonal: link j's Hessian H_j is the diagonal
@@ -623,8 +636,14 @@ class ShiftedGenFunFamily:
         sa[:, 0, :, :m] = eye
         # a_1 row: H_1 a_1 + 2i (b_2 - a_2) + d tau = g gives e = b_2 - a_2
         e = -0.5 * i_rows(rhs(ga[:, 0], da[:, 0]) - hess[:, 0] @ sa[:, 0])
-        P = (hess[:, 1:] + K).reshape(-1, m, m)
-        Pinv = solve_rows(P, np.broadcast_to(eye, P.shape).copy()).reshape(R, N - 1, m, m)
+        P = hess[:, 1:] + K
+        s = self._shared_pivots
+        if s:
+            Pinv = np.empty(P.shape)
+            Pinv[:, :s] = _inverses(P[0, :s])
+            Pinv[:, s:] = _inverses(P[:, s:].reshape(-1, m, m)).reshape(R, -1, m, m)
+        else:
+            Pinv = _inverses(P.reshape(-1, m, m)).reshape(R, N - 1, m, m)
         for j in range(1, N):
             # b_{j+1} row: H b + 2i (a_{j+1} - a_j) + d tau = g with b = a_j + f
             # and a_{j+1} = b - e, solved for the increment f
@@ -651,6 +670,12 @@ class ShiftedGenFunFamily:
         step[:, :-1] = gfm.join_chain((sa @ sol)[..., 0], (sb @ sol)[..., 0])
         step[:, -1] = sol[:, 0, m, 0]
         return step
+
+
+def _inverses(P: np.ndarray) -> np.ndarray:
+    """The inverse of every matrix of P (R, m, m), by solve_rows: NaN where P
+    is singular."""
+    return solve_rows(P, np.broadcast_to(np.eye(P.shape[-1]), P.shape).copy())
 
 
 # Starts per genfun Newton batch, which bounds a batch's Newton state.  A

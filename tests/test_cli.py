@@ -12,6 +12,7 @@ from contactmorse import cli
 from contactmorse import config as cfgm
 from contactmorse import translated
 from contactmorse.config import ConfigError, load_config, parse_config
+from contactmorse.flow import IntegratorSettings
 from contactmorse.translated import SweepParams
 
 
@@ -182,6 +183,32 @@ def test_every_route_rejects_too_few_sphere_seeds(tmp_path, capsys, routes):
     status = cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--routes", routes])
     assert status == cli.EXIT_ERROR
     assert "resolution too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [1, 5, 7])
+def test_config_rejects_too_few_sphere_seeds(tmp_path, capsys, count):
+    """A sphere_count of 1-7 fails config validation, naming its JSON
+    location, and the run writes nothing; the prefilter keeps its own check
+    for API callers."""
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "rp3-sym-eps0.05.json").read_text())
+    raw["seeds"]["sphere_count"] = count
+    with pytest.raises(ConfigError, match=r"^seeds\.sphere_count"):
+        parse_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+    assert "seeds.sphere_count" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="resolution too small"):
+        translated._prefilter_seeds(parse_config(dict(MINIMAL)).hamiltonian,
+                                    IntegratorSettings(), count, 8, 1)
+
+
+def test_zero_or_missing_sphere_count_is_the_default():
+    for seeds in ({}, {"sphere_count": 0}):
+        assert parse_config({**MINIMAL, "seeds": seeds}).params.sphere_count == 256
+    assert parse_config({**MINIMAL, "seeds": {"sphere_count": 8}}).params.sphere_count == 8
 
 
 def test_cli_config_error_exit(tmp_path):

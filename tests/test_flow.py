@@ -377,6 +377,59 @@ def test_linear_flow_shares_jacobian_bitwise(case, rp3_corpus_spec, rng):
                 assert np.array_equal(_bits(jr), _bits(jac[i:i + 1])), (t0, t1, i)
 
 
+@pytest.mark.parametrize("long_first", [True, False])
+@pytest.mark.parametrize("case", ["quadratic", "rp3", "mixing"])
+def test_step_size_memo_matches_fresh_integrations(case, long_first, rp3_corpus_spec):
+    """An autonomous linear field's P over k steps of h = 1/16, k = 1..16, is
+    the k-th step of the memo's one integration at h, extended as longer
+    spans ask: bit for bit a fresh k-step integration of the unit row
+    through the compiled field, whichever span is asked first."""
+    spec = _linear_specs(rp3_corpus_spec)[case]
+    tables, fresh = flow._RealField(spec), flow._RealField(spec)
+    h = 1 / 16
+    for k in (range(16, 0, -1) if long_first else (1, 2, 5, 3, 16, *range(4, 16))):
+        P = tables.jacobian(0.3, k * h, k)
+        z, jac = np.eye(1, 4), np.eye(4)[None].copy()
+        flow._dop853(flow._FieldEval(fresh, 1, True), z, jac, 0.0, h, k)
+        assert np.array_equal(_bits(P), _bits(jac[0])), k
+    assert list(tables._jacobians) == [h] and len(tables._jacobians[h][0]) == 17
+
+
+def test_time_profiled_memo_integrates_per_interval(monkeypatch):
+    """A bump-profiled quadratic spec's flow depends on t0: its memo runs one
+    integration per (t0, span, steps), each from t0, and asks again find it."""
+    spec = _quadratic_bump_spec()
+    tables = flow._RealField(spec)
+    integrate, runs = flow._dop853, []
+
+    def dop853(field, z, jac, t, h, steps, trace=None):
+        runs.append((t, h * steps, steps))
+        return integrate(field, z, jac, t, h, steps, trace)
+
+    monkeypatch.setattr(flow, "_dop853", dop853)
+    keys = [(0.0, 1.0, 16), (0.0, 0.5, 8), (0.5, 0.5, 8), (0.25, 1 / 16, 1)]
+    first = [tables.jacobian(*key).copy() for key in keys]
+    again = [tables.jacobian(*key) for key in reversed(keys)][::-1]
+    assert runs == keys
+    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(first, again))
+    assert not np.array_equal(first[1], first[2])
+
+
+def test_jacobian_memo_is_bounded(rp3_corpus_spec, monkeypatch):
+    """The memo drops its oldest step sizes once it holds more than
+    _JACOBIAN_MEMO Jacobians, keeps the one just integrated however long,
+    and gives a dropped step size's Jacobians again, bit for bit."""
+    monkeypatch.setattr(flow, "_JACOBIAN_MEMO", 40)
+    tables = flow._RealField(rp3_corpus_spec)
+    first = tables.jacobian(0.0, 1.0, 16).copy()
+    for steps in (8, 32, 24, 64):
+        tables.jacobian(0.0, 1.0, steps)
+        held = [len(j) for j, _ in tables._jacobians.values()]
+        assert sum(held) <= 40 or held == [steps + 1]
+    assert list(tables._jacobians) == [1 / 64]
+    assert np.array_equal(_bits(tables.jacobian(0.0, 1.0, 16)), _bits(first))
+
+
 def test_linearity_flag(sphere_corpus_spec, rp3_corpus_spec, monkeypatch, rng):
     """Quadratic forms (terms of degree 2 or 0) are linear; odd cubic, time-
     profiled cubic and even quartic terms are not, and never reach the memo."""
@@ -410,30 +463,41 @@ def test_shared_jacobian_is_copied_out(rp3_corpus_spec, settings):
 
 
 def test_rp3_config_computes_one_jacobian_per_interval(tmp_path, monkeypatch):
-    """On the committed rp3 config each compiled spec's memo integrates one
-    Jacobian per distinct (span, steps): the stacked integrations of the 16
-    genfun leaves in every outer Newton iteration share one, and so do the
-    direct route's time-one integrations.  The Reeb calibration check asks
-    its own spec's memo."""
+    """On the committed rp3 config each compiled spec's memo runs one
+    unit-row integration per step size h, and every span of k steps of h is
+    its k-th step: the stacked integrations of the 16 genfun leaves in every
+    outer Newton iteration share one, and so do the direct route's time-one
+    integrations, the subdivision probes and the leaves.  The Reeb
+    calibration check asks its own spec's memo.  That makes 3: the Reeb
+    spec at h = 1/16, and rp3 at h = 1/16 (spans 1, 1/2, ..., 1/16) and at
+    h = 1/32."""
     flow._real_field.cache_clear()
-    asked, computed = [], []
+    asked, computed, current = [], [], []
     lookup, integrate = flow._RealField.jacobian, flow._dop853
 
     def jacobian(self, t0, span, steps):
         asked.append((self, span, steps))
-        return lookup(self, t0, span, steps)
+        current.append(self)
+        try:
+            return lookup(self, t0, span, steps)
+        finally:
+            current.pop()
 
-    def dop853(field, z, jac, *args):
+    def dop853(field, z, jac, t, h, steps, trace=None):
         if jac is not None:
-            computed.append(z.shape[0])
-        return integrate(field, z, jac, *args)
+            computed.append((current[-1], h, z.shape[0]))
+        return integrate(field, z, jac, t, h, steps, trace)
 
     monkeypatch.setattr(flow._RealField, "jacobian", jacobian)
     monkeypatch.setattr(flow, "_dop853", dop853)
     config = Path(__file__).resolve().parents[1] / "configs" / "rp3-sym-eps0.05.json"
     assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
-    assert computed == [1] * len(set(asked))
     rp3 = flow._real_field(load_config(config).hamiltonian)
+    reeb = flow._real_field(ham.ContactHamiltonianSpec(n=2, quadratic=(1.0, 1.0)))
+    assert sorted(computed, key=lambda c: (c[0] is rp3, -c[1])) == [
+        (reeb, 1 / 16, 1), (rp3, 1 / 16, 1), (rp3, 1 / 32, 1)]
+    assert {span for tables, span, steps in asked if tables is rp3 and span / steps == 1 / 16} \
+        == {1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16}
     leaf = (rp3, 1 / 16, 1)
     assert asked.count(leaf) > 1 and asked.count((rp3, 1.0, 16)) > 1
 

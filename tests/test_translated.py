@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactmorse import cli
+from contactmorse import cli, flow
 from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
@@ -14,7 +14,7 @@ from contactmorse.config import load_config
 from contactmorse.flow import IntegratorSettings, integrate_flow
 from contactmorse.genfun import gf_compose
 from contactmorse.linsymp import inertia, mul_i, solve_rows
-from contactmorse.sampling import sphere_points
+from contactmorse.sampling import sphere_points, subdivision_probe_points
 
 from oracles import (
     build_rotation_family,
@@ -859,3 +859,50 @@ def test_genfun_chain_step_rows_are_batch_independent(settings, sphere_corpus_sp
                  sorted(rng.choice(128, 7, replace=False).tolist())):
         part = family.bordered_step(x[rows], hess[rows], dgrad[rows], F[rows])
         assert np.array_equal(part, full[rows]), rows
+
+
+def _shared_path_specs(rp3_corpus_spec):
+    T = ham.PerturbationTerm
+    return {
+        "rp3": rp3_corpus_spec,
+        "bump": replace(rp3_corpus_spec, time_profile="bump"),
+        "n3": ham.ContactHamiltonianSpec(
+            n=3, quadratic=(0.3, 0.5, 0.7),
+            terms=(T(0.05, (2, 0, 0), (0, 0, 0)), T(0.04, (0, 1, 0), (0, 0, 1))),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["rp3", "bump", "n3"])
+def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, monkeypatch):
+    """On a linear spec the C^1 probe's Jacobians, the leaf Hessians and the
+    leaf links' chain pivots are computed once per leg or leaf and given to
+    every row: bit for bit what the same functions give on the full per-row
+    stacks, as for a nonlinear spec."""
+    spec = _shared_path_specs(rp3_corpus_spec)[case]
+    settings = IntegratorSettings(32 if case == "bump" else 16)
+    m = 2 * spec.n
+    q = sphere_points(24, m)
+    t = np.linspace(0.05, 0.95, 24)
+
+    def compute():
+        probes = [flow.c1_distance(spec, a, b, settings, subdivision_probe_points(spec.n))
+                  for a, b in ((0.0, 1.0), (0.0, 0.5), (0.25, 0.3125))]
+        f_phi, schedule = tp.build_phi_genfun(spec, settings, 1.0)
+        family = tp.ShiftedGenFunFamily(f_phi, spec.n, 4)
+        x, warm = family.seed(q, t)
+        chain, _ = family._chain(t)
+        _, _, cold, ok = gfm.evaluate_stacked(chain, x, order=2)
+        _, grad, hess, dgrad, ok_warm, _ = family.evaluate(x, t, order=2, warm=warm)
+        assert ok.all() and ok_warm.all() and len(schedule) > 1
+        F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
+        steps = family.bordered_step(x, hess, dgrad, F)
+        return np.array(probes), cold, hess, steps
+
+    shared = compute()
+    assert flow.linear_flow(spec)
+    for module in (flow, gfm, tp):
+        monkeypatch.setattr(module, "linear_flow", lambda spec: False)
+    per_row = compute()
+    for a, b in zip(shared, per_row):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
