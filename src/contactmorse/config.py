@@ -161,7 +161,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"seeds.sphere_count: resolution too small: need at least "
                           f"{MIN_SPHERE_SEEDS} sphere seeds, or 0 for the default 128 n, "
                           f"got {values['sphere_count']}")
-    if not values["sphere_count"]:
+    if not data.get("seeds", {}).get("sphere_count"):
         values["sphere_count"] = 128 * n
     params = SweepParams(**{f.name: values[f.name] for f in fields(SweepParams)})
     if params.mode == "projective":

@@ -63,8 +63,9 @@ FIELD_SCALE = math.pi
 _MAX_STEPS = 1 << 22
 
 # Jacobians a linear field's memo keeps: a step size's Jacobian after each
-# of its steps, and a time-profiled field's one per interval.  The oldest
-# entries go first; the one just integrated stays, however long.
+# of its steps, and one per interval of a time-profiled field or of a span
+# of this many steps or more, so no entry holds more.  The oldest entries
+# go first.
 _JACOBIAN_MEMO = 4096
 
 # Rows of one integration pass: a larger batch runs as consecutive chunks of
@@ -213,7 +214,8 @@ class _RealField:
             False: self._plan(rows, slice(0, two_n)),
         }
         self.linear = self.plans[True] is None or not np.any(self.plans[True][1][1:, two_n:])
-        # key -> (read-only Jacobians (k, 2n, 2n), unit-row state or None)
+        # step size h -> read-only Jacobians (k + 1, 2n, 2n) after 0..k steps,
+        # or (span, steps) or (t0, span, steps) -> the one Jacobian (1, 2n, 2n)
         self._jacobians: dict = {}
 
     def jacobian(self, t0: float, span: float, steps: int) -> np.ndarray:
@@ -230,35 +232,35 @@ class _RealField:
         same integration whatever the span: one integration per step size h
         keeps its Jacobian after each step, and is extended when a longer
         span asks; each integration evaluates D once, at the unit row
-        (_ConstantField).  A time-profiled field's D varies with t; its flow
-        is integrated per (t0, span, steps).
+        (_ConstantField).  A span of _JACOBIAN_MEMO steps or more keeps only
+        its last Jacobian, per (span, steps).  A time-profiled field's D
+        varies with t; its flow is integrated per (t0, span, steps).
         """
         m = 2 * self.n
-        if self.profile is not None:
-            key = (t0, span, steps)
-            if key not in self._jacobians:
-                z, jac = np.eye(1, m), np.eye(m)[None]
-                _dop853(_FieldEval(self, 1, True), z, jac, t0, span / steps, steps)
-                self._remember(key, jac, None)
-            return self._jacobians[key][0][0]
         h = span / steps
-        done, z = self._jacobians.get(h) or (np.eye(m)[None], np.eye(1, m))
-        if len(done) <= steps:
-            more = np.empty((steps + 1 - len(done), 1, m, m))
-            _dop853(_ConstantField(self), z, done[-1:].copy(), (len(done) - 1) * h, h,
-                    len(more), trace=more)
-            self._jacobians.pop(h, None)
-            done = self._remember(h, np.concatenate([done, more[:, 0]]), z)
-        return done[steps]
+        if self.profile is None and steps < _JACOBIAN_MEMO:
+            done = self._jacobians.get(h, np.eye(m)[None])
+            if len(done) <= steps:
+                more = _unit_row_jacobians(_ConstantField(self), done[-1], 0.0, h,
+                                           steps + 1 - len(done), every=True)
+                self._jacobians.pop(h, None)
+                done = self._remember(h, np.concatenate([done, more]))
+            return done[steps]
+        key = (span, steps) if self.profile is None else (t0, span, steps)
+        if key not in self._jacobians:
+            field = _ConstantField(self) if self.profile is None else _FieldEval(self, 1, True)
+            self._remember(key, _unit_row_jacobians(field, np.eye(m), t0, h, steps))
+        return self._jacobians[key][0]
 
-    def _remember(self, key, jacobians: np.ndarray, z) -> np.ndarray:
-        """Memoise jacobians read-only under key, the newest entry, and drop
-        the oldest ones while the memo holds more than _JACOBIAN_MEMO."""
+    def _remember(self, key, jacobians: np.ndarray) -> np.ndarray:
+        """Memoise the stack jacobians read-only under key, the newest
+        entry, and drop the oldest ones while the memo holds more than
+        _JACOBIAN_MEMO Jacobians."""
         jacobians.flags.writeable = False
-        self._jacobians[key] = (jacobians, z)
-        held = sum(len(j) for j, _ in self._jacobians.values())
+        self._jacobians[key] = jacobians
+        held = sum(map(len, self._jacobians.values()))
         while held > _JACOBIAN_MEMO and len(self._jacobians) > 1:
-            held -= len(self._jacobians.pop(next(iter(self._jacobians)))[0])
+            held -= len(self._jacobians.pop(next(iter(self._jacobians))))
         return jacobians
 
     def _plan(self, rows: dict, cols: slice):
@@ -393,6 +395,19 @@ class _ConstantField:
         np.matmul(x, self.D_T, out=field)
         if jac is not None:
             jac[...] = self.D
+
+
+def _unit_row_jacobians(field, start: np.ndarray, t0: float, h: float, steps: int,
+                        every: bool = False) -> np.ndarray:
+    """The Jacobian of field's flow from start (2n, 2n) over steps steps of h
+    from t0, by the variational equation on a unit row: after each step
+    (steps, 2n, 2n) when every, else after the last (1, 2n, 2n).  J' = D J
+    does not read the state, so the row's own state need not be carried."""
+    m = start.shape[-1]
+    jac = start[None].copy()
+    trace = np.empty((steps, 1, m, m)) if every else None
+    _dop853(field, np.eye(1, m), jac, t0, h, steps, trace=trace)
+    return jac if trace is None else trace[:, 0]
 
 
 @lru_cache(maxsize=64)

@@ -272,8 +272,9 @@ def leaf_hessian(jac: np.ndarray) -> np.ndarray:
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def _leaf_hessians(leaves: list[LeafGF], jac: np.ndarray, integrated: np.ndarray) -> np.ndarray:
-    """leaf_hessian of DPhi (B, L, 2n, 2n) at the leaves' midpoints.
+def _leaf_hessians(leaves: list[LeafGF], jac: np.ndarray, integrated: np.ndarray):
+    """leaf_hessian of DPhi (B, L, 2n, 2n) at the leaves' midpoints, and the
+    leaves' Hessians (L, 2n, 2n) when every row shares them, else None.
 
     When every leaf is linear, a leaf gives every row it integrated
     (integrated (B, L)) one DPhi, so its Hessian is computed on one such
@@ -281,9 +282,9 @@ def _leaf_hessians(leaves: list[LeafGF], jac: np.ndarray, integrated: np.ndarray
     whatever its Hessian.
     """
     if not all(linear_flow(leaf.spec) for leaf in leaves):
-        return leaf_hessian(jac)
-    one_row = jac[np.argmax(integrated, axis=0), np.arange(len(leaves))]
-    return np.broadcast_to(leaf_hessian(one_row), jac.shape).copy()
+        return leaf_hessian(jac), None
+    shared = leaf_hessian(jac[np.argmax(integrated, axis=0), np.arange(len(leaves))])
+    return np.broadcast_to(shared, jac.shape).copy(), shared
 
 
 def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, guess: np.ndarray | None,
@@ -330,11 +331,13 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     are Newton unknowns of the caller: each leaf is integrated once, from
     the leaf step of warm toward its new base b (LeafState.predict), ok
     marks the rows whose leaves were integrated, and the new LeafState is
-    returned as a fifth element.  The midpoint z then solves (z + Phi(z))/2
-    = b + r with a residual r, and the leaf's gradient is the linearization
-    at z, i(z - Phi(z)) - H r with H its Hessian: eliminating the midpoint
-    step from the joint Newton system leaves exactly this gradient with the
-    unchanged Hessian.  Where LeafState.solves(b) holds it equals the solved
+    returned as a fifth element; a sixth is the leaves' Hessians (L, 2n,
+    2n), in chain order, when every row shares them, as it does when every
+    leaf's flow is linear, and otherwise None.  The midpoint z then solves
+    (z + Phi(z))/2 = b + r with a residual r, and the leaf's gradient is the
+    linearization at z, i(z - Phi(z)) - H r with H its Hessian: eliminating
+    the midpoint step from the joint Newton system leaves exactly this
+    gradient with the unchanged Hessian.  Where LeafState.solves(b) holds it equals the solved
     leaf's gradient to the leaf tolerance.
     """
     x = np.asarray(x, dtype=float)
@@ -358,8 +361,8 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     z, Zv, jac, ok_leaf = _solve_leaves(leaf_links, leaf_b, guess, max_iter)
     solved = 0.5 * (z + Zv)
     g = mul_i(z - Zv)
-    H = (_leaf_hessians(leaf_links, jac, ok_leaf)
-         if hess is not None or warm is not None else None)
+    H, shared = (_leaf_hessians(leaf_links, jac, ok_leaf)
+                 if hess is not None or warm is not None else (None, None))
     if warm is None:
         ok_leaf &= _leaf_solved(z, solved, leaf_b)
     else:
@@ -380,7 +383,7 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     grad = join_chain(ga, grads[:, 1:] - 2.0 * mul_i(d))
     if warm is None:
         return val, grad, hess, ok
-    return val, grad, hess, ok, LeafState(solved, z, jac)
+    return val, grad, hess, ok, LeafState(solved, z, jac), shared
 
 
 @functools.lru_cache(maxsize=None)

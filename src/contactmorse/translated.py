@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import genfun as gfm
-from .flow import IntegratorSettings, integrate_flow, linear_flow, subdivide_c1_small
+from .flow import IntegratorSettings, integrate_flow, subdivide_c1_small
 from .genfun import (
     ChainGF,
     evaluate_stacked,
@@ -526,12 +526,6 @@ class ShiftedGenFunFamily:
         self.f_phi = f_phi
         self.n = n
         self.k = k
-        # links 2..L whose pivot (see bordered_step) is one matrix on every
-        # row: all of them when every leaf is linear, since evaluate then
-        # gives every row a leaf's one Hessian
-        linear = all(isinstance(link, gfm.LeafGF) and linear_flow(link.spec)
-                     for link in f_phi.links)
-        self._shared_pivots = len(f_phi.links) - 1 if linear else 0
         # a chain of m links has 2m - 1 base and fiber blocks of size 2n
         self.dim = (2 * (len(f_phi.links) + k) - 1) * 2 * n
 
@@ -575,7 +569,9 @@ class ShiftedGenFunFamily:
         gfm.chain_hessian assembles into the Hessian of F_t.  With warm (the
         LeafState of F_phi's leaves for these rows) every leaf is integrated
         once, from the leaf step of warm, its gradient is linearized at that
-        midpoint and the new LeafState is returned as a sixth element.
+        midpoint, and the new LeafState and the leaves' Hessians (L, 2n, 2n)
+        when every row shares them (else None) are returned as a sixth and a
+        seventh element, for bordered_step.
         """
         x = np.asarray(x, dtype=float)
         chain, dcoeff = self._chain(t)
@@ -588,13 +584,13 @@ class ShiftedGenFunFamily:
         return (val, grad, hess, dgrad, ok, *state)
 
     def bordered_step(self, border: np.ndarray, hess: np.ndarray, dgrad: np.ndarray,
-                      F: np.ndarray) -> np.ndarray:
+                      F: np.ndarray, leaf_hess: np.ndarray | None = None) -> np.ndarray:
         """Solution s (R, D + 1) of [[H, dgrad], [border^T, 0]] s = F on
         every row, with H the Hessian of F_t given by the links' Hessians
-        hess, which must come from evaluate at order 2, on rows it marked
-        ok: when every leaf is linear, a leaf's Hessian there is one matrix
-        on every row, so its pivot is inverted on the first row and given to
-        every row, with the bits of each row's own inverse.
+        hess (R, L + k, 2n, 2n).  leaf_hess, when given, is the leaves'
+        Hessians (L, 2n, 2n) that every row of hess shares, as evaluate
+        returns them for a linear family: each leaf link's pivot is then
+        inverted once, with the bits of each row's own inverse.
 
         Solved by elimination along the chain, uniformly over its N = L + k
         links.  H is block tridiagonal: link j's Hessian H_j is the diagonal
@@ -637,13 +633,13 @@ class ShiftedGenFunFamily:
         # a_1 row: H_1 a_1 + 2i (b_2 - a_2) + d tau = g gives e = b_2 - a_2
         e = -0.5 * i_rows(rhs(ga[:, 0], da[:, 0]) - hess[:, 0] @ sa[:, 0])
         P = hess[:, 1:] + K
-        s = self._shared_pivots
-        if s:
-            Pinv = np.empty(P.shape)
-            Pinv[:, :s] = _inverses(P[0, :s])
-            Pinv[:, s:] = _inverses(P[:, s:].reshape(-1, m, m)).reshape(R, -1, m, m)
-        else:
+        if leaf_hess is None:
             Pinv = _inverses(P.reshape(-1, m, m)).reshape(R, N - 1, m, m)
+        else:
+            s = len(leaf_hess) - 1
+            Pinv = np.empty(P.shape)
+            Pinv[:, :s] = _inverses(leaf_hess[1:] + K)
+            Pinv[:, s:] = _inverses(P[:, s:].reshape(-1, m, m)).reshape(R, -1, m, m)
         for j in range(1, N):
             # b_{j+1} row: H b + 2i (a_{j+1} - a_j) + d tau = g with b = a_j + f
             # and a_{j+1} = b - e, solved for the increment f
@@ -780,9 +776,12 @@ def _genfun_newton(family, x0, t0, warm):
     the rotation family's domain |t| < k/2.  Returns (x, t, F_t(x), done).
     """
 
+    leaf_hess = None  # the last evaluation's, which every row shares
+
     def evaluate(work, x, t):
-        val, grad, hess, dgrad, ok, state = family.evaluate(x, t, order=2,
-                                                             warm=warm.take(work))
+        nonlocal leaf_hess
+        val, grad, hess, dgrad, ok, state, leaf_hess = family.evaluate(x, t, order=2,
+                                                                       warm=warm.take(work))
         warm.put(work, state)
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
         err = np.where(state.solves(family.leaf_bases(x)), np.linalg.norm(grad, axis=1), np.inf)
@@ -795,7 +794,7 @@ def _genfun_newton(family, x0, t0, warm):
         return x / np.maximum(xnorm, 1e-30)[:, None], bad
 
     return _bordered_newton(x0, t0, (evaluate, retract), _GRAD_TOL, _MAX_ITER,
-                            solve=lambda M, F: family.bordered_step(*M, F))
+                            solve=lambda M, F: family.bordered_step(*M, F, leaf_hess))
 
 
 # ---------------------------------------------------------------------------

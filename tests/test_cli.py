@@ -205,10 +205,12 @@ def test_config_rejects_too_few_sphere_seeds(tmp_path, capsys, count):
                                     IntegratorSettings(), count, 8, 1)
 
 
-def test_zero_or_missing_sphere_count_is_the_default():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_or_missing_sphere_count_is_the_default(n):
+    base = {"n": n, "mode": "sphere", "hamiltonian": {"quadratic": [0.3] * n}}
     for seeds in ({}, {"sphere_count": 0}):
-        assert parse_config({**MINIMAL, "seeds": seeds}).params.sphere_count == 256
-    assert parse_config({**MINIMAL, "seeds": {"sphere_count": 8}}).params.sphere_count == 8
+        assert parse_config({**base, "seeds": seeds}).params.sphere_count == 128 * n
+    assert parse_config({**base, "seeds": {"sphere_count": 8}}).params.sphere_count == 8
 
 
 def test_cli_config_error_exit(tmp_path):

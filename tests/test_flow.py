@@ -392,7 +392,7 @@ def test_step_size_memo_matches_fresh_integrations(case, long_first, rp3_corpus_
         z, jac = np.eye(1, 4), np.eye(4)[None].copy()
         flow._dop853(flow._FieldEval(fresh, 1, True), z, jac, 0.0, h, k)
         assert np.array_equal(_bits(P), _bits(jac[0])), k
-    assert list(tables._jacobians) == [h] and len(tables._jacobians[h][0]) == 17
+    assert list(tables._jacobians) == [h] and len(tables._jacobians[h]) == 17
 
 
 def test_time_profiled_memo_integrates_per_interval(monkeypatch):
@@ -416,18 +416,21 @@ def test_time_profiled_memo_integrates_per_interval(monkeypatch):
 
 
 def test_jacobian_memo_is_bounded(rp3_corpus_spec, monkeypatch):
-    """The memo drops its oldest step sizes once it holds more than
-    _JACOBIAN_MEMO Jacobians, keeps the one just integrated however long,
-    and gives a dropped step size's Jacobians again, bit for bit."""
+    """The memo never holds more than _JACOBIAN_MEMO Jacobians: it drops its
+    oldest entries, and a span of that many steps or more keeps only its
+    last Jacobian, so one long span stays under the cap.  Every Jacobian,
+    dropped and asked again or kept alone, has the bits it has under the
+    default cap."""
+    asked = [(1.0, 16), (1.0, 8), (1.0, 32), (1.0, 24), (1.0, 64), (0.5, 32), (1.0, 1000)]
+    expect = {key: flow._RealField(rp3_corpus_spec).jacobian(0.0, *key).copy() for key in asked}
     monkeypatch.setattr(flow, "_JACOBIAN_MEMO", 40)
     tables = flow._RealField(rp3_corpus_spec)
-    first = tables.jacobian(0.0, 1.0, 16).copy()
-    for steps in (8, 32, 24, 64):
-        tables.jacobian(0.0, 1.0, steps)
-        held = [len(j) for j, _ in tables._jacobians.values()]
-        assert sum(held) <= 40 or held == [steps + 1]
-    assert list(tables._jacobians) == [1 / 64]
-    assert np.array_equal(_bits(tables.jacobian(0.0, 1.0, 16)), _bits(first))
+    for span, steps in asked + asked[:2]:
+        P = tables.jacobian(0.0, span, steps)
+        assert np.array_equal(_bits(P), _bits(expect[span, steps])), (span, steps)
+        assert sum(map(len, tables._jacobians.values())) <= 40, (span, steps)
+        if steps >= 40:
+            assert len(tables._jacobians[span, steps]) == 1
 
 
 def test_linearity_flag(sphere_corpus_spec, rp3_corpus_spec, monkeypatch, rng):

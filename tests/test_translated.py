@@ -768,12 +768,12 @@ def _steps_against_nested(family, spec, settings, monkeypatch, sphere_count, t_c
         calls.append((x.copy(), t.copy(), out[1].copy(), out[5].jac.copy()))
         return out
 
-    def bordered_step(border, hess, dgrad, F):
+    def bordered_step(border, hess, dgrad, F, leaf_hess=None):
         # a step is solved only for the rows that go on: find them by their
         # gradients among those of the last evaluation
         x, tt, grad, jac = calls[-1]
         rows = np.argmax(np.all(grad[None, :, :] == F[:, None, :-1], axis=2), axis=1)
-        s = inner_step(border, hess, dgrad, F)
+        s = inner_step(border, hess, dgrad, F, leaf_hess)
         steps.append((x[rows], tt[rows], dgrad.copy(), jac[rows], border.copy(), F.copy(), s))
         return s
 
@@ -851,7 +851,7 @@ def test_genfun_chain_step_rows_are_batch_independent(settings, sphere_corpus_sp
     q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 64, 8, 2)
     x, warm = family.seed(q, t)
     assert x.shape[0] == 128
-    _, grad, hess, dgrad, ok, _ = family.evaluate(x, t, order=2, warm=warm)
+    _, grad, hess, dgrad, ok, _, _ = family.evaluate(x, t, order=2, warm=warm)
     assert ok.all()
     F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
     full = family.bordered_step(x, hess, dgrad, F)
@@ -893,15 +893,16 @@ def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, monkeypatch
         x, warm = family.seed(q, t)
         chain, _ = family._chain(t)
         _, _, cold, ok = gfm.evaluate_stacked(chain, x, order=2)
-        _, grad, hess, dgrad, ok_warm, _ = family.evaluate(x, t, order=2, warm=warm)
+        _, grad, hess, dgrad, ok_warm, _, leaf_hess = family.evaluate(x, t, order=2, warm=warm)
         assert ok.all() and ok_warm.all() and len(schedule) > 1
+        assert (leaf_hess is None) != flow.linear_flow(spec)
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
-        steps = family.bordered_step(x, hess, dgrad, F)
+        steps = family.bordered_step(x, hess, dgrad, F, leaf_hess)
         return np.array(probes), cold, hess, steps
 
     shared = compute()
     assert flow.linear_flow(spec)
-    for module in (flow, gfm, tp):
+    for module in (flow, gfm):
         monkeypatch.setattr(module, "linear_flow", lambda spec: False)
     per_row = compute()
     for a, b in zip(shared, per_row):
