@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .flow import IntegratorSettings, calibrate_steps_per_unit, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import mul_i
-from .report import RunReport, write_outputs
+from .report import RunReport, _nondeg_str, write_outputs
 from .translated import RouteDisagreementError, SweepReport, index_data, sweep_and_count
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def _dump_disagreement(exc: RouteDisagreementError, out_dir: Path) -> None:
         for rec in records:
             lines.append(
                 f"t={rec.t!r} q={list(rec.q)!r} residual_fixed={rec.residual_fixed!r} "
-                f"route={rec.route}"
+                f"nondegenerate={_nondeg_str(rec.nondegenerate)} route={rec.route}"
             )
     (out_dir / "route_disagreement.txt").write_text("\n".join(lines) + "\n")
 

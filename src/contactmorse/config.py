@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm, TIME_PROFILES
-from .translated import MIN_SPHERE_SEEDS, SweepParams
+from .translated import MIN_SPHERE_SEEDS, SweepParams, sphere_seed_count
 
 SCHEMA_VERSION = 1
 
@@ -65,7 +65,7 @@ _SCALARS = {
 }
 _SECTIONS = dict.fromkeys(loc.partition(".")[0] for loc in _SCALARS if "." in loc)
 # The choices of a str field and the minimum of an int one; floats must be
-# positive.  A sphere_count of 0 stands for the default 128 n.
+# positive.  A sphere_count of 0, its default, stands for 128 n.
 _LIMITS = {
     "mode": MODES, "routes": ROUTES, "rotation_pieces": 3, "sphere_count": 0,
     "t_count": 1, "keep_per_seed": 1, "steps_per_unit": 0,
@@ -161,8 +161,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"seeds.sphere_count: resolution too small: need at least "
                           f"{MIN_SPHERE_SEEDS} sphere seeds, or 0 for the default 128 n, "
                           f"got {values['sphere_count']}")
-    if not data.get("seeds", {}).get("sphere_count"):
-        values["sphere_count"] = 128 * n
+    values["sphere_count"] = sphere_seed_count(values["sphere_count"], n)
     params = SweepParams(**{f.name: values[f.name] for f in fields(SweepParams)})
     if params.mode == "projective":
         from .projective import ProjectiveSpec

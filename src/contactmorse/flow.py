@@ -37,9 +37,10 @@ from the stage loop's state by rounding only: at most 1.4e-14 relative on
 and 512 steps per unit.  An autonomous linear field's P over k steps of h
 is the k-th step of one integration whatever the span, so one integration
 per step size h serves every span: at 16 steps per unit, the spans 1, 1/2,
-..., 1/16 of a subdivision.  Every matrix derived from P alone is shared
-by the rows as well: the C^1 probe's (c1_distance) here, and the leaf
-Hessians and chain pivots of the generating-function route.
+..., 1/16 of a subdivision.  Only the integrator knows that the flow is
+linear; a matrix derived from P alone is found by value to be the same on
+every row where it is used (linsymp.same_on_rows) and computed once: the
+C^1 probe's (c1_distance), the leaf Hessians and the chain pivots.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hamiltonian as ham
-from .linsymp import complex_structure_matrix
+from .linsymp import complex_structure_matrix, same_on_rows
 from .sampling import sphere_points, subdivision_probe_points
 
 # Calibration constant: with omega = sum dx ^ dy and iota_X omega = dH the
@@ -415,12 +416,6 @@ def _real_field(spec: ham.ContactHamiltonianSpec) -> _RealField:
     return _RealField(spec)
 
 
-def linear_flow(spec: ham.ContactHamiltonianSpec) -> bool:
-    """Whether spec's lifted flow is linear (_RealField.linear): then the
-    flow over an interval is one matrix, the Jacobian at every point."""
-    return _real_field(spec).linear
-
-
 def integrate_flow(
     spec: ham.ContactHamiltonianSpec,
     z0: np.ndarray,
@@ -625,13 +620,13 @@ def c1_distance(
 
     Evaluated at the piece midpoint as well as the endpoint: a loop closed up
     inside the piece would otherwise alias to the identity and pass.  A
-    linear flow gives every sample one Jacobian per leg, so its norm and the
-    product of the two legs are computed once, with the bits of each row's.
+    Jacobian every sample shares (same_on_rows: a linear flow's) takes one
+    norm per leg and one product of the legs, with the bits of each row's.
     """
     mid = 0.5 * (t0 + t1)
     z_m, jac_m = integrate_flow(spec, samples, t0, mid, settings, with_jacobian=True)
     z_e, jac_2 = integrate_flow(spec, z_m, mid, t1, settings, with_jacobian=True)
-    if linear_flow(spec):
+    if same_on_rows(jac_m) and same_on_rows(jac_2):
         jac_m, jac_2 = jac_m[0], jac_2[0]
     return max(_c1_metric(samples, z_m, jac_m), _c1_metric(samples, z_e, jac_2 @ jac_m))
 

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import IntegratorSettings, integrate_flow, linear_flow
+from .flow import IntegratorSettings, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
-from .linsymp import complex_structure_matrix, mul_i
+from .linsymp import complex_structure_matrix, mul_i, same_on_rows
 
 
 @dataclass(frozen=True)
@@ -272,19 +272,11 @@ def leaf_hessian(jac: np.ndarray) -> np.ndarray:
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def _leaf_hessians(leaves: list[LeafGF], jac: np.ndarray, integrated: np.ndarray):
-    """leaf_hessian of DPhi (B, L, 2n, 2n) at the leaves' midpoints, and the
-    leaves' Hessians (L, 2n, 2n) when every row shares them, else None.
-
-    When every leaf is linear, a leaf gives every row it integrated
-    (integrated (B, L)) one DPhi, so its Hessian is computed on one such
-    row and given to every row; a row it did not integrate is not ok,
-    whatever its Hessian.
-    """
-    if not all(linear_flow(leaf.spec) for leaf in leaves):
-        return leaf_hessian(jac), None
-    shared = leaf_hessian(jac[np.argmax(integrated, axis=0), np.arange(len(leaves))])
-    return np.broadcast_to(shared, jac.shape).copy(), shared
+def _leaf_hessians(jac: np.ndarray) -> np.ndarray:
+    """leaf_hessian of DPhi (B, L, 2n, 2n) at the leaves' midpoints, on row 0
+    alone when every row has row 0's DPhi (same_on_rows), as a linear flow
+    gives every row it integrates; read-only."""
+    return np.broadcast_to(leaf_hessian(jac[:1] if same_on_rows(jac) else jac), jac.shape)
 
 
 def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, guess: np.ndarray | None,
@@ -331,14 +323,14 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     are Newton unknowns of the caller: each leaf is integrated once, from
     the leaf step of warm toward its new base b (LeafState.predict), ok
     marks the rows whose leaves were integrated, and the new LeafState is
-    returned as a fifth element; a sixth is the leaves' Hessians (L, 2n,
-    2n), in chain order, when every row shares them, as it does when every
-    leaf's flow is linear, and otherwise None.  The midpoint z then solves
-    (z + Phi(z))/2 = b + r with a residual r, and the leaf's gradient is the
-    linearization at z, i(z - Phi(z)) - H r with H its Hessian: eliminating
-    the midpoint step from the joint Newton system leaves exactly this
-    gradient with the unchanged Hessian.  Where LeafState.solves(b) holds it equals the solved
-    leaf's gradient to the leaf tolerance.
+    returned as a fifth element.  The midpoint z then solves (z + Phi(z))/2
+    = b + r with a residual r, and the leaf's gradient is the linearization
+    at z, i(z - Phi(z)) - H r with H its Hessian: eliminating the midpoint
+    step from the joint Newton system leaves exactly this gradient with the
+    unchanged Hessian.  Where LeafState.solves(b) holds it equals the solved
+    leaf's gradient to the leaf tolerance.  The leaf Hessians are computed
+    once and given to every row when every row has the same DPhi
+    (_leaf_hessians).
     """
     x = np.asarray(x, dtype=float)
     links, m = gf.links, gf.base_dim
@@ -356,13 +348,11 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
             if hess is not None:
                 hess[:, j] = h
     leaf_b = bases[:, leaves]
-    leaf_links = [links[j] for j in leaves]
     guess, max_iter = (None, _LEAF_MAX_ITER) if warm is None else (warm.predict(leaf_b), 0)
-    z, Zv, jac, ok_leaf = _solve_leaves(leaf_links, leaf_b, guess, max_iter)
+    z, Zv, jac, ok_leaf = _solve_leaves([links[j] for j in leaves], leaf_b, guess, max_iter)
     solved = 0.5 * (z + Zv)
     g = mul_i(z - Zv)
-    H, shared = (_leaf_hessians(leaf_links, jac, ok_leaf)
-                 if hess is not None or warm is not None else (None, None))
+    H = _leaf_hessians(jac) if hess is not None or warm is not None else None
     if warm is None:
         ok_leaf &= _leaf_solved(z, solved, leaf_b)
     else:
@@ -383,7 +373,7 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     grad = join_chain(ga, grads[:, 1:] - 2.0 * mul_i(d))
     if warm is None:
         return val, grad, hess, ok
-    return val, grad, hess, ok, LeafState(solved, z, jac), shared
+    return val, grad, hess, ok, LeafState(solved, z, jac)
 
 
 @functools.lru_cache(maxsize=None)

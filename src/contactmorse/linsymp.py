@@ -3,8 +3,8 @@
 Coordinates are laid out as (x_1..x_n, y_1..y_n) so that the complex
 coordinates are z_j = x_j + i*y_j and multiplication by i is the blockwise
 map (x, y) -> (-y, x).  The complex structure and the rotations e^{i phase}
-as real matrices, the inertia of symmetric matrices and the batched linear
-solve of every Newton loop live here.
+as real matrices, the inertia of symmetric matrices, the batched linear
+solve of every Newton loop and the test for a stack of equal rows live here.
 """
 
 from __future__ import annotations
@@ -70,6 +70,17 @@ def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
     return x if b.ndim == 3 else x[:, :, 0]
+
+
+def same_on_rows(a: np.ndarray) -> bool:
+    """Whether the float64 stack a (R, ...) has rows, all with the bits of
+    a[0]; it stops at row 1 when that row differs.  A per-matrix LAPACK or
+    BLAS call gives a matrix its own bits in any stack, so then one call on
+    a[0] serves every row."""
+    bits = a.view(np.uint64)
+    if len(bits) < 2:
+        return len(bits) == 1
+    return np.array_equal(bits[1], bits[0]) and bool(np.all(bits[2:] == bits[0]))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from .translated import _DEDUP_ANGULAR, _DEDUP_T, TranslatedPointRecord, pair_re
 
 
 class AntipodalPairingError(RuntimeError):
-    """A record set from a projective spec is not antipodally closed."""
+    """Projective records not antipodally closed: the seed grid missed a
+    record's partner, or a record has two partner candidates."""
 
 
 # Every finite double times 2^1074 is an integer, so coefficients scaled by
@@ -85,13 +86,15 @@ def antipodal_classes(records: list[TranslatedPointRecord]) -> list[TranslatedPo
 
     Returns one class per antipodal pair, represented by its first member
     in records, in the input order.  An unpaired record, or one with two
-    partner candidates, is a hard failure: equivariance was violated
-    somewhere upstream.
+    partner candidates, is a hard failure.  h(-z) = h(z) is checked exactly
+    where the config is parsed, so an unpaired record's partner exists and
+    the seed grid missed it.
     """
     partner = pair_records(records, records, _DEDUP_ANGULAR, _DEDUP_T, antipodal=True)
     if partner is None:
         raise AntipodalPairingError("a record has two antipodal partner candidates")
     for rec, j in zip(records, partner):
         if j < 0:
-            raise AntipodalPairingError(f"record at t={rec.t:.6f} has no antipodal partner")
+            raise AntipodalPairingError(f"record at t={rec.t:.6f} has no antipodal partner: the "
+                                        "seed grid missed it; raise seeds.sphere_count")
     return [rec for i, rec in enumerate(records) if i < partner[i]]

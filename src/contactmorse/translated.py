@@ -42,6 +42,7 @@ from .linsymp import (
     inertia,
     mul_i,
     rotation_matrix,
+    same_on_rows,
     solve_rows,
     to_complex,
     to_real,
@@ -109,7 +110,7 @@ class SweepParams:
     routes: str = "both"  # direct | genfun | both
     rotation_pieces: int = 4
     subdivision_delta: float = 1.0
-    sphere_count: int = 256
+    sphere_count: int = 0  # 0: 128 n (sphere_seed_count)
     t_count: int = 64
     keep_per_seed: int = 4
 
@@ -155,6 +156,11 @@ def _t_distance(t1, t2) -> np.ndarray:
 MIN_SPHERE_SEEDS = 8
 
 
+def sphere_seed_count(sphere_count: int, n: int) -> int:
+    """The sphere seeds of a grid on S^{2n-1}: sphere_count, or 128 n if 0."""
+    return sphere_count or 128 * n
+
+
 def _prefilter_seeds(
     spec: ContactHamiltonianSpec,
     settings: IntegratorSettings,
@@ -170,6 +176,7 @@ def _prefilter_seeds(
     Both routes take their starts from here, so both reject a grid of fewer
     than MIN_SPHERE_SEEDS sphere seeds.
     """
+    sphere_count = sphere_seed_count(sphere_count, spec.n)
     if sphere_count < MIN_SPHERE_SEEDS:
         raise ValueError(f"resolution too small: need at least {MIN_SPHERE_SEEDS} sphere seeds")
     n2 = 2 * spec.n
@@ -569,9 +576,7 @@ class ShiftedGenFunFamily:
         gfm.chain_hessian assembles into the Hessian of F_t.  With warm (the
         LeafState of F_phi's leaves for these rows) every leaf is integrated
         once, from the leaf step of warm, its gradient is linearized at that
-        midpoint, and the new LeafState and the leaves' Hessians (L, 2n, 2n)
-        when every row shares them (else None) are returned as a sixth and a
-        seventh element, for bordered_step.
+        midpoint, and the new LeafState is returned as a sixth element.
         """
         x = np.asarray(x, dtype=float)
         chain, dcoeff = self._chain(t)
@@ -584,13 +589,10 @@ class ShiftedGenFunFamily:
         return (val, grad, hess, dgrad, ok, *state)
 
     def bordered_step(self, border: np.ndarray, hess: np.ndarray, dgrad: np.ndarray,
-                      F: np.ndarray, leaf_hess: np.ndarray | None = None) -> np.ndarray:
+                      F: np.ndarray) -> np.ndarray:
         """Solution s (R, D + 1) of [[H, dgrad], [border^T, 0]] s = F on
         every row, with H the Hessian of F_t given by the links' Hessians
-        hess (R, L + k, 2n, 2n).  leaf_hess, when given, is the leaves'
-        Hessians (L, 2n, 2n) that every row of hess shares, as evaluate
-        returns them for a linear family: each leaf link's pivot is then
-        inverted once, with the bits of each row's own inverse.
+        hess (R, L + k, 2n, 2n).
 
         Solved by elimination along the chain, uniformly over its N = L + k
         links.  H is block tridiagonal: link j's Hessian H_j is the diagonal
@@ -606,7 +608,8 @@ class ShiftedGenFunFamily:
         difference of two large ones.  The a_N row and the border row close
         the chain in one (2n + 1)-system per row, whatever k.  Every product
         is a per-row stacked call, so a row's step depends neither on its
-        batch nor on the BLAS thread count.
+        batch nor on the BLAS thread count.  Leaf-link pivots that every row
+        shares are inverted once (_inverses); the rotation links' vary with t.
         """
         R, N, m = hess.shape[:3]
         h = m // 2
@@ -633,13 +636,8 @@ class ShiftedGenFunFamily:
         # a_1 row: H_1 a_1 + 2i (b_2 - a_2) + d tau = g gives e = b_2 - a_2
         e = -0.5 * i_rows(rhs(ga[:, 0], da[:, 0]) - hess[:, 0] @ sa[:, 0])
         P = hess[:, 1:] + K
-        if leaf_hess is None:
-            Pinv = _inverses(P.reshape(-1, m, m)).reshape(R, N - 1, m, m)
-        else:
-            s = len(leaf_hess) - 1
-            Pinv = np.empty(P.shape)
-            Pinv[:, :s] = _inverses(leaf_hess[1:] + K)
-            Pinv[:, s:] = _inverses(P[:, s:].reshape(-1, m, m)).reshape(R, -1, m, m)
+        L = len(self.f_phi.links)
+        Pinv = np.concatenate([_inverses(P[:, :L - 1]), _inverses(P[:, L - 1:])], axis=1)
         for j in range(1, N):
             # b_{j+1} row: H b + 2i (a_{j+1} - a_j) + d tau = g with b = a_j + f
             # and a_{j+1} = b - e, solved for the increment f
@@ -669,9 +667,14 @@ class ShiftedGenFunFamily:
 
 
 def _inverses(P: np.ndarray) -> np.ndarray:
-    """The inverse of every matrix of P (R, m, m), by solve_rows: NaN where P
-    is singular."""
-    return solve_rows(P, np.broadcast_to(np.eye(P.shape[-1]), P.shape).copy())
+    """The inverse of every matrix of P (R, S, m, m), by solve_rows: NaN
+    where P is singular.  When every row has row 0's matrices
+    (same_on_rows), they are inverted once and given to every row, with the
+    bits of each row's own inverses."""
+    rows = P[:1] if same_on_rows(P) else P
+    A = rows.reshape(-1, *P.shape[2:])
+    inv = solve_rows(A, np.broadcast_to(np.eye(P.shape[-1]), A.shape).copy())
+    return np.broadcast_to(inv.reshape(rows.shape), P.shape)
 
 
 # Starts per genfun Newton batch, which bounds a batch's Newton state.  A
@@ -776,12 +779,8 @@ def _genfun_newton(family, x0, t0, warm):
     the rotation family's domain |t| < k/2.  Returns (x, t, F_t(x), done).
     """
 
-    leaf_hess = None  # the last evaluation's, which every row shares
-
     def evaluate(work, x, t):
-        nonlocal leaf_hess
-        val, grad, hess, dgrad, ok, state, leaf_hess = family.evaluate(x, t, order=2,
-                                                                       warm=warm.take(work))
+        val, grad, hess, dgrad, ok, state = family.evaluate(x, t, order=2, warm=warm.take(work))
         warm.put(work, state)
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
         err = np.where(state.solves(family.leaf_bases(x)), np.linalg.norm(grad, axis=1), np.inf)
@@ -794,7 +793,7 @@ def _genfun_newton(family, x0, t0, warm):
         return x / np.maximum(xnorm, 1e-30)[:, None], bad
 
     return _bordered_newton(x0, t0, (evaluate, retract), _GRAD_TOL, _MAX_ITER,
-                            solve=lambda M, F: family.bordered_step(*M, F, leaf_hess))
+                            solve=lambda M, F: family.bordered_step(*M, F))
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,44 @@ def test_zero_or_missing_sphere_count_is_the_default(n):
     assert parse_config({**base, "seeds": {"sphere_count": 8}}).params.sphere_count == 8
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_default_grid_uses_128n_sphere_seeds(n):
+    """The routes' default grid follows the config's rule: 128 n sphere
+    seeds at every n."""
+    spec = parse_config({"n": n, "hamiltonian": {"quadratic": [0.3] * n}}).hamiltonian
+    q, _ = translated._prefilter_seeds(spec, IntegratorSettings(), SweepParams().sphere_count, 4, 1)
+    assert len(q) == 128 * n
+
+
+@pytest.mark.parametrize("routes", ["both", "direct", "genfun"])
+def test_missed_antipode_blames_the_seed_grid(tmp_path, capsys, routes):
+    """A 16-seed grid misses the antipode of a record of the symmetric rp3
+    spec: the run exits 1 with an error that names seeds.sphere_count."""
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "rp3-sym-eps0.05.json").read_text())
+    raw["seeds"] = {"sphere_count": 16, "t_count": 16, "keep_per_seed": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", str(path), "--out", out, "--routes", routes]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "no antipodal partner: the seed grid missed it; raise seeds.sphere_count" in err
+
+
+def test_small_continuum_dump_marks_records_degenerate(tmp_path):
+    """A continuum sampled by fewer records than continuum_suspected needs
+    reads as a route mismatch; its dump marks every record degenerate."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 1, "hamiltonian": {"quadratic": [0.3]},
+                                "seeds": {"sphere_count": 8, "t_count": 8, "keep_per_seed": 2}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_ROUTE_DISAGREEMENT
+    records = [line for line in (out / "route_disagreement.txt").read_text().splitlines()
+               if line.startswith("t=")]
+    assert len(records) == 32
+    assert all(" nondegenerate=false route=" in line for line in records)
+
+
 def test_cli_config_error_exit(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 0, "hamiltonian": {"quadratic": []}}))

@@ -13,7 +13,7 @@ from contactmorse import translated as tp
 from contactmorse.config import load_config
 from contactmorse.flow import IntegratorSettings, integrate_flow
 from contactmorse.genfun import gf_compose
-from contactmorse.linsymp import inertia, mul_i, solve_rows
+from contactmorse.linsymp import inertia, mul_i, same_on_rows, solve_rows
 from contactmorse.sampling import sphere_points, subdivision_probe_points
 
 from oracles import (
@@ -768,12 +768,12 @@ def _steps_against_nested(family, spec, settings, monkeypatch, sphere_count, t_c
         calls.append((x.copy(), t.copy(), out[1].copy(), out[5].jac.copy()))
         return out
 
-    def bordered_step(border, hess, dgrad, F, leaf_hess=None):
+    def bordered_step(border, hess, dgrad, F):
         # a step is solved only for the rows that go on: find them by their
         # gradients among those of the last evaluation
         x, tt, grad, jac = calls[-1]
         rows = np.argmax(np.all(grad[None, :, :] == F[:, None, :-1], axis=2), axis=1)
-        s = inner_step(border, hess, dgrad, F, leaf_hess)
+        s = inner_step(border, hess, dgrad, F)
         steps.append((x[rows], tt[rows], dgrad.copy(), jac[rows], border.copy(), F.copy(), s))
         return s
 
@@ -851,7 +851,7 @@ def test_genfun_chain_step_rows_are_batch_independent(settings, sphere_corpus_sp
     q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 64, 8, 2)
     x, warm = family.seed(q, t)
     assert x.shape[0] == 128
-    _, grad, hess, dgrad, ok, _, _ = family.evaluate(x, t, order=2, warm=warm)
+    _, grad, hess, dgrad, ok, _ = family.evaluate(x, t, order=2, warm=warm)
     assert ok.all()
     F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
     full = family.bordered_step(x, hess, dgrad, F)
@@ -861,7 +861,7 @@ def test_genfun_chain_step_rows_are_batch_independent(settings, sphere_corpus_sp
         assert np.array_equal(part, full[rows]), rows
 
 
-def _shared_path_specs(rp3_corpus_spec):
+def _shared_path_specs(rp3_corpus_spec, sphere_corpus_spec):
     T = ham.PerturbationTerm
     return {
         "rp3": rp3_corpus_spec,
@@ -870,20 +870,27 @@ def _shared_path_specs(rp3_corpus_spec):
             n=3, quadratic=(0.3, 0.5, 0.7),
             terms=(T(0.05, (2, 0, 0), (0, 0, 0)), T(0.04, (0, 1, 0), (0, 0, 1))),
         ),
+        "nonlinear": sphere_corpus_spec,
     }
 
 
-@pytest.mark.parametrize("case", ["rp3", "bump", "n3"])
-def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, monkeypatch):
-    """On a linear spec the C^1 probe's Jacobians, the leaf Hessians and the
-    leaf links' chain pivots are computed once per leg or leaf and given to
-    every row: bit for bit what the same functions give on the full per-row
-    stacks, as for a nonlinear spec."""
-    spec = _shared_path_specs(rp3_corpus_spec)[case]
+@pytest.mark.parametrize("case", ["rp3", "bump", "n3", "nonlinear"])
+def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, sphere_corpus_spec,
+                                              monkeypatch):
+    """On a linear spec every row has the same C^1 probe Jacobians, leaf
+    DPhi and leaf-link pivots; same_on_rows finds them where they are used,
+    and each is computed once and given to every row: bit for bit what the
+    per-row calls give.  A Hessian stack one ulp off on one row's leaf block,
+    and a leaf batch with a row that was not integrated (identity DPhi),
+    take the per-row calls, with the same bits on every other row.  A
+    nonlinear spec's rows differ."""
+    spec = _shared_path_specs(rp3_corpus_spec, sphere_corpus_spec)[case]
+    linear = case != "nonlinear"
     settings = IntegratorSettings(32 if case == "bump" else 16)
     m = 2 * spec.n
     q = sphere_points(24, m)
     t = np.linspace(0.05, 0.95, 24)
+    nudge = (5, 1)  # row 5's Hessian of leaf 2, the first leaf-link pivot
 
     def compute():
         probes = [flow.c1_distance(spec, a, b, settings, subdivision_probe_points(spec.n))
@@ -893,17 +900,32 @@ def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, monkeypatch
         x, warm = family.seed(q, t)
         chain, _ = family._chain(t)
         _, _, cold, ok = gfm.evaluate_stacked(chain, x, order=2)
-        _, grad, hess, dgrad, ok_warm, _, leaf_hess = family.evaluate(x, t, order=2, warm=warm)
+        tip = x.copy()
+        tip[3] = 0.0  # row 3's leaf bases at the cone tip: never integrated
+        _, _, cold_tip, ok_tip = gfm.evaluate_stacked(chain, tip, order=2)
+        _, grad, hess, dgrad, ok_warm, state = family.evaluate(x, t, order=2, warm=warm)
         assert ok.all() and ok_warm.all() and len(schedule) > 1
-        assert (leaf_hess is None) != flow.linear_flow(spec)
+        assert np.flatnonzero(~ok_tip).tolist() == [3]
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
-        steps = family.bordered_step(x, hess, dgrad, F, leaf_hess)
-        return np.array(probes), cold, hess, steps
+        nudged = hess.copy()
+        nudged[nudge] = np.nextafter(nudged[nudge], np.inf)
+        steps = [family.bordered_step(x, h, dgrad, F) for h in (hess, nudged)]
+        alone = family.bordered_step(x[5:6], nudged[5:6], dgrad[5:6], F[5:6])
+        assert np.array_equal(steps[1][5], alone[0]) and not np.array_equal(*steps)
+        return np.array(probes), cold, cold_tip, hess, *steps, state.jac
 
+    # leaf_hessian takes row 0 alone when the rows are shared
+    rows = []
+    inner = gfm.leaf_hessian
+    monkeypatch.setattr(gfm, "leaf_hessian", lambda jac: rows.append(len(jac)) or inner(jac))
     shared = compute()
-    assert flow.linear_flow(spec)
-    for module in (flow, gfm):
-        monkeypatch.setattr(module, "linear_flow", lambda spec: False)
+    assert same_on_rows(shared[-1]) == linear
+    assert rows == ([1, 24, 1] if linear else [24, 24, 24])
+    for module in (flow, gfm, tp):
+        monkeypatch.setattr(module, "same_on_rows", lambda a: False)
     per_row = compute()
     for a, b in zip(shared, per_row):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    _, cold, cold_tip = shared[:3]
+    rest = np.arange(len(q)) != 3
+    assert np.array_equal(cold_tip[rest].view(np.uint64), cold[rest].view(np.uint64))
