@@ -24,11 +24,12 @@ the three consecutive blocks (a_j, b_j, a_{j-1}), so every Hessian is block
 tridiagonal in the pairs (a_j, b_j).
 
 A leaf is its flow piece, (spec, t0, t1, settings); at a base b it is read
-off the midpoint z with (z + Phi(z))/2 = b.  The leaf Newton has one step,
-z + ((I + DPhi)/2)^{-1} (b - (z + Phi(z))/2), and one test, the residual
-within the leaf tolerance of |b|: solve_midpoint iterates them to solve the
-leaves cold, and an outer Newton that carries the midpoints as unknowns
-(LeafState) takes one step per iteration.
+off the midpoint z with (z + Phi(z))/2 = b.  The midpoints are unknowns of
+the outer Newton that evaluates the chain (LeafState): every evaluation
+takes one leaf Newton step, z + ((I + DPhi)/2)^{-1} (b - (z + Phi(z))/2),
+integrates each leaf once at the new midpoint, and linearizes the leaf's
+gradient there (evaluate_stacked).  The leaf test, the residual within the
+leaf tolerance of |b|, decides when the midpoints are solved.
 
 All constructed functions are homogeneous of degree 2, F(lambda x) =
 lambda^2 F(x); leaf values come from the Euler identity F(b) = <grad F, b>/2,
@@ -51,10 +52,11 @@ from .linsymp import complex_structure_matrix, mul_i, same_on_rows
 class LeafGF:
     """Link of one C^1-small flow piece: the lifted flow of spec over [t0, t1].
 
-    At a base b it is read off the midpoint z with (z + Phi(z))/2 = b, which
-    evaluate_stacked solves for all leaves of a chain at once: the gradient
-    off the graph identification, grad F(b) = i(z - Phi(z)), the value off
-    the Euler identity and the Hessian off DPhi(z) (leaf_hessian).
+    At a base b it is read off the midpoint z with (z + Phi(z))/2 = b, whose
+    Newton step evaluate_stacked takes for all leaves of a chain at once:
+    the gradient off the graph identification, grad F(b) = i(z - Phi(z)),
+    linearized at the step's midpoint, the value off the Euler identity and
+    the Hessian off DPhi(z) (leaf_hessian).
     """
 
     spec: ContactHamiltonianSpec
@@ -82,13 +84,11 @@ class QuadraticLink:
         self.coeff = np.asarray(coeff, dtype=float)
         self.base_dim = 2 * n
 
-    def evaluate(self, b: np.ndarray, order: int = 1):
-        """(val, grad, hess, ok) at bases b (B, 2n); hess is None below order 2."""
+    def evaluate(self, b: np.ndarray):
+        """(val, grad, hess, ok) at bases b (B, 2n)."""
         B, m = b.shape
         c = self.coeff[..., None]
-        hess = None
-        if order >= 2:
-            hess = np.broadcast_to(2.0 * c[..., None] * np.eye(m), (B, m, m))
+        hess = np.broadcast_to(2.0 * c[..., None] * np.eye(m), (B, m, m))
         return np.sum(b * b, axis=1) * self.coeff, 2.0 * c * b, hess, np.ones(B, dtype=bool)
 
     def map_points(self, z):
@@ -120,22 +120,23 @@ class ChainGF:
             z = link.map_points(z)
         return z
 
-    def chain_seed(self, z: np.ndarray, midpoints: list | None = None):
+    def chain_seed(self, z: np.ndarray):
         """Fiber variables of the canonical fiber-critical point over the
-        chain starting at z: returns (fiber (B, fiber_dim), z_out (B, 2n)).
+        chain starting at z: returns (fiber (B, fiber_dim), z_out (B, 2n),
+        midpoints (B, L, 2n)).
 
         With z_0 = z and z_j the image of z_{j-1} under link j, that point
         has a_j = (z_0 + z_j)/2 and b_j = (z_{j-1} + z_j)/2, so its base is
-        a_N = (z + z_out)/2.  When midpoints is a list, every leaf appends its
-        chain point z_{j-1}, which is the midpoint solution at its base."""
+        a_N = (z + z_out)/2.  midpoints holds the chain point z_{j-1} of
+        every leaf j, in chain order, which is the midpoint solution at its
+        base."""
         zs = [np.asarray(z, dtype=float)]
         for link in self.links:
-            if midpoints is not None and isinstance(link, LeafGF):
-                midpoints.append(zs[-1])
             zs.append(link.map_points(zs[-1]))
         Z = np.stack(zs, axis=1)
         sigma = join_chain(0.5 * (Z[:, :1] + Z[:, 1:]), 0.5 * (Z[:, 1:-1] + Z[:, 2:]))
-        return sigma[:, self.base_dim :], zs[-1]
+        leaves = [j for j, link in enumerate(self.links) if isinstance(link, LeafGF)]
+        return sigma[:, self.base_dim :], zs[-1], Z[:, leaves]
 
 
 def gf_compose(*parts) -> ChainGF:
@@ -167,9 +168,8 @@ def join_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return Y.reshape(B, -1)
 
 
-# Tolerance and iteration cap of every leaf midpoint solve.
+# Tolerance of every leaf midpoint solve.
 _LEAF_TOL = 1e-11
-_LEAF_MAX_ITER = 30
 
 # Bound on |z| / |b| of a solved midpoint.  A C^1-small leaf (delta < 2) has
 # |z| <= |b| / (1 - delta/2); a midpoint far beyond that solves a nearly
@@ -195,37 +195,22 @@ def _leaf_step(z: np.ndarray, jac: np.ndarray, solved: np.ndarray, b: np.ndarray
     return z + np.linalg.solve(A, (b - solved)[..., None])[..., 0]
 
 
-def solve_midpoint(spec, t0, t1, settings, b, z0=None, max_iter=_LEAF_MAX_ITER):
-    """Solve (z + Phi(z))/2 = b by Newton for the piece flow over [t0, t1].
-
-    z0 (B, 2n) is the starting guess; None starts cold at z = b.  Each
-    iteration integrates the rows still running; a row then stops if it
-    passes the leaf test (_leaf_solved) and otherwise takes the leaf step
-    (_leaf_step), at most max_iter steps per row.  max_iter = 0 integrates
-    every row once at its guess.  Returns (z, Phi(z), DPhi(z), ok): ok marks
-    the rows integrated at the returned z, and the caller applies the leaf
-    test to them.  Rows whose base or midpoint norm underflows (the cone tip
-    is rejected) come back with ok = False.
+def solve_midpoint(spec, t0, t1, settings, b, z):
+    """Integrate the piece flow over [t0, t1] once at the midpoints z (B, 2n)
+    of bases b (B, 2n).  Returns (z, Phi(z), DPhi(z), ok): ok marks the rows
+    integrated, and the caller applies the leaf test (_leaf_solved) to them.
+    Rows whose base or midpoint norm underflows (the cone tip is rejected)
+    are not integrated and come back with ok = False.
     """
     b = np.asarray(b, dtype=float)
     B, m = b.shape
     jac = np.broadcast_to(np.eye(m), (B, m, m)).copy()
     ok = np.linalg.norm(b, axis=1) > 1e-150
-    z = np.where(ok[:, None], b if z0 is None else z0, np.eye(m)[0])
+    z = np.where(ok[:, None], z, np.eye(m)[0])
+    ok &= np.linalg.norm(z, axis=1) >= 1e-120
     Zv = z.copy()
-    rows = np.arange(B)
-    for it in range(max_iter + 1):
-        ok &= np.linalg.norm(z, axis=1) >= 1e-120
-        rows = rows[ok[rows]]
-        if rows.size == 0:
-            break
-        Zv[rows], jac[rows] = integrate_flow(spec, z[rows], t0, t1, settings, with_jacobian=True)
-        if it == max_iter:
-            break
-        solved = 0.5 * (z[rows] + Zv[rows])
-        go = ~_leaf_solved(z[rows], solved, b[rows])
-        rows = rows[go]
-        z[rows] = _leaf_step(z[rows], jac[rows], solved[go], b[rows])
+    if ok.any():
+        Zv[ok], jac[ok] = integrate_flow(spec, z[ok], t0, t1, settings, with_jacobian=True)
     return z, Zv, jac, ok
 
 
@@ -279,11 +264,9 @@ def _leaf_hessians(jac: np.ndarray) -> np.ndarray:
     return np.broadcast_to(leaf_hessian(jac[:1] if same_on_rows(jac) else jac), jac.shape)
 
 
-def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, guess: np.ndarray | None,
-                  max_iter: int):
-    """Midpoint solves of the leaves at their bases b (B, L, 2n), from guess
-    (B, L, 2n) or cold, with at most max_iter leaf steps, one stacked
-    solve_midpoint per compatible group.
+def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, z: np.ndarray):
+    """Midpoint integrations of the leaves at midpoints z of their bases b
+    (B, L, 2n), one stacked solve_midpoint per compatible group.
     Returns z, Phi(z) (B, L, 2n), DPhi(z) (B, L, 2n, 2n) and ok (B, L)."""
     B, L, m = b.shape
     groups: dict = {}
@@ -300,37 +283,35 @@ def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, guess: np.ndarray | None,
         def stack(arr):  # leaf-major rows of the group
             return np.concatenate([arr[:, i] for i in members], axis=0)
 
-        solved = solve_midpoint(leaf.spec, t0, t1, leaf.settings, stack(b),
-                                None if guess is None else stack(guess), max_iter)
+        solved = solve_midpoint(leaf.spec, t0, t1, leaf.settings, stack(b), stack(z))
         for dst, src in zip(out, solved):
             dst[:, members] = np.swapaxes(src.reshape((len(members), B) + src.shape[1:]), 0, 1)
     return out
 
 
-def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState | None = None):
-    """Value, gradient and link Hessians of the chain gf at x (B, total_dim).
+def evaluate_stacked(gf: ChainGF, x: np.ndarray, warm: LeafState):
+    """Value, gradient and link Hessians of the chain gf at x (B, total_dim),
+    one Newton step of its leaf midpoints from warm.
 
-    Returns (val (B,), grad (B, D), hess, ok (B,)): hess is None below order
-    2 and otherwise the (B, N, 2n, 2n) Hessians of the links at their bases,
-    which chain_hessian assembles.  The leaves are solved in one stacked
+    warm is the LeafState of gf's leaves on the same rows, from an earlier
+    call or from a chain seed: the midpoints are Newton unknowns of the
+    caller.  Each leaf takes the leaf step of warm toward its new base b
+    (LeafState.predict) and is integrated once there, in one stacked
     solve_midpoint per compatible group: leaves of an autonomous spec depend
     only on their span, so their batches concatenate into a single
     integration, which amortizes the per-step cost across the whole chain.
+    The midpoint z then solves (z + Phi(z))/2 = b + r with a residual r, and
+    the leaf's gradient is the linearization at z, i(z - Phi(z)) - H r with
+    H its Hessian: eliminating the midpoint step from the joint Newton
+    system leaves exactly this gradient with the unchanged Hessian.  Where
+    LeafState.solves(b) holds it equals the solved leaf's gradient to the
+    leaf tolerance.  The leaf Hessians are computed once and given to every
+    row when every row has the same DPhi (_leaf_hessians).
 
-    Without warm state the leaf Newton runs to the leaf test, and ok marks
-    the rows whose every leaf passed it.  With warm state (a LeafState of
-    the same rows, from an earlier call or from a chain seed) the midpoints
-    are Newton unknowns of the caller: each leaf is integrated once, from
-    the leaf step of warm toward its new base b (LeafState.predict), ok
-    marks the rows whose leaves were integrated, and the new LeafState is
-    returned as a fifth element.  The midpoint z then solves (z + Phi(z))/2
-    = b + r with a residual r, and the leaf's gradient is the linearization
-    at z, i(z - Phi(z)) - H r with H its Hessian: eliminating the midpoint
-    step from the joint Newton system leaves exactly this gradient with the
-    unchanged Hessian.  Where LeafState.solves(b) holds it equals the solved
-    leaf's gradient to the leaf tolerance.  The leaf Hessians are computed
-    once and given to every row when every row has the same DPhi
-    (_leaf_hessians).
+    Returns (val (B,), grad (B, D), hess (B, N, 2n, 2n), ok (B,), state):
+    hess holds the Hessians of the links at their bases, which
+    chain_hessian assembles, ok marks the rows whose leaves were integrated,
+    and state is the new LeafState.
     """
     x = np.asarray(x, dtype=float)
     links, m = gf.links, gf.base_dim
@@ -338,29 +319,22 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     a, b = split_chain(x, m)
     bases = np.concatenate([a[:, :1], b], axis=1)
     vals, grads = np.empty((B, N)), np.empty((B, N, m))
-    hess = np.empty((B, N, m, m)) if order >= 2 else None
+    hess = np.empty((B, N, m, m))
     ok = np.ones(B, dtype=bool)
     leaves = [j for j, link in enumerate(links) if isinstance(link, LeafGF)]
     for j, link in enumerate(links):
         if j not in leaves:
-            vals[:, j], grads[:, j], h, ok_j = link.evaluate(bases[:, j], order)
+            vals[:, j], grads[:, j], hess[:, j], ok_j = link.evaluate(bases[:, j])
             ok &= ok_j
-            if hess is not None:
-                hess[:, j] = h
     leaf_b = bases[:, leaves]
-    guess, max_iter = (None, _LEAF_MAX_ITER) if warm is None else (warm.predict(leaf_b), 0)
-    z, Zv, jac, ok_leaf = _solve_leaves([links[j] for j in leaves], leaf_b, guess, max_iter)
+    z, Zv, jac, ok_leaf = _solve_leaves([links[j] for j in leaves], leaf_b,
+                                        warm.predict(leaf_b))
     solved = 0.5 * (z + Zv)
-    g = mul_i(z - Zv)
-    H = _leaf_hessians(jac) if hess is not None or warm is not None else None
-    if warm is None:
-        ok_leaf &= _leaf_solved(z, solved, leaf_b)
-    else:
-        g = g - (H @ (solved - leaf_b)[..., None])[..., 0]
+    H = _leaf_hessians(jac)
+    g = mul_i(z - Zv) - (H @ (solved - leaf_b)[..., None])[..., 0]
     vals[:, leaves] = 0.5 * np.sum(g * leaf_b, axis=2)
     grads[:, leaves] = g
-    if hess is not None:
-        hess[:, leaves] = H
+    hess[:, leaves] = H
     ok &= ok_leaf.all(axis=1)
     # the pairing terms 2<e_j, i d_j>, d_j = a_{j-1} - a_j, e_j = a_j - b_j
     d = a[:, :-1] - a[:, 1:]
@@ -371,8 +345,6 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, order: int = 1, warm: LeafState
     ga[:, 1:] += 2.0 * mul_i(d + e)
     ga[:, :-1] -= 2.0 * mul_i(e)
     grad = join_chain(ga, grads[:, 1:] - 2.0 * mul_i(d))
-    if warm is None:
-        return val, grad, hess, ok
     return val, grad, hess, ok, LeafState(solved, z, jac)
 
 

@@ -197,6 +197,9 @@ def _prefilter_seeds(
 # Newton iterations per start, on either route.
 _MAX_ITER = 40
 
+# Converged iterations a row takes before it finishes (see _bordered_newton).
+_POLISH = 2
+
 # Newton tolerance of the direct route on its residual
 # |(e^{-2 pi i t} Phi(q) - q, (|q|^2 - 1)/2)|.
 _NEWTON_TOL = 1e-10
@@ -240,7 +243,7 @@ def direct_translated_points(
                            converged_raw=int(np.sum(ok)))
 
 
-def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
+def _bordered_newton(x0, t0, system, tol, solve=solve_rows):
     """Masked, damped Newton on a bordered system F(x, t) = 0 per row.
 
     system is a pair (evaluate, retract).  evaluate(work, x, t) is called on
@@ -257,7 +260,7 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
     mask of rows to drop.
 
     Steps are damped to Euclidean norm 0.5 in (x, t).  A row finishes only
-    after satisfying tol on `polish` iterations: the extra full steps matter
+    after satisfying tol on _POLISH iterations: the extra full steps matter
     in flat valleys (weakly split continua), where a residual below tol can
     still sit noticeably off the true point and the final
     quadratic-convergence steps pin it down.  Rows that are dropped, whose
@@ -266,10 +269,10 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
     have not lowered its best error (failed evaluations and err = inf, an
     iterate the system cannot yet measure, do not count): on a continuum no
     iterate converges and later steps only bounce.  A row that stops or
-    runs out of max_iter without finishing is accepted at its best iterate
-    if its best error reached 100*tol (the integrator noise floor can
-    exceed an aggressive tol), and dropped otherwise.  Returns (x, t, val,
-    done).
+    runs out of _MAX_ITER iterations without finishing is accepted at its
+    best iterate if its best error reached 100*tol (the integrator noise
+    floor can exceed an aggressive tol), and dropped otherwise.  Returns
+    (x, t, val, done).
     """
     evaluate, retract = system
     x = np.asarray(x0, dtype=float).copy()
@@ -284,7 +287,7 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
     best_x = x.copy()
     best_t = t.copy()
     best_v = np.zeros(B)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         work = alive & ~done
         if not np.any(work):
             break
@@ -301,7 +304,7 @@ def _bordered_newton(x0, t0, system, tol, max_iter, polish=2, solve=solve_rows):
         stall[idx[ok & np.isfinite(err) & ~better]] += 1
         conv = ok & (err <= tol)
         times_conv[idx[conv]] += 1
-        finish = conv & (times_conv[idx] >= polish)
+        finish = conv & (times_conv[idx] >= _POLISH)
         go = ok & ~finish
         step = np.zeros(F.shape)
         if np.any(go):
@@ -351,7 +354,7 @@ def _direct_newton(spec, settings, q0, t0):
         qnorm = np.linalg.norm(q, axis=1)
         return q, (qnorm < 0.3) | (qnorm > 3.0) | (np.abs(t) > 4.0)
 
-    q, t, _, done = _bordered_newton(q0, t0, (evaluate, retract), _NEWTON_TOL, _MAX_ITER)
+    q, t, _, done = _bordered_newton(q0, t0, (evaluate, retract), _NEWTON_TOL)
     return q, t, done
 
 
@@ -528,8 +531,6 @@ class ShiftedGenFunFamily:
     """
 
     def __init__(self, f_phi: ChainGF, n: int, k: int):
-        if k < 3:
-            raise ValueError("rotation family needs k >= 3")
         self.f_phi = f_phi
         self.n = n
         self.k = k
@@ -552,12 +553,11 @@ class ShiftedGenFunFamily:
         """
         q = np.asarray(q, dtype=float)
         chain, _ = self._chain(t)
-        midpoints: list[np.ndarray] = []
-        fiber, z_out = chain.chain_seed(q, midpoints)
+        fiber, z_out, z = chain.chain_seed(q)
         x = np.concatenate([0.5 * (q + z_out), fiber], axis=1)
         norm = np.linalg.norm(x, axis=1)[:, None]
         x = x / norm
-        z = np.stack(midpoints, axis=1) / norm[:, :, None]
+        z = z / norm[:, :, None]
         jac = np.broadcast_to(np.eye(2 * self.n), z.shape + (2 * self.n,)).copy()
         return x, gfm.LeafState(self.leaf_bases(x), z, jac)
 
@@ -567,26 +567,24 @@ class ShiftedGenFunFamily:
         a, b = gfm.split_chain(x, 2 * self.n)
         return np.concatenate([a[:, :1], b[:, : len(self.f_phi.links) - 1]], axis=1)
 
-    def evaluate(self, x: np.ndarray, t: np.ndarray, order: int = 2,
-                 warm: gfm.LeafState | None = None):
-        """(val, grad, hess, dgrad_dt, ok) of F_t at x, t per row.
-
-        hess is None below order 2 and otherwise the (R, L + k, 2n, 2n)
-        stack of the links' Hessians (see evaluate_stacked), which
-        gfm.chain_hessian assembles into the Hessian of F_t.  With warm (the
-        LeafState of F_phi's leaves for these rows) every leaf is integrated
-        once, from the leaf step of warm, its gradient is linearized at that
-        midpoint, and the new LeafState is returned as a sixth element.
+    def evaluate(self, x: np.ndarray, t: np.ndarray, warm: gfm.LeafState):
+        """(val, grad, hess, dgrad_dt, ok, state) of F_t at x, t per row:
+        one evaluate_stacked of the chain from warm, the LeafState of
+        F_phi's leaves for these rows.  Every leaf takes the leaf step of
+        warm and is integrated once, its gradient is linearized at that
+        midpoint, and state is the new LeafState.  hess is the
+        (R, L + k, 2n, 2n) stack of the links' Hessians, which
+        gfm.chain_hessian assembles into the Hessian of F_t.
         """
         x = np.asarray(x, dtype=float)
         chain, dcoeff = self._chain(t)
-        val, grad, hess, ok, *state = evaluate_stacked(chain, x, order, warm)
+        val, grad, hess, ok, state = evaluate_stacked(chain, x, warm)
         # only the rotation links' terms coeff |b|^2, on the last k bases
         a, b = gfm.split_chain(x, 2 * self.n)
         db = np.zeros(b.shape)
         db[:, -self.k:] = 2.0 * dcoeff[:, None, None] * b[:, -self.k:]
         dgrad = gfm.join_chain(np.zeros(a.shape), db)
-        return (val, grad, hess, dgrad, ok, *state)
+        return val, grad, hess, dgrad, ok, state
 
     def bordered_step(self, border: np.ndarray, hess: np.ndarray, dgrad: np.ndarray,
                       F: np.ndarray) -> np.ndarray:
@@ -780,7 +778,7 @@ def _genfun_newton(family, x0, t0, warm):
     """
 
     def evaluate(work, x, t):
-        val, grad, hess, dgrad, ok, state = family.evaluate(x, t, order=2, warm=warm.take(work))
+        val, grad, hess, dgrad, ok, state = family.evaluate(x, t, warm.take(work))
         warm.put(work, state)
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
         err = np.where(state.solves(family.leaf_bases(x)), np.linalg.norm(grad, axis=1), np.inf)
@@ -792,7 +790,7 @@ def _genfun_newton(family, x0, t0, warm):
         bad = (xnorm < 1e-8) | ~(np.abs(t) < 0.5 * family.k)
         return x / np.maximum(xnorm, 1e-30)[:, None], bad
 
-    return _bordered_newton(x0, t0, (evaluate, retract), _GRAD_TOL, _MAX_ITER,
+    return _bordered_newton(x0, t0, (evaluate, retract), _GRAD_TOL,
                             solve=lambda M, F: family.bordered_step(*M, F))
 
 
@@ -810,8 +808,6 @@ def index_data(n: int, k: int) -> dict:
     kernel of dimension exactly 2n; any other nullity is a configuration
     error.  The index difference is insensitive to that kernel.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
     in0 = inertia(rotation_family_matrices(0.0, n, k)[0])
     in1 = inertia(rotation_family_matrices(1.0, n, k)[0])
     for label, ine in (("A_0", in0), ("A_1", in1)):

@@ -31,8 +31,11 @@ The test-only helpers at the end are not called by the library: the
 library's compiled field at a batch of points, matrices of the linear
 symplectic structure, the contact form alpha (the pullback
 oracle of the conformal factor), the covector of the graph-to-cotangent
-identification tau, the finite-difference monotonicity probe of dF_t/dt, quadratic generating functions, and the k-piece rotation
-family as a chain next to its matrix.
+identification tau, chains with solved leaves (solved_chain), the
+finite-difference monotonicity probe of dF_t/dt, quadratic generating
+functions, the k-piece rotation family as a chain next to its matrix, and
+the translated points of a quadratic-form Hamiltonian from the eigenvalues
+of its linear pencil (linear_translated_points).
 
 Nested reference.  The library stores every generating function as one chain
 of links in chain coordinates sigma (genfun).  The reference here is the
@@ -56,13 +59,15 @@ from contactmorse import translated as tp
 from contactmorse.genfun import (
     ChainGF,
     LeafGF,
+    LeafState,
     evaluate_stacked,
     flow_chain,
     gf_compose,
     leaf_hessian,
     rotation_family_matrices,
+    split_chain,
 )
-from contactmorse.linsymp import complex_structure_matrix, mul_i, to_complex
+from contactmorse.linsymp import complex_structure_matrix, mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
 
@@ -504,6 +509,48 @@ def tau_covector(z: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return -mul_i(Z - z)
 
 
+def cold_leaf_state(bases: np.ndarray) -> LeafState:
+    """The LeafState with every midpoint at its base, bases (B, L, 2n), and
+    DPhi = I: its leaf step toward those bases is zero, so the next
+    evaluate_stacked integrates each leaf at its base, where a cold leaf
+    Newton starts."""
+    m = bases.shape[-1]
+    return LeafState(bases, bases.copy(), np.broadcast_to(np.eye(m), bases.shape + (m,)).copy())
+
+
+def chain_leaf_bases(gf: ChainGF, x: np.ndarray) -> np.ndarray:
+    """The bases (B, L, 2n) of gf's leaves at x (B, total_dim), in chain order."""
+    a, b = split_chain(np.asarray(x, dtype=float), gf.base_dim)
+    leaves = [j for j, link in enumerate(gf.links) if isinstance(link, LeafGF)]
+    return np.concatenate([a[:, :1], b], axis=1)[:, leaves]
+
+
+# Evaluations of solve_leaves at most.
+_SOLVE_EVALUATIONS = 30
+
+
+def solve_leaves(gf: ChainGF, x: np.ndarray, state: LeafState):
+    """The production step evaluate_stacked(gf, x, state) repeated from
+    state until every integrated row passes the leaf test at its bases
+    (LeafState.solves), at most _SOLVE_EVALUATIONS times.  Returns the last
+    (val, grad, hess, ok, state), with ok narrowed to the rows whose leaves
+    were integrated and pass the leaf test."""
+    bases = chain_leaf_bases(gf, x)
+    for _ in range(_SOLVE_EVALUATIONS):
+        val, grad, hess, ok, state = evaluate_stacked(gf, x, state)
+        solved = state.solves(bases)
+        if np.all(solved | ~ok):
+            break
+    return val, grad, hess, ok & solved, state
+
+
+def solved_chain(gf: ChainGF, x: np.ndarray):
+    """(val, grad, hess, ok) of the chain gf at x (B, total_dim) with its
+    leaves solved: solve_leaves from cold_leaf_state, from which
+    LeafState.predict takes exactly the steps of a cold leaf Newton."""
+    return solve_leaves(gf, x, cold_leaf_state(chain_leaf_bases(gf, x)))[:4]
+
+
 def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: int = 64,
                               t_count: int = 16, fd_step: float = 1e-4) -> np.ndarray:
     """Centered finite differences of dF_t/dt on fixed total-space samples,
@@ -540,8 +587,8 @@ def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: 
 
     probes = np.zeros((t_count, sample_count))
     for i, t in enumerate(t_grid):
-        hi, _, _, ok_hi = evaluate_stacked(clamped_chain(t + fd_step), samples, order=0)
-        lo, _, _, ok_lo = evaluate_stacked(clamped_chain(t - fd_step), samples, order=0)
+        hi, _, _, ok_hi = solved_chain(clamped_chain(t + fd_step), samples)
+        lo, _, _, ok_lo = solved_chain(clamped_chain(t - fd_step), samples)
         if not np.all(ok_hi & ok_lo):
             raise RuntimeError("leaf solve failed during the monotonicity probe")
         probes[i] = (hi - lo) / (2.0 * fd_step)
@@ -562,14 +609,12 @@ class QuadraticGF:
         # Graph of dQ under the midpoint identification: Z = (M+J)^{-1}(J-M) z.
         self._map = np.linalg.solve(self.matrix + J, J - self.matrix)
 
-    def evaluate(self, x, order=1):
+    def evaluate(self, x):
         x = np.asarray(x, dtype=float)
         B = x.shape[0]
         val = np.einsum("bi,ij,bj->b", x, self.matrix, x)
         grad = 2.0 * x @ self.matrix
-        hess = None
-        if order >= 2:
-            hess = np.broadcast_to(2.0 * self.matrix, (B,) + self.matrix.shape).copy()
+        hess = np.broadcast_to(2.0 * self.matrix, (B,) + self.matrix.shape).copy()
         return val, grad, hess, np.ones(B, dtype=bool)
 
     def map_points(self, z):
@@ -682,13 +727,11 @@ def sharp_hessian(layout: SharpLayout, HF: np.ndarray, HG: np.ndarray,
     return N
 
 
-def _evaluate_node(node, x, order):
-    if isinstance(node, ComposeGF):
-        return node.evaluate(x, order)
+def _evaluate_node(node, x):
     if isinstance(node, LeafGF):
-        val, grad, hess, ok = evaluate_stacked(ChainGF((node,)), x, order)
-        return val, grad, None if hess is None else hess[:, 0], ok
-    return node.evaluate(x, order)
+        val, grad, hess, ok = solved_chain(ChainGF((node,)), x)
+        return val, grad, hess[:, 0], ok
+    return node.evaluate(x)
 
 
 class ComposeGF:
@@ -705,16 +748,15 @@ class ComposeGF:
         self.layout = SharpLayout(m, *fibers)
         self.total_dim = self.layout.dim
 
-    def evaluate(self, x, order=1):
-        """(val, grad, hess, ok) at x (B, total_dim); hess (None below order
-        2) is assembled level by level with sharp_hessian.  Every link
-        evaluates alone, a leaf as a one-link chain."""
+    def evaluate(self, x):
+        """(val, grad, hess, ok) at x (B, total_dim); hess is assembled level
+        by level with sharp_hessian.  Every link evaluates alone, a leaf as a
+        one-link chain with its leaf solved (solved_chain)."""
         xF, xG = self.layout.split(np.asarray(x, dtype=float))
-        vF, gF, HF, okF = _evaluate_node(self.first, xF, order)
-        vG, gG, HG, okG = _evaluate_node(self.second, xG, order)
+        vF, gF, HF, okF = _evaluate_node(self.first, xF)
+        vG, gG, HG, okG = _evaluate_node(self.second, xG)
         val, grad = self.layout.value_grad(x, vF, gF, vG, gG)
-        hess = sharp_hessian(self.layout, HF, HG, 2.0) if order >= 2 else None
-        return val, grad, hess, okF & okG
+        return val, grad, sharp_hessian(self.layout, HF, HG, 2.0), okF & okG
 
 
 def nested_chain(gf: ChainGF) -> ComposeGF:
@@ -773,6 +815,62 @@ def nested_bordered(family, sigma: np.ndarray, t: np.ndarray, dgrad: np.ndarray,
     M[:, :D, D] = dgrad
     M[:, D, :D] = border
     return M
+
+
+# A pencil eigenvalue within this of the unit circle is a translated point,
+# and two eigenvalues within it of each other are one root.
+_PENCIL_TOL = 1e-8
+
+
+def linear_translated_points(spec, settings):
+    """Translated points of a quadratic-form Hamiltonian, from the pencil of
+    its lifted time-1 map, with no Newton and no seeds.
+
+    The map is one real matrix P (flow._real_field(spec).jacobian), and a
+    translated point is a unit q with P q = lambda q, lambda = e^{2 pi i t}
+    acting by complex multiplication.  In complex coordinates P z = A z +
+    B conj(z); with v standing for conj(z) and |lambda| = 1 the equation is
+    the 2n x 2n linear pencil
+
+        [[A - lambda I, B], [lambda conj(B), lambda conj(A) - I]] (z, v) = 0,
+
+    solved here as the eigenproblem of [[I, 0], [conj(B), conj(A)]]^{-1}
+    [[A, B], [0, I]].  Returns one (q, t, multiplicity) per unimodular root
+    in t order: t = arg(lambda) / 2 pi in [0, 1), and for a simple root q is
+    the unit kernel vector with its phase fixed so that v = conj(z), which
+    is defined up to sign, one antipodal class.  A root of multiplicity m
+    has a great sphere of dimension 2m - 1 of translated points, a
+    continuum, and q None.
+    """
+    field = flow._real_field(spec)
+    if not field.linear:
+        raise ValueError("the pencil needs a quadratic-form Hamiltonian")
+    n = spec.n
+    P = field.jacobian(0.0, 1.0, settings.steps_for(1.0))
+    P11, P12, P21, P22 = P[:n, :n], P[:n, n:], P[n:, :n], P[n:, n:]
+    A = 0.5 * (P11 + P22 + 1j * (P21 - P12))
+    B = 0.5 * (P11 - P22 + 1j * (P21 + P12))
+    eye, zero = np.eye(n), np.zeros((n, n))
+    lam, W = np.linalg.eig(np.linalg.solve(np.block([[eye, zero], [B.conj(), A.conj()]]),
+                                           np.block([[A, B], [zero, eye]])))
+    keep = np.abs(np.abs(lam) - 1.0) <= _PENCIL_TOL
+    lam, W = lam[keep], W[:, keep]
+    points = []
+    used = np.zeros(lam.size, dtype=bool)
+    for i in np.argsort(np.angle(lam) % (2.0 * np.pi)):
+        if used[i]:
+            continue
+        root = np.abs(lam - lam[i]) <= _PENCIL_TOL
+        used |= root
+        t = float(np.angle(lam[i]) / (2.0 * np.pi) % 1.0)
+        q = None
+        if root.sum() == 1:
+            z, v = W[:n, i], W[n:, i]
+            c = np.exp(-0.5j * np.angle(np.sum(z * v)))
+            q = to_real(c * z)
+            q /= np.linalg.norm(q)
+        points.append((q, t, int(root.sum())))
+    return points
 
 
 def loop_dedup_and_flag(records, n):

@@ -13,7 +13,7 @@ from contactmorse import hamiltonian as ham
 from contactmorse import projective as prj
 from contactmorse import translated as tp
 from contactmorse.flow import IntegratorSettings, integrate_flow
-from contactmorse.genfun import LeafGF, evaluate_stacked, gf_compose
+from contactmorse.genfun import LeafGF, gf_compose
 from contactmorse.linsymp import mul_i, to_complex, to_real
 from contactmorse.sampling import sphere_points
 
@@ -21,6 +21,7 @@ from oracles import (
     build_rotation_family,
     monotonicity_probe_values,
     rotation_leaf,
+    solved_chain,
     tau_covector,
 )
 
@@ -83,8 +84,8 @@ def _composition_check(first, second, oracle_map, points, tol=1e-7):
     comp = gf_compose(first, second)
     Z = oracle_map(points)
     base = 0.5 * (points + Z)
-    fib, _ = comp.chain_seed(points)
-    _, grad, _, ok = evaluate_stacked(comp, np.concatenate([base, fib], axis=1), order=1)
+    fib, _, _ = comp.chain_seed(points)
+    _, grad, _, ok = solved_chain(comp, np.concatenate([base, fib], axis=1))
     m = comp.base_dim
     # the chain seed is fiber-critical: fiber gradient within 1e-10 |base|
     ok &= np.linalg.norm(grad[:, m:], axis=1) <= 1e-10 * np.linalg.norm(base, axis=1)
@@ -144,9 +145,9 @@ def test_criterion_4_homogeneity_and_critical_value():
     ]
     for gf in gfs:
         x = sphere_points(8, gf.total_dim, seed=0.45)
-        v1, _, _, ok1 = evaluate_stacked(gf, x, order=0)
+        v1, _, _, ok1 = solved_chain(gf, x)
         for lam in (0.5, 2.0):
-            v2, _, _, ok2 = evaluate_stacked(gf, lam * x, order=0)
+            v2, _, _, ok2 = solved_chain(gf, lam * x)
             assert ok1.all() and ok2.all()
             worst_hom = max(
                 worst_hom, float(np.max(np.abs(v2 - lam**2 * v1) / np.abs(v1)))
@@ -293,8 +294,8 @@ def test_criterion_10_z2_layer():
         # the generating function is even: |F(-x) - F(x)| / |x|^2
         gf, _ = tp.build_phi_genfun(spec, SETTINGS, 1.0)
         x = sphere_points(64, gf.total_dim, seed=0.75)
-        vp, _, _, okp = evaluate_stacked(gf, x, order=0)
-        vm, _, _, okm = evaluate_stacked(gf, -x, order=0)
+        vp, _, _, okp = solved_chain(gf, x)
+        vm, _, _, okm = solved_chain(gf, -x)
         assert np.all(okp & okm)
         worst_inv = max(worst_inv, float(np.max(np.abs(vp - vm) / np.sum(x * x, axis=1))))
     res = tp.direct_translated_points(RP3_CORPUS, SETTINGS, sphere_count=96, t_count=32)

@@ -5,10 +5,10 @@ from contactmorse import hamiltonian as ham
 from contactmorse import projective as prj
 from contactmorse import translated as tp
 from contactmorse.flow import integrate_flow
-from contactmorse.genfun import gf_compose, LeafGF, evaluate_stacked
+from contactmorse.genfun import gf_compose, LeafGF
 from contactmorse.sampling import sphere_points
 
-from oracles import build_rotation_family
+from oracles import build_rotation_family, solved_chain
 
 
 def _spec(*terms):
@@ -46,8 +46,8 @@ def _equivariance_defect(spec, settings):
 def _invariance_defect(gf):
     """max |F(-x) - F(x)| / |x|^2 over total-space samples: F is even."""
     x = sphere_points(64, gf.total_dim, seed=0.75)
-    vp, _, _, okp = evaluate_stacked(gf, x, order=0)
-    vm, _, _, okm = evaluate_stacked(gf, -x, order=0)
+    vp, _, _, okp = solved_chain(gf, x)
+    vm, _, _, okm = solved_chain(gf, -x)
     assert np.all(okp & okm)
     return np.max(np.abs(vp - vm) / np.sum(x * x, axis=1))
 
@@ -80,9 +80,9 @@ def test_invariance_equivariant_leaf_family(settings, rp3_corpus_spec):
 def test_conicality_negative_lambda(settings, rp3_corpus_spec):
     gf, _ = tp.build_phi_genfun(rp3_corpus_spec, settings, 1.0)
     x = sphere_points(8, gf.total_dim, seed=0.6)
-    vp, _, _, okp = evaluate_stacked(gf, x, order=0)
+    vp, _, _, okp = solved_chain(gf, x)
     lam = -1.7
-    vm, _, _, okm = evaluate_stacked(gf, lam * x, order=0)
+    vm, _, _, okm = solved_chain(gf, lam * x)
     assert np.all(okp & okm)
     assert np.max(np.abs(vm - lam**2 * vp) / np.abs(vp)) < 1e-9
 

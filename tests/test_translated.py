@@ -19,10 +19,13 @@ from contactmorse.sampling import sphere_points, subdivision_probe_points
 from oracles import (
     build_rotation_family,
     chain_change,
+    cold_leaf_state,
     contact_form_eval,
     loop_dedup_and_flag,
     nested_bordered,
     nested_chain,
+    solve_leaves,
+    solved_chain,
 )
 
 
@@ -414,7 +417,7 @@ def test_warm_genfun_rays_are_cold_critical(fast_settings, sphere_corpus_spec, m
     t = np.concatenate([r[1] for r in results])
     ok = np.concatenate([r[3] for r in results])
     assert ok.sum() >= 2
-    _, grad, _, _, ok_cold = family.evaluate(x[ok], t[ok], order=1)
+    _, grad, _, ok_cold = solved_chain(family._chain(t[ok])[0], x[ok])
     assert ok_cold.all()
     assert np.max(np.linalg.norm(grad, axis=1)) <= 100.0 * grad_tol
 
@@ -432,9 +435,9 @@ def test_genfun_route_integrates_each_leaf_once_per_evaluation(settings, sphere_
             integrations.append(z0.shape[0])
         return inner_flow(spec, z0, *args, with_jacobian=with_jacobian, **kwargs)
 
-    def evaluating(x, t, **kwargs):
+    def evaluating(x, t, warm):
         evaluations.append(x.shape[0])
-        return inner_eval(x, t, **kwargs)
+        return inner_eval(x, t, warm)
 
     monkeypatch.setattr(gfm, "integrate_flow", integrating)
     monkeypatch.setattr(family, "evaluate", evaluating)
@@ -451,8 +454,8 @@ def _newton_with_states(family, x0, t0, warm, monkeypatch):
     seen = []
     inner = family.evaluate
 
-    def evaluate(x, t, **kwargs):
-        out = inner(x, t, **kwargs)
+    def evaluate(x, t, warm):
+        out = inner(x, t, warm)
         seen.append((x.copy(), out[5]))
         return out
 
@@ -482,11 +485,13 @@ def test_genfun_rays_carry_solved_leaves(settings, sphere_corpus_spec, monkeypat
         bases = family.leaf_bases(xr[None])[0]
         assert states[-1].solves(bases[None])[0]
         for leaf, b, z in zip(family.f_phi.links, bases, states[-1].z[0]):
-            args = (leaf.spec, leaf.t0, leaf.t1, leaf.settings, b[None])
-            cold = gfm.solve_midpoint(*args)
-            for z_out, Z_out, _, ok in (gfm.solve_midpoint(*args, z0=z[None], max_iter=0), cold):
-                assert ok[0] and gfm._leaf_solved(z_out, 0.5 * (z_out + Z_out), b[None])[0]
-            assert np.linalg.norm(cold[0][0] - z) <= 4.0 * tol * np.linalg.norm(b)
+            z_out, Z_out, _, ok = gfm.solve_midpoint(leaf.spec, leaf.t0, leaf.t1, leaf.settings,
+                                                     b[None], z[None])
+            assert ok[0] and gfm._leaf_solved(z_out, 0.5 * (z_out + Z_out), b[None])[0]
+            *_, ok, cold = solve_leaves(gfm.ChainGF((leaf,)), b[None],
+                                        cold_leaf_state(b[None, None]))
+            assert ok[0]
+            assert np.linalg.norm(cold.z[0, 0] - z) <= 4.0 * tol * np.linalg.norm(b)
 
     def off_bases():
         """The accepted rows' states with every midpoint moved off its base."""
@@ -537,26 +542,28 @@ def test_family_matches_composed_dag(fast_settings, sphere_corpus_spec):
     T = np.rint(np.linalg.inv(S))
     for t in (0.3, 0.8):
         tt = np.full(x.shape[0], t)
-        val, grad, hess, dgrad, ok = family.evaluate(x, tt, order=2)
+        val, grad, hess, ok = solved_chain(family._chain(tt)[0], x)
+        dgrad = family.evaluate(x, tt, cold_leaf_state(family.leaf_bases(x)))[3]
         hess = gfm.chain_hessian(hess)
         dag = nested_chain(gf_compose(family.f_phi, build_rotation_family(t, n, k).genfun))
-        ref_val, ref_grad, ref_hess, ref_ok = dag.evaluate(x @ T.T, order=2)
+        ref_val, ref_grad, ref_hess, ref_ok = dag.evaluate(x @ T.T)
         ref = (ref_val, ref_grad @ T, T.T @ ref_hess @ T)
         assert ok.all() and ref_ok.all()
         for got, want in zip((val, grad, hess), ref):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         h = 1e-5
-        _, g_plus, _, _, _ = family.evaluate(x, tt + h, order=1)
-        _, g_minus, _, _, _ = family.evaluate(x, tt - h, order=1)
+        _, g_plus, _, _ = solved_chain(family._chain(tt + h)[0], x)
+        _, g_minus, _, _ = solved_chain(family._chain(tt - h)[0], x)
         fd = (g_plus - g_minus) / (2.0 * h)
         assert np.max(np.abs(dgrad - fd)) <= 1e-8 * np.max(np.abs(dgrad))
 
 
-def test_bordered_newton_policy():
+def test_bordered_newton_policy(monkeypatch):
     """_bordered_newton's row policy on F(x, t) = (x - c, t - s), with no
     integration: polish, rescue at the best iterate, and dropped rows."""
     tol, max_iter = 1e-10, 12
+    monkeypatch.setattr(tp, "_MAX_ITER", max_iter)
     c = np.array([[0.3, 0.1], [0.2, -0.1], [0.0, 0.4], [0.1, 0.1], [0.2, 0.2], [0.3, 0.0]])
     s = np.array([0.2, 0.3, 0.1, 0.1, 5.0, 0.1])
     x0 = c.copy()
@@ -588,7 +595,8 @@ def test_bordered_newton_policy():
         def retract(x, t):
             return x, np.abs(t) > 2.0
 
-        out = tp._bordered_newton(x0, t0, (evaluate, retract), tol, max_iter, polish)
+        monkeypatch.setattr(tp, "_POLISH", polish)
+        out = tp._bordered_newton(x0, t0, (evaluate, retract), tol)
         return out, calls, seen
 
     for polish in (1, 2, 3):
@@ -608,12 +616,13 @@ def test_bordered_newton_policy():
         assert calls[5] == 2
 
 
-def test_bordered_newton_retires_stalled_rows():
-    """With max_iter past the stall window, a row stops once _STALL finite
+def test_bordered_newton_retires_stalled_rows(monkeypatch):
+    """With _MAX_ITER past the stall window, a row stops once _STALL finite
     evaluations in a row have not lowered its best error, and then takes
     the end-of-loop rescue test; err = inf evaluations do not count."""
     S = tp._STALL
     tol, max_iter = 1e-10, S + 8
+    monkeypatch.setattr(tp, "_MAX_ITER", max_iter)
     c = np.array([[0.3, 0.1], [0.2, -0.1], [0.0, 0.4], [0.1, 0.1]])
     s = np.array([0.2, 0.3, 0.1, 0.4])
     x0 = c + 0.1
@@ -644,7 +653,7 @@ def test_bordered_newton_retires_stalled_rows():
     def retract(x, t):
         return x, np.zeros(len(t), dtype=bool)
 
-    x, t, val, done = tp._bordered_newton(x0, s.copy(), (evaluate, retract), tol, max_iter)
+    x, t, val, done = tp._bordered_newton(x0, s.copy(), (evaluate, retract), tol)
     assert done.tolist() == [True, False, True, True]
     # row 0 is rescued at its best iterate, S evaluations after it
     assert calls[0] == 3 + 1 + S
@@ -687,7 +696,7 @@ def test_stall_retirement_keeps_records_bitwise(name, routes, retires, monkeypat
         assert evals_on == evals_off < tp._MAX_ITER
 
 
-def test_bordered_newton_drops_singular_row():
+def test_bordered_newton_drops_singular_row(monkeypatch):
     # row 1 has no t-dependence: its bordered matrix is singular, so
     # solve_rows gives it a NaN step and the row is dropped, while row 0
     # converges with the bits it has alone
@@ -707,7 +716,9 @@ def test_bordered_newton_drops_singular_row():
 
     def run(ids):
         return tp._bordered_newton(c[ids] + 0.1, s[ids] + np.array([0.1, 0.0])[ids],
-                                   system(ids), 1e-10, 10)
+                                   system(ids), 1e-10)
+
+    monkeypatch.setattr(tp, "_MAX_ITER", 10)
 
     F, M, *_ = system([0, 1])[0](np.ones(2, dtype=bool), c + 0.1, s + 0.1)
     step = solve_rows(M, F)
@@ -719,7 +730,7 @@ def test_bordered_newton_drops_singular_row():
         assert np.array_equal(a, b[:1])
 
 
-def test_bordered_newton_singular_row_leaves_others_bitwise():
+def test_bordered_newton_singular_row_leaves_others_bitwise(monkeypatch):
     # F(x, t) = A_r (d + d^2 / 2), d = (x - c_r, t - s_r); row 2's A has no
     # t-column, so its Jacobian is singular.  Only that row's solve fails:
     # after two steps, still short of the roots, rows 0 and 1 have the bits
@@ -740,9 +751,10 @@ def test_bordered_newton_singular_row_leaves_others_bitwise():
 
         return tp._bordered_newton(
             c[ids] + 0.3, s[ids] + 0.2,
-            (evaluate, lambda x, t: (x, np.zeros(len(t), dtype=bool))), 1e-10, 2,
+            (evaluate, lambda x, t: (x, np.zeros(len(t), dtype=bool))), 1e-10,
         )
 
+    monkeypatch.setattr(tp, "_MAX_ITER", 2)
     alone, mixed = run([0, 1]), run([0, 1, 2])
     assert not np.array_equal(alone[0], c[:2] + 0.3)
     for a, b in zip(alone, mixed):
@@ -763,8 +775,8 @@ def _steps_against_nested(family, spec, settings, monkeypatch, sphere_count, t_c
     calls, steps = [], []
     inner_eval, inner_step = family.evaluate, family.bordered_step
 
-    def evaluate(x, t, **kwargs):
-        out = inner_eval(x, t, **kwargs)
+    def evaluate(x, t, warm):
+        out = inner_eval(x, t, warm)
         calls.append((x.copy(), t.copy(), out[1].copy(), out[5].jac.copy()))
         return out
 
@@ -851,7 +863,7 @@ def test_genfun_chain_step_rows_are_batch_independent(settings, sphere_corpus_sp
     q, t = tp._prefilter_seeds(sphere_corpus_spec, settings, 64, 8, 2)
     x, warm = family.seed(q, t)
     assert x.shape[0] == 128
-    _, grad, hess, dgrad, ok, _ = family.evaluate(x, t, order=2, warm=warm)
+    _, grad, hess, dgrad, ok, _ = family.evaluate(x, t, warm)
     assert ok.all()
     F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
     full = family.bordered_step(x, hess, dgrad, F)
@@ -899,11 +911,13 @@ def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, sphere_corp
         family = tp.ShiftedGenFunFamily(f_phi, spec.n, 4)
         x, warm = family.seed(q, t)
         chain, _ = family._chain(t)
-        _, _, cold, ok = gfm.evaluate_stacked(chain, x, order=2)
+        _, _, cold, ok, _ = gfm.evaluate_stacked(chain, x,
+                                                 cold_leaf_state(family.leaf_bases(x)))
         tip = x.copy()
         tip[3] = 0.0  # row 3's leaf bases at the cone tip: never integrated
-        _, _, cold_tip, ok_tip = gfm.evaluate_stacked(chain, tip, order=2)
-        _, grad, hess, dgrad, ok_warm, state = family.evaluate(x, t, order=2, warm=warm)
+        _, _, cold_tip, ok_tip, _ = gfm.evaluate_stacked(
+            chain, tip, cold_leaf_state(family.leaf_bases(tip)))
+        _, grad, hess, dgrad, ok_warm, state = family.evaluate(x, t, warm)
         assert ok.all() and ok_warm.all() and len(schedule) > 1
         assert np.flatnonzero(~ok_tip).tolist() == [3]
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
