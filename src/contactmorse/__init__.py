@@ -28,7 +28,6 @@ from .projective import (
 from .translated import (
     ConfigurationError,
     DetectionResult,
-    RouteDisagreementError,
     ShiftedGenFunFamily,
     SweepParams,
     SweepReport,

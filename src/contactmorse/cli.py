@@ -21,14 +21,15 @@ from .flow import IntegratorSettings, calibrate_steps_per_unit, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import mul_i
 from .report import RunReport, _nondeg_str, write_outputs
-from .translated import RouteDisagreementError, SweepReport, index_data, sweep_and_count
+from .translated import SweepReport, index_data, sweep_and_count
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUNDS_NOT_ASSERTED = 2
 EXIT_ROUTE_DISAGREEMENT = 3
 
-# Exit status of a run whose routes agree, by its sweep's bound_outcome.
+# Exit status of a run whose routes agree, by its sweep's bound_outcome; a
+# sweep that returns a disagreement exits EXIT_ROUTE_DISAGREEMENT.
 _OUTCOME_EXIT = {"met": EXIT_OK, "failed": EXIT_ERROR, "not_asserted": EXIT_BOUNDS_NOT_ASSERTED}
 
 # Largest error of the Reeb quarter-turn check of a run that goes on to
@@ -50,9 +51,10 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
 
     Each verdict of the run is decided here, once.  A failed calibration
     gate (also a NaN error) skips detection and exits 1; otherwise the
-    sweep's bound_outcome maps to the exit status, or 3 when the routes
-    disagree.  A run without a sweep reports SweepReport().  timings gets
-    the detection stage's wall time, then each route's own wall time in it
+    sweep's bound_outcome maps to the exit status, or 3 when the sweep
+    returns a route disagreement, whose dump goes to route_disagreement.txt.
+    A run without a sweep reports SweepReport().  timings gets the
+    detection stage's wall time, then each route's own wall time in it
     (the two routes run at the same time, see sweep_and_count)."""
     timings: dict[str, float] = {}
 
@@ -67,20 +69,15 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     timings["calibration"] = time.perf_counter() - t0
 
     sweep = SweepReport()
-    disagreement = None
     exit_status = EXIT_ERROR
     if calibration_ok:
         t0 = time.perf_counter()
-        route_seconds: dict[str, float] = {}
-        try:
-            sweep = sweep_and_count(config.hamiltonian, config.params, settings, route_seconds)
-            exit_status = _OUTCOME_EXIT[sweep.bound_outcome]
-        except RouteDisagreementError as exc:
-            disagreement = exc
-            exit_status = EXIT_ROUTE_DISAGREEMENT
+        sweep = sweep_and_count(config.hamiltonian, config.params, settings)
         timings["detection"] = time.perf_counter() - t0
-        for route, seconds in route_seconds.items():
+        for route, seconds in sweep.route_seconds.items():
             timings[f"detection.{route}"] = seconds
+        exit_status = (EXIT_ROUTE_DISAGREEMENT if sweep.disagreement is not None
+                       else _OUTCOME_EXIT[sweep.bound_outcome])
 
     report = RunReport(
         config=config,
@@ -93,16 +90,16 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
         exit_status=exit_status,
     )
     paths = write_outputs(report, out_dir)
-    if disagreement is not None:
-        _dump_disagreement(disagreement, Path(out_dir))
-        print(f"route disagreement: {disagreement}", file=sys.stderr)
+    if sweep.disagreement is not None:
+        _dump_disagreement(sweep, Path(out_dir))
+        print(f"route disagreement: {sweep.disagreement}", file=sys.stderr)
         print(f"diagnostic dump written next to {paths['report']}", file=sys.stderr)
     return report
 
 
-def _dump_disagreement(exc: RouteDisagreementError, out_dir: Path) -> None:
-    lines = [str(exc)]
-    for key, records in exc.dump.items():
+def _dump_disagreement(sweep: SweepReport, out_dir: Path) -> None:
+    lines = [sweep.disagreement]
+    for key, records in sweep.dump.items():
         lines.append(f"[{key}]")
         for rec in records:
             lines.append(

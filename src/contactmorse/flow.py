@@ -39,7 +39,7 @@ is the k-th step of one integration whatever the span, so one integration
 per step size h serves every span: at 16 steps per unit, the spans 1, 1/2,
 ..., 1/16 of a subdivision.  Only the integrator knows that the flow is
 linear; a matrix derived from P alone is found by value to be the same on
-every row where it is used (linsymp.same_on_rows) and computed once: the
+every row where it is used, and computed once (linsymp.once_if_shared): the
 C^1 probe's (c1_distance), the leaf Hessians and the chain pivots.
 """
 
@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hamiltonian as ham
-from .linsymp import complex_structure_matrix, same_on_rows
+from .linsymp import complex_structure_matrix, once_if_shared
 from .sampling import sphere_points, subdivision_probe_points
 
 # Calibration constant: with omega = sum dx ^ dy and iota_X omega = dH the
@@ -602,11 +602,11 @@ def calibrate_steps_per_unit(spec: ham.ContactHamiltonianSpec) -> int:
     return density
 
 
-def _c1_metric(samples: np.ndarray, z1: np.ndarray, jac: np.ndarray) -> float:
-    move = np.linalg.norm(z1 - samples, axis=1)
-    dev = jac - np.eye(samples.shape[1])
-    opnorm = np.linalg.svd(dev, compute_uv=False)[..., 0]
-    return float(np.max(move + opnorm))
+def _leg_opnorms(jac_m: np.ndarray, jac_2: np.ndarray) -> np.ndarray:
+    """||DPhi - I||_2 (R, 2) of each row's flow to the midpoint, DPhi =
+    jac_m, and to the end, DPhi = jac_2 jac_m."""
+    legs = np.stack([jac_m, jac_2 @ jac_m], axis=1) - np.eye(jac_m.shape[-1])
+    return np.linalg.svd(legs, compute_uv=False)[..., 0]
 
 
 def c1_distance(
@@ -620,15 +620,14 @@ def c1_distance(
 
     Evaluated at the piece midpoint as well as the endpoint: a loop closed up
     inside the piece would otherwise alias to the identity and pass.  A
-    Jacobian every sample shares (same_on_rows: a linear flow's) takes one
-    norm per leg and one product of the legs, with the bits of each row's.
+    Jacobian every sample shares (a linear flow's) is normed once per leg
+    (once_if_shared), with the bits of each row's.
     """
     mid = 0.5 * (t0 + t1)
     z_m, jac_m = integrate_flow(spec, samples, t0, mid, settings, with_jacobian=True)
     z_e, jac_2 = integrate_flow(spec, z_m, mid, t1, settings, with_jacobian=True)
-    if same_on_rows(jac_m) and same_on_rows(jac_2):
-        jac_m, jac_2 = jac_m[0], jac_2[0]
-    return max(_c1_metric(samples, z_m, jac_m), _c1_metric(samples, z_e, jac_2 @ jac_m))
+    move = np.stack([np.linalg.norm(z - samples, axis=1) for z in (z_m, z_e)], axis=1)
+    return float(np.max(move + once_if_shared(_leg_opnorms, jac_m, jac_2)))
 
 
 # Most pieces of one subdivision: no piece is narrower than the interval

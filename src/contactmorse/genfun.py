@@ -45,7 +45,7 @@ import numpy as np
 
 from .flow import IntegratorSettings, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
-from .linsymp import complex_structure_matrix, mul_i, same_on_rows
+from .linsymp import complex_structure_matrix, mul_i, once_if_shared
 
 
 @dataclass(frozen=True)
@@ -257,13 +257,6 @@ def leaf_hessian(jac: np.ndarray) -> np.ndarray:
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def _leaf_hessians(jac: np.ndarray) -> np.ndarray:
-    """leaf_hessian of DPhi (B, L, 2n, 2n) at the leaves' midpoints, on row 0
-    alone when every row has row 0's DPhi (same_on_rows), as a linear flow
-    gives every row it integrates; read-only."""
-    return np.broadcast_to(leaf_hessian(jac[:1] if same_on_rows(jac) else jac), jac.shape)
-
-
 def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, z: np.ndarray):
     """Midpoint integrations of the leaves at midpoints z of their bases b
     (B, L, 2n), one stacked solve_midpoint per compatible group.
@@ -306,7 +299,7 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, warm: LeafState):
     system leaves exactly this gradient with the unchanged Hessian.  Where
     LeafState.solves(b) holds it equals the solved leaf's gradient to the
     leaf tolerance.  The leaf Hessians are computed once and given to every
-    row when every row has the same DPhi (_leaf_hessians).
+    row when every row has the same DPhi (once_if_shared).
 
     Returns (val (B,), grad (B, D), hess (B, N, 2n, 2n), ok (B,), state):
     hess holds the Hessians of the links at their bases, which
@@ -330,7 +323,7 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, warm: LeafState):
     z, Zv, jac, ok_leaf = _solve_leaves([links[j] for j in leaves], leaf_b,
                                         warm.predict(leaf_b))
     solved = 0.5 * (z + Zv)
-    H = _leaf_hessians(jac)
+    H = once_if_shared(leaf_hessian, jac)
     g = mul_i(z - Zv) - (H @ (solved - leaf_b)[..., None])[..., 0]
     vals[:, leaves] = 0.5 * np.sum(g * leaf_b, axis=2)
     grads[:, leaves] = g

@@ -83,6 +83,17 @@ def same_on_rows(a: np.ndarray) -> bool:
     return np.array_equal(bits[1], bits[0]) and bool(np.all(bits[2:] == bits[0]))
 
 
+def once_if_shared(fn, *stacks: np.ndarray) -> np.ndarray:
+    """fn(*stacks) for a function fn that maps R rows of its stacks to R rows
+    of its result, each from that row alone.  When every stack has row 0's
+    bits on every row (same_on_rows), as a linear flow gives, fn runs on row
+    0 alone and its row is given to every row (read-only)."""
+    if all(same_on_rows(a) for a in stacks):
+        out = fn(*(a[:1] for a in stacks))
+        return np.broadcast_to(out, (len(stacks[0]),) + out.shape[1:])
+    return fn(*stacks)
+
+
 @dataclass(frozen=True)
 class Inertia:
     """Eigenvalue sign counts of a symmetric matrix: index + nullity + coindex = m."""

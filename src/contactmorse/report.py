@@ -23,7 +23,8 @@ class RunReport:
     """Everything one run reports, each verdict decided once by cli.run:
     calibration_ok (the calibration gate), sweep.bound_outcome and the
     exit_status they map to.  index_data is the rotation family's inertia
-    (translated.index_data); sweep is empty when detection did not run."""
+    (translated.index_data); sweep is empty when detection did not run, and
+    holds no records when it returned a route disagreement."""
 
     config: RunConfig
     sweep: SweepReport

@@ -10,8 +10,8 @@ contact isotopy of S^{2n-1}:
   critical point to its base ray, and re-verifies it against the direct
   residual.
 
-The two record sets must agree; disagreement is a hard failure, not
-something to average away.
+The two record sets must agree; a disagreement is the sweep's verdict
+(SweepReport.disagreement), not something to average away.
 
 When both routes run, they run at the same time: the direct route in a
 worker made with os.fork (so the package needs a POSIX system), the genfun
@@ -41,8 +41,8 @@ from .linsymp import (
     complex_structure_matrix,
     inertia,
     mul_i,
+    once_if_shared,
     rotation_matrix,
-    same_on_rows,
     solve_rows,
     to_complex,
     to_real,
@@ -52,14 +52,6 @@ from .sampling import sphere_points
 
 class ConfigurationError(RuntimeError):
     """A structural contract failed (unexpected nullity, bad rotation family)."""
-
-
-class RouteDisagreementError(RuntimeError):
-    """The genfun and direct routes disagree; carries a diagnostic dump."""
-
-    def __init__(self, message: str, dump: dict):
-        super().__init__(message)
-        self.dump = dump
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,11 @@ class SweepReport:
     """What sweep_and_count found; the defaults are a sweep that did not run.
     bound_outcome is "met" or "failed" when the lower bound bound_threshold
     was asserted, and "not_asserted" when it was not: no records, a record
-    not certified non-degenerate, a suspected continuum, or no sweep."""
+    not certified non-degenerate, a suspected continuum, a route
+    disagreement, or no sweep.  route_seconds is the wall time of each route
+    that ran ("direct", "genfun").  disagreement, when not None, says how the
+    two routes' records disagree, and dump holds the records behind it by
+    group; such a report holds nothing else but route_seconds."""
 
     records: list[TranslatedPointRecord] = field(default_factory=list)
     event_ts: list[float] = field(default_factory=list)
@@ -97,6 +93,9 @@ class SweepReport:
     continuum_suspected: bool = False
     bound_outcome: str = "not_asserted"  # met | failed | not_asserted
     route_stats: dict = field(default_factory=dict)
+    route_seconds: dict[str, float] = field(default_factory=dict)
+    disagreement: str | None = None
+    dump: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -666,13 +665,15 @@ class ShiftedGenFunFamily:
 
 def _inverses(P: np.ndarray) -> np.ndarray:
     """The inverse of every matrix of P (R, S, m, m), by solve_rows: NaN
-    where P is singular.  When every row has row 0's matrices
-    (same_on_rows), they are inverted once and given to every row, with the
-    bits of each row's own inverses."""
-    rows = P[:1] if same_on_rows(P) else P
-    A = rows.reshape(-1, *P.shape[2:])
-    inv = solve_rows(A, np.broadcast_to(np.eye(P.shape[-1]), A.shape).copy())
-    return np.broadcast_to(inv.reshape(rows.shape), P.shape)
+    where P is singular.  When every row has row 0's matrices, they are
+    inverted once and given to every row (once_if_shared), with the bits of
+    each row's own inverses."""
+
+    def invert(rows):
+        A = rows.reshape(-1, *rows.shape[2:])
+        return solve_rows(A, np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()).reshape(rows.shape)
+
+    return once_if_shared(invert, P)
 
 
 # Starts per genfun Newton batch, which bounds a batch's Newton state.  A
@@ -866,12 +867,11 @@ _MATCH_T = 1e-6
 
 
 def _match_routes(direct, genf):
+    """(matched, direct-only, genfun-only) records of the unique pairing of
+    the two routes' records, or None when no pairing is unique."""
     partner = pair_records(direct, genf, _MATCH_ANGULAR, _MATCH_T)
     if partner is None:
-        raise RouteDisagreementError(
-            "ambiguous route match: a record has two candidates within the match tolerances",
-            dump={"direct": direct, "genfun": genf},
-        )
+        return None
     matched = [replace(rd, route="both", gf_value=genf[j].gf_value)
                for rd, j in zip(direct, partner) if j >= 0]
     unmatched_direct = [rd for rd, j in zip(direct, partner) if j < 0]
@@ -880,13 +880,31 @@ def _match_routes(direct, genf):
     return matched, unmatched_direct, unmatched_genfun
 
 
-class _DirectWorker:
-    """The direct route on seeds in a forked worker, while this process runs
-    the genfun route.  The worker sends back (DetectionResult, seconds since
+def _compare_routes(direct: DetectionResult, genf: DetectionResult):
+    """(matched records, None, {}) when every genfun ray passed the direct
+    residual verification and the two record sets are in bijection;
+    otherwise ([], how they disagree, the records behind it by group)."""
+    if genf.inconsistent:
+        return [], "genfun records failed the direct residual verification", {
+            "inconsistent": genf.inconsistent}
+    match = _match_routes(direct.records, genf.records)
+    if match is None:
+        return [], ("ambiguous route match: a record has two candidates within the match "
+                    "tolerances"), {"direct": direct.records, "genfun": genf.records}
+    matched, only_d, only_g = match
+    if only_d or only_g:
+        return [], f"route mismatch: {len(only_d)} direct-only, {len(only_g)} genfun-only", {
+            "direct_only": only_d, "genfun_only": only_g, "matched": matched}
+    return matched, None, {}
+
+
+class _RouteWorker:
+    """A zero-argument route run in a forked worker, while this process runs
+    another.  The worker sends back (what the route returned, seconds since
     start), or the exception the route raised, pickled over a pipe, and
     always ends with os._exit.  join or kill reaps it."""
 
-    def __init__(self, spec, settings, grid, seeds, start: float):
+    def __init__(self, route, start: float):
         rfd, wfd = os.pipe()
         try:
             self.pid = os.fork()
@@ -899,8 +917,7 @@ class _DirectWorker:
             try:
                 os.close(rfd)
                 try:
-                    result = direct_translated_points(spec, settings, **grid, seeds=seeds)
-                    reply = (True, (result, time.perf_counter() - start))
+                    reply = (True, (route(), time.perf_counter() - start))
                 except Exception as exc:
                     reply = (False, exc)
                 data = pickle.dumps(reply)  # an unpicklable exception sends nothing
@@ -913,7 +930,7 @@ class _DirectWorker:
         self.reader = os.fdopen(rfd, "rb")
 
     def join(self):
-        """(DetectionResult, seconds) of the worker, or its exception raised."""
+        """(the route's value, seconds) of the worker, or its error raised."""
         try:
             with self.reader:
                 data = self.reader.read()
@@ -926,8 +943,7 @@ class _DirectWorker:
         except Exception:
             code = os.waitstatus_to_exitcode(status)
             how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-            raise RuntimeError(
-                f"the direct route worker sent no readable result ({how})") from None
+            raise RuntimeError(f"the route worker sent no readable result ({how})") from None
         if not ok:
             raise payload
         return payload
@@ -942,7 +958,6 @@ def sweep_and_count(
     spec: ContactHamiltonianSpec,
     params: SweepParams = SweepParams(),
     settings: IntegratorSettings = IntegratorSettings(),
-    route_seconds: dict[str, float] | None = None,
 ) -> SweepReport:
     """Run the configured routes, merge records, count, and decide the bound.
 
@@ -950,101 +965,83 @@ def sweep_and_count(
     antipodal classes on the projective space) is asserted only when every
     record is certified non-degenerate and no continuum is suspected; the
     report's bound_outcome says which of met, failed or not_asserted holds,
-    instead of passing silently.  route_seconds, when given, receives the
-    wall time of each route that ran ("direct", "genfun"), also when the
-    routes then disagree.  Both routes start from one prefiltered seed grid,
-    whose time counts toward the direct route, or toward the genfun route
-    when it runs alone.  With both routes, the direct route runs in a forked
-    worker (_DirectWorker) while the genfun route runs here, so each time is
-    that route's own wall time, and the two overlap.  An error of the
-    direct route wins over one of the genfun route, as when the direct route
-    ran first.  The Z2 symmetry of a projective spec is checked once, where
-    the config is parsed (config.parse_config).
-    """
-    n = spec.n
+    instead of passing silently.  When both routes run and no continuum is
+    suspected, their records must agree (_compare_routes); when they do not,
+    the report returns the disagreement and its dump, with route_seconds
+    and nothing else, so its bound_outcome stays not_asserted.
 
-    route_stats: dict = {}
-    direct_res = genfun_res = worker = None
-    if route_seconds is None:
-        route_seconds = {}
+    Both routes start from one prefiltered seed grid, whose time counts
+    toward the first route: the direct route, or the genfun route when it
+    runs alone.  The last route runs here; with both routes, the direct
+    route runs in a forked worker (_RouteWorker) meanwhile, so each time in
+    route_seconds is that route's own wall time, and the two overlap.  An
+    error of the direct route wins over one of the genfun route, as when
+    the direct route ran first.  The Z2 symmetry of a projective spec is
+    checked once, where the config is parsed (config.parse_config).
+    """
     grid = dict(sphere_count=params.sphere_count, t_count=params.t_count,
                 keep_per_seed=params.keep_per_seed)
+
+    # each route returns its DetectionResult and its own route_stats
+    def direct():
+        return direct_translated_points(spec, settings, **grid, seeds=seeds), {}
+
+    def genfun():
+        f_phi, schedule = build_phi_genfun(spec, settings, params.subdivision_delta)
+        family = ShiftedGenFunFamily(f_phi, spec.n, params.rotation_pieces)
+        res = find_critical_rays(family, spec, settings, **grid, seeds=seeds)
+        return res, {"genfun_inconsistent": len(res.inconsistent),
+                     "subdivision_pieces": len(schedule), "total_space_dim": family.dim}
+
+    routes = {"direct": direct, "genfun": genfun}
+    names = list(routes) if params.routes == "both" else [params.routes]
     start = time.perf_counter()
     seeds = _prefilter_seeds(spec, settings, **grid)
-    if params.routes == "direct":
-        direct_res = direct_translated_points(spec, settings, **grid, seeds=seeds)
-        direct_s = time.perf_counter() - start
-    elif params.routes == "both":
-        worker = _DirectWorker(spec, settings, grid, seeds, start)
-    if params.routes in ("genfun", "both"):
-        genfun_start = time.perf_counter() if worker is not None else start
-        try:
-            f_phi, schedule = build_phi_genfun(spec, settings, params.subdivision_delta)
-            family = ShiftedGenFunFamily(f_phi, n, params.rotation_pieces)
-            genfun_res = find_critical_rays(family, spec, settings, **grid, seeds=seeds)
-        except Exception:
-            if worker is not None:
-                worker.join()  # raises the direct route's error, if any
-            raise
-        except BaseException:
-            if worker is not None:
-                worker.kill()
-            raise
-        genfun_s = time.perf_counter() - genfun_start
+    worker = _RouteWorker(routes[names[0]], start) if len(names) == 2 else None
+    last_start = start if worker is None else time.perf_counter()
+    try:
+        last = routes[names[-1]]()
+    except Exception:
+        if worker is not None:
+            worker.join()  # raises the worker's error, if any
+        raise
+    except BaseException:
+        if worker is not None:
+            worker.kill()
+        raise
+    runs = [(last, time.perf_counter() - last_start)]
     if worker is not None:
-        direct_res, direct_s = worker.join()
-    if direct_res is not None:
-        route_seconds["direct"] = direct_s
-        route_stats["direct_records"] = len(direct_res.records)
-        route_stats["direct_converged"] = direct_res.converged_raw
-    if genfun_res is not None:
-        route_seconds["genfun"] = genfun_s
-        route_stats["genfun_records"] = len(genfun_res.records)
-        route_stats["genfun_converged"] = genfun_res.converged_raw
-        route_stats["genfun_inconsistent"] = len(genfun_res.inconsistent)
-        route_stats["subdivision_pieces"] = len(schedule)
-        route_stats["total_space_dim"] = family.dim
+        runs.insert(0, worker.join())
 
-    continuum = bool(
-        (direct_res is not None and direct_res.continuum_suspected)
-        or (genfun_res is not None and genfun_res.continuum_suspected)
-    )
+    results, route_stats, route_seconds = {}, {}, {}
+    for name, ((res, stats), seconds) in zip(names, runs):
+        results[name] = res
+        route_seconds[name] = seconds
+        route_stats.update({f"{name}_records": len(res.records),
+                            f"{name}_converged": res.converged_raw}, **stats)
+    continuum = any(res.continuum_suspected for res in results.values())
 
-    if params.routes == "both" and not continuum:
-        if genfun_res.inconsistent:
-            raise RouteDisagreementError(
-                "genfun records failed the direct residual verification",
-                dump={"inconsistent": genfun_res.inconsistent},
-            )
-        matched, only_d, only_g = _match_routes(direct_res.records, genfun_res.records)
-        if only_d or only_g:
-            raise RouteDisagreementError(
-                f"route mismatch: {len(only_d)} direct-only, {len(only_g)} genfun-only",
-                dump={"direct_only": only_d, "genfun_only": only_g,
-                      "matched": matched},
-            )
-        records = matched
-        route_stats["matched"] = len(matched)
-    elif direct_res is not None:
-        # the direct route alone, or both on a continuum: the routes sample
-        # a continuum differently, so report the ground truth set without
-        # asserting a bijection
-        records = direct_res.records
+    if len(results) == 2 and not continuum:
+        records, disagreement, dump = _compare_routes(results["direct"], results["genfun"])
+        if disagreement is not None:
+            return SweepReport(route_seconds=route_seconds, disagreement=disagreement, dump=dump)
+        route_stats["matched"] = len(records)
     else:
-        records = genfun_res.records
+        # one route, or both on a continuum: the routes sample a continuum
+        # differently, so report the ground truth set (the direct route's,
+        # the first whenever it ran) without asserting a bijection
+        records = results[names[0]].records
 
     events = sorted({round(r.t, 10) for r in records})
-    if continuum:
-        return SweepReport(records, events, continuum_suspected=True, route_stats=route_stats)
-
-    sphere_count = count = len(records)
-    projective_count = None
-    if params.mode == "projective":
-        from .projective import antipodal_classes
-
-        projective_count = count = len(antipodal_classes(records))
+    sphere_count = projective_count = None
     outcome = "not_asserted"
-    if records and all(r.nondegenerate is True for r in records):
-        outcome = "met" if count >= bound_threshold(params.mode, n) else "failed"
-    return SweepReport(records, events, sphere_count, projective_count,
-                       bound_outcome=outcome, route_stats=route_stats)
+    if not continuum:
+        sphere_count = count = len(records)
+        if params.mode == "projective":
+            from .projective import antipodal_classes
+
+            projective_count = count = len(antipodal_classes(records))
+        if records and all(r.nondegenerate is True for r in records):
+            outcome = "met" if count >= bound_threshold(params.mode, spec.n) else "failed"
+    return SweepReport(records, events, sphere_count, projective_count, continuum, outcome,
+                       route_stats, route_seconds)

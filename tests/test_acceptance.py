@@ -189,19 +189,19 @@ def test_criterion_5_route_equivalence():
     for seed in range(1001, 1006):
         spec = _random_generic_spec(seed)
         t0 = time.perf_counter()
-        try:
-            rep = tp.sweep_and_count(spec, params, SETTINGS)
-            dt = time.perf_counter() - t0
-            good = (
-                not rep.continuum_suspected
-                and len(rep.records) >= 1
-                and all(r.route == "both" for r in rep.records)
-                and dt < 300.0
-            )
+        rep = tp.sweep_and_count(spec, params, SETTINGS)
+        dt = time.perf_counter() - t0
+        good = (
+            rep.disagreement is None
+            and not rep.continuum_suspected
+            and len(rep.records) >= 1
+            and all(r.route == "both" for r in rep.records)
+            and dt < 300.0
+        )
+        if rep.disagreement is None:
             details.append(f"seed {seed}: {len(rep.records)} matched, {dt:.0f}s")
-        except tp.RouteDisagreementError as exc:
-            good = False
-            details.append(f"seed {seed}: disagreement {exc}")
+        else:
+            details.append(f"seed {seed}: disagreement {rep.disagreement}")
         ok = ok and good
     _verdict(5, "genfun and direct record sets in bijection (1e-6) on 5 random specs",
              ok, "; ".join(details))

@@ -185,6 +185,31 @@ def test_every_route_rejects_too_few_sphere_seeds(tmp_path, capsys, routes):
     assert "resolution too small" in capsys.readouterr().err
 
 
+def test_mode_override(tmp_path, capsys):
+    """--mode replaces the config's mode field.  The projective rp3 config
+    counted on the sphere meets the sphere bound with its 8 records and has
+    no projective count; the diag config, whose h is not Z2-symmetric, fails
+    its projective parse and the run writes nothing."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = tmp_path / "sphere"
+    status = cli.main(["run", str(configs / "rp3-sym-eps0.05.json"), "--out", str(out),
+                       "--mode", "sphere", "--routes", "direct"])
+    assert status == cli.EXIT_OK
+    report = (out / "report.txt").read_text().splitlines()
+    for line in ("mode = sphere", "sphere_count = 8", "bound_outcome = met"):
+        assert line in report, line
+    assert not any(line.startswith("projective_count") for line in report)
+    capsys.readouterr()
+    out = tmp_path / "projective"
+    status = cli.main(["run", str(configs / "diag-0.3-0.7-eps0.05.json"), "--out", str(out),
+                       "--mode", "projective"])
+    assert status == cli.EXIT_ERROR
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: projective mode: Hamiltonian is not Z2-symmetric: its odd part has "
+        "coefficient 5.000e-02 on x1^3"]
+
+
 @pytest.mark.parametrize("count", [1, 5, 7])
 def test_config_rejects_too_few_sphere_seeds(tmp_path, capsys, count):
     """A sphere_count of 1-7 fails config validation, naming its JSON
@@ -318,9 +343,9 @@ def test_timings_list_every_stage(tmp_path, monkeypatch):
     for route in ("direct", "genfun"):
         assert float(stages[f"detection.{route}"]) <= float(stages["detection"]) + 0.002
     # a route disagreement still reports the routes that ran
-    def disagreeing_sweep(spec, params, settings, route_seconds):
-        route_seconds.update(direct=0.5, genfun=0.25)
-        raise translated.RouteDisagreementError("forced", dump={})
+    def disagreeing_sweep(spec, params, settings):
+        return translated.SweepReport(route_seconds={"direct": 0.5, "genfun": 0.25},
+                                      disagreement="forced")
 
     monkeypatch.setattr(cli, "sweep_and_count", disagreeing_sweep)
     status = cli.main(["run", str(path), "--out", str(tmp_path / "exit3")])

@@ -77,9 +77,10 @@ def test_match_routes_reports_mismatch():
     assert matched[0].gf_value == 1e-12
 
 
-def test_match_routes_rejects_ambiguous_match():
+def test_match_routes_rejects_ambiguous_match(settings, sphere_corpus_spec, monkeypatch):
     # two records within the match tolerances of one record of the other
-    # route: no unique pairing exists, which is a disagreement, not a pick
+    # route: no unique pairing exists, which is a disagreement, not a pick;
+    # the sweep returns it with the records of both routes
     assert tp._MATCH_ANGULAR == 1e-6 and tp._MATCH_T == 1e-6
     q = (1.0, 0.0, 0.0, 0.0)
     one = {route: tp.TranslatedPointRecord(q, 0.25, 1e-12, 0.0, True, route)
@@ -87,11 +88,20 @@ def test_match_routes_rejects_ambiguous_match():
     twins = {route: [tp.TranslatedPointRecord(q, 0.25 + d, 1e-12, 0.0, True, route)
                      for d in (1e-8, -1e-8)]
              for route in ("direct", "genfun")}
+
+    def detected(records):
+        return lambda *args, **kwargs: tp.DetectionResult(records, False, len(records))
+
+    params = tp.SweepParams(routes="both", sphere_count=16, t_count=8, keep_per_seed=2)
     for direct, genf in (([one["direct"]], twins["genfun"]),
                          (twins["direct"], [one["genfun"]])):
-        with pytest.raises(tp.RouteDisagreementError, match="ambiguous") as exc:
-            tp._match_routes(direct, genf)
-        assert exc.value.dump == {"direct": direct, "genfun": genf}
+        assert tp._match_routes(direct, genf) is None
+        monkeypatch.setattr(tp, "direct_translated_points", detected(direct))
+        monkeypatch.setattr(tp, "find_critical_rays", detected(genf))
+        rep = tp.sweep_and_count(sphere_corpus_spec, params, settings)
+        assert rep.disagreement.startswith("ambiguous route match")
+        assert rep.dump == {"direct": direct, "genfun": genf}
+        assert rep.records == [] and rep.bound_outcome == "not_asserted"
 
 
 def test_cli_help_and_missing_file(capsys, tmp_path):

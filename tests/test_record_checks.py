@@ -3,6 +3,9 @@ the signed count of the direct route's zeros, and, for a quadratic-form
 Hamiltonian, the exact translated points of its linear pencil."""
 
 import csv
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +15,12 @@ from contactmorse import cli
 from contactmorse import translated as tp
 from contactmorse.config import load_config
 from contactmorse.flow import IntegratorSettings
-from contactmorse.linsymp import mul_i
+from contactmorse.linsymp import mul_i, to_complex
 
 from oracles import linear_translated_points
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _direct_newton_matrix(spec, settings, q, t):
@@ -63,32 +67,87 @@ def test_direct_records_have_zero_signed_count(name, signs):
         assert np.delete(sign, i).sum() != 0
 
 
-def _run(config, tmp_path):
-    out = tmp_path / config
-    cli.main(["run", str(CONFIGS / f"{config}.json"), "--out", str(out)])
+def _run(config, out, *args):
+    """records.csv as (q (R, 2n), t (R,), rows) and report.txt's lines of
+    a run of the config file config."""
+    cli.main(["run", str(config), "--out", str(out), *args])
     with open(out / "records.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    report = (out / "report.txt").read_text().splitlines()
-    return rows, report
+    q = np.array([[float(v) for k, v in r.items() if k.startswith("q_")] for r in rows])
+    t = np.array([float(r["t"]) for r in rows])
+    return q, t, rows, (out / "report.txt").read_text().splitlines()
+
+
+def _pencil_pairs(config, q, t):
+    """Bool table (records, roots): record i of (q, t), from a run of the
+    quadratic-form config, lies within 1e-12 of root j of its pencil in q
+    (up to sign) and in t.  Every root is simple, so it has a q."""
+    cfg = load_config(config)
+    points = linear_translated_points(
+        cfg.hamiltonian, IntegratorSettings(steps_per_unit=cfg.steps_per_unit))
+    assert len(points) == 2 * cfg.n and all(m == 1 for _, _, m in points)
+    pq = np.array([p[0] for p in points])
+    pt = np.array([p[1] for p in points])
+    dq = np.minimum(np.abs(q[:, None] - pq[None]).max(axis=2),
+                    np.abs(q[:, None] + pq[None]).max(axis=2))
+    dt = np.abs((t[:, None] - pt[None] + 0.5) % 1.0 - 0.5)
+    return (dq <= 1e-12) & (dt <= 1e-12)
 
 
 def test_rp3_records_are_the_pencil_points(tmp_path):
     """The rp3 spec is a quadratic form: every record of its run is a root
     of the linear pencil, within 1e-12 in q (up to sign) and in t, and each
     root is the antipodal class of exactly two records."""
-    cfg = load_config(CONFIGS / "rp3-sym-eps0.05.json")
-    points = linear_translated_points(
-        cfg.hamiltonian, IntegratorSettings(steps_per_unit=cfg.steps_per_unit))
-    rows, _ = _run("rp3-sym-eps0.05", tmp_path)
-    assert len(points) == 2 * cfg.n and all(m == 1 for _, _, m in points)
-    pq = np.array([p[0] for p in points])
-    pt = np.array([p[1] for p in points])
-    q = np.array([[float(r[c]) for c in ("q_x1", "q_x2", "q_y1", "q_y2")] for r in rows])
-    t = np.array([float(r["t"]) for r in rows])
-    dq = np.minimum(np.abs(q[:, None] - pq[None]).max(axis=2),
-                    np.abs(q[:, None] + pq[None]).max(axis=2))
-    dt = np.abs((t[:, None] - pt[None] + 0.5) % 1.0 - 0.5)
-    close = (dq <= 1e-12) & (dt <= 1e-12)
+    config = CONFIGS / "rp3-sym-eps0.05.json"
+    q, t, _, _ = _run(config, tmp_path / "out")
+    close = _pencil_pairs(config, q, t)
+    assert np.all(close.sum(axis=1) == 1)
+    assert np.all(close.sum(axis=0) == 2)
+
+
+def test_coupled_linear_spec_records_are_the_pencil_points(tmp_path):
+    """rp3 plus the coupling term 0.04 Re(z_1 conj(z_2)) is still a
+    Z2-symmetric quadratic form, but no coordinate circle is invariant: all
+    8 records leave both circles, where the pencil is the only exact oracle.
+    Both routes agree on them, they form 4 antipodal classes, each is a
+    pencil root within 1e-12 and each root is two records, and the signs of
+    det M sum to 0."""
+    raw = json.loads((CONFIGS / "rp3-sym-eps0.05.json").read_text())
+    raw["hamiltonian"]["perturbations"].append(
+        {"amplitude": 0.04, "z_powers": [1, 0], "zbar_powers": [0, 1]})
+    config = tmp_path / "coupled.json"
+    config.write_text(json.dumps(raw))
+    q, t, rows, report = _run(config, tmp_path / "out")
+    for line in ("exit_status = 0", "matched = 8", "projective_count = 4"):
+        assert line in report, line
+    assert len(rows) == 8 and all(r["route"] == "both" for r in rows)
+    assert np.all(np.abs(to_complex(q)).min(axis=1) > 0.04)
+    close = _pencil_pairs(config, q, t)
+    assert np.all(close.sum(axis=1) == 1)
+    assert np.all(close.sum(axis=0) == 2)
+    cfg = load_config(config)
+    M = _direct_newton_matrix(cfg.hamiltonian, IntegratorSettings(cfg.steps_per_unit), q, t)
+    sign, _ = np.linalg.slogdet(M)
+    assert sign.tolist() == [1, 1, -1, -1, 1, 1, -1, -1]
+    assert np.max(np.linalg.cond(M)) < 1e3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bench_rp3_records_are_the_pencil_points(seed, tmp_path, monkeypatch):
+    """The bench's rp3-symmetric workload draws its quadratic-form spec
+    from a seed: on seeds 0-3 the direct route's 8 records are the pencil
+    points, one root per record and two records per root."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    config = tmp_path / "rp3.json"
+    config.write_text(workloads.bench_config_text("rp3-symmetric", seed))
+    q, t, rows, _ = _run(config, tmp_path / "out", "--routes", "direct")
+    assert len(rows) == 8
+    close = _pencil_pairs(config, q, t)
     assert np.all(close.sum(axis=1) == 1)
     assert np.all(close.sum(axis=0) == 2)
 
@@ -103,5 +162,5 @@ def test_reeb_pencil_root_is_the_continuum(tmp_path):
     assert len(points) == 1
     q, t, multiplicity = points[0]
     assert q is None and multiplicity == 2 * cfg.n and abs(t - 0.5) <= 1e-10
-    _, report = _run("reeb-continuum", tmp_path)
+    _, _, _, report = _run(CONFIGS / "reeb-continuum.json", tmp_path / "out")
     assert "continuum_suspected = true" in report

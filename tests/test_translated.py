@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactmorse import cli, flow
+from contactmorse import cli, flow, linsymp
 from contactmorse import genfun as gfm
 from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
@@ -174,10 +174,10 @@ def test_concurrent_routes_equal_routes_in_turn(settings, sphere_corpus_spec):
     """Both routes, the direct one in a forked worker, give the records of
     both routes run here one after the other, float for float."""
     params = tp.SweepParams(routes="both", **TINY)
-    route_seconds = {}
-    report = tp.sweep_and_count(sphere_corpus_spec, params, settings, route_seconds)
+    report = tp.sweep_and_count(sphere_corpus_spec, params, settings)
     _assert_no_child()
-    assert list(route_seconds) == ["direct", "genfun"]
+    assert list(report.route_seconds) == ["direct", "genfun"]
+    assert report.disagreement is None
     seeds = tp._prefilter_seeds(sphere_corpus_spec, settings, **TINY)
     direct = tp.direct_translated_points(sphere_corpus_spec, settings, seeds=seeds)
     family = _corpus_family(sphere_corpus_spec, settings, params.rotation_pieces)
@@ -890,11 +890,11 @@ def _shared_path_specs(rp3_corpus_spec, sphere_corpus_spec):
 def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, sphere_corpus_spec,
                                               monkeypatch):
     """On a linear spec every row has the same C^1 probe Jacobians, leaf
-    DPhi and leaf-link pivots; same_on_rows finds them where they are used,
-    and each is computed once and given to every row: bit for bit what the
-    per-row calls give.  A Hessian stack one ulp off on one row's leaf block,
-    and a leaf batch with a row that was not integrated (identity DPhi),
-    take the per-row calls, with the same bits on every other row.  A
+    DPhi and leaf-link pivots; once_if_shared finds them where they are
+    used, and each is computed once and given to every row: bit for bit what
+    the per-row calls give.  A Hessian stack one ulp off on one row's leaf
+    block, and a leaf batch with a row that was not integrated (identity
+    DPhi), take the per-row calls, with the same bits on every other row.  A
     nonlinear spec's rows differ."""
     spec = _shared_path_specs(rp3_corpus_spec, sphere_corpus_spec)[case]
     linear = case != "nonlinear"
@@ -935,8 +935,7 @@ def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, sphere_corp
     shared = compute()
     assert same_on_rows(shared[-1]) == linear
     assert rows == ([1, 24, 1] if linear else [24, 24, 24])
-    for module in (flow, gfm, tp):
-        monkeypatch.setattr(module, "same_on_rows", lambda a: False)
+    monkeypatch.setattr(linsymp, "same_on_rows", lambda a: False)
     per_row = compute()
     for a, b in zip(shared, per_row):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
