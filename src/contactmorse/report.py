@@ -8,8 +8,6 @@ is explicitly outside the bit-stability contract.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,26 +46,21 @@ def _nondeg_str(flag: bool | None) -> str:
 
 def records_csv(records: list[TranslatedPointRecord], n: int) -> str:
     """CSV text: q components, t, residuals, nondegeneracy, route; one row
-    per record in record_sort_key order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    per record in record_sort_key order.  No field holds a comma, quote or
+    line break, so joining the fields gives the bytes of csv.writer."""
     header = (
         [f"q_x{j + 1}" for j in range(n)]
         + [f"q_y{j + 1}" for j in range(n)]
         + ["t", "residual_fixed", "residual_g", "nondegenerate", "route"]
     )
-    writer.writerow(header)
+    lines = [",".join(header)]
     for rec in sorted(records, key=record_sort_key):
-        row = [_fmt(v) for v in rec.q]
-        row += [
-            _fmt(rec.t),
-            _fmt(rec.residual_fixed),
-            _fmt(rec.residual_g),
-            _nondeg_str(rec.nondegenerate),
-            rec.route,
-        ]
-        writer.writerow(row)
-    return buf.getvalue()
+        fields = [_fmt(v) for v in rec.q]
+        fields += [_fmt(rec.t), _fmt(rec.residual_fixed), _fmt(rec.residual_g),
+                   _nondeg_str(rec.nondegenerate), rec.route]
+        lines.append(",".join(fields))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def report_text(report: RunReport) -> str:

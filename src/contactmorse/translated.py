@@ -84,7 +84,9 @@ class SweepReport:
     disagreement, or no sweep.  route_seconds is the wall time of each route
     that ran ("direct", "genfun").  disagreement, when not None, says how the
     two routes' records disagree, and dump holds the records behind it by
-    group; such a report holds nothing else but route_seconds."""
+    group; such a report holds nothing else but route_seconds and
+    route_stats, each route's record and converged counts and the genfun
+    route's own counts, so that an exit-3 report.txt still shows them."""
 
     records: list[TranslatedPointRecord] = field(default_factory=list)
     event_ts: list[float] = field(default_factory=list)
@@ -211,9 +213,24 @@ _NEWTON_TOL = 1e-10
 # 0-3 and 0 on the Reeb continuum.  A window of 8 loses one diag start;
 # 10 and 12 keep every output byte, and 12 leaves a 50% margin over the
 # longest plateau.
-# On the Reeb continuum every row reaches its best error by its 5th
-# evaluation, so rows stop after at most 17 evaluations, not _MAX_ITER.
+# On the Reeb continuum _JUMP stops every row first, after at most 6
+# evaluations; _STALL alone would stop them after 17, not _MAX_ITER.
 _STALL = 12
+
+# A row whose best error already reached the rescue threshold 100*tol stops
+# when a finite error exceeds _JUMP times that best (see _bordered_newton):
+# its step left an accepted point, as on a continuum, where the damped step
+# runs along the singular direction and never comes back.  Over the three
+# committed configs under each route option and the bench seeds 0-3 of the
+# three workloads, no error rises above a best within 100*tol before a
+# row's accepted iterate, and the largest such rise after it is x12.6 (diag,
+# direct route).  On the Reeb continuum (bench seeds 0-3) every row's error
+# jumps off a best of 4e-13..4e-9 by at least x7.3e6 (seed 1, to 5e-5;
+# mostly to 0.125), at its 2nd to 6th evaluation.  A factor too small would
+# stop a row that still finishes, and move its record; one too large only
+# leaves a bouncing row to _STALL.  So 1e6 sits far above the first bound
+# and 7x below the second.
+_JUMP = 1e6
 
 
 def direct_translated_points(
@@ -267,13 +284,16 @@ def _bordered_newton(x0, t0, system, tol, solve=solve_rows):
     A row also stops once _STALL evaluations in a row with a finite error
     have not lowered its best error (failed evaluations and err = inf, an
     iterate the system cannot yet measure, do not count): on a continuum no
-    iterate converges and later steps only bounce.  A row that stops or
-    runs out of _MAX_ITER iterations without finishing is accepted at its
-    best iterate if its best error reached 100*tol (the integrator noise
-    floor can exceed an aggressive tol), and dropped otherwise.  Returns
-    (x, t, val, done).
+    iterate converges and later steps only bounce.  A row whose best error
+    is already within 100*tol stops at once when a finite error exceeds
+    _JUMP times that best: the step has left an accepted point.  A row that
+    stops or runs out of _MAX_ITER iterations without finishing is accepted
+    at its best iterate if its best error reached 100*tol (the integrator
+    noise floor can exceed an aggressive tol), and dropped otherwise.
+    Returns (x, t, val, done).
     """
     evaluate, retract = system
+    rescue = 100.0 * tol
     x = np.asarray(x0, dtype=float).copy()
     t = np.asarray(t0, dtype=float).copy()
     B, D = x.shape
@@ -300,7 +320,10 @@ def _bordered_newton(x0, t0, system, tol, solve=solve_rows):
         best_t[bidx] = ti[better]
         best_v[bidx] = val[better]
         stall[bidx] = 0
-        stall[idx[ok & np.isfinite(err) & ~better]] += 1
+        measured = ok & np.isfinite(err)
+        stall[idx[measured & ~better]] += 1
+        best = best_err[idx]
+        jumped = measured & (best <= rescue) & (err > _JUMP * best)
         conv = ok & (err <= tol)
         times_conv[idx[conv]] += 1
         finish = conv & (times_conv[idx] >= _POLISH)
@@ -314,14 +337,14 @@ def _bordered_newton(x0, t0, system, tol, solve=solve_rows):
         step = step * damp[:, None]
         tn = ti - step[:, D]
         xn, bad = retract(xi - step[:, :D], tn)
-        bad = bad | ~ok | ~finite | (stall[idx] >= _STALL)
+        bad = bad | ~ok | ~finite | (stall[idx] >= _STALL) | jumped
         move = ~finish & ~bad
         x[idx[move]] = xn[move]
         t[idx[move]] = tn[move]
         vals[idx[finish]] = val[finish]
         done[idx[finish]] = True
         alive[idx[bad & ~finish]] = False
-    rescued = ~done & (best_err <= 100.0 * tol)
+    rescued = ~done & (best_err <= rescue)
     done = done | rescued
     x[rescued] = best_x[rescued]
     t[rescued] = best_t[rescued]
@@ -358,7 +381,7 @@ def _direct_newton(spec, settings, q0, t0):
 
 
 # A singular value of DPsi - I below this is a kernel direction (see
-# _classify_kernel).
+# _classify_kernels).
 _NONDEG_TOL = 1e-7
 
 # Largest direct residual |e^{-2 pi i t} Phi(q) - q| of a verified genfun
@@ -377,22 +400,12 @@ def _build_records(spec, settings, q, t, route, nondeg_tol=_NONDEG_TOL, gf_value
     # translated points
     residual_g = np.abs(-2.0 * np.log(np.linalg.norm(phi, axis=1)))
     svals, vt = _kernel_svd(dpsi)
-    records = []
-    for i in range(q.shape[0]):
-        nondeg = (_classify_kernel(svals[i], vt[i], q[i], nondeg_tol)
-                  if residual_fixed[i] <= _VERIFY_TOL else None)
-        records.append(
-            TranslatedPointRecord(
-                q=tuple(float(v) for v in q[i]),
-                t=float(t[i] % 1.0),
-                residual_fixed=float(residual_fixed[i]),
-                residual_g=float(residual_g[i]),
-                nondegenerate=nondeg,
-                route=route,
-                gf_value=None if gf_values is None else float(gf_values[i]),
-            )
-        )
-    return records
+    nondeg = _classify_kernels(svals, vt, q, nondeg_tol, residual_fixed <= _VERIFY_TOL)
+    gf = [None] * len(nondeg) if gf_values is None else np.asarray(gf_values, dtype=float).tolist()
+    return [TranslatedPointRecord(tuple(qi), ti, rf, rg, nd, route, gv)
+            for qi, ti, rf, rg, nd, gv in zip(q.tolist(), (t % 1.0).tolist(),
+                                              residual_fixed.tolist(), residual_g.tolist(),
+                                              nondeg, gf)]
 
 
 def _kernel_svd(dpsi: np.ndarray):
@@ -402,25 +415,26 @@ def _kernel_svd(dpsi: np.ndarray):
     return svals, vt
 
 
-def _classify_kernel(svals: np.ndarray, vt: np.ndarray, q: np.ndarray, tol: float):
-    """True iff ker(DPsi - I) is exactly the radial line span(q), given the
-    singular values svals and right singular vectors vt of DPsi - I
-    (_kernel_svd).
+def _classify_kernels(svals: np.ndarray, vt: np.ndarray, q: np.ndarray, tol: float,
+                      verified: np.ndarray) -> list[bool | None]:
+    """Per row of q (R, 2n): True iff ker(DPsi - I) is exactly the radial
+    line span(q), given the singular values svals (R, 2n) and right singular
+    vectors vt (R, 2n, 2n) of DPsi - I (_kernel_svd).
 
-    Returns None when a singular value sits within a factor 10 of tol: the
-    spectrum is tolerance-ambiguous and the verdict is never guessed.
+    A row is None when it is not verified (only a translated point need
+    have a kernel) or when a singular value sits within a factor 10 of tol:
+    the spectrum is tolerance-ambiguous and the verdict is never guessed.
+    Raises ValueError when a verified, unambiguous row has no kernel
+    direction.
     """
-    if np.any((svals > tol / 10.0) & (svals < tol * 10.0)):
-        return None
-    small = svals < tol
-    count = int(np.sum(small))
-    if count == 0:
+    classified = verified & ~((svals > tol / 10.0) & (svals < tol * 10.0)).any(axis=1)
+    count = np.count_nonzero(svals < tol, axis=1)
+    if np.any(classified & (count == 0)):
         raise ValueError("no kernel direction: the point fails the residual contract")
-    if count >= 2:
-        return False
-    v = vt[-1]
-    qhat = q / np.linalg.norm(q)
-    return bool(abs(float(np.dot(v, qhat))) > 1.0 - 1e-6)
+    qhat = q / np.linalg.norm(q, axis=1)[:, None]
+    radial = np.abs(np.sum(vt[:, -1] * qhat, axis=1)) > 1.0 - 1e-6
+    verdict = (count == 1) & radial
+    return [v if c else None for c, v in zip(classified.tolist(), verdict.tolist())]
 
 
 # Two records of one route are one point when their q lie within
@@ -968,7 +982,8 @@ def sweep_and_count(
     instead of passing silently.  When both routes run and no continuum is
     suspected, their records must agree (_compare_routes); when they do not,
     the report returns the disagreement and its dump, with route_seconds
-    and nothing else, so its bound_outcome stays not_asserted.
+    and route_stats and nothing else, so its bound_outcome stays
+    not_asserted.
 
     Both routes start from one prefiltered seed grid, whose time counts
     toward the first route: the direct route, or the genfun route when it
@@ -1024,7 +1039,8 @@ def sweep_and_count(
     if len(results) == 2 and not continuum:
         records, disagreement, dump = _compare_routes(results["direct"], results["genfun"])
         if disagreement is not None:
-            return SweepReport(route_seconds=route_seconds, disagreement=disagreement, dump=dump)
+            return SweepReport(route_stats=route_stats, route_seconds=route_seconds,
+                               disagreement=disagreement, dump=dump)
         route_stats["matched"] = len(records)
     else:
         # one route, or both on a continuum: the routes sample a continuum

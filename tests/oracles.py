@@ -35,7 +35,9 @@ identification tau, chains with solved leaves (solved_chain), the
 finite-difference monotonicity probe of dF_t/dt, quadratic generating
 functions, the k-piece rotation family as a chain next to its matrix, and
 the translated points of a quadratic-form Hamiltonian from the eigenvalues
-of its linear pencil (linear_translated_points).
+of its linear pencil (linear_translated_points), the record-at-a-time
+dedup (loop_dedup_and_flag) and kernel classifier (classify_kernel), and
+records.csv written by csv.writer (csv_writer_records).
 
 Nested reference.  The library stores every generating function as one chain
 of links in chain coordinates sigma (genfun).  The reference here is the
@@ -47,7 +49,9 @@ with sigma = S x for a left-associated chain.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
 from dataclasses import dataclass
 
@@ -908,3 +912,34 @@ def loop_dedup_and_flag(records, n):
         if degenerate > threshold:
             continuum = True
     return kept, continuum
+
+
+def classify_kernel(svals: np.ndarray, vt: np.ndarray, q: np.ndarray, tol: float):
+    """translated._classify_kernels for one verified record: True iff
+    ker(DPsi - I) is exactly the radial line span(q), given the singular
+    values svals (2n,) and right singular vectors vt (2n, 2n) of DPsi - I.
+    None when a singular value sits within a factor 10 of tol; ValueError
+    when no singular value is below tol."""
+    if np.any((svals > tol / 10.0) & (svals < tol * 10.0)):
+        return None
+    count = int(np.sum(svals < tol))
+    if count == 0:
+        raise ValueError("no kernel direction: the point fails the residual contract")
+    if count >= 2:
+        return False
+    qhat = q / np.linalg.norm(q)
+    return bool(abs(float(np.dot(vt[-1], qhat))) > 1.0 - 1e-6)
+
+
+def csv_writer_records(records, n: int) -> str:
+    """report.records_csv written by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"q_x{j + 1}" for j in range(n)] + [f"q_y{j + 1}" for j in range(n)]
+                    + ["t", "residual_fixed", "residual_g", "nondegenerate", "route"])
+    flags = {None: "indeterminate", True: "true", False: "false"}
+    for rec in sorted(records, key=tp.record_sort_key):
+        writer.writerow([repr(float(v)) for v in (*rec.q, rec.t, rec.residual_fixed,
+                                                  rec.residual_g)]
+                        + [flags[rec.nondegenerate], rec.route])
+    return buf.getvalue()

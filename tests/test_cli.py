@@ -15,6 +15,8 @@ from contactmorse.config import ConfigError, load_config, parse_config
 from contactmorse.flow import IntegratorSettings
 from contactmorse.translated import SweepParams
 
+from oracles import csv_writer_records
+
 
 MINIMAL = {"n": 2, "mode": "sphere", "hamiltonian": {"quadratic": [0.3, 0.7]}}
 
@@ -264,7 +266,8 @@ def test_missed_antipode_blames_the_seed_grid(tmp_path, capsys, routes):
 
 def test_small_continuum_dump_marks_records_degenerate(tmp_path):
     """A continuum sampled by fewer records than continuum_suspected needs
-    reads as a route mismatch; its dump marks every record degenerate."""
+    reads as a route mismatch; its dump marks every record degenerate, and
+    its report.txt still shows each route's counts."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 1, "hamiltonian": {"quadratic": [0.3]},
                                 "seeds": {"sphere_count": 8, "t_count": 8, "keep_per_seed": 2}}))
@@ -274,6 +277,14 @@ def test_small_continuum_dump_marks_records_degenerate(tmp_path):
                if line.startswith("t=")]
     assert len(records) == 32
     assert all(" nondegenerate=false route=" in line for line in records)
+    report = (out / "report.txt").read_text().splitlines()
+    detection = report[report.index("[detection]") + 1:report.index("[index]") - 1]
+    assert detection == [
+        "records = 0", "continuum_suspected = false", "event_ts = ", "sphere_count = suppressed",
+        "direct_converged = 16", "direct_records = 16", "genfun_converged = 16",
+        "genfun_inconsistent = 0", "genfun_records = 16", "subdivision_pieces = 4",
+        "total_space_dim = 30"]
+    assert "exit_status = 3" in report
 
 
 def test_cli_config_error_exit(tmp_path):
@@ -296,6 +307,25 @@ def test_records_csv_shape(tmp_path):
     # sorted by t
     assert lines[1].endswith("indeterminate,direct")
     assert lines[2].endswith("true,both")
+
+
+def test_records_csv_matches_csv_writer():
+    """records_csv joins the formatted fields itself; its bytes are those of
+    csv.writer on the same fields (tests/oracles.py:csv_writer_records)."""
+    from contactmorse.report import records_csv
+    from contactmorse.translated import TranslatedPointRecord
+
+    recs = [
+        TranslatedPointRecord((-0.0, 5e-324, 1e300, 1.0), 0.0, 0.0, -0.0, True, "both"),
+        TranslatedPointRecord((2.0, -3.0, 0.1, -1e-300), 0.25, 1e-12, 5e-324, False, "direct"),
+        TranslatedPointRecord(tuple(np.float64([0.6, 0.0, -0.8, 3.0])), np.float64(0.5),
+                              np.float64(3e-11), np.float64(7.0), None, "genfun"),
+    ]
+    for n, records in ((2, recs), (2, []), (1, [TranslatedPointRecord(
+            (np.float64(-0.0), 1.0), 0.75, 4.0, 1e-16, None, "direct")])):
+        text = records_csv(records, n)
+        assert text == csv_writer_records(records, n)
+    assert "-0.0,5e-324,1e+300,1.0," in records_csv(recs, 2)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from contactmorse.sampling import sphere_points, subdivision_probe_points
 from oracles import (
     build_rotation_family,
     chain_change,
+    classify_kernel,
     cold_leaf_state,
     contact_form_eval,
     loop_dedup_and_flag,
@@ -105,11 +106,12 @@ def test_nondegeneracy_classifier_cases(settings, diag_spec, sphere_corpus_spec)
 
 
 def test_stacked_kernel_verdicts_equal_per_record(settings, sphere_corpus_spec):
-    """_build_records classifies its records from one stacked SVD; each
-    verdict is the one of an SVD of that record's DPsi - I alone.  The Reeb
-    continuum's DPsi - I has four equal singular values per record, between
-    3e-14 and 4e-11: all False at the default tolerance, a False/None mix at
-    1e-11; the sphere corpus's records are True."""
+    """_build_records classifies its records in one stacked test; each
+    verdict is the one of tests/oracles.py:classify_kernel on an SVD of that
+    record's DPsi - I alone.  The Reeb continuum's DPsi - I has four equal
+    singular values per record, between 3e-14 and 4e-11: all False at the
+    default tolerance, a False/None mix at 1e-11; the sphere corpus's
+    records are True."""
     reeb = load_config(CONFIGS / "reeb-continuum.json")
     cases = [
         (reeb.hamiltonian, tp.sweep_and_count(reeb.hamiltonian, reeb.params, settings).records),
@@ -127,10 +129,36 @@ def test_stacked_kernel_verdicts_equal_per_record(settings, sphere_corpus_spec):
             per_record = []
             for i in range(len(q)):
                 _, svals, vt = np.linalg.svd(dpsi[i] - np.eye(q.shape[1]))
-                per_record.append(tp._classify_kernel(svals, vt, q[i], tol))
+                per_record.append(classify_kernel(svals, vt, q[i], tol))
             assert stacked == per_record
             seen.update(stacked)
     assert seen == {True, False, None}
+
+
+def test_stacked_kernel_raises_where_per_record_does():
+    """_classify_kernels raises ValueError exactly when the per-record
+    classifier raises on a verified record: one with no singular value
+    below tol and none within a factor 10 of it.  An unverified record is
+    never classified, and an ambiguous one is None."""
+    tol = 1e-7
+    rng = np.random.default_rng(5)
+    vt = np.linalg.qr(rng.normal(size=(4, 4, 4)))[0]
+    q = 2.0 * vt[:, -1]  # every kernel vector is radial
+    svals = np.array([[1.0, 0.5, 0.2, 1e-12],  # one radial kernel direction
+                      [1.0, 0.5, 0.2, 1e-3],  # no kernel direction
+                      [1.0, 0.5, 0.2, 5e-8],  # ambiguous: within 10x of tol
+                      [1.0, 0.5, 1e-12, 1e-13]])  # two kernel directions
+    # row 1 makes the per-record classifier raise, and so the stacked one
+    with pytest.raises(ValueError, match="no kernel direction"):
+        classify_kernel(svals[1], vt[1], q[1], tol)
+    with pytest.raises(ValueError, match="no kernel direction"):
+        tp._classify_kernels(svals, vt, q, tol, np.ones(4, dtype=bool))
+    # unverified, it is not classified, and no row raises
+    verified = np.array([True, False, True, True])
+    expected = [classify_kernel(svals[i], vt[i], q[i], tol) if v else None
+                for i, v in enumerate(verified)]
+    assert tp._classify_kernels(svals, vt, q, tol, verified) == expected
+    assert expected == [True, None, None, False]
 
 
 def test_index_jump_values():
@@ -665,16 +693,68 @@ def test_bordered_newton_retires_stalled_rows(monkeypatch):
     assert calls.max() < max_iter
 
 
+def test_bordered_newton_stops_rows_that_jump_off_a_best(monkeypatch):
+    """A row whose best error is within 100 tol stops on the evaluation
+    whose finite error exceeds _JUMP times that best, and takes the
+    end-of-loop rescue at its best iterate.  A smaller rise, an err = inf
+    evaluation, or a jump off a best above 100 tol does not stop a row."""
+    tol = 1e-10
+    assert 1e5 < tp._JUMP < 1e8
+    monkeypatch.setattr(tp, "_MAX_ITER", 12)
+    c = np.array([[0.3, 0.1], [0.2, -0.1], [0.0, 0.4], [0.1, 0.1]])
+    s = np.array([0.2, 0.3, 0.1, 0.4])
+    x0 = c + 0.1
+
+    calls = np.zeros(len(s), dtype=int)
+    seen = {}
+
+    def evaluate(work, x, t):
+        rows = np.where(work)[0]
+        k = calls[rows].copy()
+        calls[rows] += 1
+        for r, kk, xr in zip(rows, k, x):
+            seen[r, kk] = xr.copy()
+        F = np.concatenate([x - c[rows], (t - s[rows])[:, None]], axis=1)
+        M = np.broadcast_to(np.eye(3), (rows.size, 3, 3)).copy()
+        err = np.linalg.norm(F, axis=1)
+        # rows 0-2 fall to a best of 50 tol at their 2nd evaluation; then
+        # row 0 jumps 1e8-fold, row 1 rises 1e5-fold, less than _JUMP, and
+        # row 2 cannot measure its error, before rows 1 and 2 converge
+        first = (rows < 3) & (k < 2)
+        err[first] = tol * np.array([1000.0, 50.0])[k[first]]
+        jump = (rows < 3) & (k == 2)
+        err[jump] = 50.0 * tol * np.array([1e8, 1e5, np.inf])[rows[jump]]
+        # row 3's best stays at 200 tol before a 1e8-fold jump, then converges
+        err[(rows == 3) & (k == 0)] = 200.0 * tol
+        err[(rows == 3) & (k == 1)] = 200.0 * tol * 1e8
+        return F, M, err, np.ones(rows.size, dtype=bool), k.astype(float)
+
+    def retract(x, t):
+        return x, np.zeros(len(t), dtype=bool)
+
+    x, t, val, done = tp._bordered_newton(x0, s.copy(), (evaluate, retract), tol)
+    assert done.all()
+    # row 0 stops on its jump and is rescued at its best iterate
+    assert calls[0] == 3
+    assert np.array_equal(x[0], seen[0, 1]) and val[0] == 1.0
+    # rows 1-3 go on and finish on their second converged evaluation
+    assert calls.tolist()[1:] == [5, 5, 4]
+    assert val.tolist()[1:] == [4.0, 4.0, 3.0]
+    assert np.max(np.abs(x[1:] - c[1:])) <= tol
+
+
 @pytest.mark.parametrize("name, routes, retires", [
     ("reeb-continuum", "direct", True),
     ("diag-0.3-0.7-eps0.05", "direct", False),
 ])
 def test_stall_retirement_keeps_records_bitwise(name, routes, retires, monkeypatch):
-    """Retiring stalled rows (_STALL = _MAX_ITER turns it off) changes no
-    record and no route count.  On the Reeb continuum every row reaches its
-    best error by its 5th evaluation, so the direct Newton stops after at
-    most 5 + _STALL evaluations instead of _MAX_ITER; on diag every row ends
-    before the window, after a plateau of at most 8 evaluations."""
+    """Stopping rows early, by _STALL and by _JUMP, changes no record and no
+    route count (_STALL = _MAX_ITER and _JUMP = inf turn the rules off).  On
+    the Reeb continuum every row reaches its best error by its 5th
+    evaluation and then jumps off it, so the direct Newton stops after at
+    most 6 evaluations with both rules, at most 5 + _STALL with _STALL
+    alone, and _MAX_ITER with neither; on diag every row ends before either
+    rule, after a plateau of at most 8 evaluations."""
     cfg = load_config(CONFIGS / f"{name}.json")
     params = replace(cfg.params, routes=routes)
     settings = IntegratorSettings(steps_per_unit=cfg.steps_per_unit)
@@ -682,18 +762,21 @@ def test_stall_retirement_keeps_records_bitwise(name, routes, retires, monkeypat
     inner = tp._shifted_flow
     monkeypatch.setattr(tp, "_shifted_flow", lambda *a: calls.append(1) or inner(*a))
     runs = []
-    for stall in (tp._MAX_ITER, tp._STALL):
+    for stall, jump in ((tp._MAX_ITER, np.inf), (tp._STALL, np.inf), (tp._STALL, tp._JUMP)):
         monkeypatch.setattr(tp, "_STALL", stall)
+        monkeypatch.setattr(tp, "_JUMP", jump)
         calls.clear()
         report = tp.sweep_and_count(cfg.hamiltonian, params, settings)
         # one _shifted_flow call per Newton evaluation, one for the records
         runs.append((report.records, report.route_stats, len(calls) - 1))
-    (records_off, stats_off, evals_off), (records_on, stats_on, evals_on) = runs
-    assert records_on == records_off and stats_on == stats_off
+    (records_off, stats_off, evals_off), *rest = runs
+    for records, stats, _ in rest:
+        assert records == records_off and stats == stats_off
+    evals_stall, evals_on = (evals for *_, evals in rest)
     if retires:
-        assert evals_off == tp._MAX_ITER and evals_on <= 18
+        assert evals_off == tp._MAX_ITER and evals_stall <= 18 and evals_on <= 6
     else:
-        assert evals_on == evals_off < tp._MAX_ITER
+        assert evals_on == evals_stall == evals_off < tp._MAX_ITER
 
 
 def test_bordered_newton_drops_singular_row(monkeypatch):
