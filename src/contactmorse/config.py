@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm, TIME_PROFILES
+from .hamiltonian import ContactHamiltonianSpec, PerturbationTerm
 from .translated import MIN_SPHERE_SEEDS, SweepParams, sphere_seed_count
 
 SCHEMA_VERSION = 1
@@ -99,7 +99,7 @@ def _scalar(data: dict, location: str, name: str):
 def _parse_hamiltonian(obj: dict, n: int) -> ContactHamiltonianSpec:
     if not isinstance(obj, dict):
         raise ConfigError("hamiltonian must be an object")
-    _require_keys(obj, {"quadratic", "perturbations", "time_profile"}, "hamiltonian")
+    _require_keys(obj, {"quadratic", "perturbations"}, "hamiltonian")
     quad = obj.get("quadratic", [0.0] * n)
     if not isinstance(quad, list) or len(quad) != n or not all(
         isinstance(c, (int, float)) and not isinstance(c, bool) for c in quad
@@ -123,13 +123,9 @@ def _parse_hamiltonian(obj: dict, n: int) -> ContactHamiltonianSpec:
         terms.append(
             PerturbationTerm(float(amp), tuple(p["z_powers"]), tuple(p["zbar_powers"]))
         )
-    profile = obj.get("time_profile", "constant")
-    if profile not in TIME_PROFILES:
-        raise ConfigError(f"hamiltonian.time_profile must be one of {TIME_PROFILES}")
     try:
         return ContactHamiltonianSpec(
-            n=n, quadratic=tuple(float(c) for c in quad), terms=tuple(terms),
-            time_profile=profile,
+            n=n, quadratic=tuple(float(c) for c in quad), terms=tuple(terms)
         )
     except ValueError as exc:
         raise ConfigError(f"hamiltonian: {exc}") from exc

@@ -34,13 +34,14 @@ variational equation on one unit row and memoised with the compiled
 tables; a batch is then P z_i row by row, with no stage loop.  It differs
 from the stage loop's state by rounding only: at most 1.4e-14 relative on
 2,048 random rows over 3 units of the committed Reeb and rp3 specs, at 16
-and 512 steps per unit.  An autonomous linear field's P over k steps of h
-is the k-th step of one integration whatever the span, so one integration
-per step size h serves every span: at 16 steps per unit, the spans 1, 1/2,
-..., 1/16 of a subdivision.  Only the integrator knows that the flow is
-linear; a matrix derived from P alone is found by value to be the same on
-every row where it is used, and computed once (linsymp.once_if_shared): the
-C^1 probe's (c1_distance), the leaf Hessians and the chain pivots.
+and 512 steps per unit.  The field does not depend on t, so a linear
+field's P over k steps of h is the k-th step of one integration whatever
+the span, and one integration per step size h serves every span: at 16
+steps per unit, the spans 1, 1/2, ..., 1/16 of a subdivision.  Only the
+integrator knows that the flow is linear; a matrix derived from P alone is
+found by value to be the same on every row where it is used, and computed
+once (linsymp.once_if_shared): the C^1 probe's (c1_distance), the leaf
+Hessians and the chain pivots.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ FIELD_SCALE = math.pi
 _MAX_STEPS = 1 << 22
 
 # Jacobians a linear field's memo keeps: a step size's Jacobian after each
-# of its steps, and one per interval of a time-profiled field or of a span
-# of this many steps or more, so no entry holds more.  The oldest entries
-# go first.
+# of its steps, and one per span of this many steps or more, so no entry
+# holds more.  The oldest entries go first.
 _JACOBIAN_MEMO = 4096
 
 # Rows of one integration pass: a larger batch runs as consecutive chunks of
@@ -79,11 +79,9 @@ _ROW_CHUNK = 512
 class IntegratorSettings:
     """Fixed step density of the integrator.
 
-    The default 16 steps per unit is sized for constant-profile specs (error
-    ~1e-11 over one unit).  Time-profiled ("bump") specs have large time
-    derivatives and need at least 32 (error 1.4e-8 at 16, 1.1e-11 at 32 on
-    a one-mode bump); the config value `steps_per_unit: 0` picks a density
-    by the `calibrate_steps_per_unit` sweep, 64 or more for them.
+    The default 16 steps per unit gives an error of ~1e-11 over one unit on
+    the corpus specs; the config value `steps_per_unit: 0` picks a density
+    by the `calibrate_steps_per_unit` sweep.
     """
 
     steps_per_unit: int = 16
@@ -195,7 +193,6 @@ class _RealField:
         n = spec.n
         two_n = 2 * n
         self.n = n
-        self.profile = None if spec.is_autonomous() else spec
         XJ = FIELD_SCALE * complex_structure_matrix(n)
         # the Hessian of sum_j c_j |z_j|^2 is diag(2c, 2c)
         self.lin = XJ @ np.diag(np.tile(2.0 * np.asarray(spec.quadratic), 2))
@@ -216,42 +213,40 @@ class _RealField:
         }
         self.linear = self.plans[True] is None or not np.any(self.plans[True][1][1:, two_n:])
         # step size h -> read-only Jacobians (k + 1, 2n, 2n) after 0..k steps,
-        # or (span, steps) or (t0, span, steps) -> the one Jacobian (1, 2n, 2n)
+        # or (span, steps) -> the one Jacobian (1, 2n, 2n)
         self._jacobians: dict = {}
 
-    def jacobian(self, t0: float, span: float, steps: int) -> np.ndarray:
-        """The Jacobian (2n, 2n) of a linear field's flow over [t0, t0 + span]
-        in steps steps, memoised and read-only: the flow itself, which
-        integrate_flow applies to every row.
+    def jacobian(self, span: float, steps: int) -> np.ndarray:
+        """The Jacobian (2n, 2n) of a linear field's flow over span in steps
+        steps, memoised and read-only: the flow itself, which integrate_flow
+        applies to every row.
 
         It is integrated by the variational equation on one unit row.  D is
         the constant monomial's, the same at every point, and J starts at I;
         every later operation is elementwise or a per-row product, so it has
         the bits of every row of a batch integrated with its Jacobian.
 
-        An autonomous field ignores t, so its flow over k steps of h is the
-        same integration whatever the span: one integration per step size h
-        keeps its Jacobian after each step, and is extended when a longer
-        span asks; each integration evaluates D once, at the unit row
-        (_ConstantField).  A span of _JACOBIAN_MEMO steps or more keeps only
-        its last Jacobian, per (span, steps).  A time-profiled field's D
-        varies with t; its flow is integrated per (t0, span, steps).
+        The flow over k steps of h is the same integration whatever the
+        span: one integration per step size h keeps its Jacobian after each
+        step, and is extended when a longer span asks; each integration
+        evaluates D once, at the unit row (_ConstantField).  A span of
+        _JACOBIAN_MEMO steps or more keeps only its last Jacobian, per
+        (span, steps).
         """
         m = 2 * self.n
         h = span / steps
-        if self.profile is None and steps < _JACOBIAN_MEMO:
+        if steps < _JACOBIAN_MEMO:
             done = self._jacobians.get(h, np.eye(m)[None])
             if len(done) <= steps:
-                more = _unit_row_jacobians(_ConstantField(self), done[-1], 0.0, h,
+                more = _unit_row_jacobians(_ConstantField(self), done[-1], h,
                                            steps + 1 - len(done), every=True)
                 self._jacobians.pop(h, None)
                 done = self._remember(h, np.concatenate([done, more]))
             return done[steps]
-        key = (span, steps) if self.profile is None else (t0, span, steps)
-        if key not in self._jacobians:
-            field = _ConstantField(self) if self.profile is None else _FieldEval(self, 1, True)
-            self._remember(key, _unit_row_jacobians(field, np.eye(m), t0, h, steps))
-        return self._jacobians[key][0]
+        if (span, steps) not in self._jacobians:
+            self._remember((span, steps),
+                           _unit_row_jacobians(_ConstantField(self), np.eye(m), h, steps))
+        return self._jacobians[span, steps][0]
 
     def _remember(self, key, jacobians: np.ndarray) -> np.ndarray:
         """Memoise the stack jacobians read-only under key, the newest
@@ -344,7 +339,7 @@ class _FieldEval:
             if with_jacobian:
                 self.jac_part = products[:, two_n:].reshape(B, two_n, two_n)
 
-    def __call__(self, x: np.ndarray, t: float, field: np.ndarray, jac=None) -> None:
+    def __call__(self, x: np.ndarray, field: np.ndarray, jac=None) -> None:
         """Write the field at real points x (B, 2n) into field (B, 2n) and,
         when the Jacobian was asked for, the Jacobian into jac (B, 2n, 2n)."""
         tables = self.tables
@@ -366,11 +361,6 @@ class _FieldEval:
                 np.add(self.jac_part, tables.lin, out=jac)
         elif jac is not None:
             jac[...] = tables.lin
-        if tables.profile is not None:
-            scale = ham.time_profile_value(tables.profile, t)
-            field *= scale
-            if jac is not None:
-                jac *= scale
 
     def _monomials(self) -> None:
         """Build the monomials of uT and their matrix outputs, into out."""
@@ -382,32 +372,32 @@ class _FieldEval:
 
 
 class _ConstantField:
-    """An autonomous linear field x -> D x for _dop853, called as a
-    _FieldEval of one row is: D, the same at every point, is evaluated once,
-    by the compiled field at the unit row."""
+    """A linear field x -> D x for _dop853, called as a _FieldEval of one
+    row is: D, the same at every point, is evaluated once, by the compiled
+    field at the unit row."""
 
     def __init__(self, tables: _RealField):
         m = 2 * tables.n
         self.D = np.empty((1, m, m))
-        _FieldEval(tables, 1, True)(np.eye(1, m), 0.0, np.empty((1, m)), self.D)
+        _FieldEval(tables, 1, True)(np.eye(1, m), np.empty((1, m)), self.D)
         self.D_T = self.D[0].T.copy()
 
-    def __call__(self, x: np.ndarray, t: float, field: np.ndarray, jac=None) -> None:
+    def __call__(self, x: np.ndarray, field: np.ndarray, jac=None) -> None:
         np.matmul(x, self.D_T, out=field)
         if jac is not None:
             jac[...] = self.D
 
 
-def _unit_row_jacobians(field, start: np.ndarray, t0: float, h: float, steps: int,
+def _unit_row_jacobians(field, start: np.ndarray, h: float, steps: int,
                         every: bool = False) -> np.ndarray:
-    """The Jacobian of field's flow from start (2n, 2n) over steps steps of h
-    from t0, by the variational equation on a unit row: after each step
+    """The Jacobian of field's flow from start (2n, 2n) over steps steps of
+    h, by the variational equation on a unit row: after each step
     (steps, 2n, 2n) when every, else after the last (1, 2n, 2n).  J' = D J
     does not read the state, so the row's own state need not be carried."""
     m = start.shape[-1]
     jac = start[None].copy()
     trace = np.empty((steps, 1, m, m)) if every else None
-    _dop853(field, np.eye(1, m), jac, t0, h, steps, trace=trace)
+    _dop853(field, np.eye(1, m), jac, h, steps, trace=trace)
     return jac if trace is None else trace[:, 0]
 
 
@@ -424,7 +414,8 @@ def integrate_flow(
     settings: IntegratorSettings = IntegratorSettings(),
     with_jacobian: bool = True,
 ):
-    """Integrate the lifted flow from t0 to t1.
+    """Integrate the lifted flow from t0 to t1.  The field does not depend
+    on t, so only the span t1 - t0 matters.
 
     z0: real coordinates, shape (2n,) or (B, 2n).  Returns (z1, jac) with jac
     None when with_jacobian is False.  The Jacobian solves the variational
@@ -453,7 +444,7 @@ def integrate_flow(
         if tables.linear:
             if not np.all(np.isfinite(norms0)):
                 raise ValueError("flow is undefined at non-finite z")
-            flow_map = tables.jacobian(t0, span, steps)
+            flow_map = tables.jacobian(span, steps)
             z = _apply_rows(flow_map, z)
             if with_jacobian:
                 jac[...] = flow_map
@@ -461,8 +452,7 @@ def integrate_flow(
             for start in range(0, B, _ROW_CHUNK):
                 rows = slice(start, start + _ROW_CHUNK)
                 field = _FieldEval(tables, len(z[rows]), with_jacobian)
-                _dop853(field, z[rows], None if jac is None else jac[rows],
-                        t0, span / steps, steps)
+                _dop853(field, z[rows], None if jac is None else jac[rows], span / steps, steps)
         if np.any(np.linalg.norm(z, axis=1) < 1e-9 * norms0):
             raise RuntimeError("trajectory norm collapsed toward the cone tip")
     if single:
@@ -517,7 +507,7 @@ _B = (
 )
 
 
-def _dop853(field: _FieldEval, z: np.ndarray, jac, t: float, h: float, steps: int,
+def _dop853(field: _FieldEval, z: np.ndarray, jac, h: float, steps: int,
             trace=None) -> None:
     """Fixed-step DOP853 of the real state z (B, m) and, unless jac is None,
     of the variational equation, in place; trace, when given, (steps, B, m,
@@ -538,16 +528,15 @@ def _dop853(field: _FieldEval, z: np.ndarray, jac, t: float, h: float, steps: in
     # the (state, Jacobian) views of y, of arg and of each stage's k
     views = [_split(flat, B, m, carry) for flat in (y, arg, *k)]
     for i in range(steps):
-        for s, c in enumerate(_C):
+        for s in range(len(_C)):
             if s:
                 np.add(y, _weighted_sum(k, hA[s], arg, tmp), out=arg)
             x, J = views[1 if s else 0]
             fx, fJ = views[2 + s]
-            field(x, t + c * h, fx, D)
+            field(x, fx, D)
             if carry:
                 np.matmul(D, J, out=fJ)
         y += _weighted_sum(k, hB, arg, tmp)
-        t += h
         if trace is not None:
             trace[i] = views[0][1]
     x, J = views[0]
@@ -619,7 +608,8 @@ def c1_distance(
     """max over samples of |Phi(q) - q| + ||DPhi(q) - I||_2 for the piece flow.
 
     Evaluated at the piece midpoint as well as the endpoint: a loop closed up
-    inside the piece would otherwise alias to the identity and pass.  A
+    inside the piece would otherwise alias to the identity and pass.  Only
+    the two half-spans, mid - t0 and t1 - mid, matter.  A
     Jacobian every sample shares (a linear flow's) is normed once per leg
     (once_if_shared), with the bits of each row's.
     """
@@ -642,51 +632,37 @@ def subdivide_c1_small(
     delta: float,
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> list[tuple[float, float]]:
-    """Bisection-refined partition of [t0, t1] into C^1-small flow pieces.
+    """Partition of [t0, t1] into 2^j equal C^1-small flow pieces, j the
+    first level of halving whose pieces pass.
 
     Each returned piece satisfies the sampled criterion
     max_q (|Phi(q) - q| + ||DPhi(q) - I||) < delta over the fixed
     deterministic unit points of subdivision_probe_points.  Raises if a
     piece would have to be narrower than (t1 - t0) / _MAX_PIECES (delta too
-    small or the flow too fast).
+    small or the flow too fast), also when the distance is NaN.
 
-    An autonomous field ignores t, so there c1_distance(a, b) is a function
-    of the two half-spans it integrates, (mid - a, b - mid), and is probed
-    once per distinct pair: once per dyadic level on [0, 1].  The schedule
-    is the same, bit for bit, as with a probe per interval.
+    The field does not depend on t, so c1_distance of a piece depends on
+    its span alone, and each level is probed once, at its first piece.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     # The criterion is compared against delta ~ O(1); 16 steps per unit
-    # (error ~1e-11 over a unit) are plenty and keep the bisection cheap.
+    # (error ~1e-11 over a unit) are plenty and keep the probes cheap.
     probe_settings = IntegratorSettings(steps_per_unit=min(settings.steps_per_unit, 16))
     samples = subdivision_probe_points(spec.n)
-
-    probed: dict[tuple[float, float], float] = {}
-
-    def distance(a: float, b: float) -> float:
-        mid = 0.5 * (a + b)
-        key = (mid - a, b - mid) if spec.is_autonomous() else (a, b)
-        if key not in probed:
-            probed[key] = c1_distance(spec, a, b, probe_settings, samples)
-        return probed[key]
-
-    pieces: list[tuple[float, float]] = []
-    stack = [(t0, t1)]
-    while stack:
-        a, b = stack.pop()
-        if distance(a, b) < delta:
-            pieces.append((a, b))
-        else:
-            if (b - a) * _MAX_PIECES < (t1 - t0):
-                raise RuntimeError(
-                    "C1-small subdivision exceeded the piece cap; "
-                    "increase delta or the cap"
-                )
+    pieces = [(t0, t1)]
+    while not c1_distance(spec, *pieces[0], probe_settings, samples) < delta:
+        a, b = pieces[0]
+        if (b - a) * _MAX_PIECES < (t1 - t0):
+            raise RuntimeError(
+                "C1-small subdivision exceeded the piece cap; "
+                "increase delta or the cap"
+            )
+        halves = []
+        for a, b in pieces:
             mid = 0.5 * (a + b)
-            stack.append((mid, b))
-            stack.append((a, mid))
-    pieces.sort()
+            halves += [(a, mid), (mid, b)]
+        pieces = halves
     return pieces

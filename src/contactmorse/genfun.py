@@ -50,7 +50,8 @@ from .linsymp import complex_structure_matrix, mul_i, once_if_shared
 
 @dataclass(frozen=True)
 class LeafGF:
-    """Link of one C^1-small flow piece: the lifted flow of spec over [t0, t1].
+    """Link of one C^1-small flow piece: the lifted flow of spec over [t0, t1],
+    of which only the span t1 - t0 matters.
 
     At a base b it is read off the midpoint z with (z + Phi(z))/2 = b, whose
     Newton step evaluate_stacked takes for all leaves of a chain at once:
@@ -259,24 +260,23 @@ def leaf_hessian(jac: np.ndarray) -> np.ndarray:
 
 def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, z: np.ndarray):
     """Midpoint integrations of the leaves at midpoints z of their bases b
-    (B, L, 2n), one stacked solve_midpoint per compatible group.
-    Returns z, Phi(z) (B, L, 2n), DPhi(z) (B, L, 2n, 2n) and ok (B, L)."""
+    (B, L, 2n), one stacked solve_midpoint per (spec, span, settings), each
+    over [0, span].  Returns z, Phi(z) (B, L, 2n), DPhi(z) (B, L, 2n, 2n)
+    and ok (B, L)."""
     B, L, m = b.shape
     groups: dict = {}
     for i, leaf in enumerate(leaves):
-        key = ((leaf.spec, round(leaf.t1 - leaf.t0, 15), leaf.settings)
-               if leaf.spec.is_autonomous() else leaf)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((leaf.spec, round(leaf.t1 - leaf.t0, 15), leaf.settings), []).append(i)
     out = (np.empty((B, L, m)), np.empty((B, L, m)), np.empty((B, L, m, m)),
            np.empty((B, L), dtype=bool))
     for members in groups.values():
         leaf = leaves[members[0]]
-        t0, t1 = (0.0, leaf.t1 - leaf.t0) if leaf.spec.is_autonomous() else (leaf.t0, leaf.t1)
 
         def stack(arr):  # leaf-major rows of the group
             return np.concatenate([arr[:, i] for i in members], axis=0)
 
-        solved = solve_midpoint(leaf.spec, t0, t1, leaf.settings, stack(b), stack(z))
+        solved = solve_midpoint(leaf.spec, 0.0, leaf.t1 - leaf.t0, leaf.settings, stack(b),
+                                stack(z))
         for dst, src in zip(out, solved):
             dst[:, members] = np.swapaxes(src.reshape((len(members), B) + src.shape[1:]), 0, 1)
     return out
@@ -290,8 +290,8 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, warm: LeafState):
     call or from a chain seed: the midpoints are Newton unknowns of the
     caller.  Each leaf takes the leaf step of warm toward its new base b
     (LeafState.predict) and is integrated once there, in one stacked
-    solve_midpoint per compatible group: leaves of an autonomous spec depend
-    only on their span, so their batches concatenate into a single
+    solve_midpoint per group: a leaf depends only on its spec, span and
+    settings, so the batches of equal leaves concatenate into a single
     integration, which amortizes the per-step cost across the whole chain.
     The midpoint z then solves (z + Phi(z))/2 = b + r with a residual r, and
     the leaf's gradient is the linearization at z, i(z - Phi(z)) - H r with
@@ -342,11 +342,11 @@ def evaluate_stacked(gf: ChainGF, x: np.ndarray, warm: LeafState):
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing_matrix(m: int, N: int, scale: float) -> np.ndarray:
-    """The pairing terms' part of the matrix of a chain of N links, scaled:
-    link j couples (a_j, b_j, a_{j-1}) through scale * i."""
+def _pairing_matrix(m: int, N: int) -> np.ndarray:
+    """The pairing terms' part of the Hessian of a chain of N links: link j
+    couples (a_j, b_j, a_{j-1}) through 2i."""
     P = np.kron(np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]),
-                scale * complex_structure_matrix(m // 2))
+                2.0 * complex_structure_matrix(m // 2))
     K = np.zeros(((2 * N - 1) * m, (2 * N - 1) * m))
     for r in range(0, 2 * N - 2, 2):
         K[r * m : (r + 3) * m, r * m : (r + 3) * m] += P
@@ -354,17 +354,14 @@ def _pairing_matrix(m: int, N: int, scale: float) -> np.ndarray:
     return K
 
 
-def chain_hessian(blocks: np.ndarray, pairing: float = 2.0) -> np.ndarray:
-    """Batched (B, D, D) matrix of a chain in flat chain coordinates from the
-    (B, N, 2n, 2n) matrices of its links at their bases, in chain order.
-
-    pairing scales the pairing terms: 2 for Hessians, 1 for the matrices M
-    of forms x^T M x, 0 for parameter derivatives, where they are constant.
+def chain_hessian(blocks: np.ndarray) -> np.ndarray:
+    """Batched (B, D, D) Hessian of a chain in flat chain coordinates from
+    the (B, N, 2n, 2n) Hessians of its links at their bases, in chain order.
     The result is block tridiagonal in the pairs (a_j, b_j).
     """
     B, N, m, _ = blocks.shape
     D = (2 * N - 1) * m
-    H = np.broadcast_to(_pairing_matrix(m, N, float(pairing)), (B, D, D)).copy()
+    H = np.broadcast_to(_pairing_matrix(m, N), (B, D, D)).copy()
     # link 1 sits on a_1, the last block; link j >= 2 on b_j, block 2(N - j) + 1
     pos = [2 * N - 2] + list(range(2 * N - 3, 0, -2))
     H.reshape(B, 2 * N - 1, m, 2 * N - 1, m)[:, pos, :, pos, :] = np.swapaxes(blocks, 0, 1)
@@ -385,18 +382,11 @@ def rotation_coefficients(t, k: int):
     return -np.tan(np.pi * t_arr / k), -(np.pi / k) / np.cos(np.pi * t_arr / k) ** 2
 
 
-def rotation_family_matrices(t, n: int, k: int):
-    """Batched matrices (M_A(t), dM_A/dt) of the k-piece family for a_t.
-
-    t may be a scalar or shape (B,).  A_t is the chain of the k rotation
-    links; M_A is the matrix of the form A_t(sigma) = sigma^T M_A sigma on
-    R^{2n (2k - 1)}.
+def rotation_family_matrices(t: float, n: int, k: int) -> np.ndarray:
+    """Matrix M_A(t) of the k-piece family for a_t at a scalar t: A_t is the
+    chain of the k rotation links, and M_A, half its Hessian, is the matrix
+    of the form A_t(sigma) = sigma^T M_A sigma on R^{2n (2k - 1)}.
     """
-    coeff, dcoeff = rotation_coefficients(t, k)
-    eye = np.eye(2 * n)
-    M, dM = (chain_hessian(np.broadcast_to(c[:, None, None, None] * eye,
-                                           (c.shape[0], k, 2 * n, 2 * n)), pairing)
-             for c, pairing in ((coeff, 1.0), (dcoeff, 0.0)))
-    if np.ndim(t) == 0:
-        return M[0], dM[0]
-    return M, dM
+    coeff, _ = rotation_coefficients(t, k)
+    blocks = np.broadcast_to(2.0 * coeff[0] * np.eye(2 * n), (1, k, 2 * n, 2 * n))
+    return 0.5 * chain_hessian(blocks)[0]

@@ -444,8 +444,12 @@ _DEDUP_ANGULAR = 1e-4
 _DEDUP_T = 1e-5
 
 # A t-slice with more degenerate records than _CONTINUUM_FACTOR * max(2, 2n)
-# is a suspected continuum.
+# is a suspected continuum.  A slice is the records within _CONTINUUM_T (mod
+# 1) of its first record's t, ten times _DEDUP_T: wider than the dedup window
+# in t, so that the records of one continuum, which dedup keeps apart by q
+# alone at t within _DEDUP_T of each other, share a slice.
 _CONTINUUM_FACTOR = 10.0
+_CONTINUUM_T = 1e-4
 
 
 # Records per block of _dedup_and_flag: a block's records are compared with
@@ -486,7 +490,7 @@ def _dedup_and_flag(records, n):
     for i in range(len(kept)):
         if used[i]:
             continue
-        slice_mask = _t_distance(kept_ts, kept_ts[i]) < max(_DEDUP_T * 10, 1e-4)
+        slice_mask = _t_distance(kept_ts, kept_ts[i]) < _CONTINUUM_T
         used |= slice_mask
         if np.count_nonzero(slice_mask & degenerate) > threshold:
             continuum = True
@@ -547,8 +551,7 @@ class ShiftedGenFunFamily:
         self.f_phi = f_phi
         self.n = n
         self.k = k
-        # a chain of m links has 2m - 1 base and fiber blocks of size 2n
-        self.dim = (2 * (len(f_phi.links) + k) - 1) * 2 * n
+        self.dim = self._chain(0.0)[0].total_dim
 
     def _chain(self, t):
         """F_t as a chain for t per row, and d/dt of its rotation coefficient."""
@@ -823,8 +826,8 @@ def index_data(n: int, k: int) -> dict:
     kernel of dimension exactly 2n; any other nullity is a configuration
     error.  The index difference is insensitive to that kernel.
     """
-    in0 = inertia(rotation_family_matrices(0.0, n, k)[0])
-    in1 = inertia(rotation_family_matrices(1.0, n, k)[0])
+    in0 = inertia(rotation_family_matrices(0.0, n, k))
+    in1 = inertia(rotation_family_matrices(1.0, n, k))
     for label, ine in (("A_0", in0), ("A_1", in1)):
         if ine.nullity != 2 * n:
             raise ConfigurationError(

@@ -264,16 +264,12 @@ class WirtingerTables:
         return H, G, P, Q
 
 
-def wirtinger_lift(spec, z: np.ndarray, t=0.0):
-    """(H, G, P, Q) of the lift at complex points z (..., n), profile applied."""
-    from contactmorse.hamiltonian import time_profile_value
-
+def wirtinger_lift(spec, z: np.ndarray):
+    """(H, G, P, Q) of the lift at complex points z (..., n)."""
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zb = z[None, :] if single else z
     H, G, P, Q = WirtingerTables(spec).eval(zb)
-    scale = time_profile_value(spec, t)
-    H, G, P, Q = H * scale, G * scale, P * scale, Q * scale
     if single:
         return H[0], G[0], P[0], Q[0]
     return H, G, P, Q
@@ -356,7 +352,7 @@ class ReferenceFieldEval:
             self.tab[0] = 1.0
             self.out = np.empty((padded // flow._GEMM_ROWS, flow._GEMM_ROWS, mat.shape[1]))
 
-    def __call__(self, x, t, field, jac=None):
+    def __call__(self, x, field, jac=None):
         tables = self.tables
         B, two_n = x.shape
         uT, r = self.uT[:, :B], self.r
@@ -385,14 +381,9 @@ class ReferenceFieldEval:
                 np.add(out[:, two_n:].reshape(B, two_n, two_n), tables.lin, out=jac)
         elif jac is not None:
             jac[...] = tables.lin
-        if tables.profile is not None:
-            scale = ham.time_profile_value(tables.profile, t)
-            field *= scale
-            if jac is not None:
-                jac *= scale
 
 
-def reference_dop853(field, z, jac, t: float, h: float, steps: int) -> None:
+def reference_dop853(field, z, jac, h: float, steps: int) -> None:
     """Fixed-step DOP853 of z (B, m) and, unless jac is None, of the
     variational equation, in place: state and Jacobian in separate stage
     buffers, each stage's argument one multiply and one add per tableau
@@ -411,21 +402,21 @@ def reference_dop853(field, z, jac, t: float, h: float, steps: int) -> None:
         D = np.empty((B, m, m))
         a = np.empty((len(flow._C), B, m, m))
     for _ in range(steps):
-        for s, c in enumerate(flow._C):
+        for s in range(len(flow._C)):
             x = z + weighted(k, flow._A[s]) if s else z
             if jac is None:
-                field(x, t + c * h, k[s])
+                field(x, k[s])
             else:
-                field(x, t + c * h, k[s], D)
+                field(x, k[s], D)
                 np.matmul(D, jac + weighted(a, flow._A[s]) if s else jac, out=a[s])
         z += weighted(k, flow._B)
         if jac is not None:
             jac += weighted(a, flow._B)
-        t += h
 
 
 def reference_flow(spec, z0, t0: float, t1: float, settings, with_jacobian: bool = True):
-    """flow.integrate_flow on the reference pair, the whole batch at once.
+    """flow.integrate_flow on the reference pair, the whole batch at once;
+    only the span t1 - t0 matters.
 
     A linear field takes its flow from one unit row integrated with its
     Jacobian, and applies it to every row, one column at a time."""
@@ -438,30 +429,29 @@ def reference_flow(spec, z0, t0: float, t1: float, settings, with_jacobian: bool
         tables = flow._real_field(spec)
         if tables.linear:
             one, unit = np.eye(1, m), np.eye(m)[None].copy()
-            reference_dop853(ReferenceFieldEval(tables, 1, True), one, unit, t0, span / steps,
-                             steps)
+            reference_dop853(ReferenceFieldEval(tables, 1, True), one, unit, span / steps, steps)
             z0, z = z, np.zeros((B, m))
             for k in range(m):
                 z += z0[:, k:k + 1] * unit[0][:, k]
             if with_jacobian:
                 jac[...] = unit[0]
         else:
-            reference_dop853(ReferenceFieldEval(tables, B, with_jacobian), z, jac, t0,
-                             span / steps, steps)
+            reference_dop853(ReferenceFieldEval(tables, B, with_jacobian), z, jac, span / steps,
+                             steps)
     return z, jac
 
 
 # Test-only helpers, no longer called by the library.
 
 
-def compiled_field(spec, x, t: float, with_jacobian: bool = True):
-    """The library's lifted field dx/dt = FIELD_SCALE * J * grad H_t (B, 2n)
+def compiled_field(spec, x, with_jacobian: bool = True):
+    """The library's lifted field dx/dt = FIELD_SCALE * J * grad H (B, 2n)
     at real points x (B, 2n), through one flow._FieldEval, and its real
     Jacobian (B, 2n, 2n), or None."""
     x = np.asarray(x, dtype=float)
     field = np.empty_like(x)
     jac = np.empty(x.shape + x.shape[-1:]) if with_jacobian else None
-    flow._FieldEval(flow._real_field(spec), x.shape[0], with_jacobian)(x, t, field, jac)
+    flow._FieldEval(flow._real_field(spec), x.shape[0], with_jacobian)(x, field, jac)
     return field, jac
 
 
@@ -567,9 +557,9 @@ def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: 
     does not change with t, which is what makes dF_t/dt meaningful
     pointwise.
 
-    Requires a sign-definite Hamiltonian: h_t at unit points of the sphere
-    (the lift eval_lift there) must be all positive or all negative at every
-    probed t; raises ValueError otherwise.
+    Requires a sign-definite Hamiltonian: h at unit points of the sphere
+    (the lift eval_lift there) must be all positive or all negative; raises
+    ValueError otherwise.
     """
     schedule = flow.subdivide_c1_small(spec, 0.0, 1.0, delta, settings)
     samples = sphere_points(sample_count, flow_chain(spec, schedule, settings).total_dim,
@@ -582,7 +572,7 @@ def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: 
             t_grid[i] += 4 * fd_step
 
     unit = to_complex(sphere_points(64 * spec.n, 2 * spec.n))
-    h_vals = np.concatenate([np.atleast_1d(ham.eval_lift(spec, unit, t)) for t in t_grid])
+    h_vals = ham.eval_lift(spec, unit)
     if not (np.all(h_vals > 0) or np.all(h_vals < 0)):
         raise ValueError("Hamiltonian is not sign-definite on the sphere sample set")
 
@@ -657,7 +647,7 @@ def build_rotation_family(t: float, n: int, k: int) -> RotationFamily:
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     gf = gf_compose(*[rotation_leaf(t / k, n)] * k)
-    matrix, _ = rotation_family_matrices(t, n, k)
+    matrix = rotation_family_matrices(t, n, k)
     return RotationFamily(t=t, n=n, k=k, genfun=gf, matrix=matrix)
 
 
@@ -703,12 +693,11 @@ class SharpLayout:
 
 
 def sharp_hessian(layout: SharpLayout, HF: np.ndarray, HG: np.ndarray,
-                  pairing: float | None) -> np.ndarray:
+                  pairing: float) -> np.ndarray:
     """Batched (B, dim, dim) block matrix of F # G from those of F and G.
 
     pairing scales the block of the pairing term 2<u - v, iw>: 2 for
-    Hessians, 1 for the matrices M of forms x^T M x, None for parameter
-    derivatives, where the pairing term is constant.
+    Hessians, 1 for the matrices M of forms x^T M x.
     """
     self = layout
     m = self.m
@@ -722,12 +711,11 @@ def sharp_hessian(layout: SharpLayout, HF: np.ndarray, HG: np.ndarray,
             N[:, s1, fiber] += bf
             N[:, fiber, s1] += bfT
         N[:, fiber, fiber] += ff
-    if pairing is not None:
-        J = pairing * complex_structure_matrix(m // 2)
-        N[:, self.u, self.w] += J
-        N[:, self.w, self.u] -= J
-        N[:, self.v, self.w] -= J
-        N[:, self.w, self.v] += J
+    J = pairing * complex_structure_matrix(m // 2)
+    N[:, self.u, self.w] += J
+    N[:, self.w, self.u] -= J
+    N[:, self.v, self.w] -= J
+    N[:, self.w, self.v] += J
     return N
 
 
@@ -783,7 +771,7 @@ def chain_change(N: int, m: int) -> np.ndarray:
     return np.concatenate(blocks + [x], axis=1).T
 
 
-def nested_chain_hessian(link_matrices, pairing: float | None = 2.0) -> np.ndarray:
+def nested_chain_hessian(link_matrices, pairing: float = 2.0) -> np.ndarray:
     """(B, D, D) matrix of the left-associated nested chain from the (B, m,
     m) matrices of its links, in chain order, with pairing as in
     sharp_hessian."""
@@ -797,10 +785,8 @@ def nested_chain_hessian(link_matrices, pairing: float | None = 2.0) -> np.ndarr
 def nested_rotation_matrices(t, n: int, k: int):
     """rotation_family_matrices in nested coordinates for t of shape (B,)."""
     t = np.asarray(t, dtype=float)
-    eye = np.eye(2 * n)
-    piece = -np.tan(np.pi * t / k)[:, None, None] * eye
-    dpiece = (-(np.pi / k) / np.cos(np.pi * t / k) ** 2)[:, None, None] * eye
-    return nested_chain_hessian([piece] * k, 1.0), nested_chain_hessian([dpiece] * k, None)
+    piece = -np.tan(np.pi * t / k)[:, None, None] * np.eye(2 * n)
+    return nested_chain_hessian([piece] * k, 1.0)
 
 
 def nested_bordered(family, sigma: np.ndarray, t: np.ndarray, dgrad: np.ndarray,
@@ -850,7 +836,7 @@ def linear_translated_points(spec, settings):
     if not field.linear:
         raise ValueError("the pencil needs a quadratic-form Hamiltonian")
     n = spec.n
-    P = field.jacobian(0.0, 1.0, settings.steps_for(1.0))
+    P = field.jacobian(1.0, settings.steps_for(1.0))
     P11, P12, P21, P22 = P[:n, :n], P[:n, n:], P[n:, :n], P[n:, n:]
     A = 0.5 * (P11 + P22 + 1j * (P21 - P12))
     B = 0.5 * (P11 - P22 + 1j * (P21 + P12))

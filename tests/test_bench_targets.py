@@ -69,33 +69,49 @@ def test_counted_arguments_are_parameters(target, targets):
 def test_eval_lift_takes_z_second(targets):
     # the eval_lift counter reads its points positionally, as args[1]
     params = list(inspect.signature(_resolve("hamiltonian", "eval_lift")).parameters)
-    assert params[:3] == ["spec", "z", "t"]
+    assert params == ["spec", "z"]
 
 
 def test_every_public_definition_is_used_or_traced(targets):
-    """A public top-level function or class of a module (outside __init__)
-    is referenced by name in src/ outside its own definition, or is named in
-    the tracer's targets.  A helper that only tests call belongs in
-    tests/oracles.py."""
-    traced = {(mod_name, attr.split(".")[0]) for mod_name, attr in targets}
+    """A public top-level function or class of a module (outside __init__),
+    and a public method or property of such a class, is referenced by name
+    in src/ outside its own definition, or is named in the tracer's
+    targets.  A helper that only tests call belongs in tests/oracles.py."""
+    traced = {(mod_name, name) for mod_name, attr in targets
+              for name in (attr, attr.split(".")[0])}
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")
              if path.stem != "__init__"}
 
-    def names(node):
-        return {sub.id if isinstance(sub, ast.Name) else sub.attr
+    def names(nodes):
+        return {sub.id if isinstance(sub, ast.Name) else sub.attr for node in nodes
                 for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
 
-    used: dict[str, set] = {}  # name -> ids of the top-level nodes that use it
-    for tree in trees.values():
+    def parts(node):
+        """The pieces a definition's uses are told apart by: a class's
+        header and each member statement, or the whole node."""
+        if isinstance(node, ast.ClassDef):
+            return [(node, [*node.bases, *node.keywords, *node.decorator_list])] + [
+                (member, [member]) for member in node.body]
+        return [(node, [node])]
+
+    used: dict[str, set] = {}  # name -> ids of the pieces that use it
+    definitions = []  # (qualified name, traced key, ids of its own pieces)
+    for mod_name, tree in sorted(trees.items()):
         for node in tree.body:
-            for name in names(node):
-                used.setdefault(name, set()).add(id(node))
-    unused = [f"{mod_name}.{node.name}" for mod_name, tree in sorted(trees.items())
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and not used.get(node.name, set()) - {id(node)}
-              and (mod_name, node.name) not in traced]
+            pieces = parts(node)
+            for piece, nodes in pieces:
+                for name in names(nodes):
+                    used.setdefault(name, set()).add(id(piece))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            definitions.append((node.name, (mod_name, node.name), {id(p) for p, _ in pieces}))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(member.name, (mod_name, f"{node.name}.{member.name}"),
+                                 {id(member)}) for member in node.body
+                                if isinstance(member, ast.FunctionDef)]
+    unused = [".".join(key) for name, key, own in definitions
+              if not name.startswith("_") and not used.get(name, set()) - own
+              and key not in traced]
     assert unused == []
 
 

@@ -342,6 +342,9 @@ def test_records_csv_matches_csv_writer():
         ("tolerances", {"tolerances": {"newton": 1e-9}}),
         ("continuum_factor", {"continuum_factor": 20.0}),
         ("calibration_tol", {"integrator": {"steps_per_unit": 16, "calibration_tol": 1e-9}}),
+        # the Hamiltonian is autonomous: no time profile, not even the former default
+        ("time_profile", {"hamiltonian": {**_corpus_config()["hamiltonian"],
+                                          "time_profile": "constant"}}),
     ],
 )
 def test_cli_rejects_zero_counts(tmp_path, capsys, field, over):

@@ -191,6 +191,10 @@ def test_subdivision_cap(monkeypatch):
     reeb = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
     with pytest.raises(RuntimeError):
         flow.subdivide_c1_small(reeb, 0.0, 1.0, 1e-4)
+    # a NaN distance never passes, so the halving runs into the cap
+    monkeypatch.setattr(flow, "c1_distance", lambda *args: np.nan)
+    with pytest.raises(RuntimeError, match="piece cap"):
+        flow.subdivide_c1_small(reeb, 0.0, 1.0, 0.5)
 
 
 @pytest.fixture
@@ -207,32 +211,25 @@ def probes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", ["corpus", "offset", "bump"])
+@pytest.mark.parametrize("case", ["corpus", "offset"])
 def test_subdivision_matches_bisection_reference(case, sphere_corpus_spec, probes):
-    """The probes of an autonomous spec are shared by equal half-spans, and
-    the schedule keeps the bits of the reference's probe per interval; a
-    time-profiled spec still probes every interval."""
-    spec, (t0, t1), settings = sphere_corpus_spec, (0.0, 1.0), flow.IntegratorSettings()
-    if case == "offset":
-        t0, t1 = 0.3, 1.45
-    elif case == "bump":
-        spec, settings = _n3_bump_spec(), flow.IntegratorSettings(steps_per_unit=32)
-    pieces = flow.subdivide_c1_small(spec, t0, t1, 1.0, settings)
-    shared = len(probes)
+    """The schedule probes each level of halving once, and keeps the bits of
+    the reference's probe per interval."""
+    t0, t1 = (0.0, 1.0) if case == "corpus" else (0.3, 1.45)
+    settings = flow.IntegratorSettings()
+    pieces = flow.subdivide_c1_small(sphere_corpus_spec, t0, t1, 1.0, settings)
+    levels = len(probes)
     probes.clear()
-    ref = bisect_c1_small(spec, t0, t1, 1.0, settings)
+    ref = bisect_c1_small(sphere_corpus_spec, t0, t1, 1.0, settings)
     assert pieces == ref and len(pieces) > 1
     assert all(x.hex() == y.hex() for p, r in zip(pieces, ref) for x, y in zip(p, r))
     assert len(probes) == 2 * len(ref) - 1
-    if case == "bump":
-        assert shared == len(probes)
-    else:
-        assert shared < len(probes)
+    assert len(pieces) == 2 ** (levels - 1)
 
 
 def test_subdivision_probes_once_per_dyadic_level(sphere_corpus_spec, probes):
     """The corpus schedule on [0, 1] is 16 pieces of 1/16: bisection visits
-    31 intervals on 5 levels, and an autonomous spec probes each level once."""
+    31 intervals on 5 levels, and the schedule probes each level once."""
     pieces = flow.subdivide_c1_small(sphere_corpus_spec, 0.0, 1.0, 1.0, flow.IntegratorSettings())
     assert len(pieces) == 16
     assert [b - a for a, b in probes] == [1.0, 0.5, 0.25, 0.125, 0.0625]
@@ -305,7 +302,8 @@ def test_corpus_schedule_takes_one_step_per_leaf(sphere_corpus_spec):
     assert {default.steps_for(b - a) for a, b in pieces} == {1}
 
 
-def _n3_bump_spec():
+def _n3_mixed_spec():
+    """An n = 3 spec whose cubic terms mix the coordinates."""
     return ham.ContactHamiltonianSpec(
         n=3,
         quadratic=(0.3, 0.5, 0.7),
@@ -314,20 +312,6 @@ def _n3_bump_spec():
             ham.PerturbationTerm(0.03, (0, 1, 0), (0, 0, 2)),
             ham.PerturbationTerm(-0.02, (1, 1, 0), (0, 0, 1)),
         ),
-        time_profile="bump",
-    )
-
-
-def _quadratic_bump_spec():
-    """A quadratic form under the bump profile: linear, not autonomous."""
-    return ham.ContactHamiltonianSpec(
-        n=2,
-        quadratic=(0.3, 0.7),
-        terms=(
-            ham.PerturbationTerm(0.05, (2, 0), (0, 0)),
-            ham.PerturbationTerm(0.08, (1, 0), (0, 1)),
-        ),
-        time_profile="bump",
     )
 
 
@@ -340,7 +324,6 @@ def _linear_specs(rp3_corpus_spec):
                                              terms=(T(0.1, (1, 0), (0, 1)),)),
         "constant": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7),
                                                terms=(T(0.05, (0, 0), (0, 0)),)),
-        "bump": _quadratic_bump_spec(),
     }
 
 
@@ -348,7 +331,7 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("case", ["quadratic", "rp3", "mixing", "bump"])
+@pytest.mark.parametrize("case", ["quadratic", "rp3", "mixing"])
 def test_linear_flow_shares_jacobian_bitwise(case, rp3_corpus_spec, rng):
     """A linear field's flow is its one shared Jacobian P: every state is
     P z0, summed one column at a time, bit for bit, and within 1e-13
@@ -364,7 +347,7 @@ def test_linear_flow_shares_jacobian_bitwise(case, rp3_corpus_spec, rng):
             z, jac = flow.integrate_flow(spec, z0, t0, t1, settings)
             span = t1 - t0
             steps = settings.steps_for(span)
-            P = tables.jacobian(t0, span, steps)
+            P = tables.jacobian(span, steps)
             assert np.array_equal(_bits(jac), _bits(np.broadcast_to(P, jac.shape)))
             expect = np.zeros_like(z0)
             for k in range(4):
@@ -372,7 +355,7 @@ def test_linear_flow_shares_jacobian_bitwise(case, rp3_corpus_spec, rng):
             assert np.array_equal(_bits(z), _bits(expect)), (t0, t1)
             for i in range(z0.shape[0]):
                 zr, jr = z0[i:i + 1].copy(), np.eye(4)[None].copy()
-                flow._dop853(flow._FieldEval(tables, 1, True), zr, jr, t0, span / steps, steps)
+                flow._dop853(flow._FieldEval(tables, 1, True), zr, jr, span / steps, steps)
                 assert np.max(np.abs(zr - z[i:i + 1])) <= 1e-13 * np.max(np.abs(zr))
                 assert np.array_equal(_bits(jr), _bits(jac[i:i + 1])), (t0, t1, i)
 
@@ -380,7 +363,7 @@ def test_linear_flow_shares_jacobian_bitwise(case, rp3_corpus_spec, rng):
 @pytest.mark.parametrize("long_first", [True, False])
 @pytest.mark.parametrize("case", ["quadratic", "rp3", "mixing"])
 def test_step_size_memo_matches_fresh_integrations(case, long_first, rp3_corpus_spec):
-    """An autonomous linear field's P over k steps of h = 1/16, k = 1..16, is
+    """A linear field's P over k steps of h = 1/16, k = 1..16, is
     the k-th step of the memo's one integration at h, extended as longer
     spans ask: bit for bit a fresh k-step integration of the unit row
     through the compiled field, whichever span is asked first."""
@@ -388,31 +371,11 @@ def test_step_size_memo_matches_fresh_integrations(case, long_first, rp3_corpus_
     tables, fresh = flow._RealField(spec), flow._RealField(spec)
     h = 1 / 16
     for k in (range(16, 0, -1) if long_first else (1, 2, 5, 3, 16, *range(4, 16))):
-        P = tables.jacobian(0.3, k * h, k)
+        P = tables.jacobian(k * h, k)
         z, jac = np.eye(1, 4), np.eye(4)[None].copy()
-        flow._dop853(flow._FieldEval(fresh, 1, True), z, jac, 0.0, h, k)
+        flow._dop853(flow._FieldEval(fresh, 1, True), z, jac, h, k)
         assert np.array_equal(_bits(P), _bits(jac[0])), k
     assert list(tables._jacobians) == [h] and len(tables._jacobians[h]) == 17
-
-
-def test_time_profiled_memo_integrates_per_interval(monkeypatch):
-    """A bump-profiled quadratic spec's flow depends on t0: its memo runs one
-    integration per (t0, span, steps), each from t0, and asks again find it."""
-    spec = _quadratic_bump_spec()
-    tables = flow._RealField(spec)
-    integrate, runs = flow._dop853, []
-
-    def dop853(field, z, jac, t, h, steps, trace=None):
-        runs.append((t, h * steps, steps))
-        return integrate(field, z, jac, t, h, steps, trace)
-
-    monkeypatch.setattr(flow, "_dop853", dop853)
-    keys = [(0.0, 1.0, 16), (0.0, 0.5, 8), (0.5, 0.5, 8), (0.25, 1 / 16, 1)]
-    first = [tables.jacobian(*key).copy() for key in keys]
-    again = [tables.jacobian(*key) for key in reversed(keys)][::-1]
-    assert runs == keys
-    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(first, again))
-    assert not np.array_equal(first[1], first[2])
 
 
 def test_jacobian_memo_is_bounded(rp3_corpus_spec, monkeypatch):
@@ -422,11 +385,11 @@ def test_jacobian_memo_is_bounded(rp3_corpus_spec, monkeypatch):
     dropped and asked again or kept alone, has the bits it has under the
     default cap."""
     asked = [(1.0, 16), (1.0, 8), (1.0, 32), (1.0, 24), (1.0, 64), (0.5, 32), (1.0, 1000)]
-    expect = {key: flow._RealField(rp3_corpus_spec).jacobian(0.0, *key).copy() for key in asked}
+    expect = {key: flow._RealField(rp3_corpus_spec).jacobian(*key).copy() for key in asked}
     monkeypatch.setattr(flow, "_JACOBIAN_MEMO", 40)
     tables = flow._RealField(rp3_corpus_spec)
     for span, steps in asked + asked[:2]:
-        P = tables.jacobian(0.0, span, steps)
+        P = tables.jacobian(span, steps)
         assert np.array_equal(_bits(P), _bits(expect[span, steps])), (span, steps)
         assert sum(map(len, tables._jacobians.values())) <= 40, (span, steps)
         if steps >= 40:
@@ -434,8 +397,8 @@ def test_jacobian_memo_is_bounded(rp3_corpus_spec, monkeypatch):
 
 
 def test_linearity_flag(sphere_corpus_spec, rp3_corpus_spec, monkeypatch, rng):
-    """Quadratic forms (terms of degree 2 or 0) are linear; odd cubic, time-
-    profiled cubic and even quartic terms are not, and never reach the memo."""
+    """Quadratic forms (terms of degree 2 or 0) are linear; odd cubic, mixed
+    cubic and even quartic terms are not, and never reach the memo."""
     for case, spec in _linear_specs(rp3_corpus_spec).items():
         assert flow._real_field(spec).linear, case
     quartic = ham.ContactHamiltonianSpec(
@@ -446,7 +409,7 @@ def test_linearity_flag(sphere_corpus_spec, rp3_corpus_spec, monkeypatch, rng):
         raise AssertionError("a nonlinear spec reached the shared Jacobian")
 
     monkeypatch.setattr(flow._RealField, "jacobian", reached)
-    for spec in (sphere_corpus_spec, _n3_bump_spec(), quartic):
+    for spec in (sphere_corpus_spec, _n3_mixed_spec(), quartic):
         assert not flow._real_field(spec).linear
         z0 = rng.normal(size=(5, 2 * spec.n))
         _, jac = flow.integrate_flow(spec, z0, 0.2, 0.7, flow.IntegratorSettings(32))
@@ -478,18 +441,18 @@ def test_rp3_config_computes_one_jacobian_per_interval(tmp_path, monkeypatch):
     asked, computed, current = [], [], []
     lookup, integrate = flow._RealField.jacobian, flow._dop853
 
-    def jacobian(self, t0, span, steps):
+    def jacobian(self, span, steps):
         asked.append((self, span, steps))
         current.append(self)
         try:
-            return lookup(self, t0, span, steps)
+            return lookup(self, span, steps)
         finally:
             current.pop()
 
-    def dop853(field, z, jac, t, h, steps, trace=None):
+    def dop853(field, z, jac, h, steps, trace=None):
         if jac is not None:
             computed.append((current[-1], h, z.shape[0]))
-        return integrate(field, z, jac, t, h, steps, trace)
+        return integrate(field, z, jac, h, steps, trace)
 
     monkeypatch.setattr(flow._RealField, "jacobian", jacobian)
     monkeypatch.setattr(flow, "_dop853", dop853)
@@ -543,10 +506,10 @@ def test_rp3_config_stage_loop_matches_linear_map(routes, tmp_path, monkeypatch)
     assert linear[3] == staged[3]
 
 
-def _kernel_reference(spec, x, t):
+def _kernel_reference(spec, x):
     """FIELD_SCALE * i * G and FIELD_SCALE * realify(i P, i Q) of the
     Wirtinger reference."""
-    _, G, P, Q = wirtinger_lift(spec, to_complex(x), t)
+    _, G, P, Q = wirtinger_lift(spec, to_complex(x))
     return to_real(flow.FIELD_SCALE * 1j * G), flow.FIELD_SCALE * realify(1j * P, 1j * Q)
 
 
@@ -556,7 +519,7 @@ def _assert_rel_close(got, ref, rel=1e-13):
 
 
 @pytest.mark.parametrize(
-    "case", ["n1", "corpus", "rp3", "no_terms", "n3_bump", "degree0", "pure_zbar", "n3_degree5"]
+    "case", ["n1", "corpus", "rp3", "no_terms", "n3_mixed", "degree0", "pure_zbar", "n3_degree5"]
 )
 def test_real_field_matches_eval_lift(case, sphere_corpus_spec, rp3_corpus_spec, rng):
     specs = {
@@ -567,7 +530,7 @@ def test_real_field_matches_eval_lift(case, sphere_corpus_spec, rp3_corpus_spec,
         "corpus": sphere_corpus_spec,
         "rp3": rp3_corpus_spec,
         "no_terms": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, -0.7)),
-        "n3_bump": _n3_bump_spec(),
+        "n3_mixed": _n3_mixed_spec(),
         "degree0": ham.ContactHamiltonianSpec(
             n=2, quadratic=(0.3, 0.7), terms=(ham.PerturbationTerm(0.05, (0, 0), (0, 0)),)
         ),
@@ -581,18 +544,13 @@ def test_real_field_matches_eval_lift(case, sphere_corpus_spec, rp3_corpus_spec,
     }
     spec = specs[case]
     x = rng.normal(size=(70, 2 * spec.n)) * rng.uniform(0.1, 10.0, size=(70, 1))
-    times = (0.0, 0.37, 1.0, 1.5) if spec.time_profile == "bump" else (0.0, 0.37)
-    for t in times:
-        f_ref, j_ref = _kernel_reference(spec, x, t)
-        field, jac = compiled_field(spec, x, t)
-        field_only, none = compiled_field(spec, x, t, with_jacobian=False)
-        assert none is None
-        if np.max(np.abs(j_ref)) == 0.0:  # the bump vanishes off (0, 1)
-            assert not np.any(field) and not np.any(jac) and not np.any(field_only)
-            continue
-        _assert_rel_close(field, f_ref)
-        _assert_rel_close(jac, j_ref)
-        _assert_rel_close(field_only, f_ref)
+    f_ref, j_ref = _kernel_reference(spec, x)
+    field, jac = compiled_field(spec, x)
+    field_only, none = compiled_field(spec, x, with_jacobian=False)
+    assert none is None
+    _assert_rel_close(field, f_ref)
+    _assert_rel_close(jac, j_ref)
+    _assert_rel_close(field_only, f_ref)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
@@ -601,13 +559,13 @@ def test_real_field_rejects_origin_and_nonfinite(bad, sphere_corpus_spec, reeb_s
     for spec in (sphere_corpus_spec, reeb_spec):
         for with_jacobian in (True, False):
             with pytest.raises(ValueError):
-                compiled_field(spec, x, 0.0, with_jacobian)
+                compiled_field(spec, x, with_jacobian)
             with pytest.raises(ValueError):
                 flow.integrate_flow(spec, x, 0.0, 0.1, settings, with_jacobian)
 
 
 @pytest.mark.parametrize("with_jacobian", [True, False])
-@pytest.mark.parametrize("case", ["corpus", "rp3", "reeb", "n3_bump", "quadratic_bump"])
+@pytest.mark.parametrize("case", ["corpus", "rp3", "reeb", "n3_mixed"])
 def test_flow_rows_bitwise_independent_of_batch(
     case, with_jacobian, sphere_corpus_spec, rp3_corpus_spec, rng
 ):
@@ -617,8 +575,7 @@ def test_flow_rows_bitwise_independent_of_batch(
         "corpus": sphere_corpus_spec,
         "rp3": rp3_corpus_spec,
         "reeb": ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, 0.5)),
-        "n3_bump": _n3_bump_spec(),
-        "quadratic_bump": _quadratic_bump_spec(),
+        "n3_mixed": _n3_mixed_spec(),
     }[case]
     short = flow.IntegratorSettings(steps_per_unit=512)
     z0 = rng.normal(size=(530, 2 * spec.n))
@@ -638,17 +595,14 @@ def test_flow_rows_bitwise_independent_of_batch(
 
 
 def _reference_specs(sphere_corpus_spec, rp3_corpus_spec):
-    """The three configs' specs, a time-profiled cubic, a mixing term
-    Re(z1 conj(z2)), Re(z1^3) (its Jacobian plan builds no degree-1 monomial
-    of y_2) and the n = 3 sphere spec with Re(z_j^2 conj(z_j))."""
+    """The three configs' specs, a mixing term Re(z1 conj(z2)), Re(z1^3) (its
+    Jacobian plan builds no degree-1 monomial of y_2) and the n = 3 sphere
+    spec with Re(z_j^2 conj(z_j))."""
     T = ham.PerturbationTerm
     return {
         "corpus": sphere_corpus_spec,
         "rp3": rp3_corpus_spec,
         "reeb": ham.ContactHamiltonianSpec(n=2, quadratic=(0.5, 0.5)),
-        "bump": ham.ContactHamiltonianSpec(
-            n=2, quadratic=(0.3, 0.7), terms=sphere_corpus_spec.terms, time_profile="bump"
-        ),
         "mixing": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7),
                                              terms=(T(0.1, (1, 0), (0, 1)),)),
         "cube": ham.ContactHamiltonianSpec(n=2, quadratic=(0.3, 0.7),
@@ -670,7 +624,7 @@ def _rows_with_zeros(rng, B, m):
 
 
 @pytest.mark.parametrize("with_jacobian", [True, False])
-@pytest.mark.parametrize("case", ["corpus", "rp3", "reeb", "bump", "mixing", "cube", "n3"])
+@pytest.mark.parametrize("case", ["corpus", "rp3", "reeb", "mixing", "cube", "n3"])
 def test_integrate_flow_matches_reference_bitwise(
     case, with_jacobian, sphere_corpus_spec, rp3_corpus_spec, settings, rng
 ):
@@ -696,7 +650,7 @@ def test_integrate_flow_matches_reference_bitwise(
 
 
 @pytest.mark.parametrize("with_jacobian", [True, False])
-@pytest.mark.parametrize("case", ["corpus", "rp3", "bump"])
+@pytest.mark.parametrize("case", ["corpus", "rp3"])
 def test_row_chunk_and_row_order_keep_bits(
     case, with_jacobian, sphere_corpus_spec, rp3_corpus_spec, settings, monkeypatch, rng
 ):
