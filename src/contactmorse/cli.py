@@ -21,7 +21,7 @@ from .flow import IntegratorSettings, calibrate_steps_per_unit, integrate_flow
 from .hamiltonian import ContactHamiltonianSpec
 from .linsymp import mul_i
 from .report import RunReport, _nondeg_str, write_outputs
-from .translated import SweepReport, index_data, sweep_and_count
+from .translated import ROTATION_PIECES, SweepReport, index_data, sweep_and_count
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,7 +82,7 @@ def run(config: RunConfig, out_dir: str | Path) -> RunReport:
     report = RunReport(
         config=config,
         sweep=sweep,
-        index_data=index_data(config.n, config.params.rotation_pieces),
+        index_data=index_data(config.n, ROTATION_PIECES),
         calibration_rel_err=cal_err,
         calibration_ok=calibration_ok,
         steps_per_unit=steps,

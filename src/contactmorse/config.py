@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -56,19 +57,17 @@ class RunConfig:
 _SCALARS = {
     "mode": "mode",
     "routes": "routes",
-    "rotation_pieces": "rotation_pieces",
-    "subdivision_delta": "subdivision_delta",
     "seeds.sphere_count": "sphere_count",
     "seeds.t_count": "t_count",
     "seeds.keep_per_seed": "keep_per_seed",
     "integrator.steps_per_unit": "steps_per_unit",
 }
 _SECTIONS = dict.fromkeys(loc.partition(".")[0] for loc in _SCALARS if "." in loc)
-# The choices of a str field and the minimum of an int one; floats must be
-# positive.  A sphere_count of 0, its default, stands for 128 n.
+# The choices of a str field and the minimum of an int one.  A sphere_count
+# of 0, its default, stands for 128 n.
 _LIMITS = {
-    "mode": MODES, "routes": ROUTES, "rotation_pieces": 3, "sphere_count": 0,
-    "t_count": 1, "keep_per_seed": 1, "steps_per_unit": 0,
+    "mode": MODES, "routes": ROUTES, "sphere_count": 0, "t_count": 1, "keep_per_seed": 1,
+    "steps_per_unit": 0,
 }
 _FIELDS = {f.name: f for cls in (SweepParams, RunConfig) for f in fields(cls)}
 _TYPES = {**typing.get_type_hints(SweepParams), **typing.get_type_hints(RunConfig)}
@@ -82,18 +81,21 @@ def _scalar(data: dict, location: str, name: str):
         return _FIELDS[name].default
     val = obj[key]
     kind = _TYPES[name]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
     if not isinstance(val, kind) or isinstance(val, bool):
         raise ConfigError(f"{location} must be {kind.__name__}, got {val!r}")
-    limit = _LIMITS.get(name)
+    limit = _LIMITS[name]
     if kind is str and val not in limit:
         raise ConfigError(f"{location} must be one of {limit}, got {val!r}")
     if kind is int and val < limit:
         raise ConfigError(f"{location} must be >= {limit}, got {val}")
-    if kind is float and not val > 0:
-        raise ConfigError(f"{location} must be positive, got {val}")
     return val
+
+
+def _is_finite_number(val) -> bool:
+    """val is a JSON number with a finite float value: not a bool, NaN or an
+    infinity, nor an integer beyond the float range."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
 
 
 def _parse_hamiltonian(obj: dict, n: int) -> ContactHamiltonianSpec:
@@ -101,10 +103,8 @@ def _parse_hamiltonian(obj: dict, n: int) -> ContactHamiltonianSpec:
         raise ConfigError("hamiltonian must be an object")
     _require_keys(obj, {"quadratic", "perturbations"}, "hamiltonian")
     quad = obj.get("quadratic", [0.0] * n)
-    if not isinstance(quad, list) or len(quad) != n or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in quad
-    ):
-        raise ConfigError(f"hamiltonian.quadratic must be a list of {n} numbers")
+    if not isinstance(quad, list) or len(quad) != n or not all(map(_is_finite_number, quad)):
+        raise ConfigError(f"hamiltonian.quadratic must be a list of {n} finite numbers")
     terms = []
     for i, p in enumerate(obj.get("perturbations", [])):
         ctx = f"hamiltonian.perturbations[{i}]"
@@ -118,8 +118,8 @@ def _parse_hamiltonian(obj: dict, n: int) -> ContactHamiltonianSpec:
             ):
                 raise ConfigError(f"{ctx}.{key} must be a list of {n} nonnegative ints")
         amp = p.get("amplitude")
-        if not isinstance(amp, (int, float)) or isinstance(amp, bool):
-            raise ConfigError(f"{ctx}.amplitude must be a number")
+        if not _is_finite_number(amp):
+            raise ConfigError(f"{ctx}.amplitude must be a finite number, got {amp!r}")
         terms.append(
             PerturbationTerm(float(amp), tuple(p["z_powers"]), tuple(p["zbar_powers"]))
         )
@@ -137,8 +137,10 @@ def parse_config(data: dict) -> RunConfig:
     top = {"schema_version", "n", "hamiltonian"} | {loc.partition(".")[0] for loc in _SCALARS}
     _require_keys(data, top, "config")
     version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version {version} unsupported (expected {SCHEMA_VERSION})")
+    # type, not isinstance: True == 1.0 == 1, but only the int is the version
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version {version!r} unsupported "
+                          f"(expected the integer {SCHEMA_VERSION})")
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError("n must be a positive integer")

@@ -600,69 +600,58 @@ def _leg_opnorms(jac_m: np.ndarray, jac_2: np.ndarray) -> np.ndarray:
 
 def c1_distance(
     spec: ham.ContactHamiltonianSpec,
-    t0: float,
-    t1: float,
+    span: float,
     settings: IntegratorSettings,
     samples: np.ndarray,
 ) -> float:
-    """max over samples of |Phi(q) - q| + ||DPhi(q) - I||_2 for the piece flow.
+    """max over samples of |Phi(q) - q| + ||DPhi(q) - I||_2 for the flow
+    over span.
 
-    Evaluated at the piece midpoint as well as the endpoint: a loop closed up
-    inside the piece would otherwise alias to the identity and pass.  Only
-    the two half-spans, mid - t0 and t1 - mid, matter.  A
+    Evaluated at half the span as well as at the whole: a loop closed up
+    inside the piece would otherwise alias to the identity and pass.  A
     Jacobian every sample shares (a linear flow's) is normed once per leg
     (once_if_shared), with the bits of each row's.
     """
-    mid = 0.5 * (t0 + t1)
-    z_m, jac_m = integrate_flow(spec, samples, t0, mid, settings, with_jacobian=True)
-    z_e, jac_2 = integrate_flow(spec, z_m, mid, t1, settings, with_jacobian=True)
+    half = 0.5 * span
+    z_m, jac_m = integrate_flow(spec, samples, 0.0, half, settings, with_jacobian=True)
+    z_e, jac_2 = integrate_flow(spec, z_m, 0.0, half, settings, with_jacobian=True)
     move = np.stack([np.linalg.norm(z - samples, axis=1) for z in (z_m, z_e)], axis=1)
     return float(np.max(move + once_if_shared(_leg_opnorms, jac_m, jac_2)))
 
 
-# Most pieces of one subdivision: no piece is narrower than the interval
-# over _MAX_PIECES.
+# Cap on the halving: a flow whose pieces still fail the criterion at more
+# than this many pieces raises.
 _MAX_PIECES = 4096
 
 
 def subdivide_c1_small(
     spec: ham.ContactHamiltonianSpec,
-    t0: float,
-    t1: float,
     delta: float,
     settings: IntegratorSettings = IntegratorSettings(),
-) -> list[tuple[float, float]]:
-    """Partition of [t0, t1] into 2^j equal C^1-small flow pieces, j the
+) -> int:
+    """Number L = 2^j of equal C^1-small pieces of the time-1 flow, j the
     first level of halving whose pieces pass.
 
-    Each returned piece satisfies the sampled criterion
+    A piece of span 1/L passes the sampled criterion when
     max_q (|Phi(q) - q| + ||DPhi(q) - I||) < delta over the fixed
-    deterministic unit points of subdivision_probe_points.  Raises if a
-    piece would have to be narrower than (t1 - t0) / _MAX_PIECES (delta too
-    small or the flow too fast), also when the distance is NaN.
-
-    The field does not depend on t, so c1_distance of a piece depends on
-    its span alone, and each level is probed once, at its first piece.
+    deterministic unit points of subdivision_probe_points.  The field does
+    not depend on t, so every piece of a level is the same flow, and each
+    level is probed once.  Raises when the pieces still fail at more than
+    _MAX_PIECES pieces (delta too small or the flow too fast), also when
+    the distance is NaN.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
     # The criterion is compared against delta ~ O(1); 16 steps per unit
     # (error ~1e-11 over a unit) are plenty and keep the probes cheap.
     probe_settings = IntegratorSettings(steps_per_unit=min(settings.steps_per_unit, 16))
     samples = subdivision_probe_points(spec.n)
-    pieces = [(t0, t1)]
-    while not c1_distance(spec, *pieces[0], probe_settings, samples) < delta:
-        a, b = pieces[0]
-        if (b - a) * _MAX_PIECES < (t1 - t0):
+    pieces = 1
+    while not c1_distance(spec, 1.0 / pieces, probe_settings, samples) < delta:
+        if pieces > _MAX_PIECES:
             raise RuntimeError(
                 "C1-small subdivision exceeded the piece cap; "
                 "increase delta or the cap"
             )
-        halves = []
-        for a, b in pieces:
-            mid = 0.5 * (a + b)
-            halves += [(a, mid), (mid, b)]
-        pieces = halves
+        pieces *= 2
     return pieces

@@ -23,8 +23,9 @@ b_{N-1}, ..., a_2, b_2, a_1): the base comes first, and link j >= 2 couples
 the three consecutive blocks (a_j, b_j, a_{j-1}), so every Hessian is block
 tridiagonal in the pairs (a_j, b_j).
 
-A leaf is its flow piece, (spec, t0, t1, settings); at a base b it is read
-off the midpoint z with (z + Phi(z))/2 = b.  The midpoints are unknowns of
+A leaf is its flow piece, (spec, span, settings): the flow of the
+autonomous spec over a span of time.  At a base b it is read off the
+midpoint z with (z + Phi(z))/2 = b.  The midpoints are unknowns of
 the outer Newton that evaluates the chain (LeafState): every evaluation
 takes one leaf Newton step, z + ((I + DPhi)/2)^{-1} (b - (z + Phi(z))/2),
 integrates each leaf once at the new midpoint, and linearizes the leaf's
@@ -50,8 +51,8 @@ from .linsymp import complex_structure_matrix, mul_i, once_if_shared
 
 @dataclass(frozen=True)
 class LeafGF:
-    """Link of one C^1-small flow piece: the lifted flow of spec over [t0, t1],
-    of which only the span t1 - t0 matters.
+    """Link of one C^1-small flow piece: the lifted flow of spec over span.
+    The field does not depend on t, so the span is all of the piece's time.
 
     At a base b it is read off the midpoint z with (z + Phi(z))/2 = b, whose
     Newton step evaluate_stacked takes for all leaves of a chain at once:
@@ -61,8 +62,7 @@ class LeafGF:
     """
 
     spec: ContactHamiltonianSpec
-    t0: float
-    t1: float
+    span: float
     settings: IntegratorSettings
 
     @property
@@ -71,7 +71,7 @@ class LeafGF:
 
     def map_points(self, z):
         """Apply the piece's flow to points z of shape (B, 2n)."""
-        return integrate_flow(self.spec, z, self.t0, self.t1, self.settings,
+        return integrate_flow(self.spec, z, 0.0, self.span, self.settings,
                               with_jacobian=False)[0]
 
 
@@ -147,10 +147,10 @@ def gf_compose(*parts) -> ChainGF:
                    for link in (part.links if isinstance(part, ChainGF) else (part,)))
 
 
-def flow_chain(spec, schedule, settings: IntegratorSettings) -> ChainGF:
-    """Chain of the flow pieces [a, b] of a subdivision schedule: it
-    generates the isotopy's map over the schedule's whole interval."""
-    return ChainGF(LeafGF(spec, a, b, settings) for a, b in schedule)
+def flow_chain(spec, pieces: int, settings: IntegratorSettings) -> ChainGF:
+    """Chain of pieces copies of the leaf of span 1 / pieces: it generates
+    the time-1 map of spec."""
+    return ChainGF((LeafGF(spec, 1.0 / pieces, settings),) * pieces)
 
 
 def split_chain(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +196,8 @@ def _leaf_step(z: np.ndarray, jac: np.ndarray, solved: np.ndarray, b: np.ndarray
     return z + np.linalg.solve(A, (b - solved)[..., None])[..., 0]
 
 
-def solve_midpoint(spec, t0, t1, settings, b, z):
-    """Integrate the piece flow over [t0, t1] once at the midpoints z (B, 2n)
+def solve_midpoint(spec, span, settings, b, z):
+    """Integrate the piece flow over span once at the midpoints z (B, 2n)
     of bases b (B, 2n).  Returns (z, Phi(z), DPhi(z), ok): ok marks the rows
     integrated, and the caller applies the leaf test (_leaf_solved) to them.
     Rows whose base or midpoint norm underflows (the cone tip is rejected)
@@ -211,7 +211,7 @@ def solve_midpoint(spec, t0, t1, settings, b, z):
     ok &= np.linalg.norm(z, axis=1) >= 1e-120
     Zv = z.copy()
     if ok.any():
-        Zv[ok], jac[ok] = integrate_flow(spec, z[ok], t0, t1, settings, with_jacobian=True)
+        Zv[ok], jac[ok] = integrate_flow(spec, z[ok], 0.0, span, settings, with_jacobian=True)
     return z, Zv, jac, ok
 
 
@@ -260,23 +260,19 @@ def leaf_hessian(jac: np.ndarray) -> np.ndarray:
 
 def _solve_leaves(leaves: list[LeafGF], b: np.ndarray, z: np.ndarray):
     """Midpoint integrations of the leaves at midpoints z of their bases b
-    (B, L, 2n), one stacked solve_midpoint per (spec, span, settings), each
-    over [0, span].  Returns z, Phi(z) (B, L, 2n), DPhi(z) (B, L, 2n, 2n)
-    and ok (B, L)."""
+    (B, L, 2n), one stacked solve_midpoint per distinct leaf.  Returns z,
+    Phi(z) (B, L, 2n), DPhi(z) (B, L, 2n, 2n) and ok (B, L)."""
     B, L, m = b.shape
     groups: dict = {}
     for i, leaf in enumerate(leaves):
-        groups.setdefault((leaf.spec, round(leaf.t1 - leaf.t0, 15), leaf.settings), []).append(i)
+        groups.setdefault(leaf, []).append(i)
     out = (np.empty((B, L, m)), np.empty((B, L, m)), np.empty((B, L, m, m)),
            np.empty((B, L), dtype=bool))
-    for members in groups.values():
-        leaf = leaves[members[0]]
-
+    for leaf, members in groups.items():
         def stack(arr):  # leaf-major rows of the group
             return np.concatenate([arr[:, i] for i in members], axis=0)
 
-        solved = solve_midpoint(leaf.spec, 0.0, leaf.t1 - leaf.t0, leaf.settings, stack(b),
-                                stack(z))
+        solved = solve_midpoint(leaf.spec, leaf.span, leaf.settings, stack(b), stack(z))
         for dst, src in zip(out, solved):
             dst[:, members] = np.swapaxes(src.reshape((len(members), B) + src.shape[1:]), 0, 1)
     return out

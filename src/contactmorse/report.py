@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import RunConfig
+from .config import SCHEMA_VERSION, RunConfig
 from .translated import SweepReport, TranslatedPointRecord, bound_threshold, record_sort_key
 
 
@@ -70,7 +70,7 @@ def report_text(report: RunReport) -> str:
     sweep = report.sweep
     lines = [
         "contactmorse run report",
-        f"schema_version = {cfg.raw.get('schema_version', 1)}",
+        f"schema_version = {SCHEMA_VERSION}",
         f"config_hash = {cfg.config_hash()}",
         f"config = {cfg.canonical_json()}",
         f"n = {cfg.n}",

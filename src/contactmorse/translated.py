@@ -109,8 +109,6 @@ class SweepParams:
 
     mode: str = "sphere"  # sphere | projective
     routes: str = "both"  # direct | genfun | both
-    rotation_pieces: int = 4
-    subdivision_delta: float = 1.0
     sphere_count: int = 0  # 0: 128 n (sphere_seed_count)
     t_count: int = 64
     keep_per_seed: int = 4
@@ -535,6 +533,12 @@ def _greedy_pick(free: np.ndarray, close: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Rotation links k of A_t, in the genfun route and in the reported index
+# data: each link turns by -t/k of a Hopf circle, so A_t is defined for
+# |t| < k/2 (rotation_coefficients).
+ROTATION_PIECES = 4
+
+
 class ShiftedGenFunFamily:
     """The family F_t = F_phi # A_t generating the lift of a_t o phi.
 
@@ -844,14 +848,16 @@ def index_data(n: int, k: int) -> dict:
     }
 
 
-def build_phi_genfun(
-    spec: ContactHamiltonianSpec,
-    settings: IntegratorSettings,
-    delta: float,
-) -> tuple[ChainGF, list[tuple[float, float]]]:
-    """Generating function of phi: the chain of the subdivided isotopy's pieces."""
-    schedule = subdivide_c1_small(spec, 0.0, 1.0, delta, settings)
-    return gfm.flow_chain(spec, schedule, settings), schedule
+# C^1 bound delta of the pieces of phi's isotopy (subdivide_c1_small): a
+# solved midpoint of such a leaf has |z| <= |b| / (1 - delta/2) = 2|b|, far
+# inside the leaf test's bound (genfun._LEAF_GROWTH).
+_C1_DELTA = 1.0
+
+
+def build_phi_genfun(spec: ContactHamiltonianSpec, settings: IntegratorSettings) -> ChainGF:
+    """Generating function of phi: the chain of the equal C^1-small pieces
+    of its isotopy (subdivide_c1_small)."""
+    return gfm.flow_chain(spec, subdivide_c1_small(spec, _C1_DELTA, settings), settings)
 
 
 def pair_records(a, b, ang_tol: float, t_tol: float, antipodal: bool = False):
@@ -1005,11 +1011,11 @@ def sweep_and_count(
         return direct_translated_points(spec, settings, **grid, seeds=seeds), {}
 
     def genfun():
-        f_phi, schedule = build_phi_genfun(spec, settings, params.subdivision_delta)
-        family = ShiftedGenFunFamily(f_phi, spec.n, params.rotation_pieces)
+        f_phi = build_phi_genfun(spec, settings)
+        family = ShiftedGenFunFamily(f_phi, spec.n, ROTATION_PIECES)
         res = find_critical_rays(family, spec, settings, **grid, seeds=seeds)
         return res, {"genfun_inconsistent": len(res.inconsistent),
-                     "subdivision_pieces": len(schedule), "total_space_dim": family.dim}
+                     "subdivision_pieces": len(f_phi.links), "total_space_dim": family.dim}
 
     routes = {"direct": direct, "genfun": genfun}
     names = list(routes) if params.routes == "both" else [params.routes]

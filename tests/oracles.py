@@ -19,7 +19,7 @@ so each spec compiles once into exponent/coefficient tables and evaluation is
 a couple of gathers plus one matrix product, batched over points.
 
 bisect_c1_small is the C^1 subdivision with one probe per interval, the
-reference for the library's memoised probes of autonomous specs.
+reference for the library's piece count, which probes each level once.
 
 Reference integrator.  reference_flow runs the DOP853 scheme of
 flow.integrate_flow on the library's compiled tables, one numpy call per
@@ -305,9 +305,10 @@ def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def bisect_c1_small(spec, t0: float, t1: float, delta: float, settings):
-    """Reference subdivision: the bisection of flow.subdivide_c1_small, with
-    its arguments and piece cap, and one c1_distance probe per interval it
-    visits, whatever the spec."""
+    """Reference subdivision: the bisection of [t0, t1] that
+    flow.subdivide_c1_small counts, with its delta, settings and piece cap,
+    and one c1_distance probe per interval it visits, whatever the spec.
+    Returns the pieces (a, b) in order."""
     from contactmorse.sampling import subdivision_probe_points
 
     probe_settings = flow.IntegratorSettings(steps_per_unit=min(settings.steps_per_unit, 16))
@@ -316,7 +317,7 @@ def bisect_c1_small(spec, t0: float, t1: float, delta: float, settings):
     stack = [(t0, t1)]
     while stack:
         a, b = stack.pop()
-        if flow.c1_distance(spec, a, b, probe_settings, samples) < delta:
+        if flow.c1_distance(spec, b - a, probe_settings, samples) < delta:
             pieces.append((a, b))
         else:
             if (b - a) * flow._MAX_PIECES < (t1 - t0):
@@ -551,7 +552,7 @@ def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: 
     shape (t_count, sample_count), for F_t the chain of the isotopy's pieces
     up to time t.
 
-    F_t clamps each piece [a, b] of the schedule to [min(a, t), min(b, t)]:
+    F_t clamps each piece [a, b] of the subdivision to [min(a, t), min(b, t)]:
     it generates the isotopy's time-t map, and the pieces ahead of t
     degenerate to the identity but stay in the chain, so the total space
     does not change with t, which is what makes dF_t/dt meaningful
@@ -561,8 +562,9 @@ def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: 
     (the lift eval_lift there) must be all positive or all negative; raises
     ValueError otherwise.
     """
-    schedule = flow.subdivide_c1_small(spec, 0.0, 1.0, delta, settings)
-    samples = sphere_points(sample_count, flow_chain(spec, schedule, settings).total_dim,
+    pieces = flow.subdivide_c1_small(spec, delta, settings)
+    schedule = [(i / pieces, (i + 1) / pieces) for i in range(pieces)]
+    samples = sphere_points(sample_count, flow_chain(spec, pieces, settings).total_dim,
                             seed=0.3)
     knots = np.array([a for a, _ in schedule] + [1.0])
     t_grid = (np.arange(t_count) + 0.5) / t_count
@@ -577,7 +579,7 @@ def monotonicity_probe_values(spec, settings, delta: float = 1.0, sample_count: 
         raise ValueError("Hamiltonian is not sign-definite on the sphere sample set")
 
     def clamped_chain(t):
-        return ChainGF(LeafGF(spec, min(a, t), min(b, t), settings) for a, b in schedule)
+        return ChainGF(LeafGF(spec, min(b, t) - min(a, t), settings) for a, b in schedule)
 
     probes = np.zeros((t_count, sample_count))
     for i, t in enumerate(t_grid):

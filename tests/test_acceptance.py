@@ -97,8 +97,8 @@ def _composition_check(first, second, oracle_map, points, tol=1e-7):
 def test_criterion_3_composition_formula():
     rng = np.random.default_rng(7)
     pts = sphere_points(32, 4)
-    pert_leaf = LeafGF(SPHERE_CORPUS, 0.0, 0.1, SETTINGS)
-    second_leaf = LeafGF(SPHERE_CORPUS, 0.1, 0.2, SETTINGS)
+    pert_leaf = LeafGF(SPHERE_CORPUS, 0.1, SETTINGS)
+    second_leaf = LeafGF(SPHERE_CORPUS, 0.1, SETTINGS)
 
     def rot_map(tval):
         return lambda z: to_real(np.exp(-2j * np.pi * tval) * to_complex(z))
@@ -134,12 +134,12 @@ def test_criterion_4_homogeneity_and_critical_value():
     rng = np.random.default_rng(11)
     worst_hom = 0.0
     # a representative family of constructed generating functions
-    f_phi, _ = tp.build_phi_genfun(SPHERE_CORPUS, SETTINGS, 1.0)
+    f_phi = tp.build_phi_genfun(SPHERE_CORPUS, SETTINGS)
     family = tp.ShiftedGenFunFamily(f_phi, 2, 4)
     gfs = [
         rotation_leaf(0.2, 2),
         build_rotation_family(0.7, 2, 4).genfun,
-        gf_compose(rotation_leaf(0.1, 2), LeafGF(SPHERE_CORPUS, 0.0, 0.1, SETTINGS)),
+        gf_compose(rotation_leaf(0.1, 2), LeafGF(SPHERE_CORPUS, 0.1, SETTINGS)),
         f_phi,
         gf_compose(f_phi, build_rotation_family(0.3, 2, 4).genfun),
     ]
@@ -292,7 +292,7 @@ def test_criterion_10_z2_layer():
         minus, _ = integrate_flow(spec, -z, 0.0, 1.0, SETTINGS, with_jacobian=False)
         worst_eq = max(worst_eq, float(np.max(np.linalg.norm(plus + minus, axis=1))))
         # the generating function is even: |F(-x) - F(x)| / |x|^2
-        gf, _ = tp.build_phi_genfun(spec, SETTINGS, 1.0)
+        gf = tp.build_phi_genfun(spec, SETTINGS)
         x = sphere_points(64, gf.total_dim, seed=0.75)
         vp, _, _, okp = solved_chain(gf, x)
         vm, _, _, okm = solved_chain(gf, -x)

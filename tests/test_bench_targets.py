@@ -137,7 +137,7 @@ def test_traced_genfun_route_integrates_leaves_once_per_outer_iteration(
     tracer = spans.Tracer()
     spans.install(tracer)
 
-    f_phi, _ = tp.build_phi_genfun(sphere_corpus_spec, settings, 1.0)
+    f_phi = tp.build_phi_genfun(sphere_corpus_spec, settings)
     family = tp.ShiftedGenFunFamily(f_phi, 2, 4)
     tp.find_critical_rays(family, sphere_corpus_spec, settings, sphere_count=8, t_count=8,
                           keep_per_seed=1)

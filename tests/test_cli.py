@@ -18,6 +18,8 @@ from contactmorse.translated import SweepParams
 from oracles import csv_writer_records
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 MINIMAL = {"n": 2, "mode": "sphere", "hamiltonian": {"quadratic": [0.3, 0.7]}}
 
 
@@ -45,7 +47,7 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config(dict(MINIMAL))
     assert cfg.n == 2
     assert cfg.params.routes == "both"
-    assert cfg.params.rotation_pieces == 4
+    assert translated.ROTATION_PIECES == 4
     assert cfg.params.sphere_count == 256
     assert cfg.params.t_count == 64
     assert translated._NEWTON_TOL == 1e-10
@@ -63,8 +65,7 @@ def test_every_sweep_param_has_one_json_key():
     for location, name in cfgm._SCALARS.items():
         if name in ("mode", "routes") or not hasattr(base, name):
             continue  # str choices, or a RunConfig field
-        default = getattr(base, name)
-        value = 2 * default if isinstance(default, float) else default + 3
+        value = getattr(base, name) + 3
         data = json.loads(json.dumps(MINIMAL))
         section, _, key = location.rpartition(".")
         (data.setdefault(section, {}) if section else data)[key] = value
@@ -83,10 +84,14 @@ def test_unknown_keys_rejected():
 
 
 def test_rotation_pieces_validated():
-    bad = dict(MINIMAL)
-    bad["rotation_pieces"] = 2
-    with pytest.raises(ConfigError, match="rotation_pieces"):
-        parse_config(bad)
+    """The rotation links and the C^1 bound are constants of the genfun
+    route: a config that sets either, even to its value, names an unknown
+    key."""
+    for key, value in (("rotation_pieces", 4), ("subdivision_delta", 1.0)):
+        bad = dict(MINIMAL)
+        bad[key] = value
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            parse_config(bad)
 
 
 def test_projective_requires_symmetry():
@@ -345,6 +350,12 @@ def test_records_csv_matches_csv_writer():
         # the Hamiltonian is autonomous: no time profile, not even the former default
         ("time_profile", {"hamiltonian": {**_corpus_config()["hamiltonian"],
                                           "time_profile": "constant"}}),
+        # True == 1.0 == 1, but only the int is the schema version
+        ("schema_version", {"schema_version": True}),
+        ("schema_version", {"schema_version": 1.0}),
+        # former genfun knobs, each at its former default
+        ("rotation_pieces", {"rotation_pieces": 4}),
+        ("subdivision_delta", {"subdivision_delta": 1.0}),
     ],
 )
 def test_cli_rejects_zero_counts(tmp_path, capsys, field, over):
@@ -353,6 +364,43 @@ def test_cli_rejects_zero_counts(tmp_path, capsys, field, over):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, number", [
+    ("hamiltonian.perturbations[1].amplitude", "NaN"),
+    ("hamiltonian.perturbations[1].amplitude", "1e999"),
+    ("hamiltonian.perturbations[1].amplitude", "-Infinity"),
+    ("hamiltonian.perturbations[1].amplitude", "1" + "0" * 400),
+    ("hamiltonian.quadratic", "1" + "0" * 400),
+], ids=["amplitude-nan", "amplitude-inf", "amplitude-minus-inf", "amplitude-huge-int",
+        "quadratic-huge-int"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, field, number):
+    """json reads NaN, infinities and integers beyond the float range as
+    numbers; a Hamiltonian number that is not a finite float fails like any
+    bad field, not with a traceback."""
+    cfg = _corpus_config()
+    if field == "hamiltonian.quadratic":
+        cfg["hamiltonian"]["quadratic"][0] = "NUMBER"
+    else:
+        cfg["hamiltonian"]["perturbations"][1]["amplitude"] = "NUMBER"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"NUMBER"', number))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_config_key_is_set_by_a_committed_config():
+    """A scalar key that no file in configs/ sets is a knob that only tests
+    turn: it belongs in the program as a constant."""
+    configs = [json.loads(path.read_text()) for path in CONFIGS.glob("*.json")]
+    assert configs
+
+    def sets(data, location):
+        section, _, key = location.rpartition(".")
+        return key in (data.get(section, {}) if section else data)
+
+    assert [loc for loc in cfgm._SCALARS if not any(sets(c, loc) for c in configs)] == []
 
 
 def test_timings_list_every_stage(tmp_path, monkeypatch):

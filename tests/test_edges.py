@@ -18,7 +18,7 @@ def test_route_equivalence_n1(settings):
     assert not rep.continuum_suspected
     assert rep.sphere_count >= 2
     assert all(r.route == "both" for r in rep.records)
-    assert tp.index_data(1, params.rotation_pieces)["jump"] == 2
+    assert tp.index_data(1, tp.ROTATION_PIECES)["jump"] == 2
 
 
 def test_direct_route_n3(settings):
@@ -42,19 +42,16 @@ def test_single_piece_subdivision_roundtrip(settings):
     # on F_phi at all)
     spec = ham.ContactHamiltonianSpec(
         n=2,
-        quadratic=(0.04, 0.07),
+        quadratic=(0.02, 0.035),
         terms=(
-            ham.PerturbationTerm(0.02, (2, 0), (1, 0)),
-            ham.PerturbationTerm(0.02, (0, 2), (0, 1)),
+            ham.PerturbationTerm(0.01, (2, 0), (1, 0)),
+            ham.PerturbationTerm(0.01, (0, 2), (0, 1)),
         ),
     )
-    f_phi, schedule = tp.build_phi_genfun(spec, settings, 2.0)
-    assert len(schedule) == 1
+    f_phi = tp.build_phi_genfun(spec, settings)
+    assert len(f_phi.links) == 1
     assert f_phi.fiber_dim == 0
-    params = tp.SweepParams(
-        routes="both", subdivision_delta=2.0, sphere_count=48, t_count=24,
-        keep_per_seed=3,
-    )
+    params = tp.SweepParams(routes="both", sphere_count=48, t_count=24, keep_per_seed=3)
     rep = tp.sweep_and_count(spec, params, settings)
     assert not rep.continuum_suspected
     assert rep.sphere_count >= 2

@@ -162,17 +162,12 @@ def test_conformal_factor_matches_pullback_oracle(settings):
 
 def test_subdivision_examples(settings):
     zero = ham.ContactHamiltonianSpec(n=2, quadratic=(0.0, 0.0))
-    assert flow.subdivide_c1_small(zero, 0.0, 1.0, 0.5, settings) == [(0.0, 1.0)]
+    assert flow.subdivide_c1_small(zero, 0.5, settings) == 1
 
     reeb = ham.ContactHamiltonianSpec(n=2, quadratic=(1.0, 1.0))
-    pieces = flow.subdivide_c1_small(reeb, 0.0, 1.0, 0.5, settings)
-    assert len(pieces) >= 8
-    assert pieces[0][0] == 0.0 and pieces[-1][1] == 1.0
-    for (a, b), (c, _) in zip(pieces, pieces[1:]):
-        assert b == c
-
-    tiny = flow.subdivide_c1_small(reeb, 0.0, 1e-4, 0.5, settings)
-    assert tiny == [(0.0, 1e-4)]
+    pieces = flow.subdivide_c1_small(reeb, 0.5, settings)
+    assert pieces >= 8
+    assert pieces & (pieces - 1) == 0  # a power of 2
 
 
 def test_subdivision_pieces_meet_criterion(settings):
@@ -180,59 +175,60 @@ def test_subdivision_pieces_meet_criterion(settings):
     from contactmorse.sampling import subdivision_probe_points
 
     samples = subdivision_probe_points(2)
-    pieces = flow.subdivide_c1_small(spec, 0.0, 1.0, 1.0, settings)
+    pieces = flow.subdivide_c1_small(spec, 1.0, settings)
     probe = flow.IntegratorSettings(steps_per_unit=64)
-    for a, b in pieces:
-        assert flow.c1_distance(spec, a, b, probe, samples) < 1.0
+    assert flow.c1_distance(spec, 1.0 / pieces, probe, samples) < 1.0
 
 
 def test_subdivision_cap(monkeypatch):
     monkeypatch.setattr(flow, "_MAX_PIECES", 64)
     reeb = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
     with pytest.raises(RuntimeError):
-        flow.subdivide_c1_small(reeb, 0.0, 1.0, 1e-4)
+        flow.subdivide_c1_small(reeb, 1e-4)
     # a NaN distance never passes, so the halving runs into the cap
     monkeypatch.setattr(flow, "c1_distance", lambda *args: np.nan)
     with pytest.raises(RuntimeError, match="piece cap"):
-        flow.subdivide_c1_small(reeb, 0.0, 1.0, 0.5)
+        flow.subdivide_c1_small(reeb, 0.5)
 
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Records the (t0, t1) of every c1_distance call."""
+    """Records the span of every c1_distance call."""
     calls = []
     inner = flow.c1_distance
 
-    def counting(spec, t0, t1, *args):
-        calls.append((t0, t1))
-        return inner(spec, t0, t1, *args)
+    def counting(spec, span, *args):
+        calls.append(span)
+        return inner(spec, span, *args)
 
     monkeypatch.setattr(flow, "c1_distance", counting)
     return calls
 
 
-@pytest.mark.parametrize("case", ["corpus", "offset"])
-def test_subdivision_matches_bisection_reference(case, sphere_corpus_spec, probes):
-    """The schedule probes each level of halving once, and keeps the bits of
-    the reference's probe per interval."""
-    t0, t1 = (0.0, 1.0) if case == "corpus" else (0.3, 1.45)
+@pytest.mark.parametrize("case", ["corpus", "rp3"])
+def test_subdivision_matches_bisection_reference(case, request, probes):
+    """The piece count probes each level of halving once, and its pieces
+    (i/L, (i + 1)/L) are the reference's, with one probe per interval, bit
+    for bit."""
+    spec = request.getfixturevalue({"corpus": "sphere_corpus_spec", "rp3": "rp3_corpus_spec"}[case])
     settings = flow.IntegratorSettings()
-    pieces = flow.subdivide_c1_small(sphere_corpus_spec, t0, t1, 1.0, settings)
+    pieces = flow.subdivide_c1_small(spec, 1.0, settings)
     levels = len(probes)
     probes.clear()
-    ref = bisect_c1_small(sphere_corpus_spec, t0, t1, 1.0, settings)
-    assert pieces == ref and len(pieces) > 1
-    assert all(x.hex() == y.hex() for p, r in zip(pieces, ref) for x, y in zip(p, r))
+    ref = bisect_c1_small(spec, 0.0, 1.0, 1.0, settings)
+    equal = [(i / pieces, (i + 1) / pieces) for i in range(pieces)]
+    assert equal == ref and pieces > 1
+    assert all(x.hex() == y.hex() for p, r in zip(equal, ref) for x, y in zip(p, r))
     assert len(probes) == 2 * len(ref) - 1
-    assert len(pieces) == 2 ** (levels - 1)
+    assert pieces == 2 ** (levels - 1)
 
 
 def test_subdivision_probes_once_per_dyadic_level(sphere_corpus_spec, probes):
-    """The corpus schedule on [0, 1] is 16 pieces of 1/16: bisection visits
-    31 intervals on 5 levels, and the schedule probes each level once."""
-    pieces = flow.subdivide_c1_small(sphere_corpus_spec, 0.0, 1.0, 1.0, flow.IntegratorSettings())
-    assert len(pieces) == 16
-    assert [b - a for a, b in probes] == [1.0, 0.5, 0.25, 0.125, 0.0625]
+    """The corpus flow is 16 pieces of 1/16: bisection visits 31 intervals
+    on 5 levels, and the piece count probes each level once."""
+    pieces = flow.subdivide_c1_small(sphere_corpus_spec, 1.0, flow.IntegratorSettings())
+    assert pieces == 16
+    assert probes == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
 def test_calibration_sweep_agrees(fast_settings, monkeypatch):
@@ -297,9 +293,9 @@ def test_corpus_schedule_takes_one_step_per_leaf(sphere_corpus_spec):
     """At the default density, delta = 1.0 splits the corpus flow into 16
     pieces, each integrated in one step."""
     default = flow.IntegratorSettings()
-    pieces = flow.subdivide_c1_small(sphere_corpus_spec, 0.0, 1.0, 1.0, default)
-    assert pieces == [(i / 16, (i + 1) / 16) for i in range(16)]
-    assert {default.steps_for(b - a) for a, b in pieces} == {1}
+    pieces = flow.subdivide_c1_small(sphere_corpus_spec, 1.0, default)
+    assert pieces == 16
+    assert default.steps_for(1.0 / pieces) == 1
 
 
 def _n3_mixed_spec():

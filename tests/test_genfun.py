@@ -37,9 +37,9 @@ def _perturbed_spec():
     )
 
 
-def _leaf(spec, t0, t1, settings):
-    """The one-link chain of the flow piece over [t0, t1]."""
-    return gfm.ChainGF((gfm.LeafGF(spec, t0, t1, settings),))
+def _leaf(spec, span, settings):
+    """The one-link chain of the flow piece over span."""
+    return gfm.ChainGF((gfm.LeafGF(spec, span, settings),))
 
 
 def _tau_graph_check(gf, spec_or_map, z, settings, tol):
@@ -65,7 +65,7 @@ def _tau_graph_check(gf, spec_or_map, z, settings, tol):
 
 def test_identity_leaf(settings, rng):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.0, 0.0))
-    leaf = _leaf(spec, 0.0, 1.0, settings)
+    leaf = _leaf(spec, 1.0, settings)
     b = rng.normal(size=(5, 4))
     val, grad, _, ok = solved_chain(leaf, b)
     assert ok.all()
@@ -76,7 +76,7 @@ def test_identity_leaf(settings, rng):
 def test_leaf_rotation_closed_form(settings, rng):
     # a_{1/8} (h == -1 over [0, 1/8]) has Q(b) = -tan(pi/8) |b|^2
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(-1.0,))
-    leaf = _leaf(spec, 0.0, 0.125, settings)
+    leaf = _leaf(spec, 0.125, settings)
     b = rng.normal(size=(8, 2))
     val, grad, _, ok = solved_chain(leaf, b)
     assert ok.all()
@@ -86,7 +86,7 @@ def test_leaf_rotation_closed_form(settings, rng):
 
 
 def test_leaf_gradient_matches_fd(settings, rng):
-    leaf = _leaf(_perturbed_spec(), 0.0, 0.08, settings)
+    leaf = _leaf(_perturbed_spec(), 0.08, settings)
     for _ in range(3):
         b = rng.normal(size=4)
         _, grad, _, ok = solved_chain(leaf, b[None])
@@ -102,7 +102,7 @@ def test_leaf_newton_failure_raises(settings, monkeypatch):
     # only on paper: the growth guard _LEAF_GROWTH flags the row, and
     # without it the row would pass the residual test.
     spec = ham.ContactHamiltonianSpec(n=1, quadratic=(1.0,))
-    leaf = _leaf(spec, 0.0, 0.5, settings)
+    leaf = _leaf(spec, 0.5, settings)
     b = np.array([[1.0, 0.0]])
     assert not solved_chain(leaf, b)[3].any()
     monkeypatch.setattr(gfm, "_LEAF_GROWTH", np.inf)
@@ -113,7 +113,7 @@ def test_leaf_newton_failure_raises(settings, monkeypatch):
 
 
 def _midpoint_problem(settings, rng, rows=6):
-    leaf = _leaf(_perturbed_spec(), 0.0, 0.08, settings)
+    leaf = _leaf(_perturbed_spec(), 0.08, settings)
     b = rng.normal(size=(rows, 4))
     return leaf, b
 
@@ -147,10 +147,10 @@ def _integrate_once(leaf, b, z, integrations):
     of every row, at z, whose Phi and DPhi it returns."""
     piece = leaf.links[0]
     integrations.clear()
-    z1, Zv, jac, ok = gfm.solve_midpoint(piece.spec, piece.t0, piece.t1, piece.settings, b, z)
+    z1, Zv, jac, ok = gfm.solve_midpoint(piece.spec, piece.span, piece.settings, b, z)
     assert len(integrations) == 1 and integrations[0].shape[0] == b.shape[0]
     assert ok.all() and np.array_equal(z1, z)
-    Zr, jr = integrate_flow(piece.spec, z, piece.t0, piece.t1, piece.settings)
+    Zr, jr = integrate_flow(piece.spec, z, 0.0, piece.span, piece.settings)
     assert np.array_equal(Zv, Zr) and np.array_equal(jac, jr)
     return gfm._leaf_solved(z1, 0.5 * (z1 + Zv), b)
 
@@ -205,9 +205,9 @@ def test_zero_span_is_the_identity(settings, sphere_corpus_spec, rng):
     for t in (0.0, 0.375):
         z1, jac = integrate_flow(sphere_corpus_spec, b, t, t, settings)
         assert np.array_equal(z1, b) and np.array_equal(jac, np.broadcast_to(np.eye(4), jac.shape))
-        z, Z, jac, ok = gfm.solve_midpoint(sphere_corpus_spec, t, t, settings, b, b)
-        assert ok.all() and np.array_equal(z, b) and np.array_equal(Z, b)
-        assert np.array_equal(jac, np.broadcast_to(np.eye(4), jac.shape))
+    z, Z, jac, ok = gfm.solve_midpoint(sphere_corpus_spec, 0.0, settings, b, b)
+    assert ok.all() and np.array_equal(z, b) and np.array_equal(Z, b)
+    assert np.array_equal(jac, np.broadcast_to(np.eye(4), jac.shape))
 
 
 # --- rotation quadratics ---------------------------------------------------
@@ -241,8 +241,8 @@ def test_rotation_quadratic_generates_rotation(rng):
 
 def test_compose_identity_reduces_to_zero_section(settings, rng):
     spec = ham.ContactHamiltonianSpec(n=2, quadratic=(0.0, 0.0))
-    leaf1 = gfm.LeafGF(spec, 0.0, 0.5, settings)
-    leaf2 = gfm.LeafGF(spec, 0.5, 1.0, settings)
+    leaf1 = gfm.LeafGF(spec, 0.5, settings)
+    leaf2 = gfm.LeafGF(spec, 0.5, settings)
     comp = gfm.gf_compose(leaf1, leaf2)
     z = rng.normal(size=(6, 4))
     _tau_graph_check(comp, lambda w: w, z, settings, 1e-9)
@@ -258,7 +258,7 @@ def test_compose_two_rotations(rng):
 
 def test_compose_homogeneity(settings, rng):
     spec = _perturbed_spec()
-    leaf = gfm.LeafGF(spec, 0.0, 0.08, settings)
+    leaf = gfm.LeafGF(spec, 0.08, settings)
     comp = gfm.gf_compose(rotation_leaf(0.1, 2), leaf)
     x = rng.normal(size=(5, comp.total_dim))
     v1, _, _, ok = solved_chain(comp, x)
@@ -290,7 +290,7 @@ def test_quadratic_dag_matches_assembled_matrix(rng):
 
 def test_gf_grad_matches_fd(settings, rng):
     spec = _perturbed_spec()
-    leaf = gfm.LeafGF(spec, 0.0, 0.08, settings)
+    leaf = gfm.LeafGF(spec, 0.08, settings)
     comp = gfm.gf_compose(leaf, rotation_leaf(0.15, 2))
     x = rng.normal(size=comp.total_dim)
     _, grad, _, ok = solved_chain(comp, x[None])
@@ -335,13 +335,13 @@ def test_rotation_family_matrices_continuous_in_t():
 def test_generating_property_full_isotopy(settings):
     """Reduction of the composed F_phi coincides with tau(graph Phi)."""
     spec = _perturbed_spec()
-    gf, _ = build_phi_genfun(spec, settings, 1.0)
+    gf = build_phi_genfun(spec, settings)
     _tau_graph_check(gf, spec, sphere_points(32, 4), settings, 1e-7)
 
 
 def test_chain_seed_lies_on_fiber_critical_set(settings):
     spec = _perturbed_spec()
-    gf, _ = build_phi_genfun(spec, settings, 1.0)
+    gf = build_phi_genfun(spec, settings)
     z = sphere_points(8, 4)
     Z, _ = integrate_flow(spec, z, 0.0, 1.0, settings, with_jacobian=False)
     fib, z_out, midpoints = gf.chain_seed(z)
@@ -419,8 +419,8 @@ def test_chain_matches_nested_reference(case, sphere_corpus_spec, settings, rng)
             gf = build_rotation_family(t, 1, 4).genfun
             _assert_chain_matches_nested(gf, rng.normal(size=(4, gf.total_dim)))
         return
-    f_phi, schedule = build_phi_genfun(sphere_corpus_spec, settings, 1.0)
-    assert len(schedule) == 16
+    f_phi = build_phi_genfun(sphere_corpus_spec, settings)
+    assert len(f_phi.links) == 16
     x = rng.normal(size=(6, f_phi.total_dim))
     _assert_chain_matches_nested(f_phi, x / np.linalg.norm(x, axis=1, keepdims=True))
 
@@ -443,7 +443,7 @@ def test_rotation_family_inertia_matches_nested_reference():
 
 
 def test_family_hessian_rows_are_batch_independent(sphere_corpus_spec, settings, rng):
-    f_phi, _ = build_phi_genfun(sphere_corpus_spec, settings, 1.0)
+    f_phi = build_phi_genfun(sphere_corpus_spec, settings)
     family = ShiftedGenFunFamily(f_phi, 2, 4)
     x = rng.normal(size=(128, family.dim))
     x /= np.linalg.norm(x, axis=1, keepdims=True)

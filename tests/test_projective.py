@@ -73,12 +73,12 @@ def test_invariance_quadratic_dag(rng):
 
 
 def test_invariance_equivariant_leaf_family(settings, rp3_corpus_spec):
-    gf, _ = tp.build_phi_genfun(rp3_corpus_spec, settings, 1.0)
+    gf = tp.build_phi_genfun(rp3_corpus_spec, settings)
     assert _invariance_defect(gf) < 1e-8
 
 
 def test_conicality_negative_lambda(settings, rp3_corpus_spec):
-    gf, _ = tp.build_phi_genfun(rp3_corpus_spec, settings, 1.0)
+    gf = tp.build_phi_genfun(rp3_corpus_spec, settings)
     x = sphere_points(8, gf.total_dim, seed=0.6)
     vp, _, _, okp = solved_chain(gf, x)
     lam = -1.7

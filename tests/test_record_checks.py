@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from contactmorse import cli
+from contactmorse import hamiltonian as ham
 from contactmorse import translated as tp
 from contactmorse.config import load_config
 from contactmorse.flow import IntegratorSettings
@@ -78,14 +79,17 @@ def _run(config, out, *args):
     return q, t, rows, (out / "report.txt").read_text().splitlines()
 
 
-def _pencil_pairs(config, q, t):
-    """Bool table (records, roots): record i of (q, t), from a run of the
-    quadratic-form config, lies within 1e-12 of root j of its pencil in q
-    (up to sign) and in t.  Every root is simple, so it has a q."""
+def _spec_and_settings(config):
     cfg = load_config(config)
-    points = linear_translated_points(
-        cfg.hamiltonian, IntegratorSettings(steps_per_unit=cfg.steps_per_unit))
-    assert len(points) == 2 * cfg.n and all(m == 1 for _, _, m in points)
+    return cfg.hamiltonian, IntegratorSettings(steps_per_unit=cfg.steps_per_unit)
+
+
+def _pencil_pairs(spec, settings, q, t):
+    """Bool table (records, roots): record i of (q, t), found for the
+    quadratic-form spec, lies within 1e-12 of root j of its pencil in q (up
+    to sign) and in t.  Every root is simple, so it has a q."""
+    points = linear_translated_points(spec, settings)
+    assert len(points) == 2 * spec.n and all(m == 1 for _, _, m in points)
     pq = np.array([p[0] for p in points])
     pt = np.array([p[1] for p in points])
     dq = np.minimum(np.abs(q[:, None] - pq[None]).max(axis=2),
@@ -100,7 +104,7 @@ def test_rp3_records_are_the_pencil_points(tmp_path):
     root is the antipodal class of exactly two records."""
     config = CONFIGS / "rp3-sym-eps0.05.json"
     q, t, _, _ = _run(config, tmp_path / "out")
-    close = _pencil_pairs(config, q, t)
+    close = _pencil_pairs(*_spec_and_settings(config), q, t)
     assert np.all(close.sum(axis=1) == 1)
     assert np.all(close.sum(axis=0) == 2)
 
@@ -122,7 +126,7 @@ def test_coupled_linear_spec_records_are_the_pencil_points(tmp_path):
         assert line in report, line
     assert len(rows) == 8 and all(r["route"] == "both" for r in rows)
     assert np.all(np.abs(to_complex(q)).min(axis=1) > 0.04)
-    close = _pencil_pairs(config, q, t)
+    close = _pencil_pairs(*_spec_and_settings(config), q, t)
     assert np.all(close.sum(axis=1) == 1)
     assert np.all(close.sum(axis=0) == 2)
     cfg = load_config(config)
@@ -130,6 +134,29 @@ def test_coupled_linear_spec_records_are_the_pencil_points(tmp_path):
     sign, _ = np.linalg.slogdet(M)
     assert sign.tolist() == [1, 1, -1, -1, 1, 1, -1, -1]
     assert np.max(np.linalg.cond(M)) < 1e3
+
+
+def test_n3_linear_spec_records_are_the_pencil_points():
+    """An RP^5 quadratic form, the diagonal (0.2, 0.45, 0.7) plus
+    0.05 Re(z_j^2) for each j: the direct route's 12 records are
+    non-degenerate, each lies within 1e-12 of one of the 6 simple pencil
+    roots, each root is two records, and the signs of det M sum to 0."""
+    spec = ham.ContactHamiltonianSpec(n=3, quadratic=(0.2, 0.45, 0.7), terms=tuple(
+        ham.PerturbationTerm(0.05, tuple(2 * (i == j) for i in range(3)), (0, 0, 0))
+        for j in range(3)))
+    settings = IntegratorSettings()
+    res = tp.direct_translated_points(spec, settings, sphere_count=96, t_count=32,
+                                      keep_per_seed=4)
+    records = res.records
+    assert not res.continuum_suspected and len(records) == 12
+    assert all(r.nondegenerate is True for r in records)
+    q = np.array([r.q for r in records])
+    t = np.array([r.t for r in records])
+    close = _pencil_pairs(spec, settings, q, t)
+    assert np.all(close.sum(axis=1) == 1)
+    assert np.all(close.sum(axis=0) == 2)
+    sign, _ = np.linalg.slogdet(_direct_newton_matrix(spec, settings, q, t))
+    assert sign.sum() == 0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -147,7 +174,7 @@ def test_bench_rp3_records_are_the_pencil_points(seed, tmp_path, monkeypatch):
     config.write_text(workloads.bench_config_text("rp3-symmetric", seed))
     q, t, rows, _ = _run(config, tmp_path / "out", "--routes", "direct")
     assert len(rows) == 8
-    close = _pencil_pairs(config, q, t)
+    close = _pencil_pairs(*_spec_and_settings(config), q, t)
     assert np.all(close.sum(axis=1) == 1)
     assert np.all(close.sum(axis=0) == 2)
 

@@ -185,7 +185,7 @@ def test_route_equivalence_small(settings, sphere_corpus_spec):
     assert all(r.route == "both" for r in report.records)
     assert report.route_stats["matched"] == len(report.records)
     assert report.bound_outcome == "met"
-    assert tp.index_data(2, params.rotation_pieces)["jump"] == 4
+    assert tp.index_data(2, tp.ROTATION_PIECES)["jump"] == 4
     # genfun critical values vanish on the detected rays
     assert all(abs(r.gf_value) < 1e-8 for r in report.records)
 
@@ -208,7 +208,7 @@ def test_concurrent_routes_equal_routes_in_turn(settings, sphere_corpus_spec):
     assert report.disagreement is None
     seeds = tp._prefilter_seeds(sphere_corpus_spec, settings, **TINY)
     direct = tp.direct_translated_points(sphere_corpus_spec, settings, seeds=seeds)
-    family = _corpus_family(sphere_corpus_spec, settings, params.rotation_pieces)
+    family = _corpus_family(sphere_corpus_spec, settings, tp.ROTATION_PIECES)
     genf = tp.find_critical_rays(family, sphere_corpus_spec, settings, seeds=seeds)
     matched, only_d, only_g = tp._match_routes(direct.records, genf.records)
     assert matched and not only_d and not only_g
@@ -280,7 +280,7 @@ def test_records_independent_of_seed_order(route, settings, rp3_corpus_spec):
     grid = dict(sphere_count=64, t_count=16, keep_per_seed=4)
     q, t = tp._prefilter_seeds(rp3_corpus_spec, settings, **grid)
     if route == "genfun":
-        f_phi, _ = tp.build_phi_genfun(rp3_corpus_spec, settings, 1.0)
+        f_phi = tp.build_phi_genfun(rp3_corpus_spec, settings)
         family = tp.ShiftedGenFunFamily(f_phi, 2, 4)
 
     def records(order):
@@ -351,7 +351,7 @@ def test_t_distance_wraparound():
 
 
 def test_genfun_route_verifies_against_direct(settings, sphere_corpus_spec):
-    f_phi, _ = tp.build_phi_genfun(sphere_corpus_spec, settings, 1.0)
+    f_phi = tp.build_phi_genfun(sphere_corpus_spec, settings)
     family = tp.ShiftedGenFunFamily(f_phi, 2, 4)
     res = tp.find_critical_rays(
         family, sphere_corpus_spec, settings, sphere_count=48, t_count=24,
@@ -365,7 +365,7 @@ def test_genfun_route_verifies_against_direct(settings, sphere_corpus_spec):
 
 
 def _corpus_family(spec, settings, k):
-    f_phi, _ = tp.build_phi_genfun(spec, settings, 1.0)
+    f_phi = tp.build_phi_genfun(spec, settings)
     return tp.ShiftedGenFunFamily(f_phi, spec.n, k)
 
 
@@ -513,7 +513,7 @@ def test_genfun_rays_carry_solved_leaves(settings, sphere_corpus_spec, monkeypat
         bases = family.leaf_bases(xr[None])[0]
         assert states[-1].solves(bases[None])[0]
         for leaf, b, z in zip(family.f_phi.links, bases, states[-1].z[0]):
-            z_out, Z_out, _, ok = gfm.solve_midpoint(leaf.spec, leaf.t0, leaf.t1, leaf.settings,
+            z_out, Z_out, _, ok = gfm.solve_midpoint(leaf.spec, leaf.span, leaf.settings,
                                                      b[None], z[None])
             assert ok[0] and gfm._leaf_solved(z_out, 0.5 * (z_out + Z_out), b[None])[0]
             *_, ok, cold = solve_leaves(gfm.ChainGF((leaf,)), b[None],
@@ -926,9 +926,9 @@ def test_genfun_chain_steps_match_nested_reference_on_stress_families(case, sett
     elif case != "one-piece":
         k = int(case[1:])
     if case == "one-piece":
-        f_phi = gfm.flow_chain(spec, [(0.0, 1.0)], settings)
+        f_phi = gfm.flow_chain(spec, 1, settings)
     else:
-        f_phi, _ = tp.build_phi_genfun(spec, settings, 1.0)
+        f_phi = tp.build_phi_genfun(spec, settings)
     family = tp.ShiftedGenFunFamily(f_phi, 2, k)
     rel, cond, backward, rows = _steps_against_nested(family, spec, settings, monkeypatch,
                                                       8, 8, 2)
@@ -987,9 +987,9 @@ def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, sphere_corp
     nudge = (5, 1)  # row 5's Hessian of leaf 2, the first leaf-link pivot
 
     def compute():
-        probes = [flow.c1_distance(spec, a, b, settings, subdivision_probe_points(spec.n))
-                  for a, b in ((0.0, 1.0), (0.0, 0.5), (0.25, 0.3125))]
-        f_phi, schedule = tp.build_phi_genfun(spec, settings, 1.0)
+        probes = [flow.c1_distance(spec, span, settings, subdivision_probe_points(spec.n))
+                  for span in (1.0, 0.5, 0.0625)]
+        f_phi = tp.build_phi_genfun(spec, settings)
         family = tp.ShiftedGenFunFamily(f_phi, spec.n, 4)
         x, warm = family.seed(q, t)
         chain, _ = family._chain(t)
@@ -1000,7 +1000,7 @@ def test_linear_shared_matrices_match_per_row(case, rp3_corpus_spec, sphere_corp
         _, _, cold_tip, ok_tip, _ = gfm.evaluate_stacked(
             chain, tip, cold_leaf_state(family.leaf_bases(tip)))
         _, grad, hess, dgrad, ok_warm, state = family.evaluate(x, t, warm)
-        assert ok.all() and ok_warm.all() and len(schedule) > 1
+        assert ok.all() and ok_warm.all() and len(f_phi.links) > 1
         assert np.flatnonzero(~ok_tip).tolist() == [3]
         F = np.concatenate([grad, 0.5 * (np.sum(x * x, axis=1) - 1.0)[:, None]], axis=1)
         nudged = hess.copy()
