@@ -106,7 +106,10 @@ def _parse_hamiltonian(obj: dict, n: int) -> ContactHamiltonianSpec:
     if not isinstance(quad, list) or len(quad) != n or not all(map(_is_finite_number, quad)):
         raise ConfigError(f"hamiltonian.quadratic must be a list of {n} finite numbers")
     terms = []
-    for i, p in enumerate(obj.get("perturbations", [])):
+    perturbations = obj.get("perturbations", [])
+    if not isinstance(perturbations, list):
+        raise ConfigError(f"hamiltonian.perturbations must be a list, got {perturbations!r}")
+    for i, p in enumerate(perturbations):
         ctx = f"hamiltonian.perturbations[{i}]"
         if not isinstance(p, dict):
             raise ConfigError(f"{ctx} must be an object")
@@ -166,8 +169,8 @@ def parse_config(data: dict) -> RunConfig:
 
         try:
             ProjectiveSpec(ham_spec)
-        except ValueError as exc:
-            raise ConfigError(f"projective mode: {exc}") from exc
+        except ValueError as exc:  # it names perturbations[i]
+            raise ConfigError(f"projective mode: hamiltonian.{exc}") from exc
     return RunConfig(
         n=n,
         hamiltonian=ham_spec,
@@ -180,13 +183,19 @@ def parse_config(data: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON config file.
 
-    Parse errors carry line/column; validation errors name the field.
+    Parse errors carry line/column; validation errors name the field.  A
+    file that is not UTF-8, or JSON nested beyond the parser's recursion
+    limit, is a ConfigError that names the file.
     """
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: byte {exc.start} is {exc.object[exc.start]:#04x}"
+                          ) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: parse error: JSON nested too deeply") from exc
     return parse_config(data)

@@ -115,12 +115,6 @@ class ChainGF:
     def total_dim(self) -> int:
         return self.base_dim + self.fiber_dim
 
-    def map_points(self, z: np.ndarray):
-        """Apply the generated map to points z of shape (B, 2n)."""
-        for link in self.links:
-            z = link.map_points(z)
-        return z
-
     def chain_seed(self, z: np.ndarray):
         """Fiber variables of the canonical fiber-critical point over the
         chain starting at z: returns (fiber (B, fiber_dim), z_out (B, 2n),

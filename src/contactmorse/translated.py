@@ -1000,9 +1000,14 @@ def sweep_and_count(
     route runs in a forked worker (_RouteWorker) meanwhile, so each time in
     route_seconds is that route's own wall time, and the two overlap.  An
     error of the direct route wins over one of the genfun route, as when
-    the direct route ran first.  The Z2 symmetry of a projective spec is
-    checked once, where the config is parsed (config.parse_config).
+    the direct route ran first.  A projective spec must be Z2-symmetric,
+    term by term (projective.ProjectiveSpec): an odd-degree term raises a
+    ValueError before any route runs.
     """
+    if params.mode == "projective":
+        from .projective import ProjectiveSpec, antipodal_classes
+
+        ProjectiveSpec(spec)
     grid = dict(sphere_count=params.sphere_count, t_count=params.t_count,
                 keep_per_seed=params.keep_per_seed)
 
@@ -1063,8 +1068,6 @@ def sweep_and_count(
     if not continuum:
         sphere_count = count = len(records)
         if params.mode == "projective":
-            from .projective import antipodal_classes
-
             projective_count = count = len(antipodal_classes(records))
         if records and all(r.nondegenerate is True for r in records):
             outcome = "met" if count >= bound_threshold(params.mode, spec.n) else "failed"

@@ -213,8 +213,8 @@ def test_mode_override(tmp_path, capsys):
     assert status == cli.EXIT_ERROR
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [
-        "error: projective mode: Hamiltonian is not Z2-symmetric: its odd part has "
-        "coefficient 5.000e-02 on x1^3"]
+        "error: projective mode: hamiltonian.perturbations[0] has odd degree 3: "
+        "the Hamiltonian is not Z2-symmetric"]
 
 
 @pytest.mark.parametrize("count", [1, 5, 7])
@@ -387,6 +387,27 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, field, number):
     path.write_text(json.dumps(cfg).replace('"NUMBER"', number))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(_corpus_config()).encode().replace(b'"sphere"', b'"sph\xe9re"'),
+     "cfg.json: not UTF-8: byte "),
+    (json.dumps(_corpus_config(hamiltonian={"perturbations": None})).encode(),
+     "hamiltonian.perturbations must be a list, got None"),
+    (json.dumps(_corpus_config(hamiltonian={"perturbations": 3})).encode(),
+     "hamiltonian.perturbations must be a list, got 3"),
+    (b"[" * 100000 + b"]" * 100000, "cfg.json: parse error: JSON nested too deeply"),
+], ids=["latin-1-byte", "perturbations-null", "perturbations-number", "nested-too-deep"])
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text, message):
+    """A file that is not UTF-8, a perturbations value that is not a list,
+    and JSON nested beyond the parser's recursion limit each fail with one
+    error line, not a traceback, and the run writes nothing."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not (tmp_path / "out").exists()
 
 

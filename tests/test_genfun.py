@@ -227,7 +227,7 @@ def test_rotation_quadratic_generates_rotation(rng):
     for t in (0.1, -0.3, 0.25):
         leaf = rotation_leaf(t, 2)
         z = rng.normal(size=(6, 4))
-        Z = leaf.map_points(z)
+        Z = leaf.links[0].map_points(z)
         expect = to_real(np.exp(-2j * np.pi * t) * to_complex(z))
         assert np.max(np.abs(Z - expect)) < 1e-12
         # graph of dQ under tau

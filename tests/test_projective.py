@@ -19,20 +19,35 @@ def _spec(*terms):
 
 def test_projective_spec_accepts_even_rejects_odd(rp3_corpus_spec):
     prj.ProjectiveSpec(rp3_corpus_spec)
-    with pytest.raises(ValueError, match="Z2-symmetric"):
+    with pytest.raises(ValueError, match=r"^perturbations\[0\] has odd degree 1: "
+                                         r"the Hamiltonian is not Z2-symmetric$"):
         prj.ProjectiveSpec(_spec((0.1, (1, 0), (0, 0))))
-    # exact: a coefficient of 1e-13 on Re(z_1) = x1 is an odd part
-    with pytest.raises(ValueError, match=r"not Z2-symmetric: .* 1\.000e-13 on x1$"):
+    # per term, whatever its amplitude
+    with pytest.raises(ValueError, match=r"perturbations\[0\] has odd degree 1"):
         prj.ProjectiveSpec(_spec((1e-13, (1, 0), (0, 0))))
-    # Re(z_1^2 conj z_2) = Re(z_2 conj z_1^2): the pair cancels term by term
-    prj.ProjectiveSpec(_spec((0.05, (2, 0), (0, 1)), (-0.05, (0, 1), (2, 0))))
-    # an unequal pair leaves 0.01 Re(z_1^2 conj z_2), whose largest
-    # coefficient, 2 x 0.01, is on x1 y1 y2
-    with pytest.raises(ValueError, match=r"2\.000e-02 on x1 y1 y2$"):
+    # Re(z_1^2 conj z_2) = Re(z_2 conj z_1^2): the pair cancels on the
+    # sphere, but each term is odd
+    with pytest.raises(ValueError, match=r"perturbations\[0\] has odd degree 3"):
+        prj.ProjectiveSpec(_spec((0.05, (2, 0), (0, 1)), (-0.05, (0, 1), (2, 0))))
+    with pytest.raises(ValueError, match=r"perturbations\[0\] has odd degree 3"):
         prj.ProjectiveSpec(_spec((0.05, (2, 0), (0, 1)), (-0.04, (0, 1), (2, 0))))
-    # Re(z_1) (1 - |z|^2) is odd but vanishes on the sphere, so h(-z) = h(z)
-    prj.ProjectiveSpec(_spec((0.1, (1, 0), (0, 0)), (-0.1, (2, 0), (1, 0)),
-                             (-0.1, (1, 1), (0, 1))))
+    # Re(z_1) (1 - |z|^2) vanishes on the sphere, and its first term is odd
+    with pytest.raises(ValueError, match=r"perturbations\[0\] has odd degree 1"):
+        prj.ProjectiveSpec(_spec((0.1, (1, 0), (0, 0)), (-0.1, (2, 0), (1, 0)),
+                                 (-0.1, (1, 1), (0, 1))))
+    # the first odd term is the one named
+    with pytest.raises(ValueError, match=r"perturbations\[1\] has odd degree 3"):
+        prj.ProjectiveSpec(_spec((0.05, (1, 0), (0, 1)), (0.05, (1, 1), (0, 1)),
+                                 (0.05, (1, 0), (0, 0))))
+
+
+def test_projective_sweep_rejects_an_asymmetric_spec(sphere_corpus_spec, settings):
+    """The API sweep checks the symmetry itself, before any route runs, so
+    the diag spec's odd cubic terms are named instead of the seed grid."""
+    params = tp.SweepParams(mode="projective", routes="direct", sphere_count=96, t_count=32)
+    with pytest.raises(ValueError, match=r"perturbations\[0\] has odd degree 3: "
+                                         r"the Hamiltonian is not Z2-symmetric"):
+        tp.sweep_and_count(sphere_corpus_spec, params, settings)
 
 
 def _equivariance_defect(spec, settings):

@@ -138,25 +138,30 @@ def test_coupled_linear_spec_records_are_the_pencil_points(tmp_path):
 
 def test_n3_linear_spec_records_are_the_pencil_points():
     """An RP^5 quadratic form, the diagonal (0.2, 0.45, 0.7) plus
-    0.05 Re(z_j^2) for each j: the direct route's 12 records are
-    non-degenerate, each lies within 1e-12 of one of the 6 simple pencil
-    roots, each root is two records, and the signs of det M sum to 0."""
-    spec = ham.ContactHamiltonianSpec(n=3, quadratic=(0.2, 0.45, 0.7), terms=tuple(
-        ham.PerturbationTerm(0.05, tuple(2 * (i == j) for i in range(3)), (0, 0, 0))
-        for j in range(3)))
+    0.05 Re(z_j^2) for each j, and the RP^7 form on (0.2, 0.35, 0.5, 0.65)
+    built the same way: the direct route's 4n records are non-degenerate,
+    each lies within 1e-12 of one of the 2n simple pencil roots, each root
+    is two records, and the signs of det M sum to 0."""
     settings = IntegratorSettings()
-    res = tp.direct_translated_points(spec, settings, sphere_count=96, t_count=32,
-                                      keep_per_seed=4)
-    records = res.records
-    assert not res.continuum_suspected and len(records) == 12
-    assert all(r.nondegenerate is True for r in records)
-    q = np.array([r.q for r in records])
-    t = np.array([r.t for r in records])
-    close = _pencil_pairs(spec, settings, q, t)
-    assert np.all(close.sum(axis=1) == 1)
-    assert np.all(close.sum(axis=0) == 2)
-    sign, _ = np.linalg.slogdet(_direct_newton_matrix(spec, settings, q, t))
-    assert sign.sum() == 0
+    for quadratic in [(0.2, 0.45, 0.7), (0.2, 0.35, 0.5, 0.65)]:
+        n = len(quadratic)
+        spec = ham.ContactHamiltonianSpec(n=n, quadratic=quadratic, terms=tuple(
+            ham.PerturbationTerm(0.05, tuple(2 * (i == j) for i in range(n)), (0,) * n)
+            for j in range(n)))
+        res = tp.direct_translated_points(spec, settings, sphere_count=96, t_count=32,
+                                          keep_per_seed=4)
+        records = res.records
+        assert not res.continuum_suspected and len(records) == 4 * n
+        assert all(r.nondegenerate is True for r in records)
+        q = np.array([r.q for r in records])
+        t = np.array([r.t for r in records])
+        close = _pencil_pairs(spec, settings, q, t)
+        assert np.all(close.sum(axis=1) == 1)
+        assert np.all(close.sum(axis=0) == 2)
+        M = _direct_newton_matrix(spec, settings, q, t)
+        sign, _ = np.linalg.slogdet(M)
+        assert sign.sum() == 0
+        assert np.max(np.linalg.cond(M)) < 1e4
 
 
 @pytest.mark.parametrize("seed", range(4))
